@@ -24,6 +24,7 @@ package cfgtag
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"cfgtag/internal/aot"
@@ -92,6 +93,11 @@ func RecoverResync() Option { return func(o *core.Options) { o.Recovery = core.R
 // Engine is a compiled tagging engine for one grammar.
 type Engine struct {
 	spec *core.Spec
+	// tags is the tag table: one Match template per Spec.Instances entry
+	// with everything but End filled in at compile time. It is the
+	// software form of the paper's index encoder — a detection's meaning
+	// is looked up, never formatted.
+	tags []Match
 }
 
 // Compile parses the grammar source and compiles the engine.
@@ -113,7 +119,17 @@ func CompileGrammar(g *grammar.Grammar, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{spec: spec}, nil
+	tags := make([]Match, len(spec.Instances))
+	for i, in := range spec.Instances {
+		tags[i] = Match{
+			Term:        in.Term,
+			Context:     in.Context(spec.Grammar),
+			Index:       in.Index,
+			SentenceEnd: in.CanEnd,
+			InstanceID:  in.ID,
+		}
+	}
+	return &Engine{spec: spec, tags: tags}, nil
 }
 
 // Spec exposes the compiled specification for advanced integration
@@ -157,16 +173,25 @@ func (e *Engine) NewTagger() *Tagger {
 	return t
 }
 
+// match is the whole per-detection cost of the facade: copy the
+// instance's tag-table row and set End.
 func (e *Engine) match(m stream.Match) Match {
-	in := e.spec.Instances[m.InstanceID]
-	return Match{
-		Term:        in.Term,
-		Context:     in.Context(e.spec.Grammar),
-		Index:       in.Index,
-		End:         m.End,
-		SentenceEnd: in.CanEnd,
-		InstanceID:  in.ID,
+	t := e.tags[m.InstanceID]
+	t.End = m.End
+	return t
+}
+
+// matches converts ms into dst's backing array, allocating only when it
+// is missing or too small.
+func (e *Engine) matches(dst []Match, ms []stream.Match) []Match {
+	if dst == nil || cap(dst) < len(ms) {
+		dst = make([]Match, len(ms))
 	}
+	dst = dst[:len(ms)]
+	for i, m := range ms {
+		dst[i] = e.match(m)
+	}
+	return dst
 }
 
 // Errors returns the number of section 5.2 recovery events so far (always
@@ -184,12 +209,7 @@ func (t *Tagger) Reset() { t.inner.Reset() }
 
 // Tag runs a whole buffer and returns all matches (Reset + Close implied).
 func (t *Tagger) Tag(data []byte) []Match {
-	ms := t.inner.Tag(data)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = t.engine.match(m)
-	}
-	return out
+	return t.engine.matches(nil, t.inner.Tag(data))
 }
 
 // Pool tags independent buffers concurrently (one borrowed engine state
@@ -207,12 +227,7 @@ func (e *Engine) NewPool(size int) *Pool {
 // Tag tags one buffer; concurrent calls proceed in parallel up to the pool
 // size.
 func (p *Pool) Tag(data []byte) []Match {
-	ms := p.inner.Tag(data)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = p.engine.match(m)
-	}
-	return out
+	return p.engine.matches(nil, p.inner.Tag(data))
 }
 
 // Report is a synthesis result (a table 1 row).
@@ -265,12 +280,7 @@ func (e *Engine) NewGateRunner() (*GateRunner, error) {
 
 // Run feeds the input at one byte per cycle and returns the detections.
 func (g *GateRunner) Run(input []byte) []Match {
-	ms := g.runner.Run(input)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = g.engine.match(m)
-	}
-	return out
+	return g.engine.matches(nil, g.runner.Run(input))
 }
 
 // Wide2Runner simulates the 2-bytes-per-clock datapath (the section 5.2
@@ -296,12 +306,7 @@ func (e *Engine) NewWide2Runner() (*Wide2Runner, error) {
 
 // Run feeds the input two bytes per cycle and returns the detections.
 func (w *Wide2Runner) Run(input []byte) []Match {
-	ms := w.runner.Run(input)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = w.engine.match(m)
-	}
-	return out
+	return w.engine.matches(nil, w.runner.Run(input))
 }
 
 // SelfTest cross-checks both generated hardware datapaths against the
@@ -340,14 +345,7 @@ func (p *Parser) Parse(input []byte) ([]Match, error) {
 		if in == nil {
 			return nil, fmt.Errorf("cfgtag: internal: no instance at rule %d pos %d", tag.Rule, tag.Pos)
 		}
-		out = append(out, Match{
-			Term:        in.Term,
-			Context:     in.Context(p.engine.spec.Grammar),
-			Index:       in.Index,
-			End:         int64(tag.End),
-			SentenceEnd: in.CanEnd,
-			InstanceID:  in.ID,
-		})
+		out = append(out, p.engine.match(stream.Match{InstanceID: in.ID, End: int64(tag.End)}))
 	}
 	return out, nil
 }
@@ -543,11 +541,7 @@ func (b *Backend) Matches() []Match {
 	if len(ms) == 0 {
 		return nil
 	}
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = b.engine.match(m)
-	}
-	return out
+	return b.engine.matches(nil, ms)
 }
 
 // Counters reports the backend's lifetime totals.
@@ -568,16 +562,22 @@ func (b *Backend) CompileStats() CompileStats {
 }
 
 // TagBatch is one unit of pipeline output: a chunk of one stream plus the
-// matches confirmed over it. Data is pooled — it is only valid during the
-// deliver callback; copy it to keep it.
+// matches confirmed over it. The batch handed to a deliver callback is
+// pooled, Data and Tags included — all of it is only valid during the
+// callback; copy what you keep. (Batches handed to DeadLetter are not
+// pooled and may be kept.)
 type TagBatch struct {
 	// Stream is the key the bytes were Sent under.
 	Stream string
 	// Shard is the pipeline shard that processed this stream.
 	Shard int
-	// Data is the chunk of stream bytes this batch covers.
+	// Data is the chunk of stream bytes this batch covers. It aliases a
+	// pooled arena that is recycled when deliver returns.
 	Data []byte
-	// Tags holds the matches confirmed while processing Data.
+	// Tags holds the matches confirmed while processing Data. Like Data,
+	// its backing array is reused for a later batch as soon as deliver
+	// returns: copy the elements (append(dst, b.Tags...)), never keep the
+	// slice.
 	Tags []Match
 	// EOS marks the stream's final batch.
 	EOS bool
@@ -594,15 +594,54 @@ type TagBatch struct {
 	Version int
 }
 
+// batchHeader copies everything of b but its tags.
+func batchHeader(b *runtime.Batch) TagBatch {
+	return TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version}
+}
+
+// toTagBatch converts b into a freshly allocated batch the receiver may
+// keep — the DeadLetter path.
 func (e *Engine) toTagBatch(b *runtime.Batch) *TagBatch {
-	tb := &TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version}
+	tb := batchHeader(b)
 	if len(b.Tags) > 0 {
-		tb.Tags = make([]Match, len(b.Tags))
-		for i, m := range b.Tags {
-			tb.Tags[i] = e.match(m)
-		}
+		tb.Tags = e.matches(nil, b.Tags)
 	}
-	return tb
+	return &tb
+}
+
+// maxPooledTags bounds how large a Tags backing array the pool keeps: one
+// huge batch must not pin its array for good.
+const maxPooledTags = 8192
+
+// pooledBatch is the TagBatch a sink adapter hands to deliver, plus the
+// Tags backing array it reuses from batch to batch. The array is held
+// here and not only in batch.Tags so that a callback overwriting its
+// batch cannot reach into the pool.
+type pooledBatch struct {
+	batch TagBatch
+	tags  []Match
+}
+
+var batchPool = sync.Pool{New: func() any { return new(pooledBatch) }}
+
+// getBatch converts b into a pooled batch; the caller hands &pb.batch to
+// deliver and calls putBatch when deliver has returned.
+func (e *Engine) getBatch(b *runtime.Batch) *pooledBatch {
+	pb := batchPool.Get().(*pooledBatch)
+	pb.batch = batchHeader(b)
+	if len(b.Tags) > 0 {
+		pb.tags = e.matches(pb.tags, b.Tags)
+		pb.batch.Tags = pb.tags
+	}
+	return pb
+}
+
+func putBatch(pb *pooledBatch) {
+	pb.batch = TagBatch{}
+	if cap(pb.tags) > maxPooledTags {
+		pb.tags = nil
+	}
+	batchPool.Put(pb)
 }
 
 // Metrics aggregates pipeline observability counters (bytes, matches,
@@ -743,8 +782,9 @@ type Pipeline struct {
 	inner  *runtime.Pipeline
 }
 
-// NewPipeline starts a sharded pipeline delivering tag batches to deliver.
-// The pipeline owns its goroutines until Close.
+// NewPipeline starts a sharded pipeline delivering tag batches to deliver,
+// which must not retain b, b.Data or b.Tags past the call (the batch is
+// pooled, see TagBatch). The pipeline owns its goroutines until Close.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
 	f, err := e.factoryLimits(cfg.Backend, cfg.Limits)
 	if err != nil {
@@ -775,7 +815,10 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
 	}
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		return deliver(e.toTagBatch(b))
+		pb := e.getBatch(b)
+		err := deliver(&pb.batch)
+		putBatch(pb)
+		return err
 	})
 	p, err := runtime.NewPipeline(rcfg, sink)
 	if err != nil {

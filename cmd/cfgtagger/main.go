@@ -342,6 +342,11 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 	var mc runtime.MetricCounters
 	var sinkMu sync.Mutex // serializes printing when sink workers run concurrently
 	tagged, faulted := 0, 0
+	// The context of an instance is fixed by the grammar: render it once.
+	contexts := make([]string, len(spec.Instances))
+	for i, inst := range spec.Instances {
+		contexts[i] = inst.Context(spec.Grammar)
+	}
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
 		sinkMu.Lock()
 		defer sinkMu.Unlock()
@@ -349,7 +354,7 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 			tagged++
 			inst := spec.Instances[m.InstanceID]
 			fmt.Fprintf(out, "%-10s %8d  idx=%-4d %-20q %s\n",
-				b.Key, m.End, inst.Index, inst.Term, inst.Context(spec.Grammar))
+				b.Key, m.End, inst.Index, inst.Term, contexts[m.InstanceID])
 		}
 		if b.Err != nil {
 			faulted++

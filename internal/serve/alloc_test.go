@@ -1,0 +1,62 @@
+//go:build !race
+
+package serve
+
+import (
+	"bytes"
+	"testing"
+
+	"cfgtag"
+)
+
+// Allocation guards of the wire path; excluded under -race, whose
+// instrumentation allocates on its own.
+
+// TestAppendBatchTextAllocFree renders a dense batch into a buffer that
+// already has the capacity: no allocation, whatever the batch size.
+func TestAppendBatchTextAllocFree(t *testing.T) {
+	b := &cfgtag.TagBatch{Stream: "s", EOS: true}
+	for i := 0; i < 500; i++ {
+		b.Tags = append(b.Tags, cfgtag.Match{Term: "STRING", Context: "methodName[1]", Index: i % 40, End: int64(9 * i)})
+	}
+	total := 0
+	buf := AppendBatchText(nil, "key-1 ", b, &total)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendBatchText(buf[:0], "key-1 ", b, &total)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendBatchText into a warmed buffer allocates %.1f times, want 0", allocs)
+	}
+}
+
+// endlessReader serves the same bytes over and over.
+type endlessReader struct {
+	data []byte
+	off  int
+}
+
+func (r *endlessReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
+}
+
+// TestReadFrameKnownKeyAllocFree parses DATA frames of a stream whose key
+// the caller already holds: the frame reuses that string.
+func TestReadFrameKnownKeyAllocFree(t *testing.T) {
+	const key = "stream-000017"
+	wire := AppendFrame(nil, Frame{Op: FrameData, Key: key, Payload: bytes.Repeat([]byte("x"), 4096)})
+	fr := NewFrameReader(&endlessReader{data: wire})
+	known := func(b []byte) (string, bool) { return key, string(b) == key }
+	var f Frame
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err = fr.readFrame(known)
+	})
+	if err != nil || f.Key != key || len(f.Payload) != 4096 {
+		t.Fatalf("readFrame = %+v, %v", f.Op, err)
+	}
+	if allocs != 0 {
+		t.Fatalf("DATA frame of a known key allocates %.1f times, want 0", allocs)
+	}
+}

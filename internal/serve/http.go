@@ -123,7 +123,7 @@ func (h *HTTPInput) serveStream(s *Server, w http.ResponseWriter, r *http.Reques
 		http.Error(w, "want /v1/streams/<tenant>/<key>", http.StatusBadRequest)
 		return
 	}
-	bo := newBufferOutput()
+	bo := &bufferOutput{}
 	sess, err := s.OpenStream(tenant, key, bo)
 	if err != nil {
 		httpError(w, err)

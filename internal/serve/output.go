@@ -2,50 +2,36 @@ package serve
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"strings"
 	"sync"
 
 	"cfgtag"
 )
 
-// TagWriter renders a stream's tag batches as newline-delimited events:
+// AppendBatchText renders one batch as newline-delimited events:
 //
 //	TAG <end> <index> <term> <context>\n     one line per match
 //	END <total-tags>\n                       clean end of stream
 //	ERR <message>\n                          faulted or evicted end
 //
-// Every line is prefixed with Prefix (the stream key plus a space on
-// multiplexed connections, empty on dedicated ones). The whole batch is
-// rendered into one buffer and written with a single Write, so writers
-// shared by several streams interleave at batch granularity only.
-// A TagWriter is driven from one stream's delivery order and needs no
-// internal locking.
-type TagWriter struct {
-	W      io.Writer
-	Prefix string
-
-	buf  []byte
-	tags int
-}
-
-// Deliver implements Output.
-func (tw *TagWriter) Deliver(b *cfgtag.TagBatch) error {
-	tw.buf = AppendBatchText(tw.buf[:0], tw.Prefix, b, &tw.tags)
-	if len(tw.buf) == 0 {
-		return nil
-	}
-	_, err := tw.W.Write(tw.buf)
-	return err
-}
-
-// AppendBatchText renders one batch in the TagWriter wire format,
-// tracking the stream's cumulative tag count in *total. It is shared by
-// the live outputs and the test oracle, which is what makes "byte-
-// identical to the serial oracle" a well-defined assertion.
+// Every line is prefixed with prefix (the stream key plus a space on
+// multiplexed connections, empty on dedicated ones), and the stream's
+// cumulative tag count is tracked in *total. It is shared by the live
+// outputs and the test oracle, which is what makes "byte-identical to the
+// serial oracle" a well-defined assertion.
 func AppendBatchText(dst []byte, prefix string, b *cfgtag.TagBatch, total *int) []byte {
-	for _, m := range b.Tags {
-		*total++
+	// Reserve the whole batch once, so the per-tag appends below never
+	// grow dst: per line the prefix, "TAG ", two numbers of at most 20
+	// digits, three separators and the newline, plus the names.
+	need := len(b.Tags) * (len(prefix) + 4 + 20 + 1 + 20 + 1 + 1 + 1)
+	for i := range b.Tags {
+		need += len(b.Tags[i].Term) + len(b.Tags[i].Context)
+	}
+	dst = slices.Grow(dst, need)
+	*total += len(b.Tags)
+	for i := range b.Tags {
+		m := &b.Tags[i]
 		dst = append(dst, prefix...)
 		dst = append(dst, "TAG "...)
 		dst = appendUint(dst, int(m.End))
@@ -95,23 +81,15 @@ func appendSanitized(dst []byte, s string) []byte {
 // HTTP input uses it to hold the response body until the stream ends.
 type bufferOutput struct {
 	mu   sync.Mutex
-	tw   TagWriter
 	data []byte
-}
-
-func newBufferOutput() *bufferOutput {
-	bo := &bufferOutput{}
-	bo.tw.W = writerFunc(func(p []byte) (int, error) {
-		bo.data = append(bo.data, p...)
-		return len(p), nil
-	})
-	return bo
+	tags int
 }
 
 func (bo *bufferOutput) Deliver(b *cfgtag.TagBatch) error {
 	bo.mu.Lock()
 	defer bo.mu.Unlock()
-	return bo.tw.Deliver(b)
+	bo.data = AppendBatchText(bo.data, "", b, &bo.tags)
+	return nil
 }
 
 // Bytes returns the rendered stream output; call only after the session
@@ -121,10 +99,6 @@ func (bo *bufferOutput) Bytes() []byte {
 	defer bo.mu.Unlock()
 	return bo.data
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // MetricsText renders the /metrics payload: flat text key/value lines,
 // one per counter, labeled Prometheus-style with the tenant name. No

@@ -179,7 +179,20 @@ func (fr *FrameReader) ReadHandshake() (Handshake, error) {
 
 // ReadFrame parses the next mux-mode frame. io.EOF marks a clean end of
 // the connection between frames.
-func (fr *FrameReader) ReadFrame() (Frame, error) {
+func (fr *FrameReader) ReadFrame() (Frame, error) { return fr.readFrame(nil) }
+
+// readFrame is ReadFrame with a key table: known, when set, is asked for
+// the string already held for a frame's key bytes, so a frame of a known
+// stream costs no key allocation (known must not retain the bytes).
+func (fr *FrameReader) readFrame(known func(key []byte) (string, bool)) (Frame, error) {
+	keyOf := func(b []byte) string {
+		if known != nil {
+			if k, ok := known(b); ok {
+				return k
+			}
+		}
+		return string(b)
+	}
 	line, err := fr.readLine()
 	if err != nil {
 		if errors.Is(err, ErrProtocol) {
@@ -187,8 +200,8 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	var parts [][]byte
-	parts = fields(line, parts)
+	var arr [4][]byte // a frame header has at most three fields
+	parts := fields(line, arr[:0])
 	switch string(parts[0]) {
 	case "OPEN", "CLOSE":
 		if len(parts) != 2 || !validName(parts[1]) {
@@ -198,7 +211,7 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		if parts[0][0] == 'C' {
 			op = FrameClose
 		}
-		return Frame{Op: op, Key: string(parts[1])}, nil
+		return Frame{Op: op, Key: keyOf(parts[1])}, nil
 	case "DATA":
 		if len(parts) != 3 || !validName(parts[1]) {
 			return Frame{}, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
@@ -229,7 +242,7 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 		if c != '\n' {
 			return Frame{}, fmt.Errorf("%w: missing payload terminator", ErrBadFrame)
 		}
-		return Frame{Op: FrameData, Key: string(parts[1]), Payload: buf}, nil
+		return Frame{Op: FrameData, Key: keyOf(parts[1]), Payload: buf}, nil
 	}
 	return Frame{}, ErrBadFrame
 }

@@ -144,11 +144,16 @@ type connWriter struct {
 	timeout time.Duration
 	onSlow  func()
 	err     error
+	buf     []byte // render buffer shared by the connection's streams
 }
 
 func (cw *connWriter) Write(p []byte) (int, error) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
+	return cw.writeLocked(p)
+}
+
+func (cw *connWriter) writeLocked(p []byte) (int, error) {
 	if cw.err != nil {
 		return 0, cw.err
 	}
@@ -167,6 +172,38 @@ func (cw *connWriter) Write(p []byte) (int, error) {
 }
 
 func (cw *connWriter) line(s string) { cw.Write(append([]byte(s), '\n')) }
+
+// maxConnBuf bounds the render buffer a connection keeps between batches:
+// one huge batch must not pin its rendering for the connection's life.
+const maxConnBuf = 1 << 20
+
+// connOutput writes one stream's tag batches back over its connection.
+// The whole batch is rendered into the connection's one buffer under the
+// write lock and sent with a single Write, so the streams of a
+// multiplexed connection interleave at batch granularity only and none
+// of them owns a buffer. It is driven from one stream's delivery order,
+// so prefix and tags need no locking of their own.
+type connOutput struct {
+	cw     *connWriter
+	prefix string // "<key> " on multiplexed connections, else empty
+	tags   int
+}
+
+// Deliver implements Output.
+func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
+	cw := co.cw
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	buf := AppendBatchText(cw.buf[:0], co.prefix, b, &co.tags)
+	if cap(buf) <= maxConnBuf {
+		cw.buf = buf
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := cw.writeLocked(buf)
+	return err
+}
 
 // errText maps Send/open errors to the short reason written on the wire.
 func errText(err error) string {
@@ -206,12 +243,12 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 		return
 	}
 	if hs.Mux {
-		t.pumpMux(s, fr, cw, hs.Tenant)
+		t.pumpMux(s, fr, cw, hs.Tenant, &muxPending{})
 		return
 	}
 	var out Output
 	if !t.opt.NoEcho {
-		out = &TagWriter{W: cw}
+		out = &connOutput{cw: cw}
 	}
 	t.pumpStream(s, fr.r, cw, hs.Tenant, hs.Key, out)
 }
@@ -222,7 +259,7 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 // mode keeps the session silent (NoEcho).
 func (t *TCPInput) pumpStream(s *Server, r io.Reader, cw *connWriter, tenant, key string, out Output) {
 	if t.opt.Raw && !t.opt.NoEcho {
-		out = &TagWriter{W: cw}
+		out = &connOutput{cw: cw}
 	}
 	sess, err := s.OpenStream(tenant, key, out)
 	if err != nil {
@@ -283,16 +320,60 @@ type muxStream struct {
 	sent bool
 }
 
+// muxPending holds the sessions of a multiplexed connection whose streams
+// the client has closed but whose final line may still be on its way out;
+// the connection must stay up for them. Sessions that have ended are
+// dropped by an amortised sweep as new ones are added, so the set stays
+// within twice the number of streams actually in flight (plus a constant)
+// however many streams the connection serves.
+type muxPending struct {
+	sess    []*session
+	sweepAt int
+}
+
+func (mp *muxPending) add(ss *session) {
+	mp.sess = append(mp.sess, ss)
+	if len(mp.sess) < mp.sweepAt {
+		return
+	}
+	live := mp.sess[:0]
+	for _, ss := range mp.sess {
+		select {
+		case <-ss.done:
+		default:
+			live = append(live, ss)
+		}
+	}
+	clear(mp.sess[len(live):])
+	mp.sess = live
+	mp.sweepAt = 2*len(live) + 64
+}
+
+// wait blocks until every remaining session's final line is written.
+func (mp *muxPending) wait() {
+	for _, ss := range mp.sess {
+		<-ss.done
+	}
+}
+
 // pumpMux drives one multiplexed connection: OPEN/DATA/CLOSE frames for
 // many keyed streams, responses interleaved per batch with a "<key> "
 // prefix. On EOF every still-open stream is flushed, and the connection
 // stays up until each stream's final line is written.
-func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string) {
+func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string, pending *muxPending) {
 	core := s.Core()
 	open := make(map[string]*muxStream)
-	var pending []*session
+	// A frame for an open stream carries the key string its session has
+	// held since OPEN instead of a fresh copy of the key bytes.
+	openKey := func(b []byte) (string, bool) {
+		ms, ok := open[string(b)]
+		if !ok {
+			return "", false
+		}
+		return ms.sess.key, true
+	}
 	for {
-		f, err := fr.ReadFrame()
+		f, err := fr.readFrame(openKey)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				cw.line("ERR! " + err.Error())
@@ -308,7 +389,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 			}
 			var out Output
 			if !t.opt.NoEcho {
-				out = &TagWriter{W: cw, Prefix: f.Key + " "}
+				out = &connOutput{cw: cw, prefix: f.Key + " "}
 			}
 			sess, err := s.OpenStream(tenant, f.Key, out)
 			if err != nil {
@@ -324,7 +405,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 			}
 			if err := core.Send(tenant, f.Key, f.Payload); err != nil {
 				t.failStream(s, cw, tenant, f.Key, f.Key+" ", ms.sent, err)
-				pending = append(pending, ms.sess)
+				pending.add(ms.sess)
 				delete(open, f.Key)
 				continue
 			}
@@ -336,7 +417,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 				continue
 			}
 			core.CloseStream(tenant, f.Key)
-			pending = append(pending, ms.sess)
+			pending.add(ms.sess)
 			delete(open, f.Key)
 		}
 	}
@@ -346,9 +427,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 		if core.CloseStream(tenant, key) != nil {
 			s.EndStream(tenant, key)
 		}
-		pending = append(pending, ms.sess)
+		pending.add(ms.sess)
 	}
-	for _, sess := range pending {
-		<-sess.Done()
-	}
+	pending.wait()
 }

@@ -424,7 +424,8 @@ type Platform struct {
 // NewPlatform validates cfg, compiles every tenant's grammar and starts
 // the per-tenant pipelines. deliver receives every tag batch with the
 // originating tenant's name; like Pipeline's deliver, it must not retain
-// b.Data or b.Tags past the call, and per-stream batches arrive in order.
+// b, b.Data or b.Tags past the call (the batch is pooled, see TagBatch),
+// and per-stream batches arrive in order.
 func NewPlatform(cfg *PlatformConfig, deliver func(tenant string, b *TagBatch) error) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -477,7 +478,10 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	}
 	name := def.Name
 	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		return deliver(name, pt.engineFor(b.Version).toTagBatch(b))
+		pb := pt.engineFor(b.Version).getBatch(b)
+		err := deliver(name, &pb.batch)
+		putBatch(pb)
+		return err
 	})
 	tenant := runtime.Tenant{
 		Name: name,
