@@ -592,11 +592,19 @@ type TagBatch struct {
 	// batch: 1 at construction, incremented by each zero-downtime reload
 	// (see Platform.Reload). Streams never change version mid-life.
 	Version int
+	// More is an output hint for callbacks that buffer what they write:
+	// when set, the sink worker calling deliver already holds another batch
+	// and will deliver it right after this one, so a flush can wait for it.
+	// A batch with More unset ends the worker's run (its queue was empty)
+	// and is the cue to flush; every run ends with one, including the last
+	// batch before Close returns. Callbacks that write through can ignore
+	// it, and the zero value means "flush".
+	More bool
 }
 
 // batchHeader copies everything of b but its tags.
 func batchHeader(b *runtime.Batch) TagBatch {
-	return TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version}
+	return TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version, More: b.More}
 }
 
 // toTagBatch converts b into a freshly allocated batch the receiver may

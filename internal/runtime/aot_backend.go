@@ -69,7 +69,6 @@ func AOTProgramFactory(prog *aot.Program, lim Limits) Factory {
 		b.r.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
 		b.r.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
 		b.r.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
@@ -85,16 +84,23 @@ func (b *aotBackend) Reset() {
 }
 
 func (b *aotBackend) Feed(p []byte) error {
+	before := b.matches
 	n, err := b.r.Write(p)
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
+	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}
 	return err
 }
 
-func (b *aotBackend) Close() error { return b.r.Close() }
+func (b *aotBackend) Close() error {
+	before := b.matches
+	err := b.r.Close()
+	b.hooks.matches(b.shard, int(b.matches-before))
+	return err
+}
 
 func (b *aotBackend) Matches() []stream.Match {
 	out := b.pending

@@ -49,9 +49,10 @@ type Backend interface {
 // matchRecycler is implemented by backends whose pending-match buffer can
 // be swapped for a caller-owned one: DrainMatches returns the confirmed
 // matches (like Matches) and adopts buf, with its length reset, as the new
-// pending buffer. The pipeline uses it to cycle match slices through a
-// pool instead of allocating one per batch. Wrapping backends are searched
-// through their Unwrap chain, so fault injectors stay transparent.
+// pending buffer. The pipeline uses it to lend a backend a pooled slice
+// for each Feed or Close (see shard.lend) instead of letting it allocate
+// one per batch. Wrapping backends are searched through their Unwrap
+// chain, so fault injectors stay transparent.
 type matchRecycler interface {
 	DrainMatches(buf []stream.Match) []stream.Match
 }
@@ -99,8 +100,10 @@ type Counters struct {
 type Hooks struct {
 	// Bytes observes every chunk fed to a backend.
 	Bytes func(shard int, n int)
-	// Match observes every confirmed detection.
-	Match func(shard int, m stream.Match)
+	// Matches observes confirmed detections, as a count: each backend
+	// reports what a Feed confirmed once when it returns, and what the
+	// end-of-stream flush confirmed once per Close. Nothing runs per tag.
+	Matches func(shard int, n int)
 	// Recovery observes each section 5.2 recovery event.
 	Recovery func(shard int, pos int64)
 	// Collision observes each runtime index collision.
@@ -164,9 +167,9 @@ func (h *Hooks) bytes(shard, n int) {
 	}
 }
 
-func (h *Hooks) match(shard int, m stream.Match) {
-	if h != nil && h.Match != nil {
-		h.Match(shard, m)
+func (h *Hooks) matches(shard, n int) {
+	if n > 0 && h != nil && h.Matches != nil {
+		h.Matches(shard, n)
 	}
 }
 
@@ -308,7 +311,7 @@ type MetricCounters struct {
 func (c *MetricCounters) Hooks() *Hooks {
 	return &Hooks{
 		Bytes:     func(_ int, n int) { c.bytes.Add(int64(n)) },
-		Match:     func(int, stream.Match) { c.matches.Add(1) },
+		Matches:   func(_ int, n int) { c.matches.Add(int64(n)) },
 		Recovery:  func(int, int64) { c.recoveries.Add(1) },
 		Collision: func(int, int64, int, int) { c.collisions.Add(1) },
 		QueueDepth: func(_ int, depth int) {

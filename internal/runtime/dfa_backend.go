@@ -58,7 +58,6 @@ func DFAFactoryLimits(spec *core.Spec, cfg stream.DFAConfig, lim Limits) Factory
 		d.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
 		d.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
 		d.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
@@ -74,9 +73,11 @@ func (b *dfaBackend) Reset() {
 }
 
 func (b *dfaBackend) Feed(p []byte) error {
+	before := b.matches
 	n, err := b.d.Write(p)
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
+	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}
@@ -84,7 +85,9 @@ func (b *dfaBackend) Feed(p []byte) error {
 }
 
 func (b *dfaBackend) Close() error {
+	before := b.matches
 	err := b.d.Close()
+	b.hooks.matches(b.shard, int(b.matches-before))
 	hits, misses, resets := b.d.CacheStats()
 	if dh, dm, dr := hits-b.repHits, misses-b.repMisses, resets-b.repResets; dh|dm|dr != 0 {
 		b.hooks.cacheStats(b.shard, dh, dm, dr)

@@ -138,10 +138,8 @@ func (b *earleyBackend) Close() error {
 		dedup = append(dedup, m)
 	}
 	b.pending = dedup
-	for _, m := range b.pending {
-		b.matches++
-		b.hooks.match(b.shard, m)
-	}
+	b.matches += int64(len(dedup))
+	b.hooks.matches(b.shard, len(dedup))
 	return nil
 }
 

@@ -54,16 +54,17 @@ func (b *gateBackend) Reset() {
 func (b *gateBackend) emit(m stream.Match) {
 	b.pending = append(b.pending, m)
 	b.matches++
-	b.hooks.match(b.shard, m)
 }
 
 func (b *gateBackend) Feed(p []byte) error {
 	if b.closed {
 		return errClosed
 	}
+	before := b.matches
 	b.r.Feed(p, b.emit)
 	b.bytes += int64(len(p))
 	b.hooks.bytes(b.shard, len(p))
+	b.hooks.matches(b.shard, int(b.matches-before))
 	return nil
 }
 
@@ -72,7 +73,9 @@ func (b *gateBackend) Close() error {
 		return nil
 	}
 	b.closed = true
+	before := b.matches
 	b.r.Finish(b.emit)
+	b.hooks.matches(b.shard, int(b.matches-before))
 	return nil
 }
 

@@ -99,11 +99,10 @@ func (b *parserBackend) Close() error {
 			// Cannot happen for a table built from this spec; fail loud.
 			panic("runtime: parser tag with no spec instance")
 		}
-		m := stream.Match{InstanceID: in.ID, End: int64(tag.End)}
-		b.pending = append(b.pending, m)
-		b.matches++
-		b.hooks.match(b.shard, m)
+		b.pending = append(b.pending, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
 	}
+	b.matches += int64(len(tags))
+	b.hooks.matches(b.shard, len(tags))
 	return nil
 }
 

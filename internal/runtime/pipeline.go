@@ -128,6 +128,13 @@ type Batch struct {
 	// decode tags with the grammar generation the stream is actually
 	// running, across zero-downtime reloads.
 	Version int
+	// More is set by the delivering sink worker, just before Deliver: the
+	// worker already holds another batch it will deliver right after this
+	// one. A sink that buffers its output may keep buffering while More is
+	// set; a batch with More unset ends the worker's run — its queue was
+	// empty — and is the cue to flush. The last batch a worker delivers
+	// before Close returns always has More unset.
+	More bool
 
 	// ver releases the stream's factory-version binding after this final
 	// batch is delivered; set only on EOS batches of streams that bound a
@@ -1024,15 +1031,21 @@ func (s *shard) remove(e *streamEntry) {
 	}
 }
 
-// drain moves the backend's confirmed matches into batch.Tags, through a
-// pooled buffer when the backend supports recycling.
+// lend hands the stream's backend a pooled match buffer for the call that
+// is about to confirm matches; drain takes it back with them. A backend
+// holds a pooled buffer only between the two, so buffers in use follow
+// the batches in flight, not the live streams, and every one of them
+// returns to the pool when its batch is delivered.
+func (s *shard) lend(e *streamEntry) {
+	if e.rec != nil {
+		e.rec.DrainMatches(s.p.getMatchBuf())
+	}
+}
+
+// drain moves the backend's confirmed matches into batch.Tags.
 func (s *shard) drain(e *streamEntry, batch *Batch) error {
 	return s.guard("Matches", func() error {
-		if e.rec != nil {
-			batch.Tags = e.rec.DrainMatches(s.p.getMatchBuf())
-		} else {
-			batch.Tags = e.b.Matches()
-		}
+		batch.Tags = e.b.Matches()
 		return nil
 	})
 }
@@ -1047,6 +1060,7 @@ func (s *shard) evictOldest(g *sinkGroup) {
 	}
 	e := el.Value.(*streamEntry)
 	batch := &Batch{Key: e.key, Shard: s.id, EOS: true, Evicted: true, Version: e.ver.id, ver: e.ver}
+	s.lend(e)
 	batch.Err = s.guardTimed(e.key, "Close", e.b.Close)
 	if merr := s.drain(e, batch); merr != nil && batch.Err == nil {
 		batch.Err = merr
@@ -1101,6 +1115,7 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 	}
 
 	batch := &Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id}
+	s.lend(e)
 	if len(data) > 0 {
 		batch.Err = s.guardTimed(key, "Feed", func() error { return e.b.Feed(data) })
 	}
@@ -1174,8 +1189,13 @@ func (p *Pipeline) sinkWorker(ch chan *sinkGroup, worker int, seed int64) {
 		br = &breaker{p: p, worker: worker}
 	}
 	for g := range ch {
-		for _, b := range g.batches {
+		for i, b := range g.batches {
 			if p.Err() == nil {
+				// The len(ch) read races with the shards, in the harmless
+				// direction only: a non-empty queue guarantees another batch
+				// (emit never queues an empty group), whose own More is
+				// evaluated again, so every run ends on a batch without it.
+				b.More = i+1 < len(g.batches) || len(ch) > 0
 				p.deliver(b, rng, br)
 			}
 			p.putMatchBuf(b.Tags)

@@ -614,3 +614,108 @@ func TestPipelineSteadyStateSendAllocs(t *testing.T) {
 		t.Errorf("steady-state Send averages %.1f allocs, want <= 6", avg)
 	}
 }
+
+// TestPipelineBatchMore pins the Batch.More contract a buffering sink
+// builds on: while a worker's queue holds further batches More is set, the
+// batch that empties the queue has it unset, and so has the last batch
+// each worker delivers before Close returns.
+func TestPipelineBatchMore(t *testing.T) {
+	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, perShard = 2, 6
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			type seen struct {
+				key       string
+				more, eos bool
+			}
+			var mu sync.Mutex
+			got := make([][]seen, workers) // per worker, in delivery order
+			blocked := make(chan int, workers)
+			release := make(chan struct{})
+			sink := SinkFunc(func(b *Batch) error {
+				w := b.Shard % workers
+				mu.Lock()
+				first := len(got[w]) == 0
+				got[w] = append(got[w], seen{b.Key, b.More, b.EOS})
+				mu.Unlock()
+				if first {
+					blocked <- w
+					<-release
+				}
+				return nil
+			})
+			// No dispatch coalescing: every Send is one group of one batch.
+			p, err := NewPipeline(Config{Shards: shards, SinkWorkers: workers, BatchBytes: -1, Factory: TaggerFactory(spec)}, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([][]string, shards)
+			for i := 0; len(keys[0]) < perShard || len(keys[1]) < perShard; i++ {
+				key := fmt.Sprintf("k%d", i)
+				if sh := p.shardFor(key); len(keys[sh]) < perShard {
+					keys[sh] = append(keys[sh], key)
+				}
+			}
+			// One batch per worker to block on, then the run behind it.
+			for w := 0; w < workers; w++ {
+				if err := p.Send(keys[w][0], []byte(" ")); err != nil {
+					t.Fatal(err)
+				}
+				<-blocked
+			}
+			for sh := range keys {
+				for _, key := range keys[sh][1:] {
+					if err := p.Send(key, []byte(" ")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			queued := (perShard - 1) * shards / workers
+			waitQueued := time.Now().Add(10 * time.Second)
+			for w := 0; w < workers; w++ {
+				for len(p.sinkChs[w]) < queued {
+					if time.Now().After(waitQueued) {
+						t.Fatalf("worker %d: %d groups queued, want %d", w, len(p.sinkChs[w]), queued)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			close(release)
+			// Close flushes every open stream: one group of EOS batches per
+			// shard, behind the queued run.
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for w, run := range got {
+				// The blocker's own More depends on what was queued when the
+				// worker took it; everything after it is determined.
+				run = run[1:]
+				if len(run) < queued {
+					t.Fatalf("worker %d delivered %d batches after the blocker, want at least %d", w, len(run), queued)
+				}
+				for i, b := range run[:queued-1] {
+					if !b.more {
+						t.Errorf("worker %d: batch %d (%s) of a queued run has More unset", w, i, b.key)
+					}
+				}
+				if last := run[len(run)-1]; last.more || !last.eos {
+					t.Errorf("worker %d: last batch before Close returned = %+v, want an EOS batch with More unset", w, last)
+				}
+				// Within the final groups only a group's last batch can end
+				// a run.
+				unset := 0
+				for _, b := range run {
+					if b.eos && !b.more {
+						unset++
+					}
+				}
+				if max := shards / workers; unset > max {
+					t.Errorf("worker %d: %d EOS batches with More unset, want at most %d (one per final group)", w, unset, max)
+				}
+			}
+		})
+	}
+}

@@ -387,7 +387,7 @@ func chainHooks(a, b *Hooks) *Hooks {
 	}
 	return &Hooks{
 		Bytes:          func(shard, n int) { a.bytes(shard, n); b.bytes(shard, n) },
-		Match:          func(shard int, m stream.Match) { a.match(shard, m); b.match(shard, m) },
+		Matches:        func(shard, n int) { a.matches(shard, n); b.matches(shard, n) },
 		Recovery:       func(shard int, pos int64) { a.recovery(shard, pos); b.recovery(shard, pos) },
 		Collision:      func(shard int, pos int64, x, y int) { a.collision(shard, pos, x, y); b.collision(shard, pos, x, y) },
 		QueueDepth:     func(shard, depth int) { a.queueDepth(shard, depth); b.queueDepth(shard, depth) },

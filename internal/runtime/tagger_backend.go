@@ -37,7 +37,6 @@ func TaggerFactoryLimits(spec *core.Spec, lim Limits) Factory {
 		tg.OnMatch = func(m stream.Match) {
 			b.pending = append(b.pending, m)
 			b.matches++
-			b.hooks.match(b.shard, m)
 		}
 		tg.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
 		tg.OnCollision = func(pos int64, x, y int) { b.hooks.collision(b.shard, pos, x, y) }
@@ -53,16 +52,23 @@ func (b *taggerBackend) Reset() {
 }
 
 func (b *taggerBackend) Feed(p []byte) error {
+	before := b.matches
 	n, err := b.tg.Write(p)
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
+	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
 		err = b.lim.checkPending(len(b.pending))
 	}
 	return err
 }
 
-func (b *taggerBackend) Close() error { return b.tg.Close() }
+func (b *taggerBackend) Close() error {
+	before := b.matches
+	err := b.tg.Close()
+	b.hooks.matches(b.shard, int(b.matches-before))
+	return err
+}
 
 func (b *taggerBackend) Matches() []stream.Match {
 	out := b.pending

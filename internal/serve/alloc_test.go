@@ -60,3 +60,29 @@ func TestReadFrameKnownKeyAllocFree(t *testing.T) {
 		t.Fatalf("DATA frame of a known key allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestConnOutputDeliverMoreAllocFree delivers batches with More set to a
+// warmed connection: rendering into the connection's buffer, waiting on
+// the server's flush list and the writes at the connFlushBytes mark
+// allocate nothing.
+func TestConnOutputDeliverMoreAllocFree(t *testing.T) {
+	s := NewServer()
+	conn, cw := newRecWriter(s)
+	conn.discard = true
+	co := &connOutput{srv: s, cw: cw, prefix: "key-1 "}
+	b := tagBatch("key-1", 100, true)
+	deliver := func() {
+		if err := co.Deliver(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		deliver() // past the mark a few times: the buffer is at full size
+	}
+	if n := s.outWrites.Load(); n < 2 {
+		t.Fatalf("%d writes while warming, want the mark crossed", n)
+	}
+	if allocs := testing.AllocsPerRun(200, deliver); allocs != 0 {
+		t.Fatalf("connOutput.Deliver with More set allocates %.1f times, want 0", allocs)
+	}
+}

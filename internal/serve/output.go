@@ -111,6 +111,8 @@ func (s *Server) MetricsText() string {
 	fmt.Fprintf(&b, "serve_refused_total %d\n", s.refused.Load())
 	fmt.Fprintf(&b, "serve_output_write_errors_total %d\n", s.writeErrors.Load())
 	fmt.Fprintf(&b, "serve_slow_consumers_total %d\n", s.slowConsumers.Load())
+	fmt.Fprintf(&b, "serve_output_writes_total %d\n", s.outWrites.Load())
+	fmt.Fprintf(&b, "serve_output_bytes_total %d\n", s.outBytes.Load())
 	draining := 0
 	if s.Draining() {
 		draining = 1

@@ -102,7 +102,6 @@ func validName(b []byte) bool {
 // every field. It is not safe for concurrent use.
 type FrameReader struct {
 	r       *bufio.Reader
-	line    []byte
 	payload []byte
 }
 
@@ -114,25 +113,23 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // readLine reads one \n-terminated line of at most MaxLineLen bytes and
 // returns it without the newline. A line at the limit with no newline is
 // ErrLineTooLong; EOF mid-line is io.ErrUnexpectedEOF; immediate EOF is
-// io.EOF.
+// io.EOF. The line aliases the reader's buffer (32 KiB, so a line within
+// the limit always fits) and is only valid until the next read.
 func (fr *FrameReader) readLine() ([]byte, error) {
-	fr.line = fr.line[:0]
-	for {
-		c, err := fr.r.ReadByte()
-		if err != nil {
-			if err == io.EOF && len(fr.line) > 0 {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		if c == '\n' {
-			return fr.line, nil
-		}
-		if len(fr.line) >= MaxLineLen-1 {
-			return nil, ErrLineTooLong
-		}
-		fr.line = append(fr.line, c)
+	line, err := fr.r.ReadSlice('\n')
+	if err == nil {
+		line = line[:len(line)-1]
 	}
+	if len(line) >= MaxLineLen || err == bufio.ErrBufferFull {
+		return nil, ErrLineTooLong
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line, nil
 }
 
 // fields splits line on single spaces into at most max+1 parts; the
@@ -220,6 +217,8 @@ func (fr *FrameReader) readFrame(known func(key []byte) (string, bool)) (Frame, 
 		if err != nil {
 			return Frame{}, err
 		}
+		// The header line dies with the next read: take the key now.
+		key := keyOf(parts[1])
 		if cap(fr.payload) < n {
 			fr.payload = make([]byte, n)
 		}
@@ -242,7 +241,7 @@ func (fr *FrameReader) readFrame(known func(key []byte) (string, bool)) (Frame, 
 		if c != '\n' {
 			return Frame{}, fmt.Errorf("%w: missing payload terminator", ErrBadFrame)
 		}
-		return Frame{Op: FrameData, Key: keyOf(parts[1]), Payload: buf}, nil
+		return Frame{Op: FrameData, Key: key, Payload: buf}, nil
 	}
 	return Frame{}, ErrBadFrame
 }

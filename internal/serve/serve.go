@@ -99,7 +99,9 @@ type session struct {
 }
 
 // Done is closed once the session's stream has fully ended — its EOS
-// batch delivered and written to the output.
+// batch delivered and rendered into the output. A connection output may
+// still hold the line in its buffer; the connection's handler writes the
+// buffer out before it hangs up.
 func (ss *session) Done() <-chan struct{} { return ss.done }
 
 // Server multiplexes stream inputs onto a Core and routes delivered tag
@@ -127,6 +129,15 @@ type Server struct {
 	refused       atomic.Int64 // conns/streams refused (draining, dup, quota…)
 	writeErrors   atomic.Int64 // output writes dropped on client error
 	slowConsumers atomic.Int64 // sessions gone dead on a write deadline
+	outWrites     atomic.Int64 // socket writes back to clients
+	outBytes      atomic.Int64 // bytes those writes carried
+
+	// flushMu guards waiting: the connections holding rendered lines of a
+	// sink run that has not ended. A leaf lock — held for a list operation
+	// only, never across a write — because Deliver is shared by every
+	// tenant's sink workers.
+	flushMu sync.Mutex
+	waiting []*connWriter
 }
 
 // NewServer returns a server with no inputs bound yet; call Bind, then
@@ -188,6 +199,12 @@ func (s *Server) CountRefusal() { s.refused.Add(1) }
 
 // CountSlowConsumer records a client write that missed its deadline.
 func (s *Server) CountSlowConsumer() { s.slowConsumers.Add(1) }
+
+// countWrite records one socket write back to a client.
+func (s *Server) countWrite(n int) {
+	s.outWrites.Add(1)
+	s.outBytes.Add(int64(n))
+}
 
 // SlowConsumers counts sessions whose output went dead on a missed write
 // deadline.
@@ -254,7 +271,14 @@ func (s *Server) takeSessionLocked(sk sessKey) *session {
 // retry/DLQ machinery) and writes it to the stream's session output
 // (whose errors are absorbed — the client is gone, the pipeline is not).
 // On EOS the session is ended and its Done channel closed.
+//
+// Connection outputs buffer while b.More is set; the batch that ends a
+// sink worker's run (More unset) flushes every connection waiting on the
+// server, its own or not, and does so even when a fan-out fails it.
 func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
+	if !b.More {
+		defer s.flushWaiting()
+	}
 	for _, fn := range s.fanouts {
 		if err := fn(tenant, b); err != nil {
 			return err
@@ -280,6 +304,39 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 		close(ss.done)
 	}
 	return nil
+}
+
+// flushLater puts a connection that buffered a batch with More set on the
+// flush list; the connection's waiting flag keeps it to one entry.
+func (s *Server) flushLater(cw *connWriter) {
+	s.flushMu.Lock()
+	s.waiting = append(s.waiting, cw)
+	s.flushMu.Unlock()
+}
+
+// flushWaiting writes out every connection on the flush list. Entries are
+// taken one at a time, so concurrent callers share the list and a caller
+// stuck behind a slow consumer holds back that one connection only.
+// Flushing a connection another sink worker is still filling is harmless:
+// its lines only leave early.
+func (s *Server) flushWaiting() {
+	for {
+		s.flushMu.Lock()
+		n := len(s.waiting)
+		if n == 0 {
+			s.flushMu.Unlock()
+			return
+		}
+		cw := s.waiting[n-1]
+		s.waiting[n-1] = nil
+		s.waiting = s.waiting[:n-1]
+		s.flushMu.Unlock()
+
+		cw.mu.Lock()
+		cw.waiting = false
+		cw.flushLocked() // a failure is sticky: the connection's next batch sees it
+		cw.mu.Unlock()
+	}
 }
 
 // Shutdown drains the server: stop accepting new connections and

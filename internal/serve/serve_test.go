@@ -442,6 +442,12 @@ func TestServeQuotaOverNetwork(t *testing.T) {
 	})
 
 	t.Run("http-max-streams", func(t *testing.T) {
+		// A stream's slot is released just after its final line is written:
+		// the client above can be back here before that.
+		waitFor(t, func() bool {
+			n, err := env.platform.LiveStreams("tight")
+			return err == nil && n == 0
+		})
 		mc := dialMux(t, env.tcpAddr, "tight")
 		mc.open("held-1")
 		mc.data("held-1", []byte("if "))

@@ -138,27 +138,67 @@ func (t *TCPInput) Close() error {
 // deadline is wrapped as ErrSlowConsumer and reported through onSlow —
 // dropping a reader that stalled, not one that hung up, is a shedding
 // decision worth counting separately.
+//
+// Everything bound for the connection goes through buf, in lock order:
+// the streams' outputs append rendered batches and flush at the end of a
+// sink run (see connOutput), the reader goroutine's own lines go out
+// behind whatever is buffered, so lock order is wire order.
 type connWriter struct {
 	mu      sync.Mutex
 	c       net.Conn
 	timeout time.Duration
 	onSlow  func()
+	onWrite func(n int) // counts one socket write of n bytes; may be nil
 	err     error
-	buf     []byte // render buffer shared by the connection's streams
+	buf     []byte // rendered lines not yet written
+	waiting bool   // on the server's flush list (see Server.flushLater)
 }
 
+// Write sends p behind whatever is buffered, in the same socket write.
 func (cw *connWriter) Write(p []byte) (int, error) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	return cw.writeLocked(p)
+	cw.buf = append(cw.buf, p...)
+	if err := cw.flushLocked(); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
-func (cw *connWriter) writeLocked(p []byte) (int, error) {
+// flush writes out what the connection's streams have buffered. A failure
+// is not returned: it is sticky, and fails the connection's next batch.
+func (cw *connWriter) flush() {
+	cw.mu.Lock()
+	cw.flushLocked()
+	cw.mu.Unlock()
+}
+
+// flushLocked empties buf with one socket write; mu must be held. The
+// write deadline is armed here, when the bytes leave, and the buffer is
+// empty afterwards whatever the outcome: after an error nothing more is
+// written, the sticky error fails every later call fast.
+func (cw *connWriter) flushLocked() error {
+	if len(cw.buf) == 0 {
+		return nil
+	}
+	err := cw.writeLocked(cw.buf)
+	if cap(cw.buf) > maxConnBuf {
+		cw.buf = nil
+	} else {
+		cw.buf = cw.buf[:0]
+	}
+	return err
+}
+
+func (cw *connWriter) writeLocked(p []byte) error {
 	if cw.err != nil {
-		return 0, cw.err
+		return cw.err
 	}
 	cw.c.SetWriteDeadline(time.Now().Add(cw.timeout))
 	n, err := cw.c.Write(p)
+	if cw.onWrite != nil {
+		cw.onWrite(n)
+	}
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			err = fmt.Errorf("%w: %v", ErrSlowConsumer, err)
@@ -168,22 +208,32 @@ func (cw *connWriter) writeLocked(p []byte) (int, error) {
 		}
 		cw.err = err
 	}
-	return n, err
+	return err
 }
 
 func (cw *connWriter) line(s string) { cw.Write(append([]byte(s), '\n')) }
 
-// maxConnBuf bounds the render buffer a connection keeps between batches:
-// one huge batch must not pin its rendering for the connection's life.
+// maxConnBuf bounds the buffer a connection keeps between flushes: one
+// huge batch must not pin its rendering for the connection's life.
 const maxConnBuf = 1 << 20
 
+// connFlushBytes is the mark at which a connection's buffer is written
+// although the sink run that fills it has not ended: it bounds what a
+// long run holds back to one socket write's worth plus one batch.
+const connFlushBytes = 32 << 10
+
 // connOutput writes one stream's tag batches back over its connection.
-// The whole batch is rendered into the connection's one buffer under the
-// write lock and sent with a single Write, so the streams of a
-// multiplexed connection interleave at batch granularity only and none
-// of them owns a buffer. It is driven from one stream's delivery order,
-// so prefix and tags need no locking of their own.
+// A batch is rendered into the connection's one buffer under the write
+// lock; the buffer is written when the delivering sink worker's run ends
+// (the batch has More unset) or it reaches connFlushBytes, so the batches
+// a worker delivers back to back share a socket write and the streams of
+// a multiplexed connection interleave at run granularity. Until then the
+// connection waits on the server's flush list, which the batch ending the
+// run empties — whichever connection that batch belongs to. It is driven
+// from one stream's delivery order, so prefix and tags need no locking of
+// their own.
 type connOutput struct {
+	srv    *Server
 	cw     *connWriter
 	prefix string // "<key> " on multiplexed connections, else empty
 	tags   int
@@ -194,15 +244,20 @@ func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
 	cw := co.cw
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	buf := AppendBatchText(cw.buf[:0], co.prefix, b, &co.tags)
-	if cap(buf) <= maxConnBuf {
-		cw.buf = buf
+	// Checked before rendering: a dead connection costs nothing, and its
+	// sessions go dead on their next batch.
+	if cw.err != nil {
+		return cw.err
 	}
-	if len(buf) == 0 {
-		return nil
+	cw.buf = AppendBatchText(cw.buf, co.prefix, b, &co.tags)
+	if !b.More || len(cw.buf) >= connFlushBytes {
+		return cw.flushLocked()
 	}
-	_, err := cw.writeLocked(buf)
-	return err
+	if !cw.waiting {
+		cw.waiting = true
+		co.srv.flushLater(cw)
+	}
+	return nil
 }
 
 // errText maps Send/open errors to the short reason written on the wire.
@@ -229,7 +284,11 @@ func errText(err error) string {
 
 func (t *TCPInput) handle(s *Server, conn net.Conn) {
 	defer conn.Close()
-	cw := &connWriter{c: conn, timeout: t.opt.writeTimeout(), onSlow: s.CountSlowConsumer}
+	cw := &connWriter{c: conn, timeout: t.opt.writeTimeout(), onSlow: s.CountSlowConsumer, onWrite: s.countWrite}
+	// A session is done once its final line is rendered, which can be
+	// before the sink run that carries it ends: write what is buffered
+	// before hanging up.
+	defer cw.flush()
 	if t.opt.Raw {
 		key := fmt.Sprintf("%s#%d", conn.RemoteAddr(), t.rawSeq.Add(1))
 		t.pumpStream(s, conn, cw, t.opt.Tenant, key, nil)
@@ -248,7 +307,7 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 	}
 	var out Output
 	if !t.opt.NoEcho {
-		out = &connOutput{cw: cw}
+		out = &connOutput{srv: s, cw: cw}
 	}
 	t.pumpStream(s, fr.r, cw, hs.Tenant, hs.Key, out)
 }
@@ -259,7 +318,7 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 // mode keeps the session silent (NoEcho).
 func (t *TCPInput) pumpStream(s *Server, r io.Reader, cw *connWriter, tenant, key string, out Output) {
 	if t.opt.Raw && !t.opt.NoEcho {
-		out = &connOutput{cw: cw}
+		out = &connOutput{srv: s, cw: cw}
 	}
 	sess, err := s.OpenStream(tenant, key, out)
 	if err != nil {
@@ -349,7 +408,8 @@ func (mp *muxPending) add(ss *session) {
 	mp.sweepAt = 2*len(live) + 64
 }
 
-// wait blocks until every remaining session's final line is written.
+// wait blocks until every remaining session's final line is rendered into
+// the connection's buffer; handle writes it out before hanging up.
 func (mp *muxPending) wait() {
 	for _, ss := range mp.sess {
 		<-ss.done
@@ -359,7 +419,7 @@ func (mp *muxPending) wait() {
 // pumpMux drives one multiplexed connection: OPEN/DATA/CLOSE frames for
 // many keyed streams, responses interleaved per batch with a "<key> "
 // prefix. On EOF every still-open stream is flushed, and the connection
-// stays up until each stream's final line is written.
+// stays up until each stream's final line is on its way out.
 func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string, pending *muxPending) {
 	core := s.Core()
 	open := make(map[string]*muxStream)
@@ -389,7 +449,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 			}
 			var out Output
 			if !t.opt.NoEcho {
-				out = &connOutput{cw: cw, prefix: f.Key + " "}
+				out = &connOutput{srv: s, cw: cw, prefix: f.Key + " "}
 			}
 			sess, err := s.OpenStream(tenant, f.Key, out)
 			if err != nil {

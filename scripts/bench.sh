@@ -12,7 +12,8 @@
 #
 # Usage:
 #   scripts/bench.sh                 run + compare against baseline
-#   scripts/bench.sh -update         run + rewrite the baseline's raw samples
+#   scripts/bench.sh -update         run + rewrite the baseline's raw samples and
+#                                    its date, nproc, gomaxprocs and go_version
 #   scripts/bench.sh -cpuprofile     also capture a CPU profile and print the
 #                                    top 10 cumulative entries
 #   scripts/bench.sh -memprofile     same for the allocation profile
@@ -80,9 +81,17 @@ pprof_top() {
 awk -F'"' '/^[[:space:]]*"Benchmark/ { print $2 }' "$BASE" > "$OUT/baseline.txt"
 
 if [ "$UPDATE" -eq 1 ]; then
-    echo "== rewriting $BASE raw samples from this run"
+    echo "== rewriting $BASE raw samples and machine shape from this run"
     tmp=$(mktemp)
-    awk -v cur="$OUT/current.txt" '
+    # go test suffixes benchmark names with -GOMAXPROCS unless it is 1.
+    GMP=$(awk '/^Benchmark/ { print match($1, /-[0-9]+$/) ? substr($1, RSTART + 1) : 1; exit }' "$OUT/current.txt")
+    awk -v cur="$OUT/current.txt" -v nproc="$(getconf _NPROCESSORS_ONLN)" -v gmp="$GMP" \
+        -v gover="$(go env GOVERSION)" -v today="$(date +%Y-%m-%d)" '
+        /^[[:space:]]*"(nproc|gomaxprocs|go_version)":/ { next }
+        /^[[:space:]]*"date":/ {
+            printf "  \"date\": \"%s\",\n  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"go_version\": \"%s\",\n", today, nproc, gmp, gover
+            next
+        }
         /^[[:space:]]*"raw": \[/ {
             print
             n = 0

@@ -84,4 +84,11 @@ func BenchmarkServeTCP(b *testing.B) {
 	// MB/s reflects full end-to-end processing, not just ingestion.
 	<-readerDone
 	b.StopTimer()
+	// How far write-back coalescing went: socket writes per stream served
+	// (two batches each — data and END — before any sharing).
+	var writes float64
+	for _, line := range strings.Split(srv.MetricsText(), "\n") {
+		fmt.Sscanf(line, "serve_output_writes_total %g", &writes)
+	}
+	b.ReportMetric(writes/float64(b.N), "writes/stream")
 }
