@@ -413,6 +413,7 @@ func BenchmarkShardedPipeline(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.SetBytes(int64(streams * len(data)))
+					b.ReportAllocs() // B/op is what a dispatch unit costs per pass
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						// Interleave chunks across streams, as a multiplexed
@@ -632,6 +633,7 @@ func BenchmarkTenantGrid(b *testing.B) {
 					keys[s] = fmt.Sprintf("stream-%d", s)
 				}
 				b.SetBytes(int64(tenants * streamsPerTenant * len(data)))
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for lo := 0; lo < len(data); lo += chunk {

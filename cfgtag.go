@@ -474,6 +474,9 @@ type Backend struct {
 	engine *Engine
 	inner  runtime.Backend
 	kind   BackendKind
+	// pending is the buffer the inner backend appends to: the detections
+	// confirmed since the last Matches call.
+	pending []stream.Match
 }
 
 func (e *Engine) factory(kind BackendKind) (runtime.Factory, error) {
@@ -526,18 +529,28 @@ func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
 func (b *Backend) Kind() BackendKind { return b.kind }
 
 // Reset rewinds to stream start for reuse.
-func (b *Backend) Reset() { b.inner.Reset() }
+func (b *Backend) Reset() {
+	b.inner.Reset()
+	b.pending = b.pending[:0]
+}
 
 // Feed streams bytes into the backend.
-func (b *Backend) Feed(p []byte) error { return b.inner.Feed(p) }
+func (b *Backend) Feed(p []byte) (err error) {
+	b.pending, err = b.inner.Feed(p, b.pending)
+	return err
+}
 
 // Close flushes the stream's end. The parser backend parses here and
 // returns the reject as the error.
-func (b *Backend) Close() error { return b.inner.Close() }
+func (b *Backend) Close() (err error) {
+	b.pending, err = b.inner.Close(b.pending)
+	return err
+}
 
 // Matches drains the detections confirmed since the previous call.
 func (b *Backend) Matches() []Match {
-	ms := b.inner.Matches()
+	ms := b.pending
+	b.pending = b.pending[:0]
 	if len(ms) == 0 {
 		return nil
 	}
@@ -730,8 +743,9 @@ type PipelineConfig struct {
 // offending stream, with a TagBatch.Err wrapping ErrResourceExhausted.
 type StreamLimits = runtime.Limits
 
-// MemGauge aggregates the pipeline's estimated live bytes — arenas,
-// stream buffers, DFA cache, Earley charts — for memory budgeting.
+// MemGauge aggregates the pipeline's estimated live bytes — queued chunk
+// arenas and tag buffers, stream buffers, DFA cache, Earley charts — for
+// memory budgeting.
 type MemGauge = runtime.MemGauge
 
 // ErrPipelineClosed is returned by Pipeline.Send, Pipeline.CloseStream and

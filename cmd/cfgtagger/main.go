@@ -90,7 +90,7 @@ func main() {
 		sinkWorkers  = flag.Int("sink-workers", 0, "pipeline mode: deliver batches on this many workers (0 or 1 = single serialized sink)")
 		sendTimeout  = flag.Duration("send-timeout", 0, "pipeline mode: shed Sends instead of blocking when a shard queue is full — 0 blocks, negative sheds immediately, positive waits at most this long")
 		feedDeadline = flag.Duration("feed-deadline", 0, "pipeline mode: watchdog deadline per backend call; a slower call ends its stream as stalled (0 = disabled)")
-		memBudget    = flag.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (arenas, stream buffers, charts); Sends over budget are shed (0 = unlimited)")
+		memBudget    = flag.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (queued chunks and their tag storage, stream buffers, charts); Sends over budget are shed (0 = unlimited)")
 		configFile   = flag.String("config", "", "platform mode: multi-tenant JSON config; input lines are 'tenant|payload', SIGHUP hot-swaps changed grammars")
 		listenTCP    = flag.String("listen", "", "serve mode: accept CFGTAG/1 TCP stream connections on this address (requires -config)")
 		listenHTTP   = flag.String("listen-http", "", "serve mode: accept HTTP chunked-POST streams on this address, plus /metrics and /healthz (requires -config)")

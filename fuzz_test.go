@@ -50,9 +50,8 @@ func FuzzGrammarParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("aot factory built but backend mint failed: %v", err)
 			}
-			ab.Feed(probe)
-			ab.Close()
-			ab.Matches()
+			ms, _ := ab.Feed(probe, nil)
+			ab.Close(ms)
 		}
 	})
 }
@@ -113,9 +112,9 @@ func buildRig() {
 
 func runDiff(b runtime.Backend, data []byte) []stream.Match {
 	b.Reset()
-	b.Feed(data)
-	b.Close()
-	return b.Matches()
+	ms, _ := b.Feed(data, nil)
+	ms, _ = b.Close(ms)
+	return ms
 }
 
 // FuzzDifferential feeds arbitrary bytes to the stream engine, every DFA
@@ -244,16 +243,17 @@ func buildAOTRig() {
 func runDiffChunked(b runtime.Backend, data []byte, seed uint64) []stream.Match {
 	b.Reset()
 	rng := rand.New(rand.NewSource(int64(seed)))
+	var ms []stream.Match
 	for i := 0; i < len(data); {
 		n := 1 + rng.Intn(9)
 		if i+n > len(data) {
 			n = len(data) - i
 		}
-		b.Feed(data[i : i+n])
+		ms, _ = b.Feed(data[i:i+n], ms)
 		i += n
 	}
-	b.Close()
-	return b.Matches()
+	ms, _ = b.Close(ms)
+	return ms
 }
 
 // FuzzAOTDifferential feeds arbitrary bytes to the lazy DFA and the
@@ -355,9 +355,8 @@ func buildEarleyRig() {
 // backends use to reject non-sentences.
 func runVerdict(b runtime.Backend, data []byte) ([]stream.Match, error) {
 	b.Reset()
-	b.Feed(data)
-	err := b.Close()
-	return b.Matches(), err
+	ms, _ := b.Feed(data, nil)
+	return b.Close(ms)
 }
 
 // FuzzEarleyDifferential feeds arbitrary bytes to both exact-language

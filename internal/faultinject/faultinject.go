@@ -113,22 +113,22 @@ func (b *backend) Reset() {
 	b.inner.Reset()
 }
 
-func (b *backend) Feed(p []byte) error {
+func (b *backend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if b.cfg.Triggers {
 		if err := b.checkTriggers(p); err != nil {
-			return err
+			return out, err
 		}
 	}
 	if b.roll(b.cfg.PanicRate) {
 		panic("faultinject: injected backend panic")
 	}
 	if b.roll(b.cfg.ErrorRate) {
-		return ErrInjected
+		return out, ErrInjected
 	}
 	if b.roll(b.cfg.SlowRate) {
 		time.Sleep(b.cfg.latency())
 	}
-	return b.inner.Feed(p)
+	return b.inner.Feed(p, out)
 }
 
 // checkTriggers scans the chunk — prefixed with the tail of the previous
@@ -159,12 +159,13 @@ func (b *backend) roll(p float64) bool {
 	return p > 0 && b.rng.Float64() < p
 }
 
-func (b *backend) Close() error               { return b.inner.Close() }
-func (b *backend) Matches() []stream.Match    { return b.inner.Matches() }
-func (b *backend) Counters() runtime.Counters { return b.inner.Counters() }
+func (b *backend) Close(out []stream.Match) ([]stream.Match, error) { return b.inner.Close(out) }
+func (b *backend) Counters() runtime.Counters                       { return b.inner.Counters() }
 
-// SinkConfig tunes sink fault injection. Counting is by distinct batch
-// (the pipeline retries a failing batch by pointer identity), so FailEvery
+// SinkConfig tunes sink fault injection. Counting is by distinct batch: a
+// Deliver of the same *Batch right after a failed one is the pipeline's
+// retry, anything else is new traffic (batches are pooled, so after a
+// successful Deliver the same address may carry the next batch). FailEvery
 // and PanicEvery pick batches, and FailCount controls how many consecutive
 // attempts on a picked batch fail before it goes through — transient
 // failures the pipeline's retry policy should absorb.
@@ -230,7 +231,11 @@ func (s *sink) Deliver(b *runtime.Batch) error {
 		s.failsLeft--
 		return s.cfg.err()
 	}
-	return s.inner.Deliver(b)
+	err := s.inner.Deliver(b)
+	if err == nil {
+		s.last = nil // delivered: the pipeline may reuse the address
+	}
+	return err
 }
 
 func (s *sink) Close() error { return s.inner.Close() }

@@ -34,10 +34,10 @@ func TestIdleWrapperIsTransparent(t *testing.T) {
 // Triggers is set.
 func TestTriggersDisabledAreInert(t *testing.T) {
 	b := newWrapped(t, faultinject.Config{})
-	if err := b.Feed(faultinject.TriggerError); err != nil {
+	if _, err := b.Feed(faultinject.TriggerError, nil); err != nil {
 		t.Fatalf("Feed = %v with triggers disabled", err)
 	}
-	if err := b.Feed(faultinject.TriggerPanic); err != nil {
+	if _, err := b.Feed(faultinject.TriggerPanic, nil); err != nil {
 		t.Fatalf("Feed = %v with triggers disabled", err)
 	}
 }
@@ -57,10 +57,10 @@ func newWrapped(t *testing.T, cfg faultinject.Config) runtime.Backend {
 
 func TestTriggerError(t *testing.T) {
 	b := newWrapped(t, faultinject.Config{Triggers: true})
-	if err := b.Feed([]byte("if true then ")); err != nil {
+	if _, err := b.Feed([]byte("if true then "), nil); err != nil {
 		t.Fatal(err)
 	}
-	err := b.Feed(append([]byte("go "), faultinject.TriggerError...))
+	_, err := b.Feed(append([]byte("go "), faultinject.TriggerError...), nil)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Feed = %v, want ErrInjected", err)
 	}
@@ -73,7 +73,7 @@ func TestTriggerPanic(t *testing.T) {
 			t.Fatal("TriggerPanic did not panic")
 		}
 	}()
-	_ = b.Feed(faultinject.TriggerPanic)
+	_, _ = b.Feed(faultinject.TriggerPanic, nil)
 }
 
 // TestTriggerStraddlesChunks splits a marker across two Feed calls; the
@@ -81,10 +81,10 @@ func TestTriggerPanic(t *testing.T) {
 func TestTriggerStraddlesChunks(t *testing.T) {
 	for split := 1; split < len(faultinject.TriggerError); split++ {
 		b := newWrapped(t, faultinject.Config{Triggers: true})
-		if err := b.Feed(faultinject.TriggerError[:split]); err != nil {
+		if _, err := b.Feed(faultinject.TriggerError[:split], nil); err != nil {
 			t.Fatalf("split %d: first half = %v", split, err)
 		}
-		if err := b.Feed(faultinject.TriggerError[split:]); !errors.Is(err, faultinject.ErrInjected) {
+		if _, err := b.Feed(faultinject.TriggerError[split:], nil); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("split %d: second half = %v, want ErrInjected", split, err)
 		}
 	}
@@ -94,11 +94,11 @@ func TestTriggerStraddlesChunks(t *testing.T) {
 // the other half after it.
 func TestResetClearsTail(t *testing.T) {
 	b := newWrapped(t, faultinject.Config{Triggers: true})
-	if err := b.Feed(faultinject.TriggerError[:4]); err != nil {
+	if _, err := b.Feed(faultinject.TriggerError[:4], nil); err != nil {
 		t.Fatal(err)
 	}
 	b.Reset()
-	if err := b.Feed(faultinject.TriggerError[4:]); err != nil {
+	if _, err := b.Feed(faultinject.TriggerError[4:], nil); err != nil {
 		t.Fatalf("Feed after Reset = %v, want nil (tail must clear)", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestErrorRateIsDeterministic(t *testing.T) {
 		b := newWrapped(t, faultinject.Config{Seed: 42, ErrorRate: 0.3})
 		var failed []int
 		for i := 0; i < 100; i++ {
-			if err := b.Feed([]byte("if ")); err != nil {
+			if _, err := b.Feed([]byte("if "), nil); err != nil {
 				failed = append(failed, i)
 			}
 		}
@@ -133,7 +133,7 @@ func TestErrorRateIsDeterministic(t *testing.T) {
 func TestSlowRateInjectsLatency(t *testing.T) {
 	b := newWrapped(t, faultinject.Config{SlowRate: 1, Latency: time.Millisecond})
 	start := time.Now()
-	if err := b.Feed([]byte("if ")); err != nil {
+	if _, err := b.Feed([]byte("if "), nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < time.Millisecond {
@@ -188,20 +188,20 @@ func TestWrapSinkFailsPickedBatches(t *testing.T) {
 }
 
 func TestWrapSinkRetriesAreCountedOnce(t *testing.T) {
-	// Re-delivering the SAME batch pointer must not advance the batch
-	// counter: that is how the wrapper distinguishes pipeline retries from
-	// new traffic.
+	// Re-delivering the SAME batch pointer after a failure must not
+	// advance the batch counter: that is how the wrapper distinguishes
+	// pipeline retries from new traffic. Once a delivery has succeeded the
+	// pipeline recycles the batch, so the same pointer is then new traffic.
 	s := faultinject.WrapSink(&nullSink{}, faultinject.SinkConfig{FailEvery: 2, FailCount: 1})
 	b := &runtime.Batch{}
-	deliverAll(s, b) // batch 1: clean
-	b2 := &runtime.Batch{}
-	if f, _ := deliverAll(s, b2); f != 1 { // batch 2: picked, fails once
-		t.Fatalf("batch 2: %d failures, want 1", f)
-	}
-	// 5 more deliveries of the same pointer: still batch 2, no new faults.
-	for i := 0; i < 5; i++ {
-		if err := s.Deliver(b2); err != nil {
-			t.Fatalf("redelivery %d: %v", i, err)
+	for i := 0; i < 3; i++ {
+		if f, _ := deliverAll(s, b); f != 0 { // odd batches: clean
+			t.Fatalf("round %d, odd batch: %d failures, want 0", i, f)
+		}
+		// Even batches are picked: one failure, then the retry of the same
+		// pointer goes through without being counted as a new batch.
+		if f, _ := deliverAll(s, b); f != 1 {
+			t.Fatalf("round %d, even batch: %d failures, want 1", i, f)
 		}
 	}
 }
@@ -240,13 +240,13 @@ func TestWrappedBackendDelegates(t *testing.T) {
 	want := ref.Tag(text)
 
 	b := newWrapped(t, faultinject.Config{Triggers: true})
-	if err := b.Feed(text); err != nil {
+	got, err := b.Feed(text, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Close(); err != nil {
+	if got, err = b.Close(got); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Matches()
 	if len(got) != len(want) {
 		t.Fatalf("wrapped backend: %d matches, reference %d", len(got), len(want))
 	}

@@ -3,6 +3,7 @@
 package runtime
 
 import (
+	"bytes"
 	"testing"
 
 	"cfgtag/internal/core"
@@ -13,10 +14,10 @@ import (
 // allocates on its own.
 
 // TestPipelineStreamCycleAllocs opens, feeds and closes one-message
-// streams on one key. A stream costs its backend and its bookkeeping; its
-// match buffers are lent from the pool and go back to it, so nothing
-// grows with the message's tag count and the pool keeps its full-size
-// buffers.
+// streams on one key. A stream costs its backend and its bookkeeping and
+// nothing else: its batches are slots of the pooled dispatch unit and its
+// tags are appended to the unit's buffer, so nothing grows with the
+// message's tag count.
 func TestPipelineStreamCycleAllocs(t *testing.T) {
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
@@ -58,10 +59,50 @@ func TestPipelineStreamCycleAllocs(t *testing.T) {
 	if got < 32 {
 		t.Fatalf("message confirms %d tags, want a few dozen so that a growing match slice shows", got)
 	}
-	// 12 today: the backend with its callbacks, the stream's bookkeeping
-	// and two Batch headers. A pending slice grown from nil adds one per
-	// doubling (19 for this message).
-	if avg > 14 {
-		t.Errorf("one-message stream averages %.1f allocs, want <= 14", avg)
+	// 7 today: the backend with its three callbacks, the DFA runner, and
+	// the stream's entry with its recency-list element. A Batch header per
+	// message would add two, a tag slice grown from nil one per doubling.
+	if avg > 8 {
+		t.Errorf("one-message stream averages %.1f allocs, want <= 8", avg)
+	}
+}
+
+// TestPipelineZeroTagRoundTripAllocs sends a chunk that confirms nothing
+// through a warmed pipeline and waits for its delivery: the unit, its
+// arena, its batch slot and the tag window all come from the pool, so the
+// whole Send → Deliver round trip allocates nothing.
+func TestPipelineZeroTagRoundTripAllocs(t *testing.T) {
+	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make(chan int, 1)
+	p, err := NewPipeline(Config{Shards: 1, Factory: DFAFactory(spec, 0)}, SinkFunc(func(b *Batch) error {
+		delivered <- len(b.Tags)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte(" "), 1024)
+	tags := 0
+	trip := func() {
+		if err := p.Send("sparse", chunk); err != nil {
+			t.Fatal(err)
+		}
+		tags += <-delivered
+	}
+	for i := 0; i < 64; i++ {
+		trip() // warm the stream, the DFA cache and the unit pool
+	}
+	avg := testing.AllocsPerRun(500, trip)
+	if tags != 0 {
+		t.Fatalf("blank chunks confirmed %d tags, want 0", tags)
+	}
+	if avg != 0 {
+		t.Errorf("zero-tag Send → Deliver round trip averages %.2f allocs, want 0", avg)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,7 +19,7 @@ type aotBackend struct {
 	shard   int
 	hooks   *Hooks
 	lim     Limits
-	pending []stream.Match
+	out     []stream.Match // the caller's buffer, held only during a call
 	bytes   int64
 	matches int64
 }
@@ -40,7 +40,7 @@ func AOTFactoryConfig(spec *core.Spec, cfg aot.Config) (Factory, error) {
 }
 
 // AOTFactoryLimits is AOTFactoryConfig with per-stream resource bounds:
-// MaxPendingMatches bounds each stream's undrained match buffer, and
+// MaxPendingMatches bounds the matches one Feed may confirm, and
 // Limits.Mem is charged the compiled tables' footprint for as long as the
 // factory lives (the platform releases it when the version retires).
 func AOTFactoryLimits(spec *core.Spec, cfg aot.Config, lim Limits) (Factory, error) {
@@ -67,7 +67,7 @@ func AOTProgramFactory(prog *aot.Program, lim Limits) Factory {
 		h.compileStats(shard, prog.Stats())
 		b := &aotBackend{r: prog.NewRunner(), shard: shard, hooks: h, lim: lim}
 		b.r.OnMatch = func(m stream.Match) {
-			b.pending = append(b.pending, m)
+			b.out = append(b.out, m)
 			b.matches++
 		}
 		b.r.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
@@ -78,42 +78,31 @@ func AOTProgramFactory(prog *aot.Program, lim Limits) Factory {
 
 func (b *aotBackend) Reset() {
 	b.r.Reset()
-	b.pending = b.pending[:0]
 	b.bytes = 0
 	b.matches = 0
 }
 
-func (b *aotBackend) Feed(p []byte) error {
+func (b *aotBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	n, err := b.r.Write(p)
+	out, b.out = b.out, nil
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
 	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
-		err = b.lim.checkPending(len(b.pending))
+		err = b.lim.checkPending(int(b.matches - before))
 	}
-	return err
+	return out, err
 }
 
-func (b *aotBackend) Close() error {
+func (b *aotBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	err := b.r.Close()
+	out, b.out = b.out, nil
 	b.hooks.matches(b.shard, int(b.matches-before))
-	return err
-}
-
-func (b *aotBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
-}
-
-// DrainMatches hands the confirmed matches to the caller and adopts buf as
-// the new pending buffer, letting the pipeline recycle match slices.
-func (b *aotBackend) DrainMatches(buf []stream.Match) []stream.Match {
-	out := b.pending
-	b.pending = buf[:0]
-	return out
+	return out, err
 }
 
 // CompileStats reports the shared program's offline compile cost.

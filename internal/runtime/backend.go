@@ -28,55 +28,36 @@ var errClosed = errors.New("runtime: Feed after Close")
 // Backend is the uniform streaming contract over one input stream.
 // Implementations are not safe for concurrent use; the pipeline gives each
 // stream its own Backend.
+//
+// Detections are returned append-style, the way the hardware drives a tag
+// bus it does not own: Feed and Close append what they confirm to out and
+// return the extended slice, like the built-in append. The caller owns the
+// buffer before and after the call and the backend keeps no reference to
+// it, so one buffer can take the detections of many streams in turn (the
+// pipeline's dispatch unit) and a call that confirms nothing costs no
+// match storage. out may be nil.
 type Backend interface {
 	// Reset rewinds to stream start for reuse.
 	Reset()
-	// Feed consumes the next chunk of stream bytes. Chunking is
-	// arbitrary: detections never depend on Feed boundaries.
-	Feed(p []byte) error
-	// Close ends the stream, flushing any pending detection. Backends
-	// that recognize the grammar exactly (the parser path) report
-	// non-conforming input here; the FSA paths always return nil.
-	Close() error
-	// Matches drains the detections confirmed since the previous call
-	// (or since Reset). Call once after Close for whole-stream use, or
-	// after each Feed for incremental batches.
-	Matches() []stream.Match
+	// Feed consumes the next chunk of stream bytes, appending the
+	// detections it confirms to out. Chunking is arbitrary: detections
+	// never depend on Feed boundaries. On error the returned slice still
+	// carries what was confirmed before the fault.
+	Feed(p []byte, out []stream.Match) ([]stream.Match, error)
+	// Close ends the stream, appending any pending detection to out.
+	// Backends that recognize the grammar exactly (the parser path)
+	// report non-conforming input here and append nothing; the FSA paths
+	// always return a nil error.
+	Close(out []stream.Match) ([]stream.Match, error)
 	// Counters reports lifetime totals since Reset.
 	Counters() Counters
-}
-
-// matchRecycler is implemented by backends whose pending-match buffer can
-// be swapped for a caller-owned one: DrainMatches returns the confirmed
-// matches (like Matches) and adopts buf, with its length reset, as the new
-// pending buffer. The pipeline uses it to lend a backend a pooled slice
-// for each Feed or Close (see shard.lend) instead of letting it allocate
-// one per batch. Wrapping backends are searched through their Unwrap
-// chain, so fault injectors stay transparent.
-type matchRecycler interface {
-	DrainMatches(buf []stream.Match) []stream.Match
-}
-
-// asMatchRecycler finds the matchRecycler implementation under any chain
-// of wrappers, nil when there is none.
-func asMatchRecycler(b Backend) matchRecycler {
-	for {
-		if r, ok := b.(matchRecycler); ok {
-			return r
-		}
-		u, ok := b.(backendUnwrapper)
-		if !ok {
-			return nil
-		}
-		b = u.Unwrap()
-	}
 }
 
 // Counters aggregates a Backend's per-stream totals.
 type Counters struct {
 	// Bytes fed so far.
 	Bytes int64
-	// Matches confirmed so far (drained or not).
+	// Matches confirmed so far.
 	Matches int64
 	// Recoveries counts section 5.2 error-recovery events (nonzero only
 	// when the spec was compiled with a Recover option).
@@ -121,7 +102,7 @@ type Hooks struct {
 	// as gauges. Other backends never call it.
 	CompileStats func(shard int, s stream.CompileStats)
 	// PanicRecovered observes every panic the pipeline recovers; origin
-	// names the guarded call ("Feed", "Close", "Matches" or "Deliver").
+	// names the guarded call ("Feed", "Close" or "Deliver").
 	PanicRecovered func(shard int, origin string)
 	// Quarantined observes each stream key poisoned after a backend
 	// error or panic.

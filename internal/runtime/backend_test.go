@@ -50,13 +50,13 @@ func TestBackendsAgreeOnIfThenElse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := b.Feed(input); err != nil {
+		got, err := b.Feed(input, nil)
+		if err != nil {
 			t.Fatalf("%s: feed: %v", name, err)
 		}
-		if err := b.Close(); err != nil {
+		if got, err = b.Close(got); err != nil {
 			t.Fatalf("%s: close: %v", name, err)
 		}
-		got := b.Matches()
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: matches = %v, want %v", name, got, want)
 		}
@@ -70,25 +70,34 @@ func TestBackendsAgreeOnIfThenElse(t *testing.T) {
 	}
 }
 
+// TestBackendMatchesDrain pins the append contract: every call's matches
+// leave with the call, behind whatever the caller's buffer already held,
+// and the backend keeps no reference to a buffer it was handed earlier.
 func TestBackendMatchesDrain(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
+	input := []byte("if true then go else stop")
+	want := stream.NewTagger(spec).Tag(input)
 	for name, f := range factories(t, spec) {
 		b, err := f(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		input := []byte("if true then go else stop")
-		b.Feed(input[:10])
-		first := len(b.Matches())
-		b.Feed(input[10:])
-		b.Close()
-		rest := len(b.Matches())
-		if again := b.Matches(); len(again) != 0 {
-			t.Errorf("%s: second drain returned %d matches, want 0", name, len(again))
+		sentinel := stream.Match{InstanceID: -1, End: -1}
+		first, _ := b.Feed(input[:10], []stream.Match{sentinel})
+		if len(first) == 0 || first[0] != sentinel {
+			t.Fatalf("%s: Feed did not append behind the caller's prefix: %v", name, first)
 		}
-		want := len(stream.NewTagger(spec).Tag(input))
-		if first+rest != want {
-			t.Errorf("%s: drained %d+%d matches, want %d total", name, first, rest, want)
+		kept := append([]stream.Match(nil), first...)
+		rest, _ := b.Feed(input[10:], nil)
+		rest, _ = b.Close(rest)
+		if again, _ := b.Close(nil); len(again) != 0 {
+			t.Errorf("%s: second Close appended %d matches, want 0", name, len(again))
+		}
+		if !reflect.DeepEqual(first, kept) {
+			t.Errorf("%s: a later call wrote into an earlier call's buffer", name)
+		}
+		if got := append(first[1:], rest...); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: matches = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -104,13 +113,14 @@ func TestBackendResetReuse(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			b.Reset()
-			if err := b.Feed(input); err != nil {
+			got, err := b.Feed(input, nil)
+			if err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			if err := b.Close(); err != nil {
+			if got, err = b.Close(got); err != nil {
 				t.Fatalf("%s round %d: %v", name, round, err)
 			}
-			if got := b.Matches(); !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s round %d: matches = %v, want %v", name, round, got, want)
 			}
 		}
@@ -124,9 +134,9 @@ func TestBackendFeedAfterClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Feed([]byte("go"))
-		b.Close()
-		if err := b.Feed([]byte("x")); err == nil {
+		b.Feed([]byte("go"), nil)
+		b.Close(nil)
+		if _, err := b.Feed([]byte("x"), nil); err == nil {
 			t.Errorf("%s: Feed after Close succeeded", name)
 		}
 	}
@@ -142,11 +152,12 @@ func TestParserBackendRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Feed([]byte("if true go")) // missing "then"
-	if err := b.Close(); err == nil {
+	b.Feed([]byte("if true go"), nil) // missing "then"
+	ms, err := b.Close(nil)
+	if err == nil {
 		t.Error("parser backend accepted a non-sentence")
 	}
-	if ms := b.Matches(); len(ms) != 0 {
+	if len(ms) != 0 {
 		t.Errorf("parser backend emitted %d matches on reject", len(ms))
 	}
 }
@@ -168,8 +179,8 @@ func TestTaggerBackendRecoveryCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Feed([]byte("if true ### then go"))
-	b.Close()
+	b.Feed([]byte("if true ### then go"), nil)
+	b.Close(nil)
 	if c := b.Counters(); c.Recoveries == 0 {
 		t.Error("corrupt input produced no recovery events")
 	}
@@ -181,8 +192,8 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Feed([]byte("if true ### then go"))
-	b.Close()
+	b.Feed([]byte("if true ### then go"), nil)
+	b.Close(nil)
 	if c := b.Counters(); c.Recoveries == 0 {
 		t.Error("corrupt input produced no recovery events")
 	}
@@ -201,8 +212,8 @@ func TestDFABackendCacheStats(t *testing.T) {
 	input := []byte("if true then go else stop")
 	for round := 0; round < 3; round++ {
 		b.Reset()
-		b.Feed(input)
-		b.Close()
+		b.Feed(input, nil)
+		b.Close(nil)
 	}
 	c := b.Counters()
 	if c.CacheMisses == 0 {
@@ -227,8 +238,8 @@ func TestHooksObserveEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []byte("if true then go else stop")
-	b.Feed(input)
-	b.Close()
+	b.Feed(input, nil)
+	b.Close(nil)
 	got, _ := mc.Snapshot()
 	if got.Bytes != int64(len(input)) {
 		t.Errorf("hooks saw %d bytes, want %d", got.Bytes, len(input))

@@ -423,9 +423,8 @@ func TestChaosPipelineEarley(t *testing.T) {
 // runOracle runs one buffer through the shared reference backend.
 func runOracle(b runtime.Backend, data []byte) ([]stream.Match, error) {
 	b.Reset()
-	b.Feed(data)
-	err := b.Close()
-	ms := b.Matches()
+	ms, _ := b.Feed(data, nil)
+	ms, err := b.Close(ms)
 	if len(ms) == 0 {
 		ms = nil
 	}

@@ -169,14 +169,12 @@ func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult
 		if off+n > len(text) {
 			n = len(text) - off
 		}
-		if err := b.Feed(text[off : off+n]); err != nil {
+		if ms, err = b.Feed(text[off:off+n], ms); err != nil {
 			return runResult{}, err
 		}
-		ms = append(ms, b.Matches()...)
 		off += n
 	}
-	verdict := b.Close()
-	ms = append(ms, b.Matches()...)
+	ms, verdict := b.Close(ms)
 	return runResult{matches: ms, verdict: verdict, counters: b.Counters(), backend: b}, nil
 }
 

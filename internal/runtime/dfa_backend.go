@@ -15,7 +15,7 @@ type dfaBackend struct {
 	shard   int
 	hooks   *Hooks
 	lim     Limits
-	pending []stream.Match
+	out     []stream.Match // the caller's buffer, held only during a call
 	bytes   int64
 	matches int64
 
@@ -43,7 +43,7 @@ func DFAFactoryConfig(spec *core.Spec, cfg stream.DFAConfig) Factory {
 }
 
 // DFAFactoryLimits is DFAFactoryConfig with per-stream resource bounds:
-// MaxPendingMatches bounds each stream's undrained match buffer (error
+// MaxPendingMatches bounds the matches one Feed may confirm (error
 // wrapping ErrResourceExhausted on trip), and Limits.Mem — unless the
 // DFAConfig already carries a MemDelta — observes the shared transition
 // cache's estimated footprint, so tenant memory budgets see cache growth.
@@ -56,7 +56,7 @@ func DFAFactoryLimits(spec *core.Spec, cfg stream.DFAConfig, lim Limits) Factory
 		d := cache.NewDFA()
 		b := &dfaBackend{d: d, shard: shard, hooks: h, lim: lim}
 		d.OnMatch = func(m stream.Match) {
-			b.pending = append(b.pending, m)
+			b.out = append(b.out, m)
 			b.matches++
 		}
 		d.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
@@ -67,47 +67,36 @@ func DFAFactoryLimits(spec *core.Spec, cfg stream.DFAConfig, lim Limits) Factory
 
 func (b *dfaBackend) Reset() {
 	b.d.Reset()
-	b.pending = b.pending[:0]
 	b.bytes = 0
 	b.matches = 0
 }
 
-func (b *dfaBackend) Feed(p []byte) error {
+func (b *dfaBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	n, err := b.d.Write(p)
+	out, b.out = b.out, nil
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
 	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
-		err = b.lim.checkPending(len(b.pending))
+		err = b.lim.checkPending(int(b.matches - before))
 	}
-	return err
+	return out, err
 }
 
-func (b *dfaBackend) Close() error {
+func (b *dfaBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	err := b.d.Close()
+	out, b.out = b.out, nil
 	b.hooks.matches(b.shard, int(b.matches-before))
 	hits, misses, resets := b.d.CacheStats()
 	if dh, dm, dr := hits-b.repHits, misses-b.repMisses, resets-b.repResets; dh|dm|dr != 0 {
 		b.hooks.cacheStats(b.shard, dh, dm, dr)
 		b.repHits, b.repMisses, b.repResets = hits, misses, resets
 	}
-	return err
-}
-
-func (b *dfaBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
-}
-
-// DrainMatches hands the confirmed matches to the caller and adopts buf as
-// the new pending buffer, letting the pipeline recycle match slices.
-func (b *dfaBackend) DrainMatches(buf []stream.Match) []stream.Match {
-	out := b.pending
-	b.pending = buf[:0]
-	return out
+	return out, err
 }
 
 // CacheStates reports the number of DFA states currently cached;

@@ -16,7 +16,7 @@ import (
 // input as the Close error. Unlike the parser path it handles every
 // grammar class (left/right recursion, ambiguity, ambiguous lexicons) and
 // on ambiguous input reports the union of tags over all derivations.
-// Matches become available only after a successful Close.
+// Matches are appended only by a successful Close.
 type earleyBackend struct {
 	spec    *core.Spec
 	rec     *earley.Recognizer
@@ -25,7 +25,6 @@ type earleyBackend struct {
 	lim     Limits
 	buf     []byte
 	charged int64
-	pending []stream.Match
 	matches int64
 	closed  bool
 }
@@ -61,22 +60,21 @@ func EarleyFactoryLimits(spec *core.Spec, lim Limits) (Factory, error) {
 
 func (b *earleyBackend) Reset() {
 	b.buf = b.buf[:0]
-	b.pending = b.pending[:0]
 	b.matches = 0
 	b.closed = false
 }
 
-func (b *earleyBackend) Feed(p []byte) error {
+func (b *earleyBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return errClosed
+		return out, errClosed
 	}
 	if err := b.lim.checkBuffer(len(b.buf), len(p)); err != nil {
-		return err
+		return out, err
 	}
 	b.buf = append(b.buf, p...)
 	b.chargeBuf()
 	b.hooks.bytes(b.shard, len(p))
-	return nil
+	return out, nil
 }
 
 // chargeBuf settles the memory gauge with the buffer's current capacity.
@@ -97,9 +95,9 @@ func (b *earleyBackend) releaseMem() {
 	}
 }
 
-func (b *earleyBackend) Close() error {
+func (b *earleyBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return nil
+		return out, nil
 	}
 	b.closed = true
 	tags, err := b.rec.Tags(b.buf)
@@ -108,45 +106,41 @@ func (b *earleyBackend) Close() error {
 			// The chart outgrew its per-stream budget: surface the
 			// pipeline's typed verdict so the stream is quarantined and
 			// counted, keeping earley's sentinel as detail.
-			return fmt.Errorf("%w: %v", ErrResourceExhausted, err)
+			return out, fmt.Errorf("%w: %v", ErrResourceExhausted, err)
 		}
-		return err
+		return out, err
 	}
+	start := len(out)
 	for _, tag := range tags {
 		in := b.spec.InstanceAt(tag.Rule, tag.Pos)
 		if in == nil {
 			// Cannot happen for a recognizer built from this spec.
 			panic("runtime: earley tag with no spec instance")
 		}
-		b.pending = append(b.pending, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
+		out = append(out, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
 	}
 	// Distinct derivation tags can project onto one (instance, end) pair —
 	// ambiguous parses sharing a lexeme, or NoContextDuplication folding
-	// occurrences — so order and deduplicate at the match level.
-	sort.Slice(b.pending, func(i, j int) bool {
-		a, c := b.pending[i], b.pending[j]
+	// occurrences — so order and deduplicate at the match level, within
+	// the stretch of out this stream appended.
+	mine := out[start:]
+	sort.Slice(mine, func(i, j int) bool {
+		a, c := mine[i], mine[j]
 		if a.End != c.End {
 			return a.End < c.End
 		}
 		return a.InstanceID < c.InstanceID
 	})
-	dedup := b.pending[:0]
-	for _, m := range b.pending {
+	dedup := mine[:0]
+	for _, m := range mine {
 		if n := len(dedup); n > 0 && m == dedup[n-1] {
 			continue
 		}
 		dedup = append(dedup, m)
 	}
-	b.pending = dedup
 	b.matches += int64(len(dedup))
 	b.hooks.matches(b.shard, len(dedup))
-	return nil
-}
-
-func (b *earleyBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
+	return out[:start+len(dedup)], nil
 }
 
 func (b *earleyBackend) Counters() Counters {

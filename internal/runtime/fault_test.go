@@ -19,18 +19,17 @@ import (
 type fakeBackend struct{}
 
 func (f *fakeBackend) Reset() {}
-func (f *fakeBackend) Feed(p []byte) error {
+func (f *fakeBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if bytes.Contains(p, []byte("PANIC")) {
 		panic("fake backend exploded")
 	}
 	if bytes.Contains(p, []byte("ERROR")) {
-		return errors.New("fake backend error")
+		return out, errors.New("fake backend error")
 	}
-	return nil
+	return out, nil
 }
-func (f *fakeBackend) Close() error            { return nil }
-func (f *fakeBackend) Matches() []stream.Match { return nil }
-func (f *fakeBackend) Counters() Counters      { return Counters{} }
+func (f *fakeBackend) Close(out []stream.Match) ([]stream.Match, error) { return out, nil }
+func (f *fakeBackend) Counters() Counters                               { return Counters{} }
 
 func fakeFactory(int, *Hooks) (Backend, error) { return &fakeBackend{}, nil }
 
@@ -269,6 +268,7 @@ func (s *countingSink) Deliver(b *Batch) error {
 	if s.attempts[b] <= s.failPer {
 		return fmt.Errorf("transient failure %d", s.attempts[b])
 	}
+	delete(s.attempts, b) // delivered: the address may carry a later batch
 	s.delivered++
 	return nil
 }
@@ -477,22 +477,36 @@ func TestPipelineBufferPoolDropsOversizedChunks(t *testing.T) {
 	}
 	defer p.Close()
 
-	// A small buffer is recycled… (sync.Pool drops Puts at random under
-	// the race detector, so give the round trip a few attempts)
+	// A unit comes back from the pool with its arena and tag buffer still
+	// attached… (sync.Pool drops Puts at random under the race detector,
+	// so give the round trip a few attempts)
 	recycled := false
 	for i := 0; i < 50 && !recycled; i++ {
-		small := p.getBuf(777)
-		p.putBuf(small)
-		recycled = cap(p.getBuf(700)) == 777
+		u := p.getUnit()
+		u.data = make([]byte, 0, 777)
+		u.tags = make([]stream.Match, 0, 333)
+		p.putUnit(u)
+		v := p.getUnit()
+		recycled = cap(v.data) == 777 && cap(v.tags) == 333
 	}
 	if !recycled {
-		t.Error("small buffer never recycled through the pool")
+		t.Error("a unit's buffers never came back through the pool")
 	}
-	// …while an oversized one is dropped for the GC instead of pinning
+	// …a full dense unit's tag buffer is within the bound…
+	u := p.getUnit()
+	u.data = make([]byte, 0, maxPooledBufCap)
+	u.tags = make([]stream.Match, 0, maxPooledTagCap)
+	p.putUnit(u)
+	if cap(u.data) != maxPooledBufCap || cap(u.tags) != maxPooledTagCap {
+		t.Errorf("buffers at the retention bounds were dropped (arena cap %d, tags cap %d)", cap(u.data), cap(u.tags))
+	}
+	// …while oversized ones are dropped for the GC instead of pinning
 	// multi-megabyte capacity in the pool forever.
-	huge := make([]byte, maxPooledBufCap+1)
-	p.putBuf(huge)
-	if got := p.bufs.Get().([]byte); cap(got) > maxPooledBufCap {
-		t.Errorf("oversized buffer (cap %d) was pooled", cap(got))
+	u = p.getUnit()
+	u.data = make([]byte, 0, maxPooledBufCap+1)
+	u.tags = make([]stream.Match, 0, maxPooledTagCap+1)
+	p.putUnit(u)
+	if u.data != nil || u.tags != nil {
+		t.Errorf("oversized buffers were pooled (arena cap %d, tags cap %d)", cap(u.data), cap(u.tags))
 	}
 }

@@ -18,7 +18,7 @@ type gateBackend struct {
 	r       *hwgen.Runner
 	shard   int
 	hooks   *Hooks
-	pending []stream.Match
+	out     []stream.Match // the caller's buffer, held only during a call
 	bytes   int64
 	matches int64
 	closed  bool
@@ -45,44 +45,41 @@ func GateFactory(spec *core.Spec) (Factory, error) {
 
 func (b *gateBackend) Reset() {
 	b.r.Begin()
-	b.pending = b.pending[:0]
 	b.bytes = 0
 	b.matches = 0
 	b.closed = false
 }
 
 func (b *gateBackend) emit(m stream.Match) {
-	b.pending = append(b.pending, m)
+	b.out = append(b.out, m)
 	b.matches++
 }
 
-func (b *gateBackend) Feed(p []byte) error {
+func (b *gateBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return errClosed
+		return out, errClosed
 	}
 	before := b.matches
+	b.out = out
 	b.r.Feed(p, b.emit)
+	out, b.out = b.out, nil
 	b.bytes += int64(len(p))
 	b.hooks.bytes(b.shard, len(p))
 	b.hooks.matches(b.shard, int(b.matches-before))
-	return nil
+	return out, nil
 }
 
-func (b *gateBackend) Close() error {
+func (b *gateBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return nil
+		return out, nil
 	}
 	b.closed = true
 	before := b.matches
+	b.out = out
 	b.r.Finish(b.emit)
+	out, b.out = b.out, nil
 	b.hooks.matches(b.shard, int(b.matches-before))
-	return nil
-}
-
-func (b *gateBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
+	return out, nil
 }
 
 func (b *gateBackend) Counters() Counters {

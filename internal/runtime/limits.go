@@ -6,8 +6,8 @@ import (
 )
 
 // MemGauge aggregates an estimated live-memory byte count across the
-// pieces that charge it: checked-out dispatch arenas, per-stream backend
-// buffers, DFA cache states and Earley charts. It is an estimate for
+// pieces that charge it: checked-out dispatch units (arena and tag
+// buffer), per-stream backend buffers, DFA cache states and Earley charts. It is an estimate for
 // admission control (Quota.MemBudgetBytes), not an allocator accounting.
 // All methods are safe for concurrent use and nil-safe, so it threads
 // through configs without guards.
@@ -48,11 +48,12 @@ type Limits struct {
 	// (0 = unlimited). The Feed that would exceed it fails, and none of
 	// its bytes are buffered.
 	MaxBufferBytes int
-	// MaxPendingMatches caps the undrained pending matches a streaming
-	// backend (stream, dfa) may accumulate per stream between drains
-	// (0 = unlimited). Normal pipeline operation drains after every
-	// batch, so only a match bomb — adversarial input tagging far faster
-	// than it can be delivered — trips this.
+	// MaxPendingMatches caps the matches one Feed of a streaming backend
+	// (stream, dfa, aot) may confirm (0 = unlimited). The pipeline takes
+	// every call's matches with it — nothing is left pending between
+	// calls — so the bound is per chunk, and only a match bomb —
+	// adversarial input tagging far faster than it can be delivered —
+	// trips it.
 	MaxPendingMatches int
 	// MaxChartItems and MaxWorkPerByte bound the Earley backend's chart
 	// per recognition (see earley.Config); ignored by the FSA paths.
@@ -64,11 +65,11 @@ type Limits struct {
 	Mem *MemGauge
 }
 
-// checkPending converts a pending-match count past MaxPendingMatches into
+// checkPending converts a Feed's match count past MaxPendingMatches into
 // the typed budget error; nil while within bounds (or unbounded).
 func (l Limits) checkPending(n int) error {
 	if max := l.MaxPendingMatches; max > 0 && n > max {
-		return fmt.Errorf("%w: %d pending matches over MaxPendingMatches %d", ErrResourceExhausted, n, max)
+		return fmt.Errorf("%w: %d matches in one Feed over MaxPendingMatches %d", ErrResourceExhausted, n, max)
 	}
 	return nil
 }

@@ -97,13 +97,12 @@ func feedSplit(t *testing.T, f Factory, text []byte, split int) []stream.Match {
 	}
 	var ms []stream.Match
 	for _, c := range chunks {
-		if err := b.Feed(c); err != nil {
+		if ms, err = b.Feed(c, ms); err != nil {
 			t.Fatal(err)
 		}
-		ms = append(ms, b.Matches()...)
 	}
-	if err := b.Close(); err != nil {
+	if ms, err = b.Close(ms); err != nil {
 		t.Fatalf("reject of conforming %q: %v", text, err)
 	}
-	return append(ms, b.Matches()...)
+	return ms
 }

@@ -25,7 +25,7 @@ type blockingBackend struct {
 	gate    chan struct{}
 }
 
-func (g *blockingBackend) Feed(p []byte) error {
+func (g *blockingBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if bytes.Contains(p, []byte("BLOCK")) {
 		select {
 		case g.started <- struct{}{}:
@@ -33,7 +33,7 @@ func (g *blockingBackend) Feed(p []byte) error {
 		}
 		<-g.gate
 	}
-	return nil
+	return out, nil
 }
 
 func blockingFactory(started, gate chan struct{}) Factory {
@@ -171,11 +171,11 @@ type stallBackend struct {
 	d time.Duration
 }
 
-func (s *stallBackend) Feed(p []byte) error {
+func (s *stallBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if bytes.Contains(p, []byte("STALL")) {
 		time.Sleep(s.d)
 	}
-	return nil
+	return out, nil
 }
 
 func TestWatchdogStalledFeed(t *testing.T) {
@@ -643,11 +643,11 @@ type stallWrapBackend struct {
 	d time.Duration
 }
 
-func (s *stallWrapBackend) Feed(p []byte) error {
+func (s *stallWrapBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if bytes.Contains(p, []byte("!")) {
 		time.Sleep(s.d)
 	}
-	return s.Backend.Feed(p)
+	return s.Backend.Feed(p, out)
 }
 
 func (s *stallWrapBackend) releaseMem() {
@@ -889,13 +889,12 @@ func TestOverloadSoak(t *testing.T) {
 		}()
 		var ms []stream.Match
 		for _, c := range sp.chunks {
-			if ferr := b.Feed(c); ferr != nil {
+			var ferr error
+			if ms, ferr = b.Feed(c, ms); ferr != nil {
 				return ms, ferr
 			}
-			ms = append(ms, b.Matches()...)
 		}
-		cerr := b.Close()
-		return append(ms, b.Matches()...), cerr
+		return b.Close(ms)
 	}
 	compared := 0
 	for _, sp := range plans {

@@ -9,8 +9,8 @@ import (
 // parserBackend adapts the LL(1) predictive-parser baseline. Unlike the
 // two tagging paths it recognizes the grammar exactly — one stream must be
 // one sentence — so it buffers the stream and parses at Close, reporting
-// non-conforming input as the Close error. Matches become available only
-// after a successful Close (the parser tags nothing on reject).
+// non-conforming input as the Close error. Matches are appended only by a
+// successful Close (the parser tags nothing on reject).
 type parserBackend struct {
 	spec    *core.Spec
 	table   *parser.Table
@@ -19,7 +19,6 @@ type parserBackend struct {
 	lim     Limits
 	buf     []byte
 	charged int64
-	pending []stream.Match
 	matches int64
 	closed  bool
 }
@@ -48,22 +47,21 @@ func ParserFactoryLimits(spec *core.Spec, lim Limits) (Factory, error) {
 
 func (b *parserBackend) Reset() {
 	b.buf = b.buf[:0]
-	b.pending = b.pending[:0]
 	b.matches = 0
 	b.closed = false
 }
 
-func (b *parserBackend) Feed(p []byte) error {
+func (b *parserBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return errClosed
+		return out, errClosed
 	}
 	if err := b.lim.checkBuffer(len(b.buf), len(p)); err != nil {
-		return err
+		return out, err
 	}
 	b.buf = append(b.buf, p...)
 	b.chargeBuf()
 	b.hooks.bytes(b.shard, len(p))
-	return nil
+	return out, nil
 }
 
 // chargeBuf settles the memory gauge with the buffer's current capacity.
@@ -84,14 +82,14 @@ func (b *parserBackend) releaseMem() {
 	}
 }
 
-func (b *parserBackend) Close() error {
+func (b *parserBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	if b.closed {
-		return nil
+		return out, nil
 	}
 	b.closed = true
 	tags, err := b.table.Parse(b.buf)
 	if err != nil {
-		return err
+		return out, err
 	}
 	for _, tag := range tags {
 		in := b.spec.InstanceAt(tag.Rule, tag.Pos)
@@ -99,17 +97,11 @@ func (b *parserBackend) Close() error {
 			// Cannot happen for a table built from this spec; fail loud.
 			panic("runtime: parser tag with no spec instance")
 		}
-		b.pending = append(b.pending, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
+		out = append(out, stream.Match{InstanceID: in.ID, End: int64(tag.End)})
 	}
 	b.matches += int64(len(tags))
 	b.hooks.matches(b.shard, len(tags))
-	return nil
-}
-
-func (b *parserBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
+	return out, nil
 }
 
 func (b *parserBackend) Counters() Counters {

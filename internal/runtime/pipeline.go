@@ -26,9 +26,9 @@ var ErrClosed = errors.New("runtime: pipeline is closed")
 // backend — until the quarantine TTL expires. Test with errors.Is.
 var ErrQuarantined = errors.New("runtime: stream is quarantined")
 
-// ErrBackendPanic wraps a panic recovered from a Backend's Feed, Close or
-// Matches. The panicking stream's final batch carries it in Batch.Err with
-// EOS set; the process survives. Test with errors.Is.
+// ErrBackendPanic wraps a panic recovered from a Backend's Feed or Close.
+// The panicking stream's final batch carries it in Batch.Err with EOS set;
+// the process survives. Test with errors.Is.
 var ErrBackendPanic = errors.New("runtime: backend panicked")
 
 // ErrSinkPanic wraps a panic recovered from Sink.Deliver. It is treated
@@ -76,14 +76,21 @@ const DefaultBatchBytes = 64 << 10
 // is pushed to its shard.
 const DefaultBatchIdle = time.Millisecond
 
-// maxPooledBufCap bounds chunk-arena retention in the pool: one huge
+// maxPooledBufCap bounds chunk-arena retention in the unit pool: one huge
 // chunk must not pin a multi-megabyte allocation for the pipeline's
-// lifetime, so larger buffers are dropped for the GC instead of recycled.
+// lifetime, so a larger arena is dropped for the GC when its unit is
+// recycled.
 const maxPooledBufCap = 1 << 20
 
-// maxPooledMatchCap bounds match-slice retention in the pool, for the same
-// reason.
-const maxPooledMatchCap = 8192
+// maxPooledTagCap bounds tag-buffer retention the same way, per unit: it
+// is sized so the buffer of a full dense unit (64 KiB of XML-RPC confirm
+// ~8 000 tags) survives recycling — a tighter, batch-sized bound would
+// drop and regrow the buffer on every dense unit.
+const maxPooledTagCap = 32768
+
+// matchBytes is the size of one stream.Match (two words), for memory
+// accounting.
+const matchBytes = 16
 
 // sinkBackoffCap caps the exponential Deliver-retry backoff.
 const sinkBackoffCap = 250 * time.Millisecond
@@ -98,18 +105,22 @@ const quarSweepMin = 16
 
 // Batch is one unit of Sink delivery: the chunk of stream bytes a shard
 // just processed and the detections it confirmed. Offsets in Tags are
-// absolute within the stream identified by Key.
+// absolute within the stream identified by Key. A Batch is a slot of a
+// pooled dispatch unit: the *Batch itself, like Data and Tags, is valid
+// only until Deliver (or DeadLetter) returns, and a later batch may be
+// delivered at the same address.
 type Batch struct {
 	// Key identifies the stream the chunk belongs to.
 	Key string
 	// Shard is the shard that owns the stream.
 	Shard int
 	// Data is the chunk's bytes. The backing storage is a pooled arena
-	// shared with the other batches of one dispatch group: it is valid
+	// shared with the other batches of one dispatch unit: it is valid
 	// only until Deliver returns.
 	Data []byte
 	// Tags are the detections confirmed by this chunk (and, on EOS, the
 	// final flush), in input order with absolute End offsets. The slice is
+	// this batch's window (len == cap) into the unit's shared tag buffer,
 	// pooled like Data: valid only until Deliver returns (copy to retain).
 	Tags []stream.Match
 	// EOS marks the stream's final batch. Besides CloseStream, a stream
@@ -140,16 +151,21 @@ type Batch struct {
 	// batch is delivered; set only on EOS batches of streams that bound a
 	// version.
 	ver *factoryVersion
+	// tagEnd is where the batch's window into its unit's tag buffer ends
+	// (it starts where the previous batch's ends); emit turns the marks
+	// into Tags once the buffer has stopped growing.
+	tagEnd int
 }
 
 // Sink consumes completed tag batches. With the default single sink
 // worker, Deliver is called from one goroutine; with Config.SinkWorkers >
 // 1 the shards are partitioned across workers and the Sink must be safe
 // for concurrent Deliver calls. Either way batches of one stream arrive in
-// order on one goroutine. Deliver must not retain b.Data or b.Tags past
-// the call (copy if needed). A Deliver error or panic is retried with
-// backoff (see Config); wrap an error with PermanentError to fail the
-// pipeline immediately instead.
+// order on one goroutine. Deliver must not retain b, b.Data or b.Tags past
+// the call (copy what it keeps): all three are recycled when it returns
+// nil, and b keeps its address only across the retries of one delivery. A
+// Deliver error or panic is retried with backoff (see Config); wrap an
+// error with PermanentError to fail the pipeline immediately instead.
 type Sink interface {
 	Deliver(b *Batch) error
 	Close() error
@@ -231,7 +247,7 @@ type Config struct {
 	// were exhausted on a transient error; the pipeline then carries on
 	// with the next batch. When nil, an exhausted batch escalates to a
 	// permanent sink failure instead. Like Deliver, the hook must not
-	// retain b.Data or b.Tags past the call. It runs on the delivering
+	// retain b, b.Data or b.Tags past the call. It runs on the delivering
 	// sink worker.
 	DeadLetter func(b *Batch, err error)
 	// SendTimeout selects the overload policy at dispatch. 0 (the
@@ -263,10 +279,10 @@ type Config struct {
 	// half-open probe (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// Mem, when set, aggregates the pipeline's estimated memory: dispatch
-	// arenas checked out of the pool charge it, and backends built by a
-	// Limits- or budget-aware factory (buffered stream bytes, DFA cache
-	// states, Earley charts) charge the same gauge. Registry.Send
-	// enforces Quota.MemBudgetBytes against it.
+	// units checked out of the pool charge it with their arena and their
+	// tag buffer, and backends built by a Limits- or budget-aware factory
+	// (buffered stream bytes, DFA cache states, Earley charts) charge the
+	// same gauge. Registry.Send enforces Quota.MemBudgetBytes against it.
 	Mem *MemGauge
 }
 
@@ -286,7 +302,7 @@ type Pipeline struct {
 	cfg     Config
 	sink    Sink
 	shards  []*shard
-	sinkChs []chan *sinkGroup
+	sinkChs []chan *unit
 
 	quarTTL      time.Duration
 	quarSweep    time.Duration
@@ -301,10 +317,7 @@ type Pipeline struct {
 	brThreshold  int
 	brCooldown   time.Duration
 
-	bufs    sync.Pool // chunk arenas, recycled after Deliver
-	matches sync.Pool // match slices, recycled after Deliver
-	sbPool  sync.Pool // *shardBatch dispatch units
-	grpPool sync.Pool // *sinkGroup delivery units
+	units sync.Pool // *unit, recycled after its last Deliver
 
 	shardWG sync.WaitGroup
 	sinkWG  sync.WaitGroup
@@ -324,12 +337,12 @@ type Pipeline struct {
 	liveVers  map[int]*factoryVersion
 	nextVerID int
 
-	errMu   sync.Mutex
-	sinkErr error
+	// sinkErr is the first permanent sink failure, published once.
+	sinkErr atomic.Pointer[error]
 }
 
-// msgRef is one message inside a shardBatch: a window into the batch's
-// arena plus the stream-end flag.
+// msgRef is one message inside a unit: a window into the unit's arena plus
+// the stream-end flag.
 type msgRef struct {
 	key string
 	off int
@@ -337,32 +350,31 @@ type msgRef struct {
 	eos bool
 }
 
-// shardBatch is one coalesced dispatch unit on a shard queue: a pooled
-// arena holding the concatenated chunk bytes and the message windows into
-// it. A batch with only EOS messages carries no arena.
-type shardBatch struct {
-	data []byte
-	msgs []msgRef
-}
-
-// sinkGroup is one delivery unit on a sink-worker queue: the Batches a
-// shard produced from one shardBatch, in emission order, plus the arena
-// their Data slices point into. The worker recycles the arena, the match
-// slices and the group itself after the last Deliver returns.
-type sinkGroup struct {
-	batches []*Batch
-	arena   []byte
+// unit is the one pooled object that travels Send → shard → sink worker →
+// pool. enqueue coalesces chunks into data and msgs; the shard completes
+// the unit in place, appending one Batch per message (plus eviction
+// flushes) and letting the backends append their detections to tags; the
+// sink worker delivers &batches[i] in order and returns the unit to the
+// pool with its arena and tag buffer still attached. Tags travel the way
+// bytes do: a batch owns a window of the shared buffer, so a chunk that
+// confirms nothing costs no match storage.
+type unit struct {
+	data    []byte
+	msgs    []msgRef
+	batches []Batch
+	tags    []stream.Match
+	// charged is what the unit currently holds on Config.Mem: the
+	// capacities of data and tags, in bytes.
+	charged int64
 }
 
 // streamEntry is one live stream on a shard: its Backend plus its position
-// in the shard's recency list (front = most recently active). rec is the
-// backend's match-buffer recycler when it supports pooled match slices.
-// ver is the factory version the stream bound at creation; it is released
-// after the stream's final batch is delivered.
+// in the shard's recency list (front = most recently active). ver is the
+// factory version the stream bound at creation; it is released after the
+// stream's final batch is delivered.
 type streamEntry struct {
 	key string
 	b   Backend
-	rec matchRecycler
 	el  *list.Element
 	ver *factoryVersion
 }
@@ -373,13 +385,13 @@ type streamEntry struct {
 // pending dispatch batch Sends coalesce into.
 type shard struct {
 	id      int
-	in      chan *shardBatch
+	in      chan *unit
 	streams map[string]*streamEntry
 	lru     *list.List // of *streamEntry
 	p       *Pipeline
 
 	pendMu sync.Mutex
-	pend   *shardBatch
+	pend   *unit
 	pendAt time.Time // when the pending batch got its first message
 
 	// drainSig is pulsed (non-blockingly) by run() after each batch it
@@ -462,9 +474,7 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if p.quarSweep < 50*time.Millisecond {
 		p.quarSweep = 50 * time.Millisecond
 	}
-	p.bufs.New = func() any { return []byte(nil) }
-	p.sbPool.New = func() any { return new(shardBatch) }
-	p.grpPool.New = func() any { return new(sinkGroup) }
+	p.units.New = func() any { return new(unit) }
 
 	// Version 1 is the construction-time factory; SwapFactory publishes
 	// successors.
@@ -480,7 +490,7 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 		workers = cfg.Shards
 	}
 	for w := 0; w < workers; w++ {
-		ch := make(chan *sinkGroup, cfg.Queue)
+		ch := make(chan *unit, cfg.Queue)
 		p.sinkChs = append(p.sinkChs, ch)
 		p.sinkWG.Add(1)
 		go p.sinkWorker(ch, w, 0x5eed5eed^int64(w)*0x9e3779b9)
@@ -488,7 +498,7 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			id:       i,
-			in:       make(chan *shardBatch, cfg.Queue),
+			in:       make(chan *unit, cfg.Queue),
 			streams:  make(map[string]*streamEntry),
 			lru:      list.New(),
 			quar:     make(map[string]time.Time),
@@ -540,9 +550,10 @@ func (p *Pipeline) CloseStream(key string) error {
 // subsequent batches are dropped (after buffer recycling) rather than
 // delivered.
 func (p *Pipeline) Err() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.sinkErr
+	if e := p.sinkErr.Load(); e != nil {
+		return *e
+	}
+	return nil
 }
 
 func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
@@ -619,35 +630,35 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 	canBlock := p.sendTimeout == 0 || eos
 	s.pendMu.Lock()
 	if s.pend == nil {
-		s.pend = p.getShardBatch()
+		s.pend = p.getUnit()
 	}
-	b := s.pend
+	u := s.pend
 	if len(data) > 0 {
-		if b.data != nil && len(b.data)+len(data) > cap(b.data) {
+		if len(u.data) > 0 && len(u.data)+len(data) > cap(u.data) {
 			if !s.flushPendLocked(canBlock) {
 				s.pendMu.Unlock()
 				return s.shed(key)
 			}
-			s.pend = p.getShardBatch()
-			b = s.pend
+			s.pend = p.getUnit()
+			u = s.pend
 		}
-		if b.data == nil {
-			need := p.batchBytes
-			if len(data) > need {
-				need = len(data)
-			}
-			b.data = p.getBuf(need)[:0]
+		if len(data) > cap(u.data) {
+			// Only an empty arena can be too small (the flush above saw to
+			// that): a fresh unit has none, a recycled one may have been
+			// sized for smaller chunks.
+			u.data = make([]byte, 0, max(p.batchBytes, len(data)))
+			p.settle(u)
 		}
-		off := len(b.data)
-		b.data = append(b.data, data...)
-		b.msgs = append(b.msgs, msgRef{key: key, off: off, n: len(data), eos: eos})
+		off := len(u.data)
+		u.data = append(u.data, data...)
+		u.msgs = append(u.msgs, msgRef{key: key, off: off, n: len(data), eos: eos})
 	} else {
-		b.msgs = append(b.msgs, msgRef{key: key, eos: eos})
+		u.msgs = append(u.msgs, msgRef{key: key, eos: eos})
 	}
-	if len(b.msgs) == 1 {
+	if len(u.msgs) == 1 {
 		s.pendAt = time.Now()
 	}
-	if p.batchBytes == 0 || len(b.data) >= p.batchBytes || len(s.in) == 0 {
+	if p.batchBytes == 0 || len(u.data) >= p.batchBytes || len(s.in) == 0 {
 		s.flushPendLocked(canBlock)
 	}
 	s.pendMu.Unlock()
@@ -660,17 +671,17 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 // Without it a full queue leaves the batch pending and reports false.
 // Every send into s.in happens here, under pendMu.
 func (s *shard) flushPendLocked(block bool) bool {
-	b := s.pend
-	if b == nil || len(b.msgs) == 0 {
+	u := s.pend
+	if u == nil || len(u.msgs) == 0 {
 		return true
 	}
 	if block {
 		s.pend = nil
-		s.in <- b
+		s.in <- u
 		return true
 	}
 	select {
-	case s.in <- b:
+	case s.in <- u:
 		s.pend = nil
 		return true
 	default:
@@ -768,71 +779,43 @@ func (p *Pipeline) Close() error {
 	return err
 }
 
-// getBuf checks an arena out of the pool. The memory gauge tracks
-// checked-out bytes: charged here, discharged in putBuf — idle pool
-// capacity is bounded by maxPooledBufCap and not counted.
-func (p *Pipeline) getBuf(n int) []byte {
-	b := p.bufs.Get().([]byte)
-	if cap(b) < n {
-		b = make([]byte, n)
-	}
-	p.cfg.Mem.Add(int64(cap(b)))
-	return b[:n]
+// getUnit checks a unit out of the pool. The memory gauge tracks
+// checked-out units — arena and tag buffer together, so a tenant's budget
+// sees its tags as well as its bytes: charged here, kept current by settle
+// when either buffer is replaced, discharged in putUnit. Idle pool
+// capacity is bounded by the two retention caps and not counted.
+func (p *Pipeline) getUnit() *unit {
+	u := p.units.Get().(*unit)
+	p.settle(u)
+	return u
 }
 
-func (p *Pipeline) putBuf(b []byte) {
-	if b == nil {
-		return
+// settle brings the unit's memory-gauge charge up to date with the
+// capacities it holds now.
+func (p *Pipeline) settle(u *unit) {
+	if now := int64(cap(u.data)) + matchBytes*int64(cap(u.tags)); now != u.charged {
+		p.cfg.Mem.Add(now - u.charged)
+		u.charged = now
 	}
-	p.cfg.Mem.Add(-int64(cap(b)))
-	if cap(b) > maxPooledBufCap {
-		return // oversized chunks go to the GC, not the pool
-	}
-	p.bufs.Put(b[:0]) //nolint:staticcheck // slice, not pointer, by design
 }
 
-func (p *Pipeline) getMatchBuf() []stream.Match {
-	if v := p.matches.Get(); v != nil {
-		return v.([]stream.Match)[:0]
+// putUnit returns a unit to the pool once nothing references its batches:
+// the charge is released, every reference the slots hold is dropped, and a
+// buffer past its retention cap goes to the GC instead of the pool.
+func (p *Pipeline) putUnit(u *unit) {
+	p.cfg.Mem.Add(-u.charged)
+	u.charged = 0
+	clear(u.msgs)
+	clear(u.batches)
+	u.msgs, u.batches = u.msgs[:0], u.batches[:0]
+	u.data, u.tags = u.data[:0], u.tags[:0]
+	if cap(u.data) > maxPooledBufCap {
+		u.data = nil
 	}
-	// A fresh buffer is sized for a dense chunk up front: tag-heavy
-	// traffic yields hundreds of matches per dispatch message, and
-	// growing from a tiny capacity costs several doubling copies on
-	// every pool miss.
-	return make([]stream.Match, 0, 1024)
-}
-
-func (p *Pipeline) putMatchBuf(ms []stream.Match) {
-	if ms == nil || cap(ms) == 0 || cap(ms) > maxPooledMatchCap {
-		return
+	if cap(u.tags) > maxPooledTagCap {
+		u.tags = nil
 	}
-	p.matches.Put(ms[:0]) //nolint:staticcheck // slice, not pointer, by design
-}
-
-func (p *Pipeline) getShardBatch() *shardBatch {
-	return p.sbPool.Get().(*shardBatch)
-}
-
-func (p *Pipeline) putShardBatch(b *shardBatch) {
-	b.data = nil
-	for i := range b.msgs {
-		b.msgs[i] = msgRef{}
-	}
-	b.msgs = b.msgs[:0]
-	p.sbPool.Put(b)
-}
-
-func (p *Pipeline) getGroup() *sinkGroup {
-	return p.grpPool.Get().(*sinkGroup)
-}
-
-func (p *Pipeline) putGroup(g *sinkGroup) {
-	for i := range g.batches {
-		g.batches[i] = nil
-	}
-	g.batches = g.batches[:0]
-	g.arena = nil
-	p.grpPool.Put(g)
+	p.units.Put(u)
 }
 
 // poisoned reports whether key is quarantined, lazily expiring stale
@@ -902,28 +885,22 @@ func (s *shard) sweepLocked(now time.Time) {
 }
 
 // run is the shard loop: per-stream Backend lifecycle and batch emission.
-// Each shardBatch becomes one sinkGroup carrying the produced Batches and
-// the arena they point into. When the input channel closes (pipeline
-// Close), still-open streams are flushed with synthetic EOS batches so
-// sinks always see stream ends.
+// Each unit is completed in place — one Batch per message, detections
+// appended to the unit's tag buffer — and handed on to its sink worker.
+// When the input channel closes (pipeline Close), still-open streams are
+// flushed with synthetic EOS batches so sinks always see stream ends.
 func (s *shard) run() {
 	defer s.p.shardWG.Done()
-	for sb := range s.in {
-		g := s.p.getGroup()
-		for i := range sb.msgs {
-			m := &sb.msgs[i]
+	for u := range s.in {
+		for i := range u.msgs {
+			m := &u.msgs[i]
 			var data []byte
 			if m.n > 0 {
-				data = sb.data[m.off : m.off+m.n]
+				data = u.data[m.off : m.off+m.n]
 			}
-			s.process(m.key, data, m.eos, g)
+			s.process(m.key, data, m.eos, u)
 		}
-		// The arena travels with the group: the sink worker recycles it
-		// after the last batch referencing it is delivered.
-		g.arena = sb.data
-		sb.data = nil
-		s.p.putShardBatch(sb)
-		s.emit(g)
+		s.emit(u)
 		// Wake one shed-mode Send waiting on admission: a queue slot just
 		// freed up.
 		select {
@@ -931,11 +908,11 @@ func (s *shard) run() {
 		default:
 		}
 	}
-	g := s.p.getGroup()
+	u := s.p.getUnit()
 	for key := range s.streams {
-		s.process(key, nil, true, g)
+		s.process(key, nil, true, u)
 	}
-	s.emit(g)
+	s.emit(u)
 }
 
 // guard invokes one backend call, converting a panic into an error
@@ -1031,61 +1008,57 @@ func (s *shard) remove(e *streamEntry) {
 	}
 }
 
-// lend hands the stream's backend a pooled match buffer for the call that
-// is about to confirm matches; drain takes it back with them. A backend
-// holds a pooled buffer only between the two, so buffers in use follow
-// the batches in flight, not the live streams, and every one of them
-// returns to the pool when its batch is delivered.
-func (s *shard) lend(e *streamEntry) {
-	if e.rec != nil {
-		e.rec.DrainMatches(s.p.getMatchBuf())
-	}
+// feed and closeBackend run one guarded backend call that appends its
+// detections to the unit's tag buffer. The buffer is reassigned only when
+// the call returns: after a panic the unit keeps what it held before.
+func (s *shard) feed(e *streamEntry, data []byte, u *unit) error {
+	return s.guardTimed(e.key, "Feed", func() (err error) {
+		u.tags, err = e.b.Feed(data, u.tags)
+		return err
+	})
 }
 
-// drain moves the backend's confirmed matches into batch.Tags.
-func (s *shard) drain(e *streamEntry, batch *Batch) error {
-	return s.guard("Matches", func() error {
-		batch.Tags = e.b.Matches()
-		return nil
+func (s *shard) closeBackend(e *streamEntry, u *unit) error {
+	return s.guardTimed(e.key, "Close", func() (err error) {
+		u.tags, err = e.b.Close(u.tags)
+		return err
 	})
 }
 
 // evictOldest flushes the least-recently-active stream to make room under
 // the MaxStreams cap: its backend is closed and its final matches are
 // delivered in a synthetic EOS batch marked Evicted.
-func (s *shard) evictOldest(g *sinkGroup) {
+func (s *shard) evictOldest(u *unit) {
 	el := s.lru.Back()
 	if el == nil {
 		return
 	}
 	e := el.Value.(*streamEntry)
-	batch := &Batch{Key: e.key, Shard: s.id, EOS: true, Evicted: true, Version: e.ver.id, ver: e.ver}
-	s.lend(e)
-	batch.Err = s.guardTimed(e.key, "Close", e.b.Close)
-	if merr := s.drain(e, batch); merr != nil && batch.Err == nil {
-		batch.Err = merr
-	}
+	batch := Batch{Key: e.key, Shard: s.id, EOS: true, Evicted: true, Version: e.ver.id, ver: e.ver}
+	batch.Err = s.closeBackend(e, u)
 	s.remove(e)
 	s.p.cfg.Hooks.evicted(s.id, e.key)
-	s.append(g, batch)
+	s.append(u, batch)
 }
 
-// append records the finished batch on the delivery group, noting
+// append records the finished batch on the unit — everything appended to
+// the tag buffer since the previous batch is its window — noting
 // resource-budget verdicts on the way: every batch a shard produces goes
 // through here, so the ResourceExhausted hook fires exactly once per
 // budget-tripped stream.
-func (s *shard) append(g *sinkGroup, batch *Batch) {
+func (s *shard) append(u *unit, batch Batch) {
 	if batch.Err != nil && errors.Is(batch.Err, ErrResourceExhausted) {
 		s.p.cfg.Hooks.resourceExhausted(s.id, batch.Key)
 	}
-	g.batches = append(g.batches, batch)
+	batch.tagEnd = len(u.tags)
+	u.batches = append(u.batches, batch)
 }
 
-func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
+func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 	if s.p.quarTTL > 0 && s.poisoned(key) {
 		// The stream already received its error-carrying EOS batch when
-		// it was poisoned; queued leftovers are discarded cheaply (the
-		// shared arena is recycled with the group).
+		// it was poisoned; queued leftovers are discarded cheaply (their
+		// bytes are recycled with the unit).
 		return
 	}
 	e, ok := s.streams[key]
@@ -1094,7 +1067,7 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 		// close of an unknown key creates and immediately retires its
 		// backend, so it must not push a live stream out.
 		if max := s.p.cfg.MaxStreams; max > 0 && !eos && len(s.streams) >= max {
-			s.evictOldest(g)
+			s.evictOldest(u)
 		}
 		// The stream binds the factory version current at creation and
 		// keeps it for life; a concurrent SwapFactory only affects
@@ -1104,38 +1077,41 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 		if err != nil {
 			s.p.releaseVersion(ver)
 			s.poison(key)
-			s.append(g, &Batch{Key: key, Shard: s.id, EOS: true, Err: err, Version: ver.id})
+			s.append(u, Batch{Key: key, Shard: s.id, EOS: true, Err: err, Version: ver.id})
 			return
 		}
-		e = &streamEntry{key: key, b: b, rec: asMatchRecycler(b), ver: ver}
+		e = &streamEntry{key: key, b: b, ver: ver}
 		e.el = s.lru.PushFront(e)
 		s.streams[key] = e
 	} else {
 		s.lru.MoveToFront(e.el)
 	}
 
-	batch := &Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id}
-	s.lend(e)
+	batch := Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id}
 	if len(data) > 0 {
-		batch.Err = s.guardTimed(key, "Feed", func() error { return e.b.Feed(data) })
+		batch.Err = s.feed(e, data, u)
 	}
 	if batch.Err != nil && !eos {
 		// A failed, panicking, budget-tripped or stalled Feed ends the
 		// stream: the backend's state is suspect, so it is retired, the
 		// key is poisoned, and the error batch doubles as the stream's
-		// EOS. Matches confirmed before the fault are still drained (best
-		// effort).
+		// EOS. Matches the Feed returned before the fault are still
+		// delivered (best effort); what its Close flushes is not.
 		batch.EOS = true
 		batch.ver = e.ver
-		s.drain(e, batch)
-		s.guard("Close", e.b.Close)
+		n := len(u.tags)
+		s.guard("Close", func() (err error) {
+			u.tags, err = e.b.Close(u.tags)
+			return err
+		})
+		u.tags = u.tags[:n]
 		s.remove(e)
 		s.poison(key)
-		s.append(g, batch)
+		s.append(u, batch)
 		return
 	}
 	if eos {
-		if cerr := s.guardTimed(key, "Close", e.b.Close); batch.Err == nil {
+		if cerr := s.closeBackend(e, u); batch.Err == nil {
 			batch.Err = cerr
 		}
 		s.remove(e)
@@ -1147,58 +1123,60 @@ func (s *shard) process(key string, data []byte, eos bool, g *sinkGroup) {
 			s.poison(key)
 		}
 	}
-	if merr := s.drain(e, batch); merr != nil {
-		if batch.Err == nil {
-			batch.Err = merr
-		}
-		if !batch.EOS {
-			// A panic while draining matches poisons the stream just
-			// like a Feed fault.
-			batch.EOS = true
-			batch.ver = e.ver
-			s.remove(e)
-			s.poison(key)
-		}
-	}
-	s.append(g, batch)
+	s.append(u, batch)
 }
 
-// emit hands one delivery group to the sink worker owning this shard.
+// emit hands one completed unit to the sink worker owning this shard.
 // Stream-to-shard and shard-to-worker assignments are both static, so
-// batches of one stream always land on one worker, in order.
-func (s *shard) emit(g *sinkGroup) {
-	if len(g.batches) == 0 {
-		s.p.putBuf(g.arena)
-		s.p.putGroup(g)
+// batches of one stream always land on one worker, in order. The tag
+// windows are cut here, after the unit's last append, because a backend
+// may have regrown the buffer mid-unit: only now does every window point
+// into the final array, so a queued unit keeps alive exactly the one array
+// the gauge is charged for and none it outgrew. Each window is capped at
+// its own length, so a sink that appends to its Tags reallocates instead
+// of writing into its neighbor's.
+func (s *shard) emit(u *unit) {
+	if len(u.batches) == 0 {
+		s.p.putUnit(u)
 		return
 	}
-	s.p.sinkChs[s.id%len(s.p.sinkChs)] <- g
+	lo := 0
+	for i := range u.batches {
+		b := &u.batches[i]
+		if b.tagEnd > lo {
+			b.Tags = u.tags[lo:b.tagEnd:b.tagEnd]
+		}
+		lo = b.tagEnd
+	}
+	s.p.settle(u)
+	s.p.sinkChs[s.id%len(s.p.sinkChs)] <- u
 }
 
-// sinkWorker drains one delivery queue and recycles the pooled pieces.
+// sinkWorker drains one delivery queue and recycles each unit after its
+// last batch.
 // Delivery is resilient: transient errors (and panics) retry with capped
 // exponential backoff and jitter; exhausted batches go to the DeadLetter
 // hook when one is configured, otherwise — like errors marked with
 // PermanentError — they fail the sink permanently and further batches are
 // dropped.
-func (p *Pipeline) sinkWorker(ch chan *sinkGroup, worker int, seed int64) {
+func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 	defer p.sinkWG.Done()
 	rng := rand.New(rand.NewSource(seed)) // backoff jitter only
 	var br *breaker
 	if p.brThreshold > 0 {
 		br = &breaker{p: p, worker: worker}
 	}
-	for g := range ch {
-		for i, b := range g.batches {
+	for u := range ch {
+		for i := range u.batches {
+			b := &u.batches[i]
 			if p.Err() == nil {
 				// The len(ch) read races with the shards, in the harmless
 				// direction only: a non-empty queue guarantees another batch
-				// (emit never queues an empty group), whose own More is
+				// (emit never queues an empty unit), whose own More is
 				// evaluated again, so every run ends on a batch without it.
-				b.More = i+1 < len(g.batches) || len(ch) > 0
+				b.More = i+1 < len(u.batches) || len(ch) > 0
 				p.deliver(b, rng, br)
 			}
-			p.putMatchBuf(b.Tags)
 			if b.ver != nil {
 				// The stream's final batch is out (delivered,
 				// dead-lettered, or dropped on a failed sink): release its
@@ -1209,8 +1187,7 @@ func (p *Pipeline) sinkWorker(ch chan *sinkGroup, worker int, seed int64) {
 				b.ver = nil
 			}
 		}
-		p.putBuf(g.arena)
-		p.putGroup(g)
+		p.putUnit(u)
 	}
 }
 
@@ -1329,9 +1306,5 @@ func (p *Pipeline) backoff(retry int, rng *rand.Rand) time.Duration {
 
 // failSink records the first permanent sink failure.
 func (p *Pipeline) failSink(err error) {
-	p.errMu.Lock()
-	if p.sinkErr == nil {
-		p.sinkErr = err
-	}
-	p.errMu.Unlock()
+	p.sinkErr.CompareAndSwap(nil, &err)
 }

@@ -39,8 +39,8 @@ type Quota struct {
 	BytesPerSec int64
 	// MemBudgetBytes caps the tenant's estimated live memory (0 =
 	// unlimited), accounted on the pipeline's MemGauge across dispatch
-	// arenas, per-stream backend buffers, DFA cache states and Earley
-	// charts. A Send arriving while the tenant is over budget fails with
+	// units (chunk arenas and the tag buffers queued with them),
+	// per-stream backend buffers, DFA cache states and Earley charts. A Send arriving while the tenant is over budget fails with
 	// ErrResourceExhausted and nothing is enqueued; existing streams
 	// drain normally, releasing memory. Add installs a gauge on the
 	// tenant's Config.Mem when one is not already set.

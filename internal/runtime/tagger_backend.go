@@ -12,7 +12,7 @@ type taggerBackend struct {
 	shard   int
 	hooks   *Hooks
 	lim     Limits
-	pending []stream.Match
+	out     []stream.Match // the caller's buffer, held only during a call
 	bytes   int64
 	matches int64
 }
@@ -25,8 +25,9 @@ func TaggerFactory(spec *core.Spec) Factory {
 }
 
 // TaggerFactoryLimits is TaggerFactory with per-stream resource bounds:
-// MaxPendingMatches ends a stream whose undrained match buffer outgrows
-// the bound (a match bomb) with an error wrapping ErrResourceExhausted.
+// MaxPendingMatches ends a stream when one Feed confirms more matches
+// than the bound (a match bomb) with an error wrapping
+// ErrResourceExhausted.
 func TaggerFactoryLimits(spec *core.Spec, lim Limits) Factory {
 	proto := stream.NewTagger(spec) // compile masks once
 	return func(shard int, h *Hooks) (Backend, error) {
@@ -35,7 +36,7 @@ func TaggerFactoryLimits(spec *core.Spec, lim Limits) Factory {
 		tg := proto.Clone()
 		b := &taggerBackend{tg: tg, shard: shard, hooks: h, lim: lim}
 		tg.OnMatch = func(m stream.Match) {
-			b.pending = append(b.pending, m)
+			b.out = append(b.out, m)
 			b.matches++
 		}
 		tg.OnError = func(pos int64) { b.hooks.recovery(b.shard, pos) }
@@ -46,42 +47,31 @@ func TaggerFactoryLimits(spec *core.Spec, lim Limits) Factory {
 
 func (b *taggerBackend) Reset() {
 	b.tg.Reset()
-	b.pending = b.pending[:0]
 	b.bytes = 0
 	b.matches = 0
 }
 
-func (b *taggerBackend) Feed(p []byte) error {
+func (b *taggerBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	n, err := b.tg.Write(p)
+	out, b.out = b.out, nil
 	b.bytes += int64(n)
 	b.hooks.bytes(b.shard, n)
 	b.hooks.matches(b.shard, int(b.matches-before))
 	if err == nil {
-		err = b.lim.checkPending(len(b.pending))
+		err = b.lim.checkPending(int(b.matches - before))
 	}
-	return err
+	return out, err
 }
 
-func (b *taggerBackend) Close() error {
+func (b *taggerBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	before := b.matches
+	b.out = out
 	err := b.tg.Close()
+	out, b.out = b.out, nil
 	b.hooks.matches(b.shard, int(b.matches-before))
-	return err
-}
-
-func (b *taggerBackend) Matches() []stream.Match {
-	out := b.pending
-	b.pending = nil
-	return out
-}
-
-// DrainMatches hands the confirmed matches to the caller and adopts buf as
-// the new pending buffer, letting the pipeline recycle match slices.
-func (b *taggerBackend) DrainMatches(buf []stream.Match) []stream.Match {
-	out := b.pending
-	b.pending = buf[:0]
-	return out
+	return out, err
 }
 
 func (b *taggerBackend) Counters() Counters {

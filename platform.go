@@ -79,9 +79,10 @@ type QuotaConfig struct {
 	// BytesPerSec caps the tenant's sustained Send rate with a one-second
 	// burst; Sends beyond it fail with ErrQuotaExceeded.
 	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
-	// MemBudgetBytes caps the tenant's estimated live memory — dispatch
-	// arenas, stream buffers, DFA cache, Earley charts — rejecting Sends
-	// with ErrResourceExhausted while the gauge is at or over budget.
+	// MemBudgetBytes caps the tenant's estimated live memory — queued
+	// chunk bytes and the tag storage queued with them, stream buffers,
+	// DFA cache, Earley charts — rejecting Sends with ErrResourceExhausted
+	// while the gauge is at or over budget.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 

@@ -117,12 +117,27 @@ func TestPlatformReloadContexts(t *testing.T) {
 	}
 }
 
-// TestPipelinePooledBatchNoAliasing runs two sink workers whose callback
-// overwrites its whole batch before returning. Batches are recycled the
-// moment deliver returns, so if a recycled batch ever shared memory with
-// one still being delivered, the other worker's scribbling would show up
-// between the callback's two reads (and as a data race under -race).
+// TestPipelinePooledBatchNoAliasing runs sink workers whose callback
+// overwrites its whole batch, and appends to its Tags, before returning.
+// Batches are recycled the moment deliver returns, so if a recycled batch
+// ever shared memory with one still being delivered — or with its
+// neighbor in the dispatch unit, whose tag buffer they window into — the
+// scribbling would show up between the callback's two reads, in a later
+// batch's tags, or as a data race under -race. It runs with every Send its
+// own unit and with chunks coalesced (64 KiB and 4 KiB units).
 func TestPipelinePooledBatchNoAliasing(t *testing.T) {
+	for _, cfg := range []PipelineConfig{
+		{Shards: 4, SinkWorkers: 2, BatchBytes: -1},
+		{Shards: 4, SinkWorkers: 2},
+		{Shards: 4, SinkWorkers: 1, BatchBytes: 4096},
+	} {
+		t.Run(fmt.Sprintf("workers-%d-batch-%d", cfg.SinkWorkers, cfg.BatchBytes), func(t *testing.T) {
+			testPooledBatchNoAliasing(t, cfg)
+		})
+	}
+}
+
+func testPooledBatchNoAliasing(t *testing.T, cfg PipelineConfig) {
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +160,14 @@ func TestPipelinePooledBatchNoAliasing(t *testing.T) {
 		mu.Lock()
 		got[b.Stream] = append(got[b.Stream], mine...)
 		mu.Unlock()
+		scribble := Match{Term: "scribble", Context: "scribble", End: -1}
 		for i := range b.Tags {
-			b.Tags[i] = Match{Term: "scribble", Context: "scribble", End: -1}
+			b.Tags[i] = scribble
 		}
-		*b = TagBatch{Stream: "scribble", Tags: b.Tags[:0]}
+		*b = TagBatch{Stream: "scribble", Tags: append(b.Tags, scribble)[:0]}
 		return nil
 	}
-	p, err := engine.NewPipeline(PipelineConfig{Shards: 4, SinkWorkers: 2, BatchBytes: -1}, deliver)
+	p, err := engine.NewPipeline(cfg, deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
