@@ -57,3 +57,32 @@ func TestPooledBatchAllocFree(t *testing.T) {
 		t.Fatalf("converted %d tags, want %d", tags, 201*500)
 	}
 }
+
+// TestBackendDrainAllocFree feeds a message through the facade Backend and
+// drains it after every call: once its buffers are warm, Matches converts
+// into storage the Backend owns and the whole cycle allocates nothing.
+func TestBackendDrainAllocFree(t *testing.T) {
+	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.NewBackend(AOTBackend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>\n")
+	tags := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		b.Reset()
+		b.Feed(msg)
+		tags += len(b.Matches())
+		b.Close()
+		tags += len(b.Matches())
+	})
+	if allocs != 0 {
+		t.Fatalf("Feed/Matches/Close/Matches allocates %.1f times per message, want 0", allocs)
+	}
+	if tags == 0 {
+		t.Fatal("the message produced no tags")
+	}
+}

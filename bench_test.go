@@ -330,6 +330,17 @@ func BenchmarkParallelTagger(b *testing.B) {
 	})
 }
 
+// benchFactory builds the backend factory of one served kind outside the
+// timed region.
+func benchFactory(b *testing.B, spec *core.Spec, kind runtime.Kind) runtime.Factory {
+	b.Helper()
+	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: kind})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
 // BenchmarkShardedPipeline measures the sharded runtime on its fastest
 // backend (the lazy DFA) against the same engine run serially, over a
 // genuinely multi-stream workload: M interleaved XML-RPC streams fed in
@@ -380,16 +391,12 @@ func BenchmarkShardedPipeline(b *testing.B) {
 	// per-point delta is the dispatch-layer view of lazy vs offline
 	// compilation (the program is compiled once, outside the timed region,
 	// and shared by every stream's runner).
-	aotFactory, err := runtime.AOTFactory(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	backends := []struct {
 		prefix  string
 		factory runtime.Factory
 	}{
-		{"", runtime.DFAFactory(spec, 0)},
-		{"aot-", aotFactory},
+		{"", benchFactory(b, spec, runtime.KindDFA)},
+		{"aot-", benchFactory(b, spec, runtime.KindAOT)},
 	}
 	for _, be := range backends {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -507,7 +514,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 
 	b.Run("admission-off", func(b *testing.B) {
 		tags = 0
-		run(b, runtime.Config{Shards: 2, Queue: 256, Factory: runtime.DFAFactory(spec, 0)}, fastSink)
+		run(b, runtime.Config{Shards: 2, Queue: 256, Factory: benchFactory(b, spec, runtime.KindDFA)}, fastSink)
 		if tags == 0 {
 			b.Fatal("pipeline delivered no tags")
 		}
@@ -516,7 +523,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 		tags = 0
 		_, shed := run(b, runtime.Config{
 			Shards: 2, Queue: 256, SendTimeout: time.Minute,
-			Factory: runtime.DFAFactory(spec, 0),
+			Factory: benchFactory(b, spec, runtime.KindDFA),
 		}, fastSink)
 		if tags == 0 {
 			b.Fatal("pipeline delivered no tags")
@@ -546,7 +553,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 		}
 		p, err := runtime.NewPipeline(runtime.Config{
 			Shards: 2, Queue: 4, BatchBytes: -1, SendTimeout: -1,
-			Factory: runtime.DFAFactory(spec, 0),
+			Factory: benchFactory(b, spec, runtime.KindDFA),
 		}, slowSink)
 		if err != nil {
 			b.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/fpga"
 	"cfgtag/internal/grammar"
@@ -421,19 +420,22 @@ func (c *CheckedTagger) Errors() int64 { return c.inner.Tagger.Errors }
 func (c *CheckedTagger) StackDepth() int { return c.inner.Validator.StackDepth() }
 
 // BackendKind selects one of the engine's six execution paths when they
-// are driven through the uniform Backend interface.
-type BackendKind string
+// are driven through the uniform Backend interface. Pipelines and platform
+// tenants serve the first three — the paper's stack-less tagger in its
+// three software forms; the last three are references the served forms are
+// measured against, available single-stream through NewBackend.
+type BackendKind = runtime.Kind
 
 const (
 	// StreamBackend is the bit-parallel software tagger (the default).
-	StreamBackend BackendKind = "stream"
+	StreamBackend = runtime.KindStream
 	// DFABackend lazily compiles the bit-parallel engine into a cached
 	// DFA: hash-consed (active, pending) states with per-byte-class
 	// transition outcomes filled on demand, RE2-style. Detections are
 	// identical to StreamBackend; throughput is several times higher once
 	// the cache warms. The cache is bounded (DFAMaxStates) and resets
 	// wholesale on overflow, so memory never grows with input.
-	DFABackend BackendKind = "dfa"
+	DFABackend = runtime.KindDFA
 	// AOTBackend runs the lazy-DFA construction to closure ahead of time
 	// and executes flat precompiled transition tables: no warmup, no
 	// hash lookups, no cache resets — the software analogue of the
@@ -441,15 +443,15 @@ const (
 	// Detections are identical to StreamBackend and DFABackend. The
 	// trade is a hard compile-time state budget: a grammar that does not
 	// determinize within it fails NewBackend and must use DFABackend.
-	AOTBackend BackendKind = "aot"
+	AOTBackend = runtime.KindAOT
 	// GatesBackend is the cycle-accurate simulation of the generated
 	// netlist — the hardware reference, byte-per-cycle slow.
-	GatesBackend BackendKind = "gates"
+	GatesBackend = runtime.KindGates
 	// ParserBackend is the LL(1) predictive-parser baseline. It buffers
 	// the stream and parses at Close: one stream must be one sentence, the
 	// grammar must be LL(1), and matches appear only after a successful
 	// Close.
-	ParserBackend BackendKind = "parser"
+	ParserBackend = runtime.KindParser
 	// EarleyBackend is the exact-language oracle: a Leo-optimized Earley
 	// recognizer handling every grammar class — left and right recursion,
 	// ambiguity, ambiguous lexicons — where the FSA paths accept a
@@ -458,7 +460,7 @@ const (
 	// stream = one sentence); on ambiguous input its matches are the union
 	// over all derivations. It is the reference the precision rail
 	// (scripts/precision.sh) measures the hardware paths against.
-	EarleyBackend BackendKind = "earley"
+	EarleyBackend = runtime.KindEarley
 )
 
 // BackendCounters reports what a Backend has processed: bytes fed, matches
@@ -466,7 +468,7 @@ const (
 // on the dfa path — transition-cache hits, misses and resets.
 type BackendCounters = runtime.Counters
 
-// Backend drives any of the five execution paths through one streaming
+// Backend drives any of the six execution paths through one streaming
 // contract: Feed bytes, drain Matches, Close to flush the final byte (and,
 // for the parser and earley paths, to obtain the verdict). Not safe for
 // concurrent use.
@@ -477,36 +479,8 @@ type Backend struct {
 	// pending is the buffer the inner backend appends to: the detections
 	// confirmed since the last Matches call.
 	pending []stream.Match
-}
-
-func (e *Engine) factory(kind BackendKind) (runtime.Factory, error) {
-	return e.factoryLimits(kind, runtime.Limits{})
-}
-
-// factoryLimits builds the execution path's factory with per-stream
-// resource bounds baked in. The gates path has no bounded variant (it is
-// the cycle-accurate reference, never a production backend); it ignores
-// every limit but still counts toward tenant memory budgets via arenas.
-func (e *Engine) factoryLimits(kind BackendKind, lim runtime.Limits) (runtime.Factory, error) {
-	if err := lim.Validate(); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case StreamBackend, "":
-		return runtime.TaggerFactoryLimits(e.spec, lim), nil
-	case DFABackend:
-		return runtime.DFAFactoryLimits(e.spec, stream.DFAConfig{}, lim), nil
-	case AOTBackend:
-		return runtime.AOTFactoryLimits(e.spec, aot.Config{}, lim)
-	case GatesBackend:
-		return runtime.GateFactory(e.spec)
-	case ParserBackend:
-		return runtime.ParserFactoryLimits(e.spec, lim)
-	case EarleyBackend:
-		return runtime.EarleyFactoryLimits(e.spec, lim)
-	default:
-		return nil, fmt.Errorf("cfgtag: unknown backend kind %q", kind)
-	}
+	// drained is the buffer Matches converts into and returns.
+	drained []Match
 }
 
 // NewBackend instantiates one execution path behind the uniform contract.
@@ -514,7 +488,7 @@ func (e *Engine) factoryLimits(kind BackendKind, lim runtime.Limits) (runtime.Fa
 // EarleyBackend compiles the recognizer and AOTBackend determinizes the
 // grammar offline, so those can fail; StreamBackend cannot.
 func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
-	f, err := e.factory(kind)
+	f, _, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: kind})
 	if err != nil {
 		return nil, err
 	}
@@ -547,14 +521,17 @@ func (b *Backend) Close() (err error) {
 	return err
 }
 
-// Matches drains the detections confirmed since the previous call.
+// Matches drains the detections confirmed since the previous call. The
+// result lives in a buffer the Backend owns: it is valid until the next
+// Matches or Reset — copy the elements (append(dst, ms...)) to keep them.
 func (b *Backend) Matches() []Match {
 	ms := b.pending
 	b.pending = b.pending[:0]
 	if len(ms) == 0 {
 		return nil
 	}
-	return b.engine.matches(nil, ms)
+	b.drained = b.engine.matches(b.drained, ms)
+	return b.drained
 }
 
 // Counters reports the backend's lifetime totals.
@@ -597,9 +574,9 @@ type TagBatch struct {
 	// Evicted marks a final batch forced by the MaxStreams idle-LRU
 	// eviction rather than by CloseStream (EOS is set too).
 	Evicted bool
-	// Err carries the stream's backend verdict (e.g. a parser reject) or
-	// the fault that quarantined the stream (test with errors.Is against
-	// ErrBackendPanic).
+	// Err carries the fault that ended and quarantined the stream (test
+	// with errors.Is against ErrBackendPanic, ErrResourceExhausted,
+	// ErrBackendStalled); nil on a clean end.
 	Err error
 	// Version identifies the backend factory version that tagged this
 	// batch: 1 at construction, incremented by each zero-downtime reload
@@ -732,9 +709,9 @@ type PipelineConfig struct {
 	// BreakerCooldown is how long an open breaker sheds before probing the
 	// sink again (0 = 1s).
 	BreakerCooldown time.Duration
-	// Limits bounds each stream's backend resources (buffer bytes, pending
-	// matches, Earley chart) and optionally carries the memory gauge
-	// aggregate budgets read; the zero value is unlimited.
+	// Limits bounds each stream's backend resources (matches per chunk) and
+	// optionally carries the memory gauge aggregate budgets read; the zero
+	// value is unlimited.
 	Limits StreamLimits
 }
 
@@ -744,8 +721,8 @@ type PipelineConfig struct {
 type StreamLimits = runtime.Limits
 
 // MemGauge aggregates the pipeline's estimated live bytes — queued chunk
-// arenas and tag buffers, stream buffers, DFA cache, Earley charts — for
-// memory budgeting.
+// arenas and tag buffers, the dfa cache, the aot tables — for memory
+// budgeting.
 type MemGauge = runtime.MemGauge
 
 // ErrPipelineClosed is returned by Pipeline.Send, Pipeline.CloseStream and
@@ -773,8 +750,8 @@ var ErrOverloaded = runtime.ErrOverloaded
 
 // ErrResourceExhausted is the sentinel wrapped into a TagBatch.Err (and
 // Send errors under a tenant memory budget) when a per-stream resource
-// bound tripped: buffer bytes, pending matches or the Earley chart budget.
-// The stream is ended and quarantined; other streams are unaffected.
+// bound tripped (StreamLimits.MaxPendingMatches). The stream is ended and
+// quarantined; other streams are unaffected.
 var ErrResourceExhausted = runtime.ErrResourceExhausted
 
 // ErrBackendStalled is the sentinel wrapped into a TagBatch.Err when a
@@ -802,13 +779,20 @@ type FaultStats = runtime.FaultStats
 type Pipeline struct {
 	engine *Engine
 	inner  *runtime.Pipeline
+	// release discharges what the backend factory holds on Limits.Mem.
+	release func()
 }
 
 // NewPipeline starts a sharded pipeline delivering tag batches to deliver,
 // which must not retain b, b.Data or b.Tags past the call (the batch is
 // pooled, see TagBatch). The pipeline owns its goroutines until Close.
+// Only the served backends run here: a GatesBackend, ParserBackend or
+// EarleyBackend config is rejected with an error wrapping ErrInvalidConfig.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
-	f, err := e.factoryLimits(cfg.Backend, cfg.Limits)
+	if err := cfg.Backend.CheckServed("PipelineConfig.Backend"); err != nil {
+		return nil, err
+	}
+	f, release, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits})
 	if err != nil {
 		return nil, err
 	}
@@ -844,9 +828,10 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 	})
 	p, err := runtime.NewPipeline(rcfg, sink)
 	if err != nil {
+		release()
 		return nil, err
 	}
-	return &Pipeline{engine: e, inner: p}, nil
+	return &Pipeline{engine: e, inner: p, release: release}, nil
 }
 
 // Send routes one chunk of the keyed stream to its shard. It blocks when
@@ -860,7 +845,11 @@ func (p *Pipeline) CloseStream(stream string) error { return p.inner.CloseStream
 
 // Close flushes every open stream, stops the shards, and returns the first
 // deliver error.
-func (p *Pipeline) Close() error { return p.inner.Close() }
+func (p *Pipeline) Close() error {
+	err := p.inner.Close()
+	p.release()
+	return err
+}
 
 // Err reports the pipeline's permanent delivery failure, if any: non-nil
 // once the deliver callback returned a PermanentDeliverError or exhausted

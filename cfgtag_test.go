@@ -395,7 +395,7 @@ func TestBackendKindsAgree(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("reference tagger found nothing")
 	}
-	for _, kind := range []BackendKind{StreamBackend, GatesBackend, ParserBackend, EarleyBackend} {
+	for _, kind := range []BackendKind{StreamBackend, DFABackend, AOTBackend, GatesBackend, ParserBackend, EarleyBackend} {
 		b, err := engine.NewBackend(kind)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -533,38 +533,45 @@ func TestPipelineFacade(t *testing.T) {
 	}
 }
 
-func TestPipelineParserBackend(t *testing.T) {
-	engine, err := Compile("demo", IfThenElseSource)
+// TestPipelineCloseReleasesGauge: whatever a pipeline charges to the gauge
+// it was given — arenas on every kind, the transition cache on dfa, the
+// compiled tables on aot — is discharged by Close.
+func TestPipelineCloseReleasesGauge(t *testing.T) {
+	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
 	}
-	verdicts := make(map[string]error)
-	tags := make(map[string]int)
-	p, err := engine.NewPipeline(PipelineConfig{Backend: ParserBackend, Shards: 2}, func(b *TagBatch) error {
-		if b.EOS {
-			verdicts[b.Stream] = b.Err
-		}
-		tags[b.Stream] += len(b.Tags)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Send("good", []byte("if true then go else stop"))
-	p.Send("bad", []byte("if true go"))
-	p.CloseStream("good")
-	p.CloseStream("bad")
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if verdicts["good"] != nil {
-		t.Errorf("conforming stream: verdict %v", verdicts["good"])
-	}
-	if verdicts["bad"] == nil {
-		t.Error("non-conforming stream: no verdict")
-	}
-	if tags["good"] == 0 {
-		t.Error("conforming stream produced no tags")
+	msg := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>\n")
+	for _, kind := range []BackendKind{StreamBackend, DFABackend, AOTBackend} {
+		t.Run(string(kind), func(t *testing.T) {
+			g := &MemGauge{}
+			tags := 0
+			p, err := engine.NewPipeline(PipelineConfig{Backend: kind, Shards: 2, Limits: StreamLimits{Mem: g}}, func(b *TagBatch) error {
+				tags += len(b.Tags)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == AOTBackend && g.Load() == 0 {
+				t.Error("aot tables were not charged to the gauge")
+			}
+			if err := p.Send("s", msg); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CloseStream("s"); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tags == 0 {
+				t.Error("the message produced no tags")
+			}
+			if got := g.Load(); got != 0 {
+				t.Errorf("gauge reads %d bytes after Close, want 0", got)
+			}
+		})
 	}
 }
 

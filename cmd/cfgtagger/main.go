@@ -12,19 +12,21 @@
 //
 // -backend selects the execution path: "stream" (the bit-parallel software
 // engine, default), "dfa" (the lazily-determinized cached compilation of
-// the same engine — identical output, highest throughput), "aot" (the
+// the same engine — identical output, highest throughput) or "aot" (the
 // ahead-of-time determinized compilation — the whole DFA is built to
 // closure up front into flat tables, so tagging pays no cache lookups and
 // can never hit a runtime state-budget reset; fails fast if the grammar
-// does not close within the state budget), "gates" (cycle-accurate
-// simulation of the generated netlist), "parser" (the LL(1) baseline,
-// which also prints the accept/reject verdict) or "earley" (the
-// exact-language oracle — any grammar class, tags unioned over all
-// derivations, accept/reject verdict printed like the parser's).
+// does not close within the state budget). Three reference paths run
+// single-stream only: "gates" (cycle-accurate simulation of the generated
+// netlist), "parser" (the LL(1) baseline, which also prints the
+// accept/reject verdict) and "earley" (the exact-language oracle — any
+// grammar class, tags unioned over all derivations, accept/reject verdict
+// printed like the parser's).
 //
 // -shards N switches to pipeline mode: every input line becomes its own
 // keyed stream, tagged concurrently on N shards and printed in per-stream
-// order. -max-streams and -quarantine expose the pipeline's resource
+// order; it serves stream, dfa and aot and rejects the reference paths.
+// -max-streams and -quarantine expose the pipeline's resource
 // governance, and -chaos injects backend faults (errors, panics, latency)
 // to demonstrate the fault-tolerance layer — faulted streams end with an
 // error, the rest are unaffected, and the fault counters are printed:
@@ -70,109 +72,92 @@ import (
 )
 
 func main() {
-	var (
-		grammarFile  = flag.String("grammar", "", "grammar file in the Lex/Yacc-style format")
-		builtin      = flag.String("builtin", "", "built-in grammar: xmlrpc, ifthenelse or parens")
-		inFile       = flag.String("in", "", "input file (default stdin)")
-		free         = flag.Bool("free", false, "free-running start: find sentences anywhere in the stream")
-		lexemes      = flag.Bool("lexemes", false, "recover and print matched text (buffers the whole input)")
-		showWiring   = flag.Bool("show-wiring", false, "print the tokenizer wiring (figure 11) and exit")
-		showFollow   = flag.Bool("show-follow", false, "print the per-terminal Follow table (figure 10) and exit")
-		lint         = flag.Bool("lint", false, "print grammar design warnings and exit")
-		dot          = flag.Bool("dot", false, "print the tokenizer wiring as Graphviz DOT (figure 11) and exit")
-		backend      = flag.String("backend", "stream", "execution path: stream, dfa, aot, gates, parser or earley")
-		shards       = flag.Int("shards", 0, "pipeline mode: tag each input line as its own stream on this many shards")
-		maxStreams   = flag.Int("max-streams", 0, "pipeline mode: cap live streams per shard, evicting the least-recently-fed at the cap (0 = unlimited)")
-		quarantine   = flag.Duration("quarantine", 0, "pipeline mode: how long a faulted stream's key is rejected (0 = 30s default, negative = disabled)")
-		chaos        = flag.Float64("chaos", 0, "pipeline mode: inject backend faults at this per-chunk rate (errors, panics, latency) to exercise the fault-tolerance layer")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "fault-injection RNG seed")
-		batchBytes   = flag.Int("batch-bytes", 0, "pipeline mode: coalesce Sends into per-shard batches of this many bytes (0 = 64 KiB default, negative = dispatch every Send immediately)")
-		sinkWorkers  = flag.Int("sink-workers", 0, "pipeline mode: deliver batches on this many workers (0 or 1 = single serialized sink)")
-		sendTimeout  = flag.Duration("send-timeout", 0, "pipeline mode: shed Sends instead of blocking when a shard queue is full — 0 blocks, negative sheds immediately, positive waits at most this long")
-		feedDeadline = flag.Duration("feed-deadline", 0, "pipeline mode: watchdog deadline per backend call; a slower call ends its stream as stalled (0 = disabled)")
-		memBudget    = flag.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (queued chunks and their tag storage, stream buffers, charts); Sends over budget are shed (0 = unlimited)")
-		configFile   = flag.String("config", "", "platform mode: multi-tenant JSON config; input lines are 'tenant|payload', SIGHUP hot-swaps changed grammars")
-		listenTCP    = flag.String("listen", "", "serve mode: accept CFGTAG/1 TCP stream connections on this address (requires -config)")
-		listenHTTP   = flag.String("listen-http", "", "serve mode: accept HTTP chunked-POST streams on this address, plus /metrics and /healthz (requires -config)")
-		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "serve mode: how long SIGTERM waits for live streams before force-flushing them")
-	)
-	flag.Parse()
-
-	if *listenTCP != "" || *listenHTTP != "" {
-		if *configFile == "" {
-			fmt.Fprintln(os.Stderr, "cfgtagger: -listen/-listen-http need -config FILE")
-			os.Exit(1)
-		}
-		if err := runServe(*configFile, *listenTCP, *listenHTTP, *drainWait); err != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *configFile != "" {
-		in := io.Reader(os.Stdin)
-		if *inFile != "" {
-			f, err := os.Open(*inFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			in = f
-		}
-		out := bufio.NewWriter(os.Stdout)
-		err := runPlatform(*configFile, in, out)
-		out.Flush()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	engine, err := load(*grammarFile, *builtin, *free)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cfgtagger:", err)
 		os.Exit(1)
 	}
-	if *lint {
-		warns := engine.Lint()
-		for _, w := range warns {
-			fmt.Println("warning:", w)
+}
+
+// run is the whole command behind main: flags from args, the stream from
+// stdin unless -in names a file, results to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cfgtagger", flag.ExitOnError)
+	var (
+		grammarFile  = fs.String("grammar", "", "grammar file in the Lex/Yacc-style format")
+		builtin      = fs.String("builtin", "", "built-in grammar: xmlrpc, ifthenelse or parens")
+		inFile       = fs.String("in", "", "input file (default stdin)")
+		free         = fs.Bool("free", false, "free-running start: find sentences anywhere in the stream")
+		lexemes      = fs.Bool("lexemes", false, "recover and print matched text (buffers the whole input)")
+		showWiring   = fs.Bool("show-wiring", false, "print the tokenizer wiring (figure 11) and exit")
+		showFollow   = fs.Bool("show-follow", false, "print the per-terminal Follow table (figure 10) and exit")
+		lint         = fs.Bool("lint", false, "print grammar design warnings and exit")
+		dot          = fs.Bool("dot", false, "print the tokenizer wiring as Graphviz DOT (figure 11) and exit")
+		backend      = fs.String("backend", "stream", "execution path: stream, dfa or aot; single-stream only (no -shards): gates, parser or earley")
+		shards       = fs.Int("shards", 0, "pipeline mode: tag each input line as its own stream on this many shards")
+		maxStreams   = fs.Int("max-streams", 0, "pipeline mode: cap live streams per shard, evicting the least-recently-fed at the cap (0 = unlimited)")
+		quarantine   = fs.Duration("quarantine", 0, "pipeline mode: how long a faulted stream's key is rejected (0 = 30s default, negative = disabled)")
+		chaos        = fs.Float64("chaos", 0, "pipeline mode: inject backend faults at this per-chunk rate (errors, panics, latency) to exercise the fault-tolerance layer")
+		chaosSeed    = fs.Int64("chaos-seed", 1, "fault-injection RNG seed")
+		batchBytes   = fs.Int("batch-bytes", 0, "pipeline mode: coalesce Sends into per-shard batches of this many bytes (0 = 64 KiB default, negative = dispatch every Send immediately)")
+		sinkWorkers  = fs.Int("sink-workers", 0, "pipeline mode: deliver batches on this many workers (0 or 1 = single serialized sink)")
+		sendTimeout  = fs.Duration("send-timeout", 0, "pipeline mode: shed Sends instead of blocking when a shard queue is full — 0 blocks, negative sheds immediately, positive waits at most this long")
+		feedDeadline = fs.Duration("feed-deadline", 0, "pipeline mode: watchdog deadline per backend call; a slower call ends its stream as stalled (0 = disabled)")
+		memBudget    = fs.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (queued chunks and their tag storage); Sends over budget are shed (0 = unlimited)")
+		configFile   = fs.String("config", "", "platform mode: multi-tenant JSON config; input lines are 'tenant|payload', SIGHUP hot-swaps changed grammars")
+		listenTCP    = fs.String("listen", "", "serve mode: accept CFGTAG/1 TCP stream connections on this address (requires -config)")
+		listenHTTP   = fs.String("listen-http", "", "serve mode: accept HTTP chunked-POST streams on this address, plus /metrics and /healthz (requires -config)")
+		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "serve mode: how long SIGTERM waits for live streams before force-flushing them")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 from here
+
+	if *listenTCP != "" || *listenHTTP != "" {
+		if *configFile == "" {
+			return errors.New("-listen/-listen-http need -config FILE")
 		}
-		fmt.Printf("%d warnings\n", len(warns))
-		return
-	}
-	if *showFollow {
-		fmt.Print(engine.FollowTable())
-		return
-	}
-	if *showWiring {
-		fmt.Print(engine.Wiring())
-		return
-	}
-	if *dot {
-		fmt.Print(engine.Spec().DOT())
-		return
+		return runServe(*configFile, *listenTCP, *listenHTTP, *drainWait)
 	}
 
-	in := io.Reader(os.Stdin)
+	in := stdin
 	if *inFile != "" {
 		f, err := os.Open(*inFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	defer out.Flush()
 
+	if *configFile != "" {
+		return runPlatform(*configFile, in, out)
+	}
+
+	engine, err := load(*grammarFile, *builtin, *free)
+	if err != nil {
+		return err
+	}
+	switch {
+	case *lint:
+		warns := engine.Lint()
+		for _, w := range warns {
+			fmt.Fprintln(out, "warning:", w)
+		}
+		fmt.Fprintf(out, "%d warnings\n", len(warns))
+		return nil
+	case *showFollow:
+		fmt.Fprint(out, engine.FollowTable())
+		return nil
+	case *showWiring:
+		fmt.Fprint(out, engine.Wiring())
+		return nil
+	case *dot:
+		fmt.Fprint(out, engine.Spec().DOT())
+		return nil
+	}
+
 	if *shards > 0 {
-		err := runPipeline(engine, *backend, in, out, pipelineOptions{
+		return runPipeline(engine, *backend, in, out, pipelineOptions{
 			shards:       *shards,
 			maxStreams:   *maxStreams,
 			quarantine:   *quarantine,
@@ -184,29 +169,20 @@ func main() {
 			feedDeadline: *feedDeadline,
 			memBudget:    *memBudget,
 		})
-		if err != nil {
-			out.Flush()
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	b, err := engine.NewBackend(cfgtag.BackendKind(*backend))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *lexemes {
 		data, err := io.ReadAll(in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := b.Feed(data); err != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-			os.Exit(1)
+			return err
 		}
 		verdict := b.Close()
 		ms := b.Matches()
@@ -220,7 +196,7 @@ func main() {
 		}
 		fmt.Fprintf(out, "%d tokens tagged\n", len(ms))
 		report(out, b, verdict)
-		return
+		return nil
 	}
 
 	count := 0
@@ -240,8 +216,7 @@ func main() {
 		n, rerr := r.Read(buf)
 		if n > 0 {
 			if err := b.Feed(buf[:n]); err != nil {
-				fmt.Fprintln(os.Stderr, "cfgtagger:", err)
-				os.Exit(1)
+				return err
 			}
 			emit()
 		}
@@ -249,14 +224,14 @@ func main() {
 			break
 		}
 		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "cfgtagger:", rerr)
-			os.Exit(1)
+			return rerr
 		}
 	}
 	verdict := b.Close()
 	emit()
 	fmt.Fprintf(out, "%d tokens tagged\n", count)
 	report(out, b, verdict)
+	return nil
 }
 
 // report prints the backend's verdict and recovery/collision counters when
@@ -301,34 +276,13 @@ type pipelineOptions struct {
 // results in delivery order plus the pipeline's fault counters.
 func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Writer, opts pipelineOptions) error {
 	spec := engine.Spec()
-	var factory runtime.Factory
-	switch backend {
-	case "stream", "":
-		factory = runtime.TaggerFactory(spec)
-	case "dfa":
-		factory = runtime.DFAFactory(spec, 0)
-	case "aot":
-		var err error
-		if factory, err = runtime.AOTFactory(spec, 0); err != nil {
-			return err
-		}
-	case "gates":
-		var err error
-		if factory, err = runtime.GateFactory(spec); err != nil {
-			return err
-		}
-	case "parser":
-		var err error
-		if factory, err = runtime.ParserFactory(spec); err != nil {
-			return err
-		}
-	case "earley":
-		var err error
-		if factory, err = runtime.EarleyFactory(spec); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown backend kind %q", backend)
+	kind := runtime.Kind(backend)
+	if err := kind.CheckServed("-backend"); err != nil {
+		return err
+	}
+	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: kind})
+	if err != nil {
+		return err
 	}
 	if opts.chaos > 0 {
 		factory = faultinject.Factory(factory, faultinject.Config{

@@ -445,9 +445,13 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 	if onEOS != nil {
 		pipeSink = eosSink{Sink: sink, onEOS: onEOS}
 	}
+	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	if err != nil {
+		return nil, err
+	}
 	sw.pipeline, err = runtime.NewPipeline(runtime.Config{
 		Shards:     pcfg.shards,
-		Factory:    runtime.TaggerFactory(spec),
+		Factory:    factory,
 		MaxStreams: pcfg.maxStreams,
 		Quarantine: pcfg.quarantine,
 		BatchBytes: pcfg.batchBytes,
@@ -465,12 +469,16 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 // keep routing on the grammar that tagged their first bytes; new
 // connections run the new one.
 func (sw *switchboard) Reload(spec *core.Spec) (int, error) {
+	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	if err != nil {
+		return 0, err
+	}
 	sw.reloadMu.Lock()
 	defer sw.reloadMu.Unlock()
 	if err := sw.sink.StageVersion(spec); err != nil {
 		return 0, err
 	}
-	v, err := sw.pipeline.SwapFactory(runtime.TaggerFactory(spec))
+	v, err := sw.pipeline.SwapFactory(factory)
 	if err != nil {
 		sw.sink.CommitVersion(0)
 		return 0, err

@@ -74,7 +74,11 @@ func sharded() {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		perConn[stream]++
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: runtime.TaggerFactory(spec)}, sink)
+	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: runtime.KindStream})
+	if err != nil {
+		panic(err)
+	}
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: factory}, sink)
 	if err != nil {
 		panic(err)
 	}

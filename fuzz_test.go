@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"cfgtag/internal/aot"
+	"cfgtag/internal/core"
 	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 )
@@ -45,7 +45,7 @@ func FuzzGrammarParse(f *testing.F) {
 		// DFA does not close within the budget; refusing is fine,
 		// panicking is the bug. A tiny budget keeps pathological fuzz
 		// grammars from spending the whole run determinizing.
-		if f, err := runtime.AOTFactoryConfig(engine.Spec(), aot.Config{MaxStates: 64}); err == nil {
+		if f, _, err := runtime.NewFactory(engine.Spec(), runtime.FactoryOptions{Kind: runtime.KindAOT, MaxStates: 64}); err == nil {
 			ab, err := f(0, nil)
 			if err != nil {
 				t.Fatalf("aot factory built but backend mint failed: %v", err)
@@ -73,41 +73,46 @@ var (
 	rigErr  error
 )
 
-func buildRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
-		if rigErr != nil {
-			return nil
-		}
-		if err != nil {
-			rigErr = err
-			return nil
-		}
-		b, err := f(0, nil)
-		if err != nil {
-			rigErr = err
-			return nil
-		}
-		return b
+// mintBackend builds one backend of spec through runtime.NewFactory — the
+// way every execution form, served or reference, is constructed. The first
+// failure of a rig is kept in *rigErr and stops further minting.
+func mintBackend(spec *core.Spec, o runtime.FactoryOptions, rigErr *error) runtime.Backend {
+	if *rigErr != nil {
+		return nil
 	}
+	f, _, err := runtime.NewFactory(spec, o)
+	if err != nil {
+		*rigErr = err
+		return nil
+	}
+	b, err := f(0, nil)
+	if err != nil {
+		*rigErr = err
+		return nil
+	}
+	return b
+}
+
+func buildRig() {
 	engine, err := Compile("fuzz-diff", IfThenElseSource, FreeRunningStart())
 	if err != nil {
 		rigErr = err
 		return
 	}
 	spec := engine.Spec()
-	rig.stream = mk(runtime.TaggerFactory(spec), nil)
-	rig.dfa = mk(runtime.DFAFactory(spec, 0), nil)
-	rig.dfaTiny = mk(runtime.DFAFactory(spec, 2), nil)
-	rig.dfaNoAccel = mk(runtime.DFAFactoryConfig(spec, stream.DFAConfig{NoAccel: true}), nil)
-	rig.gates = mk(runtime.GateFactory(spec))
+	rig.stream = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
+	rig.dfa = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA}, &rigErr)
+	rig.dfaTiny = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA, MaxStates: 2}, &rigErr)
+	rig.dfaNoAccel = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}, &rigErr)
+	rig.gates = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindGates}, &rigErr)
 	rec, err := Compile("fuzz-diff-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
 	if err != nil {
 		rigErr = err
 		return
 	}
-	rig.recStream = mk(runtime.TaggerFactory(rec.Spec()), nil)
-	rig.recDFA = mk(runtime.DFAFactory(rec.Spec(), 0), nil)
-	rig.recDFANoAccel = mk(runtime.DFAFactoryConfig(rec.Spec(), stream.DFAConfig{NoAccel: true}), nil)
+	rig.recStream = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
+	rig.recDFA = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA}, &rigErr)
+	rig.recDFANoAccel = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}, &rigErr)
 }
 
 func runDiff(b runtime.Backend, data []byte) []stream.Match {
@@ -204,37 +209,22 @@ var (
 )
 
 func buildAOTRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
-		if aotRigErr != nil {
-			return nil
-		}
-		if err != nil {
-			aotRigErr = err
-			return nil
-		}
-		b, err := f(0, nil)
-		if err != nil {
-			aotRigErr = err
-			return nil
-		}
-		return b
-	}
 	engine, err := Compile("fuzz-aot", IfThenElseSource, FreeRunningStart())
 	if err != nil {
 		aotRigErr = err
 		return
 	}
 	spec := engine.Spec()
-	aotRigV.dfa = mk(runtime.DFAFactory(spec, 0), nil)
-	aotRigV.aot = mk(runtime.AOTFactory(spec, 0))
-	aotRigV.aotNoAccel = mk(runtime.AOTFactoryConfig(spec, aot.Config{NoAccel: true}))
+	aotRigV.dfa = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA}, &aotRigErr)
+	aotRigV.aot = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindAOT}, &aotRigErr)
+	aotRigV.aotNoAccel = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindAOT, NoAccel: true}, &aotRigErr)
 	rec, err := Compile("fuzz-aot-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
 	if err != nil {
 		aotRigErr = err
 		return
 	}
-	aotRigV.recDFA = mk(runtime.DFAFactory(rec.Spec(), 0), nil)
-	aotRigV.recAOT = mk(runtime.AOTFactory(rec.Spec(), 0))
+	aotRigV.recDFA = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA}, &aotRigErr)
+	aotRigV.recAOT = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindAOT}, &aotRigErr)
 }
 
 // runDiffChunked is runDiff with the input split into random 1–9 byte
@@ -325,30 +315,15 @@ var (
 )
 
 func buildEarleyRig() {
-	mk := func(f runtime.Factory, err error) runtime.Backend {
-		if earleyRigErr != nil {
-			return nil
-		}
-		if err != nil {
-			earleyRigErr = err
-			return nil
-		}
-		b, err := f(0, nil)
-		if err != nil {
-			earleyRigErr = err
-			return nil
-		}
-		return b
-	}
 	engine, err := Compile("fuzz-earley", IfThenElseSource)
 	if err != nil {
 		earleyRigErr = err
 		return
 	}
 	spec := engine.Spec()
-	earleyRigV.earley = mk(runtime.EarleyFactory(spec))
-	earleyRigV.parser = mk(runtime.ParserFactory(spec))
-	earleyRigV.stream = mk(runtime.TaggerFactory(spec), nil)
+	earleyRigV.earley = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindEarley}, &earleyRigErr)
+	earleyRigV.parser = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindParser}, &earleyRigErr)
+	earleyRigV.stream = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &earleyRigErr)
 }
 
 // runVerdict is runDiff plus the Close verdict, which the exact-language

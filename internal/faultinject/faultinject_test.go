@@ -48,7 +48,11 @@ func newWrapped(t *testing.T, cfg faultinject.Config) runtime.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faultinject.Factory(runtime.TaggerFactory(spec), cfg)(0, nil)
+	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := faultinject.Factory(f, cfg)(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,16 @@ import (
 	"cfgtag/internal/xmlrpc"
 )
 
+// streamFactory builds the stream-engine backend factory of spec.
+func streamFactory(t *testing.T, spec *core.Spec) runtime.Factory {
+	t.Helper()
+	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // sinkPipeline wires a Sink behind a sharded pipeline over the same spec,
 // the way cmd/xmlrouter does in -shards mode.
 func sinkPipeline(t *testing.T, shards int) (*runtime.Pipeline, *Sink) {
@@ -25,7 +35,7 @@ func sinkPipeline(t *testing.T, shards int) (*runtime.Pipeline, *Sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestSinkValidationDivertsPerStream(t *testing.T) {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		ports[stream] = port
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +194,7 @@ func routeOracle(t *testing.T, spec *core.Spec, corpus string) []string {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		got = append(got, service)
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 1, Factory: runtime.TaggerFactory(spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 1, Factory: streamFactory(t, spec)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +272,7 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	ws := &seenSink{Sink: sink, keys: make(map[string]bool)}
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:  2,
-		Factory: runtime.TaggerFactory(specA),
+		Factory: streamFactory(t, specA),
 		Hooks:   &runtime.Hooks{VersionRetired: sink.DropVersion},
 	}, ws)
 	if err != nil {
@@ -291,7 +301,7 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	if err := sink.StageVersion(specB); err != nil {
 		t.Fatal(err)
 	}
-	v, err := p.SwapFactory(runtime.TaggerFactory(specB))
+	v, err := p.SwapFactory(streamFactory(t, specB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,16 @@
-// Package runtime unifies the repo's six execution paths — the
-// bit-parallel stream engine, its lazily-determinized DFA compilation, the
-// ahead-of-time compiled table path, the gate-level simulation, the LL(1)
+// Package runtime puts the repo's six execution forms — the bit-parallel
+// stream engine, its lazily-determinized DFA compilation, the
+// ahead-of-time compiled tables, the gate-level simulation, the LL(1)
 // predictive-parser baseline and the Earley exact-language oracle — behind
-// one streaming Backend contract, and runs Backends at scale in a sharded
-// pipeline (Source → N tagger shards → Sink) in the style of stream
-// processors like Benthos.
+// one streaming Backend contract with one constructor (NewFactory), and
+// runs the three served forms at scale in a sharded pipeline (Source → N
+// tagger shards → Sink) in the style of stream processors like Benthos.
 //
-// A Backend recognizes one stream. All six implementations emit
-// stream.Match events with absolute offsets, so they are interchangeable
-// and differentially testable (see Conformance). The tagging paths accept
-// the documented FSA superset of the grammar; the parser and Earley paths
-// accept the grammar exactly and report the difference as a Close error.
+// A Backend recognizes one stream. All six forms emit stream.Match events
+// with absolute offsets, so they are interchangeable and differentially
+// testable (see Conformance). The FSA forms accept the documented superset
+// of the grammar; the parser and Earley references accept the grammar
+// exactly and report the difference as a Close error.
 package runtime
 
 import (
@@ -45,8 +45,8 @@ type Backend interface {
 	// carries what was confirmed before the fault.
 	Feed(p []byte, out []stream.Match) ([]stream.Match, error)
 	// Close ends the stream, appending any pending detection to out.
-	// Backends that recognize the grammar exactly (the parser path)
-	// report non-conforming input here and append nothing; the FSA paths
+	// Backends that recognize the grammar exactly (parser, earley)
+	// report non-conforming input here and append nothing; the FSA forms
 	// always return a nil error.
 	Close(out []stream.Match) ([]stream.Match, error)
 	// Counters reports lifetime totals since Reset.
@@ -250,9 +250,9 @@ func (h *Hooks) breakerShed(worker int, key string) {
 	}
 }
 
-// Factory creates one Backend per stream. shard identifies the pipeline
-// shard the backend will live on (0 for standalone use) and is forwarded
-// to the hooks; h may be nil.
+// Factory creates one Backend per stream; NewFactory builds one. shard
+// identifies the pipeline shard the backend will live on (0 for standalone
+// use) and is forwarded to the hooks; h may be nil.
 type Factory func(shard int, h *Hooks) (Backend, error)
 
 // MetricCounters is a ready-made atomic Hooks target: plug Observe into a

@@ -18,20 +18,15 @@ func compileT(t *testing.T, g *grammar.Grammar, opts core.Options) *core.Spec {
 	return spec
 }
 
-// factories builds all four backends for one spec; the parser factory is
+// factories builds all six backends for one spec; the parser factory is
 // omitted when the grammar is not LL(1).
 func factories(t *testing.T, spec *core.Spec) map[string]Factory {
 	t.Helper()
-	out := map[string]Factory{
-		"stream": TaggerFactory(spec),
-		"dfa":    DFAFactory(spec, 0),
+	out := make(map[string]Factory)
+	for _, kind := range []Kind{KindStream, KindDFA, KindAOT, KindGates, KindEarley} {
+		out[string(kind)] = testFactory(t, spec, FactoryOptions{Kind: kind})
 	}
-	gf, err := GateFactory(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["gates"] = gf
-	if pf, err := ParserFactory(spec); err == nil {
+	if pf, _, err := NewFactory(spec, FactoryOptions{Kind: KindParser}); err == nil {
 		out["parser"] = pf
 	}
 	return out
@@ -144,11 +139,7 @@ func TestBackendFeedAfterClose(t *testing.T) {
 
 func TestParserBackendRejects(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	pf, err := ParserFactory(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pf(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindParser})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +159,14 @@ func TestParserFactoryRejectsNonLL1(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := compileT(t, g, core.Options{})
-	if _, err := ParserFactory(spec); err == nil {
-		t.Error("ParserFactory accepted a non-LL(1) grammar")
+	if _, _, err := NewFactory(spec, FactoryOptions{Kind: KindParser}); err == nil {
+		t.Error("NewFactory built a parser for a non-LL(1) grammar")
 	}
 }
 
 func TestTaggerBackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := TaggerFactory(spec)(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +179,7 @@ func TestTaggerBackendRecoveryCounter(t *testing.T) {
 
 func TestDFABackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := DFAFactory(spec, 0)(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +196,7 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 func TestDFABackendCacheStats(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	var mc MetricCounters
-	b, err := DFAFactory(spec, 2)(0, mc.Hooks())
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA, MaxStates: 2})(0, mc.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +224,7 @@ func TestDFABackendCacheStats(t *testing.T) {
 func TestHooksObserveEvents(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	var mc MetricCounters
-	b, err := TaggerFactory(spec)(3, mc.Hooks())
+	b, err := testFactory(t, spec, FactoryOptions{})(3, mc.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}

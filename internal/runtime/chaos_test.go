@@ -121,7 +121,7 @@ func TestChaosPipeline(t *testing.T) {
 		FailCount:  2, // below SinkAttempts: retries must absorb every failure
 		PanicEvery: 211,
 	})
-	factory := faultinject.Factory(runtime.TaggerFactory(spec), faultinject.Config{
+	factory := faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{}), faultinject.Config{
 		Triggers: true,
 		Latency:  50 * time.Microsecond,
 	})
@@ -238,199 +238,6 @@ func TestChaosPipeline(t *testing.T) {
 	}
 }
 
-// TestChaosPipelineEarley is the fault-injection soak for the Earley
-// oracle backend: the buffer-at-Feed/recognize-at-Close path under the
-// same error/panic/latency mix as the stream soak. The spec is anchored
-// (the oracle has no free-running mode) and every stream is a single
-// sentence split across chunks. Faulted streams must quarantine with
-// panic isolation; non-faulted streams must reassemble byte-identically
-// and carry exactly the reference recognizer's tags and verdict — for
-// the latency-injected streams the trigger bytes corrupt the sentence,
-// so the expected verdict is the oracle's reject, not a fault. Run it
-// under -race.
-func TestChaosPipelineEarley(t *testing.T) {
-	spec, err := core.Compile(grammar.IfThenElse(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	earleyF, err := runtime.EarleyFactory(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refB, err := earleyF(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sentences := [][]byte{
-		[]byte("if true then go else stop"),
-		[]byte("if false then if true then go else stop else go"),
-		[]byte(" if true then stop else if false then go else go "),
-	}
-	n := 600
-	if testing.Short() {
-		n = 150
-	}
-	streams := make([]chaosStream, n)
-	for i := range streams {
-		s := chaosStream{key: fmt.Sprintf("earley-%04d", i)}
-		switch {
-		case i%20 == 3:
-			s.fault = "error"
-		case i%20 == 13:
-			s.fault = "panic"
-		case i%50 == 25:
-			s.fault = "slow"
-		}
-		full := sentences[i%len(sentences)]
-		chunks := 3 + i%3
-		for c := 0; c < chunks; c++ {
-			lo, hi := c*len(full)/chunks, (c+1)*len(full)/chunks
-			chunk := append([]byte(nil), full[lo:hi]...)
-			if c == chunks/2 {
-				switch s.fault {
-				case "error":
-					chunk = append(chunk, faultinject.TriggerError...)
-				case "panic":
-					chunk = append(chunk, faultinject.TriggerPanic...)
-				case "slow":
-					chunk = append(chunk, faultinject.TriggerSlow...)
-				}
-			}
-			s.chunks = append(s.chunks, chunk)
-			s.full = append(s.full, chunk...)
-		}
-		streams[i] = s
-	}
-
-	var mc runtime.MetricCounters
-	collector := newChaosCollector()
-	flaky := faultinject.WrapSink(collector, faultinject.SinkConfig{
-		FailEvery:  13,
-		FailCount:  2,
-		PanicEvery: 211,
-	})
-	factory := faultinject.Factory(earleyF, faultinject.Config{
-		Triggers: true,
-		Latency:  50 * time.Microsecond,
-	})
-	p, err := runtime.NewPipeline(runtime.Config{
-		Shards:       8,
-		Queue:        16,
-		Factory:      factory,
-		Hooks:        mc.Hooks(),
-		Quarantine:   time.Hour,
-		SinkBackoff:  50 * time.Microsecond,
-		SinkAttempts: 5,
-	}, flaky)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		const senders = 16
-		var wg sync.WaitGroup
-		for g := 0; g < senders; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < len(streams); i += senders {
-					s := streams[i]
-					quarantined := false
-					for _, chunk := range s.chunks {
-						err := p.Send(s.key, chunk)
-						if errors.Is(err, runtime.ErrQuarantined) && s.faulted() {
-							quarantined = true
-							break
-						}
-						if err != nil {
-							t.Errorf("%s: Send = %v", s.key, err)
-							return
-						}
-					}
-					if !quarantined {
-						if err := p.CloseStream(s.key); err != nil && !(errors.Is(err, runtime.ErrQuarantined) && s.faulted()) {
-							t.Errorf("%s: CloseStream = %v", s.key, err)
-						}
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if err := p.Close(); err != nil {
-			t.Errorf("Close = %v", err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("earley chaos pipeline deadlocked")
-	}
-
-	panics, faults := 0, 0
-	for i := range streams {
-		s := &streams[i]
-		if !collector.terminal[s.key] {
-			t.Errorf("%s (fault=%q): no terminal batch", s.key, s.fault)
-			continue
-		}
-		if s.faulted() {
-			faults++
-			if s.fault == "panic" {
-				panics++
-				if err := collector.errs[s.key]; !errors.Is(err, runtime.ErrBackendPanic) {
-					t.Errorf("%s: Err = %v, want ErrBackendPanic", s.key, err)
-				}
-			} else if collector.errs[s.key] == nil {
-				t.Errorf("%s: error-injected stream has no Err", s.key)
-			}
-			continue
-		}
-		// Non-faulted streams: bytes reassemble exactly, and tags plus the
-		// accept/reject verdict equal a fault-free oracle run of the same
-		// bytes (a reject verdict is expected for the latency-trigger
-		// streams, whose in-band trigger corrupts the sentence).
-		if !bytes.Equal(collector.data[s.key], s.full) {
-			t.Errorf("%s: reassembled %d bytes, sent %d", s.key, len(collector.data[s.key]), len(s.full))
-		}
-		wantTags, wantErr := runOracle(refB, s.full)
-		gotErr := collector.errs[s.key]
-		switch {
-		case (wantErr == nil) != (gotErr == nil):
-			t.Errorf("%s: verdict %v, fault-free run says %v", s.key, gotErr, wantErr)
-		case wantErr != nil && gotErr.Error() != wantErr.Error():
-			t.Errorf("%s: verdict %q, fault-free run says %q", s.key, gotErr, wantErr)
-		}
-		if !reflect.DeepEqual(collector.tags[s.key], wantTags) {
-			t.Errorf("%s: tags diverge from fault-free run (%v vs %v)", s.key, collector.tags[s.key], wantTags)
-		}
-	}
-	if faults == 0 || panics == 0 {
-		t.Fatalf("chaos population degenerate: %d faults, %d panics", faults, panics)
-	}
-
-	f := mc.Faults()
-	if f.StreamsQuarantined != int64(faults) {
-		t.Errorf("quarantined = %d, want %d (one per faulted stream)", f.StreamsQuarantined, faults)
-	}
-	if f.PanicsRecovered < int64(panics) {
-		t.Errorf("panics recovered = %d, want >= %d backend panics", f.PanicsRecovered, panics)
-	}
-}
-
-// runOracle runs one buffer through the shared reference backend.
-func runOracle(b runtime.Backend, data []byte) ([]stream.Match, error) {
-	b.Reset()
-	ms, _ := b.Feed(data, nil)
-	ms, err := b.Close(ms)
-	if len(ms) == 0 {
-		ms = nil
-	}
-	return ms, err
-}
-
 // TestChaosPipelineWithEviction layers a tight MaxStreams cap on top of
 // the fault mix: terminal batches must still arrive for every stream
 // (EOS, error or evicted) and the pipeline must still drain cleanly.
@@ -449,7 +256,7 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:     4,
 		MaxStreams: 4, // far below the live population: eviction churns
-		Factory:    faultinject.Factory(runtime.TaggerFactory(spec), faultinject.Config{Triggers: true}),
+		Factory:    faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{}), faultinject.Config{Triggers: true}),
 		Hooks:      mc.Hooks(),
 		Quarantine: time.Hour,
 	}, collector)

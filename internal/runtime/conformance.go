@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/grammar"
 	"cfgtag/internal/stream"
@@ -81,43 +80,29 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 	if err != nil {
 		return fmt.Errorf("conformance %s: compile: %w", g.Name, err)
 	}
-	taggerF := TaggerFactory(spec)
-	gateF, err := GateFactory(spec)
-	if err != nil {
-		return fmt.Errorf("conformance %s: gate factory: %w", g.Name, err)
-	}
-	earleyF, err := EarleyFactory(spec)
-	if err != nil {
-		return fmt.Errorf("conformance %s: earley factory: %w", g.Name, err)
-	}
-	parserF, _ := ParserFactory(spec) // nil factory when the grammar is not LL(1)
-	aotF, err := AOTFactory(spec, 0)
-	if err != nil {
-		return fmt.Errorf("conformance %s: aot factory: %w", g.Name, err)
-	}
-	aotPlainF, err := AOTFactoryConfig(spec, aot.Config{NoAccel: true})
-	if err != nil {
-		return fmt.Errorf("conformance %s: aot noaccel factory: %w", g.Name, err)
-	}
-	fs := backendSet{
-		tagger:     taggerF,
-		gate:       gateF,
-		parser:     parserF,
-		earley:     earleyF,
-		dfa:        DFAFactory(spec, 0),
-		dfaTiny:    DFAFactory(spec, 2), // forces cache overflow + reset on real traffic
-		dfaNoAccel: DFAFactoryConfig(spec, stream.DFAConfig{NoAccel: true}),
-		aot:        aotF,
-		aotNoAccel: aotPlainF,
-		exact:      opts.ExactOracle,
-	}
-	if opts.WrapFactory != nil {
-		for _, f := range []*Factory{&fs.tagger, &fs.gate, &fs.earley, &fs.dfa, &fs.dfaTiny, &fs.dfaNoAccel, &fs.aot, &fs.aotNoAccel} {
-			*f = opts.WrapFactory(*f)
+	build := func(name string, o FactoryOptions) (Factory, error) {
+		f, _, err := NewFactory(spec, o)
+		if err != nil {
+			return nil, fmt.Errorf("conformance %s: %s factory: %w", g.Name, name, err)
 		}
-		if fs.parser != nil {
-			fs.parser = opts.WrapFactory(fs.parser)
+		if opts.WrapFactory != nil {
+			f = opts.WrapFactory(f)
 		}
+		return f, nil
+	}
+	fs := backendSet{exact: opts.ExactOracle}
+	if fs.stream, err = build("stream", FactoryOptions{Kind: KindStream}); err != nil {
+		return err
+	}
+	if fs.earley, err = build("earley", FactoryOptions{Kind: KindEarley}); err != nil {
+		return err
+	}
+	fs.parser, _ = build("parser", FactoryOptions{Kind: KindParser}) // nil when the grammar is not LL(1)
+	for _, v := range fsaVariants {
+		if v.f, err = build(v.name, v.o); err != nil {
+			return err
+		}
+		fs.fsa = append(fs.fsa, v)
 	}
 
 	gen := workload.NewGenerator(spec, seed, workload.SentenceOptions{MaxDepth: 8})
@@ -139,14 +124,29 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 	return nil
 }
 
-// backendSet bundles the per-path factories one Conformance run compares.
+// fsaVariants are the forms that must reproduce the stream engine exactly,
+// in the order every trial runs them: aot == dfa is the offline
+// determinizer's contract and follows from each equalling stream.
+var fsaVariants = []fsaVariant{
+	{name: "gates", o: FactoryOptions{Kind: KindGates}},
+	{name: "dfa", o: FactoryOptions{Kind: KindDFA}},
+	{name: "dfa-tiny", o: FactoryOptions{Kind: KindDFA, MaxStates: 2}}, // forces cache overflow + reset on real traffic
+	{name: "dfa-noaccel", o: FactoryOptions{Kind: KindDFA, NoAccel: true}},
+	{name: "aot", o: FactoryOptions{Kind: KindAOT}},
+	{name: "aot-noaccel", o: FactoryOptions{Kind: KindAOT, NoAccel: true}},
+}
+
+type fsaVariant struct {
+	name string
+	o    FactoryOptions
+	f    Factory // built per Conformance run
+}
+
+// backendSet bundles the factories one Conformance run compares.
 type backendSet struct {
-	tagger, gate, parser Factory
-	earley               Factory
-	dfa, dfaTiny         Factory
-	dfaNoAccel           Factory
-	aot, aotNoAccel      Factory
-	exact                bool
+	stream, earley, parser Factory
+	fsa                    []fsaVariant
+	exact                  bool
 }
 
 // runResult is one backend's complete observable output for one input.
@@ -178,12 +178,9 @@ func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult
 	return runResult{matches: ms, verdict: verdict, counters: b.Counters(), backend: b}, nil
 }
 
-// cacheBounded is implemented by the dfa backend; the harness uses it to
-// audit the cache-size invariant after every run.
-type cacheBounded interface {
-	CacheStates() int
-	MaxStates() int
-}
+// cacheBounded is implemented by the FSA adapter; the harness uses it to
+// audit the dfa cache-size invariant after every run.
+type cacheBounded interface{ CacheBound() (states, max int) }
 
 // backendUnwrapper lets wrapping backends (fault injectors) expose the
 // backend they delegate to, so audits of implementation-specific
@@ -205,25 +202,30 @@ func asCacheBounded(b Backend) (cacheBounded, bool) {
 	}
 }
 
-// checkDFA collects every way one dfa variant is distinguishable from the
+// checkFSA collects every way one FSA variant is distinguishable from the
 // stream path, including a cache-bound breach.
-func checkDFA(name, variant string, text []byte, sw runResult, f Factory, rng *rand.Rand, maxChunk int) []error {
-	df, err := runBackend(f, text, rng, maxChunk)
+func checkFSA(name string, v fsaVariant, text []byte, sw runResult, rng *rand.Rand, maxChunk int) []error {
+	variant := v.name
+	df, err := runBackend(v.f, text, rng, maxChunk)
 	if err != nil {
 		return []error{fmt.Errorf("%s: %s backend: %w", name, variant, err)}
 	}
 	var errs []error
-	if !equalMatches(sw.matches, df.matches) {
+	if !slices.Equal(sw.matches, df.matches) {
 		errs = append(errs, fmt.Errorf("%s: stream and %s paths disagree on %q\n%s",
 			name, variant, text, matchDiff("stream", sw.matches, variant, df.matches)))
 	}
-	if sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions {
+	// The netlist folds recoveries and collisions into its detect outputs
+	// and counts neither.
+	if v.o.Kind != KindGates && (sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions) {
 		errs = append(errs, fmt.Errorf("%s: %s counters differ on %q: stream (%d recov, %d coll), %s (%d recov, %d coll)",
 			name, variant, text, sw.counters.Recoveries, sw.counters.Collisions,
 			variant, df.counters.Recoveries, df.counters.Collisions))
 	}
-	if cb, ok := asCacheBounded(df.backend); ok && cb.CacheStates() > cb.MaxStates() {
-		errs = append(errs, fmt.Errorf("%s: %s cache holds %d states, bound %d", name, variant, cb.CacheStates(), cb.MaxStates()))
+	if cb, ok := asCacheBounded(df.backend); ok {
+		if states, max := cb.CacheBound(); states > max {
+			errs = append(errs, fmt.Errorf("%s: %s cache holds %d states, bound %d", name, variant, states, max))
+		}
 	}
 	return errs
 }
@@ -237,27 +239,13 @@ func compareAll(name string, text []byte, rng *rand.Rand, maxChunk int, fs backe
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	sw, err := runBackend(fs.tagger, text, rng, maxChunk)
+	sw, err := runBackend(fs.stream, text, rng, maxChunk)
 	if err != nil {
 		// Without the reference run nothing else is comparable.
 		return fmt.Errorf("%s: stream backend: %w", name, err)
 	}
-	if hw, err := runBackend(fs.gate, text, rng, maxChunk); err != nil {
-		fail("%s: gate backend: %w", name, err)
-	} else if !equalMatches(sw.matches, hw.matches) {
-		fail("%s: stream and gate paths disagree on %q\n%s",
-			name, text, matchDiff("stream", sw.matches, "gates", hw.matches))
-	}
-	for _, v := range []struct {
-		variant string
-		f       Factory
-	}{
-		{"dfa", fs.dfa}, {"dfa-tiny", fs.dfaTiny}, {"dfa-noaccel", fs.dfaNoAccel},
-		// checkDFA compares against the stream reference; aot == dfa
-		// follows from dfa == stream, which checkDFA asserts above.
-		{"aot", fs.aot}, {"aot-noaccel", fs.aotNoAccel},
-	} {
-		errs = append(errs, checkDFA(name, v.variant, text, sw, v.f, rng, maxChunk)...)
+	for _, v := range fs.fsa {
+		errs = append(errs, checkFSA(name, v, text, sw, rng, maxChunk)...)
 	}
 
 	er, erErr := runBackend(fs.earley, text, rng, maxChunk)
@@ -310,35 +298,12 @@ func compareAll(name string, text []byte, rng *rand.Rand, maxChunk int, fs backe
 	return errors.Join(errs...)
 }
 
-func equalMatches(a, b []stream.Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // equalMatchSets compares two match lists as sets, ignoring order.
 func equalMatchSets(a, b []stream.Match) bool {
 	return len(sortedSetMinus(a, b)) == 0 && len(sortedSetMinus(b, a)) == 0
 }
 
-func subsetOf(sub, super []stream.Match) bool {
-	set := make(map[stream.Match]bool, len(super))
-	for _, m := range super {
-		set[m] = true
-	}
-	for _, m := range sub {
-		if !set[m] {
-			return false
-		}
-	}
-	return true
-}
+func subsetOf(sub, super []stream.Match) bool { return len(sortedSetMinus(sub, super)) == 0 }
 
 // sortedSetMinus returns the matches of a absent from b, sorted by
 // (End, InstanceID).
@@ -355,12 +320,7 @@ func sortedSetMinus(a, b []stream.Match) []stream.Match {
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
-		}
-		return out[i].InstanceID < out[j].InstanceID
-	})
+	slices.SortFunc(out, compareMatches)
 	return out
 }
 

@@ -125,6 +125,81 @@ func TestPipelineFeedErrorQuarantines(t *testing.T) {
 	}
 }
 
+// verdictBackend fails its Close after a chunk containing "REJECT", the
+// way an exact recognizer reports a non-sentence.
+type verdictBackend struct {
+	fakeBackend
+	reject bool
+}
+
+var errVerdict = errors.New("not a sentence")
+
+func (v *verdictBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	v.reject = v.reject || bytes.Contains(p, []byte("REJECT"))
+	return out, nil
+}
+
+func (v *verdictBackend) Close(out []stream.Match) ([]stream.Match, error) {
+	if v.reject {
+		return out, errVerdict
+	}
+	return out, nil
+}
+
+// TestPipelineCloseErrorOnEOS pins where a backend's Close error goes: into
+// Err of the stream's EOS batch, once — a verdict, not a fault, so nothing
+// is quarantined and the stream next to it ends clean.
+func TestPipelineCloseErrorOnEOS(t *testing.T) {
+	var mc MetricCounters
+	eos := make(map[string]int)
+	errs := make(map[string][]error)
+	sink := SinkFunc(func(b *Batch) error {
+		if b.EOS {
+			eos[b.Key]++
+		}
+		if b.Err != nil {
+			errs[b.Key] = append(errs[b.Key], b.Err)
+			if !b.EOS {
+				t.Errorf("%s: Err %v on a batch that is not EOS", b.Key, b.Err)
+			}
+		}
+		return nil
+	})
+	p, err := NewPipeline(Config{
+		Shards:  2,
+		Hooks:   mc.Hooks(),
+		Factory: func(int, *Hooks) (Backend, error) { return &verdictBackend{}, nil },
+	}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct{ key, data string }{{"good", "a sentence"}, {"bad", "xx REJECT xx"}, {"bad", "more"}} {
+		if err := p.Send(s.key, []byte(s.data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range []string{"good", "bad"} {
+		if err := p.CloseStream(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eos["good"] != 1 || eos["bad"] != 1 {
+		t.Errorf("EOS batches = %v, want one per stream", eos)
+	}
+	if len(errs["good"]) != 0 {
+		t.Errorf("clean stream carries %v", errs["good"])
+	}
+	if got := errs["bad"]; len(got) != 1 || !errors.Is(got[0], errVerdict) {
+		t.Errorf("rejected stream carries %v, want the Close error once", got)
+	}
+	if f := mc.Faults(); f.StreamsQuarantined != 0 || f.PanicsRecovered != 0 {
+		t.Errorf("faults = %+v, want none: a Close verdict is not a fault", f)
+	}
+}
+
 func TestPipelineQuarantineTTLExpires(t *testing.T) {
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Quarantine: 40 * time.Millisecond}, sink)
@@ -191,7 +266,7 @@ func TestPipelineEviction(t *testing.T) {
 	hooks := mc.Hooks()
 	base := hooks.Evicted
 	hooks.Evicted = func(shard int, key string) { base(shard, key); evicted[key] = true }
-	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: TaggerFactory(spec), Hooks: hooks}, sink)
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: testFactory(t, spec, FactoryOptions{}), Hooks: hooks}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

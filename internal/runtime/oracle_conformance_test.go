@@ -58,10 +58,6 @@ func TestOracleChunkStraddling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			earleyF, err := EarleyFactory(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
 			gen := workload.NewGenerator(spec, 29, workload.SentenceOptions{MaxDepth: 8})
 			var text []byte
 			for len(text) < 8 { // a sentence long enough to make splits interesting
@@ -70,7 +66,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 			for _, f := range []struct {
 				name    string
 				factory Factory
-			}{{"earley", earleyF}, {"stream", TaggerFactory(spec)}} {
+			}{{"earley", testFactory(t, spec, FactoryOptions{Kind: KindEarley})}, {"stream", testFactory(t, spec, FactoryOptions{})}} {
 				whole := feedSplit(t, f.factory, text, -1)
 				for split := 0; split <= len(text); split++ {
 					if got := feedSplit(t, f.factory, text, split); !reflect.DeepEqual(got, whole) {

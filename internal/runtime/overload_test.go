@@ -351,10 +351,11 @@ func TestSinkBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// ambSpec compiles the exponentially ambiguous grammar s : s s | "x" —
-// the adversarial Earley workload: chart items grow superlinearly in the
-// count of x's, so a modest MaxChartItems trips on a modest input.
-func ambSpec(t testing.TB) *core.Spec {
+// xRunSpec compiles the grammar s : s s | "x" — the match-bomb workload:
+// every byte of a run of x's is a token of its own, so one chunk confirms
+// as many matches as it has bytes and a long enough chunk overruns any
+// MaxPendingMatches.
+func xRunSpec(t testing.TB) *core.Spec {
 	t.Helper()
 	g, err := grammar.Parse("amb", `
 %%
@@ -370,85 +371,13 @@ s : s s | "x" ;
 	return spec
 }
 
-func TestEarleyChartBudgetEndsStream(t *testing.T) {
-	var mc MetricCounters
-	var reKeys []string
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		ResourceExhausted: func(shard int, key string) { reKeys = append(reKeys, key) },
-	})
-	spec := ambSpec(t)
-	factory, err := EarleyFactoryLimits(spec, Limits{MaxChartItems: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: hooks}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Send("amb", []byte(strings.Repeat("x", 64))); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CloseStream("amb"); err != nil {
-		t.Fatal(err)
-	}
-	// The budget trip at Close poisons the key like a Feed fault.
-	sendUntilQuarantined(t, p, "amb")
-
-	// A small input completes within the same budget.
-	if err := p.Send("ok", []byte("xx")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CloseStream("ok"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := sink.errs["amb"]; !errors.Is(err, ErrResourceExhausted) {
-		t.Errorf("adversarial stream Err = %v, want ErrResourceExhausted", err)
-	}
-	if err := sink.errs["ok"]; err != nil {
-		t.Errorf("small stream Err = %v, want nil", err)
-	}
-	if len(sink.tags["ok"]) == 0 {
-		t.Error("small stream produced no tags")
-	}
-	if f := mc.Faults(); f.ResourceExhausted != 1 {
-		t.Errorf("ResourceExhausted = %d, want 1", f.ResourceExhausted)
-	}
-	if !reflect.DeepEqual(reKeys, []string{"amb"}) {
-		t.Errorf("ResourceExhausted hook keys = %v, want [amb]", reKeys)
-	}
-}
-
 func TestBufferAndPendingBudgets(t *testing.T) {
-	t.Run("earley-buffer", func(t *testing.T) {
-		spec := ambSpec(t)
-		factory, err := EarleyFactoryLimits(spec, Limits{MaxBufferBytes: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBudgetTrip(t, factory, []byte(strings.Repeat("x", 32)))
-	})
-	t.Run("parser-buffer", func(t *testing.T) {
-		spec, err := core.Compile(grammar.IfThenElse(), core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		factory, err := ParserFactoryLimits(spec, Limits{MaxBufferBytes: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBudgetTrip(t, factory, []byte(strings.Repeat("if c then a ", 8)))
-	})
 	t.Run("tagger-pending", func(t *testing.T) {
 		spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := TaggerFactoryLimits(spec, Limits{MaxPendingMatches: 1})
+		factory := testFactory(t, spec, FactoryOptions{Limits: Limits{MaxPendingMatches: 1}})
 		// One chunk carrying several matches overflows the pending bound
 		// before the batch's drain.
 		chunk := []byte("<methodCall><methodName>a</methodName></methodCall>")
@@ -484,52 +413,56 @@ func assertBudgetTrip(t *testing.T, factory Factory, chunk []byte) {
 	}
 }
 
+// TestTenantMemBudget holds one dispatch unit in a blocked sink: its arena
+// stays charged to the tenant's gauge, the tenant is over budget and new
+// Sends are rejected until the sink lets go.
 func TestTenantMemBudget(t *testing.T) {
 	spec, err := core.Compile(grammar.IfThenElse(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := &MemGauge{}
-	factory, err := ParserFactoryLimits(spec, Limits{Mem: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	entered, gate := make(chan struct{}, 1), make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	sink := SinkFunc(func(b *Batch) error {
+		if b.Key == "big" && !b.EOS {
+			entered <- struct{}{}
+			<-gate
+		}
+		return nil
+	})
 	reg := NewRegistry()
 	err = reg.Add(Tenant{
 		Name:   "t",
-		Config: Config{Shards: 1, Factory: factory, Mem: mem},
+		Config: Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})},
 		Quota:  Quota{MemBudgetBytes: 1024},
-	}, newCollectSink())
+	}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	defer openGate() // a failing test must not leave Close waiting on the sink
 
-	// Buffer 4 KiB on one stream; once the backend's charge lands on the
-	// gauge, the tenant is over budget and new Sends are rejected.
+	// 4 KiB travel in a unit whose arena alone is over the 1 KiB budget;
+	// while the sink sits on it the charge cannot be released.
 	if err := reg.Send("t", "big", []byte(strings.Repeat("a", 4096))); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if u, err := reg.MemUsage("t"); err == nil && u >= 1024 {
-			break
-		}
-		if time.Now().After(deadline) {
-			u, _ := reg.MemUsage("t")
-			t.Fatalf("tenant memory never reached budget: %d bytes", u)
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sink never received the batch")
+	}
+	if u, err := reg.MemUsage("t"); err != nil || u < 4096 {
+		t.Fatalf("MemUsage with a unit held by the sink = %d, %v; want at least its 4096-byte arena", u, err)
 	}
 	if err := reg.Send("t", "other", []byte("x")); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("Send over memory budget = %v, want ErrResourceExhausted", err)
 	}
 
-	// Draining the hog stream releases its charge; the gauge returns to
-	// zero and admission recovers.
-	if err := reg.CloseStream("t", "big"); err != nil {
-		t.Fatal(err)
-	}
+	// Releasing the sink recycles the unit; the gauge returns to zero and
+	// admission recovers.
+	openGate()
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if u, err := reg.MemUsage("t"); err == nil && u == 0 {
 			break
@@ -636,8 +569,7 @@ func (s *soakSink) Deliver(b *Batch) error {
 func (s *soakSink) Close() error { return nil }
 
 // stallWrapBackend injects a Feed stall on chunks containing '!' in front
-// of a real backend, forwarding the memory-release hook so the wrapped
-// backend's gauge charge still dies with the stream.
+// of a real backend.
 type stallWrapBackend struct {
 	Backend
 	d time.Duration
@@ -650,15 +582,9 @@ func (s *stallWrapBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, e
 	return s.Backend.Feed(p, out)
 }
 
-func (s *stallWrapBackend) releaseMem() {
-	if r, ok := s.Backend.(memReleaser); ok {
-		r.releaseMem()
-	}
-}
-
 // TestOverloadSoak is the overload chaos soak: hundreds to thousands of
-// concurrent streams — conforming sentences, adversarially ambiguous
-// Earley inputs, wedged-backend stalls — pushed at a deliberately
+// concurrent streams — short runs well inside the match budget, match
+// bombs over it, wedged-backend stalls — pushed at a deliberately
 // undersized pipeline in immediate-shed mode, with the sink wedged for a
 // window mid-run to trip the circuit breaker. It asserts that every
 // overload intervention is typed, that surviving streams are byte- and
@@ -673,15 +599,16 @@ func TestOverloadSoak(t *testing.T) {
 	const (
 		workers      = 8
 		stallEvery   = 149 // ~0.7% of streams stall (each costs a FeedDeadline)
-		advEvery     = 11  // ~9% adversarial ambiguous inputs
+		advEvery     = 11  // ~9% match bombs
 		feedDeadline = 100 * time.Millisecond
 		stallFor     = 400 * time.Millisecond
 	)
 
-	spec := ambSpec(t)
+	spec := xRunSpec(t)
 	mem := &MemGauge{}
-	lim := Limits{MaxChartItems: 500, MaxWorkPerByte: 2048, Mem: mem}
-	baseFactory, err := EarleyFactoryLimits(spec, lim)
+	// Conforming streams confirm at most 3 matches per chunk, a bomb 19 in
+	// its first.
+	baseFactory, release, err := NewFactory(spec, FactoryOptions{Limits: Limits{MaxPendingMatches: 16, Mem: mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -857,6 +784,7 @@ func TestOverloadSoak(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	release()
 
 	// --- Liveness: every stream ended exactly once, shed streams aside.
 	collect.mu.Lock()
@@ -879,14 +807,6 @@ func TestOverloadSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The serial backend charges the shared gauge like a pipeline
-		// stream; retire its charge so the bounded-memory assertion below
-		// measures the pipeline alone.
-		defer func() {
-			if r, ok := b.(memReleaser); ok {
-				r.releaseMem()
-			}
-		}()
 		var ms []stream.Match
 		for _, c := range sp.chunks {
 			var ferr error
@@ -980,8 +900,8 @@ func TestOverloadSoak(t *testing.T) {
 		t.Error("no watchdog trips; the stall load never bit")
 	}
 
-	// --- Bounded memory: all gauge charges (arenas, stream buffers,
-	// charts) were discharged when their owners retired.
+	// --- Bounded memory: every gauge charge (arenas and tag buffers) was
+	// discharged when its unit was recycled.
 	if got := mem.Load(); got != 0 {
 		t.Errorf("memory gauge = %d bytes after Close, want 0", got)
 	}

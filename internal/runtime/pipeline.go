@@ -43,11 +43,11 @@ var ErrSinkPanic = errors.New("runtime: sink panicked")
 // retry, back off, or end the stream. Test with errors.Is.
 var ErrOverloaded = errors.New("runtime: pipeline overloaded")
 
-// ErrResourceExhausted marks a stream stopped by a resource budget: a
-// per-stream buffer or pending-match bound (Limits), an Earley chart
-// budget, or a tenant memory budget (Quota.MemBudgetBytes). A budgeted
-// stream ends with an error-carrying EOS batch and its key is quarantined
-// like any other backend fault. Test with errors.Is.
+// ErrResourceExhausted marks a stream stopped by a resource budget: the
+// per-stream pending-match bound (Limits) or a tenant memory budget
+// (Quota.MemBudgetBytes). A budgeted stream ends with an error-carrying EOS
+// batch and its key is quarantined like any other backend fault. Test with
+// errors.Is.
 var ErrResourceExhausted = errors.New("runtime: resource budget exhausted")
 
 // ErrBackendStalled marks a backend call (Feed or Close) the watchdog
@@ -130,9 +130,9 @@ type Batch struct {
 	// Evicted marks a synthetic EOS batch flushed because the stream was
 	// the least-recently-active one on a shard at its MaxStreams cap.
 	Evicted bool
-	// Err carries the backend's verdict on EOS: nil for the FSA paths,
-	// the parse error for the exact-recognition parser path. A failed or
-	// panicking Feed also ends the stream, reporting here with EOS set.
+	// Err carries the backend's Close error on EOS (nil from the served
+	// FSA kinds). A failed or panicking Feed also ends the stream,
+	// reporting here with EOS set.
 	Err error
 	// Version identifies the backend factory version that produced this
 	// batch's tags (see SwapFactory). Spec-dependent sinks use it to
@@ -280,9 +280,9 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// Mem, when set, aggregates the pipeline's estimated memory: dispatch
 	// units checked out of the pool charge it with their arena and their
-	// tag buffer, and backends built by a Limits- or budget-aware factory
-	// (buffered stream bytes, DFA cache states, Earley charts) charge the
-	// same gauge. Registry.Send enforces Quota.MemBudgetBytes against it.
+	// tag buffer, and a factory built with the same gauge in its Limits
+	// charges what its streams share (dfa cache states, aot tables).
+	// Registry.Send enforces Quota.MemBudgetBytes against it.
 	Mem *MemGauge
 }
 
@@ -997,15 +997,10 @@ func (p *Pipeline) watchdog() {
 	}
 }
 
-// remove forgets a stream's backend and recency entry, releasing any
-// memory-gauge charge the backend holds (limit-aware backends account
-// their stream buffers; the charge must not outlive the stream).
+// remove forgets a stream's backend and recency entry.
 func (s *shard) remove(e *streamEntry) {
 	delete(s.streams, e.key)
 	s.lru.Remove(e.el)
-	if r, ok := e.b.(memReleaser); ok {
-		r.releaseMem()
-	}
 }
 
 // feed and closeBackend run one guarded backend call that appends its
@@ -1117,9 +1112,9 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 		s.remove(e)
 		batch.ver = e.ver
 		if batch.Err != nil && (errors.Is(batch.Err, ErrResourceExhausted) || errors.Is(batch.Err, ErrBackendStalled)) {
-			// Whole-stream backends (parser, earley) trip budgets — and
-			// stall — at Close; quarantine the key like a Feed fault so
-			// the adversarial input cannot immediately re-open.
+			// A budget or a stall can land at Close too; quarantine the
+			// key like a Feed fault so the adversarial input cannot
+			// immediately re-open.
 			s.poison(key)
 		}
 	}

@@ -57,7 +57,7 @@ func TestPipelineTagsManyStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPipelineStreamAffinity(t *testing.T) {
 		shardOf[b.Key][b.Shard] = true
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 8, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 8, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,45 +158,13 @@ func TestPipelineStreamAffinity(t *testing.T) {
 	}
 }
 
-func TestPipelineParserBackendVerdicts(t *testing.T) {
-	spec, err := core.Compile(grammar.IfThenElse(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := ParserFactory(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 2, Factory: pf}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Send("good", []byte("if true then go else stop"))
-	p.Send("bad", []byte("if true go"))
-	p.CloseStream("good")
-	p.CloseStream("bad")
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.errs["good"]; err != nil {
-		t.Errorf("conforming stream got verdict %v", err)
-	}
-	if sink.errs["bad"] == nil {
-		t.Error("non-conforming stream got no verdict")
-	}
-	if n := len(sink.tags["good"]); n == 0 {
-		t.Error("conforming stream produced no tags")
-	}
-}
-
 func TestPipelineCloseFlushesOpenStreams(t *testing.T) {
 	spec, err := core.Compile(grammar.IfThenElse(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 2, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +188,7 @@ func TestPipelineSendAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(Config{Shards: 1, Factory: TaggerFactory(spec)}, SinkFunc(func(*Batch) error { return nil }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +224,7 @@ func TestPipelineSendCloseRace(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +297,7 @@ func TestPipelineOrderingUnderConcurrency(t *testing.T) {
 		}
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec)}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +361,7 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 		total += len(b.Tags)
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: TaggerFactory(spec), Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{}), Hooks: mc.Hooks()}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +408,7 @@ func TestPipelineSinkErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sinkErr := fmt.Errorf("sink exploded")
-	p, err := NewPipeline(Config{Shards: 1, Factory: TaggerFactory(spec)}, SinkFunc(func(*Batch) error { return sinkErr }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})}, SinkFunc(func(*Batch) error { return sinkErr }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +487,7 @@ func TestPipelineSinkWorkers(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards:      4,
-		Factory:     TaggerFactory(spec),
+		Factory:     testFactory(t, spec, FactoryOptions{}),
 		SinkWorkers: 4,
 	}, sink)
 	if err != nil {
@@ -587,7 +555,7 @@ func TestPipelineSteadyStateSendAllocs(t *testing.T) {
 	}
 	p, err := NewPipeline(Config{
 		Shards:  1,
-		Factory: DFAFactory(spec, 0),
+		Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
 	}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +616,7 @@ func TestPipelineBatchMore(t *testing.T) {
 				return nil
 			})
 			// No dispatch coalescing: every Send is one group of one batch.
-			p, err := NewPipeline(Config{Shards: shards, SinkWorkers: workers, BatchBytes: -1, Factory: TaggerFactory(spec)}, sink)
+			p, err := NewPipeline(Config{Shards: shards, SinkWorkers: workers, BatchBytes: -1, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
 			if err != nil {
 				t.Fatal(err)
 			}

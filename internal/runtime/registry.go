@@ -39,11 +39,11 @@ type Quota struct {
 	BytesPerSec int64
 	// MemBudgetBytes caps the tenant's estimated live memory (0 =
 	// unlimited), accounted on the pipeline's MemGauge across dispatch
-	// units (chunk arenas and the tag buffers queued with them),
-	// per-stream backend buffers, DFA cache states and Earley charts. A Send arriving while the tenant is over budget fails with
-	// ErrResourceExhausted and nothing is enqueued; existing streams
-	// drain normally, releasing memory. Add installs a gauge on the
-	// tenant's Config.Mem when one is not already set.
+	// units (chunk arenas and the tag buffers queued with them), dfa cache
+	// states and aot tables. A Send arriving while the tenant is over
+	// budget fails with ErrResourceExhausted and nothing is enqueued;
+	// existing streams drain normally, releasing memory. Add installs a
+	// gauge on the tenant's Config.Mem when one is not already set.
 	MemBudgetBytes int64
 }
 

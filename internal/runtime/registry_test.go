@@ -39,10 +39,10 @@ func TestRegistryRoutesTenantsIndependently(t *testing.T) {
 	sinkA, sinkB := newReloadSink(), newReloadSink()
 	// Caller-owned hooks chain with the registry's internal metrics.
 	var mcA, mcB MetricCounters
-	if err := r.Add(Tenant{Name: "alpha", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0), Hooks: mcA.Hooks()}}, sinkA); err != nil {
+	if err := r.Add(Tenant{Name: "alpha", Config: Config{Shards: 2, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA}), Hooks: mcA.Hooks()}}, sinkA); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: TaggerFactory(specB), Hooks: mcB.Hooks()}}, sinkB); err != nil {
+	if err := r.Add(Tenant{Name: "beta", Config: Config{Shards: 1, Factory: testFactory(t, specB, FactoryOptions{}), Hooks: mcB.Hooks()}}, sinkB); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Add(Tenant{Name: "alpha", Config: Config{Factory: fakeFactory}}, sinkA); !errors.Is(err, ErrTenantExists) {
@@ -112,7 +112,7 @@ func TestRegistryMaxStreamsQuota(t *testing.T) {
 	sink := newReloadSink()
 	err := r.Add(Tenant{
 		Name:   "capped",
-		Config: Config{Shards: 1, Factory: DFAFactory(spec, 0)},
+		Config: Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA})},
 		Quota:  Quota{MaxStreams: 2},
 	}, sink)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestRegistryBytesPerSecQuota(t *testing.T) {
 	defer r.Close()
 	err := r.Add(Tenant{
 		Name:   "throttled",
-		Config: Config{Shards: 1, Factory: DFAFactory(spec, 0)},
+		Config: Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA})},
 		Quota:  Quota{BytesPerSec: 1024},
 	}, newReloadSink())
 	if err != nil {
@@ -192,10 +192,10 @@ func TestRegistrySwapAndRemove(t *testing.T) {
 	}
 	r := NewRegistry()
 	sink := newReloadSink()
-	if err := r.Add(Tenant{Name: "t", Config: Config{Shards: 2, Factory: DFAFactory(specA, 0)}}, sink); err != nil {
+	if err := r.Add(Tenant{Name: "t", Config: Config{Shards: 2, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA})}}, sink); err != nil {
 		t.Fatal(err)
 	}
-	v, err := r.Swap("t", DFAFactory(specB, 0))
+	v, err := r.Swap("t", testFactory(t, specB, FactoryOptions{Kind: KindDFA}))
 	if err != nil {
 		t.Fatal(err)
 	}

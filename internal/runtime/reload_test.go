@@ -148,7 +148,7 @@ func TestReloadSoak(t *testing.T) {
 		retMu.Unlock()
 	}}
 	sink := newReloadSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: DFAFactory(specA, 0), Hooks: hooks}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA}), Hooks: hooks}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestReloadSoak(t *testing.T) {
 	}
 
 	// Phase 2: hot-swap the grammar while every old stream is mid-flight.
-	v2, err := p.SwapFactory(DFAFactory(specB, 0))
+	v2, err := p.SwapFactory(testFactory(t, specB, FactoryOptions{Kind: KindDFA}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestSharedCacheAcrossPipelineStreams(t *testing.T) {
 
 	run := func(streams int) (misses int64) {
 		var mc MetricCounters
-		p, err := NewPipeline(Config{Shards: 2, Factory: DFAFactory(spec, 0), Hooks: mc.Hooks()},
+		p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Hooks: mc.Hooks()},
 			SinkFunc(func(*Batch) error { return nil }))
 		if err != nil {
 			t.Fatal(err)

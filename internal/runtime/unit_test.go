@@ -50,7 +50,7 @@ func TestPipelineQueueFootprint(t *testing.T) {
 		return nil
 	})
 	before := liveHeap()
-	p, err := NewPipeline(Config{Shards: 2, Factory: DFAFactory(spec, 0), Mem: mem}, sink)
+	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Mem: mem}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPipelineTagWindows(t *testing.T) {
 	chunks = append(chunks, bytes.Repeat([]byte(msg), 7)) // the dense one
 	// What a serial run confirms per chunk, and at Close.
 	var want [][]stream.Match
-	ref, err := DFAFactory(spec, 0)(0, nil)
+	ref, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPipelineTagWindows(t *testing.T) {
 				p, err := NewPipeline(Config{
 					Shards: shards, SinkWorkers: workers, BatchBytes: batchBytes,
 					BatchIdle: time.Hour, // only size, starvation and Close flush
-					Factory:   gateFirst(DFAFactory(spec, 0), shards, started, gate),
+					Factory:   gateFirst(testFactory(t, spec, FactoryOptions{Kind: KindDFA}), shards, started, gate),
 				}, sink)
 				if err != nil {
 					t.Fatal(err)

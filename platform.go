@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/runtime"
-	"cfgtag/internal/stream"
 )
 
 // ErrInvalidConfig is the sentinel wrapped by every configuration
@@ -80,19 +77,16 @@ type QuotaConfig struct {
 	// burst; Sends beyond it fail with ErrQuotaExceeded.
 	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
 	// MemBudgetBytes caps the tenant's estimated live memory — queued
-	// chunk bytes and the tag storage queued with them, stream buffers,
-	// DFA cache, Earley charts — rejecting Sends with ErrResourceExhausted
-	// while the gauge is at or over budget.
+	// chunk bytes and the tag storage queued with them, the dfa cache, the
+	// aot tables — rejecting Sends with ErrResourceExhausted while the
+	// gauge is at or over budget.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
 // LimitsConfig bounds each stream's backend resources declaratively; see
 // StreamLimits for semantics. Zero values are unlimited.
 type LimitsConfig struct {
-	MaxBufferBytes    int `json:"max_buffer_bytes,omitempty"`
 	MaxPendingMatches int `json:"max_pending_matches,omitempty"`
-	MaxChartItems     int `json:"max_chart_items,omitempty"`
-	MaxWorkPerByte    int `json:"max_work_per_byte,omitempty"`
 }
 
 // TenantDef declares one tenant in a PlatformConfig: a name, a grammar
@@ -112,12 +106,13 @@ type TenantDef struct {
 	// "no-context-duplication", "no-longest-match", "all-enabled",
 	// "recover-restart", "recover-resync".
 	Options []string `json:"options,omitempty"`
-	// Backend selects the execution path: "stream" (default), "dfa",
-	// "aot", "gates", "parser" or "earley". The aot path determinizes
-	// the grammar to closure at tenant construction (and at each Reload)
-	// — compile once per version, amortized over every stream — and
-	// fails construction when the grammar does not close within the
-	// default state budget.
+	// Backend selects the execution path: "stream" (default), "dfa" or
+	// "aot". The aot path determinizes the grammar to closure at tenant
+	// construction (and at each Reload) — compile once per version,
+	// amortized over every stream — and fails construction when the
+	// grammar does not close within the default state budget. The
+	// reference backends ("gates", "parser", "earley") are not served:
+	// Validate rejects them, naming the single-stream alternative.
 	Backend string `json:"backend,omitempty"`
 	// Shards is the tenant's pipeline width (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
@@ -177,17 +172,6 @@ var optionByName = map[string]Option{
 	"recover-resync":         RecoverResync(),
 }
 
-// backendKinds is the set of declarative backend names.
-var backendKinds = map[string]BackendKind{
-	"":       StreamBackend,
-	"stream": StreamBackend,
-	"dfa":    DFABackend,
-	"aot":    AOTBackend,
-	"gates":  GatesBackend,
-	"parser": ParserBackend,
-	"earley": EarleyBackend,
-}
-
 // ParsePlatformConfig decodes a JSON platform configuration strictly:
 // unknown fields are errors, so a typo'd knob cannot silently no-op. The
 // result is structurally decoded but not yet validated; call Validate (or
@@ -207,8 +191,8 @@ func ParsePlatformConfig(data []byte) (*PlatformConfig, error) {
 }
 
 // Validate checks the config's semantics: at least one tenant, unique
-// non-empty names, exactly one grammar source each, known options and
-// backends, and no undocumented negative knobs. Grammar sources are not
+// non-empty names, exactly one grammar source each, known options, a
+// served backend, and no undocumented negative knobs. Grammar sources are not
 // compiled here (that happens in NewPlatform); every rejection wraps
 // ErrInvalidConfig.
 func (pc *PlatformConfig) Validate() error {
@@ -235,8 +219,8 @@ func (pc *PlatformConfig) Validate() error {
 				return &ConfigError{Field: field("options"), Value: o, Reason: "unknown compile option"}
 			}
 		}
-		if _, ok := backendKinds[t.Backend]; !ok {
-			return &ConfigError{Field: field("backend"), Value: t.Backend, Reason: "unknown backend kind"}
+		if err := BackendKind(t.Backend).CheckServed(field("backend")); err != nil {
+			return err
 		}
 		if t.Shards < 0 {
 			return &ConfigError{Field: field("shards"), Value: t.Shards, Reason: "must be >= 0 (0 = GOMAXPROCS)"}
@@ -264,17 +248,8 @@ func (pc *PlatformConfig) Validate() error {
 		if t.FeedDeadline < 0 {
 			return &ConfigError{Field: field("feed_deadline"), Value: t.FeedDeadline, Reason: "must be >= 0 (0 = watchdog disabled)"}
 		}
-		if t.Limits.MaxBufferBytes < 0 {
-			return &ConfigError{Field: field("limits.max_buffer_bytes"), Value: t.Limits.MaxBufferBytes, Reason: "must be >= 0 (0 = unlimited)"}
-		}
 		if t.Limits.MaxPendingMatches < 0 {
 			return &ConfigError{Field: field("limits.max_pending_matches"), Value: t.Limits.MaxPendingMatches, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.Limits.MaxChartItems < 0 {
-			return &ConfigError{Field: field("limits.max_chart_items"), Value: t.Limits.MaxChartItems, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.Limits.MaxWorkPerByte < 0 {
-			return &ConfigError{Field: field("limits.max_work_per_byte"), Value: t.Limits.MaxWorkPerByte, Reason: "must be >= 0 (0 = unlimited)"}
 		}
 		if t.Quota.MaxStreams < 0 {
 			return &ConfigError{Field: field("quota.max_streams"), Value: t.Quota.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
@@ -316,62 +291,18 @@ func (t *TenantDef) grammarSource() (string, error) {
 // old grammar decodes with the old engine throughout a reload), the
 // tenant's declarative definition, and the reload serialization lock.
 type platformTenant struct {
-	def  TenantDef
-	kind BackendKind
-	lim  StreamLimits // resolved limits, shared by every factory version
+	def TenantDef
+	// fopts builds every factory version: the tenant's backend kind and its
+	// resolved limits, memory gauge included.
+	fopts runtime.FactoryOptions
 
 	reloadMu sync.Mutex // serializes Reload per tenant
 
 	mu       sync.RWMutex
 	engines  map[int]*Engine
-	releases map[int]func() // per-version memory-gauge discharge, if any
+	releases map[int]func() // per-version memory-gauge discharge
 	pending  *Engine        // compiled but not yet bound to a version id
 	current  *Engine        // the newest engine (Reload target)
-}
-
-// limits resolves the declarative limits plus the tenant's memory gauge.
-func (t *TenantDef) limits(mem *MemGauge) StreamLimits {
-	return StreamLimits{
-		MaxBufferBytes:    t.Limits.MaxBufferBytes,
-		MaxPendingMatches: t.Limits.MaxPendingMatches,
-		MaxChartItems:     t.Limits.MaxChartItems,
-		MaxWorkPerByte:    t.Limits.MaxWorkPerByte,
-		Mem:               mem,
-	}
-}
-
-// buildFactory builds one factory version with the tenant's limits. The
-// dfa path charges its shared transition cache to the memory gauge for
-// the version's lifetime; the aot path determinizes the grammar here —
-// once per version, so Reload amortizes the compile fleet-wide — and
-// charges its flattened tables the same way. The returned release
-// discharges that charge when the version retires (nil when there is
-// nothing to release), so zero-downtime reloads do not accrete gauge
-// drift.
-func buildFactory(engine *Engine, kind BackendKind, lim StreamLimits) (runtime.Factory, func(), error) {
-	if kind == DFABackend && lim.Mem != nil {
-		var charged atomic.Int64
-		mem := lim.Mem
-		cfg := stream.DFAConfig{MemDelta: func(d int64) { charged.Add(d); mem.Add(d) }}
-		f := runtime.DFAFactoryLimits(engine.spec, cfg, lim)
-		return f, func() { mem.Add(-charged.Swap(0)) }, nil
-	}
-	if kind == AOTBackend {
-		prog, err := aot.Compile(engine.spec, aot.Config{})
-		if err != nil {
-			return nil, nil, err
-		}
-		var release func()
-		if lim.Mem != nil {
-			mem := lim.Mem
-			bytes := int64(prog.Stats().TableBytes)
-			mem.Add(bytes)
-			release = func() { mem.Add(-bytes) }
-		}
-		return runtime.AOTProgramFactory(prog, lim), release, nil
-	}
-	f, err := engine.factoryLimits(kind, lim)
-	return f, nil, err
 }
 
 // engineFor resolves the engine for a batch's factory version. A version
@@ -454,15 +385,21 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
-	kind := backendKinds[def.Backend]
-	// One gauge per tenant, shared by the factory (stream buffers, DFA
-	// cache, charts), the pipeline (arenas) and the quota check at Send.
+	// One gauge per tenant, shared by the factory (dfa cache, aot tables),
+	// the pipeline (arenas) and the quota check at Send.
 	var mem *MemGauge
 	if def.Quota.MemBudgetBytes > 0 {
 		mem = &MemGauge{}
 	}
-	lim := def.limits(mem)
-	factory, release, err := buildFactory(engine, kind, lim)
+	fopts := runtime.FactoryOptions{
+		Kind:   BackendKind(def.Backend),
+		Limits: StreamLimits{MaxPendingMatches: def.Limits.MaxPendingMatches, Mem: mem},
+	}
+	// The aot kind determinizes the grammar here — once per version, so
+	// Reload amortizes the compile fleet-wide. release discharges what the
+	// version holds on the gauge when it retires, so zero-downtime reloads
+	// do not accrete gauge drift.
+	factory, release, err := runtime.NewFactory(engine.spec, fopts)
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
@@ -471,8 +408,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	}
 	pt := &platformTenant{
 		def:      def,
-		kind:     kind,
-		lim:      lim,
+		fopts:    fopts,
 		engines:  map[int]*Engine{1: engine},
 		releases: map[int]func(){1: release},
 		current:  engine,
@@ -509,9 +445,7 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		},
 	}
 	if err := p.reg.Add(tenant, sink); err != nil {
-		if release != nil {
-			release()
-		}
+		release()
 		return err
 	}
 	p.mu.Lock()
@@ -578,7 +512,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	factory, release, err := buildFactory(engine, pt.kind, pt.lim)
+	factory, release, err := runtime.NewFactory(engine.spec, pt.fopts)
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
@@ -600,9 +534,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	pt.pending = nil
 	pt.mu.Unlock()
 	if err != nil {
-		if release != nil {
-			release()
-		}
+		release()
 		return 0, err
 	}
 	return v, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -232,162 +233,47 @@ func TestPlatformReload(t *testing.T) {
 	}
 }
 
-// ifThenElseHaltSource extends the figure 9 grammar with a "halt"
-// alternative — a sentence only the reloaded version accepts.
-const ifThenElseHaltSource = `
-%%
-E : "if" C "then" E "else" E | "go" | "stop" | "halt" ;
-C : "true" | "false" ;
-`
-
-// TestPlatformReloadEarley is the reload-under-load test for an
-// Earley-backed tenant: a stream opened before the reload finishes on
-// version 1 with version 1's tags, streams opened after run version 2,
-// the old version retires once its last stream ends, and every
-// non-faulted stream's output — tags and accept/reject verdict alike —
-// is byte-identical to a standalone run of the owning version's oracle.
-func TestPlatformReloadEarley(t *testing.T) {
-	pc := &PlatformConfig{Tenants: []TenantDef{{
-		Name:    "oracle",
-		Grammar: IfThenElseSource,
-		Backend: "earley",
-		Shards:  2,
-	}}}
-	if err := pc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sink := newPlatformSink()
-	p, err := NewPlatform(pc, sink.deliver)
+// TestReferenceBackendsNotServed pins the line between served and reference
+// execution paths: a tenant or a pipeline on gates, parser or earley is a
+// typed configuration error naming the single-stream alternative, the same
+// kinds still build through NewBackend, and the per-stream limits that
+// existed only for them are unknown fields to the strict decoder.
+func TestReferenceBackendsNotServed(t *testing.T) {
+	engine, err := Compile("demo", IfThenElseSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-
-	oldIn := []byte("if true then go else stop")
-	// Open a stream on version 1 and wait for its first batch, so the
-	// stream provably binds the old recognizer.
-	half := len(oldIn) / 2
-	if err := p.Send("oracle", "old", oldIn[:half]); err != nil {
-		t.Fatal(err)
+	for _, kind := range []BackendKind{GatesBackend, ParserBackend, EarleyBackend} {
+		t.Run(string(kind), func(t *testing.T) {
+			pc := &PlatformConfig{Tenants: []TenantDef{{Name: "a", Grammar: IfThenElseSource, Backend: string(kind)}}}
+			err := pc.Validate()
+			var ce *ConfigError
+			if !errors.Is(err, ErrInvalidConfig) || !errors.As(err, &ce) || ce.Field != "tenants[0].backend" {
+				t.Errorf("Validate = %v, want a ConfigError on tenants[0].backend", err)
+			} else if !strings.Contains(ce.Reason, "single-stream") {
+				t.Errorf("rejection %q does not name the single-stream alternative", ce.Reason)
+			}
+			if _, err := NewPlatform(pc, func(string, *TagBatch) error { return nil }); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("NewPlatform = %v, want ErrInvalidConfig", err)
+			}
+			_, err = engine.NewPipeline(PipelineConfig{Backend: kind, Shards: 1}, func(*TagBatch) error { return nil })
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("NewPipeline = %v, want ErrInvalidConfig", err)
+			}
+			if _, err := engine.NewBackend(kind); err != nil {
+				t.Errorf("NewBackend = %v: the reference path must stay constructible", err)
+			}
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sink.mu.Lock()
-		seen := len(sink.vers["oracle/old"]) > 0
-		sink.mu.Unlock()
-		if seen {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first batch never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	v, err := p.Reload("oracle", ifThenElseHaltSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2 {
-		t.Fatalf("Reload returned version %d, want 2", v)
-	}
-	if lv, _ := p.LiveVersions("oracle"); !reflect.DeepEqual(lv, []int{1, 2}) {
-		t.Fatalf("LiveVersions = %v, want [1 2]", lv)
-	}
-
-	// The live stream finishes — whole-sentence recognition on version 1.
-	if err := p.Send("oracle", "old", oldIn[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CloseStream("oracle", "old"); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh streams run version 2: "halt" is a sentence only there, and a
-	// non-sentence must come back as a version-2 reject verdict, not a
-	// fault.
-	newIn := []byte(" halt ")
-	badIn := []byte("if true then go")
-	for stream, in := range map[string][]byte{"new": newIn, "bad": badIn} {
-		if err := p.Send("oracle", stream, in); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream("oracle", stream); err != nil {
-			t.Fatal(err)
+	for _, key := range []string{"max_buffer_bytes", "max_chart_items", "max_work_per_byte"} {
+		src := fmt.Sprintf(`{"tenants": [{"name": "a", "grammar": "x", "limits": {%q: 1}}]}`, key)
+		if _, err := ParsePlatformConfig([]byte(src)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("ParsePlatformConfig(limits.%s) = %v, want an unknown-field error", key, err)
 		}
 	}
-
-	// Version 1 retires once the old stream's final batch is out.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if lv, _ := p.LiveVersions("oracle"); reflect.DeepEqual(lv, []int{2}) {
-			break
-		}
-		if time.Now().After(deadline) {
-			lv, _ := p.LiveVersions("oracle")
-			t.Fatalf("old version never retired: LiveVersions = %v", lv)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference runs: each version's standalone oracle backend, compiled
-	// under the tenant's name so reject verdicts compare verbatim.
-	oracleRun := func(src string, in []byte) ([]Match, error) {
-		engine, err := Compile("oracle", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := engine.NewBackend(EarleyBackend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Feed(in); err != nil {
-			t.Fatal(err)
-		}
-		verdict := b.Close()
-		return b.Matches(), verdict
-	}
-	wantOld, wantOldErr := oracleRun(IfThenElseSource, oldIn)
-	if wantOldErr != nil {
-		t.Fatalf("reference rejected the old sentence: %v", wantOldErr)
-	}
-	wantNew, wantNewErr := oracleRun(ifThenElseHaltSource, newIn)
-	if wantNewErr != nil {
-		t.Fatalf("reference rejected halt: %v", wantNewErr)
-	}
-	_, wantBadErr := oracleRun(ifThenElseHaltSource, badIn)
-	if wantBadErr == nil {
-		t.Fatal("reference accepted the non-sentence")
-	}
-
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if got := sink.tags["oracle/old"]; !reflect.DeepEqual(got, wantOld) {
-		t.Fatalf("old stream tags %v, want version-1 oracle %v", got, wantOld)
-	}
-	if got := sink.tags["oracle/new"]; !reflect.DeepEqual(got, wantNew) {
-		t.Fatalf("new stream tags %v, want version-2 oracle %v", got, wantNew)
-	}
-	for _, stream := range []string{"old", "new"} {
-		if err := sink.errs["oracle/"+stream]; err != nil {
-			t.Fatalf("%s stream carried error %v", stream, err)
-		}
-	}
-	if err := sink.errs["oracle/bad"]; err == nil || err.Error() != wantBadErr.Error() {
-		t.Fatalf("bad stream verdict %v, want %v", err, wantBadErr)
-	}
-	if n := len(sink.tags["oracle/bad"]); n != 0 {
-		t.Fatalf("rejected stream carried %d tags", n)
-	}
-	if vs := sink.vers["oracle/old"]; len(vs) != 1 || !vs[1] {
-		t.Fatalf("old stream versions %v, want {1}", vs)
-	}
-	for _, stream := range []string{"new", "bad"} {
-		if vs := sink.vers["oracle/"+stream]; len(vs) != 1 || !vs[2] {
-			t.Fatalf("%s stream versions %v, want {2}", stream, vs)
-		}
+	src := `{"tenants": [{"name": "a", "grammar": "x", "limits": {"max_pending_matches": 1}}]}`
+	if _, err := ParsePlatformConfig([]byte(src)); err != nil {
+		t.Errorf("ParsePlatformConfig(limits.max_pending_matches) = %v", err)
 	}
 }
 
