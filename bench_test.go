@@ -23,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/fpga"
 	"cfgtag/internal/fpx"
@@ -144,50 +143,10 @@ func BenchmarkStream(b *testing.B) {
 	}
 }
 
-// BenchmarkDFA measures the lazy-DFA compiled backend on the same workload
-// as BenchmarkStream. The cache warms on the first iteration; steady state
-// is one table lookup per byte, and the cache-stat metrics report how much
-// of the run was served from cache.
-func BenchmarkDFA(b *testing.B) {
-	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := stream.NewDFA(spec, stream.DFAConfig{})
-	data := corpus(b, 200)
-	count := 0
-	d.OnMatch = func(stream.Match) { count++ }
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Reset()
-		d.Write(data)
-		d.Close()
-	}
-	if count == 0 {
-		b.Fatal("dfa found nothing")
-	}
-	hits, misses, resets := d.CacheStats()
-	b.ReportMetric(float64(d.CacheStates()), "states")
-	b.ReportMetric(float64(misses), "misses")
-	b.ReportMetric(float64(resets), "resets")
-	_ = hits
-}
-
-// BenchmarkDFASparse measures the DFA's skip-ahead acceleration on
-// delimiter-sparse traffic: real XML-RPC sentences separated by long
-// whitespace runs, the shape where most bytes leave the DFA state
-// unchanged. The accel sub-bench runs the default configuration (run
-// bytes burned with memchr-style scans); noaccel disables the fill-time
-// acceleration plans and walks the same input byte by byte, isolating the
-// win. BenchmarkDFA (dense traffic) is the companion number.
-func BenchmarkDFASparse(b *testing.B) {
-	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// 20 messages separated by 16 KiB space runs: ~97% of the input is
-	// delimiter filler.
+// sparseCorpus is 20 XML-RPC messages separated by 16 KiB space runs: ~97%
+// of the input is delimiter filler, the shape where most bytes leave the
+// automaton's state unchanged.
+func sparseCorpus() []byte {
 	gen := xmlrpc.NewGenerator(424242, xmlrpc.Options{})
 	pad := make([]byte, 16<<10)
 	for i := range pad {
@@ -199,48 +158,30 @@ func BenchmarkDFASparse(b *testing.B) {
 		data = append(data, m...)
 		data = append(data, pad...)
 	}
-	for _, cfg := range []struct {
-		name string
-		conf stream.DFAConfig
-	}{
-		{"accel", stream.DFAConfig{}},
-		{"noaccel", stream.DFAConfig{NoAccel: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			d := stream.NewDFA(spec, cfg.conf)
-			count := 0
-			d.OnMatch = func(stream.Match) { count++ }
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Reset()
-				d.Write(data)
-				d.Close()
-			}
-			if count == 0 {
-				b.Fatal("dfa found nothing")
-			}
-		})
-	}
+	return data
 }
 
-// BenchmarkAOT measures the ahead-of-time compiled tables on the dense
-// workload of BenchmarkDFA: the whole DFA is determinized offline, so the
-// hot loop is a flat-slice transition walk with no cache lookups, no
-// atomic stat counters and no reset risk. The delta against BenchmarkDFA
-// is the price of laziness on traffic that touches the whole automaton;
-// the compile-time metrics show what the offline build costs.
-func BenchmarkAOT(b *testing.B) {
+// benchTable builds the xmlrpc table of one kind: lazy (filled by the
+// timed loop's first pass) or closed by Determinize.
+func benchTable(b *testing.B, closed bool, cfg stream.TableConfig) *stream.Table {
+	b.Helper()
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := aot.Compile(spec, aot.Config{})
+	if !closed {
+		return stream.NewTable(spec, cfg)
+	}
+	tbl, err := stream.Determinize(spec, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := prog.NewRunner()
-	data := corpus(b, 200)
+	return tbl
+}
+
+// runTable tags data b.N times through one runner of tbl.
+func runTable(b *testing.B, tbl *stream.Table, data []byte) *stream.Runner {
+	r := tbl.NewRunner()
 	count := 0
 	r.OnMatch = func(stream.Match) { count++ }
 	b.SetBytes(int64(len(data)))
@@ -251,60 +192,69 @@ func BenchmarkAOT(b *testing.B) {
 		r.Close()
 	}
 	if count == 0 {
-		b.Fatal("aot found nothing")
+		b.Fatal("table found nothing")
 	}
-	st := prog.Stats()
+	return r
+}
+
+// BenchmarkDFA measures the lazy table (the dfa backend) on the same
+// workload as BenchmarkStream. The first pass fills it; steady state is
+// the table loop BenchmarkAOT runs, and the metrics report how much of the
+// run needed a fill.
+func BenchmarkDFA(b *testing.B) {
+	tbl := benchTable(b, false, stream.TableConfig{})
+	r := runTable(b, tbl, corpus(b, 200))
+	_, misses, resets := r.CacheStats()
+	b.ReportMetric(float64(tbl.States()), "states")
+	b.ReportMetric(float64(misses), "misses")
+	b.ReportMetric(float64(resets), "resets")
+}
+
+// BenchmarkDFASparse measures skip-ahead on delimiter-sparse traffic
+// (sparseCorpus) through the lazy table. The accel sub-bench burns runs
+// with memchr-style scans; noaccel builds no plans and walks the same
+// input byte by byte, isolating the win. BenchmarkDFA (dense traffic) is
+// the companion number.
+func BenchmarkDFASparse(b *testing.B) {
+	data := sparseCorpus()
+	for _, cfg := range []struct {
+		name string
+		conf stream.TableConfig
+	}{
+		{"accel", stream.TableConfig{}},
+		{"noaccel", stream.TableConfig{NoAccel: true}},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			runTable(b, benchTable(b, false, cfg.conf), data)
+		})
+	}
+}
+
+// BenchmarkAOT measures the closed table (the aot backend) on the dense
+// workload of BenchmarkDFA: the same loop over a table Determinize filled
+// before the first byte, so it never misses. The metrics show what the
+// closure costs.
+func BenchmarkAOT(b *testing.B) {
+	tbl := benchTable(b, true, stream.TableConfig{})
+	runTable(b, tbl, corpus(b, 200))
+	st := tbl.CompileStats()
 	b.ReportMetric(float64(st.States), "states")
 	b.ReportMetric(float64(st.TableBytes)/1024, "tableKB")
 	b.ReportMetric(float64(st.Duration.Microseconds()), "compile-µs")
 }
 
-// BenchmarkAOTSparse is BenchmarkDFASparse on the ahead-of-time tables:
-// the determinizer carries the DFA's fill-time skip-ahead plans into the
-// flat encoding, so run-heavy traffic burns in memchr-style scans exactly
-// as the lazy path does. accel vs noaccel isolates that win on the AOT
-// side.
+// BenchmarkAOTSparse is BenchmarkDFASparse on the closed table.
 func BenchmarkAOTSparse(b *testing.B) {
-	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := xmlrpc.NewGenerator(424242, xmlrpc.Options{})
-	pad := make([]byte, 16<<10)
-	for i := range pad {
-		pad[i] = ' '
-	}
-	var data []byte
-	for i := 0; i < 20; i++ {
-		m, _ := gen.Message()
-		data = append(data, m...)
-		data = append(data, pad...)
-	}
+	data := sparseCorpus()
 	for _, cfg := range []struct {
 		name string
-		conf aot.Config
+		conf stream.TableConfig
 	}{
-		{"accel", aot.Config{}},
-		{"noaccel", aot.Config{NoAccel: true}},
+		{"accel", stream.TableConfig{}},
+		{"noaccel", stream.TableConfig{NoAccel: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			prog, err := aot.Compile(spec, cfg.conf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := prog.NewRunner()
-			count := 0
-			r.OnMatch = func(stream.Match) { count++ }
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				r.Write(data)
-				r.Close()
-			}
-			if count == 0 {
-				b.Fatal("aot found nothing")
-			}
+			runTable(b, benchTable(b, true, cfg.conf), data)
 		})
 	}
 }
@@ -362,7 +312,7 @@ func BenchmarkShardedPipeline(b *testing.B) {
 
 	b.Run("baseline-dfa-serial", func(b *testing.B) {
 		const streams = 8
-		d := stream.NewDFA(spec, stream.DFAConfig{})
+		d := stream.NewTable(spec, stream.TableConfig{}).NewRunner()
 		count := 0
 		d.OnMatch = func(stream.Match) { count++ }
 		b.SetBytes(int64(streams * len(data)))

@@ -429,20 +429,20 @@ type BackendKind = runtime.Kind
 const (
 	// StreamBackend is the bit-parallel software tagger (the default).
 	StreamBackend = runtime.KindStream
-	// DFABackend lazily compiles the bit-parallel engine into a cached
-	// DFA: hash-consed (active, pending) states with per-byte-class
-	// transition outcomes filled on demand, RE2-style. Detections are
-	// identical to StreamBackend; throughput is several times higher once
-	// the cache warms. The cache is bounded (DFAMaxStates) and resets
-	// wholesale on overflow, so memory never grows with input.
+	// DFABackend runs the bit-parallel engine determinized into one table
+	// of (active, pending) states and byte-class-indexed cells, filled on
+	// demand, RE2-style: a cell is computed once, the first time traffic
+	// crosses it. Detections are identical to StreamBackend; warm, it runs
+	// the same loop at the same speed as AOTBackend. The table is bounded
+	// (MaxStates) and starts a new epoch on overflow, so memory never
+	// grows with input.
 	DFABackend = runtime.KindDFA
-	// AOTBackend runs the lazy-DFA construction to closure ahead of time
-	// and executes flat precompiled transition tables: no warmup, no
-	// hash lookups, no cache resets — the software analogue of the
-	// paper's synthesized hardware, and the fastest dense-input path.
-	// Detections are identical to StreamBackend and DFABackend. The
-	// trade is a hard compile-time state budget: a grammar that does not
-	// determinize within it fails NewBackend and must use DFABackend.
+	// AOTBackend fills the same table to closure before the first byte —
+	// the software analogue of the paper's synthesized hardware — so the
+	// loop never misses. Detections are identical to StreamBackend and
+	// DFABackend. The trade is a hard build-time state budget: a grammar
+	// that does not close within it fails NewBackend and must use
+	// DFABackend.
 	AOTBackend = runtime.KindAOT
 	// GatesBackend is the cycle-accurate simulation of the generated
 	// netlist — the hardware reference, byte-per-cycle slow.
@@ -465,7 +465,7 @@ const (
 
 // BackendCounters reports what a Backend has processed: bytes fed, matches
 // confirmed, section 5.2 recovery events, encoder index collisions and —
-// on the dfa path — transition-cache hits, misses and resets.
+// on the dfa path — table hits, misses and resets.
 type BackendCounters = runtime.Counters
 
 // Backend drives any of the six execution paths through one streaming
@@ -485,8 +485,8 @@ type Backend struct {
 
 // NewBackend instantiates one execution path behind the uniform contract.
 // GatesBackend generates the netlist, ParserBackend builds the LL(1) table,
-// EarleyBackend compiles the recognizer and AOTBackend determinizes the
-// grammar offline, so those can fail; StreamBackend cannot.
+// EarleyBackend compiles the recognizer and AOTBackend fills its table to
+// closure, so those can fail; StreamBackend cannot.
 func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
 	f, _, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: kind})
 	if err != nil {
@@ -538,12 +538,11 @@ func (b *Backend) Matches() []Match {
 func (b *Backend) Counters() BackendCounters { return b.inner.Counters() }
 
 // CompileStats is the AOT path's synthesis report: closed state count,
-// byte-equivalence classes, flattened table bytes and offline compile
-// duration.
+// byte-equivalence classes, table bytes and closure duration.
 type CompileStats = stream.CompileStats
 
-// CompileStats reports the aot path's offline compile cost; zero for
-// every other execution path (they compile nothing ahead of time).
+// CompileStats reports the aot path's closure cost; zero for every other
+// execution path (they compile nothing ahead of time).
 func (b *Backend) CompileStats() CompileStats {
 	if cs, ok := b.inner.(interface{ CompileStats() stream.CompileStats }); ok {
 		return cs.CompileStats()

@@ -1,17 +1,13 @@
-// Command cfggen generates grammar artifacts: random conforming sentences
-// (via grammar-derivation sampling), realistic XML-RPC message streams
-// (figure 14 or full wire dialect), or — with -gen-go — a self-contained
-// ahead-of-time compiled Go tagger package, the software analogue of the
-// VHDL the paper synthesizes. Corpora feed cfgtagger, xmlrouter and the
-// benchmark harness; generated packages are checked against the live
-// determinizer by the CI codegen gate.
+// Command cfggen generates corpora: random conforming sentences (via
+// grammar-derivation sampling) or realistic XML-RPC message streams
+// (figure 14 or full wire dialect). Corpora feed cfgtagger, xmlrouter and
+// the benchmark harness.
 //
 // Usage:
 //
 //	cfggen -builtin ifthenelse -n 100 > corpus.txt
 //	cfggen -xmlrpc -n 500 -seed 7 -value-tags > traffic.txt
 //	cfggen -grammar my.y -n 20
-//	cfggen -gen-go -grammar my.y -free-running -package mytagger -o tagger.go
 package main
 
 import (
@@ -20,10 +16,8 @@ import (
 	"fmt"
 	"os"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/grammar"
-	"cfgtag/internal/stream"
 	"cfgtag/internal/workload"
 	"cfgtag/internal/xmlrpc"
 )
@@ -38,21 +32,8 @@ func main() {
 		n           = flag.Int("n", 10, "number of sentences/messages")
 		seed        = flag.Int64("seed", 1, "random seed")
 		maxDepth    = flag.Int("max-depth", 0, "derivation depth bound (grammar sampling)")
-		genGo       = flag.Bool("gen-go", false, "emit a self-contained AOT-compiled Go tagger package instead of a corpus")
-		pkgName     = flag.String("package", "", "with -gen-go: generated package name")
-		outFile     = flag.String("o", "", "with -gen-go: output file (default stdout)")
-		freeRunning = flag.Bool("free-running", false, "with -gen-go: compile with free-running start (continuous streams)")
-		maxStates   = flag.Int("max-states", 0, "with -gen-go: offline determinization state budget (0 = default)")
 	)
 	flag.Parse()
-
-	if *genGo {
-		if err := runGenGo(*grammarFile, *builtin, *pkgName, *outFile, *freeRunning, *maxStates); err != nil {
-			fmt.Fprintln(os.Stderr, "cfggen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
@@ -82,38 +63,6 @@ func main() {
 		out.Write(text)
 		out.WriteByte('\n')
 	}
-}
-
-// runGenGo determinizes the grammar offline and writes the generated
-// self-contained tagger package, reporting the compile stats on stderr.
-func runGenGo(grammarFile, builtin, pkgName, outFile string, freeRunning bool, maxStates int) error {
-	if pkgName == "" {
-		return fmt.Errorf("-gen-go needs -package NAME")
-	}
-	g, err := loadGrammar(grammarFile, builtin)
-	if err != nil {
-		return err
-	}
-	spec, err := core.Compile(g, core.Options{FreeRunningStart: freeRunning})
-	if err != nil {
-		return err
-	}
-	det, err := stream.Determinize(spec, stream.DetConfig{MaxStates: maxStates})
-	if err != nil {
-		return err
-	}
-	src, err := aot.GenGo(det, aot.GenOptions{Package: pkgName, Grammar: g.Name})
-	if err != nil {
-		return err
-	}
-	st := det.Stats
-	fmt.Fprintf(os.Stderr, "cfggen: %s: %d states, %d classes, %d table bytes, compiled in %v\n",
-		g.Name, st.States, st.Classes, st.TableBytes, st.Duration)
-	if outFile == "" {
-		_, err = os.Stdout.Write(src)
-		return err
-	}
-	return os.WriteFile(outFile, src, 0o644)
 }
 
 func loadGrammar(grammarFile, builtin string) (*grammar.Grammar, error) {

@@ -56,15 +56,31 @@ func FuzzGrammarParse(f *testing.F) {
 	})
 }
 
-// diffRig lazily builds the differential fuzz fixture: one engine per
-// execution path over the free-running if-then-else grammar, reused (via
-// Reset) across inputs. A second pair runs the recovery-enabled compile,
+// fsaForms are the execution forms FuzzDifferential holds equal to the
+// stream NFA: the lazy table (default, a two-state bound that resets on
+// real traffic, no skip-ahead) and the closed one (with and without
+// skip-ahead).
+var fsaForms = []struct {
+	name string
+	o    runtime.FactoryOptions
+}{
+	{"dfa", runtime.FactoryOptions{Kind: runtime.KindDFA}},
+	{"dfa-tiny", runtime.FactoryOptions{Kind: runtime.KindDFA, MaxStates: 2}},
+	{"dfa-noaccel", runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}},
+	{"aot", runtime.FactoryOptions{Kind: runtime.KindAOT}},
+	{"aot-noaccel", runtime.FactoryOptions{Kind: runtime.KindAOT, NoAccel: true}},
+}
+
+// diffRig lazily builds the differential fuzz fixture over the
+// free-running if-then-else grammar, reused (via Reset) across inputs: the
+// stream reference, every fsaForm and the gate-level simulation, and the
+// stream reference plus every fsaForm again under the recovery compile,
 // whose dead-state/re-arm path random bytes exercise constantly.
 type diffRig struct {
-	stream, dfa, dfaTiny, gates runtime.Backend
-	dfaNoAccel                  runtime.Backend
-	recStream, recDFA           runtime.Backend
-	recDFANoAccel               runtime.Backend
+	stream, gates runtime.Backend
+	forms         []runtime.Backend // aligned with fsaForms
+	recStream     runtime.Backend
+	recForms      []runtime.Backend
 }
 
 var (
@@ -94,25 +110,25 @@ func mintBackend(spec *core.Spec, o runtime.FactoryOptions, rigErr *error) runti
 }
 
 func buildRig() {
-	engine, err := Compile("fuzz-diff", IfThenElseSource, FreeRunningStart())
-	if err != nil {
-		rigErr = err
-		return
+	for i, opts := range [][]Option{{FreeRunningStart()}, {FreeRunningStart(), RecoverResync()}} {
+		engine, err := Compile("fuzz-diff", IfThenElseSource, opts...)
+		if err != nil {
+			rigErr = err
+			return
+		}
+		spec := engine.Spec()
+		ref := mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
+		var forms []runtime.Backend
+		for _, form := range fsaForms {
+			forms = append(forms, mintBackend(spec, form.o, &rigErr))
+		}
+		if i == 0 {
+			rig.stream, rig.forms = ref, forms
+			rig.gates = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindGates}, &rigErr)
+		} else {
+			rig.recStream, rig.recForms = ref, forms
+		}
 	}
-	spec := engine.Spec()
-	rig.stream = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
-	rig.dfa = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA}, &rigErr)
-	rig.dfaTiny = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA, MaxStates: 2}, &rigErr)
-	rig.dfaNoAccel = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}, &rigErr)
-	rig.gates = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindGates}, &rigErr)
-	rec, err := Compile("fuzz-diff-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
-	if err != nil {
-		rigErr = err
-		return
-	}
-	rig.recStream = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
-	rig.recDFA = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA}, &rigErr)
-	rig.recDFANoAccel = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}, &rigErr)
 }
 
 func runDiff(b runtime.Backend, data []byte) []stream.Match {
@@ -120,111 +136,6 @@ func runDiff(b runtime.Backend, data []byte) []stream.Match {
 	ms, _ := b.Feed(data, nil)
 	ms, _ = b.Close(ms)
 	return ms
-}
-
-// FuzzDifferential feeds arbitrary bytes to the stream engine, every DFA
-// configuration (default cache, tiny cache, skip-ahead acceleration
-// disabled) and the gate-level simulation, and requires the exact same
-// match sequence from all of them — plus recovery/collision counter
-// agreement between stream and both DFA flavors under the recovery
-// compile. The run-heavy seeds park the DFA in accelerable states (long
-// delimiter runs, long non-matching runs, long token-interior runs) so
-// the accelerated and unaccelerated paths are differentially exercised on
-// exactly the inputs where skip-ahead fires.
-//
-// Seed corpus: testdata/fuzz/FuzzDifferential.
-func FuzzDifferential(f *testing.F) {
-	f.Add([]byte("if true then go else stop"))
-	f.Add([]byte("if tru# then go if false then stop else go"))
-	f.Add([]byte{0, 255, 'i', 'f', ' ', 0xC3, 0x28})
-	// Accelerable-state seeds: delimiter runs, dead non-matching runs and
-	// mid-token runs around real sentences.
-	pad := func(parts ...[]byte) []byte {
-		var out []byte
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
-	rep := func(b byte, n int) []byte {
-		out := make([]byte, n)
-		for i := range out {
-			out[i] = b
-		}
-		return out
-	}
-	f.Add(pad(rep(' ', 600), []byte("if true then go"), rep(' ', 900), []byte("else stop"), rep(' ', 600)))
-	f.Add(pad(rep('\n', 700), []byte("if true then go else stop"), rep('\t', 700)))
-	f.Add(pad(rep('z', 800), []byte(" if true then go else stop "), rep('z', 800)))
-	f.Add(pad(rep(0xee, 900), rep(' ', 300), []byte("if true then stop"), rep(0xee, 500)))
-	f.Add(pad([]byte("if tr"), rep('u', 1200), []byte(" then go"))) // run inside a token attempt
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<12 {
-			return // keep the byte-per-cycle gate simulation tractable
-		}
-		rigOnce.Do(buildRig)
-		if rigErr != nil {
-			t.Fatal(rigErr)
-		}
-		want := runDiff(rig.stream, data)
-		for name, b := range map[string]runtime.Backend{
-			"dfa": rig.dfa, "dfa-tiny": rig.dfaTiny, "dfa-noaccel": rig.dfaNoAccel, "gates": rig.gates,
-		} {
-			if got := runDiff(b, data); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s diverged on %q:\n%s    %v\nstream %v", name, data, name, got, want)
-			}
-		}
-		recWant := runDiff(rig.recStream, data)
-		sc := rig.recStream.Counters()
-		for name, b := range map[string]runtime.Backend{
-			"dfa": rig.recDFA, "dfa-noaccel": rig.recDFANoAccel,
-		} {
-			recGot := runDiff(b, data)
-			if !reflect.DeepEqual(recGot, recWant) {
-				t.Fatalf("recovery %s diverged on %q:\n%s    %v\nstream %v", name, data, name, recGot, recWant)
-			}
-			dc := b.Counters()
-			if sc.Recoveries != dc.Recoveries || sc.Collisions != dc.Collisions {
-				t.Fatalf("recovery counters diverged on %q: stream (%d recov, %d coll), %s (%d recov, %d coll)",
-					data, sc.Recoveries, sc.Collisions, name, dc.Recoveries, dc.Collisions)
-			}
-		}
-	})
-}
-
-// aotRig lazily builds the ahead-of-time differential fuzz fixture: the
-// lazy DFA reference plus every AOT configuration (accelerated, skip-
-// ahead disabled) over the free-running if-then-else grammar, and the
-// same pair again under the recovery compile. Reused via Reset across
-// inputs.
-type aotRig struct {
-	dfa, aot, aotNoAccel runtime.Backend
-	recDFA, recAOT       runtime.Backend
-}
-
-var (
-	aotRigOnce sync.Once
-	aotRigV    aotRig
-	aotRigErr  error
-)
-
-func buildAOTRig() {
-	engine, err := Compile("fuzz-aot", IfThenElseSource, FreeRunningStart())
-	if err != nil {
-		aotRigErr = err
-		return
-	}
-	spec := engine.Spec()
-	aotRigV.dfa = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindDFA}, &aotRigErr)
-	aotRigV.aot = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindAOT}, &aotRigErr)
-	aotRigV.aotNoAccel = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindAOT, NoAccel: true}, &aotRigErr)
-	rec, err := Compile("fuzz-aot-rec", IfThenElseSource, FreeRunningStart(), RecoverResync())
-	if err != nil {
-		aotRigErr = err
-		return
-	}
-	aotRigV.recDFA = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindDFA}, &aotRigErr)
-	aotRigV.recAOT = mintBackend(rec.Spec(), runtime.FactoryOptions{Kind: runtime.KindAOT}, &aotRigErr)
 }
 
 // runDiffChunked is runDiff with the input split into random 1–9 byte
@@ -246,55 +157,117 @@ func runDiffChunked(b runtime.Backend, data []byte, seed uint64) []stream.Match 
 	return ms
 }
 
-// FuzzAOTDifferential feeds arbitrary bytes to the lazy DFA and the
-// ahead-of-time compiled tables — whole-buffer and under random
-// chunkings — and requires the exact same match sequence from all of
-// them, plus recovery/collision counter agreement under the recovery
-// compile. aot == dfa is the offline determinizer's contract: the AOT
-// tables are the lazy DFA run to closure, so any divergence here is a
-// bug in the determinizer's flat encoding or the generated hot loop.
+// FuzzDifferential feeds arbitrary bytes to the stream NFA, every table
+// form (fsaForms) and the gate-level simulation, and requires the exact
+// same match sequence from all of them — each table form both whole-buffer
+// and under a random chunking drawn from seed — plus recovery/collision
+// counter agreement with the NFA under the recovery compile. The run-heavy
+// seeds park the tables in accelerable states (long delimiter runs, long
+// non-matching runs, long token-interior runs) so skip-ahead is exercised
+// exactly where it fires.
 //
-// Seed corpus: testdata/fuzz/FuzzAOTDifferential.
+// Seed corpus: testdata/fuzz/FuzzDifferential.
+func FuzzDifferential(f *testing.F) {
+	f.Add([]byte("if true then go else stop"), uint64(1))
+	f.Add([]byte("if tru# then go if false then stop else go"), uint64(7))
+	f.Add([]byte{0, 255, 'i', 'f', ' ', 0xC3, 0x28}, uint64(3))
+	// Accelerable-state seeds: delimiter runs, dead non-matching runs and
+	// mid-token runs around real sentences.
+	pad := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	rep := func(b byte, n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = b
+		}
+		return out
+	}
+	f.Add(pad(rep(' ', 600), []byte("if true then go"), rep(' ', 900), []byte("else stop"), rep(' ', 600)), uint64(13))
+	f.Add(pad(rep('\n', 700), []byte("if true then go else stop"), rep('\t', 700)), uint64(17))
+	f.Add(pad(rep('z', 800), []byte(" if true then go else stop "), rep('z', 800)), uint64(19))
+	f.Add(pad(rep(0xee, 900), rep(' ', 300), []byte("if true then stop"), rep(0xee, 500)), uint64(23))
+	f.Add(pad([]byte("if tr"), rep('u', 1200), []byte(" then go")), uint64(29)) // run inside a token attempt
+	f.Add([]byte("if         true then go else stop        if"), uint64(11))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		if len(data) > 1<<12 {
+			return // keep the byte-per-cycle gate simulation tractable
+		}
+		rigOnce.Do(buildRig)
+		if rigErr != nil {
+			t.Fatal(rigErr)
+		}
+		want := runDiff(rig.stream, data)
+		if got := runDiff(rig.gates, data); !reflect.DeepEqual(got, want) {
+			t.Fatalf("gates diverged on %q:\ngates  %v\nstream %v", data, got, want)
+		}
+		recWant := runDiff(rig.recStream, data)
+		sc := rig.recStream.Counters()
+		for i, form := range fsaForms {
+			for mode, got := range map[string][]stream.Match{
+				"whole":   runDiff(rig.forms[i], data),
+				"chunked": runDiffChunked(rig.forms[i], data, seed),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (%s, seed %d) diverged on %q:\n%s %v\nstream %v", form.name, mode, seed, data, form.name, got, want)
+				}
+			}
+			b := rig.recForms[i]
+			if got := runDiffChunked(b, data, seed); !reflect.DeepEqual(got, recWant) {
+				t.Fatalf("recovery %s (seed %d) diverged on %q:\n%s %v\nstream %v", form.name, seed, data, form.name, got, recWant)
+			}
+			if c := b.Counters(); sc.Recoveries != c.Recoveries || sc.Collisions != c.Collisions {
+				t.Fatalf("recovery counters diverged on %q: stream (%d recov, %d coll), %s (%d recov, %d coll)",
+					data, sc.Recoveries, sc.Collisions, form.name, c.Recoveries, c.Collisions)
+			}
+		}
+	})
+}
+
+// FuzzAOTDifferential holds the closed table (the aot forms) to the lazy
+// one (fsaForms[0], dfa) on inputs up to 64 KiB, past FuzzDifferential's
+// gate-simulation cap, so long runs reach skip-ahead in both fills. The
+// closed table is the lazy fill run to fixpoint: the two must agree
+// whole-buffer and under the seeded chunking, counters included under the
+// recovery compile.
 func FuzzAOTDifferential(f *testing.F) {
 	f.Add([]byte("if true then go else stop"), uint64(1))
 	f.Add([]byte("if tru# then go if false then stop else go"), uint64(7))
 	f.Add([]byte{0, 255, 'i', 'f', ' ', 0xC3, 0x28}, uint64(3))
-	f.Add([]byte("if         true then go else stop        if"), uint64(11))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		if len(data) > 1<<16 {
 			return
 		}
-		aotRigOnce.Do(buildAOTRig)
-		if aotRigErr != nil {
-			t.Fatal(aotRigErr)
+		rigOnce.Do(buildRig)
+		if rigErr != nil {
+			t.Fatal(rigErr)
 		}
-		want := runDiff(aotRigV.dfa, data)
-		for name, got := range map[string][]stream.Match{
-			"aot":               runDiff(aotRigV.aot, data),
-			"aot-chunked":       runDiffChunked(aotRigV.aot, data, seed),
-			"aot-noaccel":       runDiff(aotRigV.aotNoAccel, data),
-			"aot-noaccel-chunk": runDiffChunked(aotRigV.aotNoAccel, data, seed),
-			"dfa-chunked":       runDiffChunked(aotRigV.dfa, data, seed),
-		} {
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s diverged from dfa on %q (seed %d):\n%s %v\ndfa %v",
-					name, data, seed, name, got, want)
+		want := runDiff(rig.forms[0], data)
+		recWant := runDiff(rig.recForms[0], data)
+		lc := rig.recForms[0].Counters()
+		for i, form := range fsaForms {
+			if form.o.Kind != runtime.KindAOT {
+				continue
 			}
-		}
-		recWant := runDiff(aotRigV.recDFA, data)
-		dc := aotRigV.recDFA.Counters()
-		for name, got := range map[string][]stream.Match{
-			"rec-aot":         runDiff(aotRigV.recAOT, data),
-			"rec-aot-chunked": runDiffChunked(aotRigV.recAOT, data, seed),
-		} {
-			if !reflect.DeepEqual(got, recWant) {
-				t.Fatalf("recovery %s diverged from dfa on %q (seed %d):\n%s %v\ndfa %v",
-					name, data, seed, name, got, recWant)
+			for mode, got := range map[string][]stream.Match{
+				"whole":   runDiff(rig.forms[i], data),
+				"chunked": runDiffChunked(rig.forms[i], data, seed),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (%s, seed %d) diverged from dfa on %q:\n%s %v\ndfa %v", form.name, mode, seed, data, form.name, got, want)
+				}
 			}
-			ac := aotRigV.recAOT.Counters()
-			if dc.Recoveries != ac.Recoveries || dc.Collisions != ac.Collisions {
+			b := rig.recForms[i]
+			if got := runDiffChunked(b, data, seed); !reflect.DeepEqual(got, recWant) {
+				t.Fatalf("recovery %s (seed %d) diverged from dfa on %q:\n%s %v\ndfa %v", form.name, seed, data, form.name, got, recWant)
+			}
+			if c := b.Counters(); lc.Recoveries != c.Recoveries || lc.Collisions != c.Collisions {
 				t.Fatalf("recovery counters diverged on %q: dfa (%d recov, %d coll), %s (%d recov, %d coll)",
-					data, dc.Recoveries, dc.Collisions, name, ac.Recoveries, ac.Collisions)
+					data, lc.Recoveries, lc.Collisions, form.name, c.Recoveries, c.Collisions)
 			}
 		}
 	})

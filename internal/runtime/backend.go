@@ -1,6 +1,6 @@
 // Package runtime puts the repo's six execution forms — the bit-parallel
-// stream engine, its lazily-determinized DFA compilation, the
-// ahead-of-time compiled tables, the gate-level simulation, the LL(1)
+// stream engine, its determinized table filled on demand (dfa) or to
+// closure (aot), the gate-level simulation, the LL(1)
 // predictive-parser baseline and the Earley exact-language oracle — behind
 // one streaming Backend contract with one constructor (NewFactory), and
 // runs the three served forms at scale in a sharded pipeline (Source → N
@@ -65,9 +65,9 @@ type Counters struct {
 	// Collisions counts residual runtime index collisions (see
 	// stream.Tagger.Collisions).
 	Collisions int64
-	// CacheHits, CacheMisses and CacheResets describe the lazy-DFA
-	// transition cache (zero on the other backends). They span the
-	// backend's lifetime rather than the last Reset: the cache is
+	// CacheHits, CacheMisses and CacheResets describe the dfa kind's
+	// lazily filled table (zero on the other backends). They span the
+	// backend's lifetime rather than the last Reset: the table is
 	// deliberately kept warm across streams, so its counters outlive them.
 	CacheHits   int64
 	CacheMisses int64
@@ -91,15 +91,17 @@ type Hooks struct {
 	Collision func(shard int, pos int64, a, b int)
 	// QueueDepth observes a shard's input queue depth at each enqueue.
 	QueueDepth func(shard int, depth int)
-	// CacheStats observes lazy-DFA transition-cache activity: each dfa
-	// backend reports the hits/misses/resets accrued since its previous
-	// report once per stream Close. Other backends never call it.
+	// CacheStats observes the dfa kind's table fills: each dfa backend
+	// reports the hits (bytes served by filled cells), misses (bytes whose
+	// cell it computed) and epoch resets accrued since its previous report,
+	// once per stream Close. Other backends — aot included, whose closed
+	// table never misses — never call it.
 	CacheStats func(shard int, hits, misses, resets int64)
-	// CompileStats observes ahead-of-time compile cost: each aot backend
-	// reports its shared program's synthesis report (states, classes,
-	// table bytes, compile duration) once at mint. The values describe
-	// the program, not the stream, so metric targets should treat them
-	// as gauges. Other backends never call it.
+	// CompileStats observes closure cost: each aot backend reports its
+	// shared table's synthesis report (states, classes, table bytes,
+	// closure duration) once at mint. The values describe the table, not
+	// the stream, so metric targets should treat them as gauges. Other
+	// backends never call it.
 	CompileStats func(shard int, s stream.CompileStats)
 	// PanicRecovered observes every panic the pipeline recovers; origin
 	// names the guarded call ("Feed", "Close" or "Deliver").

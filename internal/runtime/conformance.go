@@ -44,16 +44,12 @@ type ConformanceOptions struct {
 //
 //   - stream engine and gate-level simulation must agree bit for bit
 //     (same matches, same order, same recovery behavior),
-//   - the lazy-DFA compilation must agree with the stream engine exactly
-//     (same matches, same recovery and collision counters) — with its
-//     default cache, with a deliberately tiny two-state cache that
-//     forces the overflow/reset path on every input (whose state count
-//     must also never exceed the configured bound), and with skip-ahead
-//     acceleration disabled,
-//   - the ahead-of-time compiled path must agree with the stream engine
-//     (and therefore the lazy DFA) exactly, matches and counters alike,
-//     both with and without skip-ahead acceleration — aot == dfa is the
-//     offline determinizer's contract, chunk-straddling splits included,
+//   - the table, filled on demand (dfa) or to closure (aot), must agree
+//     with the stream engine exactly (same matches, same recovery and
+//     collision counters) — lazily with the default bound, with a
+//     deliberately tiny two-state bound that forces the epoch reset on
+//     every input (whose state count must also never exceed it), and
+//     both kinds with skip-ahead acceleration disabled,
 //   - the Earley oracle must accept every conforming sentence — on any
 //     grammar class, not just LL(1) — and its tags must be a subset of
 //     the stream path's tags (the FSA accepts a superset of the
@@ -125,12 +121,11 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 }
 
 // fsaVariants are the forms that must reproduce the stream engine exactly,
-// in the order every trial runs them: aot == dfa is the offline
-// determinizer's contract and follows from each equalling stream.
+// in the order every trial runs them.
 var fsaVariants = []fsaVariant{
 	{name: "gates", o: FactoryOptions{Kind: KindGates}},
 	{name: "dfa", o: FactoryOptions{Kind: KindDFA}},
-	{name: "dfa-tiny", o: FactoryOptions{Kind: KindDFA, MaxStates: 2}}, // forces cache overflow + reset on real traffic
+	{name: "dfa-tiny", o: FactoryOptions{Kind: KindDFA, MaxStates: 2}}, // forces epoch resets on real traffic
 	{name: "dfa-noaccel", o: FactoryOptions{Kind: KindDFA, NoAccel: true}},
 	{name: "aot", o: FactoryOptions{Kind: KindAOT}},
 	{name: "aot-noaccel", o: FactoryOptions{Kind: KindAOT, NoAccel: true}},
@@ -179,7 +174,7 @@ func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult
 }
 
 // cacheBounded is implemented by the FSA adapter; the harness uses it to
-// audit the dfa cache-size invariant after every run.
+// audit the table's state bound after every run.
 type cacheBounded interface{ CacheBound() (states, max int) }
 
 // backendUnwrapper lets wrapping backends (fault injectors) expose the

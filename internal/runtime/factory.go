@@ -3,7 +3,6 @@ package runtime
 import (
 	"sync/atomic"
 
-	"cfgtag/internal/aot"
 	"cfgtag/internal/core"
 	"cfgtag/internal/earley"
 	"cfgtag/internal/hwgen"
@@ -21,8 +20,8 @@ type Kind string
 
 const (
 	KindStream Kind = "stream" // the bit-parallel NFA, the software stand-in for the hardware; "" selects it too
-	KindDFA    Kind = "dfa"    // its lazy determinization, one bounded transition cache per factory
-	KindAOT    Kind = "aot"    // the same determinization run to closure at build time, executed from flat tables
+	KindDFA    Kind = "dfa"    // its determinized table, filled on demand and shared by the factory's streams
+	KindAOT    Kind = "aot"    // the same table filled to closure at build time
 	KindGates  Kind = "gates"  // reference: cycle-accurate simulation of the generated netlist
 	KindParser Kind = "parser" // reference: the LL(1) predictive parser
 	KindEarley Kind = "earley" // reference: the exact-language oracle, tags unioned over all derivations
@@ -45,9 +44,10 @@ func (k Kind) CheckServed(field string) error {
 type FactoryOptions struct {
 	// Kind is the execution form ("" = KindStream).
 	Kind Kind
-	// MaxStates bounds determinization on the dfa and aot kinds (0 =
-	// stream.DefaultDFAMaxStates): the cache size on dfa, the compile
-	// budget on aot. Ignored elsewhere.
+	// MaxStates bounds the table of the dfa and aot kinds (0 =
+	// stream.DefaultMaxStates): on dfa the states of one epoch, after
+	// which the table resets; on aot the closure budget, past which
+	// NewFactory fails. Ignored elsewhere.
 	MaxStates int
 	// NoAccel disables skip-ahead acceleration on the dfa and aot kinds,
 	// for differential runs against the accelerated path.
@@ -59,17 +59,17 @@ type FactoryOptions struct {
 
 // NewFactory compiles spec into the Factory of one execution form — the
 // only way to obtain one. Everything shared between streams is built
-// here, once, so minting a Backend is cheap: the dfa kind's transition
-// cache (bounded by MaxStates; on overflow it resets wholesale and
-// rebuilds from live traffic, degrading to NFA speed, never to unbounded
-// memory), the aot kind's tables (a grammar that does not close within
+// here, once, so minting a Backend is cheap: the dfa kind's table (filled
+// by live traffic and bounded by MaxStates; on overflow it starts a new
+// epoch, degrading to NFA speed, never to unbounded memory), the aot
+// kind's table filled to closure (a grammar that does not close within
 // MaxStates is an error here — there is no lazy fallback, by design), the
 // netlist, the LL(1) table (an error for other grammars) and the Earley
 // recognizer (an error for spec options with no exact-language
 // counterpart: FreeRunningStart, AllEnabled, recovery modes).
 //
-// What the factory holds on Limits.Mem — the aot tables from the start,
-// the dfa cache as it grows — stays charged until release is called, which
+// What the factory holds on Limits.Mem — the closed table from the start,
+// the lazy one as it grows — stays charged until release is called, which
 // the owner does when no stream of the factory is left: Pipeline.Close, or
 // the retirement of a reloaded version. release is never nil and calling
 // it again is a no-op.
@@ -95,27 +95,22 @@ func NewFactory(spec *core.Spec, o FactoryOptions) (f Factory, release func(), e
 			b.bind(tg, &tg.OnMatch, &tg.OnError, &tg.OnCollision, &tg.Errors, &tg.Collisions)
 			return nil
 		})
-	case KindDFA:
-		cache := stream.NewDFACache(spec, stream.DFAConfig{MaxStates: o.MaxStates, NoAccel: o.NoAccel, MemDelta: charge})
-		f = newFSA(o.Limits, func(b *fsaBackend) error {
-			b.dfa = cache.NewDFA()
-			b.bind(b.dfa, &b.dfa.OnMatch, &b.dfa.OnError, &b.dfa.OnCollision, &b.dfa.Errors, &b.dfa.Collisions)
-			return nil
-		})
-	case KindAOT:
-		prog, err := aot.Compile(spec, aot.Config{MaxStates: o.MaxStates, NoAccel: o.NoAccel})
-		if err != nil {
+	case KindDFA, KindAOT:
+		cfg := stream.TableConfig{MaxStates: o.MaxStates, NoAccel: o.NoAccel, MemDelta: charge}
+		var tbl *stream.Table
+		if o.Kind == KindDFA {
+			tbl = stream.NewTable(spec, cfg)
+		} else if tbl, err = stream.Determinize(spec, cfg); err != nil {
 			return nil, nil, err
 		}
-		if charge != nil {
-			charge(int64(prog.Stats().TableBytes))
-		}
 		f = newFSA(o.Limits, func(b *fsaBackend) error {
-			// Reported at every mint, so metric targets see per-tenant
-			// compile cost after each reload.
-			b.hooks.compileStats(b.shard, prog.Stats())
-			b.prog = prog
-			r := prog.NewRunner()
+			if o.Kind == KindAOT {
+				// Reported at every mint, so metric targets see per-tenant
+				// compile cost after each reload.
+				b.hooks.compileStats(b.shard, tbl.CompileStats())
+			}
+			r := tbl.NewRunner()
+			b.run = r
 			b.bind(r, &r.OnMatch, &r.OnError, &r.OnCollision, &r.Errors, &r.Collisions)
 			return nil
 		})

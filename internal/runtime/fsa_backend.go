@@ -1,15 +1,11 @@
 package runtime
 
-import (
-	"cfgtag/internal/aot"
-	"cfgtag/internal/stream"
-)
+import "cfgtag/internal/stream"
 
 // fsaEngine is what every execution of the stack-less automaton offers the
 // adapter: stream.Tagger (the bit-parallel NFA, the software stand-in for
-// the 1-byte-per-cycle hardware), stream.DFA (its lazily determinized,
-// cached compilation), aot.Runner (the same determinization run to
-// closure offline, executed from flat tables) and gateEngine (the
+// the 1-byte-per-cycle hardware), stream.Runner (its determinized table,
+// filled on demand for dfa and to closure for aot) and gateEngine (the
 // cycle-accurate netlist). Detections, recoveries and collisions leave
 // through the callbacks bind wires.
 type fsaEngine interface {
@@ -19,9 +15,7 @@ type fsaEngine interface {
 }
 
 // fsaBackend adapts any fsaEngine to the Backend contract. The four kinds
-// differ only in the engine minted per stream and in two read-only
-// extras: the dfa kind reports its shared transition cache, the aot kind
-// its program's compile cost.
+// differ only in the engine minted per stream.
 type fsaBackend struct {
 	eng     fsaEngine
 	shard   int
@@ -33,13 +27,13 @@ type fsaBackend struct {
 	// recoveries and collisions point at the engine's own counters.
 	recoveries, collisions *int64
 
-	dfa *stream.DFA // dfa kind only
-	// Cache-stat totals already reported to the hooks: the cache and its
-	// lifetime counters survive Reset by design — warm caches are the
-	// point.
+	// run is the table runner of the dfa and aot kinds, nil on the others:
+	// cache stats on the lazy table, CompileStats on the closed one.
+	run *stream.Runner
+	// Cache-stat totals already reported to the hooks: the table and the
+	// runner's lifetime counters survive Reset by design — a warm table is
+	// the point.
 	repHits, repMisses, repResets int64
-
-	prog *aot.Program // aot kind only
 }
 
 // newFSA returns the Factory of one FSA kind; mint creates the stream's
@@ -92,8 +86,8 @@ func (b *fsaBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	err := b.eng.Close()
 	out, b.out = b.out, nil
 	b.hooks.matches(b.shard, int(b.matches-before))
-	if b.dfa != nil {
-		hits, misses, resets := b.dfa.CacheStats()
+	if b.run != nil {
+		hits, misses, resets := b.run.CacheStats()
 		if dh, dm, dr := hits-b.repHits, misses-b.repMisses, resets-b.repResets; dh|dm|dr != 0 {
 			b.hooks.cacheStats(b.shard, dh, dm, dr)
 			b.repHits, b.repMisses, b.repResets = hits, misses, resets
@@ -104,28 +98,27 @@ func (b *fsaBackend) Close(out []stream.Match) ([]stream.Match, error) {
 
 func (b *fsaBackend) Counters() Counters {
 	c := Counters{Bytes: b.bytes, Matches: b.matches, Recoveries: *b.recoveries, Collisions: *b.collisions}
-	if b.dfa != nil {
+	if b.run != nil {
 		// Cache totals span the backend's lifetime, not the last Reset.
-		c.CacheHits, c.CacheMisses, c.CacheResets = b.dfa.CacheStats()
+		c.CacheHits, c.CacheMisses, c.CacheResets = b.run.CacheStats()
 	}
 	return c
 }
 
-// CacheBound reports the dfa kind's cached state count and its configured
-// bound (zeros on the other kinds), for the conformance harness's
-// cache-bound audit.
+// CacheBound reports the table's state count and its configured bound
+// (zeros without a table), for the conformance harness's bound audit.
 func (b *fsaBackend) CacheBound() (states, max int) {
-	if b.dfa == nil {
+	if b.run == nil {
 		return 0, 0
 	}
-	return b.dfa.CacheStates(), b.dfa.MaxStates()
+	return b.run.Table().States(), b.run.Table().MaxStates()
 }
 
-// CompileStats reports the aot kind's offline compile cost; zero on the
-// other kinds, which compile nothing ahead of time.
+// CompileStats reports the aot kind's closure cost; zero on the other
+// kinds, which compile nothing ahead of time.
 func (b *fsaBackend) CompileStats() stream.CompileStats {
-	if b.prog == nil {
+	if b.run == nil {
 		return stream.CompileStats{}
 	}
-	return b.prog.Stats()
+	return b.run.Table().CompileStats()
 }
