@@ -179,19 +179,20 @@ func benchTable(b *testing.B, closed bool, cfg stream.TableConfig) *stream.Table
 	return tbl
 }
 
-// runTable tags data b.N times through one runner of tbl.
+// runTable tags data b.N times through one runner of tbl, appending each
+// pass's matches into one reused buffer, as the pipeline's dispatch unit
+// does.
 func runTable(b *testing.B, tbl *stream.Table, data []byte) *stream.Runner {
 	r := tbl.NewRunner()
-	count := 0
-	r.OnMatch = func(stream.Match) { count++ }
+	var out []stream.Match
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset()
-		r.Write(data)
-		r.Close()
+		out, _ = r.Write(data, out[:0])
+		out = r.Close(out)
 	}
-	if count == 0 {
+	if len(out) == 0 {
 		b.Fatal("table found nothing")
 	}
 	return r
@@ -313,25 +314,24 @@ func BenchmarkShardedPipeline(b *testing.B) {
 	b.Run("baseline-dfa-serial", func(b *testing.B) {
 		const streams = 8
 		d := stream.NewTable(spec, stream.TableConfig{}).NewRunner()
-		count := 0
-		d.OnMatch = func(stream.Match) { count++ }
+		var out []stream.Match
 		b.SetBytes(int64(streams * len(data)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			count = 0
 			for s := 0; s < streams; s++ {
 				d.Reset()
+				out = out[:0]
 				for lo := 0; lo < len(data); lo += chunk {
 					hi := lo + chunk
 					if hi > len(data) {
 						hi = len(data)
 					}
-					d.Write(data[lo:hi])
+					out, _ = d.Write(data[lo:hi], out)
 				}
-				d.Close()
+				out = d.Close(out)
 			}
 		}
-		if count == 0 {
+		if len(out) == 0 {
 			b.Fatal("dfa found nothing")
 		}
 	})

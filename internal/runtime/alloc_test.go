@@ -59,11 +59,13 @@ func TestPipelineStreamCycleAllocs(t *testing.T) {
 	if got < 32 {
 		t.Fatalf("message confirms %d tags, want a few dozen so that a growing match slice shows", got)
 	}
-	// 7 today: the backend with its three callbacks, the DFA runner, and
-	// the stream's entry with its recency-list element. A Batch header per
-	// message would add two, a tag slice grown from nil one per doubling.
-	if avg > 8 {
-		t.Errorf("one-message stream averages %.1f allocs, want <= 8", avg)
+	// Exactly 4: the backend, the DFA runner (which reports to the backend
+	// through stream.Events, so no callback closure), and the stream's
+	// entry with its recency-list element. A callback per event would add
+	// one each, a Batch header per message two, a tag slice grown from nil
+	// one per doubling.
+	if avg > 4 {
+		t.Errorf("one-message stream averages %.1f allocs, want <= 4", avg)
 	}
 }
 

@@ -109,9 +109,7 @@ func NewFactory(spec *core.Spec, o FactoryOptions) (f Factory, release func(), e
 				// compile cost after each reload.
 				b.hooks.compileStats(b.shard, tbl.CompileStats())
 			}
-			r := tbl.NewRunner()
-			b.run = r
-			b.bind(r, &r.OnMatch, &r.OnError, &r.OnCollision, &r.Errors, &r.Collisions)
+			b.bindRunner(tbl.NewRunner())
 			return nil
 		})
 	case KindGates:

@@ -2,22 +2,22 @@ package stream
 
 import "sync/atomic"
 
-// fill resolves r's transition on (c, look) in the table's working
-// generation: a sibling runner may have filled it already, else one NFA
-// cycle computes and caches it. A runner parked in a superseded epoch is
-// first re-canonicalised through its state's (active, pending) pair. r
-// comes out holding the published generation, in which the returned
-// restricted ref (plain or effect) is valid.
-func (t *Table) fill(r *Runner, c, look int) int32 {
+// fill resolves the transition on (c, look) of r's state, at row offset
+// off, in the table's working generation: a sibling runner may have filled
+// it already, else one NFA cycle computes and caches it. A runner parked in
+// a superseded epoch is first re-canonicalised through its state's
+// (active, pending) pair. r comes out holding the published generation, in
+// which the returned restricted ref (plain or effect) is valid.
+func (t *Table) fill(r *Runner, off int32, c, look int) int32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := r.cur
+	s := off / int32(t.nc)
 	if r.g.epoch != t.g.epoch {
 		w := 2 * t.e.words
 		pair := r.g.pairs[w*int(s) : w*int(s)+w]
 		s = t.canonical(pair[:w/2], pair[w/2:], r)
 	}
-	ref := t.g.ref(s, c, look, t.nc)
+	ref := t.g.ref(s*int32(t.nc), c, look)
 	if ref == unfilled {
 		r.misses++
 		ref = t.compute(s, c, look, r)
@@ -58,11 +58,11 @@ func (t *Table) compute(s int32, c, look int, by *Runner) int32 {
 		if t.nRows*(t.nc+1) == len(t.g.cond) {
 			t.grow(0, 0, 2*t.nRows)
 		}
-		row = condRef(t.nRows)
+		row = condRef(t.nRows * (t.nc + 1))
 		t.nRows++
 		atomic.StoreInt32(&t.g.trans[int(s)*t.nc+c], row)
 	}
-	atomic.StoreInt32(&t.g.cond[int(^row>>1)*(t.nc+1)+look], ref)
+	atomic.StoreInt32(&t.g.cond[int(^row>>1)+look], ref)
 	return ref
 }
 
@@ -71,7 +71,7 @@ func (t *Table) compute(s int32, c, look int, by *Runner) int32 {
 // per instance in bit order, collision flags against the first, follow
 // wiring into the pending latch (kept across delimiters) and the section
 // 5.2 dead-state re-arm — exactly Tagger.step and Tagger.emit. It returns
-// the successor as a plain ref, or the interned effect when the cycle has
+// the successor's plain ref, or the interned effect when the cycle has
 // events.
 func (t *Table) outcome(pending, nextActive, end []uint64, c int, by *Runner) int32 {
 	e := t.e
@@ -95,15 +95,17 @@ func (t *Table) outcome(pending, nextActive, end []uint64, c int, by *Runner) in
 		}
 		ef.emits = append(ef.emits, k)
 		ef.collide = append(ef.collide, collide)
+		ef.rare = ef.rare || collide
 		for _, f := range e.spec.Instances[k].Follow {
 			orInto(pend, e.firstMask[f])
 		}
 	})
 	if e.recoveryMask != nil && isZero(nextActive) && isZero(pend) {
-		ef.recovered = true
+		ef.recovered, ef.rare = true, true
 		copy(pend, e.recoveryMask)
 	}
-	ef.next = t.canonical(nextActive, pend, by)
+	next := t.canonical(nextActive, pend, by) // may grow or reset t.g
+	ef.next = t.g.plain(next, t.nc)
 	if len(ef.emits) == 0 && !ef.recovered {
 		return ef.next
 	}

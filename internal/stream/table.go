@@ -8,19 +8,23 @@
 // byte-equivalence class c, state s owns one cell trans[s*nc+c] holding a
 // ref:
 //
-//	r >= 0         plain move to state r, no events
+//	r >= 0         plain move, no events: the successor's row offset
+//	               r&^accelTag (s*nc, premultiplied), with accelTag set
+//	               exactly when the successor has a skip-ahead plan
 //	r == unfilled  not computed yet (a lazy table's miss; never closed)
 //	^r even        effect ^r>>1: emissions, collision flags, recovery, next
-//	^r odd         conditional row ^r>>1 (trans cells only)
+//	^r odd         conditional row at cond[^r>>1:] (trans cells only)
 //
 // Figure 7's longest-match rule makes some transitions depend on the next
 // byte: a conditional row holds nc+1 restricted refs (plain, effect or
 // unfilled) indexed by the lookahead's class, the last slot end of stream.
-// The tag bit keeps the encoding independent of how many effects and rows
-// exist, so both pools grow during lazy fill without re-encoding a cell.
-// Each state also carries a skip-ahead plan (accel.go) and keeps its
-// (active, pending) pair: fills start from it, and a runner parked in a
-// superseded epoch re-canonicalises through it.
+// The low tag bit keeps the encoding independent of how many effects and
+// rows exist, so both pools grow during lazy fill without re-encoding a
+// cell. Premultiplied offsets and accelTag keep a steady-state byte to one
+// add and one cell load: no multiply, no per-byte plan lookup. Each state
+// also carries a skip-ahead plan (accel.go) and keeps its (active, pending)
+// pair: fills start from it, and a runner parked in a superseded epoch
+// re-canonicalises through it (state = offset ÷ nc).
 //
 // Publication. Fills run under Table.mu and write cells with atomic stores
 // into the working generation; runners read a generation lock-free with
@@ -51,14 +55,24 @@ const DefaultMaxStates = 1024
 // the loop meets it only on the negative-ref branch.
 const unfilled int32 = math.MinInt32
 
+// accelTag marks a plain ref whose successor has a skip-ahead plan. Every
+// other ref is either below it (a plain move the loop takes without a
+// branch beyond one compare) or negative, so one unsigned compare sends
+// both to the rare path. Offsets stay below it: a table holds at most
+// accelTag cells per epoch (newTable clamps MaxStates to that).
+const accelTag = 1 << 30
+
 func effectRef(i int) int32 { return ^int32(i << 1) }
-func condRef(k int) int32   { return ^int32(k<<1 | 1) }
+
+// condRef encodes the conditional row starting at cond[off].
+func condRef(off int) int32 { return ^int32(off<<1 | 1) }
 
 // TableConfig tunes a Table.
 type TableConfig struct {
 	// MaxStates bounds the states of one epoch (0 = DefaultMaxStates,
-	// minimum 2). A lazy table at the bound starts a new epoch; Determinize
-	// fails instead.
+	// minimum 2, at most 2^30 cells ÷ byte classes: the ref encoding's
+	// ceiling, a 4 GiB table). A lazy table at the bound starts a new
+	// epoch; Determinize fails instead.
 	MaxStates int
 	// NoAccel disables the skip-ahead plans. Output is identical either
 	// way; the switch exists for differential testing and benchmarking.
@@ -81,12 +95,14 @@ type CompileStats struct {
 // effect is everything an event-carrying transition does beyond the state
 // move: the cycle's emissions in NFA bit order (one per instance), aligned
 // collision flags (always against the first emission), the section 5.2
-// recovery verdict, and the successor.
+// recovery verdict, and the successor as a plain ref. rare marks an effect
+// with a collision or a recovery, which Runner.Write steps outside its loop.
 type effect struct {
 	next      int32
+	rare      bool
+	recovered bool
 	emits     []int32
 	collide   []bool
-	recovered bool
 }
 
 // gen is one generation of a table's storage. Slices are allocated at
@@ -100,12 +116,21 @@ type gen struct {
 	pairs   []uint64 // (active, pending) of state s at [2*words*s:]
 }
 
-// ref resolves state s's transition on class c under lookahead look to a
-// restricted ref (plain, effect or unfilled).
-func (g *gen) ref(s int32, c, look, nc int) int32 {
-	ref := atomic.LoadInt32(&g.trans[int(s)*nc+c])
+// ref resolves the transition at row offset off on class c under lookahead
+// look to a restricted ref (plain, effect or unfilled).
+func (g *gen) ref(off int32, c, look int) int32 {
+	ref := atomic.LoadInt32(&g.trans[int(off)+c])
 	if ref != unfilled && ref < 0 && ^ref&1 == 1 {
-		ref = atomic.LoadInt32(&g.cond[int(^ref>>1)*(nc+1)+look])
+		ref = atomic.LoadInt32(&g.cond[int(^ref>>1)+look])
+	}
+	return ref
+}
+
+// plain is the plain ref of state s in g at nc classes.
+func (g *gen) plain(s int32, nc int) int32 {
+	ref := s * int32(nc)
+	if g.accel[s] != nil {
+		ref |= accelTag
 	}
 	return ref
 }
@@ -161,7 +186,7 @@ func newTable(e *engine, cfg TableConfig) *Table {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
 	}
-	cfg.MaxStates = max(cfg.MaxStates, 2)
+	cfg.MaxStates = min(max(cfg.MaxStates, 2), accelTag/e.numClasses)
 	t := &Table{
 		e: e, nc: e.numClasses, cfg: cfg,
 		next: make([]uint64, e.words), end: make([]uint64, e.words), pend: make([]uint64, e.words),
@@ -190,7 +215,7 @@ func Determinize(spec *core.Spec, cfg TableConfig) (*Table, error) {
 	for s := int32(0); int(s) < t.nStates; s++ {
 		for c := 0; c < t.nc; c++ {
 			for look := 0; look <= t.nc; look++ {
-				if t.g.ref(s, c, look, t.nc) != unfilled {
+				if t.g.ref(s*int32(t.nc), c, look) != unfilled {
 					continue
 				}
 				t.compute(s, c, look, nil)
@@ -223,7 +248,7 @@ func (t *Table) compact() {
 	for i := range g.trans {
 		ref := old.trans[i]
 		if ref < 0 && ^ref&1 == 1 {
-			row := old.cond[int(^ref>>1)*w:][:w]
+			row := old.cond[int(^ref>>1):][:w]
 			ref = row[0]
 			var key []byte
 			for _, r := range row {
@@ -235,7 +260,7 @@ func (t *Table) compact() {
 			if ref == unfilled {
 				k, ok := rows[string(key)]
 				if !ok {
-					k = condRef(len(g.cond) / w)
+					k = condRef(len(g.cond))
 					rows[string(key)] = k
 					g.cond = append(g.cond, row...)
 				}

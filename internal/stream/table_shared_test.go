@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -86,17 +87,15 @@ func TestDFASharedCacheConcurrent(t *testing.T) {
 							// Random chunking so streams desynchronize.
 							r.Reset()
 							var got []Match
-							r.OnMatch = func(m Match) { got = append(got, m) }
 							for off := 0; off < len(in); {
 								n := 1 + rng.Intn(64)
 								if off+n > len(in) {
 									n = len(in) - off
 								}
-								r.Write(in[off : off+n])
+								got, _ = r.Write(in[off:off+n], got)
 								off += n
 							}
-							r.Close()
-							r.OnMatch = nil
+							got = r.Close(got)
 							if !reflect.DeepEqual(got, wants[i]) {
 								errs <- fmt.Errorf("worker %d input %d: got %v, want %v", w, i, got, wants[i])
 								return
@@ -170,18 +169,39 @@ func TestDFAParkedEpoch(t *testing.T) {
 
 	tbl := NewTable(spec, TableConfig{MaxStates: 4})
 	parked := tbl.NewRunner()
-	var got []Match
-	parked.OnMatch = func(m Match) { got = append(got, m) }
 	half := len(text) / 2
-	parked.Write(text[:half])
+	got, _ := parked.Write(text[:half], nil)
 	epoch := parked.g.epoch
 	tbl.NewRunner().Tag(other)
 	if tbl.cur.Load().epoch == epoch {
 		t.Fatal("sibling traffic did not reset the table; the stream is not parked")
 	}
-	parked.Write(text[half:])
-	parked.Close()
+	got, _ = parked.Write(text[half:], got)
+	got = parked.Close(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parked stream tagged %v, NFA %v", got, want)
+	}
+
+	// Parked on an accelerable state: the resumed Write starts with a scan
+	// through the old epoch's plan, and its first miss re-canonicalises
+	// the state from its row offset.
+	pad := bytes.Repeat([]byte(" "), 64)
+	text = append(append(append([]byte(nil), text...), pad...), other...)
+	want = NewTagger(spec).Tag(text)
+	cut := len(text) - len(other) - len(pad)/2
+	parked = tbl.NewRunner()
+	got, _ = parked.Write(text[:cut], nil)
+	if parked.cur < accelTag {
+		t.Fatalf("stream parked on plain ref %d mid-run of spaces; want an accelerable state", parked.cur)
+	}
+	epoch = parked.g.epoch
+	tbl.NewRunner().Tag(other)
+	if tbl.cur.Load().epoch == epoch {
+		t.Fatal("sibling traffic did not reset the table; the stream is not parked")
+	}
+	got, _ = parked.Write(text[cut:], got)
+	got = parked.Close(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream parked on an accelerable state tagged %v, NFA %v", got, want)
 	}
 }

@@ -198,20 +198,16 @@ func exhaustiveChunking(t *testing.T, forms formSet) {
 			t.Fatalf("%s does not close", file)
 		}
 		var got []Match
-		for _, r := range runners {
-			r.OnMatch = func(m Match) { got = append(got, m) }
-		}
 		input := make([]byte, 0, maxLen)
 		var odometer func()
 		odometer = func() {
 			want := tg.Tag(input)
 			for kind, r := range runners {
 				for k := 0; k <= len(input); k++ {
-					got = got[:0]
 					r.Reset()
-					r.Write(input[:k])
-					r.Write(input[k:])
-					r.Close()
+					got, _ = r.Write(input[:k], got[:0])
+					got, _ = r.Write(input[k:], got)
+					got = r.Close(got)
 					if !slicesEqual(got, want) {
 						t.Fatalf("%s/%s: %q split at %d tags %v, whole NFA pass %v", file, kind, input, k, got, want)
 					}
@@ -259,15 +255,13 @@ func TestDFACacheBound(t *testing.T) {
 		want := tg.Tag(text)
 		r.Reset()
 		var got []Match
-		r.OnMatch = func(m Match) { got = append(got, m) }
 		for i := range text {
-			r.Write(text[i : i+1])
+			got, _ = r.Write(text[i:i+1], got)
 			if n := tbl.States(); n > 2 {
 				t.Fatalf("table grew to %d states, bound 2", n)
 			}
 		}
-		r.Close()
-		r.OnMatch = nil
+		got = r.Close(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: bounded table %v, nfa %v", trial, got, want)
 		}
@@ -352,14 +346,12 @@ func writeAfterClose(t *testing.T, forms formSet) {
 	t.Helper()
 	spec := mustSpec(t, grammar.IfThenElse(), core.Options{})
 	for kind, r := range forms(t, spec) {
-		r.Write([]byte("go"))
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
+		out, _ := r.Write([]byte("go"), nil)
+		out = r.Close(out)
+		if again := r.Close(out); len(again) != len(out) {
+			t.Fatalf("%s: second Close appended %v", kind, again[len(out):])
 		}
-		if err := r.Close(); err != nil {
-			t.Fatalf("%s: second Close: %v", kind, err)
-		}
-		if _, err := r.Write([]byte("x")); err == nil {
+		if _, err := r.Write([]byte("x"), nil); err == nil {
 			t.Errorf("%s: Write after Close succeeded", kind)
 		}
 	}
@@ -449,14 +441,12 @@ func TestDFAAccelChunkingInvariance(t *testing.T) {
 			rng := rand.New(rand.NewSource(99 + int64(trial))) // one chunking per trial, every form
 			r.Reset()
 			var got []Match
-			r.OnMatch = func(m Match) { got = append(got, m) }
 			for off := 0; off < len(text); {
 				n := min(1+rng.Intn(300), len(text)-off)
-				r.Write(text[off : off+n])
+				got, _ = r.Write(text[off:off+n], got)
 				off += n
 			}
-			r.Close()
-			r.OnMatch = nil
+			got = r.Close(got)
 			if !slicesEqual(got, want) {
 				t.Fatalf("%s trial %d: chunked %d matches, whole NFA pass %d", kind, trial, len(got), len(want))
 			}
@@ -527,9 +517,11 @@ func TestCompileBudget(t *testing.T) {
 }
 
 // TestCompileStats sanity-checks the synthesis report and that every cell
-// of a closed table decodes inside its storage: no unfilled cell, plain
-// refs below the state count, effects inside the pool, rows inside cond
-// and row slots restricted.
+// of a closed table decodes inside its storage: no unfilled cell; plain
+// refs (cells, row slots and effect successors alike) are row offsets —
+// multiples of the class count below states*classes — tagged exactly when
+// their state has a skip-ahead plan; effects inside the pool; rows start
+// on a row boundary inside cond; row slots restricted.
 func TestCompileStats(t *testing.T) {
 	spec := mustSpec(t, grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	tbl, err := Determinize(spec, TableConfig{})
@@ -556,22 +548,41 @@ func TestCompileStats(t *testing.T) {
 	if len(g.trans) != st.States*st.Classes {
 		t.Errorf("len(trans) = %d, want states*classes = %d", len(g.trans), st.States*st.Classes)
 	}
+	nc, planned, tagged := st.Classes, 0, 0
+	for _, a := range g.accel {
+		if a != nil {
+			planned++
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no state of the closed xmlrpc table has a skip-ahead plan; the tag bit goes unchecked")
+	}
+	plain := func(r int32, where string) {
+		off := int(r &^ accelTag)
+		if off%nc != 0 || off >= st.States*nc {
+			t.Fatalf("%s: plain ref %#x is not a row offset (%d classes, %d states)", where, r, nc, st.States)
+		}
+		if hasPlan := g.accel[off/nc] != nil; (r >= accelTag) != hasPlan {
+			t.Fatalf("%s: plain ref %#x to state %d: tag bit %v, plan %v", where, r, off/nc, r >= accelTag, hasPlan)
+		}
+		if r >= accelTag {
+			tagged++
+		}
+	}
 	check := func(r int32, restricted bool, where string) {
 		switch {
 		case r == unfilled:
 			t.Fatalf("%s: unfilled cell in a closed table", where)
 		case r >= 0:
-			if int(r) >= st.States {
-				t.Fatalf("%s: plain ref %d out of %d states", where, r, st.States)
-			}
+			plain(r, where)
 		case ^r&1 == 0:
 			if int(^r>>1) >= len(g.effects) {
 				t.Fatalf("%s: effect %d out of %d", where, ^r>>1, len(g.effects))
 			}
 		case restricted:
 			t.Fatalf("%s: conditional ref inside a conditional row", where)
-		case (int(^r>>1)+1)*(st.Classes+1) > len(g.cond):
-			t.Fatalf("%s: cond row %d out of bounds", where, ^r>>1)
+		case int(^r>>1)%(nc+1) != 0 || int(^r>>1)+nc+1 > len(g.cond):
+			t.Fatalf("%s: cond row at %d is not a row of cond[%d]", where, ^r>>1, len(g.cond))
 		}
 	}
 	for i, r := range g.trans {
@@ -581,11 +592,19 @@ func TestCompileStats(t *testing.T) {
 		check(r, true, fmt.Sprintf("cond[%d]", i))
 	}
 	for i, ef := range g.effects {
-		if int(ef.next) >= st.States {
-			t.Fatalf("effects[%d].next = %d out of %d states", i, ef.next, st.States)
-		}
+		plain(ef.next, fmt.Sprintf("effects[%d].next", i))
 		if len(ef.collide) != len(ef.emits) {
 			t.Fatalf("effects[%d]: %d collide flags for %d emits", i, len(ef.collide), len(ef.emits))
 		}
+		rare := ef.recovered
+		for _, c := range ef.collide {
+			rare = rare || c
+		}
+		if ef.rare != rare {
+			t.Fatalf("effects[%d]: rare = %v, want %v (recovered %v, collide %v)", i, ef.rare, rare, ef.recovered, ef.collide)
+		}
+	}
+	if tagged == 0 {
+		t.Error("no ref carries the tag bit, though states have plans")
 	}
 }
