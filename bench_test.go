@@ -119,9 +119,10 @@ func corpus(b *testing.B, messages int) []byte {
 }
 
 // BenchmarkStream measures the bit-parallel NFA engine — the software
-// stand-in for the 1-byte-per-cycle hardware — over XML-RPC traffic.
-// (Formerly BenchmarkSoftwareTagger; the name pairs with BenchmarkDFA and
-// the scripts/bench.sh regression rail.)
+// stand-in for the 1-byte-per-cycle hardware and the table's fill source,
+// a reference no served path runs — over XML-RPC traffic. (Formerly
+// BenchmarkSoftwareTagger; the name pairs with BenchmarkDFA and the
+// scripts/bench.sh regression rail.)
 func BenchmarkStream(b *testing.B) {
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
@@ -131,6 +132,31 @@ func BenchmarkStream(b *testing.B) {
 	data := corpus(b, 200)
 	count := 0
 	tg.OnMatch = func(stream.Match) { count++ }
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tg.Reset()
+		tg.Write(data)
+		tg.Close()
+	}
+	if count == 0 {
+		b.Fatal("tagger found nothing")
+	}
+}
+
+// BenchmarkTagger measures the public Tagger — the engine's shared table
+// behind Write, Close and a counting OnMatch, each detection converted
+// through the tag table — on BenchmarkStream's workload. The table fills
+// on the first pass.
+func BenchmarkTagger(b *testing.B) {
+	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tg := engine.NewTagger()
+	data := corpus(b, 200)
+	count := 0
+	tg.OnMatch = func(Match) { count++ }
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -198,7 +224,7 @@ func runTable(b *testing.B, tbl *stream.Table, data []byte) *stream.Runner {
 	return r
 }
 
-// BenchmarkDFA measures the lazy table (the dfa backend) on the same
+// BenchmarkDFA measures the lazy table (the served kind) on the same
 // workload as BenchmarkStream. The first pass fills it; steady state is
 // the table loop BenchmarkAOT runs, and the metrics report how much of the
 // run needed a fill.
@@ -231,10 +257,11 @@ func BenchmarkDFASparse(b *testing.B) {
 	}
 }
 
-// BenchmarkAOT measures the closed table (the aot backend) on the dense
-// workload of BenchmarkDFA: the same loop over a table Determinize filled
+// BenchmarkAOT measures the closed table (Determinize's reference form) on
+// the dense workload of BenchmarkDFA: the same loop over a table filled
 // before the first byte, so it never misses. The metrics show what the
-// closure costs.
+// closure costs — the start-up cost the served kind avoids by filling on
+// demand.
 func BenchmarkAOT(b *testing.B) {
 	tbl := benchTable(b, true, stream.TableConfig{})
 	runTable(b, tbl, corpus(b, 200))
@@ -260,15 +287,15 @@ func BenchmarkAOTSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTagger scales the software engine across cores with a
-// tagger pool (one message stream per borrowed tagger) — the software
+// BenchmarkParallelTagger scales the public Pool across cores (one message
+// stream per borrowed runner of the engine's shared table) — the software
 // analogue of replicating the hardware engine.
 func BenchmarkParallelTagger(b *testing.B) {
-	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
+	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := stream.NewPool(spec, 0)
+	pool := engine.NewPool(0)
 	data := corpus(b, 200)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -281,8 +308,8 @@ func BenchmarkParallelTagger(b *testing.B) {
 	})
 }
 
-// benchFactory builds the backend factory of one served kind outside the
-// timed region.
+// benchFactory builds the backend factory of one kind outside the timed
+// region.
 func benchFactory(b *testing.B, spec *core.Spec, kind runtime.Kind) runtime.Factory {
 	b.Helper()
 	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: kind})
@@ -336,66 +363,55 @@ func BenchmarkShardedPipeline(b *testing.B) {
 		}
 	})
 
-	// The dfa column keeps the historical sub-benchmark names; the aot
-	// column runs the identical grid on the ahead-of-time tables, so the
-	// per-point delta is the dispatch-layer view of lazy vs offline
-	// compilation (the program is compiled once, outside the timed region,
-	// and shared by every stream's runner).
-	backends := []struct {
-		prefix  string
-		factory runtime.Factory
-	}{
-		{"", benchFactory(b, spec, runtime.KindDFA)},
-		{"aot-", benchFactory(b, spec, runtime.KindAOT)},
-	}
-	for _, be := range backends {
-		for _, shards := range []int{1, 2, 4, 8} {
-			for _, streams := range []int{8, 32} {
-				b.Run(fmt.Sprintf("%sshards-%d/streams-%d", be.prefix, shards, streams), func(b *testing.B) {
-					keys := make([]string, streams)
-					for s := range keys {
-						keys[s] = fmt.Sprintf("stream-%d", s)
-					}
-					// One long-lived pipeline for the whole run: streams stay
-					// open across iterations, so the per-stream DFA caches warm
-					// once and the bench measures the steady state. Close —
-					// which drains every queued chunk — stays inside the timed
-					// region so all b.N iterations' bytes are fully processed.
-					tags := 0
-					p, err := runtime.NewPipeline(
-						runtime.Config{Shards: shards, Queue: 256, Factory: be.factory},
-						runtime.SinkFunc(func(bt *runtime.Batch) error { tags += len(bt.Tags); return nil }),
-					)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.SetBytes(int64(streams * len(data)))
-					b.ReportAllocs() // B/op is what a dispatch unit costs per pass
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						// Interleave chunks across streams, as a multiplexed
-						// source would deliver them.
-						for lo := 0; lo < len(data); lo += chunk {
-							hi := lo + chunk
-							if hi > len(data) {
-								hi = len(data)
-							}
-							for _, key := range keys {
-								if err := p.Send(key, data[lo:hi]); err != nil {
-									b.Fatal(err)
-								}
+	// One table, filled by the first pass and shared by every stream's
+	// runner; the sub-benchmark names keep their historical form.
+	factory := benchFactory(b, spec, runtime.KindDFA)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, streams := range []int{8, 32} {
+			b.Run(fmt.Sprintf("shards-%d/streams-%d", shards, streams), func(b *testing.B) {
+				keys := make([]string, streams)
+				for s := range keys {
+					keys[s] = fmt.Sprintf("stream-%d", s)
+				}
+				// One long-lived pipeline for the whole run: streams stay
+				// open across iterations, so the shared table warms once
+				// and the bench measures the steady state. Close —
+				// which drains every queued chunk — stays inside the timed
+				// region so all b.N iterations' bytes are fully processed.
+				tags := 0
+				p, err := runtime.NewPipeline(
+					runtime.Config{Shards: shards, Queue: 256, Factory: factory},
+					runtime.SinkFunc(func(bt *runtime.Batch) error { tags += len(bt.Tags); return nil }),
+				)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(streams * len(data)))
+				b.ReportAllocs() // B/op is what a dispatch unit costs per pass
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Interleave chunks across streams, as a multiplexed
+					// source would deliver them.
+					for lo := 0; lo < len(data); lo += chunk {
+						hi := lo + chunk
+						if hi > len(data) {
+							hi = len(data)
+						}
+						for _, key := range keys {
+							if err := p.Send(key, data[lo:hi]); err != nil {
+								b.Fatal(err)
 							}
 						}
 					}
-					if err := p.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if tags == 0 {
-						b.Fatal("pipeline delivered no tags")
-					}
-				})
-			}
+				}
+				if err := p.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if tags == 0 {
+					b.Fatal("pipeline delivered no tags")
+				}
+			})
 		}
 	}
 }
@@ -540,10 +556,9 @@ func BenchmarkPipelineOverload(b *testing.B) {
 }
 
 // BenchmarkTenantGrid measures the multi-tenant platform end to end: T
-// tenants, each a sharded DFA pipeline behind the versioned registry,
+// tenants, each a sharded pipeline behind the versioned registry,
 // fed the same interleaved chunked workload as BenchmarkShardedPipeline.
-// Every tenant compiles the same grammar, so the shared lazy-DFA cache
-// fills once and all T×streams streams run off the published tables;
+// Each tenant's table fills on the first pass and its streams run off it;
 // aggregate throughput is bytes across all tenants per wall-clock
 // second. tenants-1 vs BenchmarkShardedPipeline/shards-2/streams-8
 // isolates the facade + registry dispatch overhead; the larger grid
@@ -553,71 +568,61 @@ func BenchmarkTenantGrid(b *testing.B) {
 	data := corpus(b, 200)
 	const chunk = 4 << 10
 	const streamsPerTenant = 8
-	// The dfa column keeps the historical names; the aot column runs the
-	// same grid with every tenant on the ahead-of-time tables (each tenant
-	// compiles its program once at platform build, so T tenants pay T
-	// offline compiles outside the timed region).
-	for _, be := range []struct{ prefix, backend string }{
-		{"", "dfa"},
-		{"aot-", "aot"},
-	} {
-		for _, tenants := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%stenants-%d/streams-%d", be.prefix, tenants, streamsPerTenant), func(b *testing.B) {
-				cfg := PlatformConfig{}
-				names := make([]string, tenants)
-				for t := range names {
-					names[t] = fmt.Sprintf("tenant-%d", t)
-					cfg.Tenants = append(cfg.Tenants, TenantDef{
-						Name:    names[t],
-						Grammar: grammar.XMLRPCSrc,
-						Options: []string{"free-running-start"},
-						Backend: be.backend,
-						Shards:  2,
-						Queue:   256,
-					})
-				}
-				// Tenant sinks run concurrently; the counter must be atomic.
-				var tags atomic.Int64
-				p, err := NewPlatform(&cfg, func(_ string, tb *TagBatch) error {
-					tags.Add(int64(len(tb.Tags)))
-					return nil
+	for _, tenants := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("tenants-%d/streams-%d", tenants, streamsPerTenant), func(b *testing.B) {
+			cfg := PlatformConfig{}
+			names := make([]string, tenants)
+			for t := range names {
+				names[t] = fmt.Sprintf("tenant-%d", t)
+				cfg.Tenants = append(cfg.Tenants, TenantDef{
+					Name:    names[t],
+					Grammar: grammar.XMLRPCSrc,
+					Options: []string{"free-running-start"},
+					Shards:  2,
+					Queue:   256,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys := make([]string, streamsPerTenant)
-				for s := range keys {
-					keys[s] = fmt.Sprintf("stream-%d", s)
-				}
-				b.SetBytes(int64(tenants * streamsPerTenant * len(data)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(data); lo += chunk {
-						hi := lo + chunk
-						if hi > len(data) {
-							hi = len(data)
-						}
-						for _, name := range names {
-							for _, key := range keys {
-								if err := p.Send(name, key, data[lo:hi]); err != nil {
-									b.Fatal(err)
-								}
+			}
+			// Tenant sinks run concurrently; the counter must be atomic.
+			var tags atomic.Int64
+			p, err := NewPlatform(&cfg, func(_ string, tb *TagBatch) error {
+				tags.Add(int64(len(tb.Tags)))
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys := make([]string, streamsPerTenant)
+			for s := range keys {
+				keys[s] = fmt.Sprintf("stream-%d", s)
+			}
+			b.SetBytes(int64(tenants * streamsPerTenant * len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < len(data); lo += chunk {
+					hi := lo + chunk
+					if hi > len(data) {
+						hi = len(data)
+					}
+					for _, name := range names {
+						for _, key := range keys {
+							if err := p.Send(name, key, data[lo:hi]); err != nil {
+								b.Fatal(err)
 							}
 						}
 					}
 				}
-				// Close drains every queued chunk, so all b.N iterations'
-				// bytes are fully processed inside the timed region.
-				if err := p.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if tags.Load() == 0 {
-					b.Fatal("platform delivered no tags")
-				}
-			})
-		}
+			}
+			// Close drains every queued chunk, so all b.N iterations'
+			// bytes are fully processed inside the timed region.
+			if err := p.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if tags.Load() == 0 {
+				b.Fatal("platform delivered no tags")
+			}
+		})
 	}
 }
 

@@ -5,8 +5,10 @@
 // An Engine is compiled from a Lex/Yacc-style grammar (see the grammar
 // file format in the README). It exposes the paper's full pipeline:
 //
-//   - Tagger: the streaming token tagger (bit-parallel software execution
-//     of the generated hardware's exact semantics),
+//   - Tagger: the streaming token tagger — the generated hardware's exact
+//     semantics, determinized into one table the engine fills on demand
+//     and shares with every Tagger, Pool, CheckedTagger and Backend of
+//     the served kind,
 //   - Synthesize: technology mapping + timing model for the two FPGA
 //     devices of table 1,
 //   - VHDL: the structural VHDL the paper's generator emits,
@@ -24,6 +26,7 @@ package cfgtag
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"time"
 
@@ -97,6 +100,18 @@ type Engine struct {
 	// software form of the paper's index encoder — a detection's meaning
 	// is looked up, never formatted.
 	tags []Match
+
+	// tableOnce builds table, the lazily filled transition table every
+	// in-process tagger of the engine runs, on first use: engines that only
+	// feed pipelines or platforms never pay for it.
+	tableOnce sync.Once
+	table     *stream.Table
+}
+
+// shared returns the engine's table, building it on first use.
+func (e *Engine) shared() *stream.Table {
+	e.tableOnce.Do(func() { e.table = stream.NewTable(e.spec, stream.TableConfig{}) })
+	return e.table
 }
 
 // Compile parses the grammar source and compiles the engine.
@@ -153,23 +168,22 @@ type Match struct {
 	InstanceID int
 }
 
-// Tagger streams bytes and emits matches. Not safe for concurrent use.
+// Tagger streams bytes and emits matches. Not safe for concurrent use;
+// any number of Taggers of one engine run concurrently over its shared
+// table.
 type Tagger struct {
 	engine *Engine
-	inner  *stream.Tagger
-	// OnMatch receives detections in input order.
+	run    *stream.Runner
+	// ms is the buffer the runner appends each call's detections to.
+	ms []stream.Match
+	// OnMatch receives detections in input order, each call's before it
+	// returns.
 	OnMatch func(Match)
 }
 
-// NewTagger creates a streaming tagger.
+// NewTagger creates a streaming tagger over the engine's shared table.
 func (e *Engine) NewTagger() *Tagger {
-	t := &Tagger{engine: e, inner: stream.NewTagger(e.spec)}
-	t.inner.OnMatch = func(m stream.Match) {
-		if t.OnMatch != nil {
-			t.OnMatch(t.engine.match(m))
-		}
-	}
-	return t
+	return &Tagger{engine: e, run: e.shared().NewRunner()}
 }
 
 // match is the whole per-detection cost of the facade: copy the
@@ -195,38 +209,69 @@ func (e *Engine) matches(dst []Match, ms []stream.Match) []Match {
 
 // Errors returns the number of section 5.2 recovery events so far (always
 // zero unless a Recover option was used at compile time).
-func (t *Tagger) Errors() int64 { return t.inner.Errors }
+func (t *Tagger) Errors() int64 { return t.run.Errors }
 
 // Write feeds stream bytes (io.Writer-compatible).
-func (t *Tagger) Write(p []byte) (int, error) { return t.inner.Write(p) }
+func (t *Tagger) Write(p []byte) (int, error) {
+	ms, err := t.run.Write(p, t.ms[:0])
+	if err != nil {
+		return 0, err
+	}
+	t.deliver(ms)
+	return len(p), nil
+}
 
 // Close flushes the final byte's pending detection.
-func (t *Tagger) Close() error { return t.inner.Close() }
+func (t *Tagger) Close() error {
+	t.deliver(t.run.Close(t.ms[:0]))
+	return nil
+}
+
+// deliver hands ms to OnMatch and keeps its backing array for the next call.
+func (t *Tagger) deliver(ms []stream.Match) {
+	t.ms = ms
+	if t.OnMatch == nil {
+		return
+	}
+	for _, m := range ms {
+		t.OnMatch(t.engine.match(m))
+	}
+}
 
 // Reset rewinds to stream start for reuse.
-func (t *Tagger) Reset() { t.inner.Reset() }
+func (t *Tagger) Reset() { t.run.Reset() }
 
 // Tag runs a whole buffer and returns all matches (Reset + Close implied).
 func (t *Tagger) Tag(data []byte) []Match {
-	return t.engine.matches(nil, t.inner.Tag(data))
+	return t.engine.matches(nil, t.run.Tag(data))
 }
 
-// Pool tags independent buffers concurrently (one borrowed engine state
-// per call); safe for concurrent use, unlike Tagger.
+// Pool tags independent buffers concurrently (one borrowed runner of the
+// engine's shared table per call); safe for concurrent use, unlike Tagger.
 type Pool struct {
-	engine *Engine
-	inner  *stream.Pool
+	engine  *Engine
+	runners chan *stream.Runner
 }
 
 // NewPool builds a pool of size concurrent taggers (0 = GOMAXPROCS).
 func (e *Engine) NewPool(size int) *Pool {
-	return &Pool{engine: e, inner: stream.NewPool(e.spec, size)}
+	if size <= 0 {
+		size = goruntime.GOMAXPROCS(0)
+	}
+	p := &Pool{engine: e, runners: make(chan *stream.Runner, size)}
+	for range size {
+		p.runners <- e.shared().NewRunner()
+	}
+	return p
 }
 
 // Tag tags one buffer; concurrent calls proceed in parallel up to the pool
 // size.
 func (p *Pool) Tag(data []byte) []Match {
-	return p.engine.matches(nil, p.inner.Tag(data))
+	r := <-p.runners
+	ms := r.Tag(data)
+	p.runners <- r
+	return p.engine.matches(nil, ms)
 }
 
 // Report is a synthesis result (a table 1 row).
@@ -357,8 +402,8 @@ func (p *Parser) Accepts(input []byte) bool { return p.table.Accepts(input) }
 // grammar recognition on top of the stack-less engine (nesting violations
 // the parallel hardware cannot see surface on OnViolation).
 type CheckedTagger struct {
-	engine *Engine
-	inner  *validate.CheckedTagger
+	tagger    *Tagger
+	validator *validate.Validator
 	// OnMatch receives every detection, as with Tagger.
 	OnMatch func(Match)
 	// OnViolation receives each recursion/nesting violation: the offset of
@@ -370,17 +415,13 @@ type CheckedTagger struct {
 // NewCheckedTagger builds the stack-extended pipeline. maxStackDepth
 // bounds the modeled hardware stack (0 = 4096); the grammar must be LL(1).
 func (e *Engine) NewCheckedTagger(maxStackDepth int) (*CheckedTagger, error) {
-	inner, err := validate.NewCheckedTagger(e.spec, maxStackDepth)
+	val, err := validate.New(e.spec, maxStackDepth)
 	if err != nil {
 		return nil, err
 	}
-	ct := &CheckedTagger{engine: e, inner: inner}
-	inner.OnMatch = func(m stream.Match) {
-		if ct.OnMatch != nil {
-			ct.OnMatch(e.match(m))
-		}
-	}
-	inner.Validator.OnViolation = func(v *validate.Violation) {
+	ct := &CheckedTagger{tagger: e.NewTagger(), validator: val}
+	ct.tagger.OnMatch = ct.consume
+	val.OnViolation = func(v *validate.Violation) {
 		if ct.OnViolation != nil {
 			end := v.End
 			if v.Term == "" {
@@ -392,58 +433,71 @@ func (e *Engine) NewCheckedTagger(maxStackDepth int) (*CheckedTagger, error) {
 	return ct, nil
 }
 
+// consume audits one detection, then hands it to OnMatch.
+func (c *CheckedTagger) consume(m Match) {
+	c.validator.Consume(stream.Match{InstanceID: m.InstanceID, End: m.End})
+	if c.OnMatch != nil {
+		c.OnMatch(m)
+	}
+}
+
 // Write feeds stream bytes.
-func (c *CheckedTagger) Write(p []byte) (int, error) { return c.inner.Write(p) }
+func (c *CheckedTagger) Write(p []byte) (int, error) { return c.tagger.Write(p) }
 
 // Close flushes the tagger and runs the end-of-input check; an unfinished
 // sentence is returned (and reported) as a violation.
-func (c *CheckedTagger) Close() error { return c.inner.Close() }
+func (c *CheckedTagger) Close() error {
+	c.tagger.Close()
+	return c.validator.Close()
+}
 
 // Reset rewinds both the tagger and the stack machine.
 func (c *CheckedTagger) Reset() {
-	c.inner.Tagger.Reset()
-	c.inner.Validator.Reset()
+	c.tagger.Reset()
+	c.validator.Reset()
 }
 
 // Violations counts the nesting violations seen since Reset.
-func (c *CheckedTagger) Violations() int64 { return c.inner.Validator.Violations() }
+func (c *CheckedTagger) Violations() int64 { return c.validator.Violations() }
 
 // Errors returns the tagger's section 5.2 recovery-event count (nonzero
 // only when the engine was compiled with a Recover option); bytes the
 // tagger could not place in any context never reach the validator, so a
 // full well-formedness verdict is Violations() == 0 && Errors() == 0 &&
 // Close() == nil.
-func (c *CheckedTagger) Errors() int64 { return c.inner.Tagger.Errors }
+func (c *CheckedTagger) Errors() int64 { return c.tagger.Errors() }
 
 // StackDepth reports the stack high-water mark — the capacity a hardware
 // stack would have needed for this stream.
-func (c *CheckedTagger) StackDepth() int { return c.inner.Validator.StackDepth() }
+func (c *CheckedTagger) StackDepth() int { return c.validator.StackDepth() }
 
-// BackendKind selects one of the engine's six execution paths when they
-// are driven through the uniform Backend interface. Pipelines and platform
-// tenants serve the first three — the paper's stack-less tagger in its
-// three software forms; the last three are references the served forms are
-// measured against, available single-stream through NewBackend.
+// BackendKind selects one of the engine's execution paths when they are
+// driven through the uniform Backend interface. Pipelines and platform
+// tenants serve one: the paper's stack-less tagger as a table filled on
+// demand, selected by the zero value, DFABackend or AOTBackend. The other
+// four are references the served table is measured against, available
+// single-stream through NewBackend.
 type BackendKind = runtime.Kind
 
 const (
-	// StreamBackend is the bit-parallel software tagger (the default).
-	StreamBackend = runtime.KindStream
 	// DFABackend runs the bit-parallel engine determinized into one table
 	// of (active, pending) states and byte-class-indexed cells, filled on
 	// demand, RE2-style: a cell is computed once, the first time traffic
-	// crosses it. Detections are identical to StreamBackend; warm, it runs
-	// the same loop at the same speed as AOTBackend. The table is bounded
-	// (MaxStates) and starts a new epoch on overflow, so memory never
-	// grows with input.
+	// crosses it, and every stream of the pipeline or tenant shares it.
+	// Detections are identical to StreamBackend. The table is bounded and
+	// starts a new epoch on overflow, so memory never grows with input.
+	// It is the served kind, and the zero BackendKind selects it.
 	DFABackend = runtime.KindDFA
-	// AOTBackend fills the same table to closure before the first byte —
-	// the software analogue of the paper's synthesized hardware — so the
-	// loop never misses. Detections are identical to StreamBackend and
-	// DFABackend. The trade is a hard build-time state budget: a grammar
-	// that does not close within it fails NewBackend and must use
-	// DFABackend.
+	// AOTBackend is another name for the same served table, kept because
+	// configurations write it. It once meant a table filled to closure at
+	// build time; closing first bought only a few percent in steady state
+	// and put the closure's cost into every start-up and reload, so it
+	// fills on demand too.
 	AOTBackend = runtime.KindAOT
+	// StreamBackend is the bit-parallel NFA the table is filled from — the
+	// software stand-in for the 1-byte-per-cycle hardware and the serial
+	// reference the table is checked against, several times slower.
+	StreamBackend = runtime.KindStream
 	// GatesBackend is the cycle-accurate simulation of the generated
 	// netlist — the hardware reference, byte-per-cycle slow.
 	GatesBackend = runtime.KindGates
@@ -465,10 +519,10 @@ const (
 
 // BackendCounters reports what a Backend has processed: bytes fed, matches
 // confirmed, section 5.2 recovery events, encoder index collisions and —
-// on the dfa path — table hits, misses and resets.
+// on the served table — hits, misses and resets.
 type BackendCounters = runtime.Counters
 
-// Backend drives any of the six execution paths through one streaming
+// Backend drives any of the execution paths through one streaming
 // contract: Feed bytes, drain Matches, Close to flush the final byte (and,
 // for the parser and earley paths, to obtain the verdict). Not safe for
 // concurrent use.
@@ -484,9 +538,9 @@ type Backend struct {
 }
 
 // NewBackend instantiates one execution path behind the uniform contract.
-// GatesBackend generates the netlist, ParserBackend builds the LL(1) table,
-// EarleyBackend compiles the recognizer and AOTBackend fills its table to
-// closure, so those can fail; StreamBackend cannot.
+// GatesBackend generates the netlist, ParserBackend builds the LL(1) table
+// and EarleyBackend compiles the recognizer, so those can fail; the served
+// table and StreamBackend cannot.
 func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
 	f, _, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: kind})
 	if err != nil {
@@ -537,12 +591,14 @@ func (b *Backend) Matches() []Match {
 // Counters reports the backend's lifetime totals.
 func (b *Backend) Counters() BackendCounters { return b.inner.Counters() }
 
-// CompileStats is the AOT path's synthesis report: closed state count,
-// byte-equivalence classes, table bytes and closure duration.
+// CompileStats is a table's size report: state count, byte-equivalence
+// classes, table bytes and, for a table closed ahead of time, the closure
+// duration.
 type CompileStats = stream.CompileStats
 
-// CompileStats reports the aot path's closure cost; zero for every other
-// execution path (they compile nothing ahead of time).
+// CompileStats reports the served table's current size — it grows as
+// traffic fills it, and Duration stays zero because nothing is closed
+// ahead of time; zero for the reference paths, which have no table.
 func (b *Backend) CompileStats() CompileStats {
 	if cs, ok := b.inner.(interface{ CompileStats() stream.CompileStats }); ok {
 		return cs.CompileStats()
@@ -648,7 +704,8 @@ type Metrics = runtime.MetricCounters
 
 // PipelineConfig tunes a sharded pipeline.
 type PipelineConfig struct {
-	// Backend selects the execution path each shard runs ("" = stream).
+	// Backend names the execution path each shard runs: "", "dfa" and "aot"
+	// all select the served table; a reference kind is rejected.
 	Backend BackendKind
 	// Shards is the number of tagging shards (0 = GOMAXPROCS). Streams
 	// have shard affinity: one stream is always tagged by the same shard.
@@ -720,8 +777,7 @@ type PipelineConfig struct {
 type StreamLimits = runtime.Limits
 
 // MemGauge aggregates the pipeline's estimated live bytes — queued chunk
-// arenas and tag buffers, the dfa cache, the aot tables — for memory
-// budgeting.
+// arenas and tag buffers, the transition table — for memory budgeting.
 type MemGauge = runtime.MemGauge
 
 // ErrPipelineClosed is returned by Pipeline.Send, Pipeline.CloseStream and
@@ -785,8 +841,9 @@ type Pipeline struct {
 // NewPipeline starts a sharded pipeline delivering tag batches to deliver,
 // which must not retain b, b.Data or b.Tags past the call (the batch is
 // pooled, see TagBatch). The pipeline owns its goroutines until Close.
-// Only the served backends run here: a GatesBackend, ParserBackend or
-// EarleyBackend config is rejected with an error wrapping ErrInvalidConfig.
+// Only the served table runs here: a StreamBackend, GatesBackend,
+// ParserBackend or EarleyBackend config is rejected with an error wrapping
+// ErrInvalidConfig.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
 	if err := cfg.Backend.CheckServed("PipelineConfig.Backend"); err != nil {
 		return nil, err

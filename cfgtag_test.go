@@ -2,11 +2,20 @@ package cfgtag
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cfgtag/internal/stream"
+	"cfgtag/internal/validate"
+	"cfgtag/internal/workload"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -102,6 +111,16 @@ func TestGateRunnerAgreesWithTagger(t *testing.T) {
 	sw := engine.NewTagger().Tag(input)
 	if !reflect.DeepEqual(hw, sw) {
 		t.Errorf("gate-level %v != stream %v", hw, sw)
+	}
+}
+
+func TestPoolDefaultSize(t *testing.T) {
+	engine, err := Compile("demo", IfThenElseSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def := engine.NewPool(0); cap(def.runners) != runtime.GOMAXPROCS(0) {
+		t.Errorf("default pool holds %d runners, want GOMAXPROCS", cap(def.runners))
 	}
 }
 
@@ -368,6 +387,177 @@ func TestCheckedTagger(t *testing.T) {
 	}
 }
 
+// violation is one OnViolation report, as CheckedTagger renders it.
+type violation struct {
+	end  int64
+	term string
+}
+
+// reference runs text through the serial NFA (stream.Tagger) and, when val
+// is set, the stack validator behind it — the pair the public taggers must
+// reproduce: matches, recovery count, violations and the Close verdict.
+func reference(e *Engine, val *validate.Validator, text []byte) (ms []Match, errs int64, viols []violation, verdict error) {
+	ref := stream.NewTagger(e.spec)
+	ref.OnMatch = func(m stream.Match) {
+		if val != nil {
+			val.Consume(m)
+		}
+		ms = append(ms, e.match(m))
+	}
+	if val != nil {
+		val.OnViolation = func(v *validate.Violation) {
+			end := v.End
+			if v.Term == "" {
+				end = -1
+			}
+			viols = append(viols, violation{end, v.Term})
+		}
+	}
+	ref.Write(text)
+	ref.Close()
+	if val != nil {
+		verdict = val.Close()
+	}
+	return ms, ref.Errors, viols, verdict
+}
+
+// writeChunked feeds text to w in random pieces of 1 to 17 bytes.
+func writeChunked(w interface{ Write([]byte) (int, error) }, text []byte, rng *rand.Rand) {
+	for lo := 0; lo < len(text); {
+		hi := min(lo+1+rng.Intn(17), len(text))
+		w.Write(text[lo:hi])
+		lo = hi
+	}
+}
+
+// TestTaggersMatchNFA holds the public in-process taggers — Tagger, Pool
+// and CheckedTagger, runners of the engine's shared table — to the serial
+// NFA on every grammar the repo carries, under the anchored, free-running
+// and both recovery compiles: generated sentences and corrupted copies,
+// fed in random chunks, must give the same matches, Errors() and — for
+// the LL(1) grammars' CheckedTagger — the same violations and verdict.
+func TestTaggersMatchNFA(t *testing.T) {
+	sources := grammarSources(t)
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	compiles := []struct {
+		name string
+		opts []Option
+	}{
+		{"anchored", nil},
+		{"free", []Option{FreeRunningStart()}},
+		{"restart", []Option{RecoverRestart()}},
+		{"resync", []Option{RecoverResync()}},
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, name := range names {
+		for _, c := range compiles {
+			engine, err := Compile(name, sources[name], c.opts...)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", name, c.name, err)
+			}
+			gen := workload.NewGenerator(engine.spec, rng.Int63(), workload.SentenceOptions{MaxDepth: 8})
+			tg, pool := engine.NewTagger(), engine.NewPool(2)
+			ct, _ := engine.NewCheckedTagger(0) // nil unless the grammar is LL(1)
+			for trial := 0; trial < 6; trial++ {
+				text, _ := gen.Corpus(3)
+				if trial%2 == 1 && len(text) > 0 {
+					text[rng.Intn(len(text))] = '@'
+					text[rng.Intn(len(text))] = byte(rng.Intn(256))
+				}
+				where := fmt.Sprintf("%s (%s) on %q", name, c.name, text)
+				want, wantErrs, _, _ := reference(engine, nil, text)
+
+				var got []Match
+				tg.OnMatch = func(m Match) { got = append(got, m) }
+				tg.Reset()
+				writeChunked(tg, text, rng)
+				tg.Close()
+				if !slices.Equal(got, want) || tg.Errors() != wantErrs {
+					t.Fatalf("%s: Tagger gave %v (%d errors), NFA %v (%d errors)", where, got, tg.Errors(), want, wantErrs)
+				}
+				if got := pool.Tag(text); !slices.Equal(got, want) {
+					t.Fatalf("%s: Pool gave %v, NFA %v", where, got, want)
+				}
+				if ct == nil {
+					continue
+				}
+				val, err := validate.New(engine.spec, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, wantViols, wantVerdict := reference(engine, val, text)
+				var checked []Match
+				var viols []violation
+				ct.OnMatch = func(m Match) { checked = append(checked, m) }
+				ct.OnViolation = func(end int64, term string, _ error) { viols = append(viols, violation{end, term}) }
+				ct.Reset()
+				writeChunked(ct, text, rng)
+				verdict := ct.Close()
+				if !slices.Equal(checked, want) || ct.Errors() != wantErrs {
+					t.Fatalf("%s: CheckedTagger gave %v (%d errors), NFA %v (%d errors)", where, checked, ct.Errors(), want, wantErrs)
+				}
+				if !slices.Equal(viols, wantViols) || ct.Violations() != int64(len(wantViols)) || (verdict == nil) != (wantVerdict == nil) {
+					t.Fatalf("%s: CheckedTagger violations %v (verdict %v), reference %v (verdict %v)", where, viols, verdict, wantViols, wantVerdict)
+				}
+			}
+		}
+	}
+}
+
+// TestTaggersShareEngineTable runs NewTagger and Pool.Tag from many
+// goroutines at once (the race detector's target): every runner is minted
+// from the engine's one table, built once, and the fills racing through it
+// add up to exactly what one serial pass costs a table of its own.
+func TestTaggersShareEngineTable(t *testing.T) {
+	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewGenerator(engine.spec, 5, workload.SentenceOptions{})
+	data, _ := gen.Corpus(20)
+	want, _, _, _ := reference(engine, nil, data)
+	pool := engine.NewPool(3)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				var got []Match
+				if g%2 == 0 {
+					got = engine.NewTagger().Tag(data)
+				} else {
+					got = pool.Tag(data)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("goroutine %d pass %d diverged from the NFA", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	tbl := engine.shared()
+	if engine.NewTagger().run.Table() != tbl {
+		t.Error("a Tagger runs a table of its own")
+	}
+	for range cap(pool.runners) {
+		if r := <-pool.runners; r.Table() != tbl {
+			t.Error("a Pool runner runs a table of its own")
+		}
+	}
+	solo := stream.NewTable(engine.spec, stream.TableConfig{})
+	solo.NewRunner().Tag(data)
+	shared, _ := tbl.Stats()
+	if once, _ := solo.Stats(); shared != once {
+		t.Errorf("32 concurrent passes filled %d cells, one serial pass %d: the table is not shared", shared, once)
+	}
+}
+
 func TestNonLL1StillTags(t *testing.T) {
 	// A grammar that is not LL(1) cannot build the baseline parser but
 	// the tagger still works (the hardware never needed LL(1)).
@@ -534,15 +724,15 @@ func TestPipelineFacade(t *testing.T) {
 }
 
 // TestPipelineCloseReleasesGauge: whatever a pipeline charges to the gauge
-// it was given — arenas on every kind, the transition cache on dfa, the
-// compiled tables on aot — is discharged by Close.
+// it was given — arenas and the transition table, under either spelling of
+// the served kind — is discharged by Close.
 func TestPipelineCloseReleasesGauge(t *testing.T) {
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>\n")
-	for _, kind := range []BackendKind{StreamBackend, DFABackend, AOTBackend} {
+	for _, kind := range []BackendKind{DFABackend, AOTBackend} {
 		t.Run(string(kind), func(t *testing.T) {
 			g := &MemGauge{}
 			tags := 0
@@ -553,8 +743,8 @@ func TestPipelineCloseReleasesGauge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kind == AOTBackend && g.Load() == 0 {
-				t.Error("aot tables were not charged to the gauge")
+			if g.Load() == 0 {
+				t.Error("the table's start state was not charged to the gauge")
 			}
 			if err := p.Send("s", msg); err != nil {
 				t.Fatal(err)

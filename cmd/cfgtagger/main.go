@@ -10,22 +10,19 @@
 //	cfgtagger -builtin ifthenelse -show-wiring
 //	cfgtagger -builtin ifthenelse -backend gates -in program.txt
 //
-// -backend selects the execution path: "stream" (the bit-parallel software
-// engine, default), "dfa" (the lazily-determinized cached compilation of
-// the same engine — identical output, highest throughput) or "aot" (the
-// ahead-of-time determinized compilation — the whole DFA is built to
-// closure up front into flat tables, so tagging pays no cache lookups and
-// can never hit a runtime state-budget reset; fails fast if the grammar
-// does not close within the state budget). Three reference paths run
-// single-stream only: "gates" (cycle-accurate simulation of the generated
-// netlist), "parser" (the LL(1) baseline, which also prints the
-// accept/reject verdict) and "earley" (the exact-language oracle — any
-// grammar class, tags unioned over all derivations, accept/reject verdict
-// printed like the parser's).
+// By default the stream runs the served path: the grammar determinized
+// into one table filled on demand, RE2-style (-backend dfa and -backend
+// aot name the same table), with a cache line reporting its fills. -backend
+// selects one of four reference paths instead, single-stream only:
+// "stream" (the bit-parallel NFA the table is filled from), "gates"
+// (cycle-accurate simulation of the generated netlist), "parser" (the
+// LL(1) baseline, which also prints the accept/reject verdict) and
+// "earley" (the exact-language oracle — any grammar class, tags unioned
+// over all derivations, accept/reject verdict printed like the parser's).
 //
 // -shards N switches to pipeline mode: every input line becomes its own
 // keyed stream, tagged concurrently on N shards and printed in per-stream
-// order; it serves stream, dfa and aot and rejects the reference paths.
+// order; it serves the table and rejects the reference paths.
 // -max-streams and -quarantine expose the pipeline's resource
 // governance, and -chaos injects backend faults (errors, panics, latency)
 // to demonstrate the fault-tolerance layer — faulted streams end with an
@@ -92,7 +89,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		showFollow   = fs.Bool("show-follow", false, "print the per-terminal Follow table (figure 10) and exit")
 		lint         = fs.Bool("lint", false, "print grammar design warnings and exit")
 		dot          = fs.Bool("dot", false, "print the tokenizer wiring as Graphviz DOT (figure 11) and exit")
-		backend      = fs.String("backend", "stream", "execution path: stream, dfa or aot; single-stream only (no -shards): gates, parser or earley")
+		backend      = fs.String("backend", "", "execution path: empty, dfa or aot for the served table; single-stream only (no -shards), a reference: stream, gates, parser or earley")
 		shards       = fs.Int("shards", 0, "pipeline mode: tag each input line as its own stream on this many shards")
 		maxStreams   = fs.Int("max-streams", 0, "pipeline mode: cap live streams per shard, evicting the least-recently-fed at the cap (0 = unlimited)")
 		quarantine   = fs.Duration("quarantine", 0, "pipeline mode: how long a faulted stream's key is rejected (0 = 30s default, negative = disabled)")
@@ -235,8 +232,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // report prints the backend's verdict and recovery/collision counters when
-// they carry information (the parser path rejects; the stream path counts
-// section 5.2 recoveries).
+// they carry information (the parser path rejects; the FSA paths count
+// section 5.2 recoveries), and the table's fills on every table backend.
 func report(out io.Writer, b *cfgtag.Backend, verdict error) {
 	if verdict != nil {
 		fmt.Fprintf(out, "verdict: reject (%v)\n", verdict)
@@ -246,14 +243,9 @@ func report(out io.Writer, b *cfgtag.Backend, verdict error) {
 	if c := b.Counters(); c.Recoveries > 0 || c.Collisions > 0 {
 		fmt.Fprintf(out, "%d recoveries, %d index collisions\n", c.Recoveries, c.Collisions)
 	}
-	if c := b.Counters(); b.Kind() == cfgtag.DFABackend {
-		fmt.Fprintf(out, "dfa cache: %d hits, %d misses, %d resets\n",
+	if c := b.Counters(); b.Kind().CheckServed("-backend") == nil {
+		fmt.Fprintf(out, "table cache: %d hits, %d misses, %d resets\n",
 			c.CacheHits, c.CacheMisses, c.CacheResets)
-	}
-	if b.Kind() == cfgtag.AOTBackend {
-		s := b.CompileStats()
-		fmt.Fprintf(out, "aot tables: %d states, %d classes, %d bytes, compiled in %v\n",
-			s.States, s.Classes, s.TableBytes, s.Duration)
 	}
 }
 

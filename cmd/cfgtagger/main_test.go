@@ -21,9 +21,17 @@ var inputs = map[string]struct{ sentence, broken string }{
 }
 
 var (
-	servedKinds    = []string{"stream", "dfa", "aot"}
-	referenceKinds = []string{"gates", "parser", "earley"}
+	servedKinds    = []string{"", "dfa", "aot"}
+	referenceKinds = []string{"stream", "gates", "parser", "earley"}
 )
+
+// name labels a kind's subtest; the empty kind is the default.
+func name(kind string) string {
+	if kind == "" {
+		return "default"
+	}
+	return kind
+}
 
 // cli runs the command in-process and returns what it printed.
 func cli(t *testing.T, stdin string, args ...string) (string, error) {
@@ -46,10 +54,10 @@ func split(out string) (tags, trailer []string) {
 	return tags, trailer
 }
 
-// TestSingleStream drives -backend for all six execution paths: identical
+// TestSingleStream drives -backend for every execution path: identical
 // tag lines on a conforming sentence, the verdict line from the two exact
 // recognizers (accept, and reject with exit status 0 on a non-sentence),
-// and each compiled path's statistics line.
+// and the cache line of every spelling of the served table.
 func TestSingleStream(t *testing.T) {
 	for builtin, in := range inputs {
 		want, _ := cli(t, in.sentence, "-builtin", builtin, "-backend", "stream")
@@ -58,7 +66,7 @@ func TestSingleStream(t *testing.T) {
 			t.Fatalf("%s: the stream path tagged nothing:\n%s", builtin, want)
 		}
 		for _, kind := range append(append([]string(nil), servedKinds...), referenceKinds...) {
-			t.Run(builtin+"/"+kind, func(t *testing.T) {
+			t.Run(builtin+"/"+name(kind), func(t *testing.T) {
 				out, err := cli(t, in.sentence, "-builtin", builtin, "-backend", kind)
 				if err != nil {
 					t.Fatal(err)
@@ -69,11 +77,11 @@ func TestSingleStream(t *testing.T) {
 				}
 				rest := strings.Join(trailer, "\n")
 				exact := kind == "parser" || kind == "earley"
+				served := kind == "" || kind == "dfa" || kind == "aot"
 				for line, expect := range map[string]bool{
 					"tokens tagged":   true,
 					"verdict: accept": exact,
-					"dfa cache: ":     kind == "dfa",
-					"aot tables: ":    kind == "aot",
+					"table cache: ":   served,
 				} {
 					if strings.Contains(rest, line) != expect {
 						t.Errorf("trailer line %q present = %v, want %v:\n%s", line, !expect, expect, rest)
@@ -91,9 +99,10 @@ func TestSingleStream(t *testing.T) {
 	}
 }
 
-// TestShards drives -shards: the three served paths tag every line as its
-// own stream with identical results, and the three reference paths are
-// refused with a typed configuration error before anything is read.
+// TestShards drives -shards: the three spellings of the served table tag
+// every line as its own stream with identical results, and the four
+// reference paths are refused with a typed configuration error before
+// anything is read.
 func TestShards(t *testing.T) {
 	for builtin, in := range inputs {
 		stdin := in.sentence + "\n" + in.sentence + "\n" + in.sentence + "\n"
@@ -101,7 +110,7 @@ func TestShards(t *testing.T) {
 		perStream, _ := split(single)
 		var want []string
 		for _, kind := range servedKinds {
-			t.Run(builtin+"/"+kind, func(t *testing.T) {
+			t.Run(builtin+"/"+name(kind), func(t *testing.T) {
 				out, err := cli(t, stdin, "-builtin", builtin, "-backend", kind, "-shards", "2")
 				if err != nil {
 					t.Fatal(err)
@@ -118,7 +127,7 @@ func TestShards(t *testing.T) {
 				if want == nil {
 					want = tags
 				} else if strings.Join(tags, "\n") != strings.Join(want, "\n") {
-					t.Errorf("tag lines differ from the %s path:\n%s", servedKinds[0], out)
+					t.Errorf("tag lines differ from the default path:\n%s", out)
 				}
 			})
 		}

@@ -18,7 +18,7 @@
 //
 // With -shards N the per-connection inline router is replaced by one shared
 // sharded pipeline: connections become keyed streams, N tagger shards run
-// the grammar engine, and a single router.Sink consumes the tag batches and
+// the grammar's shared table, and a single router.Sink consumes the tag batches and
 // forwards messages — the software shape of the paper's replicated-hardware
 // deployment.
 //

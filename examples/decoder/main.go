@@ -5,11 +5,20 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"cfgtag/internal/xmlrpc"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "decoder:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	msg := "<methodCall> <methodName>transfer</methodName> <params> " +
 		"<param> <struct> " +
 		"<member> <name>from</name> <string>checking</string> </member> " +
@@ -21,11 +30,11 @@ func main() {
 
 	call, err := xmlrpc.Decode([]byte(msg))
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("method: %s\n", call.Method)
+	fmt.Fprintf(w, "method: %s\n", call.Method)
 	for i, p := range call.Params {
-		fmt.Printf("param %d (%s): %s\n", i, p.Kind, render(p))
+		fmt.Fprintf(w, "param %d (%s): %s\n", i, p.Kind, render(p))
 	}
 
 	// The decoder also digests arbitrary generated traffic.
@@ -37,7 +46,8 @@ func main() {
 			ok++
 		}
 	}
-	fmt.Printf("\ndecoded %d/500 generated messages\n", ok)
+	fmt.Fprintf(w, "\ndecoded %d/500 generated messages\n", ok)
+	return nil
 }
 
 func render(v xmlrpc.Value) string {

@@ -5,52 +5,62 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"cfgtag"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hardware:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	engine, err := cfgtag.Compile("xml-rpc", cfgtag.XMLRPCSource)
 	if err != nil {
-		panic(err)
+		return err
 	}
 
-	fmt.Println("Synthesis (table 1 rows for the figure 14 grammar):")
+	fmt.Fprintln(w, "Synthesis (table 1 rows for the figure 14 grammar):")
 	v4, err := engine.Synthesize(cfgtag.Virtex4LX200)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	ve, err := engine.Synthesize(cfgtag.VirtexE2000)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println(" ", ve)
-	fmt.Println(" ", v4)
-	fmt.Println("\nLUT breakdown (Virtex-4):")
-	fmt.Print(v4.BreakdownString())
+	fmt.Fprintln(w, " ", ve)
+	fmt.Fprintln(w, " ", v4)
+	fmt.Fprintln(w, "\nLUT breakdown (Virtex-4):")
+	fmt.Fprint(w, v4.BreakdownString())
 
 	msg := "<methodCall> <methodName>buy</methodName> <params> " +
 		"<param> <double>3.14</double> </param> </params> </methodCall>"
 	gate, err := engine.NewGateRunner()
 	if err != nil {
-		panic(err)
+		return err
 	}
 	hw := gate.Run([]byte(msg))
 	sw := engine.NewTagger().Tag([]byte(msg))
-	fmt.Printf("\nGate-level simulation vs software engine on a sample message:\n")
-	fmt.Printf("  hardware detections: %d, software detections: %d, identical: %v\n",
+	fmt.Fprintf(w, "\nGate-level simulation vs software engine on a sample message:\n")
+	fmt.Fprintf(w, "  hardware detections: %d, software detections: %d, identical: %v\n",
 		len(hw), len(sw), equal(hw, sw))
 
 	src, err := engine.VHDL("xmlrpc_tagger")
 	if err != nil {
-		panic(err)
+		return err
 	}
 	lines := strings.SplitN(src, "\n", 16)
-	fmt.Printf("\nEmitted VHDL (%d bytes), first lines:\n", len(src))
+	fmt.Fprintf(w, "\nEmitted VHDL (%d bytes), first lines:\n", len(src))
 	for _, l := range lines[:15] {
-		fmt.Println(" ", l)
+		fmt.Fprintln(w, " ", l)
 	}
+	return nil
 }
 
 func equal(a, b []cfgtag.Match) bool {

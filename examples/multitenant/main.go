@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -19,13 +20,20 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "multitenant:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	data, err := os.ReadFile("examples/multitenant/platform.json")
 	if err != nil {
-		panic(err)
+		return err
 	}
 	cfg, err := cfgtag.ParsePlatformConfig(data)
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	// Track which streams have been seen and which have finished, so the
@@ -41,13 +49,13 @@ func main() {
 			eos[b.Stream] = true
 		}
 		for _, m := range b.Tags {
-			fmt.Printf("  %-5s %-11s v%d %8d  %-16q %s\n",
+			fmt.Fprintf(w, "  %-5s %-11s v%d %8d  %-16q %s\n",
 				tenant, b.Stream, b.Version, m.End, m.Term, m.Context)
 		}
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer p.Close()
 	waitFor := func(m map[string]bool, stream string) {
@@ -62,13 +70,15 @@ func main() {
 		}
 	}
 
-	fmt.Println("Two tenants, one process:")
-	p.Send("xml", "conn-1", []byte("<methodCall> <methodName>deposit</methodName> <params> </params> </methodCall>"))
+	// One stream per tenant, the second sent once the first has ended, so
+	// the two tenants' lines print in a fixed order.
+	fmt.Fprintln(w, "Two tenants, one process:")
 	p.Send("lang", "job-1", []byte("if true then go else stop"))
-	p.CloseStream("xml", "conn-1")
 	p.CloseStream("lang", "job-1")
-	waitFor(eos, "conn-1")
 	waitFor(eos, "job-1")
+	p.Send("xml", "conn-1", []byte("<methodCall> <methodName>deposit</methodName> <params> </params> </methodCall>"))
+	p.CloseStream("xml", "conn-1")
+	waitFor(eos, "conn-1")
 
 	// Open a stream and wait for its first batch to be delivered — the
 	// stream has now bound factory version 1 — then reload the tenant's
@@ -82,10 +92,10 @@ C : "true" | "false" ;
 `
 	v, err := p.Reload("lang", newGrammar)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("\nReloaded tenant \"lang\" as version %d (go/stop became run/halt).\n", v)
-	fmt.Println("The live stream still speaks the old grammar; a new one speaks the new:")
+	fmt.Fprintf(w, "\nReloaded tenant \"lang\" as version %d (go/stop became run/halt).\n", v)
+	fmt.Fprintln(w, "The live stream still speaks the old grammar; a new one speaks the new:")
 
 	p.Send("lang", "old-stream", []byte("go else stop"))
 	p.CloseStream("lang", "old-stream")
@@ -98,11 +108,11 @@ C : "true" | "false" ;
 	for {
 		vs, err := p.LiveVersions("lang")
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if len(vs) == 1 {
-			fmt.Printf("\nOld version retired; live versions: %v\n", vs)
-			break
+			fmt.Fprintf(w, "\nOld version retired; live versions: %v\n", vs)
+			return nil
 		}
 		time.Sleep(time.Millisecond)
 	}

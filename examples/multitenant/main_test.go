@@ -1,0 +1,32 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+// TestGolden pins the example's output byte for byte to
+// testdata/golden.txt. The example reads its config from the repository
+// root, so the run happens there.
+func TestGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	var got bytes.Buffer
+	if err := run(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("output differs from testdata/golden.txt:\n%s", got.Bytes())
+	}
+}

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"cfgtag"
 )
@@ -29,9 +31,16 @@ var role = map[string]string{
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "natlang:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	engine, err := cfgtag.Compile("english", english)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	sentences := []string{
 		"the big old dog sees a cat",
@@ -40,14 +49,14 @@ func main() {
 	}
 	tg := engine.NewTagger()
 	for _, s := range sentences {
-		fmt.Printf("%q\n", s)
+		fmt.Fprintf(w, "%q\n", s)
 		for _, m := range tg.Tag([]byte(s)) {
 			prod := m.Context[:indexByte(m.Context, '[')]
 			r, ok := role[prod]
 			if !ok {
 				r = prod
 			}
-			fmt.Printf("  %-8q %-5s (context %s)\n", m.Term, r, m.Context)
+			fmt.Fprintf(w, "  %-8q %-5s (context %s)\n", m.Term, r, m.Context)
 		}
 	}
 
@@ -56,13 +65,13 @@ func main() {
 	// events, so out-of-place words count against the verdict too.
 	checked, err := cfgtag.Compile("english", english, cfgtag.RecoverRestart())
 	if err != nil {
-		panic(err)
+		return err
 	}
 	ct, err := checked.NewCheckedTagger(0)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println("\ngrammaticality (stack-checked):")
+	fmt.Fprintln(w, "\ngrammaticality (stack-checked):")
 	for _, s := range []string{
 		"the dog sees a cat", // fine
 		"the dog the cat",    // two NPs, no verb
@@ -72,8 +81,9 @@ func main() {
 		ct.Write([]byte(s))
 		err := ct.Close()
 		ok := err == nil && ct.Violations() == 0 && ct.Errors() == 0
-		fmt.Printf("  %-22q grammatical: %v\n", s, ok)
+		fmt.Fprintf(w, "  %-22q grammatical: %v\n", s, ok)
 	}
+	return nil
 }
 
 func indexByte(s string, b byte) int {

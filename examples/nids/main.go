@@ -11,6 +11,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
 	"cfgtag"
@@ -27,9 +29,16 @@ log     : "LOG" NAME ;
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "nids:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	engine, err := cfgtag.Compile("protocol", protocolGrammar)
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	// A conforming session: two real EXEC commands, plus LOG payloads that
@@ -42,13 +51,13 @@ func main() {
 		"EXEC payload2",
 		"LOG done",
 	}, "\n")
-	fmt.Println("session:")
-	fmt.Println(session)
+	fmt.Fprintln(w, "session:")
+	fmt.Fprintln(w, session)
 
 	// Naive matcher: every occurrence of the signature string.
 	m, err := match.New([]string{"EXEC"})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	naive := m.Scan([]byte(session))
 
@@ -65,9 +74,10 @@ func main() {
 	tg.Close()
 
 	real := strings.Count(session, "\nEXEC") + boolToInt(strings.HasPrefix(session, "EXEC"))
-	fmt.Printf("\nreal EXEC commands:            %d\n", real)
-	fmt.Printf("naive pattern matcher fired:   %d  (%d false positives)\n", len(naive), len(naive)-real)
-	fmt.Printf("grammar-based tagger fired:    %d  (%d false positives)\n", contextual, contextual-real)
+	fmt.Fprintf(w, "\nreal EXEC commands:            %d\n", real)
+	fmt.Fprintf(w, "naive pattern matcher fired:   %d  (%d false positives)\n", len(naive), len(naive)-real)
+	fmt.Fprintf(w, "grammar-based tagger fired:    %d  (%d false positives)\n", contextual, contextual-real)
+	return nil
 }
 
 func boolToInt(b bool) int {

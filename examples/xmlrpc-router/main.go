@@ -7,7 +7,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"sync"
 
@@ -19,22 +22,29 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "xmlrpc-router:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	r, err := router.New(router.FigureTwelve(), 99)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	portName := map[int]string{0: "bank", 1: "shopping", 99: "default"}
 	r.OnRoute = func(port int, service string, message []byte) {
-		fmt.Printf("  -> %-8s  service=%-10s %d bytes\n", portName[port], service, len(message))
+		fmt.Fprintf(w, "  -> %-8s  service=%-10s %d bytes\n", portName[port], service, len(message))
 	}
 
 	gen := xmlrpc.NewGenerator(2026, xmlrpc.Options{})
 	corpus, _ := gen.Corpus(8)
-	fmt.Println("Routing 8 generated messages:")
+	fmt.Fprintln(w, "Routing 8 generated messages:")
 	// The trailing newline lets the final message clear the one-byte
 	// longest-match lookahead before the next section prints.
 	if _, err := r.Write(append([]byte(corpus), '\n')); err != nil {
-		panic(err)
+		return err
 	}
 
 	// The paper's motivating case: "withdraw" as *parameter data* must not
@@ -42,49 +52,50 @@ func main() {
 	// only the STRING tokenizer wired inside methodName reports it.
 	decoy := "\n<methodCall> <methodName>price</methodName> <params> " +
 		"<param> <string>withdraw</string> </param> </params> </methodCall>"
-	fmt.Println("Routing a decoy (says 'withdraw', but only as a parameter):")
+	fmt.Fprintln(w, "Routing a decoy (says 'withdraw', but only as a parameter):")
 	if _, err := r.Write([]byte(decoy)); err != nil {
-		panic(err)
+		return err
 	}
 	if err := r.Close(); err != nil {
-		panic(err)
+		return err
 	}
 
 	st := r.Stats()
-	fmt.Printf("\ntotals: %d messages — bank %d, shopping %d, default %d\n",
+	fmt.Fprintf(w, "\ntotals: %d messages — bank %d, shopping %d, default %d\n",
 		st.Messages, st.PerPort[0], st.PerPort[1], st.PerPort[99])
 
-	sharded()
+	return sharded(w)
 }
 
 // sharded is the replicated-hardware deployment in software: 8 concurrent
 // connections feed chunks into a 4-shard pipeline (each connection pinned
-// to one shard's tagger), and a single router.Sink consumes the tag
-// batches and switches every message.
-func sharded() {
+// to one shard's runner of the shared table), and a single router.Sink
+// consumes the tag batches and switches every message.
+func sharded(w io.Writer) error {
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	sink, err := router.NewSink(spec, "methodName", router.FigureTwelve(), 99)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	perConn := make(map[string]int)
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		perConn[stream]++
 	}
-	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: runtime.KindStream})
+	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: factory}, sink)
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	const conns, perStream = 8, 5
 	var wg sync.WaitGroup
+	sendErrs := make([]error, conns)
 	for c := 0; c < conns; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -99,27 +110,29 @@ func sharded() {
 					hi = len(text)
 				}
 				if err := p.Send(key, text[lo:hi]); err != nil {
-					panic(err)
+					sendErrs[c] = err
+					return
 				}
 			}
-			p.CloseStream(key)
+			sendErrs[c] = p.CloseStream(key)
 		}(c)
 	}
 	wg.Wait()
-	if err := p.Close(); err != nil {
-		panic(err)
+	if err := errors.Join(append(sendErrs, p.Close())...); err != nil {
+		return err
 	}
 
-	fmt.Printf("\nSharded pipeline: %d connections x %d messages over 4 shards:\n", conns, perStream)
+	fmt.Fprintf(w, "\nSharded pipeline: %d connections x %d messages over 4 shards:\n", conns, perStream)
 	keys := make([]string, 0, len(perConn))
 	for k := range perConn {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %s routed %d messages\n", k, perConn[k])
+		fmt.Fprintf(w, "  %s routed %d messages\n", k, perConn[k])
 	}
 	st := sink.Stats()
-	fmt.Printf("totals: %d messages — bank %d, shopping %d (%d incomplete)\n",
+	fmt.Fprintf(w, "totals: %d messages — bank %d, shopping %d (%d incomplete)\n",
 		st.Messages, st.PerPort[0], st.PerPort[1], st.Incomplete)
+	return nil
 }

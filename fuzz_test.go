@@ -16,7 +16,7 @@ import (
 // FuzzGrammarParse throws arbitrary text at the grammar front end: parsing
 // and compiling must reject garbage with an error, never a panic, and any
 // source that does compile must yield an engine that can tag a probe
-// stream through both the NFA and DFA paths.
+// stream through the NFA, the served table and a closed table.
 //
 // Seed corpus: testdata/fuzz/FuzzGrammarParse (plus the built-in grammars
 // added here).
@@ -31,44 +31,86 @@ func FuzzGrammarParse(f *testing.F) {
 		if err != nil {
 			return // rejecting is fine; panicking is the bug
 		}
+		stream.NewTagger(engine.Spec()).Tag(probe)
 		tg := engine.NewTagger()
 		tg.Write(probe)
 		tg.Close()
 		b, err := engine.NewBackend(DFABackend)
 		if err != nil {
-			t.Fatalf("compiled grammar has no dfa backend: %v", err)
+			t.Fatalf("compiled grammar has no table backend: %v", err)
 		}
 		b.Feed(probe)
 		b.Close()
 		b.Matches()
-		// The ahead-of-time path may legitimately refuse a grammar whose
-		// DFA does not close within the budget; refusing is fine,
-		// panicking is the bug. A tiny budget keeps pathological fuzz
-		// grammars from spending the whole run determinizing.
-		if f, _, err := runtime.NewFactory(engine.Spec(), runtime.FactoryOptions{Kind: runtime.KindAOT, MaxStates: 64}); err == nil {
-			ab, err := f(0, nil)
-			if err != nil {
-				t.Fatalf("aot factory built but backend mint failed: %v", err)
-			}
-			ms, _ := ab.Feed(probe, nil)
-			ab.Close(ms)
+		// Closure may legitimately refuse a grammar whose table does not
+		// close within the budget; refusing is fine, panicking is the bug.
+		// A tiny budget keeps pathological fuzz grammars from spending the
+		// whole run determinizing.
+		if tbl, err := stream.Determinize(engine.Spec(), stream.TableConfig{MaxStates: 64}); err == nil {
+			tbl.NewRunner().Tag(probe)
 		}
 	})
 }
 
-// fsaForms are the execution forms FuzzDifferential holds equal to the
-// stream NFA: the lazy table (default, a two-state bound that resets on
-// real traffic, no skip-ahead) and the closed one (with and without
-// skip-ahead).
-var fsaForms = []struct {
-	name string
-	o    runtime.FactoryOptions
-}{
-	{"dfa", runtime.FactoryOptions{Kind: runtime.KindDFA}},
-	{"dfa-tiny", runtime.FactoryOptions{Kind: runtime.KindDFA, MaxStates: 2}},
-	{"dfa-noaccel", runtime.FactoryOptions{Kind: runtime.KindDFA, NoAccel: true}},
-	{"aot", runtime.FactoryOptions{Kind: runtime.KindAOT}},
-	{"aot-noaccel", runtime.FactoryOptions{Kind: runtime.KindAOT, NoAccel: true}},
+// differ is what the differential fuzzers drive: a runtime.Backend, or a
+// table form only tests build, as a runnerForm.
+type differ interface {
+	Reset()
+	Feed(p []byte, out []stream.Match) ([]stream.Match, error)
+	Close(out []stream.Match) ([]stream.Match, error)
+	Counters() runtime.Counters
+}
+
+// runnerForm drives a stream.Runner as a differ.
+type runnerForm struct{ *stream.Runner }
+
+func (r runnerForm) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	return r.Write(p, out)
+}
+
+func (r runnerForm) Close(out []stream.Match) ([]stream.Match, error) {
+	return r.Runner.Close(out), nil
+}
+
+func (r runnerForm) Counters() runtime.Counters {
+	return runtime.Counters{Recoveries: r.Errors, Collisions: r.Collisions}
+}
+
+// fsaForms are the table forms FuzzDifferential holds equal to the stream
+// NFA: the served table as NewFactory mints it, and runners of the lazy
+// table with a two-state bound that resets on real traffic and without
+// skip-ahead, and of the table Determinize closes, with and without
+// skip-ahead.
+var fsaForms = []fsaForm{
+	{name: "dfa", served: true},
+	{name: "dfa-tiny", cfg: stream.TableConfig{MaxStates: 2}},
+	{name: "dfa-noaccel", cfg: stream.TableConfig{NoAccel: true}},
+	{name: "closed", closed: true},
+	{name: "closed-noaccel", closed: true, cfg: stream.TableConfig{NoAccel: true}},
+}
+
+type fsaForm struct {
+	name   string
+	served bool // minted by NewFactory, as a pipeline mints it
+	closed bool // filled to closure by Determinize
+	cfg    stream.TableConfig
+}
+
+// mint builds the form over spec; like mintBackend it keeps the rig's
+// first failure in *rigErr.
+func (form fsaForm) mint(spec *core.Spec, rigErr *error) differ {
+	if form.served {
+		return mintBackend(spec, runtime.FactoryOptions{}, rigErr)
+	}
+	if !form.closed {
+		return runnerForm{stream.NewTable(spec, form.cfg).NewRunner()}
+	}
+	tbl, err := stream.Determinize(spec, form.cfg)
+	if err != nil {
+		*rigErr = err
+		return nil
+	}
+	return runnerForm{tbl.NewRunner()}
 }
 
 // diffRig lazily builds the differential fuzz fixture over the
@@ -78,9 +120,9 @@ var fsaForms = []struct {
 // whose dead-state/re-arm path random bytes exercise constantly.
 type diffRig struct {
 	stream, gates runtime.Backend
-	forms         []runtime.Backend // aligned with fsaForms
+	forms         []differ // aligned with fsaForms
 	recStream     runtime.Backend
-	recForms      []runtime.Backend
+	recForms      []differ
 }
 
 var (
@@ -118,9 +160,9 @@ func buildRig() {
 		}
 		spec := engine.Spec()
 		ref := mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
-		var forms []runtime.Backend
+		var forms []differ
 		for _, form := range fsaForms {
-			forms = append(forms, mintBackend(spec, form.o, &rigErr))
+			forms = append(forms, form.mint(spec, &rigErr))
 		}
 		if i == 0 {
 			rig.stream, rig.forms = ref, forms
@@ -131,7 +173,7 @@ func buildRig() {
 	}
 }
 
-func runDiff(b runtime.Backend, data []byte) []stream.Match {
+func runDiff(b differ, data []byte) []stream.Match {
 	b.Reset()
 	ms, _ := b.Feed(data, nil)
 	ms, _ = b.Close(ms)
@@ -141,7 +183,7 @@ func runDiff(b runtime.Backend, data []byte) []stream.Match {
 // runDiffChunked is runDiff with the input split into random 1–9 byte
 // chunks drawn from seed, so every chunk boundary — including ones that
 // straddle the held-lookahead byte — is differentially exercised.
-func runDiffChunked(b runtime.Backend, data []byte, seed uint64) []stream.Match {
+func runDiffChunked(b differ, data []byte, seed uint64) []stream.Match {
 	b.Reset()
 	rng := rand.New(rand.NewSource(int64(seed)))
 	var ms []stream.Match
@@ -228,12 +270,13 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// FuzzAOTDifferential holds the closed table (the aot forms) to the lazy
-// one (fsaForms[0], dfa) on inputs up to 64 KiB, past FuzzDifferential's
-// gate-simulation cap, so long runs reach skip-ahead in both fills. The
-// closed table is the lazy fill run to fixpoint: the two must agree
-// whole-buffer and under the seeded chunking, counters included under the
-// recovery compile.
+// FuzzAOTDifferential holds the closed table (the closed fsaForms) to the
+// served lazy one (fsaForms[0], dfa) on inputs up to 64 KiB, past
+// FuzzDifferential's gate-simulation cap, so long runs reach skip-ahead in
+// both fills. The closed table is the lazy fill run to fixpoint: the two
+// must agree whole-buffer and under the seeded chunking, counters included
+// under the recovery compile. Nothing served runs a closed table, so this
+// is the only check of the two past 4 KiB.
 func FuzzAOTDifferential(f *testing.F) {
 	f.Add([]byte("if true then go else stop"), uint64(1))
 	f.Add([]byte("if tru# then go if false then stop else go"), uint64(7))
@@ -250,7 +293,7 @@ func FuzzAOTDifferential(f *testing.F) {
 		recWant := runDiff(rig.recForms[0], data)
 		lc := rig.recForms[0].Counters()
 		for i, form := range fsaForms {
-			if form.o.Kind != runtime.KindAOT {
+			if !form.closed {
 				continue
 			}
 			for mode, got := range map[string][]stream.Match{
@@ -368,7 +411,7 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte(`{"tenants":[
 		{"name":"xml","grammar":"g","backend":"dfa","shards":4,"options":["free-running-start"],
 		 "quarantine":"30s","batch_bytes":65536,"quota":{"max_streams":64,"bytes_per_sec":1048576}},
-		{"name":"lang","grammar_file":"lang.y","backend":"stream"}]}`))
+		{"name":"lang","grammar_file":"lang.y","backend":"stream"}]}`)) // "stream" is a reference kind: Validate rejects it
 	f.Add([]byte(`{"tenants":[{"name":"t","grammar":"g","quarantine":-1}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"t"}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"t","grammar":"g","backend":"fpga"}]}`))

@@ -6,7 +6,7 @@
 // service (bank or shopping server in the paper's example).
 //
 // Two front ends drive the same switching core: Router couples it to its
-// own inline tagger (one stream, io.Writer-style), and Sink plugs it into
+// own inline table runner (one stream, io.Writer-style), and Sink plugs it into
 // the sharded runtime pipeline as the batch consumer (many streams, tags
 // computed upstream by any Backend).
 package router
@@ -191,12 +191,13 @@ func (w *switchCore) flush(end int64) {
 }
 
 // Router is a streaming content-based switch over one stream, driving its
-// own inline tagger. Not safe for concurrent use.
+// own table runner inline. Not safe for concurrent use.
 type Router struct {
-	spec   *core.Spec
-	tagger *stream.Tagger
-	core   *switchCore
-	stats  Stats
+	spec  *core.Spec
+	run   *stream.Runner
+	ms    []stream.Match // the buffer each Write's detections are appended to
+	core  *switchCore
+	stats Stats
 
 	// OnRoute receives every completed message with its resolved port and
 	// service. The message slice is only valid during the call.
@@ -234,8 +235,7 @@ func NewWithGrammar(g *grammar.Grammar, nameProduction string, routes []Route, d
 			r.OnRoute(port, service, message)
 		}
 	}
-	r.tagger = stream.NewTagger(spec)
-	r.tagger.OnMatch = r.core.consume
+	r.run = stream.NewTable(spec, stream.TableConfig{}).NewRunner()
 	return r, nil
 }
 
@@ -254,16 +254,28 @@ func (r *Router) EnableValidation(maxDepth, invalidPort int) error {
 // Write feeds stream bytes; complete messages fire OnRoute inline.
 func (r *Router) Write(p []byte) (int, error) {
 	r.core.feed(p)
-	return r.tagger.Write(p)
+	ms, err := r.run.Write(p, r.ms[:0])
+	if err != nil {
+		return 0, err
+	}
+	r.consume(ms)
+	return len(p), nil
 }
 
 // Close flushes the trailing byte and reports leftover unrouted bytes (an
 // incomplete final message) as an error.
 func (r *Router) Close() error {
-	if err := r.tagger.Close(); err != nil {
-		return err
-	}
+	r.consume(r.run.Close(r.ms[:0]))
 	return r.core.finish()
+}
+
+// consume switches on ms, the detections over bytes already fed, and keeps
+// its backing array for the next call.
+func (r *Router) consume(ms []stream.Match) {
+	r.ms = ms
+	for _, m := range ms {
+		r.core.consume(m)
+	}
 }
 
 // Stats returns routing counters.

@@ -1,12 +1,12 @@
-// Package runtime puts the repo's six execution forms — the bit-parallel
-// stream engine, its determinized table filled on demand (dfa) or to
-// closure (aot), the gate-level simulation, the LL(1)
+// Package runtime puts the repo's execution forms — the served table (the
+// bit-parallel engine determinized on demand) and four references: the
+// bit-parallel NFA itself, the gate-level simulation, the LL(1)
 // predictive-parser baseline and the Earley exact-language oracle — behind
 // one streaming Backend contract with one constructor (NewFactory), and
-// runs the three served forms at scale in a sharded pipeline (Source → N
-// tagger shards → Sink) in the style of stream processors like Benthos.
+// runs the served table at scale in a sharded pipeline (Source → N tagger
+// shards → Sink) in the style of stream processors like Benthos.
 //
-// A Backend recognizes one stream. All six forms emit stream.Match events
+// A Backend recognizes one stream. All forms emit stream.Match events
 // with absolute offsets, so they are interchangeable and differentially
 // testable (see Conformance). The FSA forms accept the documented superset
 // of the grammar; the parser and Earley references accept the grammar
@@ -65,8 +65,8 @@ type Counters struct {
 	// Collisions counts residual runtime index collisions (see
 	// stream.Tagger.Collisions).
 	Collisions int64
-	// CacheHits, CacheMisses and CacheResets describe the dfa kind's
-	// lazily filled table (zero on the other backends). They span the
+	// CacheHits, CacheMisses and CacheResets describe the served kinds'
+	// lazily filled table (zero on the reference backends). They span the
 	// backend's lifetime rather than the last Reset: the table is
 	// deliberately kept warm across streams, so its counters outlive them.
 	CacheHits   int64
@@ -91,18 +91,11 @@ type Hooks struct {
 	Collision func(shard int, pos int64, a, b int)
 	// QueueDepth observes a shard's input queue depth at each enqueue.
 	QueueDepth func(shard int, depth int)
-	// CacheStats observes the dfa kind's table fills: each dfa backend
-	// reports the hits (bytes served by filled cells), misses (bytes whose
-	// cell it computed) and epoch resets accrued since its previous report,
-	// once per stream Close. Other backends — aot included, whose closed
-	// table never misses — never call it.
+	// CacheStats observes the table's fills: each table backend reports the
+	// hits (bytes served by filled cells), misses (bytes whose cell it
+	// computed) and epoch resets accrued since its previous report, once
+	// per stream Close. The reference backends never call it.
 	CacheStats func(shard int, hits, misses, resets int64)
-	// CompileStats observes closure cost: each aot backend reports its
-	// shared table's synthesis report (states, classes, table bytes,
-	// closure duration) once at mint. The values describe the table, not
-	// the stream, so metric targets should treat them as gauges. Other
-	// backends never call it.
-	CompileStats func(shard int, s stream.CompileStats)
 	// PanicRecovered observes every panic the pipeline recovers; origin
 	// names the guarded call ("Feed", "Close" or "Deliver").
 	PanicRecovered func(shard int, origin string)
@@ -171,12 +164,6 @@ func (h *Hooks) collision(shard int, pos int64, a, b int) {
 func (h *Hooks) cacheStats(shard int, hits, misses, resets int64) {
 	if h != nil && h.CacheStats != nil {
 		h.CacheStats(shard, hits, misses, resets)
-	}
-}
-
-func (h *Hooks) compileStats(shard int, s stream.CompileStats) {
-	if h != nil && h.CompileStats != nil {
-		h.CompileStats(shard, s)
 	}
 }
 
@@ -281,13 +268,6 @@ type MetricCounters struct {
 	breakerOpens  atomicInt64
 	breakerSheds  atomicInt64
 	breakerOpen   atomicInt64 // gauge: workers currently open
-
-	// AOT synthesis-report gauges, idempotently rewritten at each backend
-	// mint (they describe the tenant's current compiled program).
-	aotStates     atomicInt64
-	aotClasses    atomicInt64
-	aotTableBytes atomicInt64
-	aotCompileNS  atomicInt64
 }
 
 // Hooks returns a Hooks wiring every event into the counters.
@@ -304,12 +284,6 @@ func (c *MetricCounters) Hooks() *Hooks {
 			c.cacheHits.Add(hits)
 			c.cacheMisses.Add(misses)
 			c.cacheResets.Add(resets)
-		},
-		CompileStats: func(_ int, s stream.CompileStats) {
-			c.aotStates.Store(int64(s.States))
-			c.aotClasses.Store(int64(s.Classes))
-			c.aotTableBytes.Store(int64(s.TableBytes))
-			c.aotCompileNS.Store(s.Duration.Nanoseconds())
 		},
 		PanicRecovered:    func(int, string) { c.panics.Add(1) },
 		Quarantined:       func(int, string) { c.quarantined.Add(1) },
@@ -385,25 +359,11 @@ func (c *MetricCounters) Snapshot() (counters Counters, maxQueueDepth int) {
 	}, int(c.maxQueue.Load())
 }
 
-// Compile returns the most recently reported AOT synthesis report: zero
-// until an aot backend is minted against these counters, then the current
-// program's states, classes, table bytes and compile duration.
-func (c *MetricCounters) Compile() stream.CompileStats {
-	return stream.CompileStats{
-		States:     int(c.aotStates.Load()),
-		Classes:    int(c.aotClasses.Load()),
-		TableBytes: int(c.aotTableBytes.Load()),
-		Duration:   time.Duration(c.aotCompileNS.Load()),
-	}
-}
-
-// atomicInt64 adds a monotonic Max (and a gauge Store) to the standard
-// atomic counter.
+// atomicInt64 adds a monotonic Max to the standard atomic counter.
 type atomicInt64 struct{ v atomic.Int64 }
 
-func (a *atomicInt64) Add(n int64)   { a.v.Add(n) }
-func (a *atomicInt64) Load() int64   { return a.v.Load() }
-func (a *atomicInt64) Store(n int64) { a.v.Store(n) }
+func (a *atomicInt64) Add(n int64) { a.v.Add(n) }
+func (a *atomicInt64) Load() int64 { return a.v.Load() }
 
 func (a *atomicInt64) Max(n int64) {
 	for {

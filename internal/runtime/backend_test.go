@@ -18,8 +18,9 @@ func compileT(t *testing.T, g *grammar.Grammar, opts core.Options) *core.Spec {
 	return spec
 }
 
-// factories builds all six backends for one spec; the parser factory is
-// omitted when the grammar is not LL(1).
+// factories builds every execution form for one spec — both spellings of
+// the served table and the references; the parser factory is omitted when
+// the grammar is not LL(1).
 func factories(t *testing.T, spec *core.Spec) map[string]Factory {
 	t.Helper()
 	out := make(map[string]Factory)
@@ -166,7 +167,7 @@ func TestParserFactoryRejectsNonLL1(t *testing.T) {
 
 func TestTaggerBackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := testFactory(t, spec, FactoryOptions{})(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindStream})(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 func TestDFABackendCacheStats(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	var mc MetricCounters
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA, MaxStates: 2})(0, mc.Hooks())
+	b, err := tableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{})(0, mc.Hooks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,18 @@ type ConformanceOptions struct {
 	WrapFactory func(Factory) Factory
 }
 
-// Conformance differentially tests the six Backend implementations on
-// one grammar: every generated conforming sentence is fed to all backends
-// in random chunkings and the results are compared under the documented
-// relation —
+// Conformance differentially tests every execution form on one grammar:
+// every generated conforming sentence is fed to all of them in random
+// chunkings and the results are compared under the documented relation —
 //
 //   - stream engine and gate-level simulation must agree bit for bit
 //     (same matches, same order, same recovery behavior),
-//   - the table, filled on demand (dfa) or to closure (aot), must agree
-//     with the stream engine exactly (same matches, same recovery and
-//     collision counters) — lazily with the default bound, with a
-//     deliberately tiny two-state bound that forces the epoch reset on
-//     every input (whose state count must also never exceed it), and
-//     both kinds with skip-ahead acceleration disabled,
+//   - the table must agree with the stream engine exactly (same matches,
+//     same recovery and collision counters) — as served (filled on
+//     demand), with a deliberately tiny two-state bound that forces the
+//     epoch reset on every input (whose state count must also never
+//     exceed it), filled to closure by stream.Determinize, and lazy and
+//     closed with skip-ahead acceleration disabled,
 //   - the Earley oracle must accept every conforming sentence — on any
 //     grammar class, not just LL(1) — and its tags must be a subset of
 //     the stream path's tags (the FSA accepts a superset of the
@@ -95,8 +94,11 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 	}
 	fs.parser, _ = build("parser", FactoryOptions{Kind: KindParser}) // nil when the grammar is not LL(1)
 	for _, v := range fsaVariants {
-		if v.f, err = build(v.name, v.o); err != nil {
-			return err
+		if v.f, err = v.build(spec); err != nil {
+			return fmt.Errorf("conformance %s: %s factory: %w", g.Name, v.name, err)
+		}
+		if opts.WrapFactory != nil {
+			v.f = opts.WrapFactory(v.f)
 		}
 		fs.fsa = append(fs.fsa, v)
 	}
@@ -121,20 +123,41 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 }
 
 // fsaVariants are the forms that must reproduce the stream engine exactly,
-// in the order every trial runs them.
+// in the order every trial runs them: the netlist, the served table, and
+// the table forms only conformance builds, through the served kinds' own
+// adapter.
 var fsaVariants = []fsaVariant{
-	{name: "gates", o: FactoryOptions{Kind: KindGates}},
-	{name: "dfa", o: FactoryOptions{Kind: KindDFA}},
-	{name: "dfa-tiny", o: FactoryOptions{Kind: KindDFA, MaxStates: 2}}, // forces epoch resets on real traffic
-	{name: "dfa-noaccel", o: FactoryOptions{Kind: KindDFA, NoAccel: true}},
-	{name: "aot", o: FactoryOptions{Kind: KindAOT}},
-	{name: "aot-noaccel", o: FactoryOptions{Kind: KindAOT, NoAccel: true}},
+	{name: "gates", kind: KindGates},
+	{name: "dfa", kind: KindDFA},
+	{name: "dfa-tiny", cfg: stream.TableConfig{MaxStates: 2}}, // forces epoch resets on real traffic
+	{name: "dfa-noaccel", cfg: stream.TableConfig{NoAccel: true}},
+	{name: "closed", closed: true},
+	{name: "closed-noaccel", closed: true, cfg: stream.TableConfig{NoAccel: true}},
 }
 
+// fsaVariant is a kind NewFactory builds, or else a table of cfg, lazy or
+// closed by stream.Determinize.
 type fsaVariant struct {
-	name string
-	o    FactoryOptions
-	f    Factory // built per Conformance run
+	name   string
+	kind   Kind
+	cfg    stream.TableConfig
+	closed bool
+	f      Factory // built per Conformance run
+}
+
+func (v fsaVariant) build(spec *core.Spec) (Factory, error) {
+	switch {
+	case v.kind != "":
+		f, _, err := NewFactory(spec, FactoryOptions{Kind: v.kind})
+		return f, err
+	case v.closed:
+		tbl, err := stream.Determinize(spec, v.cfg)
+		if err != nil {
+			return nil, err
+		}
+		return tableFactory(tbl, Limits{}), nil
+	}
+	return tableFactory(stream.NewTable(spec, v.cfg), Limits{}), nil
 }
 
 // backendSet bundles the factories one Conformance run compares.
@@ -212,7 +235,7 @@ func checkFSA(name string, v fsaVariant, text []byte, sw runResult, rng *rand.Ra
 	}
 	// The netlist folds recoveries and collisions into its detect outputs
 	// and counts neither.
-	if v.o.Kind != KindGates && (sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions) {
+	if v.kind != KindGates && (sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions) {
 		errs = append(errs, fmt.Errorf("%s: %s counters differ on %q: stream (%d recov, %d coll), %s (%d recov, %d coll)",
 			name, variant, text, sw.counters.Recoveries, sw.counters.Collisions,
 			variant, df.counters.Recoveries, df.counters.Collisions))

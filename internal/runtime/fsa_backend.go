@@ -3,11 +3,12 @@ package runtime
 import "cfgtag/internal/stream"
 
 // fsaEngine is what the callback-style executions of the stack-less
-// automaton offer the adapter: stream.Tagger (the bit-parallel NFA, the
-// software stand-in for the 1-byte-per-cycle hardware) and gateEngine (the
-// cycle-accurate netlist). Detections, recoveries and collisions leave
-// through the callbacks bind wires. The table kinds (dfa and aot) run a
-// stream.Runner instead, which appends detections itself.
+// automaton offer the adapter: the two reference kinds, stream.Tagger (the
+// bit-parallel NFA, the software stand-in for the 1-byte-per-cycle
+// hardware) and gateEngine (the cycle-accurate netlist). Detections,
+// recoveries and collisions leave through the callbacks bind wires. The
+// served table runs a stream.Runner instead, which appends detections
+// itself.
 type fsaEngine interface {
 	Write(p []byte) (int, error)
 	Close() error
@@ -15,13 +16,13 @@ type fsaEngine interface {
 }
 
 // fsaBackend adapts any execution of the automaton to the Backend
-// contract. The four kinds differ only in the engine minted per stream.
+// contract. The table, the NFA and the netlist differ only in the engine
+// minted per stream.
 type fsaBackend struct {
-	// run is the table runner of the dfa and aot kinds, nil on the others:
-	// it appends into the caller's buffer and reports rare events to the
-	// backend's Recovery and Collision, so minting one allocates no
-	// closure. It also yields cache stats on the lazy table and
-	// CompileStats on the closed one.
+	// run is the table runner, nil on the reference kinds: it appends into
+	// the caller's buffer and reports rare events to the backend's Recovery
+	// and Collision, so minting one allocates no closure. It also yields the
+	// table's cache stats and CompileStats.
 	run *stream.Runner
 	// eng is the callback engine of the other kinds, nil with run.
 	eng     fsaEngine
@@ -147,8 +148,8 @@ func (b *fsaBackend) CacheBound() (states, max int) {
 	return b.run.Table().States(), b.run.Table().MaxStates()
 }
 
-// CompileStats reports the aot kind's closure cost; zero on the other
-// kinds, which compile nothing ahead of time.
+// CompileStats reports the table's current size; zero on the reference
+// kinds, which have no table.
 func (b *fsaBackend) CompileStats() stream.CompileStats {
 	if b.run == nil {
 		return stream.CompileStats{}

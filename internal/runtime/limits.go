@@ -7,11 +7,10 @@ import (
 
 // MemGauge aggregates an estimated live-memory byte count across the
 // pieces that charge it: checked-out dispatch units (arena and tag
-// buffer) and what a factory shares between its streams (the dfa
-// transition cache, the aot tables). It is an estimate for admission
-// control (Quota.MemBudgetBytes), not an allocator accounting. All methods
-// are safe for concurrent use and nil-safe, so it threads through configs
-// without guards.
+// buffer) and what a factory shares between its streams (the transition
+// table). It is an estimate for admission control (Quota.MemBudgetBytes),
+// not an allocator accounting. All methods are safe for concurrent use and
+// nil-safe, so it threads through configs without guards.
 type MemGauge struct{ v atomic.Int64 }
 
 // Add charges (positive) or discharges (negative) delta bytes.
@@ -42,8 +41,8 @@ type Limits struct {
 	MaxPendingMatches int
 	// Mem, when set, is charged with the state a factory shares between
 	// its streams — normally the pipeline's Config.Mem gauge, so tenant
-	// memory budgets see the dfa cache and the aot tables, not just
-	// arenas. NewFactory's release discharges it.
+	// memory budgets see the transition table, not just arenas.
+	// NewFactory's release discharges it.
 	Mem *MemGauge
 }
 

@@ -66,7 +66,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 			for _, f := range []struct {
 				name    string
 				factory Factory
-			}{{"earley", testFactory(t, spec, FactoryOptions{Kind: KindEarley})}, {"stream", testFactory(t, spec, FactoryOptions{})}} {
+			}{{"earley", testFactory(t, spec, FactoryOptions{Kind: KindEarley})}, {"stream", testFactory(t, spec, FactoryOptions{Kind: KindStream})}} {
 				whole := feedSplit(t, f.factory, text, -1)
 				for split := 0; split <= len(text); split++ {
 					if got := feedSplit(t, f.factory, text, split); !reflect.DeepEqual(got, whole) {

@@ -281,7 +281,7 @@ type Config struct {
 	// Mem, when set, aggregates the pipeline's estimated memory: dispatch
 	// units checked out of the pool charge it with their arena and their
 	// tag buffer, and a factory built with the same gauge in its Limits
-	// charges what its streams share (dfa cache states, aot tables).
+	// charges what its streams share (the table's states).
 	// Registry.Send enforces Quota.MemBudgetBytes against it.
 	Mem *MemGauge
 }

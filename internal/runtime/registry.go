@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"cfgtag/internal/stream"
 )
 
 // ErrUnknownTenant is returned by Registry operations naming a tenant that
@@ -39,8 +37,8 @@ type Quota struct {
 	BytesPerSec int64
 	// MemBudgetBytes caps the tenant's estimated live memory (0 =
 	// unlimited), accounted on the pipeline's MemGauge across dispatch
-	// units (chunk arenas and the tag buffers queued with them), dfa cache
-	// states and aot tables. A Send arriving while the tenant is over
+	// units (chunk arenas and the tag buffers queued with them) and the
+	// table's states. A Send arriving while the tenant is over
 	// budget fails with ErrResourceExhausted and nothing is enqueued;
 	// existing streams drain normally, releasing memory. Add installs a
 	// gauge on the tenant's Config.Mem when one is not already set.
@@ -256,17 +254,6 @@ func (r *Registry) Counters(tenant string) (Counters, int, error) {
 	return c, q, nil
 }
 
-// CompileStats reports the tenant's most recent AOT synthesis report:
-// zero until an aot backend is minted, then the current program's states,
-// classes, table bytes and compile duration (rewritten on each reload).
-func (r *Registry) CompileStats(tenant string) (stream.CompileStats, error) {
-	ts, err := r.state(tenant)
-	if err != nil {
-		return stream.CompileStats{}, err
-	}
-	return ts.mc.Compile(), nil
-}
-
 // Faults reports the tenant's fault-tolerance totals.
 func (r *Registry) Faults(tenant string) (FaultStats, error) {
 	ts, err := r.state(tenant)
@@ -392,7 +379,6 @@ func chainHooks(a, b *Hooks) *Hooks {
 		Collision:      func(shard int, pos int64, x, y int) { a.collision(shard, pos, x, y); b.collision(shard, pos, x, y) },
 		QueueDepth:     func(shard, depth int) { a.queueDepth(shard, depth); b.queueDepth(shard, depth) },
 		CacheStats:     func(shard int, h, m, rs int64) { a.cacheStats(shard, h, m, rs); b.cacheStats(shard, h, m, rs) },
-		CompileStats:   func(shard int, s stream.CompileStats) { a.compileStats(shard, s); b.compileStats(shard, s) },
 		PanicRecovered: func(shard int, origin string) { a.panicRecovered(shard, origin); b.panicRecovered(shard, origin) },
 		Quarantined:    func(shard int, key string) { a.quarantined(shard, key); b.quarantined(shard, key) },
 		Evicted:        func(shard int, key string) { a.evicted(shard, key); b.evicted(shard, key) },

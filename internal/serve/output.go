@@ -154,19 +154,6 @@ func (s *Server) MetricsText() string {
 				fmt.Fprintf(&b, "cfgtag_current_version%s %d\n", lbl, vs[len(vs)-1])
 			}
 		}
-		// AOT compile-cost gauges, only for Stats implementations that
-		// expose them and only once the tenant has minted an AOT backend
-		// (States is 0 until then, and stays 0 forever on non-AOT tenants).
-		if cs, ok := s.stats.(interface {
-			CompileStats(string) (cfgtag.CompileStats, error)
-		}); ok {
-			if st, err := cs.CompileStats(t); err == nil && st.States > 0 {
-				fmt.Fprintf(&b, "cfgtag_aot_states%s %d\n", lbl, st.States)
-				fmt.Fprintf(&b, "cfgtag_aot_classes%s %d\n", lbl, st.Classes)
-				fmt.Fprintf(&b, "cfgtag_aot_table_bytes%s %d\n", lbl, st.TableBytes)
-				fmt.Fprintf(&b, "cfgtag_aot_compile_seconds%s %g\n", lbl, st.Duration.Seconds())
-			}
-		}
 	}
 	return b.String()
 }

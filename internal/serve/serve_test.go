@@ -342,10 +342,11 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServeAOTTenantMetrics runs a tenant on the ahead-of-time compiled
-// backend over the network: its output must match the DFA oracle byte
-// for byte (aot == dfa is the determinizer's contract), and /metrics
-// must expose the per-tenant compile-cost gauges.
+// TestServeAOTTenantMetrics runs a tenant configured as "aot" over the
+// network: "aot" is a spelling of the one served table, so its output must
+// match the oracle byte for byte, and /metrics must report its table the
+// way it reports every tenant's — cache lines, with misses from the fills
+// its traffic caused — and no ahead-of-time compile gauges.
 func TestServeAOTTenantMetrics(t *testing.T) {
 	env := startEnv(t, nil,
 		tenantSpec{name: "ahead", backend: "aot"},
@@ -363,20 +364,19 @@ func TestServeAOTTenantMetrics(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(body)
-	for _, want := range []string{
-		`cfgtag_aot_states{tenant="ahead"} `,
-		`cfgtag_aot_classes{tenant="ahead"} `,
-		`cfgtag_aot_table_bytes{tenant="ahead"} `,
-		`cfgtag_aot_compile_seconds{tenant="ahead"} `,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, text)
+	for _, tenant := range []string{"ahead", "alpha"} {
+		prefix := fmt.Sprintf("cfgtag_cache_misses_total{tenant=%q} ", tenant)
+		i := strings.Index(text, prefix)
+		if i < 0 {
+			t.Errorf("metrics missing %q in:\n%s", prefix, text)
+			continue
+		}
+		if strings.HasPrefix(text[i+len(prefix):], "0\n") {
+			t.Errorf("tenant %s: no table fills counted in:\n%s", tenant, text)
 		}
 	}
-	// A DFA tenant that never minted an AOT backend must not emit the
-	// compile gauges at all.
-	if strings.Contains(text, `cfgtag_aot_states{tenant="alpha"}`) {
-		t.Errorf("metrics leak aot gauges for non-aot tenant in:\n%s", text)
+	if strings.Contains(text, "cfgtag_aot_") {
+		t.Errorf("metrics still carry ahead-of-time compile gauges:\n%s", text)
 	}
 }
 

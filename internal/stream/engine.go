@@ -1,9 +1,10 @@
 // Package stream executes a compiled tagger specification in software as a
 // bit-parallel NFA: one bit per pattern position across all tokenizer
 // instances, 64 positions per machine word. It implements exactly the
-// semantics of the generated hardware (see package core) and is the
-// high-throughput software path benchmarked against the gate-level
-// simulation and the LL(1) baseline.
+// semantics of the generated hardware (see package core). Served streams
+// run the table determinized from it (Table, Runner), several times
+// faster; the NFA itself (Tagger) is what fills that table and the serial
+// reference it is checked against.
 //
 // Per input byte the engine computes
 //

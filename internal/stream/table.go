@@ -1,7 +1,8 @@
-// The compiled form of the tagger automaton: one flat table, filled either
-// on demand (lazily, RE2-style) or to closure before the first byte (ahead
-// of time, the software analogue of the paper's synthesized hardware), and
-// one Runner whose Write loop executes it either way.
+// The compiled form of the tagger automaton: one flat table, filled on
+// demand (lazily, RE2-style) — the form every served stream runs — or to
+// closure before the first byte by Determinize (the software analogue of
+// the paper's synthesized hardware, kept as the closed reference), and one
+// Runner whose Write loop executes it either way.
 //
 // A table state is a hash-consed (active, pending) bitset pair — the whole
 // NFA configuration, so determinization is exact, recovery included. Per
@@ -83,8 +84,9 @@ type TableConfig struct {
 	MemDelta func(delta int64)
 }
 
-// CompileStats is a closed table's synthesis report: states, byte classes,
-// resident bytes and the wall-clock time Determinize took.
+// CompileStats is a table's size report: states of the current epoch, byte
+// classes, resident bytes and, on a table Determinize closed, the
+// wall-clock time the closure took.
 type CompileStats struct {
 	States     int
 	Classes    int
@@ -171,7 +173,7 @@ type Table struct {
 	charged                  int64
 
 	closed  bool
-	compile CompileStats
+	closure time.Duration // Determinize's wall-clock time
 
 	fills, resets atomic.Int64
 }
@@ -227,8 +229,7 @@ func Determinize(spec *core.Spec, cfg TableConfig) (*Table, error) {
 	}
 	t.cfg.MaxStates, t.cfg.MemDelta = budget, mem
 	t.compact()
-	t.closed = true
-	t.compile = CompileStats{States: t.nStates, Classes: t.nc, TableBytes: int(t.g.size()), Duration: time.Since(began)}
+	t.closed, t.closure = true, time.Since(began)
 	return t, nil
 }
 
@@ -287,9 +288,14 @@ func (t *Table) MaxStates() int { return t.cfg.MaxStates }
 // identical traffic pay what one would: that is what sharing buys.
 func (t *Table) Stats() (fills, resets int64) { return t.fills.Load(), t.resets.Load() }
 
-// CompileStats is the synthesis report of a table Determinize closed; zero
-// on a lazy table, which compiles nothing ahead of time.
-func (t *Table) CompileStats() CompileStats { return t.compile }
+// CompileStats reports the table as it stands: a lazy table's current
+// epoch, or a closed table's whole program. Duration is zero on a lazy
+// table, which compiles nothing ahead of time.
+func (t *Table) CompileStats() CompileStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return CompileStats{States: t.nStates, Classes: t.nc, TableBytes: int(t.g.size()), Duration: t.closure}
+}
 
 // NewRunner mints a stream executor over the table.
 func (t *Table) NewRunner() *Runner {

@@ -541,8 +541,13 @@ func TestCompileStats(t *testing.T) {
 	if st.Duration <= 0 {
 		t.Errorf("Duration = %v, want > 0", st.Duration)
 	}
-	if (NewTable(spec, TableConfig{}).CompileStats() != CompileStats{}) {
-		t.Error("a lazy table reports a synthesis report")
+	lazy := NewTable(spec, TableConfig{})
+	if ls := lazy.CompileStats(); ls.States != 1 || ls.Classes != st.Classes || ls.TableBytes <= 0 || ls.Duration != 0 {
+		t.Errorf("fresh lazy table reports %+v, want its start state, %d classes, its bytes and no closure time", ls, st.Classes)
+	}
+	lazy.NewRunner().Tag([]byte(sampleRPC))
+	if ls := lazy.CompileStats(); ls.States <= 1 || ls.States > st.States || ls.Duration != 0 {
+		t.Errorf("filled lazy table reports %+v, want between 2 and the closed %d states", ls, st.States)
 	}
 	g := tbl.cur.Load()
 	if len(g.trans) != st.States*st.Classes {

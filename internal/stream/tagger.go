@@ -72,6 +72,20 @@ func NewTagger(spec *core.Spec) *Tagger {
 	return t
 }
 
+// Clone creates an independent Tagger sharing this one's compiled engine —
+// cheap (no mask recomputation) and the way to tag several streams
+// concurrently.
+func (t *Tagger) Clone() *Tagger {
+	c := &Tagger{e: t.e}
+	c.active = make([]uint64, t.e.words)
+	c.scatter = make([]uint64, t.e.words)
+	c.pending = make([]uint64, t.e.words)
+	c.scratch = make([]uint64, t.e.words)
+	c.emitStamp = make([]int64, len(t.e.spec.Instances))
+	c.Reset()
+	return c
+}
+
 // Spec returns the specification the tagger was compiled from.
 func (t *Tagger) Spec() *core.Spec { return t.e.spec }
 

@@ -320,6 +320,27 @@ func TestIncrementalWritesMatchOneShot(t *testing.T) {
 	}
 }
 
+func TestCloneIndependence(t *testing.T) {
+	s := mustSpec(t, grammar.IfThenElse(), core.Options{})
+	a := NewTagger(s)
+	b := a.Clone()
+	// Interleave writes; each stream must tag independently.
+	a.Write([]byte("if "))
+	b.Write([]byte("go"))
+	a.Write([]byte("true then stop"))
+	var am, bm []Match
+	a.OnMatch = func(m Match) { am = append(am, m) }
+	b.OnMatch = func(m Match) { bm = append(bm, m) }
+	a.Close()
+	b.Close()
+	if len(am) == 0 {
+		t.Error("clone corrupted the original's stream")
+	}
+	if len(bm) != 1 || s.Instances[bm[0].InstanceID].Term != "go" {
+		t.Errorf("clone stream = %v", bm)
+	}
+}
+
 func TestWriteAfterClose(t *testing.T) {
 	s := mustSpec(t, grammar.IfThenElse(), core.Options{})
 	tg := NewTagger(s)

@@ -144,39 +144,3 @@ func (v *Validator) report(viol *Violation) {
 		v.OnViolation(viol)
 	}
 }
-
-// CheckedTagger bundles a tagger with a validator: matches flow to OnMatch
-// as usual while the stack machine audits them.
-type CheckedTagger struct {
-	Tagger    *stream.Tagger
-	Validator *Validator
-	// OnMatch receives every match (after validation bookkeeping).
-	OnMatch func(stream.Match)
-}
-
-// NewCheckedTagger wires a tagger and validator over one spec.
-func NewCheckedTagger(spec *core.Spec, maxDepth int) (*CheckedTagger, error) {
-	val, err := New(spec, maxDepth)
-	if err != nil {
-		return nil, err
-	}
-	ct := &CheckedTagger{Tagger: stream.NewTagger(spec), Validator: val}
-	ct.Tagger.OnMatch = func(m stream.Match) {
-		ct.Validator.Consume(m)
-		if ct.OnMatch != nil {
-			ct.OnMatch(m)
-		}
-	}
-	return ct, nil
-}
-
-// Write feeds stream bytes.
-func (c *CheckedTagger) Write(p []byte) (int, error) { return c.Tagger.Write(p) }
-
-// Close flushes the tagger and the validator's end-of-input check.
-func (c *CheckedTagger) Close() error {
-	if err := c.Tagger.Close(); err != nil {
-		return err
-	}
-	return c.Validator.Close()
-}

@@ -21,16 +21,47 @@ func spec(t *testing.T, g *grammar.Grammar, opts core.Options) *core.Spec {
 	return s
 }
 
-func checked(t *testing.T, g *grammar.Grammar, opts core.Options) *CheckedTagger {
+// checkedTagger wires the serial reference tagger into a Validator, the
+// way every in-process caller feeds one: each match reaches the stack
+// machine, then OnMatch.
+type checkedTagger struct {
+	Tagger    *stream.Tagger
+	Validator *Validator
+	OnMatch   func(stream.Match)
+}
+
+func newChecked(spec *core.Spec, maxDepth int) (*checkedTagger, error) {
+	val, err := New(spec, maxDepth)
+	if err != nil {
+		return nil, err
+	}
+	ct := &checkedTagger{Tagger: stream.NewTagger(spec), Validator: val}
+	ct.Tagger.OnMatch = func(m stream.Match) {
+		ct.Validator.Consume(m)
+		if ct.OnMatch != nil {
+			ct.OnMatch(m)
+		}
+	}
+	return ct, nil
+}
+
+func (c *checkedTagger) Write(p []byte) (int, error) { return c.Tagger.Write(p) }
+
+func (c *checkedTagger) Close() error {
+	c.Tagger.Close()
+	return c.Validator.Close()
+}
+
+func checked(t *testing.T, g *grammar.Grammar, opts core.Options) *checkedTagger {
 	t.Helper()
-	ct, err := NewCheckedTagger(spec(t, g, opts), 0)
+	ct, err := newChecked(spec(t, g, opts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ct
 }
 
-func runChecked(t *testing.T, ct *CheckedTagger, input string) (violations int64, closeErr error) {
+func runChecked(t *testing.T, ct *checkedTagger, input string) (violations int64, closeErr error) {
 	t.Helper()
 	ct.Tagger.Reset()
 	ct.Validator.Reset()
@@ -110,7 +141,7 @@ func TestXMLNestingViolations(t *testing.T) {
 
 func TestMultiSentenceStream(t *testing.T) {
 	s := spec(t, grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	ct, err := NewCheckedTagger(s, 0)
+	ct, err := newChecked(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +158,7 @@ func TestInstanceContextAgreement(t *testing.T) {
 	// construction and the LL(1) machine.
 	for _, g := range []*grammar.Grammar{grammar.IfThenElse(), grammar.XMLRPC()} {
 		s := spec(t, g, core.Options{})
-		ct, err := NewCheckedTagger(s, 0)
+		ct, err := newChecked(s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +174,7 @@ func TestInstanceContextAgreement(t *testing.T) {
 
 func TestStackOverflow(t *testing.T) {
 	s := spec(t, grammar.BalancedParens(), core.Options{})
-	ct, err := NewCheckedTagger(s, 8)
+	ct, err := newChecked(s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +189,7 @@ func TestStackOverflow(t *testing.T) {
 		t.Errorf("violations=%d overflow=%v; bounded stack should overflow", v, sawOverflow)
 	}
 	// A generous bound accepts the same input.
-	ct2, err := NewCheckedTagger(s, 4096)
+	ct2, err := newChecked(s, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +200,8 @@ func TestStackOverflow(t *testing.T) {
 
 func TestStackDepthTracksNesting(t *testing.T) {
 	s := spec(t, grammar.BalancedParens(), core.Options{})
-	shallow, _ := NewCheckedTagger(s, 0)
-	deep, _ := NewCheckedTagger(s, 0)
+	shallow, _ := newChecked(s, 0)
+	deep, _ := newChecked(s, 0)
 	runChecked(t, shallow, "0")
 	runChecked(t, deep, "( ( ( ( 0 ) ) ) )")
 	if deep.Validator.StackDepth() <= shallow.Validator.StackDepth() {
@@ -182,7 +213,7 @@ func TestViolationRecoveryWithinStream(t *testing.T) {
 	// After a violation the validator re-arms at the next Start instance:
 	// message 2 is validated even though message 1 was malformed.
 	s := spec(t, grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	ct, err := NewCheckedTagger(s, 0)
+	ct, err := newChecked(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

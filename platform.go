@@ -77,9 +77,9 @@ type QuotaConfig struct {
 	// burst; Sends beyond it fail with ErrQuotaExceeded.
 	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
 	// MemBudgetBytes caps the tenant's estimated live memory — queued
-	// chunk bytes and the tag storage queued with them, the dfa cache, the
-	// aot tables — rejecting Sends with ErrResourceExhausted while the
-	// gauge is at or over budget.
+	// chunk bytes and the tag storage queued with them, the transition
+	// table — rejecting Sends with ErrResourceExhausted while the gauge is
+	// at or over budget.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
@@ -106,13 +106,13 @@ type TenantDef struct {
 	// "no-context-duplication", "no-longest-match", "all-enabled",
 	// "recover-restart", "recover-resync".
 	Options []string `json:"options,omitempty"`
-	// Backend selects the execution path: "stream" (default), "dfa" or
-	// "aot". The aot path determinizes the grammar to closure at tenant
-	// construction (and at each Reload) — compile once per version,
-	// amortized over every stream — and fails construction when the
-	// grammar does not close within the default state budget. The
-	// reference backends ("gates", "parser", "earley") are not served:
-	// Validate rejects them, naming the single-stream alternative.
+	// Backend names the execution path. Every tenant runs the same one:
+	// the grammar's table, filled on demand and shared by the tenant's
+	// streams (one per version across Reloads). "" (the default), "dfa"
+	// and "aot" all select it; the last two stay accepted because configs
+	// write them. The reference backends ("stream", "gates", "parser",
+	// "earley") are not served: Validate rejects them, naming the
+	// single-stream alternative.
 	Backend string `json:"backend,omitempty"`
 	// Shards is the tenant's pipeline width (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
@@ -385,8 +385,8 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
-	// One gauge per tenant, shared by the factory (dfa cache, aot tables),
-	// the pipeline (arenas) and the quota check at Send.
+	// One gauge per tenant, shared by the factory (the table), the pipeline
+	// (arenas) and the quota check at Send.
 	var mem *MemGauge
 	if def.Quota.MemBudgetBytes > 0 {
 		mem = &MemGauge{}
@@ -395,10 +395,8 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		Kind:   BackendKind(def.Backend),
 		Limits: StreamLimits{MaxPendingMatches: def.Limits.MaxPendingMatches, Mem: mem},
 	}
-	// The aot kind determinizes the grammar here — once per version, so
-	// Reload amortizes the compile fleet-wide. release discharges what the
-	// version holds on the gauge when it retires, so zero-downtime reloads
-	// do not accrete gauge drift.
+	// release discharges what the version's table holds on the gauge when
+	// it retires, so zero-downtime reloads do not accrete gauge drift.
 	factory, release, err := runtime.NewFactory(engine.spec, fopts)
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
@@ -569,15 +567,6 @@ func (p *Platform) Metrics(tenant string) (BackendCounters, int, error) {
 // Faults reports the tenant's fault-tolerance totals.
 func (p *Platform) Faults(tenant string) (FaultStats, error) {
 	return p.reg.Faults(tenant)
-}
-
-// CompileStats reports the tenant's most recent AOT synthesis report —
-// states, byte classes, table bytes and compile duration of the current
-// program, rewritten on each Reload. Zero for tenants on other backends
-// (they compile nothing ahead of time) and for aot tenants that have not
-// minted a stream yet.
-func (p *Platform) CompileStats(tenant string) (CompileStats, error) {
-	return p.reg.CompileStats(tenant)
 }
 
 // LiveStreams reports the tenant's admitted live-stream count (tracked

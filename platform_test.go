@@ -67,7 +67,6 @@ const platformTestConfig = `{
     {
       "name": "lang",
       "grammar": %q,
-      "backend": "stream",
       "shards": 1
     }
   ]
@@ -233,17 +232,18 @@ func TestPlatformReload(t *testing.T) {
 	}
 }
 
-// TestReferenceBackendsNotServed pins the line between served and reference
-// execution paths: a tenant or a pipeline on gates, parser or earley is a
-// typed configuration error naming the single-stream alternative, the same
-// kinds still build through NewBackend, and the per-stream limits that
-// existed only for them are unknown fields to the strict decoder.
+// TestReferenceBackendsNotServed pins the line between the served table and
+// the reference execution paths: a tenant or a pipeline on stream, gates,
+// parser or earley is a typed configuration error naming the single-stream
+// alternative, the same kinds still build through NewBackend, and the
+// per-stream limits that existed only for them are unknown fields to the
+// strict decoder.
 func TestReferenceBackendsNotServed(t *testing.T) {
 	engine, err := Compile("demo", IfThenElseSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []BackendKind{GatesBackend, ParserBackend, EarleyBackend} {
+	for _, kind := range []BackendKind{StreamBackend, GatesBackend, ParserBackend, EarleyBackend} {
 		t.Run(string(kind), func(t *testing.T) {
 			pc := &PlatformConfig{Tenants: []TenantDef{{Name: "a", Grammar: IfThenElseSource, Backend: string(kind)}}}
 			err := pc.Validate()

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench.sh — benchmark-regression rail.
 #
-# Runs the guarded throughput benchmarks (BenchmarkStream, BenchmarkDFA,
-# BenchmarkAOT, BenchmarkShardedPipeline, BenchmarkPipelineOverload,
+# Runs the guarded throughput benchmarks (BenchmarkStream, BenchmarkTagger,
+# BenchmarkDFA, BenchmarkAOT, BenchmarkShardedPipeline, BenchmarkPipelineOverload,
 # BenchmarkTenantGrid, BenchmarkServeTCP),
 # compares per-benchmark median MB/s against the
 # committed BENCH_baseline.json, and fails when any benchmark drops below
@@ -33,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 BASE=BENCH_baseline.json
 OUT=${BENCH_OUT:-bench_out}
-PATTERN='^(BenchmarkStream|BenchmarkDFA|BenchmarkDFASparse|BenchmarkAOT|BenchmarkAOTSparse|BenchmarkShardedPipeline|BenchmarkPipelineOverload|BenchmarkTenantGrid|BenchmarkServeTCP)$'
+PATTERN='^(BenchmarkStream|BenchmarkTagger|BenchmarkDFA|BenchmarkDFASparse|BenchmarkAOT|BenchmarkAOTSparse|BenchmarkShardedPipeline|BenchmarkPipelineOverload|BenchmarkTenantGrid|BenchmarkServeTCP)$'
 
 UPDATE=0
 CPUPROF=0

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// TestTagTableMatchesInstances checks the compile-time tag table against
-// its definition, for every shipped grammar with and without context
-// duplication: row i is instance i's fields plus Instance.Context(g).
-func TestTagTableMatchesInstances(t *testing.T) {
+// grammarSources returns every grammar the repo carries — the built-ins,
+// grammars/ and testdata/grammars/ — by name.
+func grammarSources(t *testing.T) map[string]string {
+	t.Helper()
 	sources := map[string]string{
 		"builtin/parens":     BalancedParensSource,
 		"builtin/ifthenelse": IfThenElseSource,
@@ -35,7 +35,14 @@ func TestTagTableMatchesInstances(t *testing.T) {
 			sources[f] = string(src)
 		}
 	}
-	for name, src := range sources {
+	return sources
+}
+
+// TestTagTableMatchesInstances checks the compile-time tag table against
+// its definition, for every shipped grammar with and without context
+// duplication: row i is instance i's fields plus Instance.Context(g).
+func TestTagTableMatchesInstances(t *testing.T) {
+	for name, src := range grammarSources(t) {
 		for _, dup := range []bool{true, false} {
 			var opts []Option
 			if !dup {
