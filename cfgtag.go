@@ -546,7 +546,7 @@ func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := f(0, nil)
+	b, err := f()
 	if err != nil {
 		return nil, err
 	}
@@ -697,9 +697,11 @@ func putBatch(pb *pooledBatch) {
 	batchPool.Put(pb)
 }
 
-// Metrics aggregates pipeline observability counters (bytes, matches,
-// recoveries, collisions, queue-depth high-water mark) atomically; safe
-// for concurrent use. The zero value is ready.
+// Metrics is a pipeline's counter set: bytes, matches, recoveries,
+// collisions, table cache stats, the queue-depth high-water mark and, via
+// Faults, the fault and overload counters. The pipeline adds to it where
+// each event happens; its readers are safe for concurrent use. The zero
+// value is ready.
 type Metrics = runtime.MetricCounters
 
 // PipelineConfig tunes a sharded pipeline.
@@ -712,7 +714,8 @@ type PipelineConfig struct {
 	Shards int
 	// Queue is each shard's input queue depth in batches (0 = 64).
 	Queue int
-	// Metrics, when set, receives the pipeline's observability counters.
+	// Metrics, when set, is the counter set the pipeline writes, so the
+	// caller can read it while the pipeline runs and after Close.
 	Metrics *Metrics
 	// MaxStreams caps the live streams per shard (0 = unlimited). At the
 	// cap, the least-recently-fed stream is flushed and delivered as a
@@ -868,9 +871,7 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
 		Mem:              cfg.Limits.Mem,
-	}
-	if cfg.Metrics != nil {
-		rcfg.Hooks = cfg.Metrics.Hooks()
+		Metrics:          cfg.Metrics,
 	}
 	if cfg.DeadLetter != nil {
 		dl := cfg.DeadLetter

@@ -315,7 +315,7 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:       opts.shards,
 		Factory:      factory,
-		Hooks:        mc.Hooks(),
+		Metrics:      &mc,
 		MaxStreams:   opts.maxStreams,
 		Quarantine:   opts.quarantine,
 		BatchBytes:   opts.batchBytes,

@@ -450,12 +450,12 @@ func newSwitchboard(spec *core.Spec, bank, shop, fallback string, pcfg pipelineC
 		return nil, err
 	}
 	sw.pipeline, err = runtime.NewPipeline(runtime.Config{
-		Shards:     pcfg.shards,
-		Factory:    factory,
-		MaxStreams: pcfg.maxStreams,
-		Quarantine: pcfg.quarantine,
-		BatchBytes: pcfg.batchBytes,
-		Hooks:      &runtime.Hooks{VersionRetired: sink.DropVersion},
+		Shards:         pcfg.shards,
+		Factory:        factory,
+		MaxStreams:     pcfg.maxStreams,
+		Quarantine:     pcfg.quarantine,
+		BatchBytes:     pcfg.batchBytes,
+		VersionRetired: sink.DropVersion,
 	}, pipeSink)
 	if err != nil {
 		return nil, err

@@ -143,7 +143,7 @@ func mintBackend(spec *core.Spec, o runtime.FactoryOptions, rigErr *error) runti
 		*rigErr = err
 		return nil
 	}
-	b, err := f(0, nil)
+	b, err := f()
 	if err != nil {
 		*rigErr = err
 		return nil

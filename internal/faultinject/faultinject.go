@@ -80,8 +80,8 @@ func (c Config) latency() time.Duration {
 func Factory(inner runtime.Factory, cfg Config) runtime.Factory {
 	var mu sync.Mutex
 	var seq int64
-	return func(shard int, h *runtime.Hooks) (runtime.Backend, error) {
-		b, err := inner(shard, h)
+	return func() (runtime.Backend, error) {
+		b, err := inner()
 		if err != nil {
 			return nil, err
 		}

@@ -52,7 +52,7 @@ func newWrapped(t *testing.T, cfg faultinject.Config) runtime.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := faultinject.Factory(f, cfg)(0, nil)
+	b, err := faultinject.Factory(f, cfg)()
 	if err != nil {
 		t.Fatal(err)
 	}

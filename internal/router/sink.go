@@ -27,7 +27,7 @@ type sinkVersion struct {
 // (Pipeline.SwapFactory), batches keep carrying the version that tagged
 // them, and the Sink decodes each stream with that version's spec. Stage a
 // new spec with StageVersion before the swap, bind it with CommitVersion
-// after, and wire DropVersion into Hooks.VersionRetired so retired
+// after, and wire DropVersion into Config.VersionRetired so retired
 // versions' specs are released.
 type Sink struct {
 	nameProduction string
@@ -147,7 +147,7 @@ func (s *Sink) AddVersion(version int, spec *core.Spec) error {
 }
 
 // DropVersion forgets a retired version's spec. Wire it into the
-// pipeline's Hooks.VersionRetired: the runtime retires a version only
+// pipeline's Config.VersionRetired: the runtime retires a version only
 // after its last stream's final batch has been delivered, so no live
 // switchCore still references the dropped spec.
 func (s *Sink) DropVersion(version int) {

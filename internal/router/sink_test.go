@@ -271,9 +271,9 @@ func TestSinkHotSwapVersions(t *testing.T) {
 	}
 	ws := &seenSink{Sink: sink, keys: make(map[string]bool)}
 	p, err := runtime.NewPipeline(runtime.Config{
-		Shards:  2,
-		Factory: streamFactory(t, specA),
-		Hooks:   &runtime.Hooks{VersionRetired: sink.DropVersion},
+		Shards:         2,
+		Factory:        streamFactory(t, specA),
+		VersionRetired: sink.DropVersion,
 	}, ws)
 	if err != nil {
 		t.Fatal(err)

@@ -59,11 +59,11 @@ func TestPipelineStreamCycleAllocs(t *testing.T) {
 	if got < 32 {
 		t.Fatalf("message confirms %d tags, want a few dozen so that a growing match slice shows", got)
 	}
-	// Exactly 4: the backend, the DFA runner (which reports to the backend
-	// through stream.Events, so no callback closure), and the stream's
-	// entry with its recency-list element. A callback per event would add
-	// one each, a Batch header per message two, a tag slice grown from nil
-	// one per doubling.
+	// Exactly 4: the backend, the DFA runner (which counts its own rare
+	// events, so no callback closure), and the stream's entry with its
+	// recency-list element. A callback per event would add one each, a
+	// Batch header per message two, a tag slice grown from nil one per
+	// doubling.
 	if avg > 4 {
 		t.Errorf("one-message stream averages %.1f allocs, want <= 4", avg)
 	}

@@ -16,7 +16,6 @@ package runtime
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"cfgtag/internal/stream"
 )
@@ -74,178 +73,16 @@ type Counters struct {
 	CacheResets int64
 }
 
-// Hooks is the metrics surface threaded through the backends and the
-// pipeline. Nil hooks (or nil fields) cost nothing. Hook functions must be
-// safe for concurrent use when shared across pipeline shards; the
-// per-event arguments identify the source.
-type Hooks struct {
-	// Bytes observes every chunk fed to a backend.
-	Bytes func(shard int, n int)
-	// Matches observes confirmed detections, as a count: each backend
-	// reports what a Feed confirmed once when it returns, and what the
-	// end-of-stream flush confirmed once per Close. Nothing runs per tag.
-	Matches func(shard int, n int)
-	// Recovery observes each section 5.2 recovery event.
-	Recovery func(shard int, pos int64)
-	// Collision observes each runtime index collision.
-	Collision func(shard int, pos int64, a, b int)
-	// QueueDepth observes a shard's input queue depth at each enqueue.
-	QueueDepth func(shard int, depth int)
-	// CacheStats observes the table's fills: each table backend reports the
-	// hits (bytes served by filled cells), misses (bytes whose cell it
-	// computed) and epoch resets accrued since its previous report, once
-	// per stream Close. The reference backends never call it.
-	CacheStats func(shard int, hits, misses, resets int64)
-	// PanicRecovered observes every panic the pipeline recovers; origin
-	// names the guarded call ("Feed", "Close" or "Deliver").
-	PanicRecovered func(shard int, origin string)
-	// Quarantined observes each stream key poisoned after a backend
-	// error or panic.
-	Quarantined func(shard int, key string)
-	// Evicted observes each stream flushed by the MaxStreams idle-LRU
-	// eviction.
-	Evicted func(shard int, key string)
-	// SinkRetry observes each Deliver retry (attempt counts retries, so
-	// the first retry is 1) with the error that caused it.
-	SinkRetry func(attempt int, err error)
-	// DeadLetter observes each batch handed to Config.DeadLetter after
-	// its Deliver attempts were exhausted.
-	DeadLetter func(key string, err error)
-	// VersionRetired observes each backend-factory version retired after a
-	// SwapFactory: the version is no longer current and its last stream's
-	// final batch has been delivered, so resources the factory closed over
-	// are safe to tear down.
-	VersionRetired func(version int)
-	// Overloaded observes each Send shed by admission control (shed mode,
-	// see Config.SendTimeout): the chunk was rejected with ErrOverloaded
-	// and nothing was enqueued.
-	Overloaded func(shard int, key string)
-	// Watchdog observes each backend call (Feed or Close) caught running
-	// past Config.FeedDeadline, exactly once per overdue call, with the
-	// elapsed time at detection.
-	Watchdog func(shard int, key, origin string, elapsed time.Duration)
-	// ResourceExhausted observes each stream ended by a resource budget
-	// (its EOS batch carries an error wrapping ErrResourceExhausted),
-	// exactly once per stream.
-	ResourceExhausted func(shard int, key string)
-	// Breaker observes sink circuit-breaker state flips: open=true when a
-	// worker's breaker trips, open=false when a half-open probe closes
-	// it. Half-open probing itself is not a flip.
-	Breaker func(worker int, open bool)
-	// BreakerShed observes each batch shed to DeadLetter while a worker's
-	// breaker is open.
-	BreakerShed func(worker int, key string)
-}
+// Factory creates one Backend per stream; NewFactory builds one. A
+// factory is called concurrently from the pipeline's shard goroutines.
+type Factory func() (Backend, error)
 
-func (h *Hooks) bytes(shard, n int) {
-	if h != nil && h.Bytes != nil {
-		h.Bytes(shard, n)
-	}
-}
-
-func (h *Hooks) matches(shard, n int) {
-	if n > 0 && h != nil && h.Matches != nil {
-		h.Matches(shard, n)
-	}
-}
-
-func (h *Hooks) recovery(shard int, pos int64) {
-	if h != nil && h.Recovery != nil {
-		h.Recovery(shard, pos)
-	}
-}
-
-func (h *Hooks) collision(shard int, pos int64, a, b int) {
-	if h != nil && h.Collision != nil {
-		h.Collision(shard, pos, a, b)
-	}
-}
-
-func (h *Hooks) cacheStats(shard int, hits, misses, resets int64) {
-	if h != nil && h.CacheStats != nil {
-		h.CacheStats(shard, hits, misses, resets)
-	}
-}
-
-func (h *Hooks) queueDepth(shard, depth int) {
-	if h != nil && h.QueueDepth != nil {
-		h.QueueDepth(shard, depth)
-	}
-}
-
-func (h *Hooks) panicRecovered(shard int, origin string) {
-	if h != nil && h.PanicRecovered != nil {
-		h.PanicRecovered(shard, origin)
-	}
-}
-
-func (h *Hooks) quarantined(shard int, key string) {
-	if h != nil && h.Quarantined != nil {
-		h.Quarantined(shard, key)
-	}
-}
-
-func (h *Hooks) evicted(shard int, key string) {
-	if h != nil && h.Evicted != nil {
-		h.Evicted(shard, key)
-	}
-}
-
-func (h *Hooks) sinkRetry(attempt int, err error) {
-	if h != nil && h.SinkRetry != nil {
-		h.SinkRetry(attempt, err)
-	}
-}
-
-func (h *Hooks) deadLetter(key string, err error) {
-	if h != nil && h.DeadLetter != nil {
-		h.DeadLetter(key, err)
-	}
-}
-
-func (h *Hooks) versionRetired(version int) {
-	if h != nil && h.VersionRetired != nil {
-		h.VersionRetired(version)
-	}
-}
-
-func (h *Hooks) overloaded(shard int, key string) {
-	if h != nil && h.Overloaded != nil {
-		h.Overloaded(shard, key)
-	}
-}
-
-func (h *Hooks) watchdog(shard int, key, origin string, elapsed time.Duration) {
-	if h != nil && h.Watchdog != nil {
-		h.Watchdog(shard, key, origin, elapsed)
-	}
-}
-
-func (h *Hooks) resourceExhausted(shard int, key string) {
-	if h != nil && h.ResourceExhausted != nil {
-		h.ResourceExhausted(shard, key)
-	}
-}
-
-func (h *Hooks) breaker(worker int, open bool) {
-	if h != nil && h.Breaker != nil {
-		h.Breaker(worker, open)
-	}
-}
-
-func (h *Hooks) breakerShed(worker int, key string) {
-	if h != nil && h.BreakerShed != nil {
-		h.BreakerShed(worker, key)
-	}
-}
-
-// Factory creates one Backend per stream; NewFactory builds one. shard
-// identifies the pipeline shard the backend will live on (0 for standalone
-// use) and is forwarded to the hooks; h may be nil.
-type Factory func(shard int, h *Hooks) (Backend, error)
-
-// MetricCounters is a ready-made atomic Hooks target: plug Observe into a
-// pipeline or backend and read the totals concurrently.
+// MetricCounters holds a pipeline's observability totals: the pipeline
+// adds to them where each event happens (Config.Metrics), and every
+// reader is safe to call concurrently. Bytes count successful Feeds;
+// Matches count the tags of batches handed to the sink; recoveries,
+// collisions and the table's cache stats are folded in from
+// Backend.Counters when a stream ends. The zero value is ready.
 type MetricCounters struct {
 	bytes       atomicInt64
 	matches     atomicInt64
@@ -270,38 +107,18 @@ type MetricCounters struct {
 	breakerOpen   atomicInt64 // gauge: workers currently open
 }
 
-// Hooks returns a Hooks wiring every event into the counters.
-func (c *MetricCounters) Hooks() *Hooks {
-	return &Hooks{
-		Bytes:     func(_ int, n int) { c.bytes.Add(int64(n)) },
-		Matches:   func(_ int, n int) { c.matches.Add(int64(n)) },
-		Recovery:  func(int, int64) { c.recoveries.Add(1) },
-		Collision: func(int, int64, int, int) { c.collisions.Add(1) },
-		QueueDepth: func(_ int, depth int) {
-			c.maxQueue.Max(int64(depth))
-		},
-		CacheStats: func(_ int, hits, misses, resets int64) {
-			c.cacheHits.Add(hits)
-			c.cacheMisses.Add(misses)
-			c.cacheResets.Add(resets)
-		},
-		PanicRecovered:    func(int, string) { c.panics.Add(1) },
-		Quarantined:       func(int, string) { c.quarantined.Add(1) },
-		Evicted:           func(int, string) { c.evicted.Add(1) },
-		SinkRetry:         func(int, error) { c.sinkRetries.Add(1) },
-		DeadLetter:        func(string, error) { c.deadLetters.Add(1) },
-		Overloaded:        func(int, string) { c.shed.Add(1) },
-		Watchdog:          func(int, string, string, time.Duration) { c.watchdogTrips.Add(1) },
-		ResourceExhausted: func(int, string) { c.resExhausted.Add(1) },
-		Breaker: func(_ int, open bool) {
-			if open {
-				c.breakerOpens.Add(1)
-				c.breakerOpen.Add(1)
-			} else {
-				c.breakerOpen.Add(-1)
-			}
-		},
-		BreakerShed: func(int, string) { c.breakerSheds.Add(1) },
+// addStream folds one ended stream's backend totals into the counters.
+// Bytes and matches are not taken from it: the pipeline counts those as
+// they pass.
+func (c *MetricCounters) addStream(b Counters) {
+	if b.Recoveries|b.Collisions != 0 {
+		c.recoveries.Add(b.Recoveries)
+		c.collisions.Add(b.Collisions)
+	}
+	if b.CacheHits|b.CacheMisses|b.CacheResets != 0 {
+		c.cacheHits.Add(b.CacheHits)
+		c.cacheMisses.Add(b.CacheMisses)
+		c.cacheResets.Add(b.CacheResets)
 	}
 }
 

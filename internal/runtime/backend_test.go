@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestBackendsAgreeOnIfThenElse(t *testing.T) {
 		t.Fatal("reference tagger found nothing")
 	}
 	for name, f := range factories(t, spec) {
-		b, err := f(0, nil)
+		b, err := f()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -74,7 +75,7 @@ func TestBackendMatchesDrain(t *testing.T) {
 	input := []byte("if true then go else stop")
 	want := stream.NewTagger(spec).Tag(input)
 	for name, f := range factories(t, spec) {
-		b, err := f(0, nil)
+		b, err := f()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestBackendResetReuse(t *testing.T) {
 	input := []byte("if true then go else stop")
 	want := stream.NewTagger(spec).Tag(input)
 	for name, f := range factories(t, spec) {
-		b, err := f(0, nil)
+		b, err := f()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestBackendResetReuse(t *testing.T) {
 func TestBackendFeedAfterClose(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	for name, f := range factories(t, spec) {
-		b, err := f(0, nil)
+		b, err := f()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestBackendFeedAfterClose(t *testing.T) {
 
 func TestParserBackendRejects(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindParser})(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindParser})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestParserFactoryRejectsNonLL1(t *testing.T) {
 
 func TestTaggerBackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindStream})(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindStream})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestTaggerBackendRecoveryCounter(t *testing.T) {
 
 func TestDFABackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})(0, nil)
+	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +193,20 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 }
 
 // TestDFABackendCacheStats checks the cache counters surface both on the
-// backend's Counters and — as deltas at Close — through the hooks, and
-// that a tiny bound actually resets.
+// backend's Counters and — folded in as each stream ends — on a one-shard
+// pipeline's metrics, and that a tiny bound actually resets. The pipeline
+// runs the same three streams, in the same order, on a fresh table of the
+// same bound, so its totals must equal the serial backend's.
 func TestDFABackendCacheStats(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	var mc MetricCounters
-	b, err := tableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{})(0, mc.Hooks())
+	tiny := func() Factory { return tableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{}) }
+	b, err := tiny()()
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := []byte("if true then go else stop")
-	for round := 0; round < 3; round++ {
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
 		b.Reset()
 		b.Feed(input, nil)
 		b.Close(nil)
@@ -214,29 +218,65 @@ func TestDFABackendCacheStats(t *testing.T) {
 	if c.CacheResets == 0 {
 		t.Error("two-state cache never reset")
 	}
+	if c.CacheHits+c.CacheMisses != rounds*int64(len(input)) {
+		t.Errorf("hits+misses = %d, want the %d bytes fed", c.CacheHits+c.CacheMisses, rounds*len(input))
+	}
+
+	var mc MetricCounters
+	p, err := NewPipeline(Config{Shards: 1, Factory: tiny(), Metrics: &mc}, SinkFunc(func(*Batch) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		key := fmt.Sprintf("s%d", round)
+		if err := p.Send(key, input); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CloseStream(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := mc.Snapshot()
 	if got.CacheHits != c.CacheHits || got.CacheMisses != c.CacheMisses || got.CacheResets != c.CacheResets {
-		t.Errorf("hooks saw cache (%d, %d, %d), backend counted (%d, %d, %d)",
+		t.Errorf("pipeline counted cache (%d, %d, %d), the serial backend (%d, %d, %d)",
 			got.CacheHits, got.CacheMisses, got.CacheResets,
 			c.CacheHits, c.CacheMisses, c.CacheResets)
 	}
 }
 
+// TestHooksObserveEvents checks a one-shard pipeline's byte and match
+// counters against what was sent and what the sink received, and both
+// against the serial tagger.
 func TestHooksObserveEvents(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	var mc MetricCounters
-	b, err := testFactory(t, spec, FactoryOptions{})(3, mc.Hooks())
+	sink := newCollectSink()
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := []byte("if true then go else stop")
-	b.Feed(input, nil)
-	b.Close(nil)
+	if err := p.Send("s", input); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CloseStream("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, _ := mc.Snapshot()
 	if got.Bytes != int64(len(input)) {
-		t.Errorf("hooks saw %d bytes, want %d", got.Bytes, len(input))
+		t.Errorf("counted %d bytes, sent %d", got.Bytes, len(input))
 	}
-	if want := b.Counters().Matches; got.Matches != want {
-		t.Errorf("hooks saw %d matches, want %d", got.Matches, want)
+	want := stream.NewTagger(spec).Tag(input)
+	if len(want) == 0 || !reflect.DeepEqual(sink.tags["s"], want) {
+		t.Fatalf("sink received %v, serial tagger %v", sink.tags["s"], want)
+	}
+	if got.Matches != int64(len(want)) {
+		t.Errorf("counted %d matches, sink received %d", got.Matches, len(want))
 	}
 }

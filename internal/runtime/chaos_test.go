@@ -44,6 +44,12 @@ func buildChaosStreams(n int) []chaosStream {
 		chunks := 4 + i%4
 		for c := 0; c < chunks; c++ {
 			chunk := append([]byte(nil), base...)
+			if c == chunks/2-1 && s.faulted() {
+				// End on "stop" with no delimiter: the tag is pending when
+				// the fault lands, so the Close that retires the stream
+				// flushes a tag the pipeline discards.
+				chunk = chunk[:len(chunk)-1]
+			}
 			if c == chunks/2 {
 				switch s.fault {
 				case "error":
@@ -129,7 +135,7 @@ func TestChaosPipeline(t *testing.T) {
 		Shards:      8,
 		Queue:       16,
 		Factory:     factory,
-		Hooks:       mc.Hooks(),
+		Metrics:     &mc,
 		Quarantine:  time.Hour, // no mid-test expiry: fault counts stay exact
 		SinkBackoff: 50 * time.Microsecond,
 		// Headroom over FailCount: a batch hit by both a panic and a fail
@@ -236,6 +242,22 @@ func TestChaosPipeline(t *testing.T) {
 	if f.StreamsEvicted != 0 {
 		t.Errorf("evicted = %d, want 0 (no MaxStreams cap configured)", f.StreamsEvicted)
 	}
+	assertMatchesDelivered(t, &mc, collector)
+}
+
+// assertMatchesDelivered checks that Matches counts exactly the tags in
+// the batches the sink received (the soaks configure no DeadLetter, so
+// every batch is delivered): what a faulted stream's Close flushes after
+// the fault is discarded, and must not be counted either.
+func assertMatchesDelivered(t *testing.T, mc *runtime.MetricCounters, c *chaosCollector) {
+	t.Helper()
+	delivered := 0
+	for _, tags := range c.tags {
+		delivered += len(tags)
+	}
+	if got, _ := mc.Snapshot(); got.Matches != int64(delivered) {
+		t.Errorf("Matches = %d, the sink received %d tags", got.Matches, delivered)
+	}
 }
 
 // TestChaosPipelineWithEviction layers a tight MaxStreams cap on top of
@@ -257,7 +279,7 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 		Shards:     4,
 		MaxStreams: 4, // far below the live population: eviction churns
 		Factory:    faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{}), faultinject.Config{Triggers: true}),
-		Hooks:      mc.Hooks(),
+		Metrics:    &mc,
 		Quarantine: time.Hour,
 	}, collector)
 	if err != nil {
@@ -304,4 +326,5 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	if f := mc.Faults(); f.StreamsEvicted == 0 {
 		t.Error("tight MaxStreams cap produced no evictions")
 	}
+	assertMatchesDelivered(t, &mc, collector)
 }

@@ -177,7 +177,7 @@ type runResult struct {
 
 // runBackend streams text through a fresh backend in random chunks.
 func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult, error) {
-	b, err := f(0, nil)
+	b, err := f()
 	if err != nil {
 		return runResult{}, err
 	}

@@ -86,7 +86,7 @@ func NewFactory(spec *core.Spec, o FactoryOptions) (f Factory, release func(), e
 			// Clone, never hand out proto: factories run concurrently on
 			// shard goroutines and clones share only the read-only masks.
 			tg := proto.Clone()
-			b.bind(tg, &tg.OnMatch, &tg.OnError, &tg.OnCollision, &tg.Errors, &tg.Collisions)
+			b.bind(tg, &tg.OnMatch, &tg.Errors, &tg.Collisions)
 			return nil
 		})
 	case KindGates:
@@ -103,7 +103,7 @@ func NewFactory(spec *core.Spec, o FactoryOptions) (f Factory, release func(), e
 			}
 			g := &gateEngine{r: r}
 			g.Reset()
-			b.bind(g, &g.onMatch, &g.onError, &g.onCollision, &g.errors, &g.collisions)
+			b.bind(g, &g.onMatch, &g.errors, &g.collisions)
 			return nil
 		})
 	case KindParser:

@@ -31,7 +31,7 @@ func (f *fakeBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error)
 func (f *fakeBackend) Close(out []stream.Match) ([]stream.Match, error) { return out, nil }
 func (f *fakeBackend) Counters() Counters                               { return Counters{} }
 
-func fakeFactory(int, *Hooks) (Backend, error) { return &fakeBackend{}, nil }
+func fakeFactory() (Backend, error) { return &fakeBackend{}, nil }
 
 // sendUntilQuarantined polls Send until the key is rejected with
 // ErrQuarantined (poisoning happens on the shard goroutine, so there is a
@@ -55,7 +55,7 @@ func sendUntilQuarantined(t *testing.T, p *Pipeline, key string) {
 func TestPipelinePanicIsolation(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPipelinePanicIsolation(t *testing.T) {
 func TestPipelineFeedErrorQuarantines(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestPipelineCloseErrorOnEOS(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards:  2,
-		Hooks:   mc.Hooks(),
-		Factory: func(int, *Hooks) (Backend, error) { return &verdictBackend{}, nil },
+		Metrics: &mc,
+		Factory: func() (Backend, error) { return &verdictBackend{}, nil },
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +263,13 @@ func TestPipelineEviction(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
 	evicted := make(map[string]bool)
-	hooks := mc.Hooks()
-	base := hooks.Evicted
-	hooks.Evicted = func(shard int, key string) { base(shard, key); evicted[key] = true }
-	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: testFactory(t, spec, FactoryOptions{}), Hooks: hooks}, sink)
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc},
+		SinkFunc(func(b *Batch) error {
+			if b.Evicted {
+				evicted[b.Key] = true
+			}
+			return sink.Deliver(b)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +356,7 @@ func TestPipelineSinkRetryAbsorbsTransientFailures(t *testing.T) {
 	var mc MetricCounters
 	sink := &countingSink{failPer: 2}
 	p, err := NewPipeline(Config{
-		Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks(),
+		Shards: 1, Factory: fakeFactory, Metrics: &mc,
 		SinkAttempts: 3, SinkBackoff: 100 * time.Microsecond,
 	}, sink)
 	if err != nil {
@@ -385,7 +388,7 @@ func TestPipelineDeadLetterKeepsPipelineAlive(t *testing.T) {
 	var dead []string
 	alwaysFail := SinkFunc(func(*Batch) error { return errors.New("down") })
 	p, err := NewPipeline(Config{
-		Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks(),
+		Shards: 1, Factory: fakeFactory, Metrics: &mc,
 		SinkAttempts: 2, SinkBackoff: 100 * time.Microsecond,
 		DeadLetter: func(b *Batch, err error) {
 			if err == nil {
@@ -419,7 +422,7 @@ func TestPipelinePermanentSinkFailureFailsFast(t *testing.T) {
 	var mc MetricCounters
 	cause := errors.New("backend connection lost for good")
 	sink := SinkFunc(func(*Batch) error { return PermanentError(cause) })
-	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: fakeFactory, Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +489,7 @@ func TestPipelineSinkPanicIsRetried(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards: 1, Factory: fakeFactory,
-		SinkBackoff: 100 * time.Microsecond, Hooks: mc.Hooks(),
+		SinkBackoff: 100 * time.Microsecond, Metrics: &mc,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -515,9 +518,9 @@ func TestPipelineSinkPanicIsRetried(t *testing.T) {
 func TestPipelineFactoryErrorPath(t *testing.T) {
 	var mc MetricCounters
 	factoryErr := errors.New("factory refused")
-	factory := func(int, *Hooks) (Backend, error) { return nil, factoryErr }
+	factory := func() (Backend, error) { return nil, factoryErr }
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,12 @@ import (
 // bit-for-bit the hardware.
 //
 // The netlist's recovery and collision behavior is folded into its detect
-// outputs rather than surfaced as events, so onError and onCollision are
-// never called and errors and collisions read zero; differential tests
-// compare match sets, where the same events are visible.
+// outputs rather than surfaced as events, so errors and collisions read
+// zero; differential tests compare match sets, where the same events are
+// visible.
 type gateEngine struct {
 	r                  *hwgen.Runner
 	onMatch            func(stream.Match)
-	onError            func(int64)
-	onCollision        func(int64, int, int)
 	errors, collisions int64
 	closed             bool
 }

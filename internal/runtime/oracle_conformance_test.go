@@ -83,7 +83,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 // given offset (-1 = one Feed), and returns all matches.
 func feedSplit(t *testing.T, f Factory, text []byte, split int) []stream.Match {
 	t.Helper()
-	b, err := f(0, nil)
+	b, err := f()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (g *blockingBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, er
 }
 
 func blockingFactory(started, gate chan struct{}) Factory {
-	return func(int, *Hooks) (Backend, error) {
+	return func() (Backend, error) {
 		return &blockingBackend{started: started, gate: gate}, nil
 	}
 }
@@ -62,10 +62,6 @@ func fillShard(t *testing.T, p *Pipeline, started chan struct{}) {
 
 func TestSendShedImmediate(t *testing.T) {
 	var mc MetricCounters
-	var shedKeys []string
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Overloaded: func(shard int, key string) { shedKeys = append(shedKeys, key) },
-	})
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{
@@ -74,7 +70,7 @@ func TestSendShedImmediate(t *testing.T) {
 		BatchBytes:  -1, // dispatch every message: queue depth == messages
 		SendTimeout: -1, // immediate shed
 		Factory:     blockingFactory(started, gate),
-		Hooks:       hooks,
+		Metrics:     &mc,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +82,9 @@ func TestSendShedImmediate(t *testing.T) {
 	serr := p.Send("victim", []byte("shed me"))
 	if !errors.Is(serr, ErrOverloaded) {
 		t.Fatalf("Send over watermark = %v, want ErrOverloaded", serr)
+	}
+	if !strings.Contains(serr.Error(), `"victim"`) {
+		t.Errorf("shed error %q does not name the rejected key", serr)
 	}
 
 	// EOS always blocks: CloseStream on the full queue waits instead of
@@ -113,9 +112,6 @@ func TestSendShedImmediate(t *testing.T) {
 	if f := mc.Faults(); f.SendsShed != 1 {
 		t.Errorf("SendsShed = %d, want 1", f.SendsShed)
 	}
-	if !reflect.DeepEqual(shedKeys, []string{"victim"}) {
-		t.Errorf("Overloaded hook keys = %v, want [victim]", shedKeys)
-	}
 	// A shed Send never creates the stream: no batch, no EOS.
 	if sink.eos["victim"] {
 		t.Error("shed stream produced an EOS batch")
@@ -135,7 +131,7 @@ func TestSendShedBoundedWait(t *testing.T) {
 		BatchBytes:  -1,
 		SendTimeout: 10 * time.Second, // bounded wait, generous for CI
 		Factory:     blockingFactory(started, gate),
-		Hooks:       mc.Hooks(),
+		Metrics:     &mc,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -180,22 +176,14 @@ func (s *stallBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error
 
 func TestWatchdogStalledFeed(t *testing.T) {
 	var mc MetricCounters
-	var wdN atomic.Int64
-	var wdOrigin atomic.Value
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Watchdog: func(shard int, key, origin string, elapsed time.Duration) {
-			wdN.Add(1)
-			wdOrigin.Store(origin)
-		},
-	})
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{
 		Shards:       1,
 		FeedDeadline: 5 * time.Millisecond,
-		Factory: func(int, *Hooks) (Backend, error) {
+		Factory: func() (Backend, error) {
 			return &stallBackend{d: 60 * time.Millisecond}, nil
 		},
-		Hooks: hooks,
+		Metrics: &mc,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -220,19 +208,16 @@ func TestWatchdogStalledFeed(t *testing.T) {
 	}
 	if err := sink.errs["stuck"]; !errors.Is(err, ErrBackendStalled) {
 		t.Errorf("stalled stream Err = %v, want ErrBackendStalled", err)
+	} else if !strings.Contains(err.Error(), `: Feed on "stuck"`) {
+		t.Errorf("stalled stream Err = %q, want it to name the overdue Feed", err)
 	}
 	if sink.errs["fine"] != nil || !sink.eos["fine"] {
 		t.Errorf("healthy stream eos=%v err=%v, want clean EOS", sink.eos["fine"], sink.errs["fine"])
 	}
+	// One overdue call, one ErrBackendStalled batch.
 	f := mc.Faults()
-	if f.WatchdogTrips != wdN.Load() {
-		t.Errorf("WatchdogTrips = %d, hook observed %d", f.WatchdogTrips, wdN.Load())
-	}
-	if f.WatchdogTrips == 0 {
-		t.Error("no watchdog trips counted")
-	}
-	if got := wdOrigin.Load(); got != "Feed" {
-		t.Errorf("watchdog origin = %v, want Feed", got)
+	if f.WatchdogTrips != 1 {
+		t.Errorf("WatchdogTrips = %d, want 1", f.WatchdogTrips)
 	}
 	if f.StreamsQuarantined == 0 {
 		t.Error("stalled stream was not quarantined")
@@ -241,16 +226,6 @@ func TestWatchdogStalledFeed(t *testing.T) {
 
 func TestSinkBreakerOpensAndRecovers(t *testing.T) {
 	var mc MetricCounters
-	var openN, closeN atomic.Int64
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Breaker: func(worker int, open bool) {
-			if open {
-				openN.Add(1)
-			} else {
-				closeN.Add(1)
-			}
-		},
-	})
 	var down atomic.Bool
 	var mu sync.Mutex
 	delivered := make(map[string]bool)
@@ -275,7 +250,7 @@ func TestSinkBreakerOpensAndRecovers(t *testing.T) {
 			dlErrs = append(dlErrs, err)
 			mu.Unlock()
 		},
-		Hooks: hooks,
+		Metrics: &mc,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -328,26 +303,60 @@ func TestSinkBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	f := mc.Faults()
-	if f.BreakerOpens != openN.Load() {
-		t.Errorf("BreakerOpens = %d, hook observed %d", f.BreakerOpens, openN.Load())
-	}
-	if f.BreakerOpenWorkers != openN.Load()-closeN.Load() {
-		t.Errorf("BreakerOpenWorkers = %d, want opens-closes = %d",
-			f.BreakerOpenWorkers, openN.Load()-closeN.Load())
-	}
 	if f.BreakerOpenWorkers != 0 {
 		t.Errorf("BreakerOpenWorkers = %d after recovery, want 0", f.BreakerOpenWorkers)
 	}
+	// Every DeadLetter call is a retry-exhausted dead letter or a breaker
+	// shed, and only the sheds carry ErrBreakerOpen.
 	mu.Lock()
 	defer mu.Unlock()
-	sawBreakerOpen := false
+	var sheds int64
 	for _, err := range dlErrs {
 		if errors.Is(err, ErrBreakerOpen) {
-			sawBreakerOpen = true
+			sheds++
 		}
 	}
-	if !sawBreakerOpen {
+	if sheds == 0 {
 		t.Error("no dead letter carried ErrBreakerOpen")
+	}
+	if f.BreakerSheds != sheds || f.DeadLetters+f.BreakerSheds != int64(len(dlErrs)) {
+		t.Errorf("DeadLetters %d + BreakerSheds %d, but DeadLetter ran %d times, %d with ErrBreakerOpen",
+			f.DeadLetters, f.BreakerSheds, len(dlErrs), sheds)
+	}
+}
+
+// TestBreakerGaugeClearsOnClose closes a pipeline while its sink worker's
+// breaker is open: the worker exits with it, so the open-workers gauge
+// must read zero afterwards.
+func TestBreakerGaugeClearsOnClose(t *testing.T) {
+	var mc MetricCounters
+	p, err := NewPipeline(Config{
+		Shards:           1,
+		Factory:          fakeFactory,
+		SinkAttempts:     1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour, // no half-open probe before Close
+		DeadLetter:       func(*Batch, error) {},
+		Metrics:          &mc,
+	}, SinkFunc(func(*Batch) error { return errors.New("sink down") }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Send("s", []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for mc.Faults().BreakerOpenWorkers != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never opened: faults = %+v", mc.Faults())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f := mc.Faults(); f.BreakerOpens != 1 || f.BreakerOpenWorkers != 0 {
+		t.Errorf("after Close: BreakerOpens = %d, BreakerOpenWorkers = %d; want 1 and 0", f.BreakerOpens, f.BreakerOpenWorkers)
 	}
 }
 
@@ -391,7 +400,7 @@ func assertBudgetTrip(t *testing.T, factory Factory, chunk []byte) {
 	t.Helper()
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: factory, Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,14 +491,12 @@ func TestTenantMemBudget(t *testing.T) {
 // quarantine table and asserts the map is reaped: amortized sweeps keep
 // it O(live) during churn, and the periodic sweep empties it at rest.
 func TestQuarantineSweepBound(t *testing.T) {
-	var poisonedN atomic.Int64
+	var mc MetricCounters
 	p, err := NewPipeline(Config{
 		Shards:     1,
 		Quarantine: time.Millisecond,
 		Factory:    fakeFactory,
-		Hooks: &Hooks{
-			Quarantined: func(int, string) { poisonedN.Add(1) },
-		},
+		Metrics:    &mc,
 	}, newCollectSink())
 	if err != nil {
 		t.Fatal(err)
@@ -508,9 +515,9 @@ func TestQuarantineSweepBound(t *testing.T) {
 	// Wait for the shard to process (and poison) every faulted key.
 	deadline := time.Now().Add(10 * time.Second)
 	s := p.shards[0]
-	for poisonedN.Load() != keys {
+	for mc.Faults().StreamsQuarantined != keys {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d faulted keys processed", poisonedN.Load(), keys)
+			t.Fatalf("only %d of %d faulted keys processed", mc.Faults().StreamsQuarantined, keys)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -590,7 +597,8 @@ func (s *stallWrapBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, e
 // overload intervention is typed, that surviving streams are byte- and
 // tag-identical to a serial run of the same backend, that the memory
 // gauge returns to zero, and that every FaultStats counter reconciles
-// exactly with independently observed hook events.
+// exactly with what the callers saw: the errors Send returned and the
+// batches handed to the sink or to DeadLetter.
 func TestOverloadSoak(t *testing.T) {
 	streams := 2400
 	if testing.Short() {
@@ -612,35 +620,34 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(shard int, h *Hooks) (Backend, error) {
-		b, err := baseFactory(shard, h)
+	factory := func() (Backend, error) {
+		b, err := baseFactory()
 		if err != nil {
 			return nil, err
 		}
 		return &stallWrapBackend{Backend: b, d: stallFor}, nil
 	}
 
-	// Independent event observers, reconciled against FaultStats at the
-	// end: the counters the platform exports must agree exactly with the
-	// events the hooks reported.
+	// Every batch leaves through the sink or through DeadLetter (one
+	// attempt each, no permanent failure), so tallying the errors the
+	// batches carry at both exits gives the fault counters an oracle that
+	// does not read them.
 	var mc MetricCounters
-	var shedHookN, wdHookN, reHookN, dlHookN, brShedHookN atomic.Int64
-	var brOpenN, brCloseN, quarHookN atomic.Int64
-	hooks := chainHooks(mc.Hooks(), &Hooks{
-		Overloaded:        func(int, string) { shedHookN.Add(1) },
-		Watchdog:          func(int, string, string, time.Duration) { wdHookN.Add(1) },
-		ResourceExhausted: func(int, string) { reHookN.Add(1) },
-		DeadLetter:        func(string, error) { dlHookN.Add(1) },
-		BreakerShed:       func(int, string) { brShedHookN.Add(1) },
-		Quarantined:       func(int, string) { quarHookN.Add(1) },
-		Breaker: func(worker int, open bool) {
-			if open {
-				brOpenN.Add(1)
-			} else {
-				brCloseN.Add(1)
-			}
-		},
-	})
+	var outMu sync.Mutex
+	var stalledN, exhaustedN, errEOSN int64
+	tally := func(b *Batch) {
+		outMu.Lock()
+		defer outMu.Unlock()
+		if errors.Is(b.Err, ErrBackendStalled) {
+			stalledN++
+		}
+		if errors.Is(b.Err, ErrResourceExhausted) {
+			exhaustedN++
+		}
+		if b.EOS && b.Err != nil {
+			errEOSN++ // a faulted stream's last batch: one per quarantine
+		}
+	}
 
 	// The sink fails every Deliver while down is set — the wedged-sink
 	// window that trips the breaker.
@@ -650,12 +657,13 @@ func TestOverloadSoak(t *testing.T) {
 		if down.Load() {
 			return errors.New("sink wedged")
 		}
+		tally(b)
 		return collect.Deliver(b)
 	})
 	var dlMu sync.Mutex
 	dlKeys := make(map[string]bool) // streams that lost a batch to the DLQ
 	dlEOS := make(map[string]bool)  // ... including their EOS batch
-	var dlCallbackN int64
+	var dlCallbackN, breakerShedN int64
 	p, err := NewPipeline(Config{
 		Shards:           4,
 		Queue:            2,
@@ -668,11 +676,15 @@ func TestOverloadSoak(t *testing.T) {
 		BreakerCooldown:  20 * time.Millisecond,
 		Quarantine:       time.Minute, // no expiry mid-soak: faulted keys stay dead
 		Factory:          factory,
-		Hooks:            hooks,
+		Metrics:          &mc,
 		Mem:              mem,
 		DeadLetter: func(b *Batch, err error) {
+			tally(b)
 			dlMu.Lock()
 			dlCallbackN++
+			if errors.Is(err, ErrBreakerOpen) {
+				breakerShedN++
+			}
 			dlKeys[b.Key] = true
 			if b.EOS {
 				dlEOS[b.Key] = true
@@ -803,7 +815,7 @@ func TestOverloadSoak(t *testing.T) {
 
 	// --- Typed faults and serial-oracle conformance for untouched streams.
 	serial := func(sp streamPlan) ([]stream.Match, error) {
-		b, err := baseFactory(0, nil)
+		b, err := baseFactory()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -858,40 +870,29 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal("every conforming stream was shed; the soak compared nothing")
 	}
 
-	// --- Exact counter reconciliation: FaultStats vs observed events.
+	// --- Counter reconciliation against returned errors and handed-out
+	// batches.
 	f := mc.Faults()
-	if f.SendsShed != shedHookN.Load() || f.SendsShed != shedErrN {
-		t.Errorf("SendsShed = %d, hook observed %d, ErrOverloaded returns %d — counters do not reconcile",
-			f.SendsShed, shedHookN.Load(), shedErrN)
+	if f.SendsShed != shedErrN {
+		t.Errorf("SendsShed = %d, ErrOverloaded returns %d", f.SendsShed, shedErrN)
 	}
-	if f.WatchdogTrips != wdHookN.Load() {
-		t.Errorf("WatchdogTrips = %d, hook observed %d", f.WatchdogTrips, wdHookN.Load())
+	if f.WatchdogTrips != stalledN {
+		t.Errorf("WatchdogTrips = %d, ErrBackendStalled batches %d", f.WatchdogTrips, stalledN)
 	}
-	if f.ResourceExhausted != reHookN.Load() {
-		t.Errorf("ResourceExhausted = %d, hook observed %d", f.ResourceExhausted, reHookN.Load())
+	if f.ResourceExhausted != exhaustedN {
+		t.Errorf("ResourceExhausted = %d, ErrResourceExhausted batches %d", f.ResourceExhausted, exhaustedN)
 	}
-	if f.DeadLetters != dlHookN.Load() {
-		t.Errorf("DeadLetters = %d, hook observed %d", f.DeadLetters, dlHookN.Load())
+	if f.StreamsQuarantined != errEOSN {
+		t.Errorf("StreamsQuarantined = %d, error-carrying EOS batches %d", f.StreamsQuarantined, errEOSN)
 	}
-	if f.BreakerOpens != brOpenN.Load() {
-		t.Errorf("BreakerOpens = %d, hook observed %d", f.BreakerOpens, brOpenN.Load())
+	// Every DeadLetter call is either a retry-exhausted dead letter or a
+	// breaker shed, and only the sheds carry ErrBreakerOpen.
+	if f.BreakerSheds != breakerShedN || f.DeadLetters+f.BreakerSheds != dlCallbackN {
+		t.Errorf("DeadLetters %d + BreakerSheds %d, but DeadLetter ran %d times, %d with ErrBreakerOpen",
+			f.DeadLetters, f.BreakerSheds, dlCallbackN, breakerShedN)
 	}
-	if f.BreakerSheds != brShedHookN.Load() {
-		t.Errorf("BreakerSheds = %d, hook observed %d", f.BreakerSheds, brShedHookN.Load())
-	}
-	if f.BreakerOpenWorkers != brOpenN.Load()-brCloseN.Load() {
-		t.Errorf("BreakerOpenWorkers = %d, want opens-closes = %d",
-			f.BreakerOpenWorkers, brOpenN.Load()-brCloseN.Load())
-	}
-	if f.StreamsQuarantined != quarHookN.Load() {
-		t.Errorf("StreamsQuarantined = %d, hook observed %d", f.StreamsQuarantined, quarHookN.Load())
-	}
-	// Every delivery the Config.DeadLetter callback saw is either a
-	// retry-exhausted dead letter or a breaker shed — the two counters
-	// partition the callback count.
-	if dlCallbackN != dlHookN.Load()+brShedHookN.Load() {
-		t.Errorf("DeadLetter callback ran %d times, DeadLetters %d + BreakerSheds %d",
-			dlCallbackN, dlHookN.Load(), brShedHookN.Load())
+	if f.BreakerOpenWorkers != 0 {
+		t.Errorf("BreakerOpenWorkers = %d after Close, want 0", f.BreakerOpenWorkers)
 	}
 	if f.ResourceExhausted == 0 {
 		t.Error("no resource budgets tripped; the adversarial load never bit")

@@ -54,7 +54,7 @@ var ErrResourceExhausted = errors.New("runtime: resource budget exhausted")
 // caught running past Config.FeedDeadline. Go code cannot be interrupted,
 // so the verdict lands when the call finally returns: the stream ends with
 // an error-carrying EOS batch and its key is quarantined. A call that
-// never returns is still observable through Hooks.Watchdog. Test with
+// never returns is still counted in FaultStats.WatchdogTrips. Test with
 // errors.Is.
 var ErrBackendStalled = errors.New("runtime: backend stalled")
 
@@ -208,9 +208,17 @@ type Config struct {
 	Queue int
 	// Factory creates the per-stream Backend (required).
 	Factory Factory
-	// Hooks observes bytes, matches, recovery events, collisions, queue
-	// depths and fault-tolerance events across all shards; may be nil.
-	Hooks *Hooks
+	// Metrics receives the pipeline's counters: bytes, matches, recovery
+	// events, collisions, cache stats, the queue-depth high-water mark and
+	// the fault-tolerance events of every shard. NewPipeline allocates one
+	// when it is nil.
+	Metrics *MetricCounters
+	// VersionRetired, when set, is called with each backend-factory
+	// version retired after a SwapFactory: the version is no longer
+	// current and its last stream's final batch has been delivered, so
+	// resources the factory closed over are safe to tear down. It runs on
+	// the goroutine that retired the version.
+	VersionRetired func(version int)
 	// MaxStreams caps the live streams per shard (0 = unlimited). When a
 	// new stream would push a shard past the cap, the shard's least-
 	// recently-active stream is evicted: its backend is flushed and
@@ -264,7 +272,7 @@ type Config struct {
 	// only when SendTimeout != 0.
 	ShedHighWater int
 	// FeedDeadline arms the backend watchdog: a Feed or Close call
-	// running past this deadline fires Hooks.Watchdog, and when it
+	// running past this deadline counts a watchdog trip, and when it
 	// finally returns, its stream ends with an ErrBackendStalled EOS
 	// batch and a quarantined key. 0 disables the watchdog.
 	FeedDeadline time.Duration
@@ -300,6 +308,7 @@ type Config struct {
 // returned by subsequent Sends.
 type Pipeline struct {
 	cfg     Config
+	m       *MetricCounters // cfg.Metrics, never nil
 	sink    Sink
 	shards  []*shard
 	sinkChs []chan *unit
@@ -403,13 +412,11 @@ type shard struct {
 	quarN    atomic.Int32         // live entries in quar (lock-free fast path)
 	quarHigh int                  // map size that triggers the next amortized sweep
 
-	// Watchdog in-flight record, armed only when FeedDeadline > 0: the
-	// backend call currently running on this shard's goroutine, if any.
-	wdMu     sync.Mutex
-	wdKey    string
-	wdOrigin string
-	wdStart  time.Time // zero = no call in flight
-	wdFired  bool      // Hooks.Watchdog already fired for this call
+	// Watchdog in-flight record, armed only when FeedDeadline > 0: when
+	// the backend call running on this shard's goroutine started, if any.
+	wdMu    sync.Mutex
+	wdStart time.Time // zero = no call in flight
+	wdFired bool      // the trip for this call is already counted
 }
 
 // NewPipeline starts the shard, sink-worker and idle-flusher goroutines.
@@ -427,8 +434,12 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &MetricCounters{}
+	}
 	p := &Pipeline{
 		cfg:          cfg,
+		m:            cfg.Metrics,
 		sink:         sink,
 		quarTTL:      cfg.Quarantine,
 		batchBytes:   cfg.BatchBytes,
@@ -577,7 +588,7 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 	if err := s.enqueue(key, data, eos); err != nil {
 		return err
 	}
-	p.cfg.Hooks.queueDepth(s.id, len(s.in))
+	p.m.maxQueue.Max(int64(len(s.in)))
 	return nil
 }
 
@@ -610,7 +621,7 @@ func (s *shard) admit(key string) error {
 
 // shed records one rejected Send and returns its typed error.
 func (s *shard) shed(key string) error {
-	s.p.cfg.Hooks.overloaded(s.id, key)
+	s.p.m.shed.Add(1)
 	return fmt.Errorf("%w: shard %d queue at high watermark (%q rejected)", ErrOverloaded, s.id, key)
 }
 
@@ -859,7 +870,7 @@ func (s *shard) poison(key string) {
 	}
 	s.quar[key] = now.Add(s.p.quarTTL)
 	s.quarMu.Unlock()
-	s.p.cfg.Hooks.quarantined(s.id, key)
+	s.p.m.quarantined.Add(1)
 }
 
 // sweepQuarantine reaps expired quarantine entries (the periodic path;
@@ -921,7 +932,7 @@ func (s *shard) run() {
 func (s *shard) guard(origin string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.p.cfg.Hooks.panicRecovered(s.id, origin)
+			s.p.m.panics.Add(1)
 			err = fmt.Errorf("%w (in %s): %v", ErrBackendPanic, origin, r)
 		}
 	}()
@@ -930,17 +941,16 @@ func (s *shard) guard(origin string, fn func() error) (err error) {
 
 // guardTimed wraps guard with the watchdog's in-flight record: while fn
 // runs, the watchdog goroutine can see how long it has been running and
-// fire Hooks.Watchdog once it is overdue. Go code cannot be interrupted,
-// so a stalled call is converted into an ErrBackendStalled verdict when
-// it finally returns; a call that never returns remains observable
-// through the hook.
+// count a trip once it is overdue. Go code cannot be interrupted, so a
+// stalled call is converted into an ErrBackendStalled verdict when it
+// finally returns; a call that never returns is still counted.
 func (s *shard) guardTimed(key, origin string, fn func() error) error {
 	p := s.p
 	if p.feedDeadline <= 0 {
 		return s.guard(origin, fn)
 	}
 	s.wdMu.Lock()
-	s.wdKey, s.wdOrigin, s.wdStart, s.wdFired = key, origin, time.Now(), false
+	s.wdStart, s.wdFired = time.Now(), false
 	s.wdMu.Unlock()
 	err := s.guard(origin, fn)
 	s.wdMu.Lock()
@@ -950,9 +960,9 @@ func (s *shard) guardTimed(key, origin string, fn func() error) error {
 	s.wdMu.Unlock()
 	if elapsed > p.feedDeadline {
 		if !fired {
-			// The call outran the deadline between watchdog ticks; the
-			// hook still fires exactly once per overdue call.
-			p.cfg.Hooks.watchdog(s.id, key, origin, elapsed)
+			// The call outran the deadline between watchdog ticks; it
+			// still counts exactly once per overdue call.
+			p.m.watchdogTrips.Add(1)
 		}
 		if err == nil {
 			err = fmt.Errorf("%w: %s on %q took %v (deadline %v)", ErrBackendStalled, origin, key, elapsed, p.feedDeadline)
@@ -962,9 +972,9 @@ func (s *shard) guardTimed(key, origin string, fn func() error) error {
 }
 
 // watchdog is the pipeline's stall detector: it scans every shard's
-// in-flight backend call on a fraction of FeedDeadline and fires
-// Hooks.Watchdog (once per call) when one is overdue. The verdict on the
-// stream lands in guardTimed when the call returns.
+// in-flight backend call on a fraction of FeedDeadline and counts a trip
+// (once per call) when one is overdue. The verdict on the stream lands in
+// guardTimed when the call returns.
 func (p *Pipeline) watchdog() {
 	defer p.flushWG.Done()
 	tick := p.feedDeadline / 4
@@ -982,33 +992,33 @@ func (p *Pipeline) watchdog() {
 		now := time.Now()
 		for _, s := range p.shards {
 			s.wdMu.Lock()
-			overdue := !s.wdStart.IsZero() && !s.wdFired && now.Sub(s.wdStart) > p.feedDeadline
-			var key, origin string
-			var elapsed time.Duration
-			if overdue {
+			if !s.wdStart.IsZero() && !s.wdFired && now.Sub(s.wdStart) > p.feedDeadline {
 				s.wdFired = true
-				key, origin, elapsed = s.wdKey, s.wdOrigin, now.Sub(s.wdStart)
+				p.m.watchdogTrips.Add(1)
 			}
 			s.wdMu.Unlock()
-			if overdue {
-				p.cfg.Hooks.watchdog(s.id, key, origin, elapsed)
-			}
 		}
 	}
 }
 
-// remove forgets a stream's backend and recency entry.
+// remove forgets a stream's backend and recency entry, folding the
+// backend's recoveries, collisions and cache stats into the metrics: a
+// backend is minted per stream, so its counters cover its whole life.
 func (s *shard) remove(e *streamEntry) {
 	delete(s.streams, e.key)
 	s.lru.Remove(e.el)
+	s.p.m.addStream(e.b.Counters())
 }
 
 // feed and closeBackend run one guarded backend call that appends its
 // detections to the unit's tag buffer. The buffer is reassigned only when
-// the call returns: after a panic the unit keeps what it held before.
+// the call returns: after a panic the unit keeps what it held before. A
+// Feed the backend accepts counts its bytes.
 func (s *shard) feed(e *streamEntry, data []byte, u *unit) error {
 	return s.guardTimed(e.key, "Feed", func() (err error) {
-		u.tags, err = e.b.Feed(data, u.tags)
+		if u.tags, err = e.b.Feed(data, u.tags); err == nil {
+			s.p.m.bytes.Add(int64(len(data)))
+		}
 		return err
 	})
 }
@@ -1032,18 +1042,18 @@ func (s *shard) evictOldest(u *unit) {
 	batch := Batch{Key: e.key, Shard: s.id, EOS: true, Evicted: true, Version: e.ver.id, ver: e.ver}
 	batch.Err = s.closeBackend(e, u)
 	s.remove(e)
-	s.p.cfg.Hooks.evicted(s.id, e.key)
+	s.p.m.evicted.Add(1)
 	s.append(u, batch)
 }
 
 // append records the finished batch on the unit — everything appended to
 // the tag buffer since the previous batch is its window — noting
 // resource-budget verdicts on the way: every batch a shard produces goes
-// through here, so the ResourceExhausted hook fires exactly once per
+// through here, so ResourceExhausted counts exactly once per
 // budget-tripped stream.
 func (s *shard) append(u *unit, batch Batch) {
 	if batch.Err != nil && errors.Is(batch.Err, ErrResourceExhausted) {
-		s.p.cfg.Hooks.resourceExhausted(s.id, batch.Key)
+		s.p.m.resExhausted.Add(1)
 	}
 	batch.tagEnd = len(u.tags)
 	u.batches = append(u.batches, batch)
@@ -1068,7 +1078,7 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 		// keeps it for life; a concurrent SwapFactory only affects
 		// streams created after it.
 		ver := s.p.acquireVersion()
-		b, err := ver.factory(s.id, s.p.cfg.Hooks)
+		b, err := ver.factory()
 		if err != nil {
 			s.p.releaseVersion(ver)
 			s.poison(key)
@@ -1129,12 +1139,15 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 // into the final array, so a queued unit keeps alive exactly the one array
 // the gauge is charged for and none it outgrew. Each window is capped at
 // its own length, so a sink that appends to its Tags reallocates instead
-// of writing into its neighbor's.
+// of writing into its neighbor's. Matches are counted here too, once per
+// unit: the buffer now holds exactly the tags its batches carry, a faulted
+// stream's truncated Close flush excluded.
 func (s *shard) emit(u *unit) {
 	if len(u.batches) == 0 {
 		s.p.putUnit(u)
 		return
 	}
+	s.p.m.matches.Add(int64(len(u.tags)))
 	lo := 0
 	for i := range u.batches {
 		b := &u.batches[i]
@@ -1184,6 +1197,10 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 		}
 		p.putUnit(u)
 	}
+	if br != nil && br.open {
+		// The worker is gone, and its open breaker with it.
+		p.m.breakerOpen.Add(-1)
+	}
 }
 
 func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
@@ -1211,7 +1228,7 @@ func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
 	var err error
 	for attempt := 1; attempt <= p.sinkAttempts; attempt++ {
 		if attempt > 1 {
-			p.cfg.Hooks.sinkRetry(attempt-1, err)
+			p.m.sinkRetries.Add(1)
 			time.Sleep(p.backoff(attempt-1, rng))
 		}
 		if err = p.deliverOnce(b); err == nil {
@@ -1226,7 +1243,7 @@ func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
 		}
 	}
 	if p.cfg.DeadLetter != nil {
-		p.cfg.Hooks.deadLetter(b.Key, err)
+		p.m.deadLetters.Add(1)
 		p.cfg.DeadLetter(b, err)
 		if br != nil {
 			br.failure()
@@ -1255,7 +1272,7 @@ func (br *breaker) success() {
 	br.consec = 0
 	if br.open {
 		br.open = false
-		br.p.cfg.Hooks.breaker(br.worker, false)
+		br.p.m.breakerOpen.Add(-1)
 	}
 }
 
@@ -1266,7 +1283,8 @@ func (br *breaker) failure() {
 	if !br.open && br.consec >= br.p.brThreshold {
 		br.open = true
 		br.openUntil = time.Now().Add(br.p.brCooldown)
-		br.p.cfg.Hooks.breaker(br.worker, true)
+		br.p.m.breakerOpens.Add(1)
+		br.p.m.breakerOpen.Add(1)
 	}
 }
 
@@ -1274,7 +1292,7 @@ func (br *breaker) failure() {
 // DeadLetter is guaranteed non-nil (Validate requires it with the
 // breaker).
 func (br *breaker) shed(b *Batch) {
-	br.p.cfg.Hooks.breakerShed(br.worker, b.Key)
+	br.p.m.breakerSheds.Add(1)
 	br.p.cfg.DeadLetter(b, fmt.Errorf("%w: worker %d", ErrBreakerOpen, br.worker))
 }
 
@@ -1282,7 +1300,7 @@ func (br *breaker) shed(b *Batch) {
 func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.cfg.Hooks.panicRecovered(b.Shard, "Deliver")
+			p.m.panics.Add(1)
 			err = fmt.Errorf("%w: %v", ErrSinkPanic, r)
 		}
 	}()

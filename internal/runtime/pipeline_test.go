@@ -361,7 +361,7 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 		total += len(b.Tags)
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{}), Hooks: mc.Hooks()}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +392,10 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 	}
 	counters, maxDepth := mc.Snapshot()
 	if counters.Matches != int64(total) {
-		t.Errorf("hooks saw %d matches, sink saw %d", counters.Matches, total)
+		t.Errorf("counted %d matches, sink saw %d", counters.Matches, total)
 	}
 	if want := int64(senders * 20 * len(msg+"\n")); counters.Bytes != want {
-		t.Errorf("hooks saw %d bytes, want %d", counters.Bytes, want)
+		t.Errorf("counted %d bytes, want %d", counters.Bytes, want)
 	}
 	if maxDepth == 0 {
 		t.Log("queue depth high-water mark stayed 0 (fast consumer)")

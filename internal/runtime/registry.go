@@ -70,8 +70,8 @@ type Tenant struct {
 	Quota  Quota
 }
 
-// tenantState is one live tenant: its pipeline, its registry-owned
-// metrics, and its quota trackers.
+// tenantState is one live tenant: its pipeline, its counters (the
+// tenant's Config.Metrics, or the registry's own), and its quota trackers.
 type tenantState struct {
 	tenant Tenant
 	p      *Pipeline
@@ -104,8 +104,9 @@ func NewRegistry() *Registry {
 
 // Add registers t and starts its pipeline, delivering its batches to
 // sink. The tenant's Config is validated (typed ConfigError wrapping
-// ErrInvalidConfig); its Hooks, when set, observe the tenant's events
-// alongside the registry's own metrics.
+// ErrInvalidConfig); its Metrics, when set, become the tenant's counters
+// that Counters and Faults read, so the caller can keep reading them
+// after the tenant is gone.
 func (r *Registry) Add(t Tenant, sink Sink) error {
 	if t.Name == "" {
 		return &ConfigError{Field: "Name", Value: t.Name, Reason: "tenant name is required"}
@@ -113,15 +114,17 @@ func (r *Registry) Add(t Tenant, sink Sink) error {
 	if err := t.Quota.validate(); err != nil {
 		return err
 	}
-	ts := &tenantState{tenant: t, mc: &MetricCounters{}}
+	cfg := t.Config
+	if cfg.Metrics == nil {
+		cfg.Metrics = &MetricCounters{}
+	}
+	ts := &tenantState{tenant: t, mc: cfg.Metrics}
 	if t.Quota.MaxStreams > 0 {
 		ts.live = make(map[string]struct{})
 	}
 	if t.Quota.BytesPerSec > 0 {
 		ts.bucket = newTokenBucket(t.Quota.BytesPerSec)
 	}
-	cfg := t.Config
-	cfg.Hooks = chainHooks(ts.mc.Hooks(), t.Config.Hooks)
 	if t.Quota.MemBudgetBytes > 0 && cfg.Mem == nil {
 		cfg.Mem = &MemGauge{}
 	}
@@ -224,7 +227,7 @@ func (r *Registry) CloseStream(tenant, key string) error {
 
 // Swap publishes a new backend factory for the tenant — a zero-downtime
 // grammar reload. New streams bind the new version; live streams drain on
-// the old one, which is retired (Hooks.VersionRetired) when its last
+// the old one, which is retired (Config.VersionRetired) when its last
 // stream's final batch is delivered.
 func (r *Registry) Swap(tenant string, f Factory) (int, error) {
 	ts, err := r.state(tenant)
@@ -363,38 +366,6 @@ func (s *tenantSink) Deliver(b *Batch) error {
 }
 
 func (s *tenantSink) Close() error { return s.inner.Close() }
-
-// chainHooks fans every event out to both hook sets (either may be nil).
-func chainHooks(a, b *Hooks) *Hooks {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return &Hooks{
-		Bytes:          func(shard, n int) { a.bytes(shard, n); b.bytes(shard, n) },
-		Matches:        func(shard, n int) { a.matches(shard, n); b.matches(shard, n) },
-		Recovery:       func(shard int, pos int64) { a.recovery(shard, pos); b.recovery(shard, pos) },
-		Collision:      func(shard int, pos int64, x, y int) { a.collision(shard, pos, x, y); b.collision(shard, pos, x, y) },
-		QueueDepth:     func(shard, depth int) { a.queueDepth(shard, depth); b.queueDepth(shard, depth) },
-		CacheStats:     func(shard int, h, m, rs int64) { a.cacheStats(shard, h, m, rs); b.cacheStats(shard, h, m, rs) },
-		PanicRecovered: func(shard int, origin string) { a.panicRecovered(shard, origin); b.panicRecovered(shard, origin) },
-		Quarantined:    func(shard int, key string) { a.quarantined(shard, key); b.quarantined(shard, key) },
-		Evicted:        func(shard int, key string) { a.evicted(shard, key); b.evicted(shard, key) },
-		SinkRetry:      func(attempt int, err error) { a.sinkRetry(attempt, err); b.sinkRetry(attempt, err) },
-		DeadLetter:     func(key string, err error) { a.deadLetter(key, err); b.deadLetter(key, err) },
-		VersionRetired: func(v int) { a.versionRetired(v); b.versionRetired(v) },
-		Overloaded:     func(shard int, key string) { a.overloaded(shard, key); b.overloaded(shard, key) },
-		Watchdog: func(shard int, key, origin string, el time.Duration) {
-			a.watchdog(shard, key, origin, el)
-			b.watchdog(shard, key, origin, el)
-		},
-		ResourceExhausted: func(shard int, key string) { a.resourceExhausted(shard, key); b.resourceExhausted(shard, key) },
-		Breaker:           func(worker int, open bool) { a.breaker(worker, open); b.breaker(worker, open) },
-		BreakerShed:       func(worker int, key string) { a.breakerShed(worker, key); b.breakerShed(worker, key) },
-	}
-}
 
 // tokenBucket is a non-blocking rate limiter: rate tokens (bytes) per
 // second with a one-second burst, refilled lazily on take.

@@ -63,12 +63,12 @@ func (s *reloadSink) seen(key string) bool {
 func TestSwapFactoryBasics(t *testing.T) {
 	var retired []int
 	var retMu sync.Mutex
-	hooks := &Hooks{VersionRetired: func(v int) {
+	retire := func(v int) {
 		retMu.Lock()
 		retired = append(retired, v)
 		retMu.Unlock()
-	}}
-	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, Hooks: hooks}, SinkFunc(func(*Batch) error { return nil }))
+	}
+	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, VersionRetired: retire}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +142,13 @@ func TestReloadSoak(t *testing.T) {
 
 	var retMu sync.Mutex
 	retired := map[int]int{}
-	hooks := &Hooks{VersionRetired: func(v int) {
+	retire := func(v int) {
 		retMu.Lock()
 		retired[v]++
 		retMu.Unlock()
-	}}
+	}
 	sink := newReloadSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA}), Hooks: hooks}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA}), VersionRetired: retire}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestSharedCacheAcrossPipelineStreams(t *testing.T) {
 
 	run := func(streams int) (misses int64) {
 		var mc MetricCounters
-		p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Hooks: mc.Hooks()},
+		p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Metrics: &mc},
 			SinkFunc(func(*Batch) error { return nil }))
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,6 @@ type sentenceBackend struct {
 	// reports the reject. It is the one thing the two kinds differ in; both
 	// recognizers are immutable and shared by every backend of the factory.
 	recognize func(buf []byte, out []stream.Match) ([]stream.Match, error)
-	shard     int
-	hooks     *Hooks
 	buf       []byte
 	matches   int64
 	closed    bool
@@ -49,8 +47,8 @@ func newSentence[T ~struct{ Rule, Pos, TokenIndex, Start, End int }](spec *core.
 		}
 		return out, err
 	}
-	return func(shard int, h *Hooks) (Backend, error) {
-		return &sentenceBackend{recognize: recognize, shard: shard, hooks: h}, nil
+	return func() (Backend, error) {
+		return &sentenceBackend{recognize: recognize}, nil
 	}
 }
 
@@ -65,7 +63,6 @@ func (b *sentenceBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, er
 		return out, errClosed
 	}
 	b.buf = append(b.buf, p...)
-	b.hooks.bytes(b.shard, len(p))
 	return out, nil
 }
 
@@ -87,7 +84,6 @@ func (b *sentenceBackend) Close(out []stream.Match) ([]stream.Match, error) {
 	slices.SortFunc(out[start:], compareMatches)
 	out = out[:start+len(slices.Compact(out[start:]))]
 	b.matches += int64(len(out) - start)
-	b.hooks.matches(b.shard, len(out)-start)
 	return out, nil
 }
 

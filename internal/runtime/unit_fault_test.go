@@ -42,7 +42,7 @@ func TestPipelineUnitFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := func(chunks ...[]byte) (perChunk [][]stream.Match, flush []stream.Match) {
-				b, err := runtime.MustFactory(t, spec, runtime.FactoryOptions{})(0, nil)
+				b, err := runtime.MustFactory(t, spec, runtime.FactoryOptions{})()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestPipelineUnitFaults(t *testing.T) {
 			started, gate := make(chan struct{}, 1), make(chan struct{})
 			inner := faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{Limits: tc.lim}), faultinject.Config{Triggers: true})
 			p, err := runtime.NewPipeline(runtime.Config{
-				Shards: 1, MaxStreams: 3, Hooks: mc.Hooks(),
+				Shards: 1, MaxStreams: 3, Metrics: &mc,
 				BatchIdle: time.Hour, Quarantine: time.Hour,
 				Factory: runtime.GateFirst(inner, 1, started, gate),
 			}, sink)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -81,17 +82,18 @@ func TestPipelineQueueFootprint(t *testing.T) {
 	}
 }
 
-// gateFirst wraps inner so that the first backend minted on each shard
-// blocks in its first Feed until gate closes, signalling started — the
-// lever that lets a test coalesce a known run of messages into one unit.
+// gateFirst wraps inner so that the first shards backends minted block in
+// their first Feed until gate closes, each signalling started — the lever
+// that lets a test coalesce a known run of messages into one unit. When
+// each shard's first message carries data, that is one backend per shard:
+// a shard blocked in its first Feed mints nothing more.
 func gateFirst(inner Factory, shards int, started chan<- struct{}, gate <-chan struct{}) Factory {
-	minted := make([]bool, shards) // each element touched by its shard only
-	return func(shard int, h *Hooks) (Backend, error) {
-		b, err := inner(shard, h)
-		if err != nil || minted[shard] {
+	var minted atomic.Int64
+	return func() (Backend, error) {
+		b, err := inner()
+		if err != nil || minted.Add(1) > int64(shards) {
 			return b, err
 		}
-		minted[shard] = true
 		return &gatedBackend{Backend: b, started: started, gate: gate}, nil
 	}
 }
@@ -151,7 +153,7 @@ func TestPipelineTagWindows(t *testing.T) {
 	chunks = append(chunks, bytes.Repeat([]byte(msg), 7)) // the dense one
 	// What a serial run confirms per chunk, and at Close.
 	var want [][]stream.Match
-	ref, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})(0, nil)
+	ref, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})()
 	if err != nil {
 		t.Fatal(err)
 	}

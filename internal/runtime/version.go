@@ -9,7 +9,7 @@ import (
 // factory. Streams bind the version that is current when their backend is
 // created and keep it for life: a SwapFactory never migrates a live
 // stream, it only changes what new streams get. The version is retired —
-// observable through Hooks.VersionRetired — when it is no longer current
+// observable through Config.VersionRetired — when it is no longer current
 // and its last stream's final batch has been delivered, so whatever the
 // factory closes over (a shared DFA cache, a router spec) is safe to tear
 // down at retirement.
@@ -28,7 +28,7 @@ type factoryVersion struct {
 // returns the new version's id. New streams created after SwapFactory
 // returns bind f; live streams keep draining on the factory that created
 // their backend, with no dropped or reordered batches. The superseded
-// version is retired — Hooks.VersionRetired fires — once its last
+// version is retired — Config.VersionRetired is called — once its last
 // stream's final batch has been delivered (immediately, when it has no
 // live streams). After Close, SwapFactory fails with ErrClosed.
 func (p *Pipeline) SwapFactory(f Factory) (int, error) {
@@ -54,7 +54,7 @@ func (p *Pipeline) SwapFactory(f Factory) (int, error) {
 	}
 	p.verMu.Unlock()
 	if retiredID != 0 {
-		p.cfg.Hooks.versionRetired(retiredID)
+		p.versionRetired(retiredID)
 	}
 	return v.id, nil
 }
@@ -106,6 +106,13 @@ func (p *Pipeline) releaseVersion(v *factoryVersion) {
 	}
 	p.verMu.Unlock()
 	if retire {
-		p.cfg.Hooks.versionRetired(v.id)
+		p.versionRetired(v.id)
+	}
+}
+
+// versionRetired reports one retired version to Config.VersionRetired.
+func (p *Pipeline) versionRetired(id int) {
+	if f := p.cfg.VersionRetired; f != nil {
+		f(id)
 	}
 }

@@ -7,15 +7,6 @@ import (
 
 var errWriteAfterClose = errors.New("stream: Write after Close")
 
-// Events receives a Runner's rare events in input order: section 5.2
-// recoveries and residual index collisions, as Tagger.OnError and
-// Tagger.OnCollision. An interface rather than callbacks, so a backend that
-// already satisfies it binds a runner without allocating a closure.
-type Events interface {
-	Recovery(pos int64)
-	Collision(pos int64, a, b int)
-}
-
 // Runner is a streaming token tagger over one input, equivalent byte for
 // byte to Tagger on the same input but executing a Table. Not safe for
 // concurrent use; mint one per stream — any number may share one table.
@@ -27,10 +18,8 @@ type Runner struct {
 	t *Table
 	g *gen
 
-	// Events, when set, receives recoveries and collisions.
-	Events Events
-
-	// Errors and Collisions mirror Tagger's counters.
+	// Errors and Collisions mirror Tagger's counters: section 5.2
+	// recoveries and residual index collisions.
 	Errors     int64
 	Collisions int64
 
@@ -195,9 +184,9 @@ func (r *Runner) Tag(data []byte) []Match {
 
 // step takes the transition of the state at row offset off on (c, look)
 // (look nc at end of stream) at the current offset, whatever it holds: an
-// unfilled cell is filled, and an effect appends its matches to out with
-// collisions interleaved before them, then fires its recovery — exactly
-// Tagger.emit's order. It returns the successor's plain ref.
+// unfilled cell is filled, and an effect appends its matches to out,
+// counting its collisions and its recovery. It returns the successor's
+// plain ref.
 func (r *Runner) step(off int32, c, look int, out []Match) (int32, []Match) {
 	ref := r.g.ref(off, c, look)
 	if ref == unfilled {
@@ -210,17 +199,11 @@ func (r *Runner) step(off int32, c, look int, out []Match) (int32, []Match) {
 	for i, k := range ef.emits {
 		if ef.collide[i] {
 			r.Collisions++
-			if r.Events != nil {
-				r.Events.Collision(r.pos, int(ef.emits[0]), int(k))
-			}
 		}
 		out = append(out, Match{InstanceID: int(k), End: r.pos})
 	}
 	if ef.recovered {
 		r.Errors++
-		if r.Events != nil {
-			r.Events.Recovery(r.pos)
-		}
 	}
 	return ef.next, out
 }

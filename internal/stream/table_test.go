@@ -238,6 +238,32 @@ func slicesEqual(a, b []Match) bool {
 	return true
 }
 
+// TestRunnerCarrySet pins what a Runner holds, so that the chunking
+// invariance the exhaustive tests sample also holds by construction: the
+// only per-stream state that survives a Write is the state, the held
+// lookahead class and the offset (cur, heldClass with have, pos), beside
+// the table and its generation, the closed flag and counters the loop
+// never reads. A new field is new carry until shown otherwise.
+func TestRunnerCarrySet(t *testing.T) {
+	want := []string{
+		"t", "g", // the table and the generation this runner reads
+		"Errors", "Collisions", // counters, never read by the loop
+		"cur", "pos", "have", "heldClass", // the carry: state, offset, held class
+		"closed",
+		"done", "misses", "resets", // lifetime fill accounting
+	}
+	var got []string
+	rt := reflect.TypeOf(Runner{})
+	for i := 0; i < rt.NumField(); i++ {
+		got = append(got, rt.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Runner fields = %v, want %v.\n"+
+			"What survives a Write must stay the state, the held class and the offset (DESIGN.md §6d); "+
+			"a field that carries anything else across chunks breaks chunking independence by construction.", got, want)
+	}
+}
+
 // TestDFACacheBound forces a two-state lazy table through its epoch reset
 // on every few bytes and checks the bound holds at every step while
 // matches stay exact.

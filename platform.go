@@ -421,20 +421,20 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	tenant := runtime.Tenant{
 		Name: name,
 		Config: runtime.Config{
-			Shards:        def.Shards,
-			Queue:         def.Queue,
-			Factory:       factory,
-			MaxStreams:    def.MaxStreams,
-			Quarantine:    time.Duration(def.Quarantine),
-			BatchBytes:    def.BatchBytes,
-			SinkAttempts:  def.SinkAttempts,
-			SinkBackoff:   time.Duration(def.SinkBackoff),
-			SinkWorkers:   def.SinkWorkers,
-			SendTimeout:   time.Duration(def.SendTimeout),
-			ShedHighWater: def.ShedHighWater,
-			FeedDeadline:  time.Duration(def.FeedDeadline),
-			Mem:           mem,
-			Hooks:         &runtime.Hooks{VersionRetired: pt.dropVersion},
+			Shards:         def.Shards,
+			Queue:          def.Queue,
+			Factory:        factory,
+			MaxStreams:     def.MaxStreams,
+			Quarantine:     time.Duration(def.Quarantine),
+			BatchBytes:     def.BatchBytes,
+			SinkAttempts:   def.SinkAttempts,
+			SinkBackoff:    time.Duration(def.SinkBackoff),
+			SinkWorkers:    def.SinkWorkers,
+			SendTimeout:    time.Duration(def.SendTimeout),
+			ShedHighWater:  def.ShedHighWater,
+			FeedDeadline:   time.Duration(def.FeedDeadline),
+			Mem:            mem,
+			VersionRetired: pt.dropVersion,
 		},
 		Quota: runtime.Quota{
 			MaxStreams:     def.Quota.MaxStreams,

@@ -120,7 +120,7 @@ fi
 
 # Median-MB/s gate: mbps <file> — prints "name median" per benchmark. A
 # trailing -N is the GOMAXPROCS suffix only when every line shares it;
-# sub-benchmark names like shards-8 keep theirs.
+# sub-benchmark names like shards-2 keep theirs.
 mbps() {
     awk '
         /^Benchmark/ && / MB\/s/ {
