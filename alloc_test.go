@@ -33,8 +33,9 @@ func TestMatchAllocFree(t *testing.T) {
 }
 
 // TestPooledBatchAllocFree converts a dense 500-tag batch through the
-// pooled sink adapter: once the pool is warm the conversion must reuse
-// both the TagBatch and its Tags backing array.
+// pooled sink adapter and renders it as wire text: once the pool and the
+// render buffer are warm, the conversion must reuse both the TagBatch and
+// its Tags backing array, and AppendText must not grow the buffer.
 func TestPooledBatchAllocFree(t *testing.T) {
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
@@ -44,14 +45,16 @@ func TestPooledBatchAllocFree(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		rb.Tags = append(rb.Tags, stream.Match{InstanceID: i % len(engine.tags), End: int64(8 * i)})
 	}
-	tags := 0
+	tags, total := 0, 0
+	var buf []byte
 	allocs := testing.AllocsPerRun(200, func() {
 		pb := engine.getBatch(rb)
 		tags += len(pb.batch.Tags)
+		buf = pb.batch.AppendText(buf[:0], "key-1 ", &total)
 		putBatch(pb)
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled batch conversion allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("pooled batch conversion and rendering allocates %.1f times per batch, want 0", allocs)
 	}
 	if tags != 201*500 {
 		t.Fatalf("converted %d tags, want %d", tags, 201*500)

@@ -27,6 +27,8 @@ package cfgtag
 import (
 	"fmt"
 	goruntime "runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -100,6 +102,8 @@ type Engine struct {
 	// software form of the paper's index encoder — a detection's meaning
 	// is looked up, never formatted.
 	tags []Match
+	// text is the tag table in wire form, for TagBatch.AppendText.
+	text tagText
 
 	// tableOnce builds table, the lazily filled transition table every
 	// in-process tagger of the engine runs, on first use: engines that only
@@ -134,6 +138,7 @@ func CompileGrammar(g *grammar.Grammar, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	tags := make([]Match, len(spec.Instances))
+	text := tagText{tails: make([]string, len(spec.Instances))}
 	for i, in := range spec.Instances {
 		tags[i] = Match{
 			Term:        in.Term,
@@ -142,8 +147,29 @@ func CompileGrammar(g *grammar.Grammar, opts ...Option) (*Engine, error) {
 			SentenceEnd: in.CanEnd,
 			InstanceID:  in.ID,
 		}
+		text.tails[i] = string(appendTail(nil, &tags[i]))
+		text.max = max(text.max, len(text.tails[i]))
 	}
-	return &Engine{spec: spec, tags: tags}, nil
+	return &Engine{spec: spec, tags: tags, text: text}, nil
+}
+
+// tagText is the tag table in wire form: per instance, everything of its
+// TAG line after the end offset, and the longest such tail.
+type tagText struct {
+	tails []string
+	max   int
+}
+
+// appendTail renders the part of m's TAG line that does not depend on
+// where the token ended: " <index> <term> <context>\n".
+func appendTail(dst []byte, m *Match) []byte {
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(m.Index), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, m.Term...)
+	dst = append(dst, ' ')
+	dst = append(dst, m.Context...)
+	return append(dst, '\n')
 }
 
 // Spec exposes the compiled specification for advanced integration
@@ -645,6 +671,90 @@ type TagBatch struct {
 	// batch before Close returns. Callbacks that write through can ignore
 	// it, and the zero value means "flush".
 	More bool
+
+	// ms and text are set on the batches the sink adapters hand to
+	// deliver: the engine's matches Tags was converted from (the runtime's
+	// pooled buffer) and its tag table in wire form. AppendText renders
+	// from them when text is set.
+	ms   []stream.Match
+	text *tagText
+}
+
+// AppendText renders the batch as newline-delimited events:
+//
+//	TAG <end> <index> <term> <context>\n     one line per match
+//	END <total-tags>\n                       clean end of stream
+//	ERR <message>\n                          faulted or evicted end
+//
+// Every line starts with prefix, and *total is the stream's running tag
+// count: AppendText adds the batch's tags to it and writes it on the END
+// line. A batch handed to a deliver callback renders the engine's matches
+// from the grammar version's pre-rendered line tails — an edit to its
+// Tags does not reach the text — and, like the rest of the batch, only
+// during the callback. Any other batch renders from Tags.
+func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
+	if b.text != nil {
+		// Reserve the whole batch once, so the per-tag appends below
+		// never grow dst: per line the prefix, "TAG ", at most 20 digits
+		// and the longest tail.
+		dst = slices.Grow(dst, len(b.ms)*(len(prefix)+24+b.text.max))
+		tails := b.text.tails
+		for _, m := range b.ms {
+			dst = append(dst, prefix...)
+			dst = append(dst, "TAG "...)
+			dst = strconv.AppendInt(dst, m.End, 10)
+			dst = append(dst, tails[m.InstanceID]...)
+		}
+		*total += len(b.ms)
+	} else {
+		// Per line the prefix, "TAG ", two numbers of at most 20 digits,
+		// three separators and the newline, plus the names.
+		need := len(b.Tags) * (len(prefix) + 4 + 20 + 1 + 20 + 1 + 1 + 1)
+		for i := range b.Tags {
+			need += len(b.Tags[i].Term) + len(b.Tags[i].Context)
+		}
+		dst = slices.Grow(dst, need)
+		for i := range b.Tags {
+			m := &b.Tags[i]
+			dst = append(dst, prefix...)
+			dst = append(dst, "TAG "...)
+			dst = strconv.AppendInt(dst, m.End, 10)
+			dst = appendTail(dst, m)
+		}
+		*total += len(b.Tags)
+	}
+	if !b.EOS {
+		return dst
+	}
+	dst = append(dst, prefix...)
+	switch {
+	case b.Evicted:
+		dst = append(dst, "ERR evicted"...)
+	case b.Err != nil:
+		dst = append(dst, "ERR "...)
+		dst = appendSanitized(dst, b.Err.Error())
+	default:
+		dst = append(dst, "END "...)
+		dst = strconv.AppendInt(dst, int64(*total), 10)
+	}
+	return append(dst, '\n')
+}
+
+// appendSanitized keeps error text on one line: control bytes (newlines
+// included) become spaces, and the text is capped.
+func appendSanitized(dst []byte, s string) []byte {
+	const maxErrLen = 512
+	if len(s) > maxErrLen {
+		s = s[:maxErrLen]
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < ' ' || c == 0x7f {
+			c = ' '
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // batchHeader copies everything of b but its tags.
@@ -653,7 +763,8 @@ func batchHeader(b *runtime.Batch) TagBatch {
 }
 
 // toTagBatch converts b into a freshly allocated batch the receiver may
-// keep — the DeadLetter path.
+// keep — the DeadLetter path. It holds no reference to b's pooled match
+// buffer, so it renders from Tags.
 func (e *Engine) toTagBatch(b *runtime.Batch) *TagBatch {
 	tb := batchHeader(b)
 	if len(b.Tags) > 0 {
@@ -686,9 +797,13 @@ func (e *Engine) getBatch(b *runtime.Batch) *pooledBatch {
 		pb.tags = e.matches(pb.tags, b.Tags)
 		pb.batch.Tags = pb.tags
 	}
+	pb.batch.ms = b.Tags
+	pb.batch.text = &e.text
 	return pb
 }
 
+// putBatch releases pb, dropping its references to the runtime's match
+// buffer and the engine's tables with the rest of the batch.
 func putBatch(pb *pooledBatch) {
 	pb.batch = TagBatch{}
 	if cap(pb.tags) > maxPooledTags {

@@ -1,10 +1,12 @@
 package cfgtag
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -442,6 +444,69 @@ func FuzzConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(cfg, cfg2) {
 			t.Fatalf("config changed across marshal round trip:\nin  %+v\nout %+v", cfg, cfg2)
+		}
+	})
+}
+
+// FuzzTagText holds TagBatch.AppendText's pre-rendered path — a pooled
+// batch from the sink adapter, rendered from the engine's matches and the
+// grammar version's line tails — to the Tags path of a hand-built batch
+// with the same header, byte for byte and in the running total it
+// advances. Every grammar the repo carries gets a random batch of
+// (instance, End) pairs drawn from seed; flags pick EOS, Evicted and an
+// error, and prefix and errText go on the wire as given.
+//
+// Seed corpus: the f.Add calls below.
+func FuzzTagText(f *testing.F) {
+	f.Add(uint64(1), uint8(0), "", "")
+	f.Add(uint64(2), uint8(1), "key-1 ", "")
+	f.Add(uint64(3), uint8(3), "k ", "")
+	f.Add(uint64(4), uint8(5), "stream-000017 ", "backend panic:\nline two\x7f")
+	f.Add(uint64(5), uint8(7), "", string(bytes.Repeat([]byte("e\r"), 400)))
+	f.Add(uint64(6), uint8(8), "p ", "")
+	sources := grammarSources(f)
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	engines := make([]*Engine, len(names))
+	for i, name := range names {
+		e, err := Compile(name, sources[name])
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		engines[i] = e
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, flags uint8, prefix, errText string) {
+		r := rand.New(rand.NewSource(int64(seed)))
+		for i, e := range engines {
+			rb := &runtime.Batch{Key: "s", EOS: flags&1 != 0, Evicted: flags&2 != 0, Version: 1}
+			if flags&4 != 0 {
+				rb.Err = errors.New(errText)
+			}
+			n := r.Intn(300)
+			if flags&8 != 0 {
+				n = 0
+			}
+			for range n {
+				end := r.Int63n(1 << uint(r.Intn(63)))
+				rb.Tags = append(rb.Tags, stream.Match{InstanceID: r.Intn(len(e.tags)), End: end})
+			}
+			start := r.Intn(1 << 20)
+			pb := e.getBatch(rb)
+			hand := batchHeader(rb)
+			hand.Tags = e.matches(nil, rb.Tags)
+			gotTotal, wantTotal := start, start
+			got := pb.batch.AppendText([]byte("x"), prefix, &gotTotal)
+			want := hand.AppendText([]byte("x"), prefix, &wantTotal)
+			putBatch(pb)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: pre-rendered text differs from the Tags path:\n got %q\nwant %q", names[i], got, want)
+			}
+			if gotTotal != wantTotal || gotTotal != start+n {
+				t.Fatalf("%s: total %d on the pre-rendered path, %d on the Tags path, want %d", names[i], gotTotal, wantTotal, start+n)
+			}
 		}
 	})
 }

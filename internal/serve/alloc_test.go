@@ -12,20 +12,21 @@ import (
 // Allocation guards of the wire path; excluded under -race, whose
 // instrumentation allocates on its own.
 
-// TestAppendBatchTextAllocFree renders a dense batch into a buffer that
-// already has the capacity: no allocation, whatever the batch size.
-func TestAppendBatchTextAllocFree(t *testing.T) {
+// TestAppendTextAllocFree renders a dense hand-built batch (the Tags
+// path) into a buffer that already has the capacity: no allocation,
+// whatever the batch size.
+func TestAppendTextAllocFree(t *testing.T) {
 	b := &cfgtag.TagBatch{Stream: "s", EOS: true}
 	for i := 0; i < 500; i++ {
 		b.Tags = append(b.Tags, cfgtag.Match{Term: "STRING", Context: "methodName[1]", Index: i % 40, End: int64(9 * i)})
 	}
 	total := 0
-	buf := AppendBatchText(nil, "key-1 ", b, &total)
+	buf := b.AppendText(nil, "key-1 ", &total)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendBatchText(buf[:0], "key-1 ", b, &total)
+		buf = b.AppendText(buf[:0], "key-1 ", &total)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendBatchText into a warmed buffer allocates %.1f times, want 0", allocs)
+		t.Fatalf("AppendText into a warmed buffer allocates %.1f times, want 0", allocs)
 	}
 }
 

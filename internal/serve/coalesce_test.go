@@ -88,7 +88,7 @@ func TestServeCoalesceRun(t *testing.T) {
 		key := "ab"[i%2 : i%2+1]
 		b := tagBatch(key, 1+i%3, i < 10)
 		b.EOS = i >= 9 // both streams end inside the run
-		want = AppendBatchText(want, key+" ", b, totals[key])
+		want = b.AppendText(want, key+" ", totals[key])
 		if err := s.Deliver("t", b); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestServeCoalesceRun(t *testing.T) {
 		t.Fatalf("run of 11 batches left in %d writes, want 1", len(w))
 	}
 	if !bytes.Equal(w[0], want) {
-		t.Fatalf("write differs from AppendBatchText of the same batches:\n got %q\nwant %q", w[0], want)
+		t.Fatalf("write differs from AppendText of the same batches:\n got %q\nwant %q", w[0], want)
 	}
 	if n := s.ActiveSessions(); n != 0 {
 		t.Fatalf("%d sessions still active", n)
@@ -130,7 +130,7 @@ func TestServeCoalesceMark(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		b := tagBatch("a", 20, true)
 		before := len(want)
-		want = AppendBatchText(want, "a ", b, &total)
+		want = b.AppendText(want, "a ", &total)
 		batchLen = len(want) - before
 		if err := s.Deliver("t", b); err != nil {
 			t.Fatal(err)

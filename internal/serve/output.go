@@ -2,80 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
 	"cfgtag"
 )
-
-// AppendBatchText renders one batch as newline-delimited events:
-//
-//	TAG <end> <index> <term> <context>\n     one line per match
-//	END <total-tags>\n                       clean end of stream
-//	ERR <message>\n                          faulted or evicted end
-//
-// Every line is prefixed with prefix (the stream key plus a space on
-// multiplexed connections, empty on dedicated ones), and the stream's
-// cumulative tag count is tracked in *total. It is shared by the live
-// outputs and the test oracle, which is what makes "byte-identical to the
-// serial oracle" a well-defined assertion.
-func AppendBatchText(dst []byte, prefix string, b *cfgtag.TagBatch, total *int) []byte {
-	// Reserve the whole batch once, so the per-tag appends below never
-	// grow dst: per line the prefix, "TAG ", two numbers of at most 20
-	// digits, three separators and the newline, plus the names.
-	need := len(b.Tags) * (len(prefix) + 4 + 20 + 1 + 20 + 1 + 1 + 1)
-	for i := range b.Tags {
-		need += len(b.Tags[i].Term) + len(b.Tags[i].Context)
-	}
-	dst = slices.Grow(dst, need)
-	*total += len(b.Tags)
-	for i := range b.Tags {
-		m := &b.Tags[i]
-		dst = append(dst, prefix...)
-		dst = append(dst, "TAG "...)
-		dst = appendUint(dst, int(m.End))
-		dst = append(dst, ' ')
-		dst = appendUint(dst, m.Index)
-		dst = append(dst, ' ')
-		dst = append(dst, m.Term...)
-		dst = append(dst, ' ')
-		dst = append(dst, m.Context...)
-		dst = append(dst, '\n')
-	}
-	if !b.EOS {
-		return dst
-	}
-	dst = append(dst, prefix...)
-	switch {
-	case b.Evicted:
-		dst = append(dst, "ERR evicted"...)
-	case b.Err != nil:
-		dst = append(dst, "ERR "...)
-		dst = appendSanitized(dst, b.Err.Error())
-	default:
-		dst = append(dst, "END "...)
-		dst = appendUint(dst, *total)
-	}
-	return append(dst, '\n')
-}
-
-// appendSanitized keeps error text on one line: control bytes (newlines
-// included) become spaces, and the text is capped.
-func appendSanitized(dst []byte, s string) []byte {
-	const maxErrLen = 512
-	if len(s) > maxErrLen {
-		s = s[:maxErrLen]
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < ' ' || c == 0x7f {
-			c = ' '
-		}
-		dst = append(dst, c)
-	}
-	return dst
-}
 
 // bufferOutput collects a stream's rendered tag events in memory — the
 // HTTP input uses it to hold the response body until the stream ends.
@@ -88,7 +19,7 @@ type bufferOutput struct {
 func (bo *bufferOutput) Deliver(b *cfgtag.TagBatch) error {
 	bo.mu.Lock()
 	defer bo.mu.Unlock()
-	bo.data = AppendBatchText(bo.data, "", b, &bo.tags)
+	bo.data = b.AppendText(bo.data, "", &bo.tags)
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Wire-protocol limits. Every limit is enforced by the parser before any
@@ -297,23 +298,9 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		dst = append(dst, "DATA "...)
 		dst = append(dst, f.Key...)
 		dst = append(dst, ' ')
-		dst = appendUint(dst, len(f.Payload))
+		dst = strconv.AppendUint(dst, uint64(len(f.Payload)), 10)
 		dst = append(dst, '\n')
 		dst = append(dst, f.Payload...)
 	}
 	return append(dst, '\n')
-}
-
-func appendUint(dst []byte, n int) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, tmp[i:]...)
 }

@@ -275,19 +275,27 @@ func (s *Server) takeSessionLocked(sk sessKey) *session {
 // Connection outputs buffer while b.More is set; the batch that ends a
 // sink worker's run (More unset) flushes every connection waiting on the
 // server, its own or not, and does so even when a fan-out fails it.
+//
+// Each fan-out gets its own shallow copy of b, and the session key, EOS
+// and More are read before any runs: a fan-out that rewrites its batch
+// cannot reroute, drop or hold open the session's output.
 func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
+	sk, eos := sessKey{tenant, b.Stream}, b.EOS
 	if !b.More {
 		defer s.flushWaiting()
 	}
-	for _, fn := range s.fanouts {
-		if err := fn(tenant, b); err != nil {
-			return err
+	if len(s.fanouts) > 0 {
+		c := new(cfgtag.TagBatch)
+		for _, fn := range s.fanouts {
+			*c = *b
+			if err := fn(tenant, c); err != nil {
+				return err
+			}
 		}
 	}
-	sk := sessKey{tenant, b.Stream}
 	s.mu.Lock()
 	ss := s.sessions[sk]
-	if ss != nil && b.EOS {
+	if ss != nil && eos {
 		s.takeSessionLocked(sk)
 	}
 	s.mu.Unlock()
@@ -300,7 +308,7 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 			s.writeErrors.Add(1)
 		}
 	}
-	if b.EOS {
+	if eos {
 		close(ss.done)
 	}
 	return nil

@@ -133,7 +133,8 @@ func oracleTextWith(t testing.TB, eng *cfgtag.Engine, payload []byte) []byte {
 		t.Fatal(err)
 	}
 	total := 0
-	return serve.AppendBatchText(nil, "", &cfgtag.TagBatch{Tags: b.Matches(), EOS: true}, &total)
+	tb := &cfgtag.TagBatch{Tags: b.Matches(), EOS: true}
+	return tb.AppendText(nil, "", &total)
 }
 
 // tcpStream runs one dedicated-stream connection end to end and returns
@@ -599,5 +600,60 @@ func TestServeDeliverFanout(t *testing.T) {
 	}
 	if eos != 1 {
 		t.Fatalf("fanout saw %d EOS batches, want 1", eos)
+	}
+}
+
+// TestServeFanoutRewriteIsolated: a fan-out that scribbles over every tag
+// of its batch and then replaces the batch whole reaches neither the
+// session's wire bytes nor its end.
+func TestServeFanoutRewriteIsolated(t *testing.T) {
+	srv := serve.NewServer()
+	srv.AddFanout(func(tenant string, b *cfgtag.TagBatch) error {
+		for i := range b.Tags {
+			b.Tags[i] = cfgtag.Match{Term: "X", Context: "Y", Index: 99, End: 7}
+		}
+		*b = cfgtag.TagBatch{Stream: "elsewhere", More: true}
+		return nil
+	})
+	cfg := &cfgtag.PlatformConfig{Tenants: []cfgtag.TenantDef{{
+		Name: "alpha", Grammar: testGrammar, Options: []string{"free-running-start"},
+		Backend: "dfa", Shards: 1,
+	}}}
+	p, err := cfgtag.NewPlatform(cfg, srv.Deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Bind(p)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AddInput(serve.NewTCPInput(ln, serve.TCPOptions{}))
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append(serve.AppendHandshake(nil, serve.Handshake{Tenant: "alpha", Key: "s1"}), testPayload...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	// The connection closes only once the session is done. A session that
+	// never ends would also hold Shutdown, so it is called only after.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	out, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("session never ended (%v): the fan-out's rewrite reached Deliver", err)
+	}
+	defer srv.Shutdown(5 * time.Second)
+	if want := oracleText(t, []byte(testPayload)); !bytes.Equal(out, want) {
+		t.Fatalf("stream output after a rewriting fan-out:\n got %q\nwant %q", out, want)
+	}
+	if n := srv.ActiveSessions(); n != 0 {
+		t.Fatalf("%d sessions still active", n)
 	}
 }

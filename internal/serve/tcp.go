@@ -249,7 +249,7 @@ func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
 	if cw.err != nil {
 		return cw.err
 	}
-	cw.buf = AppendBatchText(cw.buf, co.prefix, b, &co.tags)
+	cw.buf = b.AppendText(cw.buf, co.prefix, &co.tags)
 	if !b.More || len(cw.buf) >= connFlushBytes {
 		return cw.flushLocked()
 	}

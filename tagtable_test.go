@@ -13,7 +13,7 @@ import (
 
 // grammarSources returns every grammar the repo carries — the built-ins,
 // grammars/ and testdata/grammars/ — by name.
-func grammarSources(t *testing.T) map[string]string {
+func grammarSources(t testing.TB) map[string]string {
 	t.Helper()
 	sources := map[string]string{
 		"builtin/parens":     BalancedParensSource,
