@@ -556,12 +556,12 @@ func BenchmarkPipelineOverload(b *testing.B) {
 }
 
 // BenchmarkTenantGrid measures the multi-tenant platform end to end: T
-// tenants, each a sharded pipeline behind the versioned registry,
+// tenants, each its own sharded pipeline in the platform's tenant map,
 // fed the same interleaved chunked workload as BenchmarkShardedPipeline.
 // Each tenant's table fills on the first pass and its streams run off it;
 // aggregate throughput is bytes across all tenants per wall-clock
 // second. tenants-1 vs BenchmarkShardedPipeline/shards-2/streams-8
-// isolates the facade + registry dispatch overhead; the larger grid
+// isolates the facade's tenant lookup and decode overhead; the larger grid
 // points show how aggregate throughput holds as tenants multiply on
 // fixed cores.
 func BenchmarkTenantGrid(b *testing.B) {

@@ -308,10 +308,6 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 		}
 		return nil
 	})
-	var mem *runtime.MemGauge
-	if opts.memBudget > 0 {
-		mem = &runtime.MemGauge{}
-	}
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:       opts.shards,
 		Factory:      factory,
@@ -322,7 +318,7 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 		SinkWorkers:  opts.sinkWorkers,
 		SendTimeout:  opts.sendTimeout,
 		FeedDeadline: opts.feedDeadline,
-		Mem:          mem,
+		Quota:        runtime.Quota{MemBudgetBytes: opts.memBudget},
 	}, sink)
 	if err != nil {
 		return err
@@ -334,17 +330,17 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 	for sc.Scan() {
 		key := fmt.Sprintf("line-%d", lines)
 		lines++
-		// The registry enforces memory budgets at Send for tenants; the
-		// flat pipeline mode applies the same admission check here.
-		if opts.memBudget > 0 && mem.Load() >= opts.memBudget {
-			shed++
-			fmt.Fprintf(out, "%-10s shed: over %d-byte memory budget\n", key, opts.memBudget)
-			continue
-		}
 		// A fault can quarantine the key between Send and CloseStream;
 		// the stream already ended with an error batch, so carry on.
 		if err := p.Send(key, sc.Bytes()); err != nil {
 			if errors.Is(err, runtime.ErrQuarantined) {
+				continue
+			}
+			if errors.Is(err, runtime.ErrResourceExhausted) {
+				// Send refused the line: the pipeline is over its
+				// Quota.MemBudgetBytes.
+				shed++
+				fmt.Fprintf(out, "%-10s shed: over %d-byte memory budget\n", key, opts.memBudget)
 				continue
 			}
 			if errors.Is(err, runtime.ErrOverloaded) {

@@ -54,6 +54,18 @@ func split(out string) (tags, trailer []string) {
 	return tags, trailer
 }
 
+// byStream groups the per-stream lines of a -shards run (tag and shed
+// lines, which start with the stream key) by key.
+func byStream(out string) map[string][]string {
+	m := make(map[string][]string)
+	for _, line := range strings.Split(out, "\n") {
+		if key, _, ok := strings.Cut(line, " "); ok && strings.HasPrefix(key, "line-") {
+			m[key] = append(m[key], line)
+		}
+	}
+	return m
+}
+
 // TestSingleStream drives -backend for every execution path: identical
 // tag lines on a conforming sentence, the verdict line from the two exact
 // recognizers (accept, and reject with exit status 0 on a non-sentence),
@@ -131,6 +143,32 @@ func TestShards(t *testing.T) {
 				}
 			})
 		}
+		t.Run(builtin+"/mem-budget", func(t *testing.T) {
+			// A 1-byte budget is exceeded by the first queued arena, so
+			// lines are shed while one is in flight. Every line is either
+			// tagged exactly like the unbudgeted run or shed as a whole.
+			stdin := strings.Repeat(in.sentence+"\n", 8)
+			full, err := cli(t, stdin, "-builtin", builtin, "-shards", "2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := cli(t, stdin, "-builtin", builtin, "-shards", "2", "-mem-budget", "1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := byStream(full), byStream(out)
+			shed := 0
+			for key, lines := range got {
+				if len(lines) == 1 && strings.HasSuffix(lines[0], " shed: over 1-byte memory budget") {
+					shed++
+				} else if strings.Join(lines, "\n") != strings.Join(want[key], "\n") {
+					t.Errorf("%s: %q, want the unbudgeted tags %q or the shed line", key, lines, want[key])
+				}
+			}
+			if len(got) != 8 || shed == 0 {
+				t.Errorf("%d of 8 lines reported, %d shed (want some):\n%s", len(got), shed, out)
+			}
+		})
 		for _, kind := range referenceKinds {
 			t.Run(builtin+"/"+kind, func(t *testing.T) {
 				out, err := cli(t, stdin, "-builtin", builtin, "-backend", kind, "-shards", "2")

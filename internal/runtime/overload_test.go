@@ -439,21 +439,21 @@ func TestTenantMemBudget(t *testing.T) {
 		}
 		return nil
 	})
-	reg := NewRegistry()
-	err = reg.Add(Tenant{
-		Name:   "t",
-		Config: Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})},
-		Quota:  Quota{MemBudgetBytes: 1024},
+	// No Config.Mem: NewPipeline installs the gauge the budget reads.
+	p, err := NewPipeline(Config{
+		Shards:  1,
+		Factory: testFactory(t, spec, FactoryOptions{}),
+		Quota:   Quota{MemBudgetBytes: 1024},
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
+	defer p.Close()
 	defer openGate() // a failing test must not leave Close waiting on the sink
 
 	// 4 KiB travel in a unit whose arena alone is over the 1 KiB budget;
 	// while the sink sits on it the charge cannot be released.
-	if err := reg.Send("t", "big", []byte(strings.Repeat("a", 4096))); err != nil {
+	if err := p.Send("big", []byte(strings.Repeat("a", 4096))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -461,10 +461,10 @@ func TestTenantMemBudget(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the sink never received the batch")
 	}
-	if u, err := reg.MemUsage("t"); err != nil || u < 4096 {
-		t.Fatalf("MemUsage with a unit held by the sink = %d, %v; want at least its 4096-byte arena", u, err)
+	if u := p.cfg.Mem.Load(); u < 4096 {
+		t.Fatalf("memory with a unit held by the sink = %d; want at least its 4096-byte arena", u)
 	}
-	if err := reg.Send("t", "other", []byte("x")); !errors.Is(err, ErrResourceExhausted) {
+	if err := p.Send("other", []byte("x")); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("Send over memory budget = %v, want ErrResourceExhausted", err)
 	}
 
@@ -472,17 +472,13 @@ func TestTenantMemBudget(t *testing.T) {
 	// admission recovers.
 	openGate()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if u, err := reg.MemUsage("t"); err == nil && u == 0 {
-			break
-		}
+	for p.cfg.Mem.Load() != 0 {
 		if time.Now().After(deadline) {
-			u, _ := reg.MemUsage("t")
-			t.Fatalf("tenant memory never drained to zero: %d bytes", u)
+			t.Fatalf("tenant memory never drained to zero: %d bytes", p.cfg.Mem.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := reg.Send("t", "other", []byte("x")); err != nil {
+	if err := p.Send("other", []byte("x")); err != nil {
 		t.Fatalf("Send after drain = %v, want nil", err)
 	}
 }

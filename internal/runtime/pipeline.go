@@ -289,9 +289,13 @@ type Config struct {
 	// Mem, when set, aggregates the pipeline's estimated memory: dispatch
 	// units checked out of the pool charge it with their arena and their
 	// tag buffer, and a factory built with the same gauge in its Limits
-	// charges what its streams share (the table's states).
-	// Registry.Send enforces Quota.MemBudgetBytes against it.
+	// charges what its streams share (the table's states). Send enforces
+	// Quota.MemBudgetBytes against it.
 	Mem *MemGauge
+	// Quota is the admission quota Send checks before enqueueing (see
+	// Quota); the zero value is unlimited. CloseStream is never refused by
+	// it.
+	Quota Quota
 }
 
 // Pipeline is the sharded runtime: messages enter via Send, are coalesced
@@ -325,6 +329,10 @@ type Pipeline struct {
 	feedDeadline time.Duration
 	brThreshold  int
 	brCooldown   time.Duration
+
+	// Config.Quota trackers, each nil while its limit is unlimited.
+	bucket *tokenBucket
+	live   *liveSet
 
 	units sync.Pool // *unit, recycled after its last Deliver
 
@@ -437,6 +445,9 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &MetricCounters{}
 	}
+	if cfg.Quota.MemBudgetBytes > 0 && cfg.Mem == nil {
+		cfg.Mem = &MemGauge{}
+	}
 	p := &Pipeline{
 		cfg:          cfg,
 		m:            cfg.Metrics,
@@ -477,6 +488,12 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	p.brCooldown = cfg.BreakerCooldown
 	if p.brCooldown <= 0 {
 		p.brCooldown = DefaultBreakerCooldown
+	}
+	if cfg.Quota.BytesPerSec > 0 {
+		p.bucket = newTokenBucket(cfg.Quota.BytesPerSec)
+	}
+	if cfg.Quota.MaxStreams > 0 {
+		p.live = &liveSet{max: cfg.Quota.MaxStreams, keys: make(map[string]struct{})}
 	}
 	// Dead quarantine entries are reaped well before they could double
 	// the map again, but never so often that sweeping competes with
@@ -580,12 +597,24 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 	if p.quarTTL > 0 && s.poisoned(key) {
 		return fmt.Errorf("%w: %q", ErrQuarantined, key)
 	}
-	if p.sendTimeout != 0 && !eos {
-		if err := s.admit(key); err != nil {
+	var added bool
+	var err error
+	if !eos {
+		if added, err = p.admitQuota(key, len(data)); err != nil {
 			return err
 		}
+		if p.sendTimeout != 0 {
+			err = s.admit(key)
+		}
 	}
-	if err := s.enqueue(key, data, eos); err != nil {
+	if err == nil {
+		err = s.enqueue(key, data, eos)
+	}
+	if err != nil {
+		if added {
+			// Refused after the quota took a slot: give it back.
+			p.live.release(key)
+		}
 		return err
 	}
 	p.m.maxQueue.Max(int64(len(s.in)))
@@ -1193,6 +1222,11 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 				// batch that references them.
 				p.releaseVersion(b.ver)
 				b.ver = nil
+			}
+			if p.live != nil && b.EOS {
+				// Whatever became of the final batch, the stream is over:
+				// its Quota.MaxStreams slot frees here.
+				p.live.release(b.Key)
 			}
 		}
 		p.putUnit(u)

@@ -301,6 +301,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative sink workers", func(c *Config) { c.SinkWorkers = -3 }, "SinkWorkers"},
 		{"negative sink attempts", func(c *Config) { c.SinkAttempts = -1 }, "SinkAttempts"},
 		{"negative sink backoff", func(c *Config) { c.SinkBackoff = -time.Millisecond }, "SinkBackoff"},
+		{"negative quota streams", func(c *Config) { c.Quota.MaxStreams = -1 }, "Quota.MaxStreams"},
+		{"negative quota rate", func(c *Config) { c.Quota.BytesPerSec = -5 }, "Quota.BytesPerSec"},
+		{"negative quota memory", func(c *Config) { c.Quota.MemBudgetBytes = -1 }, "Quota.MemBudgetBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -71,5 +71,14 @@ func (cfg *Config) Validate() error {
 	if cfg.BreakerCooldown < 0 {
 		return &ConfigError{Field: "BreakerCooldown", Value: cfg.BreakerCooldown, Reason: "must be >= 0 (0 = default)"}
 	}
+	if cfg.Quota.MaxStreams < 0 {
+		return &ConfigError{Field: "Quota.MaxStreams", Value: cfg.Quota.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
+	}
+	if cfg.Quota.BytesPerSec < 0 {
+		return &ConfigError{Field: "Quota.BytesPerSec", Value: cfg.Quota.BytesPerSec, Reason: "must be >= 0 (0 = unlimited)"}
+	}
+	if cfg.Quota.MemBudgetBytes < 0 {
+		return &ConfigError{Field: "Quota.MemBudgetBytes", Value: cfg.Quota.MemBudgetBytes, Reason: "must be >= 0 (0 = unlimited)"}
+	}
 	return nil
 }

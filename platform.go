@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfgtag/internal/runtime"
@@ -22,7 +24,7 @@ type ConfigError = runtime.ConfigError
 
 // ErrUnknownTenant is returned by Platform operations naming a tenant not
 // in the config. Test with errors.Is.
-var ErrUnknownTenant = runtime.ErrUnknownTenant
+var ErrUnknownTenant = errors.New("cfgtag: unknown tenant")
 
 // ErrQuotaExceeded is returned by Platform.Send when the chunk would
 // violate the tenant's quota (MaxStreams or BytesPerSec); nothing is
@@ -286,12 +288,16 @@ func (t *TenantDef) grammarSource() (string, error) {
 	return string(b), nil
 }
 
-// platformTenant is one tenant's decode state: the engine of every live
-// factory version (batches carry their version, so a batch tagged by the
-// old grammar decodes with the old engine throughout a reload), the
+// platformTenant is one tenant: its pipeline, the counters and memory
+// gauge that pipeline charges, and its decode state — the engine of every
+// live factory version (batches carry their version, so a batch tagged by
+// the old grammar decodes with the old engine throughout a reload), the
 // tenant's declarative definition, and the reload serialization lock.
 type platformTenant struct {
-	def TenantDef
+	def  TenantDef
+	pipe *runtime.Pipeline
+	mc   *runtime.MetricCounters
+	mem  *MemGauge // nil without a memory budget
 	// fopts builds every factory version: the tenant's backend kind and its
 	// resolved limits, memory gauge included.
 	fopts runtime.FactoryOptions
@@ -345,12 +351,9 @@ func (pt *platformTenant) dropVersion(ver int) {
 // zero-downtime grammar reloads, and per-tenant metrics and quotas. All
 // methods are safe for concurrent use.
 type Platform struct {
-	reg  *runtime.Registry
-	wrap func(runtime.Factory) runtime.Factory
-
-	mu      sync.RWMutex
-	closed  bool
-	tenants map[string]*platformTenant
+	wrap    func(runtime.Factory) runtime.Factory
+	tenants map[string]*platformTenant // written only by NewPlatform
+	closed  atomic.Bool
 }
 
 // NewPlatform validates cfg, compiles every tenant's grammar and starts
@@ -365,11 +368,11 @@ func NewPlatform(cfg *PlatformConfig, deliver func(tenant string, b *TagBatch) e
 	if deliver == nil {
 		return nil, fmt.Errorf("cfgtag: NewPlatform: deliver is required")
 	}
-	p := &Platform{reg: runtime.NewRegistry(), wrap: cfg.WrapFactory, tenants: make(map[string]*platformTenant)}
+	p := &Platform{wrap: cfg.WrapFactory, tenants: make(map[string]*platformTenant)}
 	for i := range cfg.Tenants {
 		def := cfg.Tenants[i]
 		if err := p.addTenant(def, deliver); err != nil {
-			p.reg.Close()
+			p.Close()
 			return nil, err
 		}
 	}
@@ -406,6 +409,8 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	}
 	pt := &platformTenant{
 		def:      def,
+		mc:       &runtime.MetricCounters{},
+		mem:      mem,
 		fopts:    fopts,
 		engines:  map[int]*Engine{1: engine},
 		releases: map[int]func(){1: release},
@@ -418,78 +423,75 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		putBatch(pb)
 		return err
 	})
-	tenant := runtime.Tenant{
-		Name: name,
-		Config: runtime.Config{
-			Shards:         def.Shards,
-			Queue:          def.Queue,
-			Factory:        factory,
-			MaxStreams:     def.MaxStreams,
-			Quarantine:     time.Duration(def.Quarantine),
-			BatchBytes:     def.BatchBytes,
-			SinkAttempts:   def.SinkAttempts,
-			SinkBackoff:    time.Duration(def.SinkBackoff),
-			SinkWorkers:    def.SinkWorkers,
-			SendTimeout:    time.Duration(def.SendTimeout),
-			ShedHighWater:  def.ShedHighWater,
-			FeedDeadline:   time.Duration(def.FeedDeadline),
-			Mem:            mem,
-			VersionRetired: pt.dropVersion,
-		},
+	pt.pipe, err = runtime.NewPipeline(runtime.Config{
+		Shards:         def.Shards,
+		Queue:          def.Queue,
+		Factory:        factory,
+		Metrics:        pt.mc,
+		MaxStreams:     def.MaxStreams,
+		Quarantine:     time.Duration(def.Quarantine),
+		BatchBytes:     def.BatchBytes,
+		SinkAttempts:   def.SinkAttempts,
+		SinkBackoff:    time.Duration(def.SinkBackoff),
+		SinkWorkers:    def.SinkWorkers,
+		SendTimeout:    time.Duration(def.SendTimeout),
+		ShedHighWater:  def.ShedHighWater,
+		FeedDeadline:   time.Duration(def.FeedDeadline),
+		Mem:            mem,
+		VersionRetired: pt.dropVersion,
 		Quota: runtime.Quota{
 			MaxStreams:     def.Quota.MaxStreams,
 			BytesPerSec:    def.Quota.BytesPerSec,
 			MemBudgetBytes: def.Quota.MemBudgetBytes,
 		},
-	}
-	if err := p.reg.Add(tenant, sink); err != nil {
+	}, sink)
+	if err != nil {
 		release()
 		return err
 	}
-	p.mu.Lock()
 	p.tenants[name] = pt
-	p.mu.Unlock()
 	return nil
 }
 
-func (p *Platform) tenant(name string) (*platformTenant, error) {
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return nil, ErrPlatformClosed
-	}
+// lookup resolves a tenant by name; it answers after Close too, so the
+// read accessors keep reporting a closed platform's final totals.
+func (p *Platform) lookup(name string) (*platformTenant, error) {
 	pt, ok := p.tenants[name]
-	p.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	return pt, nil
 }
 
-// isClosed reports whether Close has begun.
-func (p *Platform) isClosed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.closed
+// tenant resolves a tenant for an operation that feeds or changes it:
+// after Close it fails with ErrPlatformClosed.
+func (p *Platform) tenant(name string) (*platformTenant, error) {
+	if p.closed.Load() {
+		return nil, ErrPlatformClosed
+	}
+	return p.lookup(name)
 }
 
 // Send routes one chunk of the keyed stream to the tenant's pipeline,
 // enforcing the tenant's quotas (ErrQuotaExceeded) before anything is
-// enqueued. After Close it fails with ErrPlatformClosed.
+// enqueued. After Close it fails with ErrPlatformClosed; a Send racing
+// Close fails with ErrPlatformClosed or ErrPipelineClosed.
 func (p *Platform) Send(tenant, stream string, data []byte) error {
-	if p.isClosed() {
-		return ErrPlatformClosed
+	pt, err := p.tenant(tenant)
+	if err != nil {
+		return err
 	}
-	return p.reg.Send(tenant, stream, data)
+	return pt.pipe.Send(stream, data)
 }
 
 // CloseStream ends one stream of the tenant; its final batch is delivered
-// with EOS set. After Close it fails with ErrPlatformClosed.
+// with EOS set. After Close it fails like Send.
 func (p *Platform) CloseStream(tenant, stream string) error {
-	if p.isClosed() {
-		return ErrPlatformClosed
+	pt, err := p.tenant(tenant)
+	if err != nil {
+		return err
 	}
-	return p.reg.CloseStream(tenant, stream)
+	return pt.pipe.CloseStream(stream)
 }
 
 // Reload compiles grammarSrc with the tenant's configured options and
@@ -522,7 +524,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	pt.mu.Lock()
 	pt.pending = engine
 	pt.mu.Unlock()
-	v, err := p.reg.Swap(tenant, factory)
+	v, err := pt.pipe.SwapFactory(factory)
 	pt.mu.Lock()
 	if err == nil {
 		pt.engines[v] = engine
@@ -556,64 +558,90 @@ func (p *Platform) ReloadFromFile(tenant string) (int, error) {
 }
 
 // Tenants reports the tenant names in sorted order.
-func (p *Platform) Tenants() []string { return p.reg.Tenants() }
+func (p *Platform) Tenants() []string {
+	names := make([]string, 0, len(p.tenants))
+	for n := range p.tenants {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // Metrics reports the tenant's observability totals and its queue-depth
-// high-water mark.
+// high-water mark; after Close, the final totals.
 func (p *Platform) Metrics(tenant string) (BackendCounters, int, error) {
-	return p.reg.Counters(tenant)
+	pt, err := p.lookup(tenant)
+	if err != nil {
+		return BackendCounters{}, 0, err
+	}
+	c, q := pt.mc.Snapshot()
+	return c, q, nil
 }
 
 // Faults reports the tenant's fault-tolerance totals.
 func (p *Platform) Faults(tenant string) (FaultStats, error) {
-	return p.reg.Faults(tenant)
+	pt, err := p.lookup(tenant)
+	if err != nil {
+		return FaultStats{}, err
+	}
+	return pt.mc.Faults(), nil
 }
 
 // LiveStreams reports the tenant's admitted live-stream count (tracked
 // only when the tenant has a MaxStreams quota).
 func (p *Platform) LiveStreams(tenant string) (int, error) {
-	return p.reg.LiveStreams(tenant)
+	pt, err := p.lookup(tenant)
+	if err != nil {
+		return 0, err
+	}
+	return pt.pipe.LiveStreams(), nil
 }
 
 // MemUsage reports the tenant's estimated live bytes — the gauge the
 // mem_budget_bytes quota reads. Always zero for tenants without a memory
 // budget (no gauge is installed).
 func (p *Platform) MemUsage(tenant string) (int64, error) {
-	return p.reg.MemUsage(tenant)
+	pt, err := p.lookup(tenant)
+	if err != nil {
+		return 0, err
+	}
+	return pt.mem.Load(), nil
 }
 
 // CurrentVersion reports the factory version new streams of the tenant
 // bind (1 until the first Reload).
 func (p *Platform) CurrentVersion(tenant string) (int, error) {
-	pl, err := p.reg.Pipeline(tenant)
+	pt, err := p.lookup(tenant)
 	if err != nil {
 		return 0, err
 	}
-	return pl.CurrentVersion(), nil
+	return pt.pipe.CurrentVersion(), nil
 }
 
 // LiveVersions reports the tenant's not-yet-retired factory versions in
 // ascending order; length 1 means no old version is still draining.
 func (p *Platform) LiveVersions(tenant string) ([]int, error) {
-	pl, err := p.reg.Pipeline(tenant)
+	pt, err := p.lookup(tenant)
 	if err != nil {
 		return nil, err
 	}
-	return pl.LiveVersions(), nil
+	return pt.pipe.LiveVersions(), nil
 }
 
-// Close shuts every tenant pipeline down — flushing open streams and
-// delivering their EOS batches — and returns the first error. Close is
-// idempotent: exactly one caller (even under a race) performs the
+// Close shuts every tenant pipeline down, in name order — flushing open
+// streams and delivering their EOS batches — and returns the first error.
+// Close is idempotent: exactly one caller (even under a race) performs the
 // shutdown; every later or losing call returns ErrPlatformClosed without
-// touching the pipelines.
+// touching the pipelines. The read accessors keep answering afterwards.
 func (p *Platform) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if !p.closed.CompareAndSwap(false, true) {
 		return ErrPlatformClosed
 	}
-	p.closed = true
-	p.mu.Unlock()
-	return p.reg.Close()
+	var first error
+	for _, name := range p.Tenants() {
+		if err := p.tenants[name].pipe.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

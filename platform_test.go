@@ -131,6 +131,20 @@ func TestPlatformMultiTenant(t *testing.T) {
 	if got, want := sink.tagsFor("lang", "s1"), langEngine.NewTagger().Tag(langIn); !reflect.DeepEqual(got, want) {
 		t.Fatalf("lang tags %v, want %v", got, want)
 	}
+	// Each tenant counts its own bytes and matches, and the totals stay
+	// readable after Close.
+	for tenant, in := range map[string][]byte{"xml": xmlIn, "lang": langIn} {
+		c, _, err := p.Metrics(tenant)
+		if err != nil {
+			t.Fatalf("Metrics(%s) after Close: %v", tenant, err)
+		}
+		if c.Bytes != int64(len(in)) || c.Matches == 0 {
+			t.Errorf("tenant %s: %d bytes (want %d), %d matches (want > 0)", tenant, c.Bytes, len(in), c.Matches)
+		}
+		if _, err := p.Faults(tenant); err != nil {
+			t.Errorf("Faults(%s) after Close: %v", tenant, err)
+		}
+	}
 }
 
 // TestPlatformReload swaps a tenant's grammar mid-stream: the live stream
@@ -396,7 +410,9 @@ func TestDurationJSON(t *testing.T) {
 
 // TestPlatformDoubleClose pins Close idempotency under concurrency:
 // exactly one caller wins (nil), every other racer gets the typed
-// ErrPlatformClosed, and the platform's entry points fail closed after.
+// ErrPlatformClosed, Sends racing Close fail closed (never as an unknown
+// tenant), the platform's entry points fail closed after, and the read
+// accessors keep answering.
 func TestPlatformDoubleClose(t *testing.T) {
 	pc := testPlatformConfig(t)
 	sink := newPlatformSink()
@@ -410,6 +426,7 @@ func TestPlatformDoubleClose(t *testing.T) {
 
 	const racers = 8
 	errs := make(chan error, racers)
+	sendErrs := make(chan error, racers)
 	var start sync.WaitGroup
 	start.Add(1)
 	for i := 0; i < racers; i++ {
@@ -417,8 +434,27 @@ func TestPlatformDoubleClose(t *testing.T) {
 			start.Wait()
 			errs <- p.Close()
 		}()
+		go func() {
+			start.Wait()
+			key := fmt.Sprintf("race-%d", i)
+			for {
+				err := p.Send("xml", key, []byte("<methodCall>"))
+				if err == nil {
+					err = p.CloseStream("xml", key)
+				}
+				if err != nil {
+					sendErrs <- err
+					return
+				}
+			}
+		}()
 	}
 	start.Done()
+	for i := 0; i < racers; i++ {
+		if err := <-sendErrs; !errors.Is(err, ErrPlatformClosed) && !errors.Is(err, ErrPipelineClosed) {
+			t.Errorf("Send/CloseStream racing Close: %v, want ErrPlatformClosed or ErrPipelineClosed", err)
+		}
+	}
 	var wins, closed int
 	for i := 0; i < racers; i++ {
 		switch err := <-errs; {
@@ -444,6 +480,12 @@ func TestPlatformDoubleClose(t *testing.T) {
 	}
 	if err := p.Close(); !errors.Is(err, ErrPlatformClosed) {
 		t.Fatalf("third Close: %v, want ErrPlatformClosed", err)
+	}
+	if got := p.Tenants(); !reflect.DeepEqual(got, []string{"lang", "xml"}) {
+		t.Fatalf("Tenants after Close = %v", got)
+	}
+	if c, _, err := p.Metrics("lang"); err != nil || c.Bytes != int64(len("if true then go else stop")) {
+		t.Fatalf("Metrics after Close = %+v, %v; want the lang tenant's final totals", c, err)
 	}
 	// Close flushed the open stream: its EOS batch was delivered.
 	sink.mu.Lock()
