@@ -1,0 +1,298 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	goruntime "runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"cfgtag/internal/stream"
+)
+
+// endStall is how long endBackend sleeps in a stalled call; endDeadline is
+// the FeedDeadline the taxonomy pipelines run with.
+const (
+	endStall    = 60 * time.Millisecond
+	endDeadline = 10 * time.Millisecond
+)
+
+// flushTag marks the match endBackend's Close confirms, so a test can tell
+// whether a stream's Close flush reached the sink.
+const flushTag = 7
+
+var (
+	errFeed      = errors.New("feed refused")
+	errNoBackend = errors.New("factory refused")
+)
+
+// endBackend ends a stream whichever way its chunks ask: a Feed of
+// "feed error", "feed panic", "feed budget" or "feed stall" faults that
+// Feed, and any other chunk names what its Close will do ("close
+// verdict", "close panic", "close budget", "close stall"; anything else
+// closes clean). Each Feed confirms one data tag, each Close one flushTag.
+type endBackend struct {
+	closeMode string
+	n         int64
+}
+
+func (b *endBackend) Reset()             {}
+func (b *endBackend) Counters() Counters { return Counters{} }
+
+func (b *endBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	b.n += int64(len(p))
+	out = append(out, stream.Match{End: b.n - 1})
+	switch s := string(p); s {
+	case "feed error":
+		return out, errFeed
+	case "feed panic":
+		panic("feed panic")
+	case "feed budget":
+		return out, fmt.Errorf("%w: feed", ErrResourceExhausted)
+	case "feed stall":
+		time.Sleep(endStall)
+	default:
+		b.closeMode = s
+	}
+	return out, nil
+}
+
+func (b *endBackend) Close(out []stream.Match) ([]stream.Match, error) {
+	out = append(out, stream.Match{InstanceID: flushTag, End: b.n})
+	switch b.closeMode {
+	case "close verdict":
+		return out, errVerdict
+	case "close panic":
+		panic("close panic")
+	case "close budget":
+		return out, fmt.Errorf("%w: close", ErrResourceExhausted)
+	case "close stall":
+		time.Sleep(endStall)
+	}
+	return out, nil
+}
+
+// endRec is what the sink saw of stream "k" up to and including its EOS
+// batch.
+type endRec struct {
+	mu        sync.Mutex
+	eosN      int
+	evicted   bool
+	err       error
+	flushKept bool
+	done      chan struct{} // closed at k's first EOS batch
+}
+
+func (r *endRec) Deliver(b *Batch) error {
+	if b.Key != "k" {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.eosN > 0 {
+		return nil // a later incarnation of the key
+	}
+	for _, m := range b.Tags {
+		r.flushKept = r.flushKept || m.InstanceID == flushTag
+	}
+	if b.EOS {
+		r.eosN++
+		r.evicted, r.err = b.Evicted, b.Err
+		close(r.done)
+	}
+	return nil
+}
+
+func (r *endRec) Close() error { return nil }
+
+// TestStreamEndTaxonomy is the end-cause table of DESIGN.md §6e and §6j,
+// one row per way a stream can end. Each row checks the stream's final
+// batch (EOS, Evicted, the Err sentinel), whether what its backend's Close
+// flushed reached the sink, whether the key is quarantined afterwards, and
+// the FaultStats the end counted.
+func TestStreamEndTaxonomy(t *testing.T) {
+	closeStream := func(p *Pipeline) error { return p.CloseStream("k") }
+	rows := []struct {
+		name        string
+		factoryErr  bool
+		chunk       string
+		end         func(p *Pipeline) error // nil: the chunk itself ends the stream
+		evicted     bool
+		err         error // the Err sentinel; nil for a clean end
+		flushKept   bool
+		quarantined bool
+		faults      FaultStats
+	}{
+		{name: "feed error", chunk: "feed error", err: errFeed, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1}},
+		{name: "feed panic", chunk: "feed panic", err: ErrBackendPanic, quarantined: true,
+			faults: FaultStats{PanicsRecovered: 1, StreamsQuarantined: 1}},
+		{name: "feed budget", chunk: "feed budget", err: ErrResourceExhausted, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1, ResourceExhausted: 1}},
+		{name: "feed stall", chunk: "feed stall", err: ErrBackendStalled, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1, WatchdogTrips: 1}},
+		{name: "factory error", factoryErr: true, chunk: "data", err: errNoBackend, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1}},
+		{name: "clean CloseStream", chunk: "data", end: closeStream, flushKept: true},
+		{name: "close verdict", chunk: "close verdict", end: closeStream, err: errVerdict, flushKept: true},
+		{name: "close panic", chunk: "close panic", end: closeStream, err: ErrBackendPanic, quarantined: true,
+			faults: FaultStats{PanicsRecovered: 1, StreamsQuarantined: 1}},
+		{name: "close budget", chunk: "close budget", end: closeStream, err: ErrResourceExhausted, flushKept: true, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1, ResourceExhausted: 1}},
+		{name: "close stall", chunk: "close stall", end: closeStream, err: ErrBackendStalled, flushKept: true, quarantined: true,
+			faults: FaultStats{StreamsQuarantined: 1, WatchdogTrips: 1}},
+		{name: "eviction", chunk: "data", end: func(p *Pipeline) error { return p.Send("other", []byte("data")) },
+			evicted: true, flushKept: true, faults: FaultStats{StreamsEvicted: 1}},
+		{name: "pipeline Close", chunk: "data", end: func(p *Pipeline) error { return p.Close() }, flushKept: true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var mc MetricCounters
+			rec := &endRec{done: make(chan struct{})}
+			p, err := NewPipeline(Config{
+				Shards: 1, MaxStreams: 1, Quarantine: time.Hour, FeedDeadline: endDeadline, Metrics: &mc,
+				Factory: func() (Backend, error) {
+					if row.factoryErr {
+						return nil, errNoBackend
+					}
+					return &endBackend{}, nil
+				},
+			}, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.Send("k", []byte(row.chunk)); err != nil {
+				t.Fatal(err)
+			}
+			if row.end != nil {
+				if err := row.end(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-rec.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the stream never got its EOS batch")
+			}
+			faults := mc.Faults()
+			// The next Send on the key answers whether it is quarantined;
+			// once the row has closed the pipeline, the table does.
+			err = p.Send("k", []byte("again"))
+			closed := errors.Is(err, ErrClosed)
+			if err != nil && !closed && !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("next Send = %v", err)
+			}
+			quarantined := errors.Is(err, ErrQuarantined) || closed && p.shards[0].poisoned("k")
+
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if rec.eosN != 1 || rec.evicted != row.evicted {
+				t.Errorf("EOS batches %d, Evicted %v; want 1 and %v", rec.eosN, rec.evicted, row.evicted)
+			}
+			if row.err == nil && rec.err != nil || row.err != nil && !errors.Is(rec.err, row.err) {
+				t.Errorf("Err = %v, want %v", rec.err, row.err)
+			}
+			if rec.flushKept != row.flushKept {
+				t.Errorf("Close flush delivered = %v, want %v", rec.flushKept, row.flushKept)
+			}
+			if quarantined != row.quarantined {
+				t.Errorf("key quarantined = %v, want %v", quarantined, row.quarantined)
+			}
+			if faults != row.faults {
+				t.Errorf("FaultStats = %+v\nwant %+v", faults, row.faults)
+			}
+		})
+	}
+}
+
+// TestPipelineClosePanicQuarantines pins DESIGN.md §6e for a backend whose
+// Close panics: the panic is a fault wherever the Close runs — on
+// CloseStream, on eviction and in the flush at pipeline Close — so the
+// stream ends on an ErrBackendPanic EOS batch and its key is quarantined
+// and counted.
+func TestPipelineClosePanicQuarantines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(p *Pipeline) error
+	}{
+		{"CloseStream", func(p *Pipeline) error { return p.CloseStream("k") }},
+		{"eviction", func(p *Pipeline) error { return p.Send("other", []byte("data")) }},
+		{"pipeline Close", func(p *Pipeline) error { return p.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mc MetricCounters
+			rec := &endRec{done: make(chan struct{})}
+			p, err := NewPipeline(Config{
+				Shards: 1, MaxStreams: 1, Quarantine: time.Hour, Metrics: &mc,
+				Factory: func() (Backend, error) { return &endBackend{}, nil },
+			}, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Send("k", []byte("close panic")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.end(p); err != nil {
+				t.Fatal(err)
+			}
+			<-rec.done
+			p.Close()
+			if !errors.Is(rec.err, ErrBackendPanic) {
+				t.Errorf("EOS Err = %v, want ErrBackendPanic", rec.err)
+			}
+			if !p.shards[0].poisoned("k") {
+				t.Error("key not quarantined after its Close panicked")
+			}
+			if f := mc.Faults(); f.StreamsQuarantined != 1 || f.PanicsRecovered != 1 {
+				t.Errorf("quarantined %d, panics %d; want 1 and 1", f.StreamsQuarantined, f.PanicsRecovered)
+			}
+		})
+	}
+}
+
+// TestPipelineGoroutines pins the pipeline's goroutine budget: one per
+// shard, one per sink worker, one watchdog when FeedDeadline is set, and
+// none left once Close returns. An idle pipeline has nothing else to run.
+func TestPipelineGoroutines(t *testing.T) {
+	for _, cfg := range []Config{
+		{Shards: 3, SinkWorkers: 2},
+		{Shards: 2},
+		{Shards: 2, SinkWorkers: 2, FeedDeadline: time.Second},
+	} {
+		t.Run(fmt.Sprintf("shards=%d,workers=%d,deadline=%v", cfg.Shards, cfg.SinkWorkers, cfg.FeedDeadline), func(t *testing.T) {
+			want := cfg.Shards + max(cfg.SinkWorkers, 1)
+			if cfg.FeedDeadline > 0 {
+				want++
+			}
+			cfg.Factory = fakeFactory
+			// Goroutines of earlier tests may still be exiting: retry until
+			// one construction is measured against a settled baseline.
+			var added int
+			for attempt := 0; attempt < 20; attempt++ {
+				before := goruntime.NumGoroutine()
+				p, err := NewPipeline(cfg, SinkFunc(func(*Batch) error { return nil }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				added = goruntime.NumGoroutine() - before
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for goruntime.NumGoroutine() > before {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after Close, %d before NewPipeline", goruntime.NumGoroutine(), before)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if added == want {
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Errorf("NewPipeline added %d goroutines, want %d", added, want)
+		})
+	}
+}

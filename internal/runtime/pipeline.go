@@ -71,11 +71,6 @@ const DefaultQuarantine = 30 * time.Second
 // Config.BatchBytes is zero.
 const DefaultBatchBytes = 64 << 10
 
-// DefaultBatchIdle is the idle-flush deadline used when Config.BatchIdle
-// is zero: a partially filled batch never waits longer than this before it
-// is pushed to its shard.
-const DefaultBatchIdle = time.Millisecond
-
 // maxPooledBufCap bounds chunk-arena retention in the unit pool: one huge
 // chunk must not pin a multi-megabyte allocation for the pipeline's
 // lifetime, so a larger arena is dropped for the GC when its unit is
@@ -98,10 +93,6 @@ const sinkBackoffCap = 250 * time.Millisecond
 // DefaultBreakerCooldown is how long an open sink circuit breaker sheds
 // before its half-open probe when Config.BreakerCooldown is zero.
 const DefaultBreakerCooldown = time.Second
-
-// quarSweepMin floors the amortized quarantine-sweep threshold so tiny
-// maps are not swept on every insert.
-const quarSweepMin = 16
 
 // Batch is one unit of Sink delivery: the chunk of stream bytes a shard
 // just processed and the detections it confirmed. Offsets in Tags are
@@ -231,13 +222,11 @@ type Config struct {
 	Quarantine time.Duration
 	// BatchBytes is the per-shard dispatch-coalescing target: Send copies
 	// chunks into a pooled arena and hands the shard one batch when the
-	// arena reaches this size, when the shard goes idle, or after
-	// BatchIdle. 0 selects DefaultBatchBytes; a negative value disables
-	// coalescing (every Send dispatches immediately).
+	// arena reaches this size or when the shard's queue is empty (a shard
+	// that drains its queue takes the pending batch itself). 0 selects
+	// DefaultBatchBytes; a negative value disables coalescing (every Send
+	// dispatches immediately).
 	BatchBytes int
-	// BatchIdle bounds how long a partially filled dispatch batch may
-	// wait before being flushed to its shard (0 = DefaultBatchIdle).
-	BatchIdle time.Duration
 	// SinkWorkers is the number of sink-delivery goroutines (0 or 1 = a
 	// single worker, the safe default). With more than one, shards are
 	// partitioned across workers — batches of one stream always stay on
@@ -317,19 +306,6 @@ type Pipeline struct {
 	shards  []*shard
 	sinkChs []chan *unit
 
-	quarTTL      time.Duration
-	quarSweep    time.Duration
-	batchBytes   int
-	batchIdle    time.Duration
-	sinkAttempts int
-	sinkBackoff  time.Duration
-
-	sendTimeout  time.Duration
-	highWater    int
-	feedDeadline time.Duration
-	brThreshold  int
-	brCooldown   time.Duration
-
 	// Config.Quota trackers, each nil while its limit is unlimited.
 	bucket *tokenBucket
 	live   *liveSet
@@ -338,9 +314,8 @@ type Pipeline struct {
 
 	shardWG sync.WaitGroup
 	sinkWG  sync.WaitGroup
-	flushWG sync.WaitGroup
-
-	flushStop chan struct{}
+	wdWG    sync.WaitGroup
+	wdStop  chan struct{} // closed by Close to stop the watchdog
 
 	// stateMu guards closed; dispatch holds the read side across its
 	// enqueue so Close never closes a channel with a send in flight.
@@ -409,16 +384,16 @@ type shard struct {
 
 	pendMu sync.Mutex
 	pend   *unit
-	pendAt time.Time // when the pending batch got its first message
+	space  sync.Cond // on pendMu: a queue slot freed or pend taken (see flushPendLocked)
 
 	// drainSig is pulsed (non-blockingly) by run() after each batch it
 	// drains, waking one shed-mode Send waiting out its SendTimeout.
 	drainSig chan struct{}
 
-	quarMu   sync.Mutex
-	quar     map[string]time.Time // key -> quarantine expiry
-	quarN    atomic.Int32         // live entries in quar (lock-free fast path)
-	quarHigh int                  // map size that triggers the next amortized sweep
+	quarMu sync.Mutex
+	quar   map[string]time.Time // key -> quarantine expiry
+	quarN  atomic.Int32         // entries in quar (lock-free fast path)
+	reaper *time.Timer          // sweeps quar; armed while it is non-empty
 
 	// Watchdog in-flight record, armed only when FeedDeadline > 0: when
 	// the backend call running on this shard's goroutine started, if any.
@@ -427,8 +402,8 @@ type shard struct {
 	wdFired bool      // the trip for this call is already counted
 }
 
-// NewPipeline starts the shard, sink-worker and idle-flusher goroutines.
-// Close releases them.
+// NewPipeline starts the shard and sink-worker goroutines, plus the
+// watchdog when FeedDeadline is set. Close releases them.
 func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -448,59 +423,33 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if cfg.Quota.MemBudgetBytes > 0 && cfg.Mem == nil {
 		cfg.Mem = &MemGauge{}
 	}
-	p := &Pipeline{
-		cfg:          cfg,
-		m:            cfg.Metrics,
-		sink:         sink,
-		quarTTL:      cfg.Quarantine,
-		batchBytes:   cfg.BatchBytes,
-		batchIdle:    cfg.BatchIdle,
-		sinkAttempts: cfg.SinkAttempts,
-		sinkBackoff:  cfg.SinkBackoff,
-		flushStop:    make(chan struct{}),
+	// Defaults resolve in place. The two negative switches stay negative:
+	// Quarantine < 0 fails every "> 0" check, and BatchBytes < 0 is a
+	// target every arena has reached, so each message flushes alone.
+	if cfg.Quarantine == 0 {
+		cfg.Quarantine = DefaultQuarantine
 	}
-	if p.quarTTL == 0 {
-		p.quarTTL = DefaultQuarantine
-	} else if p.quarTTL < 0 {
-		p.quarTTL = 0
+	if cfg.BatchBytes == 0 {
+		cfg.BatchBytes = DefaultBatchBytes
 	}
-	if p.batchBytes == 0 {
-		p.batchBytes = DefaultBatchBytes
-	} else if p.batchBytes < 0 {
-		p.batchBytes = 0 // coalescing disabled: flush every message
+	if cfg.SinkAttempts <= 0 {
+		cfg.SinkAttempts = 3
 	}
-	if p.batchIdle <= 0 {
-		p.batchIdle = DefaultBatchIdle
+	if cfg.SinkBackoff <= 0 {
+		cfg.SinkBackoff = time.Millisecond
 	}
-	if p.sinkAttempts <= 0 {
-		p.sinkAttempts = 3
+	if cfg.ShedHighWater <= 0 || cfg.ShedHighWater > cfg.Queue {
+		cfg.ShedHighWater = cfg.Queue
 	}
-	if p.sinkBackoff <= 0 {
-		p.sinkBackoff = time.Millisecond
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
-	p.sendTimeout = cfg.SendTimeout
-	p.highWater = cfg.ShedHighWater
-	if p.highWater <= 0 || p.highWater > cfg.Queue {
-		p.highWater = cfg.Queue
-	}
-	p.feedDeadline = cfg.FeedDeadline
-	p.brThreshold = cfg.BreakerThreshold
-	p.brCooldown = cfg.BreakerCooldown
-	if p.brCooldown <= 0 {
-		p.brCooldown = DefaultBreakerCooldown
-	}
+	p := &Pipeline{cfg: cfg, m: cfg.Metrics, sink: sink, wdStop: make(chan struct{})}
 	if cfg.Quota.BytesPerSec > 0 {
 		p.bucket = newTokenBucket(cfg.Quota.BytesPerSec)
 	}
 	if cfg.Quota.MaxStreams > 0 {
 		p.live = &liveSet{max: cfg.Quota.MaxStreams, keys: make(map[string]struct{})}
-	}
-	// Dead quarantine entries are reaped well before they could double
-	// the map again, but never so often that sweeping competes with
-	// dispatch.
-	p.quarSweep = p.quarTTL / 2
-	if p.quarSweep < 50*time.Millisecond {
-		p.quarSweep = 50 * time.Millisecond
 	}
 	p.units.New = func() any { return new(unit) }
 
@@ -510,14 +459,7 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	p.curVer = &factoryVersion{id: 1, factory: cfg.Factory}
 	p.liveVers = map[int]*factoryVersion{1: p.curVer}
 
-	workers := cfg.SinkWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > cfg.Shards {
-		workers = cfg.Shards
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(max(cfg.SinkWorkers, 1), cfg.Shards); w++ {
 		ch := make(chan *unit, cfg.Queue)
 		p.sinkChs = append(p.sinkChs, ch)
 		p.sinkWG.Add(1)
@@ -533,14 +475,13 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 			drainSig: make(chan struct{}, 1),
 			p:        p,
 		}
+		s.space.L = &s.pendMu
 		p.shards = append(p.shards, s)
 		p.shardWG.Add(1)
 		go s.run()
 	}
-	p.flushWG.Add(1)
-	go p.idleFlusher()
-	if p.feedDeadline > 0 {
-		p.flushWG.Add(1)
+	if cfg.FeedDeadline > 0 {
+		p.wdWG.Add(1)
 		go p.watchdog()
 	}
 	return p, nil
@@ -551,12 +492,12 @@ func (p *Pipeline) Shards() int { return len(p.shards) }
 
 // Send dispatches one chunk of the stream identified by key. The data is
 // copied into a pooled arena, so the caller may reuse it immediately.
-// Chunks coalesce into per-shard batches that flush when full, when the
-// shard goes idle, or after Config.BatchIdle; an accepted chunk is always
-// delivered, even if Close follows immediately. Send blocks while the
-// target shard's queue is full. After Close it fails with ErrClosed and
-// the chunk is not accepted; a quarantined key fails with ErrQuarantined,
-// and after a permanent sink failure every Send fails with that failure.
+// Chunks coalesce into per-shard batches that flush when full or when the
+// shard's queue is empty; an accepted chunk is always delivered, even if
+// Close follows immediately. Send blocks while the target shard's queue
+// is full. After Close it fails with ErrClosed and the chunk is not
+// accepted; a quarantined key fails with ErrQuarantined, and after a
+// permanent sink failure every Send fails with that failure.
 // Chunks accepted before a stream's backend faulted but not yet processed
 // are discarded (the stream already received its error-carrying EOS
 // batch).
@@ -594,7 +535,7 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 		return err
 	}
 	s := p.shards[p.shardFor(key)]
-	if p.quarTTL > 0 && s.poisoned(key) {
+	if p.cfg.Quarantine > 0 && s.poisoned(key) {
 		return fmt.Errorf("%w: %q", ErrQuarantined, key)
 	}
 	var added bool
@@ -603,7 +544,7 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 		if added, err = p.admitQuota(key, len(data)); err != nil {
 			return err
 		}
-		if p.sendTimeout != 0 {
+		if p.cfg.SendTimeout != 0 {
 			err = s.admit(key)
 		}
 	}
@@ -628,16 +569,16 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 // enqueue-level flush guard is the exact arbiter.
 func (s *shard) admit(key string) error {
 	p := s.p
-	if len(s.in) < p.highWater {
+	if len(s.in) < p.cfg.ShedHighWater {
 		return nil
 	}
-	if p.sendTimeout > 0 {
-		timer := time.NewTimer(p.sendTimeout)
+	if p.cfg.SendTimeout > 0 {
+		timer := time.NewTimer(p.cfg.SendTimeout)
 		defer timer.Stop()
 		for {
 			select {
 			case <-s.drainSig:
-				if len(s.in) < p.highWater {
+				if len(s.in) < p.cfg.ShedHighWater {
 					return nil
 				}
 			case <-timer.C:
@@ -657,36 +598,39 @@ func (s *shard) shed(key string) error {
 // enqueue appends one message to the shard's pending batch, flushing it
 // when the arena target is reached, when coalescing is off, or when the
 // shard queue is empty (nothing would be gained by waiting: the shard is
-// starved, so latency wins over amortization).
+// starved, so latency wins over amortization). That last rule is the
+// invariant the shard relies on (see next): whenever pendMu is released
+// with a pending message, a unit is queued in front of it.
 //
 // In shed mode (SendTimeout != 0) the flushes are non-blocking: when the
 // full arena cannot be handed off because the queue is full, the message
 // is shed with ErrOverloaded *before* being appended — bytes are never
 // partially accepted — and an already-complete pending batch simply stays
-// pending until a later enqueue, the idle flusher, or Close moves it. EOS
-// messages always take the blocking path so streams can always close.
+// pending until the shard drains its queue and takes it. EOS messages
+// always take the blocking path so streams can always close.
 func (s *shard) enqueue(key string, data []byte, eos bool) error {
 	p := s.p
-	canBlock := p.sendTimeout == 0 || eos
+	canBlock := p.cfg.SendTimeout == 0 || eos
 	s.pendMu.Lock()
+	// A chunk that does not fit the pending arena hands it off first. A
+	// blocking flush may wait, letting other senders move the arena and
+	// start the next one, so look again until the chunk fits.
+	for u := s.pend; u != nil && len(u.data) > 0 && len(u.data)+len(data) > cap(u.data); u = s.pend {
+		if !s.flushPendLocked(canBlock) {
+			s.pendMu.Unlock()
+			return s.shed(key)
+		}
+	}
 	if s.pend == nil {
 		s.pend = p.getUnit()
 	}
 	u := s.pend
 	if len(data) > 0 {
-		if len(u.data) > 0 && len(u.data)+len(data) > cap(u.data) {
-			if !s.flushPendLocked(canBlock) {
-				s.pendMu.Unlock()
-				return s.shed(key)
-			}
-			s.pend = p.getUnit()
-			u = s.pend
-		}
 		if len(data) > cap(u.data) {
 			// Only an empty arena can be too small (the flush above saw to
 			// that): a fresh unit has none, a recycled one may have been
 			// sized for smaller chunks.
-			u.data = make([]byte, 0, max(p.batchBytes, len(data)))
+			u.data = make([]byte, 0, max(p.cfg.BatchBytes, len(data)))
 			p.settle(u)
 		}
 		off := len(u.data)
@@ -695,10 +639,7 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 	} else {
 		u.msgs = append(u.msgs, msgRef{key: key, eos: eos})
 	}
-	if len(u.msgs) == 1 {
-		s.pendAt = time.Now()
-	}
-	if p.batchBytes == 0 || len(u.data) >= p.batchBytes || len(s.in) == 0 {
+	if len(u.data) >= p.cfg.BatchBytes || len(s.in) == 0 {
 		s.flushPendLocked(canBlock)
 	}
 	s.pendMu.Unlock()
@@ -706,68 +647,25 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 }
 
 // flushPendLocked hands the pending batch to the shard goroutine; pendMu
-// must be held. With block set the channel send may wait under
-// backpressure — the shard keeps draining, so progress is guaranteed.
-// Without it a full queue leaves the batch pending and reports false.
-// Every send into s.in happens here, under pendMu.
+// must be held. Every send into s.in happens here, under pendMu, and none
+// blocks: with block set, a full queue makes the flush wait on space,
+// which releases pendMu until the shard frees a slot or takes the batch
+// itself, and the wait ends once the batch is out, whoever moved it. So
+// the shard can always take pendMu. Without block a full queue leaves the
+// batch pending and reports false.
 func (s *shard) flushPendLocked(block bool) bool {
-	u := s.pend
-	if u == nil || len(u.msgs) == 0 {
-		return true
-	}
-	if block {
-		s.pend = nil
-		s.in <- u
-		return true
-	}
-	select {
-	case s.in <- u:
-		s.pend = nil
-		return true
-	default:
-		return false
-	}
-}
-
-// idleFlusher bounds batching latency: every BatchIdle tick it pushes any
-// pending batch older than the deadline to its shard. It doubles as the
-// periodic quarantine sweeper (every quarSweep), so dead entries are
-// reaped even when dispatch goes quiet. It exits as soon as the pipeline
-// closes (Close flushes the remaining batches itself).
-func (p *Pipeline) idleFlusher() {
-	defer p.flushWG.Done()
-	t := time.NewTicker(p.batchIdle)
-	defer t.Stop()
-	lastSweep := time.Now()
-	for {
+	for u := s.pend; u != nil && u == s.pend && len(u.msgs) > 0; s.space.Wait() {
 		select {
-		case <-p.flushStop:
-			return
-		case <-t.C:
+		case s.in <- u:
+			s.pend = nil
+			return true
+		default:
 		}
-		p.stateMu.RLock()
-		if p.closed {
-			p.stateMu.RUnlock()
-			return
+		if !block {
+			return false
 		}
-		for _, s := range p.shards {
-			s.pendMu.Lock()
-			if s.pend != nil && len(s.pend.msgs) > 0 && time.Since(s.pendAt) >= p.batchIdle {
-				// In shed mode the idle flush must not block either: a
-				// stuck queue keeps the batch pending (its messages were
-				// accepted; they move as soon as the shard drains).
-				s.flushPendLocked(p.sendTimeout == 0)
-			}
-			s.pendMu.Unlock()
-		}
-		if p.quarTTL > 0 && time.Since(lastSweep) >= p.quarSweep {
-			lastSweep = time.Now()
-			for _, s := range p.shards {
-				s.sweepQuarantine(lastSweep)
-			}
-		}
-		p.stateMu.RUnlock()
 	}
+	return true
 }
 
 // shardFor hashes the stream key onto a shard (inline FNV-1a, allocation
@@ -793,19 +691,24 @@ func (p *Pipeline) Close() error {
 	p.closed = true
 	p.stateMu.Unlock()
 
-	close(p.flushStop)
-	p.flushWG.Wait()
 	// No Send can append anymore (closed is set), so the residual batches
 	// are stable; flush them before closing the shard channels.
 	for _, s := range p.shards {
 		s.pendMu.Lock()
 		s.flushPendLocked(true)
 		s.pendMu.Unlock()
-	}
-	for _, s := range p.shards {
 		close(s.in)
 	}
 	p.shardWG.Wait()
+	close(p.wdStop)
+	p.wdWG.Wait()
+	for _, s := range p.shards {
+		s.quarMu.Lock()
+		if s.reaper != nil {
+			s.reaper.Stop()
+		}
+		s.quarMu.Unlock()
+	}
 	for _, ch := range p.sinkChs {
 		close(ch)
 	}
@@ -858,69 +761,59 @@ func (p *Pipeline) putUnit(u *unit) {
 	p.units.Put(u)
 }
 
-// poisoned reports whether key is quarantined, lazily expiring stale
-// entries. Called from dispatch (any goroutine) and the shard goroutine;
-// the atomic counter keeps the healthy path lock-free.
+// poisoned reports whether key is quarantined: in the table and not yet
+// expired (the reaper deletes expired entries). Called from dispatch (any
+// goroutine) and the shard goroutine; the atomic counter keeps the
+// healthy path lock-free.
 func (s *shard) poisoned(key string) bool {
 	if s.quarN.Load() == 0 {
 		return false
 	}
 	s.quarMu.Lock()
-	defer s.quarMu.Unlock()
 	until, ok := s.quar[key]
-	if !ok {
-		return false
-	}
-	if time.Now().After(until) {
-		delete(s.quar, key)
-		s.quarN.Add(-1)
-		return false
-	}
-	return true
+	s.quarMu.Unlock()
+	return ok && !time.Now().After(until)
 }
 
 // poison quarantines key for the configured TTL (no-op when disabled).
-// Inserts are where the map grows, so they amortize the sweep: once the
-// map doubles past the size left by the previous sweep, expired entries
-// are reaped before inserting — a churn of unique faulted keys holds the
-// map at O(live entries) instead of growing it forever.
+// The insert that makes the table non-empty arms the reaper, which then
+// sweeps it once per TTL until it is empty again: a churn of unique
+// faulted keys holds the table at the keys of the last two TTLs instead
+// of growing it forever.
 func (s *shard) poison(key string) {
-	if s.p.quarTTL <= 0 {
+	if s.p.cfg.Quarantine <= 0 {
 		return
 	}
-	now := time.Now()
 	s.quarMu.Lock()
-	if len(s.quar) >= s.quarHigh {
-		s.sweepLocked(now)
-		s.quarHigh = 2*len(s.quar) + quarSweepMin
+	if len(s.quar) == 0 {
+		if s.reaper == nil {
+			s.reaper = time.AfterFunc(s.p.cfg.Quarantine, s.reap)
+		} else {
+			s.reaper.Reset(s.p.cfg.Quarantine)
+		}
 	}
 	if _, ok := s.quar[key]; !ok {
 		s.quarN.Add(1)
 	}
-	s.quar[key] = now.Add(s.p.quarTTL)
+	s.quar[key] = time.Now().Add(s.p.cfg.Quarantine)
 	s.quarMu.Unlock()
 	s.p.m.quarantined.Add(1)
 }
 
-// sweepQuarantine reaps expired quarantine entries (the periodic path;
-// see poison for the amortized one).
-func (s *shard) sweepQuarantine(now time.Time) {
-	if s.quarN.Load() == 0 {
-		return
-	}
+// reap is the reaper's callback: it deletes the expired entries and
+// re-arms itself one TTL out while any remain.
+func (s *shard) reap() {
 	s.quarMu.Lock()
-	s.sweepLocked(now)
-	s.quarHigh = 2*len(s.quar) + quarSweepMin
-	s.quarMu.Unlock()
-}
-
-// sweepLocked deletes every expired entry; quarMu must be held.
-func (s *shard) sweepLocked(now time.Time) {
+	defer s.quarMu.Unlock()
+	now := time.Now()
 	for k, until := range s.quar {
 		if now.After(until) {
 			delete(s.quar, k)
 			s.quarN.Add(-1)
 		}
+	}
+	if len(s.quar) > 0 {
+		s.reaper.Reset(s.p.cfg.Quarantine)
 	}
 }
 
@@ -931,7 +824,7 @@ func (s *shard) sweepLocked(now time.Time) {
 // flushed with synthetic EOS batches so sinks always see stream ends.
 func (s *shard) run() {
 	defer s.p.shardWG.Done()
-	for u := range s.in {
+	for u := s.next(); u != nil; u = s.next() {
 		for i := range u.msgs {
 			m := &u.msgs[i]
 			var data []byte
@@ -949,53 +842,93 @@ func (s *shard) run() {
 		}
 	}
 	u := s.p.getUnit()
-	for key := range s.streams {
-		s.process(key, nil, true, u)
+	for _, e := range s.streams {
+		s.end(u, e, nil, nil, false)
 	}
 	s.emit(u)
 }
 
-// guard invokes one backend call, converting a panic into an error
-// wrapping ErrBackendPanic so a hostile stream cannot take the process
-// down.
-func (s *shard) guard(origin string, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.p.m.panics.Add(1)
-			err = fmt.Errorf("%w (in %s): %v", ErrBackendPanic, origin, r)
+// next returns the shard's next unit, nil once Close has closed the
+// queue. The shard is work-conserving: when its queue is empty it takes
+// the pending unit itself, so a partial batch never waits for a timer.
+// Going to sleep on an empty queue strands nothing: enqueue flushes
+// whenever the queue is empty, so a message left pending always has a
+// unit queued in front of it, after which the shard looks again. Every
+// return frees a queue slot or takes the pending unit, either of which
+// may end a flush waiting on space.
+func (s *shard) next() *unit {
+	defer s.space.Broadcast()
+	for {
+		select {
+		case u := <-s.in:
+			return u
+		default:
 		}
-	}()
-	return fn()
+		s.pendMu.Lock()
+		u, idle := s.pend, len(s.in) == 0
+		if idle && u != nil && len(u.msgs) > 0 {
+			s.pend = nil
+		} else {
+			u = nil
+		}
+		s.pendMu.Unlock()
+		if u != nil {
+			return u
+		}
+		if idle {
+			return <-s.in
+		}
+	}
 }
 
-// guardTimed wraps guard with the watchdog's in-flight record: while fn
-// runs, the watchdog goroutine can see how long it has been running and
-// count a trip once it is overdue. Go code cannot be interrupted, so a
-// stalled call is converted into an ErrBackendStalled verdict when it
-// finally returns; a call that never returns is still counted.
-func (s *shard) guardTimed(key, origin string, fn func() error) error {
+// call makes one guarded, timed backend call — Feed of data, or Close
+// when data is nil — appending what it confirms to the unit's tag buffer.
+// The buffer is reassigned only when the call returns: after a panic the
+// unit keeps what it held before, and the panic becomes an error wrapping
+// ErrBackendPanic, so a hostile stream cannot take the process down. With
+// the watchdog armed the call runs under the shard's in-flight record. Go
+// code cannot be interrupted, so a call that outran FeedDeadline gets its
+// ErrBackendStalled verdict when it returns; one that never returns is
+// still counted by the watchdog. A Feed the backend accepts counts its
+// bytes.
+func (s *shard) call(e *streamEntry, data []byte, u *unit) (err error) {
 	p := s.p
-	if p.feedDeadline <= 0 {
-		return s.guard(origin, fn)
+	origin := "Feed"
+	if data == nil {
+		origin = "Close"
 	}
-	s.wdMu.Lock()
-	s.wdStart, s.wdFired = time.Now(), false
-	s.wdMu.Unlock()
-	err := s.guard(origin, fn)
-	s.wdMu.Lock()
-	elapsed := time.Since(s.wdStart)
-	fired := s.wdFired
-	s.wdStart = time.Time{}
-	s.wdMu.Unlock()
-	if elapsed > p.feedDeadline {
-		if !fired {
-			// The call outran the deadline between watchdog ticks; it
-			// still counts exactly once per overdue call.
-			p.m.watchdogTrips.Add(1)
+	if p.cfg.FeedDeadline > 0 {
+		s.wdMu.Lock()
+		s.wdStart, s.wdFired = time.Now(), false
+		s.wdMu.Unlock()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			p.m.panics.Add(1)
+			err = fmt.Errorf("%w (in %s): %v", ErrBackendPanic, origin, r)
 		}
-		if err == nil {
-			err = fmt.Errorf("%w: %s on %q took %v (deadline %v)", ErrBackendStalled, origin, key, elapsed, p.feedDeadline)
+		if p.cfg.FeedDeadline <= 0 {
+			return
 		}
+		s.wdMu.Lock()
+		elapsed, fired := time.Since(s.wdStart), s.wdFired
+		s.wdStart = time.Time{}
+		s.wdMu.Unlock()
+		if elapsed > p.cfg.FeedDeadline {
+			if !fired {
+				// The call outran the deadline between watchdog ticks; it
+				// still counts exactly once per overdue call.
+				p.m.watchdogTrips.Add(1)
+			}
+			if err == nil {
+				err = fmt.Errorf("%w: %s on %q took %v (deadline %v)", ErrBackendStalled, origin, e.key, elapsed, p.cfg.FeedDeadline)
+			}
+		}
+	}()
+	if data == nil {
+		u.tags, err = e.b.Close(u.tags)
+	} else if u.tags, err = e.b.Feed(data, u.tags); err == nil {
+		p.m.bytes.Add(int64(len(data)))
 	}
 	return err
 }
@@ -1003,25 +936,21 @@ func (s *shard) guardTimed(key, origin string, fn func() error) error {
 // watchdog is the pipeline's stall detector: it scans every shard's
 // in-flight backend call on a fraction of FeedDeadline and counts a trip
 // (once per call) when one is overdue. The verdict on the stream lands in
-// guardTimed when the call returns.
+// call when the call returns.
 func (p *Pipeline) watchdog() {
-	defer p.flushWG.Done()
-	tick := p.feedDeadline / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	defer p.wdWG.Done()
+	t := time.NewTicker(max(p.cfg.FeedDeadline/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
-		case <-p.flushStop:
+		case <-p.wdStop:
 			return
 		case <-t.C:
 		}
 		now := time.Now()
 		for _, s := range p.shards {
 			s.wdMu.Lock()
-			if !s.wdStart.IsZero() && !s.wdFired && now.Sub(s.wdStart) > p.feedDeadline {
+			if !s.wdStart.IsZero() && !s.wdFired && now.Sub(s.wdStart) > p.cfg.FeedDeadline {
 				s.wdFired = true
 				p.m.watchdogTrips.Add(1)
 			}
@@ -1030,66 +959,57 @@ func (p *Pipeline) watchdog() {
 	}
 }
 
-// remove forgets a stream's backend and recency entry, folding the
-// backend's recoveries, collisions and cache stats into the metrics: a
-// backend is minted per stream, so its counters cover its whole life.
-func (s *shard) remove(e *streamEntry) {
-	delete(s.streams, e.key)
-	s.lru.Remove(e.el)
-	s.p.m.addStream(e.b.Counters())
-}
-
-// feed and closeBackend run one guarded backend call that appends its
-// detections to the unit's tag buffer. The buffer is reassigned only when
-// the call returns: after a panic the unit keeps what it held before. A
-// Feed the backend accepts counts its bytes.
-func (s *shard) feed(e *streamEntry, data []byte, u *unit) error {
-	return s.guardTimed(e.key, "Feed", func() (err error) {
-		if u.tags, err = e.b.Feed(data, u.tags); err == nil {
-			s.p.m.bytes.Add(int64(len(data)))
+// end retires a stream with its final batch, whichever way it ends: on
+// CloseStream, on a Feed or factory fault (err), on eviction (evicted),
+// and in the flush at pipeline Close. A stream with a backend gets one
+// last call, to Close; what it flushes is kept unless a Feed fault ended
+// the stream, whose backend state is suspect. The stream leaves the shard
+// (its backend's counters fold into the metrics: a backend is minted per
+// stream, so they cover its whole life), and its EOS batch carries the
+// fault or the Close error plus the factory-version binding, released
+// after delivery. Quarantine and the end counters are decided here only.
+func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted bool) {
+	b := Batch{Key: e.key, Shard: s.id, Data: data, EOS: true, Evicted: evicted, Err: err, Version: e.ver.id}
+	if e.b == nil {
+		// The factory failed: no backend to close, no binding to keep.
+		s.p.releaseVersion(e.ver)
+	} else {
+		n := len(u.tags)
+		if cerr := s.call(e, nil, u); err != nil {
+			u.tags = u.tags[:n]
+		} else {
+			b.Err = cerr
 		}
-		return err
-	})
-}
-
-func (s *shard) closeBackend(e *streamEntry, u *unit) error {
-	return s.guardTimed(e.key, "Close", func() (err error) {
-		u.tags, err = e.b.Close(u.tags)
-		return err
-	})
-}
-
-// evictOldest flushes the least-recently-active stream to make room under
-// the MaxStreams cap: its backend is closed and its final matches are
-// delivered in a synthetic EOS batch marked Evicted.
-func (s *shard) evictOldest(u *unit) {
-	el := s.lru.Back()
-	if el == nil {
-		return
+		delete(s.streams, e.key)
+		s.lru.Remove(e.el)
+		s.p.m.addStream(e.b.Counters())
+		b.ver = e.ver
 	}
-	e := el.Value.(*streamEntry)
-	batch := Batch{Key: e.key, Shard: s.id, EOS: true, Evicted: true, Version: e.ver.id, ver: e.ver}
-	batch.Err = s.closeBackend(e, u)
-	s.remove(e)
-	s.p.m.evicted.Add(1)
-	s.append(u, batch)
-}
-
-// append records the finished batch on the unit — everything appended to
-// the tag buffer since the previous batch is its window — noting
-// resource-budget verdicts on the way: every batch a shard produces goes
-// through here, so ResourceExhausted counts exactly once per
-// budget-tripped stream.
-func (s *shard) append(u *unit, batch Batch) {
-	if batch.Err != nil && errors.Is(batch.Err, ErrResourceExhausted) {
+	if faulted(err, b.Err) {
+		s.poison(e.key)
+	}
+	if evicted {
+		s.p.m.evicted.Add(1)
+	}
+	if errors.Is(b.Err, ErrResourceExhausted) {
 		s.p.m.resExhausted.Add(1)
 	}
-	batch.tagEnd = len(u.tags)
-	u.batches = append(u.batches, batch)
+	b.tagEnd = len(u.tags)
+	u.batches = append(u.batches, b)
+}
+
+// faulted is the quarantine predicate. A stream ended by a Feed or
+// factory error (feedErr) faulted, and so did one whose Close panicked,
+// tripped a budget or stalled. A plain Close error is the backend's
+// verdict on its input, and eviction is the pipeline's own choice:
+// neither is a fault.
+func faulted(feedErr, err error) bool {
+	return feedErr != nil || errors.Is(err, ErrBackendPanic) ||
+		errors.Is(err, ErrResourceExhausted) || errors.Is(err, ErrBackendStalled)
 }
 
 func (s *shard) process(key string, data []byte, eos bool, u *unit) {
-	if s.p.quarTTL > 0 && s.poisoned(key) {
+	if s.p.cfg.Quarantine > 0 && s.poisoned(key) {
 		// The stream already received its error-carrying EOS batch when
 		// it was poisoned; queued leftovers are discarded cheaply (their
 		// bytes are recycled with the unit).
@@ -1101,63 +1021,34 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 		// close of an unknown key creates and immediately retires its
 		// backend, so it must not push a live stream out.
 		if max := s.p.cfg.MaxStreams; max > 0 && !eos && len(s.streams) >= max {
-			s.evictOldest(u)
+			s.end(u, s.lru.Back().Value.(*streamEntry), nil, nil, true)
 		}
 		// The stream binds the factory version current at creation and
 		// keeps it for life; a concurrent SwapFactory only affects
 		// streams created after it.
-		ver := s.p.acquireVersion()
-		b, err := ver.factory()
+		e = &streamEntry{key: key, ver: s.p.acquireVersion()}
+		b, err := e.ver.factory()
 		if err != nil {
-			s.p.releaseVersion(ver)
-			s.poison(key)
-			s.append(u, Batch{Key: key, Shard: s.id, EOS: true, Err: err, Version: ver.id})
+			s.end(u, e, nil, err, false)
 			return
 		}
-		e = &streamEntry{key: key, b: b, ver: ver}
+		e.b = b
 		e.el = s.lru.PushFront(e)
 		s.streams[key] = e
 	} else {
 		s.lru.MoveToFront(e.el)
 	}
-
-	batch := Batch{Key: key, Shard: s.id, Data: data, EOS: eos, Version: e.ver.id}
+	var err error
 	if len(data) > 0 {
-		batch.Err = s.feed(e, data, u)
+		err = s.call(e, data, u)
 	}
-	if batch.Err != nil && !eos {
+	if err != nil || eos {
 		// A failed, panicking, budget-tripped or stalled Feed ends the
-		// stream: the backend's state is suspect, so it is retired, the
-		// key is poisoned, and the error batch doubles as the stream's
-		// EOS. Matches the Feed returned before the fault are still
-		// delivered (best effort); what its Close flushes is not.
-		batch.EOS = true
-		batch.ver = e.ver
-		n := len(u.tags)
-		s.guard("Close", func() (err error) {
-			u.tags, err = e.b.Close(u.tags)
-			return err
-		})
-		u.tags = u.tags[:n]
-		s.remove(e)
-		s.poison(key)
-		s.append(u, batch)
+		// stream too; the batch keeps the matches its Feed returned.
+		s.end(u, e, data, err, false)
 		return
 	}
-	if eos {
-		if cerr := s.closeBackend(e, u); batch.Err == nil {
-			batch.Err = cerr
-		}
-		s.remove(e)
-		batch.ver = e.ver
-		if batch.Err != nil && (errors.Is(batch.Err, ErrResourceExhausted) || errors.Is(batch.Err, ErrBackendStalled)) {
-			// A budget or a stall can land at Close too; quarantine the
-			// key like a Feed fault so the adversarial input cannot
-			// immediately re-open.
-			s.poison(key)
-		}
-	}
-	s.append(u, batch)
+	u.batches = append(u.batches, Batch{Key: key, Shard: s.id, Data: data, Version: e.ver.id, tagEnd: len(u.tags)})
 }
 
 // emit hands one completed unit to the sink worker owning this shard.
@@ -1200,7 +1091,7 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 	defer p.sinkWG.Done()
 	rng := rand.New(rand.NewSource(seed)) // backoff jitter only
 	var br *breaker
-	if p.brThreshold > 0 {
+	if p.cfg.BreakerThreshold > 0 {
 		br = &breaker{p: p, worker: worker}
 	}
 	for u := range ch {
@@ -1238,29 +1129,19 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 }
 
 func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
+	attempts := p.cfg.SinkAttempts
 	if br != nil && br.open {
 		if time.Now().Before(br.openUntil) {
 			br.shed(b)
 			return
 		}
-		// Half-open: one probe attempt, no retries. Success closes the
-		// breaker (the batch is delivered); a transient failure restarts
-		// the cooldown and sheds.
-		err := p.deliverOnce(b)
-		if err == nil {
-			br.success()
-			return
-		}
-		if isPermanent(err) {
-			p.failSink(err)
-			return
-		}
-		br.openUntil = time.Now().Add(p.brCooldown)
-		br.shed(b)
-		return
+		// Half-open: the same loop with one probe attempt. Success closes
+		// the breaker (the batch is delivered); a transient failure
+		// restarts the cooldown and sheds.
+		attempts = 1
 	}
 	var err error
-	for attempt := 1; attempt <= p.sinkAttempts; attempt++ {
+	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			p.m.sinkRetries.Add(1)
 			time.Sleep(p.backoff(attempt-1, rng))
@@ -1275,6 +1156,11 @@ func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
 			p.failSink(err)
 			return
 		}
+	}
+	if br != nil && br.open {
+		br.openUntil = time.Now().Add(p.cfg.BreakerCooldown)
+		br.shed(b)
+		return
 	}
 	if p.cfg.DeadLetter != nil {
 		p.m.deadLetters.Add(1)
@@ -1314,9 +1200,9 @@ func (br *breaker) success() {
 // threshold.
 func (br *breaker) failure() {
 	br.consec++
-	if !br.open && br.consec >= br.p.brThreshold {
+	if !br.open && br.consec >= br.p.cfg.BreakerThreshold {
 		br.open = true
-		br.openUntil = time.Now().Add(br.p.brCooldown)
+		br.openUntil = time.Now().Add(br.p.cfg.BreakerCooldown)
 		br.p.m.breakerOpens.Add(1)
 		br.p.m.breakerOpen.Add(1)
 	}
@@ -1344,7 +1230,7 @@ func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 // backoff computes the sleep before the retry-th retry: exponential from
 // SinkBackoff, capped, with ±50% jitter to decorrelate retry storms.
 func (p *Pipeline) backoff(retry int, rng *rand.Rand) time.Duration {
-	d := p.sinkBackoff << (retry - 1)
+	d := p.cfg.SinkBackoff << (retry - 1)
 	if d > sinkBackoffCap || d <= 0 {
 		d = sinkBackoffCap
 	}

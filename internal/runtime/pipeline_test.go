@@ -420,8 +420,9 @@ func TestPipelineSinkErrorPropagates(t *testing.T) {
 }
 
 // TestPipelineIdleFlushDelivers checks a partially filled dispatch batch
-// reaches the sink without further traffic or a close: the idle flusher
-// must bound batching latency.
+// reaches the sink without further traffic or a close: a shard that
+// drains its queue takes the pending batch itself, so batching latency is
+// bounded without any timer.
 func TestPipelineIdleFlushDelivers(t *testing.T) {
 	delivered := make(chan string, 16)
 	sink := SinkFunc(func(b *Batch) error {
@@ -432,7 +433,6 @@ func TestPipelineIdleFlushDelivers(t *testing.T) {
 		Shards:     1,
 		Factory:    fakeFactory,
 		BatchBytes: 1 << 20, // far above the chunk size: only idle can flush
-		BatchIdle:  time.Millisecond,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,64 @@ func TestPipelineIdleFlushDelivers(t *testing.T) {
 				return
 			}
 		case <-deadline:
-			t.Fatal("idle flusher never delivered the pending batch")
+			t.Fatal("the pending batch was never delivered")
+		}
+	}
+}
+
+// TestPipelineHandOffOrder drives the dispatch hand-off through its
+// waits: one- and two-slot queues, arenas too small for more than a few
+// chunks (or none at all), and concurrent senders, so flushes keep finding
+// the queue full and waiting for room while the shard drains it and takes
+// pending units itself. Every stream must still arrive whole and in order.
+func TestPipelineHandOffOrder(t *testing.T) {
+	for _, queue := range []int{1, 2} {
+		for _, batchBytes := range []int{-1, 64, 200} {
+			var mu sync.Mutex
+			got := make(map[string][]byte)
+			p, err := NewPipeline(Config{Shards: 2, Queue: queue, BatchBytes: batchBytes, Factory: fakeFactory},
+				SinkFunc(func(b *Batch) error {
+					mu.Lock()
+					got[b.Key] = append(got[b.Key], b.Data...)
+					mu.Unlock()
+					return nil
+				}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[string][]byte)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				key := fmt.Sprintf("s%d", g)
+				var full []byte
+				for i := 0; i < 500; i++ {
+					full = append(full, fmt.Sprintf("%s:%d;", key, i)...)
+				}
+				want[key] = full
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for off := 0; off < len(full); off += 37 {
+						if err := p.Send(key, full[off:min(off+37, len(full))]); err != nil {
+							t.Errorf("%s: Send = %v", key, err)
+							return
+						}
+					}
+					if err := p.CloseStream(key); err != nil {
+						t.Errorf("%s: CloseStream = %v", key, err)
+					}
+				}()
+			}
+			wg.Wait()
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for key, full := range want {
+				if !bytes.Equal(got[key], full) {
+					t.Errorf("queue %d, batch bytes %d: stream %s delivered %d bytes out of order or lost, want %d",
+						queue, batchBytes, key, len(got[key]), len(full))
+				}
+			}
 		}
 	}
 }

@@ -297,7 +297,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative shards", func(c *Config) { c.Shards = -1 }, "Shards"},
 		{"negative queue", func(c *Config) { c.Queue = -2 }, "Queue"},
 		{"negative max streams", func(c *Config) { c.MaxStreams = -1 }, "MaxStreams"},
-		{"negative batch idle", func(c *Config) { c.BatchIdle = -time.Second }, "BatchIdle"},
 		{"negative sink workers", func(c *Config) { c.SinkWorkers = -3 }, "SinkWorkers"},
 		{"negative sink attempts", func(c *Config) { c.SinkAttempts = -1 }, "SinkAttempts"},
 		{"negative sink backoff", func(c *Config) { c.SinkBackoff = -time.Millisecond }, "SinkBackoff"},

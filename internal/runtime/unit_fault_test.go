@@ -85,8 +85,8 @@ func TestPipelineUnitFaults(t *testing.T) {
 			inner := faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{Limits: tc.lim}), faultinject.Config{Triggers: true})
 			p, err := runtime.NewPipeline(runtime.Config{
 				Shards: 1, MaxStreams: 3, Metrics: &mc,
-				BatchIdle: time.Hour, Quarantine: time.Hour,
-				Factory: runtime.GateFirst(inner, 1, started, gate),
+				Quarantine: time.Hour,
+				Factory:    runtime.GateFirst(inner, 1, started, gate),
 			}, sink)
 			if err != nil {
 				t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 
 	"cfgtag/internal/core"
@@ -212,8 +211,7 @@ func TestPipelineTagWindows(t *testing.T) {
 				started, gate := make(chan struct{}, shards), make(chan struct{})
 				p, err := NewPipeline(Config{
 					Shards: shards, SinkWorkers: workers, BatchBytes: batchBytes,
-					BatchIdle: time.Hour, // only size, starvation and Close flush
-					Factory:   gateFirst(testFactory(t, spec, FactoryOptions{Kind: KindDFA}), shards, started, gate),
+					Factory: gateFirst(testFactory(t, spec, FactoryOptions{Kind: KindDFA}), shards, started, gate),
 				}, sink)
 				if err != nil {
 					t.Fatal(err)

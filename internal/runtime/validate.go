@@ -42,9 +42,6 @@ func (cfg *Config) Validate() error {
 	if cfg.MaxStreams < 0 {
 		return &ConfigError{Field: "MaxStreams", Value: cfg.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
 	}
-	if cfg.BatchIdle < 0 {
-		return &ConfigError{Field: "BatchIdle", Value: cfg.BatchIdle, Reason: "must be >= 0 (0 = default)"}
-	}
 	if cfg.SinkWorkers < 0 {
 		return &ConfigError{Field: "SinkWorkers", Value: cfg.SinkWorkers, Reason: "must be >= 0 (0 = single worker)"}
 	}
