@@ -672,13 +672,20 @@ type TagBatch struct {
 	// it, and the zero value means "flush".
 	More bool
 
-	// ms and text are set on the batches the sink adapters hand to
+	// ms and engine are set on the batches the sink adapters hand to
 	// deliver: the engine's matches Tags was converted from (the runtime's
-	// pooled buffer) and its tag table in wire form. AppendText renders
-	// from them when text is set.
-	ms   []stream.Match
-	text *tagText
+	// pooled buffer) and the engine of the grammar version that tagged
+	// them. AppendText renders from them when engine is set.
+	ms     []stream.Match
+	engine *Engine
 }
+
+// Engine returns the engine that tagged the batch: that of the grammar
+// version its stream bound when it started, so after a Platform.Reload
+// the batches of streams opened before it keep reporting the old engine.
+// It is set on the batches handed to a deliver callback and nil on
+// DeadLetter and hand-built batches.
+func (b *TagBatch) Engine() *Engine { return b.engine }
 
 // AppendText renders the batch as newline-delimited events:
 //
@@ -693,12 +700,13 @@ type TagBatch struct {
 // Tags does not reach the text — and, like the rest of the batch, only
 // during the callback. Any other batch renders from Tags.
 func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
-	if b.text != nil {
+	if b.engine != nil {
 		// Reserve the whole batch once, so the per-tag appends below
 		// never grow dst: per line the prefix, "TAG ", at most 20 digits
 		// and the longest tail.
-		dst = slices.Grow(dst, len(b.ms)*(len(prefix)+24+b.text.max))
-		tails := b.text.tails
+		text := &b.engine.text
+		dst = slices.Grow(dst, len(b.ms)*(len(prefix)+24+text.max))
+		tails := text.tails
 		for _, m := range b.ms {
 			dst = append(dst, prefix...)
 			dst = append(dst, "TAG "...)
@@ -798,12 +806,12 @@ func (e *Engine) getBatch(b *runtime.Batch) *pooledBatch {
 		pb.batch.Tags = pb.tags
 	}
 	pb.batch.ms = b.Tags
-	pb.batch.text = &e.text
+	pb.batch.engine = e
 	return pb
 }
 
 // putBatch releases pb, dropping its references to the runtime's match
-// buffer and the engine's tables with the rest of the batch.
+// buffer and the engine with the rest of the batch.
 func putBatch(pb *pooledBatch) {
 	pb.batch = TagBatch{}
 	if cap(pb.tags) > maxPooledTags {

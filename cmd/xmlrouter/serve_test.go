@@ -2,12 +2,22 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cfgtag"
+	"cfgtag/internal/grammar"
+	"cfgtag/internal/router"
 	"cfgtag/internal/xmlrpc"
 )
 
@@ -59,7 +69,7 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestListenerDrainNoByteLoss proves the SIGTERM drain path loses no
-// in-flight bytes in either deployment shape: a client writes half its
+// in-flight bytes, on GOMAXPROCS shards and on two: a client writes half its
 // corpus, Shutdown begins mid-stream (new connections are refused), the
 // client finishes, and every message still reaches the back-end server
 // its content selects.
@@ -67,8 +77,8 @@ func TestListenerDrainNoByteLoss(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			bank, shop := newLineSink(t), newLineSink(t)
-			srv, addr, err := buildRouterServer("127.0.0.1:0", bank.addr(), shop.addr(), "",
-				pipelineConfig{shards: shards, batchBytes: 512})
+			srv, addr, err := buildRouterServer(tenantRouter{Name: routerTenant, Listen: "127.0.0.1:0",
+				Bank: bank.addr(), Shop: shop.addr(), Shards: shards, BatchBytes: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,4 +150,154 @@ func TestListenerDrainNoByteLoss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// portCounts routes corpus as one stream under the grammar src and counts
+// the lines the bank (0) and shop (1) back-ends receive: one per message,
+// plus the newlines inside a message (the full dialect routes a span of
+// figure 14 messages as one).
+func portCounts(t *testing.T, src, corpus string) [2]int {
+	t.Helper()
+	g, err := grammar.Parse("xml", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := router.NewWithGrammar(g, "methodName", router.FigureTwelve(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n [2]int
+	r.OnRoute = func(port int, _ string, message []byte) {
+		if port < 2 {
+			n[port] += 1 + bytes.Count(message, []byte("\n"))
+		}
+	}
+	if _, err := r.Write([]byte(corpus + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	r.Close() // a tail the grammar leaves unrouted is not counted either way
+	return n
+}
+
+// writeFile replaces the file at path with data.
+func writeFile(t *testing.T, path, data string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRouterConfigReload drives the -config server's SIGHUP reload: an
+// unchanged grammar makes no version, a grammar the router cannot switch
+// on is refused before it serves, and a changed one becomes version 2 — a
+// connection open across the reload keeps routing on the old grammar, a
+// new connection routes on the new one, and the old version retires.
+func TestRouterConfigReload(t *testing.T) {
+	bank, shop := newLineSink(t), newLineSink(t)
+	dir := t.TempDir()
+	grammarPath := filepath.Join(dir, "router.y")
+	writeFile(t, grammarPath, cfgtag.XMLRPCSource)
+	cfgPath := filepath.Join(dir, "routers.json")
+	cfg, err := json.Marshal(routerConfig{Routers: []tenantRouter{{
+		Name: "r", Listen: "127.0.0.1:0", Bank: bank.addr(), Shop: shop.addr(),
+		GrammarFile: grammarPath, Shards: 2, BatchBytes: 512,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, cfgPath, string(cfg))
+	srv, addr, err := buildConfigServer(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(time.Minute)
+	version := func() int {
+		v, err := srv.plat.CurrentVersion("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	gen := xmlrpc.NewGenerator(7, xmlrpc.Options{})
+	corpus, _ := gen.Corpus(12)
+	half := len(corpus) / 2
+	wantOld := portCounts(t, cfgtag.XMLRPCSource, corpus)
+	wantNew := portCounts(t, cfgtag.XMLRPCFullSource, corpus)
+	if wantOld == wantNew {
+		t.Fatalf("both grammars route %v; the reload would be unobservable", wantOld)
+	}
+
+	// A connection opens on version 1: wait until its bytes have been
+	// tagged, so it provably runs the old grammar.
+	old, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if _, err := old.Write([]byte(corpus[:half])); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, 5*time.Second, "first bytes tagged", func() bool {
+		c, _, err := srv.plat.Metrics("r")
+		return err == nil && c.Bytes > 0
+	})
+
+	srv.reload()
+	if v := version(); v != 1 {
+		t.Fatalf("unchanged grammar: CurrentVersion = %d, want 1", v)
+	}
+
+	// Compiles, but methodName carries no class terminal to switch on.
+	bad := strings.Replace(cfgtag.XMLRPCSource, `"<methodName>" STRING "</methodName>"`, `"<methodName>" "buy" "</methodName>"`, 1)
+	if _, err := cfgtag.Compile("r", bad, cfgtag.FreeRunningStart()); err != nil {
+		t.Fatalf("bad grammar does not compile: %v", err)
+	}
+	writeFile(t, grammarPath, bad)
+	srv.reload()
+	if v := version(); v != 1 {
+		t.Fatalf("refused grammar: CurrentVersion = %d, want 1", v)
+	}
+
+	writeFile(t, grammarPath, cfgtag.XMLRPCFullSource)
+	srv.reload()
+	if v := version(); v != 2 {
+		t.Fatalf("changed grammar: CurrentVersion = %d, want 2", v)
+	}
+
+	// finish sends the rest of a connection's stream and waits for the
+	// server to hang up, which it does once the final batch is routed.
+	finish := func(c net.Conn, rest string) {
+		t.Helper()
+		if _, err := c.Write([]byte(rest + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		c.(*net.TCPConn).CloseWrite()
+		io.Copy(io.Discard, c)
+	}
+	counts := func() [2]int { return [2]int{int(bank.lines.Load()), int(shop.lines.Load())} }
+	finish(old, corpus[half:])
+	waitCond(t, 5*time.Second, "old connection routed on the old grammar", func() bool {
+		return counts() == wantOld
+	})
+	fresh, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	finish(fresh, corpus)
+	want := [2]int{wantOld[0] + wantNew[0], wantOld[1] + wantNew[1]}
+	waitCond(t, 5*time.Second, "new connection routed on the new grammar", func() bool {
+		return counts() == want
+	})
+	if got := counts(); got != want {
+		t.Fatalf("back-ends received %v, want %v", got, want)
+	}
+	waitCond(t, 5*time.Second, "old version retired", func() bool {
+		lv, err := srv.plat.LiveVersions("r")
+		return err == nil && reflect.DeepEqual(lv, []int{2})
+	})
 }

@@ -14,10 +14,9 @@ import (
 	"sort"
 	"sync"
 
-	"cfgtag/internal/core"
-	"cfgtag/internal/grammar"
+	"cfgtag"
 	"cfgtag/internal/router"
-	"cfgtag/internal/runtime"
+	"cfgtag/internal/stream"
 	"cfgtag/internal/xmlrpc"
 )
 
@@ -72,11 +71,11 @@ func run(w io.Writer) error {
 // to one shard's runner of the shared table), and a single router.Sink
 // consumes the tag batches and switches every message.
 func sharded(w io.Writer) error {
-	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
+	engine, err := cfgtag.Compile("xml-rpc", cfgtag.XMLRPCSource, cfgtag.FreeRunningStart())
 	if err != nil {
 		return err
 	}
-	sink, err := router.NewSink(spec, "methodName", router.FigureTwelve(), 99)
+	sink, err := router.NewSink(engine.Spec(), "methodName", router.FigureTwelve(), 99)
 	if err != nil {
 		return err
 	}
@@ -84,11 +83,16 @@ func sharded(w io.Writer) error {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		perConn[stream]++
 	}
-	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
-	if err != nil {
-		return err
-	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 4, Factory: factory}, sink)
+	// The pipeline hands each batch to the sink with the spec of the
+	// engine that tagged it.
+	var ms []stream.Match
+	p, err := engine.NewPipeline(cfgtag.PipelineConfig{Shards: 4}, func(b *cfgtag.TagBatch) error {
+		ms = ms[:0]
+		for _, m := range b.Tags {
+			ms = append(ms, stream.Match{InstanceID: m.InstanceID, End: m.End})
+		}
+		return sink.Deliver(b.Stream, b.Engine().Spec(), b.Data, ms, b.EOS)
+	})
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,9 @@
 // service (bank or shopping server in the paper's example).
 //
 // Two front ends drive the same switching core: Router couples it to its
-// own inline table runner (one stream, io.Writer-style), and Sink plugs it into
-// the sharded runtime pipeline as the batch consumer (many streams, tags
-// computed upstream by any Backend).
+// own inline table runner (one stream, io.Writer-style), and Sink consumes
+// the tag batches of a sharded pipeline (many streams, tags computed
+// upstream, each batch with the spec that tagged it).
 package router
 
 import (

@@ -1,49 +1,34 @@
 package router
 
 import (
-	"sync"
-
 	"cfgtag/internal/core"
-	"cfgtag/internal/runtime"
+	"cfgtag/internal/stream"
 )
 
-// sinkVersion is one factory version's decode state: the spec that version's
-// backends tag with, and the service-name instance IDs resolved inside it.
-// Streams bind exactly one version for their whole life (the pipeline's
-// reload guarantee), so each switchCore is built from the version its first
-// batch carries.
-type sinkVersion struct {
-	spec          *core.Spec
-	nameInstances map[int]bool
-}
-
-// Sink plugs the content-based switch into the sharded runtime pipeline:
-// each delivered batch carries a chunk of one stream plus the tags some
-// upstream Backend confirmed over it, and the Sink runs one switching core
-// per stream. It implements runtime.Sink; Deliver is called from the
-// pipeline's single sink goroutine, so stream state needs no locking.
+// Sink runs the content-based switch behind a sharded pipeline: each
+// delivered batch carries a chunk of one stream, the tags some upstream
+// tagger confirmed over it and the spec that tagged them, and the Sink runs
+// one switching core per stream. Deliver is called from one goroutine at a
+// time (the pipeline's single sink worker), so stream state needs no
+// locking.
 //
-// The Sink is version-aware: when the pipeline's factory is hot-swapped
-// (Pipeline.SwapFactory), batches keep carrying the version that tagged
-// them, and the Sink decodes each stream with that version's spec. Stage a
-// new spec with StageVersion before the swap, bind it with CommitVersion
-// after, and wire DropVersion into Config.VersionRetired so retired
-// versions' specs are released.
+// A stream decodes with the spec its first batch carries. Across a grammar
+// reload the streams opened before it keep delivering the old spec, so
+// they finish routing on the grammar that tagged their first bytes.
 type Sink struct {
 	nameProduction string
 	routes         map[string]int
 	defaultPort    int
 
-	// verMu guards the version table: Deliver reads it on the sink
-	// goroutine while Stage/Commit/Drop run on the reloading goroutine.
-	verMu    sync.RWMutex
-	versions map[int]*sinkVersion
-	pending  *sinkVersion // staged by StageVersion, not yet bound to an id
-	base     *sinkVersion // construction-time fallback for unknown versions
-
 	validateDepth int
 	validatePort  int
 	validate      bool
+
+	// spec and names are the last spec a stream started with and its
+	// service-name instances, so a new stream resolves them only when the
+	// grammar changed.
+	spec  *core.Spec
+	names map[int]bool
 
 	streams map[string]*switchCore
 	stats   Stats
@@ -55,10 +40,9 @@ type Sink struct {
 }
 
 // NewSink builds a pipeline sink switching on the terminal detected inside
-// nameProduction. The spec must be the very spec the pipeline's Backend
-// factory was built from (instance IDs must agree); compile it with
-// FreeRunningStart so long-lived streams route message after message. The
-// spec is registered as factory version 1, the id NewPipeline seeds.
+// nameProduction of spec, the grammar the pipeline tags with first; compile
+// it with FreeRunningStart so long-lived streams route message after
+// message.
 func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort int) (*Sink, error) {
 	names, err := resolveNameInstances(spec, nameProduction)
 	if err != nil {
@@ -68,13 +52,12 @@ func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort
 	if err != nil {
 		return nil, err
 	}
-	base := &sinkVersion{spec: spec, nameInstances: names}
 	s := &Sink{
 		nameProduction: nameProduction,
 		routes:         table,
 		defaultPort:    defaultPort,
-		versions:       map[int]*sinkVersion{1: base},
-		base:           base,
+		spec:           spec,
+		names:          names,
 		streams:        make(map[string]*switchCore),
 	}
 	s.stats.PerPort = make(map[int]int)
@@ -85,7 +68,7 @@ func NewSink(spec *core.Spec, nameProduction string, routes []Route, defaultPort
 // (see Router.EnableValidation). Must be called before the first Deliver.
 func (s *Sink) EnableValidation(maxDepth, invalidPort int) error {
 	// Probe once so a non-LL(1) grammar fails here, not mid-pipeline.
-	probe := newSwitchCore(s.base.spec, s.base.nameInstances, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
+	probe := newSwitchCore(s.spec, s.names, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
 	if err := probe.enableValidation(maxDepth, invalidPort); err != nil {
 		return err
 	}
@@ -95,128 +78,59 @@ func (s *Sink) EnableValidation(maxDepth, invalidPort int) error {
 	return nil
 }
 
-// StageVersion prepares a new spec for a factory hot-swap: the service-name
-// instances are resolved (and, with validation enabled, the grammar probed)
-// now, so a spec the router cannot switch on fails here instead of
-// mid-pipeline. Call before Pipeline.SwapFactory; the staged spec decodes
-// any batch carrying an unknown version until CommitVersion binds it —
-// covering the window where the new version's first batch reaches the sink
-// before SwapFactory has returned its id. Reloads must be serialized by the
-// caller (one staged version at a time).
-func (s *Sink) StageVersion(spec *core.Spec) error {
+// Check reports whether the Sink can switch streams tagged with spec: the
+// name production must carry a class terminal and, with validation
+// enabled, the grammar must be LL(1). Run it before a pipeline tags with
+// a new grammar; Deliver fails the same way, but only once the grammar
+// is already serving. Safe to call concurrently with Deliver.
+func (s *Sink) Check(spec *core.Spec) error {
 	names, err := resolveNameInstances(spec, s.nameProduction)
-	if err != nil {
+	if err != nil || !s.validate {
 		return err
 	}
-	v := &sinkVersion{spec: spec, nameInstances: names}
-	if s.validate {
-		probe := newSwitchCore(spec, names, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
-		if err := probe.enableValidation(s.validateDepth, s.validatePort); err != nil {
-			return err
-		}
-	}
-	s.verMu.Lock()
-	s.pending = v
-	s.verMu.Unlock()
-	return nil
+	probe := newSwitchCore(spec, names, s.routes, s.defaultPort, &Stats{PerPort: map[int]int{}})
+	return probe.enableValidation(s.validateDepth, s.validatePort)
 }
 
-// CommitVersion binds the staged spec to the version id SwapFactory
-// returned and clears the staging slot. Pass version <= 0 to abort a stage
-// whose swap failed.
-func (s *Sink) CommitVersion(version int) {
-	s.verMu.Lock()
-	if s.pending != nil && version > 0 {
-		if _, ok := s.versions[version]; !ok {
-			s.versions[version] = s.pending
-		}
-	}
-	s.pending = nil
-	s.verMu.Unlock()
-}
-
-// AddVersion registers a spec under an already-known version id — the
-// direct form of StageVersion/CommitVersion for callers that learn the id
-// before any of its batches can arrive.
-func (s *Sink) AddVersion(version int, spec *core.Spec) error {
-	if err := s.StageVersion(spec); err != nil {
-		return err
-	}
-	s.CommitVersion(version)
-	return nil
-}
-
-// DropVersion forgets a retired version's spec. Wire it into the
-// pipeline's Config.VersionRetired: the runtime retires a version only
-// after its last stream's final batch has been delivered, so no live
-// switchCore still references the dropped spec.
-func (s *Sink) DropVersion(version int) {
-	s.verMu.Lock()
-	delete(s.versions, version)
-	s.verMu.Unlock()
-}
-
-// versionFor resolves the decode state for a batch's factory version,
-// memoizing the staged version under a first-seen id.
-func (s *Sink) versionFor(ver int) *sinkVersion {
-	s.verMu.RLock()
-	v := s.versions[ver]
-	pending := s.pending
-	s.verMu.RUnlock()
-	if v != nil {
-		return v
-	}
-	if pending != nil {
-		s.verMu.Lock()
-		if existing := s.versions[ver]; existing != nil {
-			v = existing
-		} else {
-			s.versions[ver] = pending
-			v = pending
-		}
-		s.verMu.Unlock()
-		return v
-	}
-	return s.base
-}
-
-// Deliver consumes one batch: bytes first, then the tags over them; on EOS
-// the stream's core is finished and released. Incomplete final messages
-// are counted in Stats rather than failing the pipeline.
-func (s *Sink) Deliver(b *runtime.Batch) error {
-	w, ok := s.streams[b.Key]
+// Deliver consumes one batch of the keyed stream: its bytes first, then
+// the tags spec confirmed over them; on eos the stream's core is finished
+// and released. Incomplete final messages are counted in Stats rather
+// than failing the pipeline.
+func (s *Sink) Deliver(key string, spec *core.Spec, data []byte, tags []stream.Match, eos bool) error {
+	w, ok := s.streams[key]
 	if !ok {
-		v := s.versionFor(b.Version)
-		w = newSwitchCore(v.spec, v.nameInstances, s.routes, s.defaultPort, &s.stats)
+		if spec != s.spec {
+			names, err := resolveNameInstances(spec, s.nameProduction)
+			if err != nil {
+				return err
+			}
+			s.spec, s.names = spec, names
+		}
+		w = newSwitchCore(spec, s.names, s.routes, s.defaultPort, &s.stats)
 		if s.validate {
 			if err := w.enableValidation(s.validateDepth, s.validatePort); err != nil {
 				return err
 			}
 		}
-		key := b.Key
 		w.onRoute = func(port int, service string, message []byte) {
 			if s.OnRoute != nil {
 				s.OnRoute(key, port, service, message)
 			}
 		}
-		s.streams[b.Key] = w
+		s.streams[key] = w
 	}
-	if len(b.Data) > 0 {
-		w.feed(b.Data)
+	if len(data) > 0 {
+		w.feed(data)
 	}
-	for _, m := range b.Tags {
+	for _, m := range tags {
 		w.consume(m)
 	}
-	if b.EOS {
+	if eos {
 		w.finish() // incomplete tail counted in stats
-		delete(s.streams, b.Key)
+		delete(s.streams, key)
 	}
 	return nil
 }
-
-// Close implements runtime.Sink; open streams have already been flushed by
-// the pipeline's synthetic EOS batches.
-func (s *Sink) Close() error { return nil }
 
 // Stats returns the routing counters aggregated across all streams. Call
 // after the pipeline is closed (or from the sink goroutine).

@@ -2,10 +2,7 @@ package router
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"cfgtag/internal/core"
 	"cfgtag/internal/grammar"
@@ -23,8 +20,12 @@ func streamFactory(t *testing.T, spec *core.Spec) runtime.Factory {
 	return f
 }
 
-// sinkPipeline wires a Sink behind a sharded pipeline over the same spec,
-// the way cmd/xmlrouter does in -shards mode.
+// deliverTo feeds a pipeline's batches, all tagged with spec, to sink.
+func deliverTo(sink *Sink, spec *core.Spec) runtime.SinkFunc {
+	return func(b *runtime.Batch) error { return sink.Deliver(b.Key, spec, b.Data, b.Tags, b.EOS) }
+}
+
+// sinkPipeline wires a Sink behind a sharded pipeline over the same spec.
 func sinkPipeline(t *testing.T, shards int) (*runtime.Pipeline, *Sink) {
 	t.Helper()
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
@@ -35,7 +36,7 @@ func sinkPipeline(t *testing.T, shards int) (*runtime.Pipeline, *Sink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: streamFactory(t, spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: shards, Factory: streamFactory(t, spec)}, deliverTo(sink, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSinkValidationDivertsPerStream(t *testing.T) {
 	sink.OnRoute = func(stream string, port int, service string, message []byte) {
 		ports[stream] = port
 	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: streamFactory(t, spec)}, sink)
+	p, err := runtime.NewPipeline(runtime.Config{Shards: 2, Factory: streamFactory(t, spec)}, deliverTo(sink, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,178 +179,5 @@ func TestSinkValidationDivertsPerStream(t *testing.T) {
 	}
 	if st := sink.Stats(); st.Invalid != 1 {
 		t.Errorf("stats.Invalid = %d, want 1", st.Invalid)
-	}
-}
-
-// routeOracle runs one stream of corpus through a fresh single-shard
-// pipeline on spec and returns the routed service sequence — the reference
-// for what that grammar version routes.
-func routeOracle(t *testing.T, spec *core.Spec, corpus string) []string {
-	t.Helper()
-	sink, err := NewSink(spec, "methodName", FigureTwelve(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	sink.OnRoute = func(stream string, port int, service string, message []byte) {
-		got = append(got, service)
-	}
-	p, err := runtime.NewPipeline(runtime.Config{Shards: 1, Factory: streamFactory(t, spec)}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Send("oracle", []byte(corpus)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CloseStream("oracle"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// seenSink wraps the router Sink to record which streams have had a batch
-// delivered — the signal that a stream's entry exists and its factory
-// version is bound.
-type seenSink struct {
-	*Sink
-	mu   sync.Mutex
-	keys map[string]bool
-}
-
-func (w *seenSink) Deliver(b *runtime.Batch) error {
-	w.mu.Lock()
-	w.keys[b.Key] = true
-	w.mu.Unlock()
-	return w.Sink.Deliver(b)
-}
-
-func (w *seenSink) seen(key string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.keys[key]
-}
-
-// TestSinkHotSwapVersions swaps the pipeline's grammar mid-run and checks
-// the version-aware sink decodes every stream with the spec that tagged it:
-// streams opened before the swap route exactly what the old grammar routes,
-// streams opened after it what the new grammar routes, and the retired
-// version's spec is dropped.
-func TestSinkHotSwapVersions(t *testing.T) {
-	specA, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specB, err := core.Compile(grammar.XMLRPCFull(), core.Options{FreeRunningStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := xmlrpc.NewGenerator(7, xmlrpc.Options{})
-	corpus, _ := gen.Corpus(4)
-	half := len(corpus) / 2
-	// The two grammars genuinely route this corpus differently (the full
-	// dialect resynchronizes past messages the figure 14 dialect accepts),
-	// which is exactly what makes per-version decode observable.
-	wantOld := routeOracle(t, specA, corpus)
-	wantNew := routeOracle(t, specB, corpus)
-	if reflect.DeepEqual(wantOld, wantNew) {
-		t.Fatalf("oracles agree (%v); the swap would be unobservable", wantOld)
-	}
-
-	sink, err := NewSink(specA, "methodName", FigureTwelve(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	routed := make(map[string][]string)
-	sink.OnRoute = func(stream string, port int, service string, message []byte) {
-		mu.Lock()
-		routed[stream] = append(routed[stream], service)
-		mu.Unlock()
-	}
-	ws := &seenSink{Sink: sink, keys: make(map[string]bool)}
-	p, err := runtime.NewPipeline(runtime.Config{
-		Shards:         2,
-		Factory:        streamFactory(t, specA),
-		VersionRetired: sink.DropVersion,
-	}, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Old streams open before the swap; wait until each has a delivered
-	// batch so its factory-version binding (v1) is committed.
-	const n = 4
-	for i := 0; i < n; i++ {
-		if err := p.Send(fmt.Sprintf("old-%d", i), []byte(corpus[:half])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < n; i++ {
-		for !ws.seen(fmt.Sprintf("old-%d", i)) {
-			if time.Now().After(deadline) {
-				t.Fatal("old streams never delivered their first batch")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// Hot-swap: stage the new spec, swap the factory, bind the id.
-	if err := sink.StageVersion(specB); err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.SwapFactory(streamFactory(t, specB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.CommitVersion(v)
-	if v != 2 {
-		t.Fatalf("SwapFactory returned version %d, want 2", v)
-	}
-
-	// New streams bind the new version; old streams finish on the old one.
-	for i := 0; i < n; i++ {
-		nk := fmt.Sprintf("new-%d", i)
-		if err := p.Send(nk, []byte(corpus)); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream(nk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		ok := fmt.Sprintf("old-%d", i)
-		if err := p.Send(ok, []byte(corpus[half:])); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream(ok); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < n; i++ {
-		if got := routed[fmt.Sprintf("old-%d", i)]; !reflect.DeepEqual(got, wantOld) {
-			t.Errorf("old-%d routed %v, want old-grammar %v", i, got, wantOld)
-		}
-		if got := routed[fmt.Sprintf("new-%d", i)]; !reflect.DeepEqual(got, wantNew) {
-			t.Errorf("new-%d routed %v, want new-grammar %v", i, got, wantNew)
-		}
-	}
-	// The old version drained and retired, so its spec was dropped.
-	sink.verMu.RLock()
-	_, live1 := sink.versions[1]
-	_, live2 := sink.versions[2]
-	sink.verMu.RUnlock()
-	if live1 {
-		t.Error("version 1 spec not dropped after retirement")
-	}
-	if !live2 {
-		t.Error("version 2 spec missing")
 	}
 }

@@ -503,8 +503,8 @@ func TestQuarantineSweepBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%100 == 99 {
-			// Let earlier entries expire so the amortized insert-path
-			// sweep has something to reap.
+			// Let earlier entries expire so the shard's reaper timer has
+			// something to reap.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -523,8 +523,8 @@ func TestQuarantineSweepBound(t *testing.T) {
 	if size >= keys {
 		t.Fatalf("quarantine map holds %d entries after churning %d expiring keys; sweep is not bounding it", size, keys)
 	}
-	// At rest, the periodic sweep (idle flusher) must empty the table
-	// without any further dispatch touching it.
+	// At rest, the reaper timer must empty the table without any further
+	// dispatch touching it.
 	for s.quarN.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("quarantine table never drained: %d live entries", s.quarN.Load())

@@ -237,9 +237,8 @@ func (s *Server) OpenStream(tenant, key string, out Output) (*session, error) {
 	return ss, nil
 }
 
-// EndStream ends a session that will never see an EOS batch — a stream
-// refused at admission, or one whose batches bypass Deliver entirely (an
-// adapter core delivering to its own sinks calls this on EOS).
+// EndStream ends a session that will never see an EOS batch: one whose
+// Send or CloseStream failed, a refusal at admission included.
 // Idempotent; unknown sessions are ignored.
 func (s *Server) EndStream(tenant, key string) {
 	s.mu.Lock()

@@ -23,7 +23,7 @@ type TCPOptions struct {
 	// xmlrouter-compatible mode.
 	Raw bool
 	// NoEcho suppresses writing tag events back to the client (used
-	// when an adapter core routes batches to its own sinks).
+	// when a fan-out routes the batches elsewhere, as xmlrouter's does).
 	NoEcho bool
 	// WriteTimeout bounds each write back to a client (0 = 30s); a
 	// client that stops reading is dropped, never the pipeline.

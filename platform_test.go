@@ -246,6 +246,125 @@ func TestPlatformReload(t *testing.T) {
 	}
 }
 
+// TestTagBatchEngine checks the engine a batch reports: across a Reload the
+// batches of a stream opened before it carry the old engine to the end,
+// those of a stream opened after it the new one; DeadLetter and hand-built
+// batches carry none and render from Tags.
+func TestTagBatchEngine(t *testing.T) {
+	var mu sync.Mutex
+	engines := make(map[string]map[*Engine]bool)
+	streamEngines := func(stream string) map[*Engine]bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return engines[stream]
+	}
+	p, err := NewPlatform(testPlatformConfig(t), func(tenant string, b *TagBatch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if engines[b.Stream] == nil {
+			engines[b.Stream] = make(map[*Engine]bool)
+		}
+		engines[b.Stream][b.Engine()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	xmlIn := []byte("<methodCall><methodName>add</methodName><params></params></methodCall>")
+	half := len(xmlIn) / 2
+	if err := p.Send("xml", "old", xmlIn[:half]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(streamEngines("old")) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first batch never delivered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := p.Reload("xml", XMLRPCFullSource); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"old", "new"} {
+		in := xmlIn
+		if key == "old" {
+			in = xmlIn[half:]
+		}
+		if err := p.Send("xml", key, in); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CloseStream("xml", key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	oldEngines, newEngines := streamEngines("old"), streamEngines("new")
+	if len(oldEngines) != 1 || len(newEngines) != 1 {
+		t.Fatalf("engines per stream: old %d, new %d, want 1 each", len(oldEngines), len(newEngines))
+	}
+	var oldE, newE *Engine
+	for e := range oldEngines {
+		oldE = e
+	}
+	for e := range newEngines {
+		newE = e
+	}
+	if oldE == nil || newE == nil || oldE == newE {
+		t.Fatalf("old stream engine %p, new stream engine %p: want two distinct engines", oldE, newE)
+	}
+	wantOld, _ := Compile("xml", XMLRPCSource, FreeRunningStart())
+	wantNew, _ := Compile("xml", XMLRPCFullSource, FreeRunningStart())
+	if got, want := oldE.NewTagger().Tag(xmlIn), wantOld.NewTagger().Tag(xmlIn); !reflect.DeepEqual(got, want) {
+		t.Errorf("old stream's engine tags %v, want old-grammar %v", got, want)
+	}
+	if got, want := newE.NewTagger().Tag(xmlIn), wantNew.NewTagger().Tag(xmlIn); !reflect.DeepEqual(got, want) {
+		t.Errorf("new stream's engine tags %v, want new-grammar %v", got, want)
+	}
+
+	// A dead-lettered batch has no engine and renders its (edited) Tags.
+	var dead []string
+	pipe, err := wantOld.NewPipeline(PipelineConfig{
+		Shards:       1,
+		SinkAttempts: 1,
+		DeadLetter: func(b *TagBatch, err error) {
+			if b.Engine() != nil {
+				t.Error("DeadLetter batch reports an engine")
+			}
+			if len(b.Tags) > 0 {
+				b.Tags[0].Term = "edited"
+			}
+			var n int
+			dead = append(dead, string(b.AppendText(nil, "", &n)))
+		},
+	}, func(*TagBatch) error { return errTransient })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Send("s", xmlIn); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if text := strings.Join(dead, ""); !strings.Contains(text, " edited ") {
+		t.Errorf("dead-lettered text %q does not render the edited Tags", text)
+	}
+
+	hand := TagBatch{Tags: []Match{{Term: "T", Context: "C", Index: 3, End: 7}}, EOS: true}
+	if hand.Engine() != nil {
+		t.Error("hand-built batch reports an engine")
+	}
+	var n int
+	if got, want := string(hand.AppendText(nil, "", &n)), "TAG 7 3 T C\nEND 1\n"; got != want {
+		t.Errorf("hand-built batch renders %q, want %q", got, want)
+	}
+}
+
 // TestReferenceBackendsNotServed pins the line between the served table and
 // the reference execution paths: a tenant or a pipeline on stream, gates,
 // parser or earley is a typed configuration error naming the single-stream
