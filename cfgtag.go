@@ -672,10 +672,10 @@ type TagBatch struct {
 	// it, and the zero value means "flush".
 	More bool
 
-	// ms and engine are set on the batches the sink adapters hand to
-	// deliver: the engine's matches Tags was converted from (the runtime's
-	// pooled buffer) and the engine of the grammar version that tagged
-	// them. AppendText renders from them when engine is set.
+	// ms and engine are set on the batches a versionSink hands to deliver:
+	// the engine's matches Tags was converted from (the runtime's pooled
+	// buffer) and the engine of the grammar version that tagged them.
+	// AppendText renders from them when engine is set.
 	ms     []stream.Match
 	engine *Engine
 }
@@ -785,7 +785,7 @@ func (e *Engine) toTagBatch(b *runtime.Batch) *TagBatch {
 // huge batch must not pin its array for good.
 const maxPooledTags = 8192
 
-// pooledBatch is the TagBatch a sink adapter hands to deliver, plus the
+// pooledBatch is the TagBatch a versionSink hands to deliver, plus the
 // Tags backing array it reuses from batch to batch. The array is held
 // here and not only in batch.Tags so that a callback overwriting its
 // batch cannot reach into the pool.
@@ -796,8 +796,8 @@ type pooledBatch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(pooledBatch) }}
 
-// getBatch converts b into a pooled batch; the caller hands &pb.batch to
-// deliver and calls putBatch when deliver has returned.
+// getBatch converts b into a pooled batch; versionSink.Deliver hands
+// &pb.batch to deliver and calls putBatch when deliver has returned.
 func (e *Engine) getBatch(b *runtime.Batch) *pooledBatch {
 	pb := batchPool.Get().(*pooledBatch)
 	pb.batch = batchHeader(b)
@@ -818,6 +818,42 @@ func putBatch(pb *pooledBatch) {
 		pb.tags = nil
 	}
 	batchPool.Put(pb)
+}
+
+// versionSink is one factory version's sink: it decodes the version's
+// batches with the engine of the grammar that tagged them, and its Close,
+// called when the version retires, discharges the version's table from the
+// memory gauge.
+type versionSink struct {
+	engine  *Engine
+	release func()
+	deliver func(*TagBatch) error
+}
+
+func (s *versionSink) Deliver(b *runtime.Batch) error {
+	pb := s.engine.getBatch(b)
+	err := s.deliver(&pb.batch)
+	putBatch(pb)
+	return err
+}
+
+func (s *versionSink) Close() error {
+	s.release()
+	return nil
+}
+
+// newVersion mints one factory version of e: the backend factory o
+// describes, wrapped by wrap when it is set, and the sink that delivers
+// its batches to deliver.
+func (e *Engine) newVersion(o runtime.FactoryOptions, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (runtime.Factory, *versionSink, error) {
+	f, release, err := runtime.NewFactory(e.spec, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	if wrap != nil {
+		f = wrap(f)
+	}
+	return f, &versionSink{engine: e, release: release, deliver: deliver}, nil
 }
 
 // Metrics is a pipeline's counter set: bytes, matches, recoveries,
@@ -874,10 +910,6 @@ type PipelineConfig struct {
 	// shedding. A shed Send fails with ErrOverloaded, accepts none of the
 	// chunk's bytes, and leaves the stream otherwise intact.
 	SendTimeout time.Duration
-	// ShedHighWater is the shard queue depth (in batches) at which shed
-	// mode starts rejecting (0 = the full Queue capacity). Only meaningful
-	// with SendTimeout set.
-	ShedHighWater int
 	// FeedDeadline arms the backend watchdog: a Feed or Close call
 	// exceeding it marks the stream's backend stalled, ends the stream
 	// with an error wrapping ErrBackendStalled and quarantines its key
@@ -958,10 +990,7 @@ type FaultStats = runtime.FaultStats
 // serialized on a single goroutine — to the deliver callback. Send and
 // CloseStream are safe for concurrent use.
 type Pipeline struct {
-	engine *Engine
-	inner  *runtime.Pipeline
-	// release discharges what the backend factory holds on Limits.Mem.
-	release func()
+	inner *runtime.Pipeline
 }
 
 // NewPipeline starts a sharded pipeline delivering tag batches to deliver,
@@ -974,7 +1003,7 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 	if err := cfg.Backend.CheckServed("PipelineConfig.Backend"); err != nil {
 		return nil, err
 	}
-	f, release, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits})
+	f, sink, err := e.newVersion(runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits}, nil, deliver)
 	if err != nil {
 		return nil, err
 	}
@@ -989,7 +1018,6 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		BatchBytes:       cfg.BatchBytes,
 		SinkWorkers:      cfg.SinkWorkers,
 		SendTimeout:      cfg.SendTimeout,
-		ShedHighWater:    cfg.ShedHighWater,
 		FeedDeadline:     cfg.FeedDeadline,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
@@ -1000,18 +1028,12 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		dl := cfg.DeadLetter
 		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
 	}
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		pb := e.getBatch(b)
-		err := deliver(&pb.batch)
-		putBatch(pb)
-		return err
-	})
 	p, err := runtime.NewPipeline(rcfg, sink)
 	if err != nil {
-		release()
+		sink.Close()
 		return nil, err
 	}
-	return &Pipeline{engine: e, inner: p, release: release}, nil
+	return &Pipeline{inner: p}, nil
 }
 
 // Send routes one chunk of the keyed stream to its shard. It blocks when
@@ -1023,13 +1045,9 @@ func (p *Pipeline) Send(stream string, data []byte) error { return p.inner.Send(
 // is delivered with EOS set.
 func (p *Pipeline) CloseStream(stream string) error { return p.inner.CloseStream(stream) }
 
-// Close flushes every open stream, stops the shards, and returns the first
-// deliver error.
-func (p *Pipeline) Close() error {
-	err := p.inner.Close()
-	p.release()
-	return err
-}
+// Close flushes every open stream, stops the shards, discharges the
+// table from Limits.Mem, and returns the first deliver error.
+func (p *Pipeline) Close() error { return p.inner.Close() }
 
 // Err reports the pipeline's permanent delivery failure, if any: non-nil
 // once the deliver callback returned a PermanentDeliverError or exhausted

@@ -37,10 +37,10 @@ var ErrBackendPanic = errors.New("runtime: backend panicked")
 var ErrSinkPanic = errors.New("runtime: sink panicked")
 
 // ErrOverloaded is returned by Send in shed mode (Config.SendTimeout != 0)
-// when the target shard's queue sat at the ShedHighWater mark past the
-// timeout. The chunk is not accepted — bytes are never partially enqueued
-// — and surviving streams are untouched: the caller decides whether to
-// retry, back off, or end the stream. Test with errors.Is.
+// when the target shard's queue stayed full past the timeout. The chunk is
+// not accepted — bytes are never partially enqueued — and surviving
+// streams are untouched: the caller decides whether to retry, back off, or
+// end the stream. Test with errors.Is.
 var ErrOverloaded = errors.New("runtime: pipeline overloaded")
 
 // ErrResourceExhausted marks a stream stopped by a resource budget: the
@@ -126,9 +126,8 @@ type Batch struct {
 	// reporting here with EOS set.
 	Err error
 	// Version identifies the backend factory version that produced this
-	// batch's tags (see SwapFactory). Spec-dependent sinks use it to
-	// decode tags with the grammar generation the stream is actually
-	// running, across zero-downtime reloads.
+	// batch's tags (see SwapFactory); the batch is delivered through that
+	// version's sink.
 	Version int
 	// More is set by the delivering sink worker, just before Deliver: the
 	// worker already holds another batch it will deliver right after this
@@ -138,9 +137,9 @@ type Batch struct {
 	// before Close returns always has More unset.
 	More bool
 
-	// ver releases the stream's factory-version binding after this final
-	// batch is delivered; set only on EOS batches of streams that bound a
-	// version.
+	// ver is the factory version that tagged the batch: its sink delivers
+	// the batch, and an EOS batch releases the stream's binding to it once
+	// delivered.
 	ver *factoryVersion
 	// tagEnd is where the batch's window into its unit's tag buffer ends
 	// (it starts where the previous batch's ends); emit turns the marks
@@ -148,7 +147,10 @@ type Batch struct {
 	tagEnd int
 }
 
-// Sink consumes completed tag batches. With the default single sink
+// Sink consumes completed tag batches. Each factory version has its own
+// (see SwapFactory): a batch is delivered through the sink of the version
+// that tagged it, and Close is called once, when that version retires or,
+// for the current version, at Pipeline.Close. With the default single sink
 // worker, Deliver is called from one goroutine; with Config.SinkWorkers >
 // 1 the shards are partitioned across workers and the Sink must be safe
 // for concurrent Deliver calls. Either way batches of one stream arrive in
@@ -204,12 +206,6 @@ type Config struct {
 	// the fault-tolerance events of every shard. NewPipeline allocates one
 	// when it is nil.
 	Metrics *MetricCounters
-	// VersionRetired, when set, is called with each backend-factory
-	// version retired after a SwapFactory: the version is no longer
-	// current and its last stream's final batch has been delivered, so
-	// resources the factory closed over are safe to tear down. It runs on
-	// the goroutine that retired the version.
-	VersionRetired func(version int)
 	// MaxStreams caps the live streams per shard (0 = unlimited). When a
 	// new stream would push a shard past the cap, the shard's least-
 	// recently-active stream is evicted: its backend is flushed and
@@ -250,16 +246,11 @@ type Config struct {
 	// SendTimeout selects the overload policy at dispatch. 0 (the
 	// default) keeps the blocking behavior: Send waits while the target
 	// shard's queue is full. Non-zero enables admission control: a Send
-	// that finds the queue at the ShedHighWater mark is shed with
-	// ErrOverloaded — immediately when SendTimeout is negative, or after
-	// waiting up to SendTimeout for the queue to drain when positive.
-	// CloseStream always blocks regardless, so streams can always close.
+	// that finds the queue full is shed with ErrOverloaded — immediately
+	// when SendTimeout is negative, or after waiting up to SendTimeout for
+	// the queue to drain when positive. CloseStream always blocks
+	// regardless, so streams can always close.
 	SendTimeout time.Duration
-	// ShedHighWater is the queue depth (in coalesced batches) at which
-	// shed-mode Sends are rejected. 0 — or anything past Queue — means
-	// the full queue capacity: shed only when no slot is free. Meaningful
-	// only when SendTimeout != 0.
-	ShedHighWater int
 	// FeedDeadline arms the backend watchdog: a Feed or Close call
 	// running past this deadline counts a watchdog trip, and when it
 	// finally returns, its stream ends with an ErrBackendStalled EOS
@@ -302,7 +293,6 @@ type Config struct {
 type Pipeline struct {
 	cfg     Config
 	m       *MetricCounters // cfg.Metrics, never nil
-	sink    Sink
 	shards  []*shard
 	sinkChs []chan *unit
 
@@ -331,6 +321,8 @@ type Pipeline struct {
 
 	// sinkErr is the first permanent sink failure, published once.
 	sinkErr atomic.Pointer[error]
+	// closeErr is the first Sink.Close error of any version, published once.
+	closeErr atomic.Pointer[error]
 }
 
 // msgRef is one message inside a unit: a window into the unit's arena plus
@@ -403,7 +395,8 @@ type shard struct {
 }
 
 // NewPipeline starts the shard and sink-worker goroutines, plus the
-// watchdog when FeedDeadline is set. Close releases them.
+// watchdog when FeedDeadline is set. Close releases them. Version 1 is
+// cfg.Factory delivering through sink.
 func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -438,13 +431,10 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if cfg.SinkBackoff <= 0 {
 		cfg.SinkBackoff = time.Millisecond
 	}
-	if cfg.ShedHighWater <= 0 || cfg.ShedHighWater > cfg.Queue {
-		cfg.ShedHighWater = cfg.Queue
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
-	p := &Pipeline{cfg: cfg, m: cfg.Metrics, sink: sink, wdStop: make(chan struct{})}
+	p := &Pipeline{cfg: cfg, m: cfg.Metrics, wdStop: make(chan struct{})}
 	if cfg.Quota.BytesPerSec > 0 {
 		p.bucket = newTokenBucket(cfg.Quota.BytesPerSec)
 	}
@@ -453,10 +443,9 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	}
 	p.units.New = func() any { return new(unit) }
 
-	// Version 1 is the construction-time factory; SwapFactory publishes
-	// successors.
+	// SwapFactory publishes version 1's successors.
 	p.nextVerID = 1
-	p.curVer = &factoryVersion{id: 1, factory: cfg.Factory}
+	p.curVer = &factoryVersion{id: 1, factory: cfg.Factory, sink: sink}
 	p.liveVers = map[int]*factoryVersion{1: p.curVer}
 
 	for w := 0; w < min(max(cfg.SinkWorkers, 1), cfg.Shards); w++ {
@@ -563,13 +552,13 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 }
 
 // admit is shed-mode admission control: a Send that finds the shard queue
-// at the high watermark is rejected with ErrOverloaded — immediately when
-// SendTimeout < 0, or after waiting up to SendTimeout for the shard to
-// drain below the mark. The depth reads are racy by design; the
-// enqueue-level flush guard is the exact arbiter.
+// full is rejected with ErrOverloaded — immediately when SendTimeout < 0,
+// or after waiting up to SendTimeout for the shard to free a slot. The
+// depth reads are racy by design; the enqueue-level flush guard is the
+// exact arbiter.
 func (s *shard) admit(key string) error {
 	p := s.p
-	if len(s.in) < p.cfg.ShedHighWater {
+	if len(s.in) < cap(s.in) {
 		return nil
 	}
 	if p.cfg.SendTimeout > 0 {
@@ -578,7 +567,7 @@ func (s *shard) admit(key string) error {
 		for {
 			select {
 			case <-s.drainSig:
-				if len(s.in) < p.cfg.ShedHighWater {
+				if len(s.in) < cap(s.in) {
 					return nil
 				}
 			case <-timer.C:
@@ -592,7 +581,7 @@ func (s *shard) admit(key string) error {
 // shed records one rejected Send and returns its typed error.
 func (s *shard) shed(key string) error {
 	s.p.m.shed.Add(1)
-	return fmt.Errorf("%w: shard %d queue at high watermark (%q rejected)", ErrOverloaded, s.id, key)
+	return fmt.Errorf("%w: shard %d queue full (%q rejected)", ErrOverloaded, s.id, key)
 }
 
 // enqueue appends one message to the shard's pending batch, flushing it
@@ -679,9 +668,11 @@ func (p *Pipeline) shardFor(key string) int {
 }
 
 // Close flushes the pending dispatch batches and every open stream
-// (delivering its EOS batch), stops the shards and the sink workers,
-// closes the Sink, and returns the first Sink error. A second Close fails
-// with ErrClosed.
+// (delivering its EOS batch, which retires every superseded version),
+// stops the shards and the sink workers, and closes the current version's
+// sink last. It returns the permanent sink failure if there is one, and
+// otherwise the first Sink.Close error of any version. A second Close
+// fails with ErrClosed.
 func (p *Pipeline) Close() error {
 	p.stateMu.Lock()
 	if p.closed {
@@ -714,12 +705,14 @@ func (p *Pipeline) Close() error {
 	}
 	p.sinkWG.Wait()
 
-	cerr := p.sink.Close()
-	err := p.Err()
-	if err == nil {
-		err = cerr
+	p.closeSink(p.curVer)
+	if err := p.Err(); err != nil {
+		return err
 	}
-	return err
+	if e := p.closeErr.Load(); e != nil {
+		return *e
+	}
+	return nil
 }
 
 // getUnit checks a unit out of the pool. The memory gauge tracks
@@ -966,14 +959,12 @@ func (p *Pipeline) watchdog() {
 // the stream, whose backend state is suspect. The stream leaves the shard
 // (its backend's counters fold into the metrics: a backend is minted per
 // stream, so they cover its whole life), and its EOS batch carries the
-// fault or the Close error plus the factory-version binding, released
-// after delivery. Quarantine and the end counters are decided here only.
+// fault or the Close error plus the factory-version binding, which the
+// sink worker releases after delivery. Quarantine and the end counters are
+// decided here only.
 func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted bool) {
-	b := Batch{Key: e.key, Shard: s.id, Data: data, EOS: true, Evicted: evicted, Err: err, Version: e.ver.id}
-	if e.b == nil {
-		// The factory failed: no backend to close, no binding to keep.
-		s.p.releaseVersion(e.ver)
-	} else {
+	b := Batch{Key: e.key, Shard: s.id, Data: data, EOS: true, Evicted: evicted, Err: err, Version: e.ver.id, ver: e.ver}
+	if e.b != nil {
 		n := len(u.tags)
 		if cerr := s.call(e, nil, u); err != nil {
 			u.tags = u.tags[:n]
@@ -983,7 +974,6 @@ func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted boo
 		delete(s.streams, e.key)
 		s.lru.Remove(e.el)
 		s.p.m.addStream(e.b.Counters())
-		b.ver = e.ver
 	}
 	if faulted(err, b.Err) {
 		s.poison(e.key)
@@ -1048,7 +1038,7 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 		s.end(u, e, data, err, false)
 		return
 	}
-	u.batches = append(u.batches, Batch{Key: key, Shard: s.id, Data: data, Version: e.ver.id, tagEnd: len(u.tags)})
+	u.batches = append(u.batches, Batch{Key: key, Shard: s.id, Data: data, Version: e.ver.id, ver: e.ver, tagEnd: len(u.tags)})
 }
 
 // emit hands one completed unit to the sink worker owning this shard.
@@ -1105,19 +1095,17 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 				b.More = i+1 < len(u.batches) || len(ch) > 0
 				p.deliver(b, rng, br)
 			}
-			if b.ver != nil {
+			if b.EOS {
 				// The stream's final batch is out (delivered,
 				// dead-lettered, or dropped on a failed sink): release its
 				// factory-version binding, possibly retiring the version.
 				// Never earlier — per-version resources must outlive every
-				// batch that references them.
+				// batch that references them. Its Quota.MaxStreams slot
+				// frees here too.
 				p.releaseVersion(b.ver)
-				b.ver = nil
-			}
-			if p.live != nil && b.EOS {
-				// Whatever became of the final batch, the stream is over:
-				// its Quota.MaxStreams slot frees here.
-				p.live.release(b.Key)
+				if p.live != nil {
+					p.live.release(b.Key)
+				}
 			}
 		}
 		p.putUnit(u)
@@ -1216,7 +1204,8 @@ func (br *breaker) shed(b *Batch) {
 	br.p.cfg.DeadLetter(b, fmt.Errorf("%w: worker %d", ErrBreakerOpen, br.worker))
 }
 
-// deliverOnce shields the pipeline from a panicking Sink.
+// deliverOnce delivers b through its version's sink, shielding the
+// pipeline from a panicking Sink.
 func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1224,7 +1213,7 @@ func (p *Pipeline) deliverOnce(b *Batch) (err error) {
 			err = fmt.Errorf("%w: %v", ErrSinkPanic, r)
 		}
 	}()
-	return p.sink.Deliver(b)
+	return b.ver.sink.Deliver(b)
 }
 
 // backoff computes the sleep before the retry-th retry: exponential from

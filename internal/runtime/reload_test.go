@@ -60,15 +60,48 @@ func (s *reloadSink) seen(key string) bool {
 	return len(s.vers[key]) > 0
 }
 
-func TestSwapFactoryBasics(t *testing.T) {
-	var retired []int
-	var retMu sync.Mutex
-	retire := func(v int) {
-		retMu.Lock()
-		retired = append(retired, v)
-		retMu.Unlock()
+// retireSink wraps one factory version's sink to observe its retirement:
+// it counts the version's Close calls and notes how many EOS batches it
+// had delivered by the first one.
+type retireSink struct {
+	Sink
+	mu         sync.Mutex
+	eos        int
+	closes     int
+	eosAtClose int
+}
+
+func (s *retireSink) Deliver(b *Batch) error {
+	if b.EOS {
+		s.mu.Lock()
+		s.eos++
+		s.mu.Unlock()
 	}
-	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory, VersionRetired: retire}, SinkFunc(func(*Batch) error { return nil }))
+	return s.Sink.Deliver(b)
+}
+
+func (s *retireSink) Close() error {
+	s.mu.Lock()
+	if s.closes == 0 {
+		s.eosAtClose = s.eos
+	}
+	s.closes++
+	s.mu.Unlock()
+	return s.Sink.Close()
+}
+
+// retired reports how often the version's sink was closed and how many
+// EOS batches it had delivered by then.
+func (s *retireSink) retired() (closes, eosAtClose int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closes, s.eosAtClose
+}
+
+func TestSwapFactoryBasics(t *testing.T) {
+	nop := SinkFunc(func(*Batch) error { return nil })
+	v1, v2 := &retireSink{Sink: nop}, &retireSink{Sink: nop}
+	p, err := NewPipeline(Config{Shards: 2, Factory: fakeFactory}, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +111,14 @@ func TestSwapFactoryBasics(t *testing.T) {
 	if got := p.LiveVersions(); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("LiveVersions = %v, want [1]", got)
 	}
-	if _, err := p.SwapFactory(nil); err == nil {
-		t.Fatal("SwapFactory(nil) succeeded")
+	if _, err := p.SwapFactory(nil, nop); err == nil {
+		t.Fatal("SwapFactory(nil, sink) succeeded")
+	}
+	if _, err := p.SwapFactory(fakeFactory, nil); err == nil {
+		t.Fatal("SwapFactory(f, nil) succeeded")
 	}
 	// No live streams: the swap retires version 1 immediately.
-	v, err := p.SwapFactory(fakeFactory)
+	v, err := p.SwapFactory(fakeFactory, v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +128,16 @@ func TestSwapFactoryBasics(t *testing.T) {
 	if got := p.LiveVersions(); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("LiveVersions after idle swap = %v, want [2]", got)
 	}
-	retMu.Lock()
-	gotRetired := append([]int(nil), retired...)
-	retMu.Unlock()
-	if !reflect.DeepEqual(gotRetired, []int{1}) {
-		t.Fatalf("retired versions %v, want [1]", gotRetired)
+	if c1, _ := v1.retired(); c1 != 1 {
+		t.Fatalf("version 1's sink closed %d times, want 1", c1)
+	}
+	if c2, _ := v2.retired(); c2 != 0 {
+		t.Fatalf("version 2's sink closed %d times before Close, want 0", c2)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SwapFactory(fakeFactory); !errors.Is(err, ErrClosed) {
+	if _, err := p.SwapFactory(fakeFactory, nop); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SwapFactory after Close: %v, want ErrClosed", err)
 	}
 }
@@ -140,15 +176,9 @@ func TestReloadSoak(t *testing.T) {
 		newIn[i] = s
 	}
 
-	var retMu sync.Mutex
-	retired := map[int]int{}
-	retire := func(v int) {
-		retMu.Lock()
-		retired[v]++
-		retMu.Unlock()
-	}
 	sink := newReloadSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA}), VersionRetired: retire}, sink)
+	v1 := &retireSink{Sink: sink}
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA})}, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +204,7 @@ func TestReloadSoak(t *testing.T) {
 	}
 
 	// Phase 2: hot-swap the grammar while every old stream is mid-flight.
-	v2, err := p.SwapFactory(testFactory(t, specB, FactoryOptions{Kind: KindDFA}))
+	v2, err := p.SwapFactory(testFactory(t, specB, FactoryOptions{Kind: KindDFA}), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +274,10 @@ func TestReloadSoak(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	retMu.Lock()
-	if retired[1] != 1 {
-		t.Errorf("version 1 retired %d times, want exactly 1", retired[1])
+	if closes, eos := v1.retired(); closes != 1 || eos != oldStreams {
+		t.Errorf("version 1 retired %d times after %d of its %d final batches, want exactly once after all",
+			closes, eos, oldStreams)
 	}
-	retMu.Unlock()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

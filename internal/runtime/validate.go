@@ -53,9 +53,6 @@ func (cfg *Config) Validate() error {
 	}
 	// SendTimeout: all values are meaningful (0 = block, < 0 = shed
 	// immediately, > 0 = bounded wait), so nothing to reject.
-	if cfg.ShedHighWater < 0 {
-		return &ConfigError{Field: "ShedHighWater", Value: cfg.ShedHighWater, Reason: "must be >= 0 (0 = full queue capacity)"}
-	}
 	if cfg.FeedDeadline < 0 {
 		return &ConfigError{Field: "FeedDeadline", Value: cfg.FeedDeadline, Reason: "must be >= 0 (0 = watchdog disabled)"}
 	}

@@ -5,17 +5,19 @@ import (
 	"sort"
 )
 
-// factoryVersion is one published generation of a pipeline's backend
-// factory. Streams bind the version that is current when their backend is
-// created and keep it for life: a SwapFactory never migrates a live
-// stream, it only changes what new streams get. The version is retired —
-// observable through Config.VersionRetired — when it is no longer current
-// and its last stream's final batch has been delivered, so whatever the
-// factory closes over (a shared DFA cache, a router spec) is safe to tear
-// down at retirement.
+// factoryVersion is one published generation of a pipeline's backend: the
+// factory that mints its streams' backends and the sink their batches are
+// delivered through. Streams bind the version that is current when their
+// backend is created and keep it for life: a SwapFactory never migrates a
+// live stream, it only changes what new streams get. The version is
+// retired — its sink is closed — when it is no longer current and its last
+// stream's final batch has been delivered, so whatever the factory or the
+// sink closes over (a shared DFA cache, the grammar its tags decode with)
+// is safe to tear down in that Close.
 type factoryVersion struct {
 	id      int
 	factory Factory
+	sink    Sink
 
 	// streams counts live bindings. It only increases while the version is
 	// current (acquire happens under verMu), so once superseded the count
@@ -24,16 +26,17 @@ type factoryVersion struct {
 	retired bool  // guarded by p.verMu
 }
 
-// SwapFactory atomically publishes f as the pipeline's backend factory and
-// returns the new version's id. New streams created after SwapFactory
-// returns bind f; live streams keep draining on the factory that created
-// their backend, with no dropped or reordered batches. The superseded
-// version is retired — Config.VersionRetired is called — once its last
-// stream's final batch has been delivered (immediately, when it has no
-// live streams). After Close, SwapFactory fails with ErrClosed.
-func (p *Pipeline) SwapFactory(f Factory) (int, error) {
-	if f == nil {
-		return 0, fmt.Errorf("runtime: SwapFactory with nil factory")
+// SwapFactory atomically publishes f, with the sink that delivers the
+// batches of the streams it creates, as the pipeline's backend and returns
+// the new version's id. New streams created after SwapFactory returns bind
+// f and sink; live streams keep draining on the version that created their
+// backend, with no dropped or reordered batches. The superseded version is
+// retired — its Sink.Close is called — once its last stream's final batch
+// has been delivered (immediately, when it has no live streams). After
+// Close, SwapFactory fails with ErrClosed.
+func (p *Pipeline) SwapFactory(f Factory, sink Sink) (int, error) {
+	if f == nil || sink == nil {
+		return 0, fmt.Errorf("runtime: SwapFactory needs a factory and a sink")
 	}
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
@@ -43,18 +46,17 @@ func (p *Pipeline) SwapFactory(f Factory) (int, error) {
 	p.verMu.Lock()
 	old := p.curVer
 	p.nextVerID++
-	v := &factoryVersion{id: p.nextVerID, factory: f}
+	v := &factoryVersion{id: p.nextVerID, factory: f, sink: sink}
 	p.curVer = v
 	p.liveVers[v.id] = v
-	var retiredID int
-	if old != nil && old.streams == 0 && !old.retired {
+	retire := old.streams == 0 && !old.retired
+	if retire {
 		old.retired = true
 		delete(p.liveVers, old.id)
-		retiredID = old.id
 	}
 	p.verMu.Unlock()
-	if retiredID != 0 {
-		p.versionRetired(retiredID)
+	if retire {
+		p.closeSink(old)
 	}
 	return v.id, nil
 }
@@ -106,13 +108,14 @@ func (p *Pipeline) releaseVersion(v *factoryVersion) {
 	}
 	p.verMu.Unlock()
 	if retire {
-		p.versionRetired(v.id)
+		p.closeSink(v)
 	}
 }
 
-// versionRetired reports one retired version to Config.VersionRetired.
-func (p *Pipeline) versionRetired(id int) {
-	if f := p.cfg.VersionRetired; f != nil {
-		f(id)
+// closeSink closes a retired version's sink, keeping the first error for
+// Close to report.
+func (p *Pipeline) closeSink(v *factoryVersion) {
+	if err := v.sink.Close(); err != nil {
+		p.closeErr.CompareAndSwap(nil, &err)
 	}
 }

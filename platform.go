@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,7 +109,8 @@ type TenantDef struct {
 	Options []string `json:"options,omitempty"`
 	// Backend names the execution path. Every tenant runs the same one:
 	// the grammar's table, filled on demand and shared by the tenant's
-	// streams (one per version across Reloads). "" (the default), "dfa"
+	// streams (one per version across Reloads, discharged from the memory
+	// gauge when its version retires). "" (the default), "dfa"
 	// and "aot" all select it; the last two stay accepted because configs
 	// write them. The reference backends ("stream", "gates", "parser",
 	// "earley") are not served: Validate rejects them, naming the
@@ -134,13 +134,11 @@ type TenantDef struct {
 	SinkAttempts int      `json:"sink_attempts,omitempty"`
 	SinkBackoff  Duration `json:"sink_backoff,omitempty"`
 	SinkWorkers  int      `json:"sink_workers,omitempty"`
-	// SendTimeout switches the tenant's Sends from backpressure to load
-	// shedding with ErrOverloaded (see PipelineConfig.SendTimeout:
-	// 0 = block, "-1ns" = shed immediately, positive = bounded wait).
+	// SendTimeout switches the tenant's Sends from backpressure on a full
+	// shard queue to load shedding with ErrOverloaded (see
+	// PipelineConfig.SendTimeout: 0 = block, "-1ns" = shed immediately,
+	// positive = bounded wait).
 	SendTimeout Duration `json:"send_timeout,omitempty"`
-	// ShedHighWater is the queue depth where shed mode engages (0 = full
-	// queue capacity).
-	ShedHighWater int `json:"shed_high_water,omitempty"`
 	// FeedDeadline arms the backend watchdog (see
 	// PipelineConfig.FeedDeadline; 0 = disabled).
 	FeedDeadline Duration `json:"feed_deadline,omitempty"`
@@ -244,9 +242,6 @@ func (pc *PlatformConfig) Validate() error {
 		}
 		// send_timeout: every value is meaningful (0 = block, negative =
 		// shed immediately, positive = bounded wait), nothing to reject.
-		if t.ShedHighWater < 0 {
-			return &ConfigError{Field: field("shed_high_water"), Value: t.ShedHighWater, Reason: "must be >= 0 (0 = full queue capacity)"}
-		}
 		if t.FeedDeadline < 0 {
 			return &ConfigError{Field: field("feed_deadline"), Value: t.FeedDeadline, Reason: "must be >= 0 (0 = watchdog disabled)"}
 		}
@@ -288,11 +283,11 @@ func (t *TenantDef) grammarSource() (string, error) {
 	return string(b), nil
 }
 
-// platformTenant is one tenant: its pipeline, the counters and memory
-// gauge that pipeline charges, and its decode state — the engine of every
-// live factory version (batches carry their version, so a batch tagged by
-// the old grammar decodes with the old engine throughout a reload), the
-// tenant's declarative definition, and the reload serialization lock.
+// platformTenant is one tenant: its definition, its pipeline, the
+// counters and memory gauge that pipeline charges, and what every factory
+// version of it is built from. Each version decodes its batches with its
+// own engine (see versionSink), so a batch tagged by the old grammar
+// decodes with the old engine throughout a reload.
 type platformTenant struct {
 	def  TenantDef
 	pipe *runtime.Pipeline
@@ -301,49 +296,9 @@ type platformTenant struct {
 	// fopts builds every factory version: the tenant's backend kind and its
 	// resolved limits, memory gauge included.
 	fopts runtime.FactoryOptions
-
-	reloadMu sync.Mutex // serializes Reload per tenant
-
-	mu       sync.RWMutex
-	engines  map[int]*Engine
-	releases map[int]func() // per-version memory-gauge discharge
-	pending  *Engine        // compiled but not yet bound to a version id
-	current  *Engine        // the newest engine (Reload target)
-}
-
-// engineFor resolves the engine for a batch's factory version. A version
-// published by an in-flight Reload may deliver its first batch before
-// Reload learns the version id; the pending engine covers that window.
-func (pt *platformTenant) engineFor(ver int) *Engine {
-	pt.mu.RLock()
-	e := pt.engines[ver]
-	pending := pt.pending
-	cur := pt.current
-	pt.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	if pending != nil {
-		pt.mu.Lock()
-		pt.engines[ver] = pending
-		pt.mu.Unlock()
-		return pending
-	}
-	return cur
-}
-
-// dropVersion forgets a retired version's engine and discharges its
-// memory-gauge charge — the resource-cleanup counterpart of the runtime's
-// version retirement.
-func (pt *platformTenant) dropVersion(ver int) {
-	pt.mu.Lock()
-	delete(pt.engines, ver)
-	release := pt.releases[ver]
-	delete(pt.releases, ver)
-	pt.mu.Unlock()
-	if release != nil {
-		release()
-	}
+	// deliver hands a batch to the platform's callback with the tenant's
+	// name.
+	deliver func(*TagBatch) error
 }
 
 // Platform is the config-driven multi-tenant runtime: one isolated
@@ -394,51 +349,34 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 	if def.Quota.MemBudgetBytes > 0 {
 		mem = &MemGauge{}
 	}
-	fopts := runtime.FactoryOptions{
-		Kind:   BackendKind(def.Backend),
-		Limits: StreamLimits{MaxPendingMatches: def.Limits.MaxPendingMatches, Mem: mem},
+	pt := &platformTenant{
+		def: def,
+		mc:  &runtime.MetricCounters{},
+		mem: mem,
+		fopts: runtime.FactoryOptions{
+			Kind:   BackendKind(def.Backend),
+			Limits: StreamLimits{MaxPendingMatches: def.Limits.MaxPendingMatches, Mem: mem},
+		},
+		deliver: func(b *TagBatch) error { return deliver(def.Name, b) },
 	}
-	// release discharges what the version's table holds on the gauge when
-	// it retires, so zero-downtime reloads do not accrete gauge drift.
-	factory, release, err := runtime.NewFactory(engine.spec, fopts)
+	factory, sink, err := engine.newVersion(pt.fopts, p.wrap, pt.deliver)
 	if err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
-	if p.wrap != nil {
-		factory = p.wrap(factory)
-	}
-	pt := &platformTenant{
-		def:      def,
-		mc:       &runtime.MetricCounters{},
-		mem:      mem,
-		fopts:    fopts,
-		engines:  map[int]*Engine{1: engine},
-		releases: map[int]func(){1: release},
-		current:  engine,
-	}
-	name := def.Name
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		pb := pt.engineFor(b.Version).getBatch(b)
-		err := deliver(name, &pb.batch)
-		putBatch(pb)
-		return err
-	})
 	pt.pipe, err = runtime.NewPipeline(runtime.Config{
-		Shards:         def.Shards,
-		Queue:          def.Queue,
-		Factory:        factory,
-		Metrics:        pt.mc,
-		MaxStreams:     def.MaxStreams,
-		Quarantine:     time.Duration(def.Quarantine),
-		BatchBytes:     def.BatchBytes,
-		SinkAttempts:   def.SinkAttempts,
-		SinkBackoff:    time.Duration(def.SinkBackoff),
-		SinkWorkers:    def.SinkWorkers,
-		SendTimeout:    time.Duration(def.SendTimeout),
-		ShedHighWater:  def.ShedHighWater,
-		FeedDeadline:   time.Duration(def.FeedDeadline),
-		Mem:            mem,
-		VersionRetired: pt.dropVersion,
+		Shards:       def.Shards,
+		Queue:        def.Queue,
+		Factory:      factory,
+		Metrics:      pt.mc,
+		MaxStreams:   def.MaxStreams,
+		Quarantine:   time.Duration(def.Quarantine),
+		BatchBytes:   def.BatchBytes,
+		SinkAttempts: def.SinkAttempts,
+		SinkBackoff:  time.Duration(def.SinkBackoff),
+		SinkWorkers:  def.SinkWorkers,
+		SendTimeout:  time.Duration(def.SendTimeout),
+		FeedDeadline: time.Duration(def.FeedDeadline),
+		Mem:          mem,
 		Quota: runtime.Quota{
 			MaxStreams:     def.Quota.MaxStreams,
 			BytesPerSec:    def.Quota.BytesPerSec,
@@ -446,10 +384,10 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		},
 	}, sink)
 	if err != nil {
-		release()
+		sink.Close()
 		return err
 	}
-	p.tenants[name] = pt
+	p.tenants[def.Name] = pt
 	return nil
 }
 
@@ -506,35 +444,17 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pt.reloadMu.Lock()
-	defer pt.reloadMu.Unlock()
 	engine, err := Compile(tenant, grammarSrc, pt.def.options()...)
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	factory, release, err := runtime.NewFactory(engine.spec, pt.fopts)
+	factory, sink, err := engine.newVersion(pt.fopts, p.wrap, pt.deliver)
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	if p.wrap != nil {
-		factory = p.wrap(factory)
-	}
-	// Publish the engine before the factory: the new version's first
-	// batch may reach the sink before Swap returns its id.
-	pt.mu.Lock()
-	pt.pending = engine
-	pt.mu.Unlock()
-	v, err := pt.pipe.SwapFactory(factory)
-	pt.mu.Lock()
-	if err == nil {
-		pt.engines[v] = engine
-		pt.releases[v] = release
-		pt.current = engine
-	}
-	pt.pending = nil
-	pt.mu.Unlock()
+	v, err := pt.pipe.SwapFactory(factory, sink)
 	if err != nil {
-		release()
+		sink.Close()
 		return 0, err
 	}
 	return v, nil
@@ -629,8 +549,9 @@ func (p *Platform) LiveVersions(tenant string) ([]int, error) {
 }
 
 // Close shuts every tenant pipeline down, in name order — flushing open
-// streams and delivering their EOS batches — and returns the first error.
-// Close is idempotent: exactly one caller (even under a race) performs the
+// streams and delivering their EOS batches, then retiring every version,
+// so MemUsage reads 0 afterwards — and returns the first error. Close is
+// idempotent: exactly one caller (even under a race) performs the
 // shutdown; every later or losing call returns ErrPlatformClosed without
 // touching the pipelines. The read accessors keep answering afterwards.
 func (p *Platform) Close() error {

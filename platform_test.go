@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cfgtag/internal/runtime"
 )
 
 // platformSink collects batches per (tenant, stream) with a mutex; the
@@ -150,9 +152,12 @@ func TestPlatformMultiTenant(t *testing.T) {
 // TestPlatformReload swaps a tenant's grammar mid-stream: the live stream
 // keeps the old grammar's tags and Version 1; a stream started after the
 // reload is tagged by the new grammar with Version 2; the old version
-// retires once the live stream ends.
+// retires once the live stream ends, and Close leaves nothing of either
+// version's table on the memory gauge.
 func TestPlatformReload(t *testing.T) {
 	pc := testPlatformConfig(t)
+	// A budget that never refuses a Send installs the gauge.
+	pc.Tenants[0].Quota.MemBudgetBytes = 1 << 30
 	sink := newPlatformSink()
 	p, err := NewPlatform(pc, sink.deliver)
 	if err != nil {
@@ -194,6 +199,9 @@ func TestPlatformReload(t *testing.T) {
 	if lv, _ := p.LiveVersions("xml"); !reflect.DeepEqual(lv, []int{1, 2}) {
 		t.Fatalf("LiveVersions = %v, want [1 2]", lv)
 	}
+	if mem, _ := p.MemUsage("xml"); mem <= 0 {
+		t.Fatalf("MemUsage = %d while the tenant runs, want > 0", mem)
+	}
 
 	// The live stream finishes on the old grammar.
 	if err := p.Send("xml", "old", xmlIn[half:]); err != nil {
@@ -227,6 +235,9 @@ func TestPlatformReload(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if mem, _ := p.MemUsage("xml"); mem != 0 {
+		t.Fatalf("MemUsage = %d after Close, want 0", mem)
+	}
 
 	oldEngine, _ := Compile("xml", XMLRPCSource, FreeRunningStart())
 	newEngine, _ := Compile("xml", XMLRPCFullSource, FreeRunningStart())
@@ -248,8 +259,9 @@ func TestPlatformReload(t *testing.T) {
 
 // TestTagBatchEngine checks the engine a batch reports: across a Reload the
 // batches of a stream opened before it carry the old engine to the end,
-// those of a stream opened after it the new one; DeadLetter and hand-built
-// batches carry none and render from Tags.
+// those of a stream opened after it the new one, even when the old
+// stream's backend never got built; DeadLetter and hand-built batches
+// carry none and render from Tags.
 func TestTagBatchEngine(t *testing.T) {
 	var mu sync.Mutex
 	engines := make(map[string]map[*Engine]bool)
@@ -363,6 +375,64 @@ func TestTagBatchEngine(t *testing.T) {
 	if got, want := string(hand.AppendText(nil, "", &n)), "TAG 7 3 T C\nEND 1\n"; got != want {
 		t.Errorf("hand-built batch renders %q, want %q", got, want)
 	}
+
+	// A stream whose version-1 factory fails after a Reload superseded
+	// that version still ends on version 1's engine.
+	t.Run("factory fault across reload", func(t *testing.T) {
+		pc := testPlatformConfig(t)
+		pc.Tenants = pc.Tenants[:1] // xml only: its version 1 is the first wrap
+		started, reloaded := make(chan struct{}), make(chan struct{})
+		errFactory := errors.New("factory failed")
+		var wraps int
+		pc.WrapFactory = func(f runtime.Factory) runtime.Factory {
+			wraps++
+			if wraps > 1 {
+				return f
+			}
+			// Stream s is version 1's only stream, so this is its first
+			// and only call.
+			return func() (runtime.Backend, error) {
+				close(started)
+				<-reloaded
+				return nil, errFactory
+			}
+		}
+		var last TagBatch
+		p, err := NewPlatform(pc, func(_ string, b *TagBatch) error {
+			if b.Stream == "s" && b.EOS {
+				last = TagBatch{EOS: true, Err: b.Err, Version: b.Version, engine: b.Engine()}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if err := p.Send("xml", "s", xmlIn); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		_, err = p.Reload("xml", XMLRPCFullSource)
+		close(reloaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(last.Err, errFactory) || last.Version != 1 {
+			t.Fatalf("final batch: EOS %v, Err %v, Version %d; want the factory error on version 1", last.EOS, last.Err, last.Version)
+		}
+		e := last.Engine()
+		if e == nil {
+			t.Fatal("final batch reports no engine")
+		}
+		// Only the full dialect tags past <param> in this input.
+		probe := []byte("<methodCall><methodName>add</methodName><params><param><value><i4>1</i4></value></param></params></methodCall>")
+		if got, want := e.NewTagger().Tag(probe), wantOld.NewTagger().Tag(probe); !reflect.DeepEqual(got, want) {
+			t.Errorf("faulted stream's engine tags %v, want version-1 grammar %v", got, want)
+		}
+	})
 }
 
 // TestReferenceBackendsNotServed pins the line between the served table and
