@@ -3,6 +3,7 @@
 package cfgtag
 
 import (
+	"strings"
 	"testing"
 
 	"cfgtag/internal/runtime"
@@ -32,32 +33,47 @@ func TestMatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestPooledBatchAllocFree converts a dense 500-tag batch through the
-// pooled sink adapter and renders it as wire text: once the pool and the
+// TestPooledBatchAllocFree converts dense 500-tag batches through the
+// pooled sink adapter and renders them as wire text: once the pool and the
 // render buffer are warm, the conversion must reuse both the TagBatch and
-// its Tags backing array, and AppendText must not grow the buffer.
+// its Tags backing array, and AppendText must not grow the buffer. The
+// first batch's End values stay below 10 000; the second's start at 1<<20
+// and cross several multiples of 10 000, so its lines copy a head that
+// changes mid-batch, and it carries the longest key the serve layer
+// accepts (MaxNameLen, 256 bytes) plus its space.
 func TestPooledBatchAllocFree(t *testing.T) {
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := &runtime.Batch{Key: "s", Data: make([]byte, 4096), Version: 1}
+	short := &runtime.Batch{Key: "s", Data: make([]byte, 4096), Version: 1}
+	long := &runtime.Batch{Key: "s", Data: make([]byte, 4096), Version: 1}
 	for i := 0; i < 500; i++ {
-		rb.Tags = append(rb.Tags, stream.Match{InstanceID: i % len(engine.tags), End: int64(8 * i)})
+		short.Tags = append(short.Tags, stream.Match{InstanceID: i % len(engine.tags), End: int64(8 * i)})
+		long.Tags = append(long.Tags, stream.Match{InstanceID: i % len(engine.tags), End: 1<<20 + int64(97*i)})
+	}
+	batches := []struct {
+		rb     *runtime.Batch
+		prefix string
+	}{
+		{short, "key-1 "},
+		{long, strings.Repeat("k", 256) + " "},
 	}
 	tags, total := 0, 0
 	var buf []byte
 	allocs := testing.AllocsPerRun(200, func() {
-		pb := engine.getBatch(rb)
-		tags += len(pb.batch.Tags)
-		buf = pb.batch.AppendText(buf[:0], "key-1 ", &total)
-		putBatch(pb)
+		for _, b := range batches {
+			pb := engine.getBatch(b.rb)
+			tags += len(pb.batch.Tags)
+			buf = pb.batch.AppendText(buf[:0], b.prefix, &total)
+			putBatch(pb)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled batch conversion and rendering allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("pooled batch conversion and rendering allocates %.1f times per batch pair, want 0", allocs)
 	}
-	if tags != 201*500 {
-		t.Fatalf("converted %d tags, want %d", tags, 201*500)
+	if tags != 201*2*500 {
+		t.Fatalf("converted %d tags, want %d", tags, 201*2*500)
 	}
 }
 

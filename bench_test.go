@@ -169,6 +169,45 @@ func BenchmarkTagger(b *testing.B) {
 	}
 }
 
+// BenchmarkTagText measures the sink side of a dense tag stream, per tag:
+// the pooled conversion of a runtime batch (getBatch), its rendering as
+// keyed TAG lines (AppendText) and its release (putBatch), over the batches
+// of a 2000-message corpus tagged in 4 KiB chunks, as a MUX session's
+// DATA frames arrive.
+func BenchmarkTagText(b *testing.B) {
+	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := corpus(b, 2000)
+	r := engine.shared().NewRunner()
+	var batches []*runtime.Batch
+	tags := 0
+	for off := 0; off < len(data); off += 4096 {
+		chunk := data[off:min(off+4096, len(data))]
+		ms, err := r.Write(chunk, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batches = append(batches, &runtime.Batch{Key: "s", Data: chunk, Tags: ms, Version: 1})
+		tags += len(ms)
+	}
+	if tags == 0 {
+		b.Fatal("corpus produced no tags")
+	}
+	var buf []byte
+	total := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rb := range batches {
+			pb := engine.getBatch(rb)
+			buf = pb.batch.AppendText(buf[:0], "key-1 ", &total)
+			putBatch(pb)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tags), "ns/tag")
+}
+
 // sparseCorpus is 20 XML-RPC messages separated by 16 KiB space runs: ~97%
 // of the input is delimiter filler, the shape where most bytes leave the
 // automaton's state unchanged.

@@ -221,14 +221,18 @@ func (e *Engine) match(m stream.Match) Match {
 }
 
 // matches converts ms into dst's backing array, allocating only when it
-// is missing or too small.
+// is missing or too small. Each row is copied from the tag table straight
+// into dst and its End set there: going through match would patch End in
+// a stack copy with an 8-byte store that the wider loads copying the row
+// on cannot forward from.
 func (e *Engine) matches(dst []Match, ms []stream.Match) []Match {
 	if dst == nil || cap(dst) < len(ms) {
 		dst = make([]Match, len(ms))
 	}
 	dst = dst[:len(ms)]
 	for i, m := range ms {
-		dst[i] = e.match(m)
+		dst[i] = e.tags[m.InstanceID]
+		dst[i].End = m.End
 	}
 	return dst
 }
@@ -707,10 +711,27 @@ func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
 		text := &b.engine.text
 		dst = slices.Grow(dst, len(b.ms)*(len(prefix)+24+text.max))
 		tails := text.tails
+		// The head dst[h0:h1] is the last line's prefix, "TAG " and
+		// the digits of hi = End / 10000, the part of a line that
+		// changes once every 10 000 bytes of a stream: it is rendered
+		// when hi changes and copied otherwise, and the low four
+		// digits come from digitPairs.
+		h0, h1, hi := 0, 0, int64(-1)
 		for _, m := range b.ms {
-			dst = append(dst, prefix...)
-			dst = append(dst, "TAG "...)
-			dst = strconv.AppendInt(dst, m.End, 10)
+			if m.End < 10000 {
+				dst = appendTagStart(dst, prefix, m.End)
+			} else {
+				if q := m.End / 10000; q != hi {
+					h0 = len(dst)
+					dst = appendTagStart(dst, prefix, q)
+					h1, hi = len(dst), q
+				} else {
+					dst = append(dst, dst[h0:h1]...)
+				}
+				lo := m.End % 10000
+				p, q := 2*(lo/100), 2*(lo%100)
+				dst = append(dst, digitPairs[p], digitPairs[p+1], digitPairs[q], digitPairs[q+1])
+			}
 			dst = append(dst, tails[m.InstanceID]...)
 		}
 		*total += len(b.ms)
@@ -724,9 +745,7 @@ func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
 		dst = slices.Grow(dst, need)
 		for i := range b.Tags {
 			m := &b.Tags[i]
-			dst = append(dst, prefix...)
-			dst = append(dst, "TAG "...)
-			dst = strconv.AppendInt(dst, m.End, 10)
+			dst = appendTagStart(dst, prefix, m.End)
 			dst = appendTail(dst, m)
 		}
 		*total += len(b.Tags)
@@ -747,6 +766,25 @@ func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
 	}
 	return append(dst, '\n')
 }
+
+// appendTagStart renders the start of a TAG line: prefix, "TAG " and n.
+func appendTagStart(dst []byte, prefix string, n int64) []byte {
+	dst = append(dst, prefix...)
+	dst = append(dst, "TAG "...)
+	return strconv.AppendInt(dst, n, 10)
+}
+
+// digitPairs is the two-digit decimal form of 0–99, back to back.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
 
 // appendSanitized keeps error text on one line: control bytes (newlines
 // included) become spaces, and the text is capped.

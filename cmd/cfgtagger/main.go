@@ -286,7 +286,9 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 	}
 
 	var mc runtime.MetricCounters
-	var sinkMu sync.Mutex // serializes printing when sink workers run concurrently
+	// sinkMu serializes printing: sink workers print concurrently with
+	// each other and with the shed lines below.
+	var sinkMu sync.Mutex
 	tagged, faulted := 0, 0
 	// The context of an instance is fixed by the grammar: render it once.
 	contexts := make([]string, len(spec.Instances))
@@ -340,12 +342,16 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 				// Send refused the line: the pipeline is over its
 				// Quota.MemBudgetBytes.
 				shed++
+				sinkMu.Lock()
 				fmt.Fprintf(out, "%-10s shed: over %d-byte memory budget\n", key, opts.memBudget)
+				sinkMu.Unlock()
 				continue
 			}
 			if errors.Is(err, runtime.ErrOverloaded) {
 				shed++
+				sinkMu.Lock()
 				fmt.Fprintf(out, "%-10s shed: %v\n", key, err)
+				sinkMu.Unlock()
 				continue
 			}
 			p.Close()

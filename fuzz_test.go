@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -494,13 +496,7 @@ func FuzzTagText(f *testing.F) {
 				rb.Tags = append(rb.Tags, stream.Match{InstanceID: r.Intn(len(e.tags)), End: end})
 			}
 			start := r.Intn(1 << 20)
-			pb := e.getBatch(rb)
-			hand := batchHeader(rb)
-			hand.Tags = e.matches(nil, rb.Tags)
-			gotTotal, wantTotal := start, start
-			got := pb.batch.AppendText([]byte("x"), prefix, &gotTotal)
-			want := hand.AppendText([]byte("x"), prefix, &wantTotal)
-			putBatch(pb)
+			got, want, gotTotal, wantTotal := renderBoth(e, rb, prefix, start)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: pre-rendered text differs from the Tags path:\n got %q\nwant %q", names[i], got, want)
 			}
@@ -509,4 +505,56 @@ func FuzzTagText(f *testing.F) {
 			}
 		}
 	})
+}
+
+// renderBoth renders rb after "x" twice, from a running total of start:
+// as the pooled batch the sink adapter hands out (the pre-rendered path)
+// and as a hand-built batch with the same header and Tags (the reference).
+func renderBoth(e *Engine, rb *runtime.Batch, prefix string, start int) (got, want []byte, gotTotal, wantTotal int) {
+	pb := e.getBatch(rb)
+	hand := batchHeader(rb)
+	hand.Tags = e.matches(nil, rb.Tags)
+	gotTotal, wantTotal = start, start
+	got = pb.batch.AppendText([]byte("x"), prefix, &gotTotal)
+	want = hand.AppendText([]byte("x"), prefix, &wantTotal)
+	putBatch(pb)
+	return got, want, gotTotal, wantTotal
+}
+
+// TestTagTextEndDigits pins the pre-rendered path's End digits at every
+// boundary of its split into a head (End / 10000, rendered when it
+// changes) and four low digits (zero padded from a digit-pair table): a
+// pooled batch and a hand-built batch with the same End values must
+// render byte-identical text, for the values in ascending and descending
+// order and with repeats, with and without a prefix.
+func TestTagTextEndDigits(t *testing.T) {
+	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
+	if err != nil {
+		t.Fatal(err)
+	}
+	asc := []int64{0, 9, 10, 99, 100, 9999, 10000, 10001, 10099, 19999, 20000,
+		99999, 100000, 999999, 1 << 31, 1 << 40, math.MaxInt64}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	var repeats []int64
+	for _, v := range asc {
+		repeats = append(repeats, v, v, v)
+	}
+	repeats = append(repeats, asc...)
+	orders := map[string][]int64{"ascending": asc, "descending": desc, "repeats": repeats}
+	for name, ends := range orders {
+		for _, prefix := range []string{"", "key-7 "} {
+			rb := &runtime.Batch{Key: "s", EOS: true, Version: 1}
+			for i, end := range ends {
+				rb.Tags = append(rb.Tags, stream.Match{InstanceID: i % len(engine.tags), End: end})
+			}
+			got, want, gotTotal, wantTotal := renderBoth(engine, rb, prefix, 0)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, prefix %q: pre-rendered text differs from the Tags path:\n got %q\nwant %q", name, prefix, got, want)
+			}
+			if gotTotal != len(ends) || wantTotal != len(ends) {
+				t.Errorf("%s, prefix %q: totals %d and %d, want %d", name, prefix, gotTotal, wantTotal, len(ends))
+			}
+		}
+	}
 }
