@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"cfgtag"
 )
 
 // HTTPInput serves three routes on one listener:
@@ -61,27 +59,6 @@ func (h *HTTPInput) Close() error {
 	return nil
 }
 
-// httpStatus maps core errors onto HTTP statuses.
-func httpStatus(err error) int {
-	switch {
-	case errors.Is(err, cfgtag.ErrOverloaded), errors.Is(err, cfgtag.ErrResourceExhausted):
-		// Load shedding and budget exhaustion are both transient
-		// server-side pressure: the client should back off and retry.
-		return http.StatusTooManyRequests
-	case errors.Is(err, cfgtag.ErrQuotaExceeded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, cfgtag.ErrUnknownTenant):
-		return http.StatusNotFound
-	case errors.Is(err, ErrDraining), errors.Is(err, cfgtag.ErrPlatformClosed),
-		errors.Is(err, cfgtag.ErrPipelineClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrDuplicateStream):
-		return http.StatusConflict
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // httpError writes err with its mapped status; 429 responses carry
 // Retry-After so shed clients back off instead of hammering the shard
 // queues they just overflowed.
@@ -125,61 +102,17 @@ func (h *HTTPInput) serveStream(s *Server, w http.ResponseWriter, r *http.Reques
 	}
 	bo := &bufferOutput{}
 	sess, err := s.OpenStream(tenant, key, bo)
+	if err == nil {
+		err = s.pump(sess, r.Body)
+	}
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	core := s.Core()
-	sent := false
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := r.Body.Read(buf)
-		if n > 0 {
-			if serr := core.Send(tenant, key, buf[:n]); serr != nil {
-				h.failStream(s, tenant, key, sent, serr)
-				if errors.Is(serr, cfgtag.ErrStreamQuarantined) {
-					// The fault batch already ended the stream; return
-					// what it wrote.
-					w.WriteHeader(http.StatusOK)
-					w.Write(bo.Bytes())
-					return
-				}
-				s.CountRefusal()
-				httpError(w, serr)
-				return
-			}
-			sent = true
-		}
-		if rerr != nil {
-			if rerr != io.EOF {
-				// Client aborted mid-body: flush the partial stream,
-				// nobody is left to read the response.
-				h.failStream(s, tenant, key, sent, rerr)
-				return
-			}
-			break
-		}
-	}
-	if cerr := core.CloseStream(tenant, key); cerr != nil {
-		if !errors.Is(cerr, cfgtag.ErrStreamQuarantined) {
-			s.EndStream(tenant, key)
-			httpError(w, cerr)
-			return
-		}
-	}
-	// Hold the response until the EOS batch lands; server shutdown
-	// force-flushes through Core.Close, so this wait always terminates.
-	<-sess.Done()
+	// Hold the response until the final batch lands; server shutdown
+	// releases every session once the core is closed, so this wait
+	// always terminates.
+	<-sess.done
 	w.WriteHeader(http.StatusOK)
-	w.Write(bo.Bytes())
-}
-
-// failStream releases a stream whose body pump failed: mid-life streams
-// are flushed through the core so the pipeline does not leak them, and
-// the session is unregistered either way.
-func (h *HTTPInput) failStream(s *Server, tenant, key string, sent bool, err error) {
-	if sent && !errors.Is(err, cfgtag.ErrStreamQuarantined) {
-		s.Core().CloseStream(tenant, key)
-	}
-	s.EndStream(tenant, key)
+	w.Write(bo.data)
 }

@@ -3,32 +3,22 @@ package serve
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"cfgtag"
 )
 
 // bufferOutput collects a stream's rendered tag events in memory — the
-// HTTP input uses it to hold the response body until the stream ends.
+// HTTP input uses it to hold the response body until the stream ends. The
+// server delivers one session's batches under the session's lock, and data
+// is read after the session is done.
 type bufferOutput struct {
-	mu   sync.Mutex
 	data []byte
 	tags int
 }
 
 func (bo *bufferOutput) Deliver(b *cfgtag.TagBatch) error {
-	bo.mu.Lock()
-	defer bo.mu.Unlock()
 	bo.data = b.AppendText(bo.data, "", &bo.tags)
 	return nil
-}
-
-// Bytes returns the rendered stream output; call only after the session
-// is done.
-func (bo *bufferOutput) Bytes() []byte {
-	bo.mu.Lock()
-	defer bo.mu.Unlock()
-	return bo.data
 }
 
 // MetricsText renders the /metrics payload: flat text key/value lines,

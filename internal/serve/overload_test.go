@@ -29,6 +29,7 @@ func TestErrTextOverload(t *testing.T) {
 		{cfgtag.ErrUnknownTenant, "unknown tenant"},
 		{ErrDraining, "draining"},
 		{ErrDuplicateStream, "duplicate stream"},
+		{fmt.Errorf("send: %w", cfgtag.ErrStreamQuarantined), "quarantined"},
 		{errors.New("mystery"), "error"},
 	}
 	for _, c := range cases {
@@ -52,6 +53,7 @@ func TestHTTPStatusOverload(t *testing.T) {
 		{cfgtag.ErrUnknownTenant, http.StatusNotFound},
 		{ErrDraining, http.StatusServiceUnavailable},
 		{ErrDuplicateStream, http.StatusConflict},
+		{fmt.Errorf("send: %w", cfgtag.ErrStreamQuarantined), http.StatusConflict},
 		{errors.New("mystery"), http.StatusInternalServerError},
 	}
 	for _, c := range cases {
@@ -81,6 +83,17 @@ func TestHTTPErrorRetryAfter(t *testing.T) {
 	}
 	if got := rec.Header().Get("Retry-After"); got != "" {
 		t.Errorf("Retry-After on 404 = %q, want unset", got)
+	}
+
+	// A quarantined key is refused for good until its TTL runs out:
+	// retrying sooner cannot help, so 409 carries no Retry-After.
+	rec = httptest.NewRecorder()
+	httpError(rec, cfgtag.ErrStreamQuarantined)
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("status = %d, want 409", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "" {
+		t.Errorf("Retry-After on 409 = %q, want unset", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,22 +89,27 @@ const (
 
 type sessKey struct{ tenant, key string }
 
-// session is one live network stream: its output and its completion
-// signal, closed when the stream's EOS batch has been delivered (or the
-// session aborted before admission).
+// session is one network stream and the state that decides what the
+// server does with its next bytes (see Server.refuse).
 type session struct {
 	tenant string
 	key    string
 	out    Output
-	dead   bool // output write failed; keep consuming, stop writing
-	done   chan struct{}
-}
+	// done is closed once the stream has ended: its final batch is
+	// rendered (a connection may still buffer the line; its handler
+	// writes it out before hanging up), or no EOS batch will come.
+	done chan struct{}
 
-// Done is closed once the session's stream has fully ended — its EOS
-// batch delivered and rendered into the output. A connection output may
-// still hold the line in its buffer; the connection's handler writes the
-// buffer out before it hangs up.
-func (ss *session) Done() <-chan struct{} { return ss.done }
+	sent bool // the core accepted a chunk or the close (feeding goroutine only)
+	// final is set once the final line is written or on its way, by the
+	// feeding goroutine or the EOS batch: the session takes no more bytes.
+	final atomic.Bool
+
+	// mu orders the output's batches against a refusal line; it is held
+	// across Output.Deliver, so nothing renders after that line.
+	mu    sync.Mutex
+	muted bool // the output renders nothing more (refused, or its write failed)
+}
 
 // Server multiplexes stream inputs onto a Core and routes delivered tag
 // batches back to each stream's Output. All methods are safe for
@@ -161,9 +168,6 @@ func (s *Server) AddFanout(fn TenantSink) { s.fanouts = append(s.fanouts, fn) }
 // AddInput registers a stream input; Start runs its accept loop.
 func (s *Server) AddInput(in StreamInput) { s.inputs = append(s.inputs, in) }
 
-// Core returns the bound core (for input implementations).
-func (s *Server) Core() Core { return s.core }
-
 // Start launches every registered input's accept loop.
 func (s *Server) Start() error {
 	if s.core == nil {
@@ -190,8 +194,8 @@ func (s *Server) ActiveSessions() int {
 	return len(s.sessions)
 }
 
-// Refused counts connections and streams turned away (draining,
-// duplicate keys, quota rejections surfaced by inputs via CountRefusal).
+// Refused counts connections and streams turned away: draining,
+// duplicate keys, and every Send or CloseStream refusal but a fault.
 func (s *Server) Refused() int64 { return s.refused.Load() }
 
 // CountRefusal lets inputs record a refusal they handled themselves.
@@ -212,49 +216,183 @@ func (s *Server) SlowConsumers() int64 { return s.slowConsumers.Load() }
 
 // OpenStream registers a live network stream and its output. It fails
 // with ErrDraining once drain has begun and ErrDuplicateStream when the
-// (tenant, key) session is already open. The session must be ended —
-// normally by the EOS batch flowing through Deliver, or explicitly with
-// EndStream on paths where no EOS will ever arrive (admission failures).
+// (tenant, key) session is already open; the session it returns then has
+// already ended, and takes no bytes. A registered session ends when its
+// EOS batch flows through Deliver, or when send or closeSession refuses it
+// before the core took any of it.
 func (s *Server) OpenStream(tenant, key string, out Output) (*session, error) {
 	sk := sessKey{tenant, key}
 	ss := &session{tenant: tenant, key: key, out: out, done: make(chan struct{})}
 	s.mu.Lock()
 	// Checked under mu — Shutdown flips the state under the same lock,
 	// so no session can register after the drain waiter is armed.
+	var err error
 	if s.state.Load() != stateRunning {
-		s.mu.Unlock()
-		s.refused.Add(1)
-		return nil, ErrDraining
+		err = ErrDraining
+	} else if _, ok := s.sessions[sk]; ok {
+		err = fmt.Errorf("%w: %s/%s", ErrDuplicateStream, tenant, key)
+	} else {
+		s.sessions[sk] = ss
 	}
-	if _, ok := s.sessions[sk]; ok {
-		s.mu.Unlock()
-		s.refused.Add(1)
-		return nil, fmt.Errorf("%w: %s/%s", ErrDuplicateStream, tenant, key)
-	}
-	s.sessions[sk] = ss
 	s.mu.Unlock()
+	if err != nil {
+		s.refused.Add(1)
+		ss.final.Store(true)
+		close(ss.done)
+		return ss, err
+	}
 	s.opened.Add(1)
 	return ss, nil
 }
 
-// EndStream ends a session that will never see an EOS batch: one whose
-// Send or CloseStream failed, a refusal at admission included.
-// Idempotent; unknown sessions are ignored.
-func (s *Server) EndStream(tenant, key string) {
+// send feeds one chunk of the session's stream to the core. A non-nil
+// error is a refusal the input renders at once as the session's final
+// line (or HTTP status). After the final line, and while one is on its
+// way, the bytes are dropped and send returns nil.
+func (s *Server) send(ss *session, p []byte) error {
+	if ss.final.Load() {
+		return nil
+	}
+	if err := s.core.Send(ss.tenant, ss.key, p); err != nil {
+		return s.refuse(ss, err, false)
+	}
+	ss.sent = true
+	return nil
+}
+
+// closeSession ends the client's side of the session's stream; its EOS
+// batch brings the final line. An error is rendered like send's, and a
+// session past its final line ends silently.
+func (s *Server) closeSession(ss *session) error {
+	if ss.final.Load() {
+		return nil
+	}
+	if err := s.core.CloseStream(ss.tenant, ss.key); err != nil {
+		return s.refuse(ss, err, true)
+	}
+	ss.sent = true
+	return nil
+}
+
+// pump feeds r to the session until r ends, then closes it; its error is
+// send's or closeSession's.
+func (s *Server) pump(ss *session, r io.Reader) error {
+	buf := make([]byte, 32<<10)
+	for {
+		n, rerr := r.Read(buf)
+		if n > 0 {
+			if err := s.send(ss, buf[:n]); err != nil {
+				return err
+			}
+		}
+		if rerr != nil {
+			return s.closeSession(ss)
+		}
+	}
+}
+
+// refuse is the one rule for a Send or CloseStream (closing) error. It
+// returns the error when the input must render it as the final line now.
+//   - The core holds nothing of the stream (a reopened quarantined key,
+//     say): the refusal is the final line, and the session ends.
+//   - The stream faulted: its own fault batch is the final line.
+//   - Otherwise the refusal is the final line unless the EOS batch was
+//     rendered first, and the output renders nothing after it. The
+//     session stays registered until its EOS batch, so no batch of the
+//     stream can reach a reopened key; it ends now if none can come.
+func (s *Server) refuse(ss *session, err error, closing bool) error {
+	if !ss.sent {
+		ss.final.Store(true)
+		s.refused.Add(1)
+		s.release(ss)
+		return err
+	}
+	if errors.Is(err, cfgtag.ErrStreamQuarantined) {
+		ss.final.Store(true)
+		return nil
+	}
+	ss.mu.Lock()
+	ss.muted = true
+	ended := ss.final.Swap(true) // only the EOS batch sets it first
+	ss.mu.Unlock()
+	if ended {
+		return nil
+	}
+	s.refused.Add(1)
+	noEOS := closing
+	if !closing {
+		cerr := s.core.CloseStream(ss.tenant, ss.key)
+		noEOS = cerr != nil && !errors.Is(cerr, cfgtag.ErrStreamQuarantined)
+	}
+	if noEOS {
+		s.release(ss)
+	}
+	return err
+}
+
+// errText renders a refusal as the reason of a CFGTAG/1 ERR line. It and
+// httpStatus sit beside refuse: the inputs render, refuse decides when.
+func errText(err error) string {
+	switch {
+	case errors.Is(err, cfgtag.ErrOverloaded):
+		return "overloaded"
+	case errors.Is(err, cfgtag.ErrResourceExhausted):
+		return "resource exhausted"
+	case errors.Is(err, cfgtag.ErrQuotaExceeded):
+		return "quota exceeded"
+	case errors.Is(err, cfgtag.ErrUnknownTenant):
+		return "unknown tenant"
+	case errors.Is(err, ErrDraining):
+		return "draining"
+	case errors.Is(err, ErrDuplicateStream):
+		return "duplicate stream"
+	case errors.Is(err, cfgtag.ErrStreamQuarantined):
+		return "quarantined"
+	case errors.Is(err, cfgtag.ErrPlatformClosed), errors.Is(err, cfgtag.ErrPipelineClosed):
+		return "shutting down"
+	default:
+		return "error"
+	}
+}
+
+// httpStatus renders a refusal as an HTTP status.
+func httpStatus(err error) int {
+	switch {
+	case errors.Is(err, cfgtag.ErrOverloaded), errors.Is(err, cfgtag.ErrResourceExhausted):
+		// Load shedding and budget exhaustion are both transient
+		// server-side pressure: the client should back off and retry.
+		return http.StatusTooManyRequests
+	case errors.Is(err, cfgtag.ErrQuotaExceeded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, cfgtag.ErrUnknownTenant):
+		return http.StatusNotFound
+	case errors.Is(err, ErrDraining), errors.Is(err, cfgtag.ErrPlatformClosed),
+		errors.Is(err, cfgtag.ErrPipelineClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrDuplicateStream), errors.Is(err, cfgtag.ErrStreamQuarantined):
+		return http.StatusConflict
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// release ends a session that no EOS batch will end. Idempotent.
+func (s *Server) release(ss *session) {
 	s.mu.Lock()
-	ss := s.takeSessionLocked(sessKey{tenant, key})
+	took := s.dropLocked(ss)
 	s.mu.Unlock()
-	if ss != nil {
+	if took {
 		close(ss.done)
 	}
 }
 
-// takeSessionLocked removes and returns the session (nil if absent) and
-// signals the drain waiter when the last one goes.
-func (s *Server) takeSessionLocked(sk sessKey) *session {
-	ss, ok := s.sessions[sk]
-	if !ok {
-		return nil
+// dropLocked unregisters ss if it is still registered, reporting whether
+// it was, and signals the drain waiter when the last session goes; the
+// caller closes ss.done.
+func (s *Server) dropLocked(ss *session) bool {
+	sk := sessKey{ss.tenant, ss.key}
+	if s.sessions[sk] != ss {
+		return false
 	}
 	delete(s.sessions, sk)
 	s.ended.Add(1)
@@ -262,14 +400,14 @@ func (s *Server) takeSessionLocked(sk sessKey) *session {
 		close(s.drained)
 		s.drained = nil
 	}
-	return ss
+	return true
 }
 
 // Deliver is the Core's deliver callback: it fans the batch out to the
 // registered TenantSinks (whose errors propagate, feeding the pipeline's
 // retry/DLQ machinery) and writes it to the stream's session output
 // (whose errors are absorbed — the client is gone, the pipeline is not).
-// On EOS the session is ended and its Done channel closed.
+// On EOS the session is ended and its done channel closed.
 //
 // Connection outputs buffer while b.More is set; the batch that ends a
 // sink worker's run (More unset) flushes every connection waiting on the
@@ -295,18 +433,25 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 	s.mu.Lock()
 	ss := s.sessions[sk]
 	if ss != nil && eos {
-		s.takeSessionLocked(sk)
+		s.dropLocked(ss)
 	}
 	s.mu.Unlock()
 	if ss == nil {
 		return nil
 	}
-	if ss.out != nil && !ss.dead {
+	ss.mu.Lock()
+	if eos {
+		// Before the line leaves: a client that has read it finds the
+		// session taking no more bytes.
+		ss.final.Store(true)
+	}
+	if ss.out != nil && !ss.muted {
 		if err := ss.out.Deliver(b); err != nil {
-			ss.dead = true
+			ss.muted = true
 			s.writeErrors.Add(1)
 		}
 	}
+	ss.mu.Unlock()
 	if eos {
 		close(ss.done)
 	}
@@ -396,22 +541,23 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		closeErr = s.core.Close()
 	}
 
+	// Once the core is closed no EOS batch is still coming: a session
+	// still registered has no route to its end (its batches were dropped
+	// with a failed sink, say). Release its waiters before joining the
+	// inputs, whose handlers may be waiting on it.
+	s.mu.Lock()
+	for _, ss := range s.sessions {
+		s.dropLocked(ss)
+		close(ss.done)
+	}
+	s.mu.Unlock()
+
 	// Stage 4: close listeners and connections, join the accept loops.
 	s.state.Store(stateClosed)
 	for _, in := range s.inputs {
 		in.Close()
 	}
 	s.inputWG.Wait()
-
-	// Any session still registered had no EOS route at all (e.g. its
-	// core was closed out from under it); release its waiters.
-	s.mu.Lock()
-	for sk := range s.sessions {
-		if ss := s.takeSessionLocked(sk); ss != nil {
-			close(ss.done)
-		}
-	}
-	s.mu.Unlock()
 
 	if timedOut {
 		return ErrDrainTimeout

@@ -44,7 +44,18 @@ type tenantSpec struct {
 	quarantine time.Duration // faulted-stream rejection TTL (0 = default)
 }
 
+// envHooks are the optional test hooks of a server.
+type envHooks struct {
+	fanout serve.TenantSink            // observes every batch
+	core   func(serve.Core) serve.Core // wraps the platform the server feeds
+}
+
 func startEnv(t *testing.T, wrap *cfgtag.PlatformConfig, tenants ...tenantSpec) *testEnv {
+	t.Helper()
+	return startHookedEnv(t, wrap, envHooks{}, tenants...)
+}
+
+func startHookedEnv(t *testing.T, wrap *cfgtag.PlatformConfig, hooks envHooks, tenants ...tenantSpec) *testEnv {
 	t.Helper()
 	cfg := wrap
 	if cfg == nil {
@@ -79,7 +90,14 @@ func startEnv(t *testing.T, wrap *cfgtag.PlatformConfig, tenants ...tenantSpec) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Bind(p)
+	var core serve.Core = p
+	if hooks.core != nil {
+		core = hooks.core(p)
+	}
+	if hooks.fanout != nil {
+		srv.AddFanout(hooks.fanout)
+	}
+	srv.Bind(core)
 	srv.SetStats(p)
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -488,8 +506,8 @@ func TestServeQuotaOverNetwork(t *testing.T) {
 		mc.data("burst", bytes.Repeat([]byte("y"), 64))
 		mc.closeStream("burst")
 		out := mc.finish()
-		if got := string(out["burst"]); !strings.Contains(got, "ERR quota exceeded") {
-			t.Fatalf("mux over-rate stream: got %q", got)
+		if got := string(out["burst"]); got != "ERR quota exceeded\n" {
+			t.Fatalf("mux over-rate stream: got %q, want exactly one ERR line", got)
 		}
 	})
 }

@@ -136,13 +136,22 @@ func soakFault(gi int) []byte {
 	return faultinject.TriggerPanic
 }
 
+// soakEarly reports whether faulted stream gi sends its second half right
+// behind the trigger, before the phase barrier: those bytes race the
+// stream's fault batch, so the soak covers a stream fed while its final
+// line is on its way. Half the faulted streams do.
+func soakEarly(gi int) bool {
+	return soakFault(gi) != nil && (gi/97/2)%2 == 0
+}
+
 // TestServeSoak drives 50k+ concurrent keyed streams (5k with -short)
 // over real TCP mux, dedicated TCP and HTTP sockets against a platform
 // with fault injection enabled, and asserts:
 //
 //   - every non-faulted stream's output is byte-identical to the serial
 //     DFA oracle for its payload;
-//   - every faulted stream ends in an ERR line, and faults never leak
+//   - every faulted stream's output is exactly one ERR line, also when
+//     it sends again before its fault batch lands, and faults never leak
 //     into neighbouring streams;
 //   - /metrics totals reconcile exactly with the client-observed counts
 //     (matches vs TAG lines, sessions opened vs streams driven).
@@ -221,6 +230,9 @@ func TestServeSoak(t *testing.T) {
 				}
 				sc.open(key)
 				sc.data(key, first)
+				if soakEarly(gi) {
+					sc.data(key, p[len(p)/2:])
+				}
 			}
 			if err := sc.w.Flush(); err != nil {
 				t.Errorf("conn %d: phase-1 flush: %v", c, err)
@@ -232,7 +244,9 @@ func TestServeSoak(t *testing.T) {
 				gi := c*perConn + i
 				key := fmt.Sprintf("c%d-s%d", c, i)
 				p := soakVariants[gi%len(soakVariants)]
-				sc.data(key, p[len(p)/2:])
+				if !soakEarly(gi) {
+					sc.data(key, p[len(p)/2:])
+				}
 				sc.closeStream(key)
 			}
 			if err := sc.finish(); err != nil {
@@ -358,11 +372,8 @@ func TestServeSoak(t *testing.T) {
 			key := fmt.Sprintf("c%d-s%d", c, i)
 			out := sc.out[key]
 			if soakFault(gi) != nil {
-				if !bytes.Contains(out, []byte("ERR")) {
-					t.Errorf("faulted stream %s: no ERR in %q", key, out)
-				}
-				if bytes.Contains(out, []byte("TAG ")) {
-					t.Errorf("faulted stream %s: unexpected tags in %q", key, out)
+				if !bytes.HasPrefix(out, []byte("ERR ")) || bytes.Count(out, []byte("\n")) != 1 {
+					t.Errorf("faulted stream %s: got %q, want exactly one ERR line", key, out)
 				}
 				continue
 			}

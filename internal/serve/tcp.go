@@ -260,28 +260,6 @@ func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
 	return nil
 }
 
-// errText maps Send/open errors to the short reason written on the wire.
-func errText(err error) string {
-	switch {
-	case errors.Is(err, cfgtag.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, cfgtag.ErrResourceExhausted):
-		return "resource exhausted"
-	case errors.Is(err, cfgtag.ErrQuotaExceeded):
-		return "quota exceeded"
-	case errors.Is(err, cfgtag.ErrUnknownTenant):
-		return "unknown tenant"
-	case errors.Is(err, ErrDraining):
-		return "draining"
-	case errors.Is(err, ErrDuplicateStream):
-		return "duplicate stream"
-	case errors.Is(err, cfgtag.ErrPlatformClosed), errors.Is(err, cfgtag.ErrPipelineClosed):
-		return "shutting down"
-	default:
-		return "error"
-	}
-}
-
 func (t *TCPInput) handle(s *Server, conn net.Conn) {
 	defer conn.Close()
 	cw := &connWriter{c: conn, timeout: t.opt.writeTimeout(), onSlow: s.CountSlowConsumer, onWrite: s.countWrite}
@@ -291,7 +269,7 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 	defer cw.flush()
 	if t.opt.Raw {
 		key := fmt.Sprintf("%s#%d", conn.RemoteAddr(), t.rawSeq.Add(1))
-		t.pumpStream(s, conn, cw, t.opt.Tenant, key, nil)
+		t.pumpStream(s, conn, cw, t.opt.Tenant, key)
 		return
 	}
 	fr := NewFrameReader(conn)
@@ -305,78 +283,36 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 		t.pumpMux(s, fr, cw, hs.Tenant, &muxPending{})
 		return
 	}
+	t.pumpStream(s, fr.r, cw, hs.Tenant, hs.Key)
+}
+
+// pumpStream drives one dedicated-stream connection: register the
+// session, pump bytes into it until EOF and wait for its final output
+// line before hanging up. NoEcho keeps the session silent.
+func (t *TCPInput) pumpStream(s *Server, r io.Reader, cw *connWriter, tenant, key string) {
 	var out Output
 	if !t.opt.NoEcho {
 		out = &connOutput{srv: s, cw: cw}
 	}
-	t.pumpStream(s, fr.r, cw, hs.Tenant, hs.Key, out)
-}
-
-// pumpStream drives one dedicated-stream connection: register the
-// session, copy bytes into the core until EOF, close the stream and wait
-// for its final output line before hanging up. A nil out in protocol
-// mode keeps the session silent (NoEcho).
-func (t *TCPInput) pumpStream(s *Server, r io.Reader, cw *connWriter, tenant, key string, out Output) {
-	if t.opt.Raw && !t.opt.NoEcho {
-		out = &connOutput{srv: s, cw: cw}
-	}
 	sess, err := s.OpenStream(tenant, key, out)
+	if err == nil {
+		err = s.pump(sess, r)
+	}
 	if err != nil {
-		if !t.opt.NoEcho {
-			cw.line("ERR " + errText(err))
-		}
+		t.refuse(cw, "", err)
 		return
 	}
-	core := s.Core()
-	sent := false
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if serr := core.Send(tenant, key, buf[:n]); serr != nil {
-				t.failStream(s, cw, tenant, key, "", sent, serr)
-				return
-			}
-			sent = true
-		}
-		if rerr != nil {
-			break
-		}
-	}
-	if err := core.CloseStream(tenant, key); err != nil {
-		// A faulted stream already delivered its ERR batch; everything
-		// else still needs the session released.
-		s.EndStream(tenant, key)
-		return
-	}
-	// Wait for the EOS batch to land so the END line reaches the client
-	// before the socket closes. Server shutdown force-flushes via
-	// Core.Close, so this wait always terminates.
-	<-sess.Done()
+	// Wait for the final line to land before the socket closes. Server
+	// shutdown releases every session once the core is closed, so this
+	// wait always terminates.
+	<-sess.done
 }
 
-// failStream reports a Send failure to the client and releases the
-// stream. Quarantined streams already ended with an ERR batch, so they
-// are released silently; streams that never entered the pipeline are
-// simply unregistered; mid-life kills are flushed through CloseStream so
-// the pipeline does not leak the stream.
-func (t *TCPInput) failStream(s *Server, cw *connWriter, tenant, key, prefix string, sent bool, err error) {
-	if !errors.Is(err, cfgtag.ErrStreamQuarantined) {
-		if !t.opt.NoEcho {
-			cw.line(prefix + "ERR " + errText(err))
-		}
-		s.CountRefusal()
+// refuse writes a stream's refusal as its final line.
+func (t *TCPInput) refuse(cw *connWriter, prefix string, err error) {
+	if !t.opt.NoEcho {
+		cw.line(prefix + "ERR " + errText(err))
 	}
-	if sent {
-		s.Core().CloseStream(tenant, key)
-	}
-	s.EndStream(tenant, key)
-}
-
-// muxStream is per-connection bookkeeping for one multiplexed stream.
-type muxStream struct {
-	sess *session
-	sent bool
 }
 
 // muxPending holds the sessions of a multiplexed connection whose streams
@@ -418,19 +354,19 @@ func (mp *muxPending) wait() {
 
 // pumpMux drives one multiplexed connection: OPEN/DATA/CLOSE frames for
 // many keyed streams, responses interleaved per batch with a "<key> "
-// prefix. On EOF every still-open stream is flushed, and the connection
-// stays up until each stream's final line is on its way out.
+// prefix. A key stays open until the client's CLOSE, after its final line
+// too. On EOF every still-open stream is closed, and the connection stays
+// up until each stream's final line is on its way out.
 func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string, pending *muxPending) {
-	core := s.Core()
-	open := make(map[string]*muxStream)
+	open := make(map[string]*session)
 	// A frame for an open stream carries the key string its session has
 	// held since OPEN instead of a fresh copy of the key bytes.
 	openKey := func(b []byte) (string, bool) {
-		ms, ok := open[string(b)]
+		ss, ok := open[string(b)]
 		if !ok {
 			return "", false
 		}
-		return ms.sess.key, true
+		return ss.key, true
 	}
 	for {
 		f, err := fr.readFrame(openKey)
@@ -440,54 +376,41 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 			}
 			break
 		}
-		switch f.Op {
-		case FrameOpen:
-			if _, ok := open[f.Key]; ok {
-				cw.line(f.Key + " ERR duplicate stream")
-				s.CountRefusal()
-				continue
-			}
+		ss, ok := open[f.Key]
+		switch {
+		case f.Op == FrameOpen && ok:
+			t.refuse(cw, f.Key+" ", ErrDuplicateStream)
+			s.CountRefusal()
+		case f.Op == FrameOpen:
 			var out Output
 			if !t.opt.NoEcho {
 				out = &connOutput{srv: s, cw: cw, prefix: f.Key + " "}
 			}
-			sess, err := s.OpenStream(tenant, f.Key, out)
-			if err != nil {
-				cw.line(f.Key + " ERR " + errText(err))
-				continue
+			if ss, err = s.OpenStream(tenant, f.Key, out); err != nil {
+				t.refuse(cw, f.Key+" ", err)
 			}
-			open[f.Key] = &muxStream{sess: sess}
-		case FrameData:
-			ms, ok := open[f.Key]
-			if !ok {
-				cw.line(f.Key + " ERR not open")
-				continue
+			open[f.Key] = ss
+		case !ok:
+			cw.line(f.Key + " ERR not open")
+		case f.Op == FrameData:
+			if err := s.send(ss, f.Payload); err != nil {
+				t.refuse(cw, f.Key+" ", err)
 			}
-			if err := core.Send(tenant, f.Key, f.Payload); err != nil {
-				t.failStream(s, cw, tenant, f.Key, f.Key+" ", ms.sent, err)
-				pending.add(ms.sess)
-				delete(open, f.Key)
-				continue
-			}
-			ms.sent = true
-		case FrameClose:
-			ms, ok := open[f.Key]
-			if !ok {
-				cw.line(f.Key + " ERR not open")
-				continue
-			}
-			core.CloseStream(tenant, f.Key)
-			pending.add(ms.sess)
+		case f.Op == FrameClose:
 			delete(open, f.Key)
+			if err := s.closeSession(ss); err != nil {
+				t.refuse(cw, f.Key+" ", err)
+			}
+			pending.add(ss)
 		}
 	}
-	// Client is gone (or spoke garbage): flush whatever it left open so
+	// Client is gone (or spoke garbage): close whatever it left open so
 	// no stream leaks, then wait for every final line to go out.
-	for key, ms := range open {
-		if core.CloseStream(tenant, key) != nil {
-			s.EndStream(tenant, key)
+	for key, ss := range open {
+		if err := s.closeSession(ss); err != nil {
+			t.refuse(cw, key+" ", err)
 		}
-		pending.add(ms.sess)
+		pending.add(ss)
 	}
 	pending.wait()
 }
