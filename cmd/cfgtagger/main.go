@@ -48,6 +48,12 @@
 // (stop accepting, flush every live stream's final batch, close):
 //
 //	cfgtagger -config platform.json -listen :7733 -listen-http :7734
+//
+// -pprof ADDR adds, in serve mode only, the runtime profiles
+// (net/http/pprof) on a listener of their own:
+//
+//	cfgtagger -config platform.json -listen :7733 -pprof 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=20
 package main
 
 import (
@@ -104,6 +110,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		listenTCP    = fs.String("listen", "", "serve mode: accept CFGTAG/1 TCP stream connections on this address (requires -config)")
 		listenHTTP   = fs.String("listen-http", "", "serve mode: accept HTTP chunked-POST streams on this address, plus /metrics and /healthz (requires -config)")
 		drainWait    = fs.Duration("drain-timeout", 30*time.Second, "serve mode: how long SIGTERM waits for live streams before force-flushing them")
+		pprofAddr    = fs.String("pprof", "", "serve mode: serve net/http/pprof under /debug/pprof/ on this address, a listener of its own (off by default)")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 from here
 
@@ -111,7 +118,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *configFile == "" {
 			return errors.New("-listen/-listen-http need -config FILE")
 		}
-		return runServe(*configFile, *listenTCP, *listenHTTP, *drainWait)
+		term := make(chan os.Signal, 1)
+		signal.Notify(term, syscall.SIGTERM, syscall.SIGINT)
+		defer signal.Stop(term)
+		return runServe(serveFlags{*configFile, *listenTCP, *listenHTTP, *pprofAddr, *drainWait}, os.Stderr, term)
+	}
+	if *pprofAddr != "" {
+		return errors.New("-pprof needs serve mode (-listen or -listen-http)")
 	}
 
 	in := stdin

@@ -350,6 +350,9 @@ type unit struct {
 	// charged is what the unit currently holds on Config.Mem: the
 	// capacities of data and tags, in bytes.
 	charged int64
+	// fed counts the bytes of the unit's accepted Feeds; emit adds it to
+	// the metrics once per unit.
+	fed int64
 }
 
 // streamEntry is one live stream on a shard: its Backend plus its position
@@ -740,7 +743,7 @@ func (p *Pipeline) settle(u *unit) {
 // buffer past its retention cap goes to the GC instead of the pool.
 func (p *Pipeline) putUnit(u *unit) {
 	p.cfg.Mem.Add(-u.charged)
-	u.charged = 0
+	u.charged, u.fed = 0, 0
 	clear(u.msgs)
 	clear(u.batches)
 	u.msgs, u.batches = u.msgs[:0], u.batches[:0]
@@ -883,7 +886,7 @@ func (s *shard) next() *unit {
 // code cannot be interrupted, so a call that outran FeedDeadline gets its
 // ErrBackendStalled verdict when it returns; one that never returns is
 // still counted by the watchdog. A Feed the backend accepts counts its
-// bytes.
+// bytes on the unit.
 func (s *shard) call(e *streamEntry, data []byte, u *unit) (err error) {
 	p := s.p
 	origin := "Feed"
@@ -921,7 +924,7 @@ func (s *shard) call(e *streamEntry, data []byte, u *unit) (err error) {
 	if data == nil {
 		u.tags, err = e.b.Close(u.tags)
 	} else if u.tags, err = e.b.Feed(data, u.tags); err == nil {
-		p.m.bytes.Add(int64(len(data)))
+		u.fed += int64(len(data))
 	}
 	return err
 }
@@ -1049,15 +1052,17 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 // into the final array, so a queued unit keeps alive exactly the one array
 // the gauge is charged for and none it outgrew. Each window is capped at
 // its own length, so a sink that appends to its Tags reallocates instead
-// of writing into its neighbor's. Matches are counted here too, once per
-// unit: the buffer now holds exactly the tags its batches carry, a faulted
-// stream's truncated Close flush excluded.
+// of writing into its neighbor's. Matches and fed bytes are counted here
+// too, once per unit and before any of its batches is delivered: the
+// buffer now holds exactly the tags its batches carry, a faulted stream's
+// truncated Close flush excluded.
 func (s *shard) emit(u *unit) {
 	if len(u.batches) == 0 {
 		s.p.putUnit(u)
 		return
 	}
 	s.p.m.matches.Add(int64(len(u.tags)))
+	s.p.m.bytes.Add(u.fed)
 	lo := 0
 	for i := range u.batches {
 		b := &u.batches[i]

@@ -2,12 +2,14 @@ package runtime
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"cfgtag/internal/core"
@@ -260,5 +262,91 @@ func TestPipelineTagWindows(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// byteBackend accepts every Feed but "feed error" (refused) and "feed
+// panic", adding the bytes of the Feeds it accepts to accepted. The first
+// Feed of a gated backend waits for the gate, so the Sends behind it
+// coalesce into shared units.
+type byteBackend struct {
+	accepted *atomic.Int64
+	gate     chan struct{}
+}
+
+func (b *byteBackend) Reset()             {}
+func (b *byteBackend) Counters() Counters { return Counters{} }
+func (b *byteBackend) Close(out []stream.Match) ([]stream.Match, error) {
+	return out, nil
+}
+
+func (b *byteBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	if b.gate != nil {
+		<-b.gate
+		b.gate = nil
+	}
+	switch string(p) {
+	case "feed error":
+		return out, errFeed
+	case "feed panic":
+		panic("feed panic")
+	}
+	b.accepted.Add(int64(len(p)))
+	return out, nil
+}
+
+// TestPipelineBytesCounted pins the byte count when bytes are counted per
+// unit: clean, Feed-faulted, panicking and evicted streams share units on
+// two shards capped at three live streams each, and after Close the
+// pipeline's Bytes equal the bytes the backends accepted — no faulted or
+// panicking Feed, no chunk dropped behind a quarantine, and every chunk of
+// an evicted (and later reopened) stream.
+func TestPipelineBytesCounted(t *testing.T) {
+	var accepted atomic.Int64
+	gate := make(chan struct{})
+	var made atomic.Int64
+	var mc MetricCounters
+	p, err := NewPipeline(Config{
+		Shards: 2, MaxStreams: 3, Quarantine: time.Hour, Metrics: &mc,
+		Factory: func() (Backend, error) {
+			b := &byteBackend{accepted: &accepted}
+			if made.Add(1) <= 2 {
+				b.gate = gate // the first streams hold their shards
+			}
+			return b, nil
+		},
+	}, SinkFunc(func(*Batch) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		for k := 0; k < 16; k++ {
+			key := fmt.Sprintf("k%02d", k)
+			chunk := bytes.Repeat([]byte{'a' + byte(k)}, 1+17*k+round)
+			switch {
+			case round == 2 && k%5 == 1:
+				chunk = []byte("feed error")
+			case round == 3 && k%5 == 2:
+				chunk = []byte("feed panic")
+			}
+			err := p.Send(key, chunk)
+			if err != nil && !errors.Is(err, ErrQuarantined) {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			close(gate)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := mc.Faults()
+	if f.StreamsEvicted == 0 || f.PanicsRecovered == 0 || f.StreamsQuarantined < 2 {
+		t.Fatalf("mix not exercised: %+v", f)
+	}
+	c, _ := mc.Snapshot()
+	if want := accepted.Load(); c.Bytes != want {
+		t.Fatalf("Bytes = %d, backends accepted %d", c.Bytes, want)
 	}
 }

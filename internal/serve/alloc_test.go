@@ -42,23 +42,29 @@ func (r *endlessReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestReadFrameKnownKeyAllocFree parses DATA frames of a stream whose key
-// the caller already holds: the frame reuses that string.
+// TestReadFrameKnownKeyAllocFree parses DATA frames of a stream the
+// connection has open: the frame reuses the session's key string, and
+// neither an in-place payload nor one past the reader's buffer, copied
+// into the reader's warmed payload buffer, allocates.
 func TestReadFrameKnownKeyAllocFree(t *testing.T) {
 	const key = "stream-000017"
-	wire := AppendFrame(nil, Frame{Op: FrameData, Key: key, Payload: bytes.Repeat([]byte("x"), 4096)})
-	fr := NewFrameReader(&endlessReader{data: wire})
-	known := func(b []byte) (string, bool) { return key, string(b) == key }
-	var f Frame
-	var err error
-	allocs := testing.AllocsPerRun(100, func() {
-		f, err = fr.readFrame(known)
-	})
-	if err != nil || f.Key != key || len(f.Payload) != 4096 {
-		t.Fatalf("readFrame = %+v, %v", f.Op, err)
-	}
-	if allocs != 0 {
-		t.Fatalf("DATA frame of a known key allocates %.1f times, want 0", allocs)
+	ss := &session{key: key}
+	open := map[string]*session{key: ss}
+	for _, n := range []int{4 << 10, 64 << 10} {
+		wire := AppendFrame(nil, Frame{Op: FrameData, Key: key, Payload: bytes.Repeat([]byte("x"), n)})
+		fr := NewFrameReader(&endlessReader{data: wire})
+		var f Frame
+		var got *session
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			f, got, err = fr.readFrame(open)
+		})
+		if err != nil || got != ss || f.Key != key || len(f.Payload) != n {
+			t.Fatalf("%d B: readFrame = %+v, %v", n, f.Op, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("%d B: DATA frame of an open key allocates %.1f times, want 0", n, allocs)
+		}
 	}
 }
 

@@ -326,3 +326,139 @@ func TestServeDeferredFlushSlowConsumer(t *testing.T) {
 		t.Errorf("a dead connection rendered %d bytes", len(cw.buf))
 	}
 }
+
+// countOutput counts the batches it is handed.
+type countOutput struct{ n int }
+
+func (o *countOutput) Deliver(*cfgtag.TagBatch) error {
+	o.n++
+	return nil
+}
+
+// TestServeTaglessFanoutOnly: a tag-less batch that is not the EOS reaches
+// every fan-out, with More set or not, but not the session's output.
+func TestServeTaglessFanoutOnly(t *testing.T) {
+	s := NewServer()
+	fanned := 0
+	s.AddFanout(func(tenant string, b *cfgtag.TagBatch) error {
+		if tenant == "t" && b.Stream == "a" {
+			fanned++
+		}
+		return nil
+	})
+	out := &countOutput{}
+	if _, err := s.OpenStream("t", "a", out); err != nil {
+		t.Fatal(err)
+	}
+	for _, more := range []bool{true, false} {
+		if err := s.Deliver("t", tagBatch("a", 0, more)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fanned != 2 || out.n != 0 {
+		t.Fatalf("tag-less batches: fan-out saw %d, output %d; want 2 and 0", fanned, out.n)
+	}
+	if err := s.Deliver("t", tagBatch("a", 1, false)); err != nil {
+		t.Fatal(err)
+	}
+	if fanned != 3 || out.n != 1 {
+		t.Fatalf("tagged batch: fan-out saw %d, output %d; want 3 and 1", fanned, out.n)
+	}
+}
+
+// TestServeTaglessRunEnd: a tag-less batch that ends a sink run still
+// flushes the lines another connection buffered earlier in the run.
+func TestServeTaglessRunEnd(t *testing.T) {
+	s := NewServer()
+	connA, cwA := newRecWriter(s)
+	connB, cwB := newRecWriter(s)
+	muxSession(t, s, cwA, "a")
+	muxSession(t, s, cwB, "b")
+
+	a := tagBatch("a", 2, true)
+	want := a.AppendText(nil, "a ", new(int))
+	if err := s.Deliver("t", a); err != nil {
+		t.Fatal(err)
+	}
+	if w := connA.taken(); len(w) != 0 {
+		t.Fatalf("A written before the run ended: %q", w)
+	}
+	if err := s.Deliver("t", tagBatch("b", 0, false)); err != nil {
+		t.Fatal(err)
+	}
+	if wa := connA.taken(); len(wa) != 1 || !bytes.Equal(wa[0], want) {
+		t.Fatalf("A's lines after a tag-less run end: %q, want one write %q", wa, want)
+	}
+	if wb := connB.taken(); len(wb) != 0 {
+		t.Fatalf("B's tag-less batch wrote %q", wb)
+	}
+	if len(s.waiting) != 0 || cwA.waiting {
+		t.Fatalf("flush list not emptied: %d entries, A waiting=%v", len(s.waiting), cwA.waiting)
+	}
+}
+
+// TestServeTaglessEOS: a tag-less EOS batch still renders END with the
+// stream's tag count and ends the session.
+func TestServeTaglessEOS(t *testing.T) {
+	s := NewServer()
+	conn, cw := newRecWriter(s)
+	ss, err := s.OpenStream("t", "a", &connOutput{srv: s, cw: cw, prefix: "a "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 0, 1} {
+		if err := s.Deliver("t", tagBatch("a", n, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eos := tagBatch("a", 0, false)
+	eos.EOS = true
+	if err := s.Deliver("t", eos); err != nil {
+		t.Fatal(err)
+	}
+	w := conn.taken()
+	if len(w) != 1 || !bytes.HasSuffix(w[0], []byte("a END 3\n")) {
+		t.Fatalf("writes after a tag-less EOS: %q, want one ending %q", w, "a END 3\n")
+	}
+	select {
+	case <-ss.done:
+	default:
+		t.Fatal("session not done after its EOS batch")
+	}
+	if n := s.ActiveSessions(); n != 0 {
+		t.Fatalf("%d sessions still active", n)
+	}
+}
+
+// TestServeTaglessDeadConn: once a connection's write has failed, each of
+// its sessions is counted in writeErrors on its next batch that renders,
+// not on a tag-less one.
+func TestServeTaglessDeadConn(t *testing.T) {
+	client, server := net.Pipe()
+	client.Close() // every write to server fails
+	defer server.Close()
+	s := NewServer()
+	cw := &connWriter{c: server, timeout: time.Minute, onSlow: s.CountSlowConsumer, onWrite: s.countWrite}
+	muxSession(t, s, cw, "a")
+	muxSession(t, s, cw, "b")
+
+	steps := []struct {
+		key  string
+		tags int
+		want int64
+	}{
+		{"a", 1, 1}, // the failed write mutes a
+		{"b", 0, 1}, // renders nothing: b not counted yet
+		{"b", 0, 1},
+		{"b", 1, 2}, // b's next rendering batch finds the connection dead
+		{"a", 1, 2}, // a is muted already
+	}
+	for i, st := range steps {
+		if err := s.Deliver("t", tagBatch(st.key, st.tags, false)); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.writeErrors.Load(); n != st.want {
+			t.Fatalf("step %d (%s, %d tags): write errors = %d, want %d", i, st.key, st.tags, n, st.want)
+		}
+	}
+}

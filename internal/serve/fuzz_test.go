@@ -19,6 +19,11 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add([]byte("CFGTAG/1 STREAM alpha key-1\nif true then go else stop"))
 	f.Add([]byte("CFGTAG/1 MUX alpha\nOPEN s1\nDATA s1 5\nhello\nCLOSE s1\n"))
 	f.Add([]byte("CFGTAG/1 MUX t\nOPEN a\nOPEN b\nDATA a 0\n\nCLOSE b\nCLOSE a\n"))
+	// A payload past the reader's 32 KiB buffer takes the copy path, the
+	// small one behind it the in-place path.
+	big := AppendHandshake(nil, Handshake{Tenant: "t", Mux: true})
+	big = AppendFrame(big, Frame{Op: FrameData, Key: "a", Payload: bytes.Repeat([]byte("x\n"), 20<<10)})
+	f.Add(AppendFrame(big, Frame{Op: FrameData, Key: "a", Payload: []byte("y")}))
 	// Truncations at every interesting boundary.
 	f.Add([]byte("CFGTAG/1"))
 	f.Add([]byte("CFGTAG/1 MUX alpha\nDATA s1 10\nhel"))

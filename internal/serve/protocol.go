@@ -177,74 +177,94 @@ func (fr *FrameReader) ReadHandshake() (Handshake, error) {
 
 // ReadFrame parses the next mux-mode frame. io.EOF marks a clean end of
 // the connection between frames.
-func (fr *FrameReader) ReadFrame() (Frame, error) { return fr.readFrame(nil) }
+func (fr *FrameReader) ReadFrame() (Frame, error) {
+	f, _, err := fr.readFrame(nil)
+	return f, err
+}
 
-// readFrame is ReadFrame with a key table: known, when set, is asked for
-// the string already held for a frame's key bytes, so a frame of a known
-// stream costs no key allocation (known must not retain the bytes).
-func (fr *FrameReader) readFrame(known func(key []byte) (string, bool)) (Frame, error) {
-	keyOf := func(b []byte) string {
-		if known != nil {
-			if k, ok := known(b); ok {
-				return k
-			}
-		}
-		return string(b)
-	}
+// readFrame is ReadFrame with the connection's open sessions: it returns
+// the session open holds for the frame's key (nil if none), and the
+// frame's Key is then the string that session holds, so a frame of an
+// open stream costs one lookup and no key allocation.
+func (fr *FrameReader) readFrame(open map[string]*session) (Frame, *session, error) {
 	line, err := fr.readLine()
 	if err != nil {
 		if errors.Is(err, ErrProtocol) {
-			return Frame{}, fmt.Errorf("%w: %w", ErrBadFrame, err)
+			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
 		}
-		return Frame{}, err
+		return Frame{}, nil, err
 	}
 	var arr [4][]byte // a frame header has at most three fields
 	parts := fields(line, arr[:0])
 	switch string(parts[0]) {
 	case "OPEN", "CLOSE":
 		if len(parts) != 2 || !validName(parts[1]) {
-			return Frame{}, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
+			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
 		}
 		op := FrameOpen
 		if parts[0][0] == 'C' {
 			op = FrameClose
 		}
-		return Frame{Op: op, Key: keyOf(parts[1])}, nil
+		ss, key := lookup(open, parts[1])
+		return Frame{Op: op, Key: key}, ss, nil
 	case "DATA":
 		if len(parts) != 3 || !validName(parts[1]) {
-			return Frame{}, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
+			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
 		}
 		n, err := parseLen(parts[2])
 		if err != nil {
-			return Frame{}, err
+			return Frame{}, nil, err
 		}
-		// The header line dies with the next read: take the key now.
-		key := keyOf(parts[1])
+		// The header line dies with the next read: resolve the key now.
+		ss, key := lookup(open, parts[1])
+		buf, err := fr.readPayload(n)
+		if err != nil {
+			return Frame{}, nil, err
+		}
+		return Frame{Op: FrameData, Key: key, Payload: buf}, ss, nil
+	}
+	return Frame{}, nil, ErrBadFrame
+}
+
+// lookup returns the session open holds for key and the key string to
+// use: the session's own when it has one, else a copy of the bytes.
+func lookup(open map[string]*session, key []byte) (*session, string) {
+	if ss := open[string(key)]; ss != nil {
+		return ss, ss.key
+	}
+	return nil, string(key)
+}
+
+// readPayload reads a DATA frame's n payload bytes and its terminating
+// newline, which keeps the stream resynchronizable and catches a desynced
+// length at once. A payload that fits the reader's buffer with its
+// terminator is returned in place, aliasing the buffer; a larger one is
+// copied into fr.payload.
+func (fr *FrameReader) readPayload(n int) (buf []byte, err error) {
+	var c byte
+	if n < fr.r.Size() {
+		if buf, err = fr.r.Peek(n + 1); err == nil {
+			buf, c = buf[:n], buf[n]
+			fr.r.Discard(n + 1)
+		}
+	} else {
 		if cap(fr.payload) < n {
 			fr.payload = make([]byte, n)
 		}
-		buf := fr.payload[:n]
-		if _, err := io.ReadFull(fr.r, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Frame{}, err
+		buf = fr.payload[:n]
+		if _, err = io.ReadFull(fr.r, buf); err == nil {
+			c, err = fr.r.ReadByte()
 		}
-		// The trailing newline keeps the stream resynchronizable and
-		// catches a desynced length immediately.
-		c, err := fr.r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Frame{}, err
-		}
-		if c != '\n' {
-			return Frame{}, fmt.Errorf("%w: missing payload terminator", ErrBadFrame)
-		}
-		return Frame{Op: FrameData, Key: key, Payload: buf}, nil
 	}
-	return Frame{}, ErrBadFrame
+	switch {
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, err
+	case c != '\n':
+		return nil, fmt.Errorf("%w: missing payload terminator", ErrBadFrame)
+	}
+	return buf, nil
 }
 
 // parseLen parses a strict non-negative decimal ≤ MaxFramePayload: no

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestParseHandshake(t *testing.T) {
@@ -116,6 +118,84 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if got.Op != want.Op || got.Key != want.Key || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
+		}
+	}
+}
+
+// TestReadFramePayloadSizes reads DATA frames on both sides of the reader's
+// buffer edge — a payload that fits with its terminator is returned in
+// place, a larger one is copied — through readers that return one byte,
+// half of what is asked, or everything. Every size gives the frame that
+// was written, whether the key is open or not; a wrong terminator is
+// ErrBadFrame, and a truncated payload or missing terminator is
+// io.ErrUnexpectedEOF.
+func TestReadFramePayloadSizes(t *testing.T) {
+	size := NewFrameReader(nil).r.Size()
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"whole", func(r io.Reader) io.Reader { return r }},
+	}
+	const key = "s1"
+	for _, n := range []int{0, 1, size - 2, size - 1, size, size + 1, 64 << 10, MaxFramePayload} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + i>>8) // newlines included
+		}
+		want := []Frame{
+			{Op: FrameOpen, Key: key},
+			{Op: FrameData, Key: key, Payload: payload},
+			{Op: FrameData, Key: key, Payload: []byte("z")},
+			{Op: FrameClose, Key: key},
+		}
+		var wire []byte
+		for _, f := range want {
+			wire = AppendFrame(wire, f)
+		}
+		data := AppendFrame(nil, want[1])
+		head := len(data) - n - 1 // the header line's length
+		bad := append(data[:len(data)-1:len(data)-1], 'X')
+		for _, rd := range readers {
+			t.Run(fmt.Sprintf("%d/%s", n, rd.name), func(t *testing.T) {
+				ss := &session{key: key}
+				for _, open := range []map[string]*session{nil, {key: ss}} {
+					fr := NewFrameReader(rd.wrap(bytes.NewReader(wire)))
+					for i, w := range want {
+						f, got, err := fr.readFrame(open)
+						if err != nil {
+							t.Fatalf("open=%v frame %d: %v", open != nil, i, err)
+						}
+						if f.Op != w.Op || f.Key != w.Key || !bytes.Equal(f.Payload, w.Payload) {
+							t.Fatalf("open=%v frame %d: got op %d key %q %d B, want op %d key %q %d B",
+								open != nil, i, f.Op, f.Key, len(f.Payload), w.Op, w.Key, len(w.Payload))
+						}
+						if (got != nil) != (open != nil) || got != nil && got != ss {
+							t.Fatalf("open=%v frame %d: session %p, want %p", open != nil, i, got, ss)
+						}
+					}
+					if _, _, err := fr.readFrame(open); err != io.EOF {
+						t.Fatalf("open=%v trailing read: %v, want io.EOF", open != nil, err)
+					}
+				}
+				cases := []struct {
+					name string
+					in   []byte
+					err  error
+				}{
+					{"wrong terminator", bad, ErrBadFrame},
+					{"no terminator", data[:len(data)-1], io.ErrUnexpectedEOF},
+					{"inside payload", data[:head+n/2], io.ErrUnexpectedEOF},
+				}
+				for _, c := range cases {
+					_, err := NewFrameReader(rd.wrap(bytes.NewReader(c.in))).ReadFrame()
+					if !errors.Is(err, c.err) {
+						t.Errorf("%s: err = %v, want %v", c.name, err, c.err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 // surface of a cfgtag.Platform (which implements it directly), or any
 // adapter with the same semantics — Send routes one chunk of a keyed
 // stream, CloseStream ends it, and Close flushes every open stream and
-// delivers its final (EOS) batch before returning.
+// delivers its final (EOS) batch before returning. Send must not retain
+// data: on a multiplexed connection it aliases the connection's read
+// buffer, which the next frame overwrites.
 type Core interface {
 	Send(tenant, stream string, data []byte) error
 	CloseStream(tenant, stream string) error
@@ -33,7 +35,8 @@ type Stats interface {
 }
 
 // Output receives one network stream's tag batches, in stream order; the
-// batch with EOS set is the last. Deliver must not retain the batch.
+// batch with EOS set is the last, and a tag-less batch before it renders
+// nothing, so it is not handed over. Deliver must not retain the batch.
 // Output errors are absorbed by the server (counted, the output is
 // dropped) rather than propagated into the pipeline's retry machinery —
 // a client that stopped reading must not stall or dead-letter a tenant.
@@ -416,6 +419,8 @@ func (s *Server) dropLocked(ss *session) bool {
 // Each fan-out gets its own shallow copy of b, and the session key, EOS
 // and More are read before any runs: a fan-out that rewrites its batch
 // cannot reroute, drop or hold open the session's output.
+// A tag-less batch other than the EOS renders nothing: it returns after
+// the fan-outs, touching no session, and its More unset still flushes.
 func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 	sk, eos := sessKey{tenant, b.Stream}, b.EOS
 	if !b.More {
@@ -429,6 +434,9 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 				return err
 			}
 		}
+	}
+	if !eos && len(b.Tags) == 0 {
+		return nil
 	}
 	s.mu.Lock()
 	ss := s.sessions[sk]

@@ -359,26 +359,17 @@ func (mp *muxPending) wait() {
 // up until each stream's final line is on its way out.
 func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string, pending *muxPending) {
 	open := make(map[string]*session)
-	// A frame for an open stream carries the key string its session has
-	// held since OPEN instead of a fresh copy of the key bytes.
-	openKey := func(b []byte) (string, bool) {
-		ss, ok := open[string(b)]
-		if !ok {
-			return "", false
-		}
-		return ss.key, true
-	}
 	for {
-		f, err := fr.readFrame(openKey)
+		// ss is the session open holds for f.Key, nil if the key is not open.
+		f, ss, err := fr.readFrame(open)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				cw.line("ERR! " + err.Error())
 			}
 			break
 		}
-		ss, ok := open[f.Key]
 		switch {
-		case f.Op == FrameOpen && ok:
+		case f.Op == FrameOpen && ss != nil:
 			t.refuse(cw, f.Key+" ", ErrDuplicateStream)
 			s.CountRefusal()
 		case f.Op == FrameOpen:
@@ -390,7 +381,7 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 				t.refuse(cw, f.Key+" ", err)
 			}
 			open[f.Key] = ss
-		case !ok:
+		case ss == nil:
 			cw.line(f.Key + " ERR not open")
 		case f.Op == FrameData:
 			if err := s.send(ss, f.Payload); err != nil {
