@@ -894,6 +894,25 @@ func (e *Engine) newVersion(o runtime.FactoryOptions, wrap func(runtime.Factory)
 	return f, &versionSink{engine: e, release: release, deliver: deliver}, nil
 }
 
+// startPipeline is how every served pipeline starts — Engine.NewPipeline
+// and each platform tenant: it mints version 1 of e from o, wrapped by
+// wrap when set, and starts the pipeline cfg describes on it, with the
+// factory's gauge (o.Limits.Mem) as the pipeline's, so one gauge counts
+// the table and the queued chunks alike.
+func (e *Engine) startPipeline(cfg runtime.Config, o runtime.FactoryOptions, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (*runtime.Pipeline, error) {
+	f, sink, err := e.newVersion(o, wrap, deliver)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Factory, cfg.Mem = f, o.Limits.Mem
+	p, err := runtime.NewPipeline(cfg, sink)
+	if err != nil {
+		sink.Close()
+		return nil, err
+	}
+	return p, nil
+}
+
 // Metrics is a pipeline's counter set: bytes, matches, recoveries,
 // collisions, table cache stats, the queue-depth high-water mark and, via
 // Faults, the fault and overload counters. The pipeline adds to it where
@@ -1041,14 +1060,9 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 	if err := cfg.Backend.CheckServed("PipelineConfig.Backend"); err != nil {
 		return nil, err
 	}
-	f, sink, err := e.newVersion(runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits}, nil, deliver)
-	if err != nil {
-		return nil, err
-	}
 	rcfg := runtime.Config{
 		Shards:           cfg.Shards,
 		Queue:            cfg.Queue,
-		Factory:          f,
 		MaxStreams:       cfg.MaxStreams,
 		Quarantine:       cfg.Quarantine,
 		SinkAttempts:     cfg.SinkAttempts,
@@ -1059,16 +1073,14 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		FeedDeadline:     cfg.FeedDeadline,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
-		Mem:              cfg.Limits.Mem,
 		Metrics:          cfg.Metrics,
 	}
 	if cfg.DeadLetter != nil {
 		dl := cfg.DeadLetter
 		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
 	}
-	p, err := runtime.NewPipeline(rcfg, sink)
+	p, err := e.startPipeline(rcfg, runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits}, nil, deliver)
 	if err != nil {
-		sink.Close()
 		return nil, err
 	}
 	return &Pipeline{inner: p}, nil

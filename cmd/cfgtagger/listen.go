@@ -9,7 +9,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -80,22 +79,12 @@ func runServe(f serveFlags, logw io.Writer, term <-chan os.Signal) error {
 		fmt.Fprintln(logw, "cfgtagger: listening (http)", ln.Addr())
 	}
 
-	applied := make(map[string]string)
-	for _, t := range cfg.Tenants {
-		src, err := tenantSource(t)
-		if err != nil {
-			p.Close()
-			return err
-		}
-		applied[t.Name] = src
-	}
-	var mu sync.Mutex
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
 	go func() {
 		for range hup {
-			reloadPlatform(p, f.config, applied, &mu)
+			reloadPlatform(p, f.config)
 		}
 	}()
 

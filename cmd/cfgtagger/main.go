@@ -20,13 +20,16 @@
 // "earley" (the exact-language oracle — any grammar class, tags unioned
 // over all derivations, accept/reject verdict printed like the parser's).
 //
-// -shards N switches to pipeline mode: every input line becomes its own
-// keyed stream, tagged concurrently on N shards and printed in per-stream
+// -shards N switches to pipeline mode: the flags declare a one-tenant
+// platform (as -config would), every input line becomes its own keyed
+// stream, tagged concurrently on N shards and printed in per-stream
 // order; it serves the table and rejects the reference paths.
 // -max-streams and -quarantine expose the pipeline's resource
-// governance, and -chaos injects backend faults (errors, panics, latency)
-// to demonstrate the fault-tolerance layer — faulted streams end with an
-// error, the rest are unaffected, and the fault counters are printed:
+// governance, -mem-budget is the tenant's mem_budget_bytes quota (queued
+// chunks, their tag storage and the table all count), and -chaos injects
+// backend faults (errors, panics, latency) to demonstrate the
+// fault-tolerance layer — faulted streams end with an error, the rest are
+// unaffected, and the fault counters are printed:
 //
 //	cfgtagger -builtin ifthenelse -free -shards 4 -chaos 0.05 -in lines.txt
 //
@@ -105,7 +108,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		sinkWorkers  = fs.Int("sink-workers", 0, "pipeline mode: deliver batches on this many workers (0 or 1 = single serialized sink)")
 		sendTimeout  = fs.Duration("send-timeout", 0, "pipeline mode: shed Sends instead of blocking when a shard queue is full — 0 blocks, negative sheds immediately, positive waits at most this long")
 		feedDeadline = fs.Duration("feed-deadline", 0, "pipeline mode: watchdog deadline per backend call; a slower call ends its stream as stalled (0 = disabled)")
-		memBudget    = fs.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (queued chunks and their tag storage); Sends over budget are shed (0 = unlimited)")
+		memBudget    = fs.Int64("mem-budget", 0, "pipeline mode: estimated live-memory budget in bytes (queued chunks, their tag storage and the table); Sends over budget are shed (0 = unlimited)")
 		configFile   = fs.String("config", "", "platform mode: multi-tenant JSON config; input lines are 'tenant|payload', SIGHUP hot-swaps changed grammars")
 		listenTCP    = fs.String("listen", "", "serve mode: accept CFGTAG/1 TCP stream connections on this address (requires -config)")
 		listenHTTP   = fs.String("listen-http", "", "serve mode: accept HTTP chunked-POST streams on this address, plus /metrics and /healthz (requires -config)")
@@ -143,7 +146,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return runPlatform(*configFile, in, out)
 	}
 
-	engine, err := load(*grammarFile, *builtin, *free)
+	name, src, err := grammarSource(*grammarFile, *builtin)
+	if err != nil {
+		return err
+	}
+	var opts []cfgtag.Option
+	if *free {
+		opts = append(opts, cfgtag.FreeRunningStart())
+	}
+	engine, err := cfgtag.Compile(name, src, opts...)
 	if err != nil {
 		return err
 	}
@@ -167,18 +178,28 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	if *shards > 0 {
-		return runPipeline(engine, *backend, in, out, pipelineOptions{
-			shards:       *shards,
-			maxStreams:   *maxStreams,
-			quarantine:   *quarantine,
-			chaos:        *chaos,
-			chaosSeed:    *chaosSeed,
-			batchBytes:   *batchBytes,
-			sinkWorkers:  *sinkWorkers,
-			sendTimeout:  *sendTimeout,
-			feedDeadline: *feedDeadline,
-			memBudget:    *memBudget,
-		})
+		def := cfgtag.TenantDef{
+			Name:         name,
+			Grammar:      src,
+			Backend:      *backend,
+			Shards:       *shards,
+			MaxStreams:   *maxStreams,
+			Quarantine:   cfgtag.Duration(*quarantine),
+			BatchBytes:   *batchBytes,
+			SinkWorkers:  *sinkWorkers,
+			SendTimeout:  cfgtag.Duration(*sendTimeout),
+			FeedDeadline: cfgtag.Duration(*feedDeadline),
+			Quota:        cfgtag.QuotaConfig{MemBudgetBytes: *memBudget},
+		}
+		if *free {
+			def.Options = []string{"free-running-start"}
+		}
+		cfg := &cfgtag.PlatformConfig{Tenants: []cfgtag.TenantDef{def}}
+		if *chaos > 0 {
+			fc := faultinject.Config{Seed: *chaosSeed, ErrorRate: *chaos, PanicRate: *chaos / 2, SlowRate: *chaos}
+			cfg.WrapFactory = func(f runtime.Factory) runtime.Factory { return faultinject.Factory(f, fc) }
+		}
+		return runPipeline(cfg, in, out)
 	}
 
 	b, err := engine.NewBackend(cfgtag.BackendKind(*backend))
@@ -262,79 +283,28 @@ func report(out io.Writer, b *cfgtag.Backend, verdict error) {
 	}
 }
 
-// pipelineOptions bundles the pipeline-mode flags.
-type pipelineOptions struct {
-	shards       int
-	maxStreams   int
-	quarantine   time.Duration
-	chaos        float64
-	chaosSeed    int64
-	batchBytes   int
-	sinkWorkers  int
-	sendTimeout  time.Duration
-	feedDeadline time.Duration
-	memBudget    int64
-}
-
-// runPipeline tags every input line as its own keyed stream on a sharded
-// pipeline, optionally wrapped in fault injection, and prints per-stream
-// results in delivery order plus the pipeline's fault counters.
-func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Writer, opts pipelineOptions) error {
-	spec := engine.Spec()
-	kind := runtime.Kind(backend)
-	if err := kind.CheckServed("-backend"); err != nil {
-		return err
-	}
-	factory, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: kind})
-	if err != nil {
-		return err
-	}
-	if opts.chaos > 0 {
-		factory = faultinject.Factory(factory, faultinject.Config{
-			Seed:      opts.chaosSeed,
-			ErrorRate: opts.chaos,
-			PanicRate: opts.chaos / 2,
-			SlowRate:  opts.chaos,
-		})
-	}
-
-	var mc runtime.MetricCounters
-	// sinkMu serializes printing: sink workers print concurrently with
-	// each other and with the shed lines below.
-	var sinkMu sync.Mutex
+// runPipeline is -shards mode: a one-tenant platform built from the flags
+// (cfg), tagging every input line as its own keyed stream. It prints
+// per-stream results in delivery order plus the tenant's fault counters.
+func runPipeline(cfg *cfgtag.PlatformConfig, in io.Reader, out io.Writer) error {
+	tenant := cfg.Tenants[0].Name
+	// mu serializes printing: sink workers print concurrently with each
+	// other and with the shed lines below.
+	var mu sync.Mutex
 	tagged, faulted := 0, 0
-	// The context of an instance is fixed by the grammar: render it once.
-	contexts := make([]string, len(spec.Instances))
-	for i, inst := range spec.Instances {
-		contexts[i] = inst.Context(spec.Grammar)
-	}
-	sink := runtime.SinkFunc(func(b *runtime.Batch) error {
-		sinkMu.Lock()
-		defer sinkMu.Unlock()
+	p, err := cfgtag.NewPlatform(cfg, func(_ string, b *cfgtag.TagBatch) error {
+		mu.Lock()
+		defer mu.Unlock()
 		for _, m := range b.Tags {
 			tagged++
-			inst := spec.Instances[m.InstanceID]
-			fmt.Fprintf(out, "%-10s %8d  idx=%-4d %-20q %s\n",
-				b.Key, m.End, inst.Index, inst.Term, contexts[m.InstanceID])
+			fmt.Fprintf(out, "%-10s %8d  idx=%-4d %-20q %s\n", b.Stream, m.End, m.Index, m.Term, m.Context)
 		}
 		if b.Err != nil {
 			faulted++
-			fmt.Fprintf(out, "%-10s fault: %v\n", b.Key, b.Err)
+			fmt.Fprintf(out, "%-10s fault: %v\n", b.Stream, b.Err)
 		}
 		return nil
 	})
-	p, err := runtime.NewPipeline(runtime.Config{
-		Shards:       opts.shards,
-		Factory:      factory,
-		Metrics:      &mc,
-		MaxStreams:   opts.maxStreams,
-		Quarantine:   opts.quarantine,
-		BatchBytes:   opts.batchBytes,
-		SinkWorkers:  opts.sinkWorkers,
-		SendTimeout:  opts.sendTimeout,
-		FeedDeadline: opts.feedDeadline,
-		Quota:        runtime.Quota{MemBudgetBytes: opts.memBudget},
-	}, sink)
 	if err != nil {
 		return err
 	}
@@ -347,30 +317,30 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 		lines++
 		// A fault can quarantine the key between Send and CloseStream;
 		// the stream already ended with an error batch, so carry on.
-		if err := p.Send(key, sc.Bytes()); err != nil {
-			if errors.Is(err, runtime.ErrQuarantined) {
+		if err := p.Send(tenant, key, sc.Bytes()); err != nil {
+			if errors.Is(err, cfgtag.ErrStreamQuarantined) {
 				continue
 			}
-			if errors.Is(err, runtime.ErrResourceExhausted) {
-				// Send refused the line: the pipeline is over its
-				// Quota.MemBudgetBytes.
+			if errors.Is(err, cfgtag.ErrResourceExhausted) {
+				// Send refused the line: the tenant is over its
+				// memory budget.
 				shed++
-				sinkMu.Lock()
-				fmt.Fprintf(out, "%-10s shed: over %d-byte memory budget\n", key, opts.memBudget)
-				sinkMu.Unlock()
+				mu.Lock()
+				fmt.Fprintf(out, "%-10s shed: over %d-byte memory budget\n", key, cfg.Tenants[0].Quota.MemBudgetBytes)
+				mu.Unlock()
 				continue
 			}
-			if errors.Is(err, runtime.ErrOverloaded) {
+			if errors.Is(err, cfgtag.ErrOverloaded) {
 				shed++
-				sinkMu.Lock()
+				mu.Lock()
 				fmt.Fprintf(out, "%-10s shed: %v\n", key, err)
-				sinkMu.Unlock()
+				mu.Unlock()
 				continue
 			}
 			p.Close()
 			return err
 		}
-		if err := p.CloseStream(key); err != nil && !errors.Is(err, runtime.ErrQuarantined) {
+		if err := p.CloseStream(tenant, key); err != nil && !errors.Is(err, cfgtag.ErrStreamQuarantined) {
 			p.Close()
 			return err
 		}
@@ -387,37 +357,33 @@ func runPipeline(engine *cfgtag.Engine, backend string, in io.Reader, out io.Wri
 		fmt.Fprintf(out, ", %d shed", shed)
 	}
 	fmt.Fprintln(out)
-	if f := mc.Faults(); f.PanicsRecovered+f.StreamsQuarantined+f.StreamsEvicted+f.SinkRetries+f.DeadLetters > 0 {
+	f, _ := p.Faults(tenant)
+	if f.PanicsRecovered+f.StreamsQuarantined+f.StreamsEvicted+f.SinkRetries+f.DeadLetters > 0 {
 		fmt.Fprintf(out, "faults: %d panics recovered, %d quarantined, %d evicted, %d sink retries, %d dead-lettered\n",
 			f.PanicsRecovered, f.StreamsQuarantined, f.StreamsEvicted, f.SinkRetries, f.DeadLetters)
 	}
-	if f := mc.Faults(); f.SendsShed+f.WatchdogTrips+f.ResourceExhausted > 0 {
+	if f.SendsShed+f.WatchdogTrips+f.ResourceExhausted > 0 {
 		fmt.Fprintf(out, "overload: %d sends shed, %d watchdog trips, %d resource exhausted\n",
 			f.SendsShed, f.WatchdogTrips, f.ResourceExhausted)
 	}
 	return nil
 }
 
-func load(grammarFile, builtin string, free bool) (*cfgtag.Engine, error) {
-	var opts []cfgtag.Option
-	if free {
-		opts = append(opts, cfgtag.FreeRunningStart())
-	}
+// grammarSource names and reads the grammar the flags select: a file, or
+// one of the built-in grammars.
+func grammarSource(grammarFile, builtin string) (name, src string, err error) {
 	switch {
 	case grammarFile != "":
-		src, err := os.ReadFile(grammarFile)
-		if err != nil {
-			return nil, err
-		}
-		return cfgtag.Compile(grammarFile, string(src), opts...)
+		b, err := os.ReadFile(grammarFile)
+		return grammarFile, string(b), err
 	case builtin == "xmlrpc":
-		return cfgtag.Compile("xml-rpc", cfgtag.XMLRPCSource, opts...)
+		return "xml-rpc", cfgtag.XMLRPCSource, nil
 	case builtin == "ifthenelse":
-		return cfgtag.Compile("if-then-else", cfgtag.IfThenElseSource, opts...)
+		return "if-then-else", cfgtag.IfThenElseSource, nil
 	case builtin == "parens":
-		return cfgtag.Compile("balanced-parens", cfgtag.BalancedParensSource, opts...)
+		return "balanced-parens", cfgtag.BalancedParensSource, nil
 	default:
-		return nil, fmt.Errorf("need -grammar FILE or -builtin {xmlrpc,ifthenelse,parens}")
+		return "", "", fmt.Errorf("need -grammar FILE or -builtin {xmlrpc,ifthenelse,parens}")
 	}
 }
 
@@ -458,24 +424,12 @@ func runPlatform(path string, in io.Reader, out io.Writer) error {
 		return err
 	}
 
-	// Remember each tenant's applied grammar source so SIGHUP only swaps
-	// tenants whose grammar actually changed.
-	applied := make(map[string]string)
-	for _, t := range cfg.Tenants {
-		src, err := tenantSource(t)
-		if err != nil {
-			p.Close()
-			return err
-		}
-		applied[t.Name] = src
-	}
-
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
 	go func() {
 		for range hup {
-			reloadPlatform(p, path, applied, &mu)
+			reloadPlatform(p, path)
 		}
 	}()
 
@@ -528,27 +482,17 @@ func runPlatform(path string, in io.Reader, out io.Writer) error {
 func recoverable(err error) bool {
 	return errors.Is(err, cfgtag.ErrQuotaExceeded) ||
 		errors.Is(err, cfgtag.ErrUnknownTenant) ||
-		errors.Is(err, runtime.ErrQuarantined)
+		errors.Is(err, cfgtag.ErrStreamQuarantined)
 }
 
-// tenantSource resolves a tenant's grammar text (inline or from file).
-func tenantSource(t cfgtag.TenantDef) (string, error) {
-	if t.Grammar != "" {
-		return t.Grammar, nil
-	}
-	b, err := os.ReadFile(t.GrammarFile)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// reloadPlatform is the SIGHUP handler body: re-read the config, and for
-// every running tenant whose grammar source changed, publish the new
-// grammar as a new factory version. Tenants added or removed in the file
-// are reported but need a restart; a config or compile error leaves the
-// running platform untouched.
-func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string, mu *sync.Mutex) {
+// reloadPlatform is the SIGHUP handler body: re-read the config and hand
+// every running tenant's grammar source to Reload, which publishes a new
+// factory version only for a changed text. Tenants added or removed in
+// the file are reported but need a restart; a config or compile error
+// leaves the running platform untouched. Calls must not overlap (each
+// caller runs them from one goroutine), so the version before a Reload
+// tells whether it published one.
+func reloadPlatform(p *cfgtag.Platform, path string) {
 	warn := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "cfgtagger: reload: "+format+"\n", args...)
 	}
@@ -577,26 +521,22 @@ func reloadPlatform(p *cfgtag.Platform, path string, applied map[string]string, 
 			warn("tenant %q is new; restart to add tenants", t.Name)
 			continue
 		}
-		src, err := tenantSource(t)
-		if err != nil {
-			warn("%v", err)
-			continue
+		src := t.Grammar
+		if t.GrammarFile != "" {
+			b, err := os.ReadFile(t.GrammarFile)
+			if err != nil {
+				warn("%v", err)
+				continue
+			}
+			src = string(b)
 		}
-		mu.Lock()
-		prev := applied[t.Name]
-		mu.Unlock()
-		if src == prev {
-			continue
-		}
+		prev, _ := p.CurrentVersion(t.Name)
 		v, err := p.Reload(t.Name, src)
 		if err != nil {
 			warn("tenant %q: %v", t.Name, err)
-			continue
+		} else if v != prev {
+			warn("tenant %q reloaded as version %d", t.Name, v)
 		}
-		mu.Lock()
-		applied[t.Name] = src
-		mu.Unlock()
-		warn("tenant %q reloaded as version %d", t.Name, v)
 	}
 	for name := range running {
 		if !seen[name] {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -180,5 +181,55 @@ func TestShards(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardsMemBudgetCountsTable pins -mem-budget as the tenant quota it
+// is: the table counts, so a budget below the table's start state sheds
+// every line.
+func TestShardsMemBudgetCountsTable(t *testing.T) {
+	out, err := cli(t, strings.Repeat(inputs["ifthenelse"].sentence+"\n", 4), "-builtin", "ifthenelse", "-shards", "2", "-mem-budget", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(out, "4 streams, 0 tokens tagged, 0 stream faults, 4 shed\n") {
+		t.Errorf("want every line shed:\n%s", out)
+	}
+}
+
+// TestShardsChaos drives -chaos: injected backend errors, panics and
+// latency end only the streams they hit. Every line is either tagged
+// exactly like the unfaulted run, or ends in a fault line after a prefix
+// of those tags, and the fault counters are printed.
+func TestShardsChaos(t *testing.T) {
+	in := inputs["xmlrpc"]
+	stdin := strings.Repeat(in.sentence+"\n", 16)
+	full, err := cli(t, stdin, "-builtin", "xmlrpc", "-shards", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := cli(t, stdin, "-builtin", "xmlrpc", "-shards", "2", "-chaos", "0.2", "-chaos-seed", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := byStream(full), byStream(out)
+	faulted := 0
+	for key, lines := range got {
+		n := len(lines) // the tag lines
+		ok := n == len(want[key])
+		if strings.Contains(lines[n-1], " fault: ") {
+			faulted++
+			n--
+			ok = n <= len(want[key])
+		}
+		if !ok || strings.Join(lines[:n], "\n") != strings.Join(want[key][:n], "\n") {
+			t.Errorf("%s: %q, want the unfaulted tags %q or a prefix of them and a fault line", key, lines, want[key])
+		}
+	}
+	if len(got) != 16 || faulted == 0 {
+		t.Errorf("%d of 16 lines reported, %d faulted (want some):\n%s", len(got), faulted, out)
+	}
+	if !strings.Contains(out, fmt.Sprintf(", %d stream faults\n", faulted)) || !strings.Contains(out, "\nfaults: ") {
+		t.Errorf("no fault summary for %d faulted streams:\n%s", faulted, out)
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 
 	def := tenantRouter{
 		Name: routerTenant, Listen: *listen, Bank: *bank, Shop: *shop, Default: *fallback,
-		Shards: *shards, MaxStreams: *maxStreams, Quarantine: quarantine.String(), BatchBytes: *batchBytes,
+		Shards: *shards, MaxStreams: *maxStreams, Quarantine: cfgtag.Duration(*quarantine), BatchBytes: *batchBytes,
 	}
 	switch {
 	case *configFile != "":
@@ -185,17 +185,16 @@ type routerServer struct {
 }
 
 // route is one router's switching state. After buildRouterServer, def
-// and applied belong to the reloading goroutine and the rest to the
-// tenant's single sink worker, so it needs no lock.
+// belongs to the reloading goroutine and the rest to the tenant's single
+// sink worker, so it needs no lock.
 type route struct {
-	def     tenantRouter
-	applied string // the grammar source the tenant runs
-	sink    *router.Sink
-	ms      []stream.Match // switchBatch's conversion buffer
-	addrs   map[int]string
-	conns   map[int]net.Conn
-	line    []byte // forward's write buffer
-	fwdErr  error
+	def    tenantRouter
+	sink   *router.Sink
+	ms     []stream.Match // switchBatch's conversion buffer
+	addrs  map[int]string
+	conns  map[int]net.Conn
+	line   []byte // forward's write buffer
+	fwdErr error
 }
 
 // buildRouterServer assembles the server for defs: it checks every
@@ -206,19 +205,18 @@ func buildRouterServer(defs ...tenantRouter) (*routerServer, string, error) {
 	rs := &routerServer{Server: serve.NewServer(), routes: make(map[string]*route, len(defs))}
 	pc := &cfgtag.PlatformConfig{}
 	for _, def := range defs {
-		rt, err := newRoute(def)
+		rt, src, err := newRoute(def)
 		if err != nil {
 			return nil, "", err
 		}
 		rs.routes[def.Name] = rt
-		quar, _ := time.ParseDuration(def.Quarantine) // validated by the caller; "" = default
 		pc.Tenants = append(pc.Tenants, cfgtag.TenantDef{
 			Name:       def.Name,
-			Grammar:    rt.applied,
+			Grammar:    src,
 			Options:    []string{"free-running-start"},
 			Shards:     def.Shards,
 			MaxStreams: def.MaxStreams,
-			Quarantine: cfgtag.Duration(quar),
+			Quarantine: def.Quarantine,
 			BatchBytes: def.BatchBytes,
 		})
 	}
@@ -247,28 +245,27 @@ func buildRouterServer(defs ...tenantRouter) (*routerServer, string, error) {
 }
 
 // newRoute reads and checks the router's grammar and sets up its sink and
-// back-end addresses.
-func newRoute(def tenantRouter) (*route, error) {
+// back-end addresses. It returns the grammar source the tenant starts on.
+func newRoute(def tenantRouter) (*route, string, error) {
 	src, spec, err := routerGrammar(def)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	sink, err := router.NewSink(spec, "methodName", router.FigureTwelve(), 2)
 	if err != nil {
-		return nil, fmt.Errorf("router %q: %w", def.Name, err)
+		return nil, "", fmt.Errorf("router %q: %w", def.Name, err)
 	}
 	rt := &route{
-		def:     def,
-		applied: src,
-		sink:    sink,
-		addrs:   map[int]string{0: def.Bank, 1: def.Shop},
-		conns:   make(map[int]net.Conn),
+		def:   def,
+		sink:  sink,
+		addrs: map[int]string{0: def.Bank, 1: def.Shop},
+		conns: make(map[int]net.Conn),
 	}
 	if def.Default != "" {
 		rt.addrs[2] = def.Default
 	}
 	sink.OnRoute = rt.forward
-	return rt, nil
+	return rt, src, nil
 }
 
 // routerGrammar reads the router's grammar source — its grammar_file, or
@@ -344,10 +341,12 @@ func (rs *routerServer) Shutdown(timeout time.Duration) error {
 	return err
 }
 
-// reload re-reads every router's grammar_file and hot-swaps the changed
-// ones. A grammar the router cannot switch on is refused before the
-// platform ever serves it; any failure leaves the running grammar in
-// place.
+// reload re-reads every router's grammar_file and hands it to the
+// platform's Reload, which publishes a version only for a changed text. A
+// grammar the router cannot switch on is refused before the platform ever
+// serves it; any failure leaves the running grammar in place. Calls must
+// not overlap, so the version before a Reload tells whether it published
+// one.
 func (rs *routerServer) reload() {
 	warn := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "xmlrouter: reload: "+format+"\n", args...)
@@ -362,20 +361,17 @@ func (rs *routerServer) reload() {
 			warn("%v", err)
 			continue
 		}
-		if src == rt.applied {
-			continue
-		}
 		if err := rt.sink.Check(spec); err != nil {
 			warn("router %q: %v", name, err)
 			continue
 		}
+		prev, _ := rs.plat.CurrentVersion(name)
 		v, err := rs.plat.Reload(name, src)
 		if err != nil {
 			warn("router %q: %v", name, err)
-			continue
+		} else if v != prev {
+			warn("router %q reloaded as version %d", name, v)
 		}
-		rt.applied = src
-		warn("router %q reloaded as version %d", name, v)
 	}
 }
 
@@ -474,12 +470,12 @@ type tenantRouter struct {
 	// methodName production carrying the service name.
 	GrammarFile string `json:"grammar_file,omitempty"`
 	// Shards, MaxStreams, Quarantine and BatchBytes mirror the flags of
-	// the same names (Shards 0 = GOMAXPROCS; Quarantine is a Go duration
-	// string).
-	Shards     int    `json:"shards,omitempty"`
-	MaxStreams int    `json:"max_streams,omitempty"`
-	Quarantine string `json:"quarantine,omitempty"`
-	BatchBytes int    `json:"batch_bytes,omitempty"`
+	// the same names (Shards 0 = GOMAXPROCS; Quarantine is "30s" or
+	// nanoseconds, like a platform tenant's).
+	Shards     int             `json:"shards,omitempty"`
+	MaxStreams int             `json:"max_streams,omitempty"`
+	Quarantine cfgtag.Duration `json:"quarantine,omitempty"`
+	BatchBytes int             `json:"batch_bytes,omitempty"`
 }
 
 // routerConfig is the -config file: one router per tenant.
@@ -518,11 +514,6 @@ func loadRouterConfig(path string) (*routerConfig, error) {
 			return nil, fmt.Errorf("config %s: router %q: bank and shop addresses are required", path, def.Name)
 		}
 		seen[def.Name] = true
-		if def.Quarantine != "" {
-			if _, err := time.ParseDuration(def.Quarantine); err != nil {
-				return nil, fmt.Errorf("config %s: router %q: quarantine: %w", path, def.Name, err)
-			}
-		}
 	}
 	return &cfg, nil
 }

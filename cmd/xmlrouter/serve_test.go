@@ -301,3 +301,28 @@ func TestRouterConfigReload(t *testing.T) {
 		return err == nil && reflect.DeepEqual(lv, []int{2})
 	})
 }
+
+// TestRouterConfigQuarantine decodes a router's quarantine like a
+// platform tenant's: a duration string or nanoseconds loads, and a bad
+// duration fails to decode with an error naming the file.
+func TestRouterConfigQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	load := func(quarantine string) (*routerConfig, string, error) {
+		path := filepath.Join(dir, "routers.json")
+		writeFile(t, path, `{"routers": [{"name": "r", "listen": "127.0.0.1:0", "bank": "b:1", "shop": "s:1", "quarantine": `+quarantine+`}]}`)
+		cfg, err := loadRouterConfig(path)
+		return cfg, path, err
+	}
+	for src, want := range map[string]time.Duration{`"2s"`: 2 * time.Second, `1500`: 1500 * time.Nanosecond, `"-1ns"`: -time.Nanosecond} {
+		cfg, _, err := load(src)
+		if err != nil {
+			t.Fatalf("quarantine %s: %v", src, err)
+		}
+		if got := time.Duration(cfg.Routers[0].Quarantine); got != want {
+			t.Errorf("quarantine %s = %v, want %v", src, got, want)
+		}
+	}
+	if _, path, err := load(`"soon"`); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "soon") {
+		t.Fatalf("bad quarantine: err = %v, want a decode error naming %s", err, path)
+	}
+}

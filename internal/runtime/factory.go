@@ -66,8 +66,8 @@ type FactoryOptions struct {
 // the factory is left: Pipeline.Close, or the retirement of a reloaded
 // version. release is never nil and calling it again is a no-op.
 func NewFactory(spec *core.Spec, o FactoryOptions) (f Factory, release func(), err error) {
-	if n := o.Limits.MaxPendingMatches; n < 0 {
-		return nil, nil, &ConfigError{Field: "Limits.MaxPendingMatches", Value: n, Reason: "must be >= 0 (0 = unlimited)"}
+	if err := ValidateLimits(o.Limits); err != nil {
+		return nil, nil, err
 	}
 	mem := o.Limits.Mem
 	var charged atomic.Int64

@@ -404,6 +404,9 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Factory == nil {
+		return nil, &ConfigError{Field: "Factory", Value: nil, Reason: "a backend factory is required"}
+	}
 	if sink == nil {
 		return nil, fmt.Errorf("runtime: sink is required")
 	}

@@ -15,7 +15,8 @@ import (
 var ErrQuotaExceeded = errors.New("runtime: tenant quota exceeded")
 
 // Quota bounds one pipeline's admission — in a multi-tenant process, one
-// tenant's resource consumption. The zero value is unlimited.
+// tenant's resource consumption. The zero value is unlimited. The JSON
+// tags are the keys of a platform tenant's "quota" object.
 type Quota struct {
 	// MaxStreams caps the concurrently live streams (0 = unlimited).
 	// Unlike Config.MaxStreams — a per-shard cap that evicts the
@@ -23,18 +24,18 @@ type Quota struct {
 	// Send with ErrQuotaExceeded and touches nothing live. A stream holds
 	// its slot until its final batch leaves the sink worker, however it
 	// ended.
-	MaxStreams int
+	MaxStreams int `json:"max_streams,omitempty"`
 	// BytesPerSec caps the sustained Send byte rate (0 = unlimited) with a
 	// token bucket holding one second of burst. Sends beyond the rate fail
 	// with ErrQuotaExceeded rather than blocking.
-	BytesPerSec int64
+	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
 	// MemBudgetBytes caps the estimated live memory on Config.Mem (0 =
 	// unlimited): dispatch units (chunk arenas and the tag buffers queued
 	// with them) and the table's states. A Send arriving while the gauge
 	// is at or over budget fails with ErrResourceExhausted and nothing is
 	// enqueued; existing streams drain normally, releasing memory.
 	// NewPipeline installs a gauge when Config.Mem is nil.
-	MemBudgetBytes int64
+	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
 // admitQuota runs the Config.Quota checks for one non-EOS message, in

@@ -337,16 +337,18 @@ func TestConfigValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base()
 			tc.mut(&cfg)
-			err := cfg.Validate()
-			if !errors.Is(err, ErrInvalidConfig) {
-				t.Fatalf("Validate = %v, want ErrInvalidConfig", err)
+			_, perr := NewPipeline(cfg, SinkFunc(func(*Batch) error { return nil }))
+			errs := map[string]error{"NewPipeline": perr}
+			// Validate checks the knobs; the factory is NewPipeline's to
+			// require.
+			if cfg.Factory != nil {
+				errs["Validate"] = cfg.Validate()
 			}
-			var ce *ConfigError
-			if !errors.As(err, &ce) || ce.Field != tc.field {
-				t.Fatalf("Validate = %v, want ConfigError on %s", err, tc.field)
-			}
-			if _, err := NewPipeline(cfg, SinkFunc(func(*Batch) error { return nil })); !errors.Is(err, ErrInvalidConfig) {
-				t.Fatalf("NewPipeline = %v, want ErrInvalidConfig", err)
+			for fn, err := range errs {
+				var ce *ConfigError
+				if !errors.Is(err, ErrInvalidConfig) || !errors.As(err, &ce) || ce.Field != tc.field {
+					t.Fatalf("%s = %v, want a ConfigError on %s", fn, err, tc.field)
+				}
 			}
 		})
 	}

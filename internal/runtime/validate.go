@@ -23,16 +23,15 @@ func (e *ConfigError) Error() string {
 
 func (e *ConfigError) Unwrap() error { return ErrInvalidConfig }
 
-// Validate rejects configurations that would silently misbehave at
-// runtime. Zero values always mean "use the default", and the two
-// documented negative switches stay legal (BatchBytes < 0 disables
-// coalescing, Quarantine < 0 disables quarantining); every other negative
-// value is a typed error instead of an accidental no-op or a runtime
-// panic. NewPipeline validates implicitly.
+// Validate is the one range check of every pipeline and quota knob; the
+// serving layers (cfgtag's PlatformConfig.Validate among them) convert
+// their configs and call it rather than repeat it. Zero values always
+// mean "use the default", and the two documented negative switches stay
+// legal (BatchBytes < 0 disables coalescing, Quarantine < 0 disables
+// quarantining); every other negative value is a typed error instead of
+// an accidental no-op or a runtime panic. NewPipeline validates
+// implicitly, and also requires a Factory.
 func (cfg *Config) Validate() error {
-	if cfg.Factory == nil {
-		return &ConfigError{Field: "Factory", Value: nil, Reason: "a backend factory is required"}
-	}
 	if cfg.Shards < 0 {
 		return &ConfigError{Field: "Shards", Value: cfg.Shards, Reason: "must be >= 0 (0 = GOMAXPROCS)"}
 	}
@@ -73,6 +72,15 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Quota.MemBudgetBytes < 0 {
 		return &ConfigError{Field: "Quota.MemBudgetBytes", Value: cfg.Quota.MemBudgetBytes, Reason: "must be >= 0 (0 = unlimited)"}
+	}
+	return nil
+}
+
+// ValidateLimits is the range check of Limits, shared by NewFactory and
+// the serving layers' config checks.
+func ValidateLimits(l Limits) error {
+	if n := l.MaxPendingMatches; n < 0 {
+		return &ConfigError{Field: "Limits.MaxPendingMatches", Value: n, Reason: "must be >= 0 (0 = unlimited)"}
 	}
 	return nil
 }

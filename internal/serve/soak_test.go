@@ -534,7 +534,9 @@ func TestServeDrainUnderLoad(t *testing.T) {
 
 // TestServeReloadUnderLoad reloads the tenant's grammar repeatedly while
 // streams flow, including streams straddling each reload; every output
-// stays byte-identical and the version set converges back to one.
+// stays byte-identical and the version set converges back to one. The
+// reloads alternate two spellings of one grammar — a trailing newline
+// apart — because a Reload with the running text publishes nothing.
 func TestServeReloadUnderLoad(t *testing.T) {
 	env := startEnv(t, nil)
 	want := oracleText(t, []byte(testPayload))
@@ -566,6 +568,7 @@ func TestServeReloadUnderLoad(t *testing.T) {
 	}
 
 	const reloads = 5
+	spellings := [2]string{testGrammar + "\n", testGrammar}
 	for r := 0; r < reloads; r++ {
 		// A stream that spans the reload: first half against the old
 		// version, second half after the swap.
@@ -575,7 +578,7 @@ func TestServeReloadUnderLoad(t *testing.T) {
 		if err := mc.w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := env.platform.Reload("alpha", testGrammar); err != nil {
+		if _, err := env.platform.Reload("alpha", spellings[r%2]); err != nil {
 			t.Fatalf("reload %d: %v", r, err)
 		}
 		mc.data("straddle", payload[half:])

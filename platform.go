@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,21 +69,13 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 }
 
 // QuotaConfig bounds one tenant's resource consumption; zero values are
-// unlimited.
-type QuotaConfig struct {
-	// MaxStreams caps the tenant's concurrently live streams. Unlike the
-	// per-shard MaxStreams knob (which evicts), the quota rejects the new
-	// stream at Send with ErrQuotaExceeded.
-	MaxStreams int `json:"max_streams,omitempty"`
-	// BytesPerSec caps the tenant's sustained Send rate with a one-second
-	// burst; Sends beyond it fail with ErrQuotaExceeded.
-	BytesPerSec int64 `json:"bytes_per_sec,omitempty"`
-	// MemBudgetBytes caps the tenant's estimated live memory — queued
-	// chunk bytes and the tag storage queued with them, the transition
-	// table — rejecting Sends with ErrResourceExhausted while the gauge is
-	// at or over budget.
-	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
-}
+// unlimited. MaxStreams rejects a new stream at Send with
+// ErrQuotaExceeded (unlike the per-shard MaxStreams knob, which evicts),
+// BytesPerSec caps the sustained Send rate with a one-second burst, and
+// MemBudgetBytes refuses Sends with ErrResourceExhausted while the
+// tenant's gauge — queued chunks and their tag storage, the transition
+// table — is at or over budget.
+type QuotaConfig = runtime.Quota
 
 // LimitsConfig bounds each stream's backend resources declaratively; see
 // StreamLimits for semantics. Zero values are unlimited.
@@ -101,7 +94,8 @@ type TenantDef struct {
 	// Grammar and GrammarFile must be set.
 	Grammar string `json:"grammar,omitempty"`
 	// GrammarFile is a path to the grammar source, read at Platform
-	// construction (and at each SIGHUP-style reload from file).
+	// construction; a SIGHUP-style reload re-reads it and passes the text
+	// to Reload.
 	GrammarFile string `json:"grammar_file,omitempty"`
 	// Options are compile options by name: "free-running-start",
 	// "no-context-duplication", "no-longest-match", "all-enabled",
@@ -187,13 +181,23 @@ func ParsePlatformConfig(data []byte) (*PlatformConfig, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("cfgtag: platform config: trailing data after config object")
 	}
+	// "options": [] is no options, as an omitted key is, so the config
+	// marshals back (empty options are omitted) to the value it decoded to.
+	for i := range pc.Tenants {
+		if len(pc.Tenants[i].Options) == 0 {
+			pc.Tenants[i].Options = nil
+		}
+	}
 	return &pc, nil
 }
 
 // Validate checks the config's semantics: at least one tenant, unique
-// non-empty names, exactly one grammar source each, known options, a
-// served backend, and no undocumented negative knobs. Grammar sources are not
-// compiled here (that happens in NewPlatform); every rejection wraps
+// non-empty names, exactly one grammar source each, known options and a
+// served backend. Every pipeline, quota and limits knob is range-checked
+// by the runtime on the tenant's converted config, so its ConfigError
+// names the Go field ("tenants[0].SinkWorkers",
+// "tenants[0].Quota.MemBudgetBytes"). Grammar sources are not compiled
+// here (that happens in NewPlatform); every rejection wraps
 // ErrInvalidConfig.
 func (pc *PlatformConfig) Validate() error {
 	if len(pc.Tenants) == 0 {
@@ -222,40 +226,16 @@ func (pc *PlatformConfig) Validate() error {
 		if err := BackendKind(t.Backend).CheckServed(field("backend")); err != nil {
 			return err
 		}
-		if t.Shards < 0 {
-			return &ConfigError{Field: field("shards"), Value: t.Shards, Reason: "must be >= 0 (0 = GOMAXPROCS)"}
+		rc := t.pipelineConfig()
+		err := rc.Validate()
+		if err == nil {
+			err = runtime.ValidateLimits(t.limits(nil))
 		}
-		if t.Queue < 0 {
-			return &ConfigError{Field: field("queue"), Value: t.Queue, Reason: "must be >= 0 (0 = default)"}
+		if ce, ok := err.(*ConfigError); ok {
+			ce.Field = field(ce.Field)
 		}
-		if t.MaxStreams < 0 {
-			return &ConfigError{Field: field("max_streams"), Value: t.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.SinkAttempts < 0 {
-			return &ConfigError{Field: field("sink_attempts"), Value: t.SinkAttempts, Reason: "must be >= 0 (0 = default)"}
-		}
-		if t.SinkBackoff < 0 {
-			return &ConfigError{Field: field("sink_backoff"), Value: t.SinkBackoff, Reason: "must be >= 0 (0 = default)"}
-		}
-		if t.SinkWorkers < 0 {
-			return &ConfigError{Field: field("sink_workers"), Value: t.SinkWorkers, Reason: "must be >= 0 (0 = single worker)"}
-		}
-		// send_timeout: every value is meaningful (0 = block, negative =
-		// shed immediately, positive = bounded wait), nothing to reject.
-		if t.FeedDeadline < 0 {
-			return &ConfigError{Field: field("feed_deadline"), Value: t.FeedDeadline, Reason: "must be >= 0 (0 = watchdog disabled)"}
-		}
-		if t.Limits.MaxPendingMatches < 0 {
-			return &ConfigError{Field: field("limits.max_pending_matches"), Value: t.Limits.MaxPendingMatches, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.Quota.MaxStreams < 0 {
-			return &ConfigError{Field: field("quota.max_streams"), Value: t.Quota.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.Quota.BytesPerSec < 0 {
-			return &ConfigError{Field: field("quota.bytes_per_sec"), Value: t.Quota.BytesPerSec, Reason: "must be >= 0 (0 = unlimited)"}
-		}
-		if t.Quota.MemBudgetBytes < 0 {
-			return &ConfigError{Field: field("quota.mem_budget_bytes"), Value: t.Quota.MemBudgetBytes, Reason: "must be >= 0 (0 = unlimited)"}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -268,6 +248,30 @@ func (t *TenantDef) options() []Option {
 		opts = append(opts, optionByName[name])
 	}
 	return opts
+}
+
+// pipelineConfig is the runtime.Config of the tenant's pipeline and quota
+// knobs — the one conversion Validate checks and NewPlatform starts. The
+// factory, metrics and gauge are the caller's.
+func (t *TenantDef) pipelineConfig() runtime.Config {
+	return runtime.Config{
+		Shards:       t.Shards,
+		Queue:        t.Queue,
+		MaxStreams:   t.MaxStreams,
+		Quarantine:   time.Duration(t.Quarantine),
+		BatchBytes:   t.BatchBytes,
+		SinkAttempts: t.SinkAttempts,
+		SinkBackoff:  time.Duration(t.SinkBackoff),
+		SinkWorkers:  t.SinkWorkers,
+		SendTimeout:  time.Duration(t.SendTimeout),
+		FeedDeadline: time.Duration(t.FeedDeadline),
+		Quota:        t.Quota,
+	}
+}
+
+// limits is the tenant's per-stream limits, charging mem.
+func (t *TenantDef) limits(mem *MemGauge) StreamLimits {
+	return StreamLimits{MaxPendingMatches: t.Limits.MaxPendingMatches, Mem: mem}
 }
 
 // grammarSource returns the tenant's grammar text, reading GrammarFile
@@ -299,6 +303,11 @@ type platformTenant struct {
 	// deliver hands a batch to the platform's callback with the tenant's
 	// name.
 	deliver func(*TagBatch) error
+
+	// reloadMu serializes Reloads; src is the grammar text the current
+	// version was compiled from.
+	reloadMu sync.Mutex
+	src      string
 }
 
 // Platform is the config-driven multi-tenant runtime: one isolated
@@ -350,42 +359,17 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		mem = &MemGauge{}
 	}
 	pt := &platformTenant{
-		def: def,
-		mc:  &runtime.MetricCounters{},
-		mem: mem,
-		fopts: runtime.FactoryOptions{
-			Kind:   BackendKind(def.Backend),
-			Limits: StreamLimits{MaxPendingMatches: def.Limits.MaxPendingMatches, Mem: mem},
-		},
+		def:     def,
+		mc:      &runtime.MetricCounters{},
+		mem:     mem,
+		fopts:   runtime.FactoryOptions{Kind: BackendKind(def.Backend), Limits: def.limits(mem)},
 		deliver: func(b *TagBatch) error { return deliver(def.Name, b) },
+		src:     src,
 	}
-	factory, sink, err := engine.newVersion(pt.fopts, p.wrap, pt.deliver)
-	if err != nil {
+	cfg := def.pipelineConfig()
+	cfg.Metrics = pt.mc
+	if pt.pipe, err = engine.startPipeline(cfg, pt.fopts, p.wrap, pt.deliver); err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
-	}
-	pt.pipe, err = runtime.NewPipeline(runtime.Config{
-		Shards:       def.Shards,
-		Queue:        def.Queue,
-		Factory:      factory,
-		Metrics:      pt.mc,
-		MaxStreams:   def.MaxStreams,
-		Quarantine:   time.Duration(def.Quarantine),
-		BatchBytes:   def.BatchBytes,
-		SinkAttempts: def.SinkAttempts,
-		SinkBackoff:  time.Duration(def.SinkBackoff),
-		SinkWorkers:  def.SinkWorkers,
-		SendTimeout:  time.Duration(def.SendTimeout),
-		FeedDeadline: time.Duration(def.FeedDeadline),
-		Mem:          mem,
-		Quota: runtime.Quota{
-			MaxStreams:     def.Quota.MaxStreams,
-			BytesPerSec:    def.Quota.BytesPerSec,
-			MemBudgetBytes: def.Quota.MemBudgetBytes,
-		},
-	}, sink)
-	if err != nil {
-		sink.Close()
-		return err
 	}
 	p.tenants[def.Name] = pt
 	return nil
@@ -439,10 +423,21 @@ func (p *Platform) CloseStream(tenant, stream string) error {
 // Version); streams that start after Reload returns run the new grammar.
 // The old version's resources are torn down when its last stream's final
 // batch has been delivered. Returns the new version id.
+//
+// The platform remembers the grammar text each tenant runs: a Reload with
+// that same text is not a new version. It compiles nothing, publishes
+// nothing, keeps the warm table and returns the current version id, so a
+// caller may reload every tenant whenever its source might have changed.
+// Reloads of one tenant are serialized.
 func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	pt, err := p.tenant(tenant)
 	if err != nil {
 		return 0, err
+	}
+	pt.reloadMu.Lock()
+	defer pt.reloadMu.Unlock()
+	if grammarSrc == pt.src {
+		return pt.pipe.CurrentVersion(), nil
 	}
 	engine, err := Compile(tenant, grammarSrc, pt.def.options()...)
 	if err != nil {
@@ -457,24 +452,8 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 		sink.Close()
 		return 0, err
 	}
+	pt.src = grammarSrc
 	return v, nil
-}
-
-// ReloadFromFile re-reads the tenant's grammar_file and Reloads from it;
-// it fails for tenants declared with inline grammar source.
-func (p *Platform) ReloadFromFile(tenant string) (int, error) {
-	pt, err := p.tenant(tenant)
-	if err != nil {
-		return 0, err
-	}
-	if pt.def.GrammarFile == "" {
-		return 0, fmt.Errorf("cfgtag: tenant %q has no grammar_file to reload from", tenant)
-	}
-	b, err := os.ReadFile(pt.def.GrammarFile)
-	if err != nil {
-		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
-	}
-	return p.Reload(tenant, string(b))
 }
 
 // Tenants reports the tenant names in sorted order.

@@ -257,6 +257,80 @@ func TestPlatformReload(t *testing.T) {
 	}
 }
 
+// TestPlatformReloadUnchanged pins Reload with the text a tenant already
+// runs as a no-op: it returns the current version, mints no factory,
+// publishes and retires nothing — the warm table's charge stays on the
+// gauge, because no version sink was closed to discharge it — and the
+// table stays warm, so replaying an input fills no state.
+func TestPlatformReloadUnchanged(t *testing.T) {
+	pc := testPlatformConfig(t)
+	// A budget that never refuses a Send installs the gauge.
+	pc.Tenants[0].Quota.MemBudgetBytes = 1 << 30
+	minted := 0 // factories built, one per tenant; NewPlatform and Reload run on this goroutine
+	pc.WrapFactory = func(f runtime.Factory) runtime.Factory { minted++; return f }
+	sink := newPlatformSink()
+	p, err := NewPlatform(pc, sink.deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	xmlIn := []byte("<methodCall><methodName>add</methodName><params></params></methodCall>")
+	replay := func(key string) int64 {
+		t.Helper()
+		if err := p.Send("xml", key, xmlIn); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CloseStream("xml", key); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			sink.mu.Lock()
+			done := sink.eos["xml/"+key]
+			sink.mu.Unlock()
+			if done {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stream %s never ended", key)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		c, _, _ := p.Metrics("xml")
+		return c.CacheMisses
+	}
+	factories := minted
+	misses := replay("first")
+	mem, _ := p.MemUsage("xml")
+	if misses == 0 || mem <= 0 {
+		t.Fatalf("first stream: %d misses, MemUsage %d; want both > 0", misses, mem)
+	}
+
+	v, err := p.Reload("xml", pc.Tenants[0].Grammar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 1 {
+		t.Fatalf("Reload with the running text returned version %d, want 1", v)
+	}
+	if lv, _ := p.LiveVersions("xml"); !reflect.DeepEqual(lv, []int{1}) {
+		t.Fatalf("LiveVersions = %v, want [1]", lv)
+	}
+	if minted != factories {
+		t.Fatalf("the unchanged Reload built %d factories", minted-factories)
+	}
+	if now, _ := p.MemUsage("xml"); now != mem {
+		t.Fatalf("MemUsage %d -> %d across the Reload: a version sink was closed", mem, now)
+	}
+	if again := replay("second"); again != misses {
+		t.Fatalf("table misses %d -> %d replaying the input: the Reload dropped the warm table", misses, again)
+	}
+	if !reflect.DeepEqual(sink.tagsFor("xml", "second"), sink.tagsFor("xml", "first")) {
+		t.Fatal("the replay tagged differently")
+	}
+}
+
 // TestTagBatchEngine checks the engine a batch reports: across a Reload the
 // batches of a stream opened before it carry the old engine to the end,
 // those of a stream opened after it the new one, even when the old
@@ -506,6 +580,29 @@ func TestPlatformQuota(t *testing.T) {
 	}
 }
 
+// TestPlatformMemBudgetCountsTable pins that a tenant has one gauge, the
+// table's and the pipeline's alike: the table's start state alone puts a
+// tenant with a one-byte budget over it, so its first Send is refused.
+func TestPlatformMemBudgetCountsTable(t *testing.T) {
+	pc := &PlatformConfig{Tenants: []TenantDef{{
+		Name:    "m",
+		Grammar: IfThenElseSource,
+		Shards:  1,
+		Quota:   QuotaConfig{MemBudgetBytes: 1},
+	}}}
+	p, err := NewPlatform(pc, func(string, *TagBatch) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if mem, _ := p.MemUsage("m"); mem <= 1 {
+		t.Fatalf("MemUsage = %d before any Send, want the table's start state", mem)
+	}
+	if err := p.Send("m", "s", []byte("if")); !errors.Is(err, ErrResourceExhausted) {
+		t.Fatalf("Send = %v, want ErrResourceExhausted from the table's charge", err)
+	}
+}
+
 func TestParsePlatformConfigRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -534,24 +631,31 @@ func TestPlatformConfigValidate(t *testing.T) {
 	if err := ok().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Tenant-level checks name the JSON key; every knob is checked by the
+	// runtime and names its Go field under the tenant's prefix.
 	cases := []struct {
-		name string
-		mut  func(*PlatformConfig)
+		name  string
+		mut   func(*PlatformConfig)
+		field string
 	}{
-		{"no tenants", func(c *PlatformConfig) { c.Tenants = nil }},
-		{"empty name", func(c *PlatformConfig) { c.Tenants[0].Name = "" }},
-		{"duplicate names", func(c *PlatformConfig) { c.Tenants = append(c.Tenants, c.Tenants[0]) }},
-		{"no grammar", func(c *PlatformConfig) { c.Tenants[0].Grammar = "" }},
-		{"both grammar sources", func(c *PlatformConfig) { c.Tenants[0].GrammarFile = "x.g" }},
-		{"unknown option", func(c *PlatformConfig) { c.Tenants[0].Options = []string{"warp-speed"} }},
-		{"unknown backend", func(c *PlatformConfig) { c.Tenants[0].Backend = "quantum" }},
-		{"negative shards", func(c *PlatformConfig) { c.Tenants[0].Shards = -1 }},
-		{"negative queue", func(c *PlatformConfig) { c.Tenants[0].Queue = -1 }},
-		{"negative max streams", func(c *PlatformConfig) { c.Tenants[0].MaxStreams = -1 }},
-		{"negative sink attempts", func(c *PlatformConfig) { c.Tenants[0].SinkAttempts = -1 }},
-		{"negative sink workers", func(c *PlatformConfig) { c.Tenants[0].SinkWorkers = -1 }},
-		{"negative quota streams", func(c *PlatformConfig) { c.Tenants[0].Quota.MaxStreams = -1 }},
-		{"negative quota rate", func(c *PlatformConfig) { c.Tenants[0].Quota.BytesPerSec = -1 }},
+		{"no tenants", func(c *PlatformConfig) { c.Tenants = nil }, "tenants"},
+		{"empty name", func(c *PlatformConfig) { c.Tenants[0].Name = "" }, "tenants[0].name"},
+		{"duplicate names", func(c *PlatformConfig) { c.Tenants = append(c.Tenants, c.Tenants[0]) }, "tenants[1].name"},
+		{"no grammar", func(c *PlatformConfig) { c.Tenants[0].Grammar = "" }, "tenants[0].grammar"},
+		{"both grammar sources", func(c *PlatformConfig) { c.Tenants[0].GrammarFile = "x.g" }, "tenants[0].grammar"},
+		{"unknown option", func(c *PlatformConfig) { c.Tenants[0].Options = []string{"warp-speed"} }, "tenants[0].options"},
+		{"unknown backend", func(c *PlatformConfig) { c.Tenants[0].Backend = "quantum" }, "tenants[0].backend"},
+		{"negative shards", func(c *PlatformConfig) { c.Tenants[0].Shards = -1 }, "tenants[0].Shards"},
+		{"negative queue", func(c *PlatformConfig) { c.Tenants[0].Queue = -1 }, "tenants[0].Queue"},
+		{"negative max streams", func(c *PlatformConfig) { c.Tenants[0].MaxStreams = -1 }, "tenants[0].MaxStreams"},
+		{"negative sink attempts", func(c *PlatformConfig) { c.Tenants[0].SinkAttempts = -1 }, "tenants[0].SinkAttempts"},
+		{"negative sink backoff", func(c *PlatformConfig) { c.Tenants[0].SinkBackoff = -1 }, "tenants[0].SinkBackoff"},
+		{"negative sink workers", func(c *PlatformConfig) { c.Tenants[0].SinkWorkers = -1 }, "tenants[0].SinkWorkers"},
+		{"negative feed deadline", func(c *PlatformConfig) { c.Tenants[0].FeedDeadline = -1 }, "tenants[0].FeedDeadline"},
+		{"negative pending matches", func(c *PlatformConfig) { c.Tenants[0].Limits.MaxPendingMatches = -1 }, "tenants[0].Limits.MaxPendingMatches"},
+		{"negative quota streams", func(c *PlatformConfig) { c.Tenants[0].Quota.MaxStreams = -1 }, "tenants[0].Quota.MaxStreams"},
+		{"negative quota rate", func(c *PlatformConfig) { c.Tenants[0].Quota.BytesPerSec = -1 }, "tenants[0].Quota.BytesPerSec"},
+		{"negative quota memory", func(c *PlatformConfig) { c.Tenants[0].Quota.MemBudgetBytes = -1 }, "tenants[0].Quota.MemBudgetBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -562,8 +666,11 @@ func TestPlatformConfigValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want ErrInvalidConfig", err)
 			}
 			var ce *ConfigError
-			if !errors.As(err, &ce) {
-				t.Fatalf("Validate = %v, want *ConfigError", err)
+			if !errors.As(err, &ce) || ce.Field != tc.field {
+				t.Fatalf("Validate = %v, want a ConfigError on %s", err, tc.field)
+			}
+			if _, err := NewPlatform(cfg, func(string, *TagBatch) error { return nil }); !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("NewPlatform = %v, want ErrInvalidConfig", err)
 			}
 		})
 	}
