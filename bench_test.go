@@ -326,32 +326,32 @@ func BenchmarkAOTSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTagger scales the public Pool across cores (one message
-// stream per borrowed runner of the engine's shared table) — the software
-// analogue of replicating the hardware engine.
+// BenchmarkParallelTagger scales the public Tagger across cores (one
+// message stream per goroutine, each with a Tagger of its own over the
+// engine's shared table) — the software analogue of replicating the
+// hardware engine.
 func BenchmarkParallelTagger(b *testing.B) {
 	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := engine.NewPool(0)
 	data := corpus(b, 200)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		tg := engine.NewTagger()
 		for pb.Next() {
-			if ms := pool.Tag(data); len(ms) == 0 {
+			if ms := tg.Tag(data); len(ms) == 0 {
 				b.Fatal("no matches")
 			}
 		}
 	})
 }
 
-// benchFactory builds the backend factory of one kind outside the timed
-// region.
-func benchFactory(b *testing.B, spec *core.Spec, kind runtime.Kind) runtime.Factory {
+// benchFactory builds the served table's factory outside the timed region.
+func benchFactory(b *testing.B, spec *core.Spec) runtime.Factory {
 	b.Helper()
-	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{Kind: kind})
+	f, _, err := runtime.NewFactory(spec, runtime.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func BenchmarkShardedPipeline(b *testing.B) {
 
 	// One table, filled by the first pass and shared by every stream's
 	// runner; the sub-benchmark names keep their historical form.
-	factory := benchFactory(b, spec, runtime.KindDFA)
+	factory := benchFactory(b, spec)
 	for _, shards := range []int{1, 2} {
 		for _, streams := range []int{8, 32} {
 			b.Run(fmt.Sprintf("shards-%d/streams-%d", shards, streams), func(b *testing.B) {
@@ -519,7 +519,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 
 	b.Run("admission-off", func(b *testing.B) {
 		tags = 0
-		run(b, runtime.Config{Shards: 2, Queue: 256, Factory: benchFactory(b, spec, runtime.KindDFA)}, fastSink)
+		run(b, runtime.Config{Shards: 2, Queue: 256, Factory: benchFactory(b, spec)}, fastSink)
 		if tags == 0 {
 			b.Fatal("pipeline delivered no tags")
 		}
@@ -528,7 +528,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 		tags = 0
 		_, shed := run(b, runtime.Config{
 			Shards: 2, Queue: 256, SendTimeout: time.Minute,
-			Factory: benchFactory(b, spec, runtime.KindDFA),
+			Factory: benchFactory(b, spec),
 		}, fastSink)
 		if tags == 0 {
 			b.Fatal("pipeline delivered no tags")
@@ -558,7 +558,7 @@ func BenchmarkPipelineOverload(b *testing.B) {
 		}
 		p, err := runtime.NewPipeline(runtime.Config{
 			Shards: 2, Queue: 4, BatchBytes: -1, SendTimeout: -1,
-			Factory: benchFactory(b, spec, runtime.KindDFA),
+			Factory: benchFactory(b, spec),
 		}, slowSink)
 		if err != nil {
 			b.Fatal(err)

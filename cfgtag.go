@@ -7,13 +7,16 @@
 //
 //   - Tagger: the streaming token tagger — the generated hardware's exact
 //     semantics, determinized into one table the engine fills on demand
-//     and shares with every Tagger, Pool, CheckedTagger and Backend of
-//     the served kind,
+//     and shares with every Tagger and CheckedTagger; any number of
+//     Taggers run concurrently over it,
 //   - Synthesize: technology mapping + timing model for the two FPGA
 //     devices of table 1,
 //   - VHDL: the structural VHDL the paper's generator emits,
-//   - Parser: the LL(1) predictive-parser baseline ("true parser"),
-//   - GateRunner: cycle-accurate simulation of the generated netlist.
+//   - Backend: one stream through the served table or one of the
+//     references it is measured against — the NFA, the cycle-accurate
+//     netlist simulation, the LL(1) predictive-parser baseline ("true
+//     parser") and the Earley oracle — behind one contract,
+//   - Pipeline and Platform: the served table at scale.
 //
 // The quickstart example:
 //
@@ -25,8 +28,6 @@
 package cfgtag
 
 import (
-	"fmt"
-	goruntime "runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -36,7 +37,7 @@ import (
 	"cfgtag/internal/fpga"
 	"cfgtag/internal/grammar"
 	"cfgtag/internal/hwgen"
-	"cfgtag/internal/parser"
+	"cfgtag/internal/oracle"
 	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 	"cfgtag/internal/validate"
@@ -276,34 +277,6 @@ func (t *Tagger) Tag(data []byte) []Match {
 	return t.engine.matches(nil, t.run.Tag(data))
 }
 
-// Pool tags independent buffers concurrently (one borrowed runner of the
-// engine's shared table per call); safe for concurrent use, unlike Tagger.
-type Pool struct {
-	engine  *Engine
-	runners chan *stream.Runner
-}
-
-// NewPool builds a pool of size concurrent taggers (0 = GOMAXPROCS).
-func (e *Engine) NewPool(size int) *Pool {
-	if size <= 0 {
-		size = goruntime.GOMAXPROCS(0)
-	}
-	p := &Pool{engine: e, runners: make(chan *stream.Runner, size)}
-	for range size {
-		p.runners <- e.shared().NewRunner()
-	}
-	return p
-}
-
-// Tag tags one buffer; concurrent calls proceed in parallel up to the pool
-// size.
-func (p *Pool) Tag(data []byte) []Match {
-	r := <-p.runners
-	ms := r.Tag(data)
-	p.runners <- r
-	return p.engine.matches(nil, ms)
-}
-
 // Report is a synthesis result (a table 1 row).
 type Report = fpga.Report
 
@@ -332,100 +305,12 @@ func (e *Engine) VHDL(entity string) (string, error) {
 	return vhdl.Emit(d.Netlist, vhdl.Options{Entity: entity, Comment: e.spec.Grammar.Name})
 }
 
-// GateRunner simulates the generated netlist cycle by cycle — the
-// gate-level reference for the Tagger's semantics.
-type GateRunner struct {
-	engine *Engine
-	runner *hwgen.Runner
-}
-
-// NewGateRunner generates and instantiates the hardware simulation.
-func (e *Engine) NewGateRunner() (*GateRunner, error) {
-	d, err := hwgen.Generate(e.spec, hwgen.Options{})
-	if err != nil {
-		return nil, err
-	}
-	r, err := hwgen.NewRunner(d)
-	if err != nil {
-		return nil, err
-	}
-	return &GateRunner{engine: e, runner: r}, nil
-}
-
-// Run feeds the input at one byte per cycle and returns the detections.
-func (g *GateRunner) Run(input []byte) []Match {
-	return g.engine.matches(nil, g.runner.Run(input))
-}
-
-// Wide2Runner simulates the 2-bytes-per-clock datapath (the section 5.2
-// scaling, actually built for the first doubling).
-type Wide2Runner struct {
-	engine *Engine
-	runner *hwgen.RunnerWide2
-}
-
-// NewWide2Runner generates and instantiates the 2-byte datapath; not
-// available with Recover options.
-func (e *Engine) NewWide2Runner() (*Wide2Runner, error) {
-	d, err := hwgen.GenerateWide2(e.spec, hwgen.Options{})
-	if err != nil {
-		return nil, err
-	}
-	r, err := hwgen.NewRunnerWide2(d)
-	if err != nil {
-		return nil, err
-	}
-	return &Wide2Runner{engine: e, runner: r}, nil
-}
-
-// Run feeds the input two bytes per cycle and returns the detections.
-func (w *Wide2Runner) Run(input []byte) []Match {
-	return w.engine.matches(nil, w.runner.Run(input))
-}
-
 // SelfTest cross-checks both generated hardware datapaths against the
 // software engine on randomly generated conforming sentences; it returns
 // the number of sentences verified.
 func (e *Engine) SelfTest(seed int64, sentences int) (int, error) {
 	return hwgen.SelfTest(e.spec, seed, sentences)
 }
-
-// Parser is the LL(1) predictive-parser baseline.
-type Parser struct {
-	engine *Engine
-	table  *parser.Table
-}
-
-// NewParser builds the LL(1) parse table; it fails if the grammar is not
-// LL(1).
-func (e *Engine) NewParser() (*Parser, error) {
-	tbl, err := parser.BuildTable(e.spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Parser{engine: e, table: tbl}, nil
-}
-
-// Parse validates the input as a complete sentence, returning the tagged
-// tokens (comparable to Tagger output on conforming input).
-func (p *Parser) Parse(input []byte) ([]Match, error) {
-	tags, err := p.table.Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, 0, len(tags))
-	for _, tag := range tags {
-		in := p.engine.spec.InstanceAt(tag.Rule, tag.Pos)
-		if in == nil {
-			return nil, fmt.Errorf("cfgtag: internal: no instance at rule %d pos %d", tag.Rule, tag.Pos)
-		}
-		out = append(out, p.engine.match(stream.Match{InstanceID: in.ID, End: int64(tag.End)}))
-	}
-	return out, nil
-}
-
-// Accepts reports whether the input is a sentence of the grammar.
-func (p *Parser) Accepts(input []byte) bool { return p.table.Accepts(input) }
 
 // CheckedTagger is a tagger coupled with the section 5.2 stack extension:
 // a bounded LL(1) stack machine audits the tag stream, restoring exact
@@ -507,7 +392,7 @@ func (c *CheckedTagger) StackDepth() int { return c.validator.StackDepth() }
 // demand, selected by the zero value, DFABackend or AOTBackend. The other
 // four are references the served table is measured against, available
 // single-stream through NewBackend.
-type BackendKind = runtime.Kind
+type BackendKind string
 
 const (
 	// DFABackend runs the bit-parallel engine determinized into one table
@@ -517,25 +402,25 @@ const (
 	// Detections are identical to StreamBackend. The table is bounded and
 	// starts a new epoch on overflow, so memory never grows with input.
 	// It is the served kind, and the zero BackendKind selects it.
-	DFABackend = runtime.KindDFA
+	DFABackend BackendKind = "dfa"
 	// AOTBackend is another name for the same served table, kept because
 	// configurations write it. It once meant a table filled to closure at
 	// build time; closing first bought only a few percent in steady state
 	// and put the closure's cost into every start-up and reload, so it
 	// fills on demand too.
-	AOTBackend = runtime.KindAOT
+	AOTBackend BackendKind = "aot"
 	// StreamBackend is the bit-parallel NFA the table is filled from — the
 	// software stand-in for the 1-byte-per-cycle hardware and the serial
 	// reference the table is checked against, several times slower.
-	StreamBackend = runtime.KindStream
+	StreamBackend BackendKind = oracle.Stream
 	// GatesBackend is the cycle-accurate simulation of the generated
 	// netlist — the hardware reference, byte-per-cycle slow.
-	GatesBackend = runtime.KindGates
+	GatesBackend BackendKind = oracle.Gates
 	// ParserBackend is the LL(1) predictive-parser baseline. It buffers
 	// the stream and parses at Close: one stream must be one sentence, the
 	// grammar must be LL(1), and matches appear only after a successful
 	// Close.
-	ParserBackend = runtime.KindParser
+	ParserBackend BackendKind = oracle.Parser
 	// EarleyBackend is the exact-language oracle: a Leo-optimized Earley
 	// recognizer handling every grammar class — left and right recursion,
 	// ambiguity, ambiguous lexicons — where the FSA paths accept a
@@ -544,8 +429,27 @@ const (
 	// stream = one sentence); on ambiguous input its matches are the union
 	// over all derivations. It is the reference the precision rail
 	// (scripts/precision.sh) measures the hardware paths against.
-	EarleyBackend = runtime.KindEarley
+	EarleyBackend BackendKind = oracle.Earley
 )
+
+// served reports whether k spells the served table.
+func (k BackendKind) served() bool { return k == "" || k == DFABackend || k == AOTBackend }
+
+// checkServed is where the root decides what pipelines and tenants serve:
+// nil for a spelling of the table, a ConfigError naming field for a
+// reference or unknown kind.
+func checkServed(k BackendKind, field string) error {
+	if k.served() {
+		return nil
+	}
+	reason := "unknown backend kind"
+	switch k {
+	case StreamBackend, GatesBackend, ParserBackend, EarleyBackend:
+		reason = "reference backend, not served: " +
+			"run it single-stream (Engine.NewBackend, cfgtagger -backend without -shards) or use the default table (dfa or aot)"
+	}
+	return &ConfigError{Field: field, Value: string(k), Reason: reason}
+}
 
 // BackendCounters reports what a Backend has processed: bytes fed, matches
 // confirmed, section 5.2 recovery events, encoder index collisions and —
@@ -567,12 +471,20 @@ type Backend struct {
 	drained []Match
 }
 
-// NewBackend instantiates one execution path behind the uniform contract.
-// GatesBackend generates the netlist, ParserBackend builds the LL(1) table
-// and EarleyBackend compiles the recognizer, so those can fail; the served
-// table and StreamBackend cannot.
+// NewBackend instantiates one execution path behind the uniform contract:
+// a spelling of the served table gets a runner of a table of its own, and
+// every other kind is built by the references. GatesBackend generates the
+// netlist, ParserBackend builds the LL(1) table and EarleyBackend compiles
+// the recognizer, so those can fail; the served table and StreamBackend
+// cannot.
 func (e *Engine) NewBackend(kind BackendKind) (*Backend, error) {
-	f, _, err := runtime.NewFactory(e.spec, runtime.FactoryOptions{Kind: kind})
+	var f runtime.Factory
+	var err error
+	if kind.served() {
+		f, _, err = runtime.NewFactory(e.spec, runtime.Limits{})
+	} else {
+		f, err = oracle.NewFactory(e.spec, string(kind))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -630,8 +542,8 @@ type CompileStats = stream.CompileStats
 // traffic fills it, and Duration stays zero because nothing is closed
 // ahead of time; zero for the reference paths, which have no table.
 func (b *Backend) CompileStats() CompileStats {
-	if cs, ok := b.inner.(interface{ CompileStats() stream.CompileStats }); ok {
-		return cs.CompileStats()
+	if tb, ok := b.inner.(interface{ Table() *stream.Table }); ok {
+		return tb.Table().CompileStats()
 	}
 	return CompileStats{}
 }
@@ -880,11 +792,11 @@ func (s *versionSink) Close() error {
 	return nil
 }
 
-// newVersion mints one factory version of e: the backend factory o
-// describes, wrapped by wrap when it is set, and the sink that delivers
-// its batches to deliver.
-func (e *Engine) newVersion(o runtime.FactoryOptions, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (runtime.Factory, *versionSink, error) {
-	f, release, err := runtime.NewFactory(e.spec, o)
+// newVersion mints one factory version of e: the served table's factory,
+// bounded by lim and wrapped by wrap when it is set, and the sink that
+// delivers its batches to deliver.
+func (e *Engine) newVersion(lim StreamLimits, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (runtime.Factory, *versionSink, error) {
+	f, release, err := runtime.NewFactory(e.spec, lim)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -895,16 +807,16 @@ func (e *Engine) newVersion(o runtime.FactoryOptions, wrap func(runtime.Factory)
 }
 
 // startPipeline is how every served pipeline starts — Engine.NewPipeline
-// and each platform tenant: it mints version 1 of e from o, wrapped by
-// wrap when set, and starts the pipeline cfg describes on it, with the
-// factory's gauge (o.Limits.Mem) as the pipeline's, so one gauge counts
-// the table and the queued chunks alike.
-func (e *Engine) startPipeline(cfg runtime.Config, o runtime.FactoryOptions, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (*runtime.Pipeline, error) {
-	f, sink, err := e.newVersion(o, wrap, deliver)
+// and each platform tenant: it mints version 1 of e bounded by lim,
+// wrapped by wrap when set, and starts the pipeline cfg describes on it,
+// with the factory's gauge (lim.Mem) as the pipeline's, so one gauge
+// counts the table and the queued chunks alike.
+func (e *Engine) startPipeline(cfg runtime.Config, lim StreamLimits, wrap func(runtime.Factory) runtime.Factory, deliver func(*TagBatch) error) (*runtime.Pipeline, error) {
+	f, sink, err := e.newVersion(lim, wrap, deliver)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Factory, cfg.Mem = f, o.Limits.Mem
+	cfg.Factory, cfg.Mem = f, lim.Mem
 	p, err := runtime.NewPipeline(cfg, sink)
 	if err != nil {
 		sink.Close()
@@ -1057,7 +969,7 @@ type Pipeline struct {
 // ParserBackend or EarleyBackend config is rejected with an error wrapping
 // ErrInvalidConfig.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
-	if err := cfg.Backend.CheckServed("PipelineConfig.Backend"); err != nil {
+	if err := checkServed(cfg.Backend, "PipelineConfig.Backend"); err != nil {
 		return nil, err
 	}
 	rcfg := runtime.Config{
@@ -1079,7 +991,7 @@ func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) 
 		dl := cfg.DeadLetter
 		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
 	}
-	p, err := e.startPipeline(rcfg, runtime.FactoryOptions{Kind: cfg.Backend, Limits: cfg.Limits}, nil, deliver)
+	p, err := e.startPipeline(rcfg, cfg.Limits, nil, deliver)
 	if err != nil {
 		return nil, err
 	}

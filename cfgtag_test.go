@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -102,74 +101,37 @@ func TestGateRunnerAgreesWithTagger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := engine.NewGateRunner()
+	gr, err := engine.NewBackend(GatesBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := []byte("if false then stop else go")
-	hw := gr.Run(input)
+	if err := gr.Feed(input); err != nil {
+		t.Fatal(err)
+	}
+	if err := gr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hw := gr.Matches()
 	sw := engine.NewTagger().Tag(input)
 	if !reflect.DeepEqual(hw, sw) {
 		t.Errorf("gate-level %v != stream %v", hw, sw)
 	}
 }
 
-func TestPoolDefaultSize(t *testing.T) {
+// TestSelfTest runs the public cross-check of both generated datapaths —
+// the single-byte netlist and the 2-bytes-per-clock one — against the
+// software engine. internal/hwgen's TestWide2Equivalence holds the 2-byte
+// datapath equal to the software engine, and TestWide2RejectsRecovery
+// holds that a recovery compile cannot build it.
+func TestSelfTest(t *testing.T) {
 	engine, err := Compile("demo", IfThenElseSource)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if def := engine.NewPool(0); cap(def.runners) != runtime.GOMAXPROCS(0) {
-		t.Errorf("default pool holds %d runners, want GOMAXPROCS", cap(def.runners))
-	}
-}
-
-func TestPoolFacade(t *testing.T) {
-	engine, err := Compile("demo", IfThenElseSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := engine.NewPool(3)
-	want := engine.NewTagger().Tag([]byte("if true then go"))
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := pool.Tag([]byte("if true then go")); !reflect.DeepEqual(got, want) {
-				t.Error("pool result diverged")
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestWide2RunnerAndSelfTest(t *testing.T) {
-	engine, err := Compile("demo", IfThenElseSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := engine.NewWide2Runner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := []byte("if true then stop else go")
-	hw := w2.Run(input)
-	sw := engine.NewTagger().Tag(input)
-	if !reflect.DeepEqual(hw, sw) {
-		t.Errorf("wide2 %v != sw %v", hw, sw)
 	}
 	n, err := engine.SelfTest(3, 15)
 	if err != nil || n != 15 {
 		t.Errorf("selftest n=%d err=%v", n, err)
-	}
-	// Recovery engines cannot build the 2-byte datapath.
-	rec, err := Compile("demo", IfThenElseSource, RecoverRestart())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.NewWide2Runner(); err == nil {
-		t.Error("wide2 with recovery should fail")
 	}
 }
 
@@ -178,20 +140,25 @@ func TestParserBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := engine.NewParser()
+	p, err := engine.NewBackend(ParserBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := []byte("if true then go else stop")
-	tags, err := p.Parse(input)
-	if err != nil {
+	if err := p.Feed(input); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tags := p.Matches()
 	sw := engine.NewTagger().Tag(input)
 	if !reflect.DeepEqual(tags, sw) {
 		t.Errorf("parser %v != tagger %v", tags, sw)
 	}
-	if p.Accepts([]byte("then go")) {
+	p.Reset()
+	p.Feed([]byte("then go"))
+	if p.Close() == nil {
 		t.Error("parser accepted junk")
 	}
 }
@@ -430,11 +397,12 @@ func writeChunked(w interface{ Write([]byte) (int, error) }, text []byte, rng *r
 	}
 }
 
-// TestTaggersMatchNFA holds the public in-process taggers — Tagger, Pool
-// and CheckedTagger, runners of the engine's shared table — to the serial
-// NFA on every grammar the repo carries, under the anchored, free-running
-// and both recovery compiles: generated sentences and corrupted copies,
-// fed in random chunks, must give the same matches, Errors() and — for
+// TestTaggersMatchNFA holds the public in-process taggers — Tagger (its
+// streaming Write and its whole-buffer Tag) and CheckedTagger, runners of
+// the engine's shared table — to the serial NFA on every grammar the repo
+// carries, under the anchored, free-running and both recovery compiles:
+// generated sentences and corrupted copies, fed in random chunks, must
+// give the same matches, Errors() and — for
 // the LL(1) grammars' CheckedTagger — the same violations and verdict.
 func TestTaggersMatchNFA(t *testing.T) {
 	sources := grammarSources(t)
@@ -460,7 +428,7 @@ func TestTaggersMatchNFA(t *testing.T) {
 				t.Fatalf("%s (%s): %v", name, c.name, err)
 			}
 			gen := workload.NewGenerator(engine.spec, rng.Int63(), workload.SentenceOptions{MaxDepth: 8})
-			tg, pool := engine.NewTagger(), engine.NewPool(2)
+			tg, whole := engine.NewTagger(), engine.NewTagger()
 			ct, _ := engine.NewCheckedTagger(0) // nil unless the grammar is LL(1)
 			for trial := 0; trial < 6; trial++ {
 				text, _ := gen.Corpus(3)
@@ -479,8 +447,8 @@ func TestTaggersMatchNFA(t *testing.T) {
 				if !slices.Equal(got, want) || tg.Errors() != wantErrs {
 					t.Fatalf("%s: Tagger gave %v (%d errors), NFA %v (%d errors)", where, got, tg.Errors(), want, wantErrs)
 				}
-				if got := pool.Tag(text); !slices.Equal(got, want) {
-					t.Fatalf("%s: Pool gave %v, NFA %v", where, got, want)
+				if got := whole.Tag(text); !slices.Equal(got, want) {
+					t.Fatalf("%s: Tagger.Tag gave %v, NFA %v", where, got, want)
 				}
 				if ct == nil {
 					continue
@@ -508,10 +476,12 @@ func TestTaggersMatchNFA(t *testing.T) {
 	}
 }
 
-// TestTaggersShareEngineTable runs NewTagger and Pool.Tag from many
-// goroutines at once (the race detector's target): every runner is minted
-// from the engine's one table, built once, and the fills racing through it
-// add up to exactly what one serial pass costs a table of its own.
+// TestTaggersShareEngineTable runs Taggers of one engine from many
+// goroutines at once (the race detector's target) — a fresh Tagger per
+// pass on half of them, one Tagger reused across passes on the other
+// half: every runner is minted from the engine's one table, built once,
+// and the fills racing through it add up to exactly what one serial pass
+// costs a table of its own.
 func TestTaggersShareEngineTable(t *testing.T) {
 	engine, err := Compile("xml-rpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
@@ -520,20 +490,18 @@ func TestTaggersShareEngineTable(t *testing.T) {
 	gen := workload.NewGenerator(engine.spec, 5, workload.SentenceOptions{})
 	data, _ := gen.Corpus(20)
 	want, _, _, _ := reference(engine, nil, data)
-	pool := engine.NewPool(3)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			reused := engine.NewTagger()
 			for i := 0; i < 4; i++ {
-				var got []Match
+				tg := reused
 				if g%2 == 0 {
-					got = engine.NewTagger().Tag(data)
-				} else {
-					got = pool.Tag(data)
+					tg = engine.NewTagger()
 				}
-				if !slices.Equal(got, want) {
+				if got := tg.Tag(data); !slices.Equal(got, want) {
 					t.Errorf("goroutine %d pass %d diverged from the NFA", g, i)
 					return
 				}
@@ -544,11 +512,6 @@ func TestTaggersShareEngineTable(t *testing.T) {
 	tbl := engine.shared()
 	if engine.NewTagger().run.Table() != tbl {
 		t.Error("a Tagger runs a table of its own")
-	}
-	for range cap(pool.runners) {
-		if r := <-pool.runners; r.Table() != tbl {
-			t.Error("a Pool runner runs a table of its own")
-		}
 	}
 	solo := stream.NewTable(engine.spec, stream.TableConfig{})
 	solo.NewRunner().Tag(data)
@@ -566,7 +529,7 @@ func TestNonLL1StillTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.NewParser(); err == nil {
+	if _, err := engine.NewBackend(ParserBackend); err == nil {
 		t.Error("LL(1) table should fail")
 	}
 	ms := engine.NewTagger().Tag([]byte("a c"))

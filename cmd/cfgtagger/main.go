@@ -207,29 +207,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	if *lexemes {
-		data, err := io.ReadAll(in)
-		if err != nil {
-			return err
-		}
-		if err := b.Feed(data); err != nil {
-			return err
-		}
-		verdict := b.Close()
-		ms := b.Matches()
-		for _, m := range ms {
-			end := ""
-			if m.SentenceEnd {
-				end = "  [sentence-end]"
-			}
-			fmt.Fprintf(out, "%8d  idx=%-4d %-20q %-14s %q%s\n",
-				m.End, m.Index, m.Term, m.Context, engine.Lexeme(data, m), end)
-		}
-		fmt.Fprintf(out, "%d tokens tagged\n", len(ms))
-		report(out, b, verdict)
-		return nil
-	}
-
+	// data keeps the input for -lexemes: a match's lexeme is read back
+	// from the bytes up to its end.
+	var data []byte
 	count := 0
 	emit := func() {
 		for _, m := range b.Matches() {
@@ -238,7 +218,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			if m.SentenceEnd {
 				end = "  [sentence-end]"
 			}
-			fmt.Fprintf(out, "%8d  idx=%-4d %-20q %s%s\n", m.End, m.Index, m.Term, m.Context, end)
+			if *lexemes {
+				fmt.Fprintf(out, "%8d  idx=%-4d %-20q %-14s %q%s\n",
+					m.End, m.Index, m.Term, m.Context, engine.Lexeme(data, m), end)
+			} else {
+				fmt.Fprintf(out, "%8d  idx=%-4d %-20q %s%s\n", m.End, m.Index, m.Term, m.Context, end)
+			}
 		}
 	}
 	buf := make([]byte, 64<<10)
@@ -246,6 +231,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {
+			if *lexemes {
+				data = append(data, buf[:n]...)
+			}
 			if err := b.Feed(buf[:n]); err != nil {
 				return err
 			}
@@ -267,7 +255,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 // report prints the backend's verdict and recovery/collision counters when
 // they carry information (the parser path rejects; the FSA paths count
-// section 5.2 recoveries), and the table's fills on every table backend.
+// section 5.2 recoveries), and the fills of the backend's table when it
+// runs one.
 func report(out io.Writer, b *cfgtag.Backend, verdict error) {
 	if verdict != nil {
 		fmt.Fprintf(out, "verdict: reject (%v)\n", verdict)
@@ -277,7 +266,7 @@ func report(out io.Writer, b *cfgtag.Backend, verdict error) {
 	if c := b.Counters(); c.Recoveries > 0 || c.Collisions > 0 {
 		fmt.Fprintf(out, "%d recoveries, %d index collisions\n", c.Recoveries, c.Collisions)
 	}
-	if c := b.Counters(); b.Kind().CheckServed("-backend") == nil {
+	if c := b.Counters(); b.CompileStats().States > 0 {
 		fmt.Fprintf(out, "table cache: %d hits, %d misses, %d resets\n",
 			c.CacheHits, c.CacheMisses, c.CacheResets)
 	}

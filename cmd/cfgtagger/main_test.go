@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -145,29 +146,37 @@ func TestShards(t *testing.T) {
 			})
 		}
 		t.Run(builtin+"/mem-budget", func(t *testing.T) {
-			// A 1-byte budget is exceeded by the first queued arena, so
-			// lines are shed while one is in flight. Every line is either
-			// tagged exactly like the unbudgeted run or shed as a whole.
+			// The budget is one byte over what the tenant holds once it is
+			// set up — the table's start state — so the first line is
+			// admitted and tagged exactly like the unbudgeted run. From its
+			// Send on, the gauge stays at or over the budget: its queued
+			// chunk is charged before Send returns, and tagging it grows
+			// the table before the chunk is discharged, so every later line
+			// is shed as a whole. (A budget below the table sheds every
+			// line: TestShardsMemBudgetCountsTable.)
+			budget := setupMemUsage(t, builtin) + 1
 			stdin := strings.Repeat(in.sentence+"\n", 8)
 			full, err := cli(t, stdin, "-builtin", builtin, "-shards", "2")
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := cli(t, stdin, "-builtin", builtin, "-shards", "2", "-mem-budget", "1")
+			out, err := cli(t, stdin, "-builtin", builtin, "-shards", "2", "-mem-budget", fmt.Sprint(budget))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, got := byStream(full), byStream(out)
-			shed := 0
+			shedLine := fmt.Sprintf(" shed: over %d-byte memory budget", budget)
 			for key, lines := range got {
-				if len(lines) == 1 && strings.HasSuffix(lines[0], " shed: over 1-byte memory budget") {
-					shed++
-				} else if strings.Join(lines, "\n") != strings.Join(want[key], "\n") {
-					t.Errorf("%s: %q, want the unbudgeted tags %q or the shed line", key, lines, want[key])
+				if key == "line-0" {
+					if strings.Join(lines, "\n") != strings.Join(want[key], "\n") {
+						t.Errorf("%s: %q, want the unbudgeted tags %q", key, lines, want[key])
+					}
+				} else if len(lines) != 1 || !strings.HasSuffix(lines[0], shedLine) {
+					t.Errorf("%s: %q, want the shed line", key, lines)
 				}
 			}
-			if len(got) != 8 || shed == 0 {
-				t.Errorf("%d of 8 lines reported, %d shed (want some):\n%s", len(got), shed, out)
+			if len(got) != 8 {
+				t.Errorf("%d of 8 lines reported:\n%s", len(got), out)
 			}
 		})
 		for _, kind := range referenceKinds {
@@ -182,6 +191,30 @@ func TestShards(t *testing.T) {
 			})
 		}
 	}
+}
+
+// setupMemUsage builds, in-process, the one-tenant platform that
+// "-builtin builtin -shards 2" runs and reports what its memory gauge
+// holds before any input: the table's start state.
+func setupMemUsage(t *testing.T, builtin string) int64 {
+	t.Helper()
+	name, src, err := grammarSource("", builtin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cfgtag.NewPlatform(&cfgtag.PlatformConfig{Tenants: []cfgtag.TenantDef{{
+		Name: name, Grammar: src, Shards: 2,
+		Quota: cfgtag.QuotaConfig{MemBudgetBytes: math.MaxInt64},
+	}}}, func(string, *cfgtag.TagBatch) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	n, err := p.MemUsage(name)
+	if err != nil || n <= 0 {
+		t.Fatalf("set-up tenant holds %d bytes (err %v), want the table's start state", n, err)
+	}
+	return n
 }
 
 // TestShardsMemBudgetCountsTable pins -mem-budget as the tenant quota it

@@ -25,20 +25,20 @@ import (
 	"strings"
 
 	"cfgtag/internal/grammar"
-	"cfgtag/internal/runtime"
+	"cfgtag/internal/oracle"
 )
 
 // document is the PRECISION_baseline.json schema ("cfgtag-precision/1").
 type document struct {
-	Schema        string                   `json:"schema"`
-	Seed          int64                    `json:"seed"`
-	Trials        int                      `json:"trials"`
-	SmokeTrials   int                      `json:"smoke_trials"`
-	TolerancePP   float64                  `json:"tolerance_pp"`
-	Grammars      []runtime.Precision      `json:"grammars"`
-	Classes       []runtime.ClassPrecision `json:"classes"`
-	SmokeGrammars []runtime.Precision      `json:"smoke_grammars"`
-	SmokeClasses  []runtime.ClassPrecision `json:"smoke_classes"`
+	Schema        string                  `json:"schema"`
+	Seed          int64                   `json:"seed"`
+	Trials        int                     `json:"trials"`
+	SmokeTrials   int                     `json:"smoke_trials"`
+	TolerancePP   float64                 `json:"tolerance_pp"`
+	Grammars      []oracle.Precision      `json:"grammars"`
+	Classes       []oracle.ClassPrecision `json:"classes"`
+	SmokeGrammars []oracle.Precision      `json:"smoke_grammars"`
+	SmokeClasses  []oracle.ClassPrecision `json:"smoke_classes"`
 }
 
 // corpusClasses names the grammar class of each committed corpus file;
@@ -74,11 +74,11 @@ func main() {
 	if doc.Grammars, err = measure(grammars, *seed, *trials); err != nil {
 		fail(err)
 	}
-	doc.Classes = runtime.AggregateByClass(doc.Grammars)
+	doc.Classes = oracle.AggregateByClass(doc.Grammars)
 	if doc.SmokeGrammars, err = measure(grammars, *seed, *smoke); err != nil {
 		fail(err)
 	}
-	doc.SmokeClasses = runtime.AggregateByClass(doc.SmokeGrammars)
+	doc.SmokeClasses = oracle.AggregateByClass(doc.SmokeGrammars)
 
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -135,10 +135,10 @@ func railGrammars(dir string) ([]railGrammar, error) {
 
 // measure runs every rail grammar at one trial count. Per-grammar seeds
 // are offset by position so grammars draw independent sentence streams.
-func measure(gs []railGrammar, seed int64, trials int) ([]runtime.Precision, error) {
-	out := make([]runtime.Precision, 0, len(gs))
+func measure(gs []railGrammar, seed int64, trials int) ([]oracle.Precision, error) {
+	out := make([]oracle.Precision, 0, len(gs))
 	for i, rg := range gs {
-		p, err := runtime.MeasurePrecision(rg.g, rg.class, seed+int64(i)*1000003, trials)
+		p, err := oracle.MeasurePrecision(rg.g, rg.class, seed+int64(i)*1000003, trials)
 		if err != nil {
 			return nil, err
 		}

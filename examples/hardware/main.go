@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"cfgtag"
@@ -41,15 +42,21 @@ func run(w io.Writer) error {
 
 	msg := "<methodCall> <methodName>buy</methodName> <params> " +
 		"<param> <double>3.14</double> </param> </params> </methodCall>"
-	gate, err := engine.NewGateRunner()
+	gate, err := engine.NewBackend(cfgtag.GatesBackend)
 	if err != nil {
 		return err
 	}
-	hw := gate.Run([]byte(msg))
+	if err := gate.Feed([]byte(msg)); err != nil {
+		return err
+	}
+	if err := gate.Close(); err != nil {
+		return err
+	}
+	hw := gate.Matches()
 	sw := engine.NewTagger().Tag([]byte(msg))
 	fmt.Fprintf(w, "\nGate-level simulation vs software engine on a sample message:\n")
 	fmt.Fprintf(w, "  hardware detections: %d, software detections: %d, identical: %v\n",
-		len(hw), len(sw), equal(hw, sw))
+		len(hw), len(sw), slices.Equal(hw, sw))
 
 	src, err := engine.VHDL("xmlrpc_tagger")
 	if err != nil {
@@ -61,16 +68,4 @@ func run(w io.Writer) error {
 		fmt.Fprintln(w, " ", l)
 	}
 	return nil
-}
-
-func equal(a, b []cfgtag.Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

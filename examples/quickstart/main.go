@@ -47,15 +47,20 @@ func run(w io.Writer) error {
 	// The engine keeps no stack (section 3.1): it accepts a superset of
 	// the language. The LL(1) baseline parser — which does keep the stack
 	// — tells the two apart.
-	p, err := engine.NewParser()
+	// It buffers the stream and parses at Close, whose error is the reject.
+	p, err := engine.NewBackend(cfgtag.ParserBackend)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\nStack-less engine vs true parser:")
 	for _, s := range []string{"go", "if true then go else stop", "if true go"} {
 		tagged := len(engine.NewTagger().Tag([]byte(s)))
+		p.Reset()
+		if err := p.Feed([]byte(s)); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "  %-28q  tagger: %d tokens tagged, LL(1) parser accepts: %v\n",
-			s, tagged, p.Accepts([]byte(s)))
+			s, tagged, p.Close() == nil)
 	}
 
 	// Every execution path — the served table under both its names, the

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"cfgtag/internal/core"
 	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 )
@@ -81,7 +80,7 @@ func (r runnerForm) Counters() runtime.Counters {
 }
 
 // fsaForms are the table forms FuzzDifferential holds equal to the stream
-// NFA: the served table as NewFactory mints it, and runners of the lazy
+// NFA: the served table as NewBackend mints it, and runners of the lazy
 // table with a two-state bound that resets on real traffic and without
 // skip-ahead, and of the table Determinize closes, with and without
 // skip-ahead.
@@ -95,17 +94,18 @@ var fsaForms = []fsaForm{
 
 type fsaForm struct {
 	name   string
-	served bool // minted by NewFactory, as a pipeline mints it
+	served bool // minted by NewBackend through runtime.NewFactory, as a pipeline mints it
 	closed bool // filled to closure by Determinize
 	cfg    stream.TableConfig
 }
 
-// mint builds the form over spec; like mintBackend it keeps the rig's
-// first failure in *rigErr.
-func (form fsaForm) mint(spec *core.Spec, rigErr *error) differ {
+// mint builds the form over engine's spec; like mintBackend it keeps the
+// rig's first failure in *rigErr.
+func (form fsaForm) mint(engine *Engine, rigErr *error) differ {
 	if form.served {
-		return mintBackend(spec, runtime.FactoryOptions{}, rigErr)
+		return mintBackend(engine, DFABackend, rigErr)
 	}
+	spec := engine.Spec()
 	if !form.closed {
 		return runnerForm{stream.NewTable(spec, form.cfg).NewRunner()}
 	}
@@ -135,24 +135,20 @@ var (
 	rigErr  error
 )
 
-// mintBackend builds one backend of spec through runtime.NewFactory — the
-// way every execution form, served or reference, is constructed. The first
-// failure of a rig is kept in *rigErr and stops further minting.
-func mintBackend(spec *core.Spec, o runtime.FactoryOptions, rigErr *error) runtime.Backend {
+// mintBackend builds one backend of engine through Engine.NewBackend —
+// the served table through runtime.NewFactory, a reference through
+// oracle.NewFactory — and returns the runtime backend under the facade.
+// The first failure of a rig is kept in *rigErr and stops further minting.
+func mintBackend(engine *Engine, kind BackendKind, rigErr *error) runtime.Backend {
 	if *rigErr != nil {
 		return nil
 	}
-	f, _, err := runtime.NewFactory(spec, o)
+	b, err := engine.NewBackend(kind)
 	if err != nil {
 		*rigErr = err
 		return nil
 	}
-	b, err := f()
-	if err != nil {
-		*rigErr = err
-		return nil
-	}
-	return b
+	return b.inner
 }
 
 func buildRig() {
@@ -162,15 +158,14 @@ func buildRig() {
 			rigErr = err
 			return
 		}
-		spec := engine.Spec()
-		ref := mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &rigErr)
+		ref := mintBackend(engine, StreamBackend, &rigErr)
 		var forms []differ
 		for _, form := range fsaForms {
-			forms = append(forms, form.mint(spec, &rigErr))
+			forms = append(forms, form.mint(engine, &rigErr))
 		}
 		if i == 0 {
 			rig.stream, rig.forms = ref, forms
-			rig.gates = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindGates}, &rigErr)
+			rig.gates = mintBackend(engine, GatesBackend, &rigErr)
 		} else {
 			rig.recStream, rig.recForms = ref, forms
 		}
@@ -340,10 +335,9 @@ func buildEarleyRig() {
 		earleyRigErr = err
 		return
 	}
-	spec := engine.Spec()
-	earleyRigV.earley = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindEarley}, &earleyRigErr)
-	earleyRigV.parser = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindParser}, &earleyRigErr)
-	earleyRigV.stream = mintBackend(spec, runtime.FactoryOptions{Kind: runtime.KindStream}, &earleyRigErr)
+	earleyRigV.earley = mintBackend(engine, EarleyBackend, &earleyRigErr)
+	earleyRigV.parser = mintBackend(engine, ParserBackend, &earleyRigErr)
+	earleyRigV.stream = mintBackend(engine, StreamBackend, &earleyRigErr)
 }
 
 // runVerdict is runDiff plus the Close verdict, which the exact-language

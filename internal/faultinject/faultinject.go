@@ -15,7 +15,7 @@
 //
 // A zero Config injects nothing: the wrapper must then be observably
 // transparent, which the conformance harness checks by running the whole
-// backend relation through it (runtime.ConformanceOptions.WrapFactory).
+// backend relation through it (oracle.ConformanceOptions.WrapFactory).
 package faultinject
 
 import (

@@ -8,6 +8,7 @@ import (
 	"cfgtag/internal/core"
 	"cfgtag/internal/faultinject"
 	"cfgtag/internal/grammar"
+	"cfgtag/internal/oracle"
 	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 )
@@ -17,7 +18,7 @@ import (
 // holding when every factory is wrapped.
 func TestIdleWrapperIsTransparent(t *testing.T) {
 	for _, g := range []*grammar.Grammar{grammar.IfThenElse(), grammar.BalancedParens(), grammar.XMLRPC()} {
-		err := runtime.Conformance(g, 7, runtime.ConformanceOptions{
+		err := oracle.Conformance(g, 7, oracle.ConformanceOptions{
 			Trials:  4,
 			Corrupt: true,
 			WrapFactory: func(f runtime.Factory) runtime.Factory {
@@ -48,7 +49,7 @@ func newWrapped(t *testing.T, cfg faultinject.Config) runtime.Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	f, _, err := runtime.NewFactory(spec, runtime.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

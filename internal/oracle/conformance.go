@@ -1,4 +1,4 @@
-package runtime
+package oracle
 
 import (
 	"errors"
@@ -9,6 +9,7 @@ import (
 
 	"cfgtag/internal/core"
 	"cfgtag/internal/grammar"
+	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 	"cfgtag/internal/workload"
 )
@@ -34,7 +35,7 @@ type ConformanceOptions struct {
 	// the whole differential relation must keep holding through the
 	// wrapper. Fault-injection wrappers use it to prove they are
 	// transparent while idle.
-	WrapFactory func(Factory) Factory
+	WrapFactory func(runtime.Factory) runtime.Factory
 }
 
 // Conformance differentially tests every execution form on one grammar:
@@ -75,10 +76,10 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 	if err != nil {
 		return fmt.Errorf("conformance %s: compile: %w", g.Name, err)
 	}
-	build := func(name string, o FactoryOptions) (Factory, error) {
-		f, _, err := NewFactory(spec, o)
+	build := func(kind string) (runtime.Factory, error) {
+		f, err := NewFactory(spec, kind)
 		if err != nil {
-			return nil, fmt.Errorf("conformance %s: %s factory: %w", g.Name, name, err)
+			return nil, fmt.Errorf("conformance %s: %s factory: %w", g.Name, kind, err)
 		}
 		if opts.WrapFactory != nil {
 			f = opts.WrapFactory(f)
@@ -86,13 +87,13 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 		return f, nil
 	}
 	fs := backendSet{exact: opts.ExactOracle}
-	if fs.stream, err = build("stream", FactoryOptions{Kind: KindStream}); err != nil {
+	if fs.stream, err = build(Stream); err != nil {
 		return err
 	}
-	if fs.earley, err = build("earley", FactoryOptions{Kind: KindEarley}); err != nil {
+	if fs.earley, err = build(Earley); err != nil {
 		return err
 	}
-	fs.parser, _ = build("parser", FactoryOptions{Kind: KindParser}) // nil when the grammar is not LL(1)
+	fs.parser, _ = build(Parser) // nil when the grammar is not LL(1)
 	for _, v := range fsaVariants {
 		if v.f, err = v.build(spec); err != nil {
 			return fmt.Errorf("conformance %s: %s factory: %w", g.Name, v.name, err)
@@ -123,46 +124,50 @@ func Conformance(g *grammar.Grammar, seed int64, opts ConformanceOptions) error 
 }
 
 // fsaVariants are the forms that must reproduce the stream engine exactly,
-// in the order every trial runs them: the netlist, the served table, and
-// the table forms only conformance builds, through the served kinds' own
-// adapter.
+// in the order every trial runs them: the netlist, the served table as
+// runtime.NewFactory builds it, and the table forms only conformance
+// builds, through the served table's own constructor
+// (runtime.TableFactory).
 var fsaVariants = []fsaVariant{
-	{name: "gates", kind: KindGates},
-	{name: "dfa", kind: KindDFA},
+	{name: "gates", gates: true},
+	{name: "dfa", served: true},
 	{name: "dfa-tiny", cfg: stream.TableConfig{MaxStates: 2}}, // forces epoch resets on real traffic
 	{name: "dfa-noaccel", cfg: stream.TableConfig{NoAccel: true}},
 	{name: "closed", closed: true},
 	{name: "closed-noaccel", closed: true, cfg: stream.TableConfig{NoAccel: true}},
 }
 
-// fsaVariant is a kind NewFactory builds, or else a table of cfg, lazy or
-// closed by stream.Determinize.
+// fsaVariant is the netlist, the served table, or else a table of cfg,
+// lazy or closed by stream.Determinize.
 type fsaVariant struct {
 	name   string
-	kind   Kind
+	gates  bool
+	served bool
 	cfg    stream.TableConfig
 	closed bool
-	f      Factory // built per Conformance run
+	f      runtime.Factory // built per Conformance run
 }
 
-func (v fsaVariant) build(spec *core.Spec) (Factory, error) {
+func (v fsaVariant) build(spec *core.Spec) (runtime.Factory, error) {
 	switch {
-	case v.kind != "":
-		f, _, err := NewFactory(spec, FactoryOptions{Kind: v.kind})
+	case v.gates:
+		return NewFactory(spec, Gates)
+	case v.served:
+		f, _, err := runtime.NewFactory(spec, runtime.Limits{})
 		return f, err
 	case v.closed:
 		tbl, err := stream.Determinize(spec, v.cfg)
 		if err != nil {
 			return nil, err
 		}
-		return tableFactory(tbl, Limits{}), nil
+		return runtime.TableFactory(tbl, runtime.Limits{}), nil
 	}
-	return tableFactory(stream.NewTable(spec, v.cfg), Limits{}), nil
+	return runtime.TableFactory(stream.NewTable(spec, v.cfg), runtime.Limits{}), nil
 }
 
 // backendSet bundles the factories one Conformance run compares.
 type backendSet struct {
-	stream, earley, parser Factory
+	stream, earley, parser runtime.Factory
 	fsa                    []fsaVariant
 	exact                  bool
 }
@@ -171,12 +176,12 @@ type backendSet struct {
 type runResult struct {
 	matches  []stream.Match
 	verdict  error
-	counters Counters
-	backend  Backend
+	counters runtime.Counters
+	backend  runtime.Backend
 }
 
 // runBackend streams text through a fresh backend in random chunks.
-func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult, error) {
+func runBackend(f runtime.Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult, error) {
 	b, err := f()
 	if err != nil {
 		return runResult{}, err
@@ -196,23 +201,15 @@ func runBackend(f Factory, text []byte, rng *rand.Rand, maxChunk int) (runResult
 	return runResult{matches: ms, verdict: verdict, counters: b.Counters(), backend: b}, nil
 }
 
-// cacheBounded is implemented by the FSA adapter; the harness uses it to
-// audit the table's state bound after every run.
-type cacheBounded interface{ CacheBound() (states, max int) }
-
-// backendUnwrapper lets wrapping backends (fault injectors) expose the
-// backend they delegate to, so audits of implementation-specific
-// invariants keep working through the wrap.
-type backendUnwrapper interface{ Unwrap() Backend }
-
-// asCacheBounded finds the cacheBounded implementation under any chain of
-// wrappers.
-func asCacheBounded(b Backend) (cacheBounded, bool) {
+// tableOf finds the table a backend runs under any chain of wrappers
+// (fault injectors expose the backend they delegate to through Unwrap),
+// so the harness can audit the table's state bound after every run.
+func tableOf(b runtime.Backend) (*stream.Table, bool) {
 	for {
-		if cb, ok := b.(cacheBounded); ok {
-			return cb, true
+		if tb, ok := b.(interface{ Table() *stream.Table }); ok {
+			return tb.Table(), true
 		}
-		u, ok := b.(backendUnwrapper)
+		u, ok := b.(interface{ Unwrap() runtime.Backend })
 		if !ok {
 			return nil, false
 		}
@@ -235,13 +232,13 @@ func checkFSA(name string, v fsaVariant, text []byte, sw runResult, rng *rand.Ra
 	}
 	// The netlist folds recoveries and collisions into its detect outputs
 	// and counts neither.
-	if v.kind != KindGates && (sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions) {
+	if !v.gates && (sw.counters.Recoveries != df.counters.Recoveries || sw.counters.Collisions != df.counters.Collisions) {
 		errs = append(errs, fmt.Errorf("%s: %s counters differ on %q: stream (%d recov, %d coll), %s (%d recov, %d coll)",
 			name, variant, text, sw.counters.Recoveries, sw.counters.Collisions,
 			variant, df.counters.Recoveries, df.counters.Collisions))
 	}
-	if cb, ok := asCacheBounded(df.backend); ok {
-		if states, max := cb.CacheBound(); states > max {
+	if tbl, ok := tableOf(df.backend); ok {
+		if states, max := tbl.States(), tbl.MaxStates(); states > max {
 			errs = append(errs, fmt.Errorf("%s: %s cache holds %d states, bound %d", name, variant, states, max))
 		}
 	}

@@ -1,16 +1,17 @@
-package runtime
+package oracle
 
 import (
 	"cmp"
 	"slices"
 
 	"cfgtag/internal/core"
+	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 )
 
 // sentenceBackend adapts the two exact recognizers — the LL(1)
 // predictive-parser baseline and the general-CFG Earley oracle — to the
-// Backend contract. Unlike the FSA kinds they recognize the grammar
+// Backend contract. Unlike the automaton's forms they recognize the grammar
 // exactly, one stream being one sentence: the stream is buffered and
 // recognized at Close, non-conforming input is the Close error, and
 // matches are appended only by a successful Close. They are reference
@@ -33,7 +34,7 @@ type tagged struct{ Rule, Pos, TokenIndex, Start, End int }
 
 // newSentence returns the Factory of one exact recognizer, given as its
 // whole-buffer function.
-func newSentence[T ~struct{ Rule, Pos, TokenIndex, Start, End int }](spec *core.Spec, tags func([]byte) ([]T, error)) Factory {
+func newSentence[T ~struct{ Rule, Pos, TokenIndex, Start, End int }](spec *core.Spec, tags func([]byte) ([]T, error)) runtime.Factory {
 	recognize := func(buf []byte, out []stream.Match) ([]stream.Match, error) {
 		ts, err := tags(buf)
 		for _, t := range ts {
@@ -41,13 +42,13 @@ func newSentence[T ~struct{ Rule, Pos, TokenIndex, Start, End int }](spec *core.
 			in := spec.InstanceAt(t.Rule, t.Pos)
 			if in == nil {
 				// Cannot happen for a recognizer built from this spec; fail loud.
-				panic("runtime: recognizer tag with no spec instance")
+				panic("oracle: recognizer tag with no spec instance")
 			}
 			out = append(out, stream.Match{InstanceID: in.ID, End: int64(t.End)})
 		}
 		return out, err
 	}
-	return func() (Backend, error) {
+	return func() (runtime.Backend, error) {
 		return &sentenceBackend{recognize: recognize}, nil
 	}
 }
@@ -92,6 +93,6 @@ func compareMatches(a, c stream.Match) int {
 	return cmp.Or(cmp.Compare(a.End, c.End), cmp.Compare(a.InstanceID, c.InstanceID))
 }
 
-func (b *sentenceBackend) Counters() Counters {
-	return Counters{Bytes: int64(len(b.buf)), Matches: b.matches}
+func (b *sentenceBackend) Counters() runtime.Counters {
+	return runtime.Counters{Bytes: int64(len(b.buf)), Matches: b.matches}
 }

@@ -13,7 +13,7 @@ import (
 // streamFactory builds the stream-engine backend factory of spec.
 func streamFactory(t *testing.T, spec *core.Spec) runtime.Factory {
 	t.Helper()
-	f, _, err := runtime.NewFactory(spec, runtime.FactoryOptions{})
+	f, _, err := runtime.NewFactory(spec, runtime.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestPipelineStreamCycleAllocs(t *testing.T) {
 	}
 	ended := make(chan int, 1)
 	tags := 0
-	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA})}, SinkFunc(func(b *Batch) error {
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, Limits{})}, SinkFunc(func(b *Batch) error {
 		tags += len(b.Tags)
 		if b.EOS {
 			ended <- tags
@@ -79,7 +79,7 @@ func TestPipelineZeroTagRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := make(chan int, 1)
-	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA})}, SinkFunc(func(b *Batch) error {
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, Limits{})}, SinkFunc(func(b *Batch) error {
 		delivered <- len(b.Tags)
 		return nil
 	}))

@@ -1,28 +1,21 @@
-// Package runtime puts the repo's execution forms — the served table (the
-// bit-parallel engine determinized on demand) and four references: the
-// bit-parallel NFA itself, the gate-level simulation, the LL(1)
-// predictive-parser baseline and the Earley exact-language oracle — behind
-// one streaming Backend contract with one constructor (NewFactory), and
-// runs the served table at scale in a sharded pipeline (Source → N tagger
-// shards → Sink) in the style of stream processors like Benthos.
+// Package runtime serves the paper's stack-less automaton: it puts the
+// grammar's table — the bit-parallel engine determinized on demand —
+// behind one streaming Backend contract with one constructor
+// (NewFactory), and runs it at scale in a sharded pipeline (Source → N
+// tagger shards → Sink) in the style of stream processors like Benthos.
 //
-// A Backend recognizes one stream. All forms emit stream.Match events
-// with absolute offsets, so they are interchangeable and differentially
-// testable (see Conformance). The FSA forms accept the documented superset
-// of the grammar; the parser and Earley references accept the grammar
-// exactly and report the difference as a Close error.
+// A Backend recognizes one stream and emits stream.Match events with
+// absolute offsets. The references the table is measured against — the
+// NFA, the netlist, the LL(1) parser and the Earley oracle — implement
+// the same contract in package oracle, which imports this one; nothing
+// here can name them.
 package runtime
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"cfgtag/internal/stream"
 )
-
-// errClosed reports a Feed after Close, mirroring stream.Tagger's Write
-// guard across all backends.
-var errClosed = errors.New("runtime: Feed after Close")
 
 // Backend is the uniform streaming contract over one input stream.
 // Implementations are not safe for concurrent use; the pipeline gives each
@@ -44,9 +37,9 @@ type Backend interface {
 	// carries what was confirmed before the fault.
 	Feed(p []byte, out []stream.Match) ([]stream.Match, error)
 	// Close ends the stream, appending any pending detection to out.
-	// Backends that recognize the grammar exactly (parser, earley)
-	// report non-conforming input here and append nothing; the FSA forms
-	// always return a nil error.
+	// Backends that recognize the grammar exactly (the parser and Earley
+	// references) report non-conforming input here and append nothing;
+	// the table always returns a nil error.
 	Close(out []stream.Match) ([]stream.Match, error)
 	// Counters reports lifetime totals since Reset.
 	Counters() Counters
@@ -64,7 +57,7 @@ type Counters struct {
 	// Collisions counts residual runtime index collisions (see
 	// stream.Tagger.Collisions).
 	Collisions int64
-	// CacheHits, CacheMisses and CacheResets describe the served kinds'
+	// CacheHits, CacheMisses and CacheResets describe the served
 	// lazily filled table (zero on the reference backends). They span the
 	// backend's lifetime rather than the last Reset: the table is
 	// deliberately kept warm across streams, so its counters outlive them.

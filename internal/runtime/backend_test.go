@@ -19,19 +19,23 @@ func compileT(t *testing.T, g *grammar.Grammar, opts core.Options) *core.Spec {
 	return spec
 }
 
-// factories builds every execution form for one spec — both spellings of
-// the served table and the references; the parser factory is omitted when
-// the grammar is not LL(1).
+// factories builds the forms of the table behind the Backend contract:
+// the served table as NewFactory builds it, and runners of a two-state
+// table that resets its epoch on real traffic and of the table
+// stream.Determinize closes, both minted through TableFactory. The
+// references keep the same contract in package oracle, whose tests of the
+// same names run it on them.
 func factories(t *testing.T, spec *core.Spec) map[string]Factory {
 	t.Helper()
-	out := make(map[string]Factory)
-	for _, kind := range []Kind{KindStream, KindDFA, KindAOT, KindGates, KindEarley} {
-		out[string(kind)] = testFactory(t, spec, FactoryOptions{Kind: kind})
+	closed, err := stream.Determinize(spec, stream.TableConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pf, _, err := NewFactory(spec, FactoryOptions{Kind: KindParser}); err == nil {
-		out["parser"] = pf
+	return map[string]Factory{
+		"served": testFactory(t, spec, Limits{}),
+		"tiny":   TableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{}),
+		"closed": TableFactory(closed, Limits{}),
 	}
-	return out
 }
 
 func TestBackendsAgreeOnIfThenElse(t *testing.T) {
@@ -139,49 +143,9 @@ func TestBackendFeedAfterClose(t *testing.T) {
 	}
 }
 
-func TestParserBackendRejects(t *testing.T) {
-	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindParser})()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Feed([]byte("if true go"), nil) // missing "then"
-	ms, err := b.Close(nil)
-	if err == nil {
-		t.Error("parser backend accepted a non-sentence")
-	}
-	if len(ms) != 0 {
-		t.Errorf("parser backend emitted %d matches on reject", len(ms))
-	}
-}
-
-func TestParserFactoryRejectsNonLL1(t *testing.T) {
-	g, err := grammar.Parse("nonll1", "%%\nS : \"a\" \"b\" | \"a\" \"c\" ;\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := compileT(t, g, core.Options{})
-	if _, _, err := NewFactory(spec, FactoryOptions{Kind: KindParser}); err == nil {
-		t.Error("NewFactory built a parser for a non-LL(1) grammar")
-	}
-}
-
-func TestTaggerBackendRecoveryCounter(t *testing.T) {
-	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindStream})()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Feed([]byte("if true ### then go"), nil)
-	b.Close(nil)
-	if c := b.Counters(); c.Recoveries == 0 {
-		t.Error("corrupt input produced no recovery events")
-	}
-}
-
 func TestDFABackendRecoveryCounter(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{Recovery: core.RecoveryRestart})
-	b, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})()
+	b, err := testFactory(t, spec, Limits{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +163,7 @@ func TestDFABackendRecoveryCounter(t *testing.T) {
 // same bound, so its totals must equal the serial backend's.
 func TestDFABackendCacheStats(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
-	tiny := func() Factory { return tableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{}) }
+	tiny := func() Factory { return TableFactory(stream.NewTable(spec, stream.TableConfig{MaxStates: 2}), Limits{}) }
 	b, err := tiny()()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +218,7 @@ func TestHooksObserveEvents(t *testing.T) {
 	spec := compileT(t, grammar.IfThenElse(), core.Options{})
 	var mc MetricCounters
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc}, sink)
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, Limits{}), Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestChaosPipeline(t *testing.T) {
 		FailCount:  2, // below SinkAttempts: retries must absorb every failure
 		PanicEvery: 211,
 	})
-	factory := faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{}), faultinject.Config{
+	factory := faultinject.Factory(runtime.MustFactory(t, spec, runtime.Limits{}), faultinject.Config{
 		Triggers: true,
 		Latency:  50 * time.Microsecond,
 	})
@@ -278,7 +278,7 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	p, err := runtime.NewPipeline(runtime.Config{
 		Shards:     4,
 		MaxStreams: 4, // far below the live population: eviction churns
-		Factory:    faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{}), faultinject.Config{Triggers: true}),
+		Factory:    faultinject.Factory(runtime.MustFactory(t, spec, runtime.Limits{}), faultinject.Config{Triggers: true}),
 		Metrics:    &mc,
 		Quarantine: time.Hour,
 	}, collector)

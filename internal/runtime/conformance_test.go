@@ -1,11 +1,18 @@
-package runtime
+package runtime_test
 
 import (
 	"testing"
 
 	"cfgtag/internal/grammar"
+	"cfgtag/internal/oracle"
 	"cfgtag/internal/workload"
 )
+
+// The conformance lattice is the served table's acceptance check: the
+// table runtime.NewFactory builds, and the bounded, unaccelerated and
+// closed variants built through runtime.TableFactory, against the
+// references of package oracle. It lives in the external test package,
+// which may import oracle; runtime itself never does.
 
 // TestConformanceBuiltins runs the differential harness over the paper's
 // grammars, where every backend is available (the builtins are LL(1) with
@@ -15,7 +22,7 @@ func TestConformanceBuiltins(t *testing.T) {
 	for _, g := range []*grammar.Grammar{
 		grammar.BalancedParens(), grammar.IfThenElse(), grammar.XMLRPC(),
 	} {
-		if err := Conformance(g, 17, ConformanceOptions{Trials: 10, Corrupt: true, ExactOracle: true}); err != nil {
+		if err := oracle.Conformance(g, 17, oracle.ConformanceOptions{Trials: 10, Corrupt: true, ExactOracle: true}); err != nil {
 			t.Errorf("%s: %v", g.Name, err)
 		}
 	}
@@ -31,7 +38,7 @@ func TestConformanceRandomGrammars(t *testing.T) {
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		g := workload.RandomGrammar(seed)
-		if err := Conformance(g, seed*31+7, ConformanceOptions{Trials: 4, Corrupt: true}); err != nil {
+		if err := oracle.Conformance(g, seed*31+7, oracle.ConformanceOptions{Trials: 4, Corrupt: true}); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

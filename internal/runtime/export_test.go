@@ -11,9 +11,9 @@ var GateFirst = gateFirst
 
 // testFactory is NewFactory for tests that charge no gauge (so there is
 // nothing to release) and expect the build to succeed.
-func testFactory(t testing.TB, spec *core.Spec, o FactoryOptions) Factory {
+func testFactory(t testing.TB, spec *core.Spec, lim Limits) Factory {
 	t.Helper()
-	f, _, err := NewFactory(spec, o)
+	f, _, err := NewFactory(spec, lim)
 	if err != nil {
 		t.Fatal(err)
 	}

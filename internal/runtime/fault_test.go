@@ -263,7 +263,7 @@ func TestPipelineEviction(t *testing.T) {
 	var mc MetricCounters
 	sink := newCollectSink()
 	evicted := make(map[string]bool)
-	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc},
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Factory: testFactory(t, spec, Limits{}), Metrics: &mc},
 		SinkFunc(func(b *Batch) error {
 			if b.Evicted {
 				evicted[b.Key] = true

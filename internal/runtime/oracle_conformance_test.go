@@ -1,11 +1,14 @@
-package runtime
+package runtime_test
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
 	"cfgtag/internal/core"
 	"cfgtag/internal/grammar"
+	"cfgtag/internal/oracle"
+	"cfgtag/internal/runtime"
 	"cfgtag/internal/stream"
 	"cfgtag/internal/workload"
 )
@@ -38,8 +41,8 @@ func oracleGrammars(t *testing.T) []struct {
 func TestConformanceOracleGrammars(t *testing.T) {
 	for _, tc := range oracleGrammars(t) {
 		t.Run(tc.g.Name, func(t *testing.T) {
-			opts := ConformanceOptions{Trials: 10, Corrupt: true, ExactOracle: tc.exact}
-			if err := Conformance(tc.g, 23, opts); err != nil {
+			opts := oracle.ConformanceOptions{Trials: 10, Corrupt: true, ExactOracle: tc.exact}
+			if err := oracle.Conformance(tc.g, 23, opts); err != nil {
 				t.Error(err)
 			}
 		})
@@ -63,15 +66,16 @@ func TestOracleChunkStraddling(t *testing.T) {
 			for len(text) < 8 { // a sentence long enough to make splits interesting
 				text, _ = gen.Sentence()
 			}
-			for _, f := range []struct {
-				name    string
-				factory Factory
-			}{{"earley", testFactory(t, spec, FactoryOptions{Kind: KindEarley})}, {"stream", testFactory(t, spec, FactoryOptions{Kind: KindStream})}} {
-				whole := feedSplit(t, f.factory, text, -1)
+			for _, kind := range []string{oracle.Earley, oracle.Stream} {
+				f, err := oracle.NewFactory(spec, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole := feedSplit(t, f, text, -1)
 				for split := 0; split <= len(text); split++ {
-					if got := feedSplit(t, f.factory, text, split); !reflect.DeepEqual(got, whole) {
+					if got := feedSplit(t, f, text, split); !reflect.DeepEqual(got, whole) {
 						t.Fatalf("%s: split at %d of %q: matches %v, whole-buffer %v",
-							f.name, split, text, got, whole)
+							kind, split, text, got, whole)
 					}
 				}
 			}
@@ -81,7 +85,7 @@ func TestOracleChunkStraddling(t *testing.T) {
 
 // feedSplit runs text through a fresh backend, split into two Feeds at the
 // given offset (-1 = one Feed), and returns all matches.
-func feedSplit(t *testing.T, f Factory, text []byte, split int) []stream.Match {
+func feedSplit(t *testing.T, f runtime.Factory, text []byte, split int) []stream.Match {
 	t.Helper()
 	b, err := f()
 	if err != nil {
@@ -101,4 +105,13 @@ func feedSplit(t *testing.T, f Factory, text []byte, split int) []stream.Match {
 		t.Fatalf("reject of conforming %q: %v", text, err)
 	}
 	return ms
+}
+
+func readGrammar(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -386,7 +386,7 @@ func TestBufferAndPendingBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := testFactory(t, spec, FactoryOptions{Limits: Limits{MaxPendingMatches: 1}})
+		factory := testFactory(t, spec, Limits{MaxPendingMatches: 1})
 		// One chunk carrying several matches overflows the pending bound
 		// before the batch's drain.
 		chunk := []byte("<methodCall><methodName>a</methodName></methodCall>")
@@ -442,7 +442,7 @@ func TestTenantMemBudget(t *testing.T) {
 	// No Config.Mem: NewPipeline installs the gauge the budget reads.
 	p, err := NewPipeline(Config{
 		Shards:  1,
-		Factory: testFactory(t, spec, FactoryOptions{}),
+		Factory: testFactory(t, spec, Limits{}),
 		Quota:   Quota{MemBudgetBytes: 1024},
 	}, sink)
 	if err != nil {
@@ -612,7 +612,7 @@ func TestOverloadSoak(t *testing.T) {
 	mem := &MemGauge{}
 	// Conforming streams confirm at most 3 matches per chunk, a bomb 19 in
 	// its first.
-	baseFactory, release, err := NewFactory(spec, FactoryOptions{Limits: Limits{MaxPendingMatches: 16, Mem: mem}})
+	baseFactory, release, err := NewFactory(spec, Limits{MaxPendingMatches: 16, Mem: mem})
 	if err != nil {
 		t.Fatal(err)
 	}

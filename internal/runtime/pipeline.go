@@ -122,7 +122,7 @@ type Batch struct {
 	// the least-recently-active one on a shard at its MaxStreams cap.
 	Evicted bool
 	// Err carries the backend's Close error on EOS (nil from the served
-	// FSA kinds). A failed or panicking Feed also ends the stream,
+	// table). A failed or panicking Feed also ends the stream,
 	// reporting here with EOS set.
 	Err error
 	// Version identifies the backend factory version that produced this

@@ -57,7 +57,7 @@ func TestPipelineTagsManyStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, spec, Limits{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPipelineStreamAffinity(t *testing.T) {
 		shardOf[b.Key][b.Shard] = true
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 8, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+	p, err := NewPipeline(Config{Shards: 8, Factory: testFactory(t, spec, Limits{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPipelineCloseFlushesOpenStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, Limits{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPipelineSendAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})}, SinkFunc(func(*Batch) error { return nil }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, Limits{})}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPipelineSendCloseRace(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 4, Factory: testFactory(t, spec, Limits{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestPipelineOrderingUnderConcurrency(t *testing.T) {
 		}
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, Limits{})}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestPipelineConcurrentSenders(t *testing.T) {
 		total += len(b.Tags)
 		return nil
 	})
-	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, FactoryOptions{}), Metrics: &mc}, sink)
+	p, err := NewPipeline(Config{Shards: 4, Queue: 8, Factory: testFactory(t, spec, Limits{}), Metrics: &mc}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestPipelineSinkErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sinkErr := fmt.Errorf("sink exploded")
-	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, FactoryOptions{})}, SinkFunc(func(*Batch) error { return sinkErr }))
+	p, err := NewPipeline(Config{Shards: 1, Factory: testFactory(t, spec, Limits{})}, SinkFunc(func(*Batch) error { return sinkErr }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestPipelineSinkWorkers(t *testing.T) {
 	})
 	p, err := NewPipeline(Config{
 		Shards:      4,
-		Factory:     testFactory(t, spec, FactoryOptions{}),
+		Factory:     testFactory(t, spec, Limits{}),
 		SinkWorkers: 4,
 	}, sink)
 	if err != nil {
@@ -612,7 +612,7 @@ func TestPipelineSteadyStateSendAllocs(t *testing.T) {
 	}
 	p, err := NewPipeline(Config{
 		Shards:  1,
-		Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
+		Factory: testFactory(t, spec, Limits{}),
 	}, SinkFunc(func(*Batch) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
@@ -673,7 +673,7 @@ func TestPipelineBatchMore(t *testing.T) {
 				return nil
 			})
 			// No dispatch coalescing: every Send is one group of one batch.
-			p, err := NewPipeline(Config{Shards: shards, SinkWorkers: workers, BatchBytes: -1, Factory: testFactory(t, spec, FactoryOptions{})}, sink)
+			p, err := NewPipeline(Config{Shards: shards, SinkWorkers: workers, BatchBytes: -1, Factory: testFactory(t, spec, Limits{})}, sink)
 			if err != nil {
 				t.Fatal(err)
 			}

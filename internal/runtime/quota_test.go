@@ -22,7 +22,7 @@ func TestRegistryMaxStreamsQuota(t *testing.T) {
 	spec := testSpec(t, core.Options{FreeRunningStart: true})
 	p, err := NewPipeline(Config{
 		Shards:  1,
-		Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
+		Factory: testFactory(t, spec, Limits{}),
 		Quota:   Quota{MaxStreams: 2},
 	}, newReloadSink())
 	if err != nil {
@@ -67,7 +67,7 @@ func TestRegistryBytesPerSecQuota(t *testing.T) {
 	spec := testSpec(t, core.Options{FreeRunningStart: true})
 	p, err := NewPipeline(Config{
 		Shards:  1,
-		Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
+		Factory: testFactory(t, spec, Limits{}),
 		Quota:   Quota{BytesPerSec: 1024},
 	}, newReloadSink())
 	if err != nil {
@@ -115,7 +115,7 @@ func TestQuotaSlotFreedWithoutDelivery(t *testing.T) {
 	t.Run("breaker-shed", func(t *testing.T) {
 		p, err := NewPipeline(Config{
 			Shards:           1,
-			Factory:          testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
+			Factory:          testFactory(t, spec, Limits{}),
 			Quota:            Quota{MaxStreams: 1},
 			BreakerThreshold: 1,
 			SinkAttempts:     1,
@@ -146,7 +146,7 @@ func TestQuotaSlotFreedWithoutDelivery(t *testing.T) {
 	t.Run("permanent-failure", func(t *testing.T) {
 		p, err := NewPipeline(Config{
 			Shards:  1,
-			Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}),
+			Factory: testFactory(t, spec, Limits{}),
 			Quota:   Quota{MaxStreams: 1},
 		}, SinkFunc(func(*Batch) error { return PermanentError(errors.New("sink gone")) }))
 		if err != nil {

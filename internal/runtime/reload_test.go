@@ -178,7 +178,7 @@ func TestReloadSoak(t *testing.T) {
 
 	sink := newReloadSink()
 	v1 := &retireSink{Sink: sink}
-	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, FactoryOptions{Kind: KindDFA})}, v1)
+	p, err := NewPipeline(Config{Shards: 4, Factory: testFactory(t, specA, Limits{})}, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestReloadSoak(t *testing.T) {
 	}
 
 	// Phase 2: hot-swap the grammar while every old stream is mid-flight.
-	v2, err := p.SwapFactory(testFactory(t, specB, FactoryOptions{Kind: KindDFA}), sink)
+	v2, err := p.SwapFactory(testFactory(t, specB, Limits{}), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestSharedCacheAcrossPipelineStreams(t *testing.T) {
 
 	run := func(streams int) (misses int64) {
 		var mc MetricCounters
-		p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Metrics: &mc},
+		p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, Limits{}), Metrics: &mc},
 			SinkFunc(func(*Batch) error { return nil }))
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ func TestPipelineUnitFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := func(chunks ...[]byte) (perChunk [][]stream.Match, flush []stream.Match) {
-				b, err := runtime.MustFactory(t, spec, runtime.FactoryOptions{})()
+				b, err := runtime.MustFactory(t, spec, runtime.Limits{})()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func TestPipelineUnitFaults(t *testing.T) {
 			})
 			var mc runtime.MetricCounters
 			started, gate := make(chan struct{}, 1), make(chan struct{})
-			inner := faultinject.Factory(runtime.MustFactory(t, spec, runtime.FactoryOptions{Limits: tc.lim}), faultinject.Config{Triggers: true})
+			inner := faultinject.Factory(runtime.MustFactory(t, spec, tc.lim), faultinject.Config{Triggers: true})
 			p, err := runtime.NewPipeline(runtime.Config{
 				Shards: 1, MaxStreams: 3, Metrics: &mc,
 				Quarantine: time.Hour,

@@ -52,7 +52,7 @@ func TestPipelineQueueFootprint(t *testing.T) {
 		return nil
 	})
 	before := liveHeap()
-	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, FactoryOptions{Kind: KindDFA}), Mem: mem}, sink)
+	p, err := NewPipeline(Config{Shards: 2, Factory: testFactory(t, spec, Limits{}), Mem: mem}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPipelineTagWindows(t *testing.T) {
 	chunks = append(chunks, bytes.Repeat([]byte(msg), 7)) // the dense one
 	// What a serial run confirms per chunk, and at Close.
 	var want [][]stream.Match
-	ref, err := testFactory(t, spec, FactoryOptions{Kind: KindDFA})()
+	ref, err := testFactory(t, spec, Limits{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPipelineTagWindows(t *testing.T) {
 				started, gate := make(chan struct{}, shards), make(chan struct{})
 				p, err := NewPipeline(Config{
 					Shards: shards, SinkWorkers: workers, BatchBytes: batchBytes,
-					Factory: gateFirst(testFactory(t, spec, FactoryOptions{Kind: KindDFA}), shards, started, gate),
+					Factory: gateFirst(testFactory(t, spec, Limits{}), shards, started, gate),
 				}, sink)
 				if err != nil {
 					t.Fatal(err)

@@ -223,7 +223,7 @@ func (pc *PlatformConfig) Validate() error {
 				return &ConfigError{Field: field("options"), Value: o, Reason: "unknown compile option"}
 			}
 		}
-		if err := BackendKind(t.Backend).CheckServed(field("backend")); err != nil {
+		if err := checkServed(BackendKind(t.Backend), field("backend")); err != nil {
 			return err
 		}
 		rc := t.pipelineConfig()
@@ -297,9 +297,9 @@ type platformTenant struct {
 	pipe *runtime.Pipeline
 	mc   *runtime.MetricCounters
 	mem  *MemGauge // nil without a memory budget
-	// fopts builds every factory version: the tenant's backend kind and its
-	// resolved limits, memory gauge included.
-	fopts runtime.FactoryOptions
+	// lim bounds every factory version: the tenant's resolved limits,
+	// memory gauge included.
+	lim StreamLimits
 	// deliver hands a batch to the platform's callback with the tenant's
 	// name.
 	deliver func(*TagBatch) error
@@ -362,13 +362,13 @@ func (p *Platform) addTenant(def TenantDef, deliver func(string, *TagBatch) erro
 		def:     def,
 		mc:      &runtime.MetricCounters{},
 		mem:     mem,
-		fopts:   runtime.FactoryOptions{Kind: BackendKind(def.Backend), Limits: def.limits(mem)},
+		lim:     def.limits(mem),
 		deliver: func(b *TagBatch) error { return deliver(def.Name, b) },
 		src:     src,
 	}
 	cfg := def.pipelineConfig()
 	cfg.Metrics = pt.mc
-	if pt.pipe, err = engine.startPipeline(cfg, pt.fopts, p.wrap, pt.deliver); err != nil {
+	if pt.pipe, err = engine.startPipeline(cfg, pt.lim, p.wrap, pt.deliver); err != nil {
 		return fmt.Errorf("cfgtag: tenant %q: %w", def.Name, err)
 	}
 	p.tenants[def.Name] = pt
@@ -443,7 +443,7 @@ func (p *Platform) Reload(tenant, grammarSrc string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
-	factory, sink, err := engine.newVersion(pt.fopts, p.wrap, pt.deliver)
+	factory, sink, err := engine.newVersion(pt.lim, p.wrap, pt.deliver)
 	if err != nil {
 		return 0, fmt.Errorf("cfgtag: tenant %q: %w", tenant, err)
 	}
