@@ -31,7 +31,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"cfgtag/internal/core"
 	"cfgtag/internal/fpga"
@@ -551,8 +550,7 @@ func (b *Backend) CompileStats() CompileStats {
 // TagBatch is one unit of pipeline output: a chunk of one stream plus the
 // matches confirmed over it. The batch handed to a deliver callback is
 // pooled, Data and Tags included — all of it is only valid during the
-// callback; copy what you keep. (Batches handed to DeadLetter are not
-// pooled and may be kept.)
+// callback; copy what you keep.
 type TagBatch struct {
 	// Stream is the key the bytes were Sent under.
 	Stream string
@@ -600,7 +598,7 @@ type TagBatch struct {
 // version its stream bound when it started, so after a Platform.Reload
 // the batches of streams opened before it keep reporting the old engine.
 // It is set on the batches handed to a deliver callback and nil on
-// DeadLetter and hand-built batches.
+// hand-built batches.
 func (b *TagBatch) Engine() *Engine { return b.engine }
 
 // AppendText renders the batch as newline-delimited events:
@@ -720,17 +718,6 @@ func batchHeader(b *runtime.Batch) TagBatch {
 	return TagBatch{Stream: b.Key, Shard: b.Shard, Data: b.Data, EOS: b.EOS, Evicted: b.Evicted, Err: b.Err, Version: b.Version, More: b.More}
 }
 
-// toTagBatch converts b into a freshly allocated batch the receiver may
-// keep — the DeadLetter path. It holds no reference to b's pooled match
-// buffer, so it renders from Tags.
-func (e *Engine) toTagBatch(b *runtime.Batch) *TagBatch {
-	tb := batchHeader(b)
-	if len(b.Tags) > 0 {
-		tb.Tags = e.matches(nil, b.Tags)
-	}
-	return &tb
-}
-
 // maxPooledTags bounds how large a Tags backing array the pool keeps: one
 // huge batch must not pin its array for good.
 const maxPooledTags = 8192
@@ -832,7 +819,9 @@ func (e *Engine) startPipeline(cfg runtime.Config, lim StreamLimits, wrap func(r
 // value is ready.
 type Metrics = runtime.MetricCounters
 
-// PipelineConfig tunes a sharded pipeline.
+// PipelineConfig is what a one-tenant platform on the caller's engine
+// needs from a program that tags in-process; every other knob is a
+// TenantDef field, and defaults as documented there.
 type PipelineConfig struct {
 	// Backend names the execution path each shard runs: "", "dfa" and "aot"
 	// all select the served table; a reference kind is rejected.
@@ -845,57 +834,6 @@ type PipelineConfig struct {
 	// Metrics, when set, is the counter set the pipeline writes, so the
 	// caller can read it while the pipeline runs and after Close.
 	Metrics *Metrics
-	// MaxStreams caps the live streams per shard (0 = unlimited). At the
-	// cap, the least-recently-fed stream is flushed and delivered as a
-	// final batch with Evicted set.
-	MaxStreams int
-	// Quarantine is how long a stream key is rejected after its backend
-	// faults (0 = 30s default; negative disables quarantine).
-	Quarantine time.Duration
-	// SinkAttempts is how many times a failing deliver callback is tried
-	// per batch, first attempt included (0 = 3).
-	SinkAttempts int
-	// SinkBackoff is the base retry delay, doubled per retry with jitter
-	// and capped (0 = 1ms).
-	SinkBackoff time.Duration
-	// DeadLetter, when set, receives batches whose deliver attempts were
-	// exhausted; the pipeline then carries on. When nil, an exhausted
-	// batch fails the pipeline permanently instead.
-	DeadLetter func(*TagBatch, error)
-	// BatchBytes is the per-shard coalescing threshold: chunks for a
-	// shard are batched into one pooled dispatch message until this many
-	// bytes are pending or the shard goes idle (0 = 64 KiB default;
-	// negative disables coalescing and dispatches every Send
-	// immediately).
-	BatchBytes int
-	// SinkWorkers is the number of delivery workers (0 or 1 = a single
-	// worker, the classic serialized sink). With more than one, batches
-	// for the same stream still arrive in order on one worker, but
-	// deliver must be safe for concurrent use across streams.
-	SinkWorkers int
-	// SendTimeout switches Send from backpressure to load shedding: 0
-	// blocks on a full shard queue (the default), a negative value sheds
-	// immediately, and a positive value waits at most that long before
-	// shedding. A shed Send fails with ErrOverloaded, accepts none of the
-	// chunk's bytes, and leaves the stream otherwise intact.
-	SendTimeout time.Duration
-	// FeedDeadline arms the backend watchdog: a Feed or Close call
-	// exceeding it marks the stream's backend stalled, ends the stream
-	// with an error wrapping ErrBackendStalled and quarantines its key
-	// (0 = watchdog disabled).
-	FeedDeadline time.Duration
-	// BreakerThreshold arms the sink circuit breaker: after this many
-	// consecutive retry-exhausted deliveries a sink worker opens and sheds
-	// batches straight to DeadLetter (wrapping ErrBreakerOpen) until a
-	// cooldown probe succeeds (0 = breaker disabled; requires DeadLetter).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before probing the
-	// sink again (0 = 1s).
-	BreakerCooldown time.Duration
-	// Limits bounds each stream's backend resources (matches per chunk) and
-	// optionally carries the memory gauge aggregate budgets read; the zero
-	// value is unlimited.
-	Limits StreamLimits
 }
 
 // StreamLimits bounds one stream's backend resource consumption; see
@@ -925,7 +863,7 @@ var ErrStreamQuarantined = runtime.ErrQuarantined
 var ErrBackendPanic = runtime.ErrBackendPanic
 
 // ErrOverloaded is returned (wrapped, test with errors.Is) by Send in shed
-// mode (PipelineConfig.SendTimeout != 0) when the stream's shard queue is
+// mode (TenantDef.SendTimeout != 0) when the stream's shard queue is
 // at its high watermark: the chunk was rejected whole, the stream remains
 // healthy, and the caller should back off and retry.
 var ErrOverloaded = runtime.ErrOverloaded
@@ -937,16 +875,12 @@ var ErrOverloaded = runtime.ErrOverloaded
 var ErrResourceExhausted = runtime.ErrResourceExhausted
 
 // ErrBackendStalled is the sentinel wrapped into a TagBatch.Err when a
-// backend call outran PipelineConfig.FeedDeadline (the watchdog verdict).
+// backend call outran TenantDef.FeedDeadline (the watchdog verdict).
 var ErrBackendStalled = runtime.ErrBackendStalled
 
-// ErrBreakerOpen is the sentinel wrapped into the DeadLetter error for
-// batches shed by an open sink circuit breaker.
-var ErrBreakerOpen = runtime.ErrBreakerOpen
-
 // PermanentDeliverError marks an error returned by the deliver callback as
-// permanent: the pipeline skips retries and dead-lettering and fails fast,
-// surfacing the error from Err, Send and Close.
+// permanent: the pipeline skips retries and fails fast, surfacing the
+// error from Err, Send and Close.
 func PermanentDeliverError(err error) error { return runtime.PermanentError(err) }
 
 // FaultStats aggregates the pipeline's fault-tolerance counters; read it
@@ -962,36 +896,21 @@ type Pipeline struct {
 	inner *runtime.Pipeline
 }
 
-// NewPipeline starts a sharded pipeline delivering tag batches to deliver,
-// which must not retain b, b.Data or b.Tags past the call (the batch is
-// pooled, see TagBatch). The pipeline owns its goroutines until Close.
-// Only the served table runs here: a StreamBackend, GatesBackend,
-// ParserBackend or EarleyBackend config is rejected with an error wrapping
-// ErrInvalidConfig.
+// NewPipeline starts a one-tenant platform's pipeline on e: cfg is checked
+// as a tenant's knobs are, and every other knob takes its TenantDef
+// default. Tag batches go to deliver, which must not retain b, b.Data or
+// b.Tags past the call (the batch is pooled, see TagBatch). The pipeline
+// owns its goroutines until Close. Only the served table runs here: a
+// StreamBackend, GatesBackend, ParserBackend or EarleyBackend config is
+// rejected with an error wrapping ErrInvalidConfig.
 func (e *Engine) NewPipeline(cfg PipelineConfig, deliver func(*TagBatch) error) (*Pipeline, error) {
-	if err := checkServed(cfg.Backend, "PipelineConfig.Backend"); err != nil {
+	def := TenantDef{Backend: string(cfg.Backend), Shards: cfg.Shards, Queue: cfg.Queue}
+	if err := def.check("", "PipelineConfig.Backend"); err != nil {
 		return nil, err
 	}
-	rcfg := runtime.Config{
-		Shards:           cfg.Shards,
-		Queue:            cfg.Queue,
-		MaxStreams:       cfg.MaxStreams,
-		Quarantine:       cfg.Quarantine,
-		SinkAttempts:     cfg.SinkAttempts,
-		SinkBackoff:      cfg.SinkBackoff,
-		BatchBytes:       cfg.BatchBytes,
-		SinkWorkers:      cfg.SinkWorkers,
-		SendTimeout:      cfg.SendTimeout,
-		FeedDeadline:     cfg.FeedDeadline,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-		Metrics:          cfg.Metrics,
-	}
-	if cfg.DeadLetter != nil {
-		dl := cfg.DeadLetter
-		rcfg.DeadLetter = func(b *runtime.Batch, err error) { dl(e.toTagBatch(b), err) }
-	}
-	p, err := e.startPipeline(rcfg, cfg.Limits, nil, deliver)
+	rc := def.pipelineConfig()
+	rc.Metrics = cfg.Metrics
+	p, err := e.startPipeline(rc, def.limits(nil), nil, deliver)
 	if err != nil {
 		return nil, err
 	}
@@ -1007,14 +926,13 @@ func (p *Pipeline) Send(stream string, data []byte) error { return p.inner.Send(
 // is delivered with EOS set.
 func (p *Pipeline) CloseStream(stream string) error { return p.inner.CloseStream(stream) }
 
-// Close flushes every open stream, stops the shards, discharges the
-// table from Limits.Mem, and returns the first deliver error.
+// Close flushes every open stream, stops the shards and returns the
+// first deliver error.
 func (p *Pipeline) Close() error { return p.inner.Close() }
 
 // Err reports the pipeline's permanent delivery failure, if any: non-nil
 // once the deliver callback returned a PermanentDeliverError or exhausted
-// its attempts with no DeadLetter configured. Send and Close return the
-// same error from then on.
+// its attempts. Send and Close return the same error from then on.
 func (p *Pipeline) Err() error { return p.inner.Err() }
 
 // Lexeme recovers the matched text of m from the input it was tagged in.

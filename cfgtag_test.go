@@ -686,33 +686,32 @@ func TestPipelineFacade(t *testing.T) {
 	}
 }
 
-// TestPipelineCloseReleasesGauge: whatever a pipeline charges to the gauge
-// it was given — arenas and the transition table, under either spelling of
-// the served kind — is discharged by Close.
+// TestPipelineCloseReleasesGauge: whatever a one-tenant platform charges
+// to its gauge — arenas and the transition table, under either spelling
+// of the served kind — is discharged by Close. The budget is too large
+// ever to refuse; it is there so a gauge is installed.
 func TestPipelineCloseReleasesGauge(t *testing.T) {
-	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
-	if err != nil {
-		t.Fatal(err)
-	}
 	msg := []byte("<methodCall> <methodName>buy</methodName> <params> </params> </methodCall>\n")
 	for _, kind := range []BackendKind{DFABackend, AOTBackend} {
 		t.Run(string(kind), func(t *testing.T) {
-			g := &MemGauge{}
 			tags := 0
-			p, err := engine.NewPipeline(PipelineConfig{Backend: kind, Shards: 2, Limits: StreamLimits{Mem: g}}, func(b *TagBatch) error {
+			p, err := NewPlatform(&PlatformConfig{Tenants: []TenantDef{{
+				Name: "x", Grammar: XMLRPCSource, Options: []string{"free-running-start"},
+				Backend: string(kind), Shards: 2, Quota: QuotaConfig{MemBudgetBytes: 1 << 40},
+			}}}, func(_ string, b *TagBatch) error {
 				tags += len(b.Tags)
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.Load() == 0 {
+			if n, _ := p.MemUsage("x"); n == 0 {
 				t.Error("the table's start state was not charged to the gauge")
 			}
-			if err := p.Send("s", msg); err != nil {
+			if err := p.Send("x", "s", msg); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.CloseStream("s"); err != nil {
+			if err := p.CloseStream("x", "s"); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Close(); err != nil {
@@ -721,27 +720,26 @@ func TestPipelineCloseReleasesGauge(t *testing.T) {
 			if tags == 0 {
 				t.Error("the message produced no tags")
 			}
-			if got := g.Load(); got != 0 {
+			if got, _ := p.MemUsage("x"); got != 0 {
 				t.Errorf("gauge reads %d bytes after Close, want 0", got)
 			}
 		})
 	}
 }
 
+// TestPipelineFaultFacade: on a one-tenant platform, the MaxStreams cap
+// evicts, and a sink that fails fewer times than SinkAttempts is retried
+// until the batch is delivered, without failing the pipeline.
 func TestPipelineFaultFacade(t *testing.T) {
-	engine, err := Compile("demo", IfThenElseSource, FreeRunningStart())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics Metrics
 	evicted := make(map[string]bool)
-	deadLettered := 0
-	failures := map[string]int{"poison": 2} // deliver fails beyond SinkAttempts
-	deliver := func(b *TagBatch) error {
+	delivered := make(map[string]bool)
+	failures := map[string]int{"poison": 1} // fewer than SinkAttempts
+	deliver := func(_ string, b *TagBatch) error {
 		if failures[b.Stream] > 0 {
 			failures[b.Stream]--
 			return errTransient
 		}
+		delivered[b.Stream] = true
 		if b.Evicted {
 			if !b.EOS {
 				t.Errorf("stream %s: Evicted batch without EOS", b.Stream)
@@ -750,41 +748,42 @@ func TestPipelineFaultFacade(t *testing.T) {
 		}
 		return nil
 	}
-	p, err := engine.NewPipeline(PipelineConfig{
+	p, err := NewPlatform(&PlatformConfig{Tenants: []TenantDef{{
+		Name:         "demo",
+		Grammar:      IfThenElseSource,
+		Options:      []string{"free-running-start"},
 		Shards:       1,
 		MaxStreams:   2,
 		Quarantine:   -1, // disabled: nothing here is a backend fault
 		SinkAttempts: 2,
-		SinkBackoff:  time.Microsecond,
-		Metrics:      &metrics,
-		DeadLetter:   func(b *TagBatch, err error) { deadLettered++ },
-	}, deliver)
+		SinkBackoff:  Duration(time.Microsecond),
+	}}}, deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"a", "b", "c", "poison"} {
-		if err := p.Send(key, []byte("if true then go else stop ")); err != nil {
+		if err := p.Send("demo", key, []byte("if true then go else stop ")); err != nil {
 			t.Fatalf("Send %s: %v", key, err)
 		}
 	}
 	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Err(); err != nil {
-		t.Fatalf("Err = %v, want nil (failure was dead-lettered, not permanent)", err)
+		t.Fatalf("Close = %v, want nil (the retry absorbed the failure)", err)
 	}
 	if len(evicted) == 0 {
 		t.Error("MaxStreams cap produced no Evicted batches")
 	}
-	if deadLettered != 1 {
-		t.Errorf("dead-lettered %d batches, want 1", deadLettered)
+	if !delivered["poison"] || failures["poison"] != 0 {
+		t.Errorf("poison: delivered %v, %d failures left; want delivered after its one failure", delivered["poison"], failures["poison"])
 	}
-	f := metrics.Faults()
+	f, err := p.Faults("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f.StreamsEvicted != int64(len(evicted)) {
 		t.Errorf("FaultStats.StreamsEvicted = %d, want %d", f.StreamsEvicted, len(evicted))
 	}
-	if f.SinkRetries == 0 || f.DeadLetters != 1 {
-		t.Errorf("FaultStats = %+v, want retries > 0 and 1 dead letter", f)
+	if f.SinkRetries != 1 {
+		t.Errorf("FaultStats = %+v, want 1 sink retry", f)
 	}
 }
 

@@ -347,9 +347,9 @@ func runPipeline(cfg *cfgtag.PlatformConfig, in io.Reader, out io.Writer) error 
 	}
 	fmt.Fprintln(out)
 	f, _ := p.Faults(tenant)
-	if f.PanicsRecovered+f.StreamsQuarantined+f.StreamsEvicted+f.SinkRetries+f.DeadLetters > 0 {
-		fmt.Fprintf(out, "faults: %d panics recovered, %d quarantined, %d evicted, %d sink retries, %d dead-lettered\n",
-			f.PanicsRecovered, f.StreamsQuarantined, f.StreamsEvicted, f.SinkRetries, f.DeadLetters)
+	if f.PanicsRecovered+f.StreamsQuarantined+f.StreamsEvicted+f.SinkRetries > 0 {
+		fmt.Fprintf(out, "faults: %d panics recovered, %d quarantined, %d evicted, %d sink retries\n",
+			f.PanicsRecovered, f.StreamsQuarantined, f.StreamsEvicted, f.SinkRetries)
 	}
 	if f.SendsShed+f.WatchdogTrips+f.ResourceExhausted > 0 {
 		fmt.Fprintf(out, "overload: %d sends shed, %d watchdog trips, %d resource exhausted\n",

@@ -174,7 +174,7 @@ type SinkConfig struct {
 	FailEvery int
 	// FailCount is how many consecutive attempts fail for a picked
 	// batch (0 = 2). Set it at or above the pipeline's SinkAttempts to
-	// force dead-lettering.
+	// fail the sink permanently.
 	FailCount int
 	// PanicEvery makes every Nth distinct batch's first attempt panic
 	// instead of erroring (0 = never).

@@ -90,14 +90,10 @@ type MetricCounters struct {
 	quarantined atomicInt64
 	evicted     atomicInt64
 	sinkRetries atomicInt64
-	deadLetters atomicInt64
 
 	shed          atomicInt64
 	watchdogTrips atomicInt64
 	resExhausted  atomicInt64
-	breakerOpens  atomicInt64
-	breakerSheds  atomicInt64
-	breakerOpen   atomicInt64 // gauge: workers currently open
 }
 
 // addStream folds one ended stream's backend totals into the counters.
@@ -118,24 +114,17 @@ func (c *MetricCounters) addStream(b Counters) {
 // FaultStats aggregates the pipeline's fault-tolerance and overload
 // counters: panics recovered (backend or sink), streams quarantined after
 // a fault, streams evicted under the MaxStreams cap, sink Deliver
-// retries, batches dead-lettered after exhausting their retries, Sends
-// shed by admission control, watchdog trips on overdue backend calls,
-// streams ended by resource budgets, sink circuit-breaker opens (flips to
-// open; BreakerOpenWorkers gauges how many are open now) and batches shed
-// while a breaker was open.
+// retries, Sends shed by admission control, watchdog trips on overdue
+// backend calls and streams ended by resource budgets.
 type FaultStats struct {
 	PanicsRecovered    int64
 	StreamsQuarantined int64
 	StreamsEvicted     int64
 	SinkRetries        int64
-	DeadLetters        int64
 
-	SendsShed          int64
-	WatchdogTrips      int64
-	ResourceExhausted  int64
-	BreakerOpens       int64
-	BreakerSheds       int64
-	BreakerOpenWorkers int64
+	SendsShed         int64
+	WatchdogTrips     int64
+	ResourceExhausted int64
 }
 
 // Faults returns the current fault-tolerance totals.
@@ -145,13 +134,9 @@ func (c *MetricCounters) Faults() FaultStats {
 		StreamsQuarantined: c.quarantined.Load(),
 		StreamsEvicted:     c.evicted.Load(),
 		SinkRetries:        c.sinkRetries.Load(),
-		DeadLetters:        c.deadLetters.Load(),
 		SendsShed:          c.shed.Load(),
 		WatchdogTrips:      c.watchdogTrips.Load(),
 		ResourceExhausted:  c.resExhausted.Load(),
-		BreakerOpens:       c.breakerOpens.Load(),
-		BreakerSheds:       c.breakerSheds.Load(),
-		BreakerOpenWorkers: c.breakerOpen.Load(),
 	}
 }
 

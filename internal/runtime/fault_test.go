@@ -375,46 +375,8 @@ func TestPipelineSinkRetryAbsorbsTransientFailures(t *testing.T) {
 	if f.SinkRetries != 6 {
 		t.Errorf("sink retries = %d, want 6 (2 per batch)", f.SinkRetries)
 	}
-	if f.DeadLetters != 0 {
-		t.Errorf("dead letters = %d, want 0", f.DeadLetters)
-	}
 	if p.Err() != nil {
 		t.Errorf("Err() = %v, want nil", p.Err())
-	}
-}
-
-func TestPipelineDeadLetterKeepsPipelineAlive(t *testing.T) {
-	var mc MetricCounters
-	var dead []string
-	alwaysFail := SinkFunc(func(*Batch) error { return errors.New("down") })
-	p, err := NewPipeline(Config{
-		Shards: 1, Factory: fakeFactory, Metrics: &mc,
-		SinkAttempts: 2, SinkBackoff: 100 * time.Microsecond,
-		DeadLetter: func(b *Batch, err error) {
-			if err == nil {
-				panic("dead letter without error")
-			}
-			dead = append(dead, b.Key)
-		},
-	}, alwaysFail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Send("x", []byte("one"))
-	p.Send("y", []byte("two"))
-	p.CloseStream("x")
-	p.CloseStream("y")
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close = %v, want nil (dead-lettering keeps the sink non-fatal)", err)
-	}
-	if len(dead) != 4 { // 2 data + 2 EOS batches
-		t.Errorf("dead-lettered %d batches, want 4 (got %v)", len(dead), dead)
-	}
-	if f := mc.Faults(); f.DeadLetters != 4 {
-		t.Errorf("dead-letter counter = %d, want 4", f.DeadLetters)
-	}
-	if p.Err() != nil {
-		t.Errorf("Err() = %v, want nil (no permanent failure)", p.Err())
 	}
 }
 

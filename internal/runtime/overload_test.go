@@ -224,142 +224,6 @@ func TestWatchdogStalledFeed(t *testing.T) {
 	}
 }
 
-func TestSinkBreakerOpensAndRecovers(t *testing.T) {
-	var mc MetricCounters
-	var down atomic.Bool
-	var mu sync.Mutex
-	delivered := make(map[string]bool)
-	var dlErrs []error
-	sink := SinkFunc(func(b *Batch) error {
-		if down.Load() {
-			return errors.New("sink down")
-		}
-		mu.Lock()
-		delivered[b.Key] = true
-		mu.Unlock()
-		return nil
-	})
-	p, err := NewPipeline(Config{
-		Shards:           1,
-		Factory:          fakeFactory,
-		SinkAttempts:     1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  20 * time.Millisecond,
-		DeadLetter: func(b *Batch, err error) {
-			mu.Lock()
-			dlErrs = append(dlErrs, err)
-			mu.Unlock()
-		},
-		Metrics: &mc,
-	}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	down.Store(true)
-	for i := 0; i < 6; i++ {
-		key := fmt.Sprintf("wedged-%d", i)
-		if err := p.Send(key, []byte("data")); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		f := mc.Faults()
-		if f.BreakerOpens >= 1 && f.BreakerSheds >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened/shed: faults = %+v", f)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Heal the sink; traffic after the cooldown must close the breaker
-	// via the half-open probe and flow again.
-	down.Store(false)
-	healed := false
-	for i := 0; i < 200 && !healed; i++ {
-		key := fmt.Sprintf("heal-%d", i)
-		if err := p.Send(key, []byte("data")); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream(key); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-		mu.Lock()
-		healed = delivered[key]
-		mu.Unlock()
-	}
-	if !healed {
-		t.Fatal("sink never recovered after the breaker healed")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	f := mc.Faults()
-	if f.BreakerOpenWorkers != 0 {
-		t.Errorf("BreakerOpenWorkers = %d after recovery, want 0", f.BreakerOpenWorkers)
-	}
-	// Every DeadLetter call is a retry-exhausted dead letter or a breaker
-	// shed, and only the sheds carry ErrBreakerOpen.
-	mu.Lock()
-	defer mu.Unlock()
-	var sheds int64
-	for _, err := range dlErrs {
-		if errors.Is(err, ErrBreakerOpen) {
-			sheds++
-		}
-	}
-	if sheds == 0 {
-		t.Error("no dead letter carried ErrBreakerOpen")
-	}
-	if f.BreakerSheds != sheds || f.DeadLetters+f.BreakerSheds != int64(len(dlErrs)) {
-		t.Errorf("DeadLetters %d + BreakerSheds %d, but DeadLetter ran %d times, %d with ErrBreakerOpen",
-			f.DeadLetters, f.BreakerSheds, len(dlErrs), sheds)
-	}
-}
-
-// TestBreakerGaugeClearsOnClose closes a pipeline while its sink worker's
-// breaker is open: the worker exits with it, so the open-workers gauge
-// must read zero afterwards.
-func TestBreakerGaugeClearsOnClose(t *testing.T) {
-	var mc MetricCounters
-	p, err := NewPipeline(Config{
-		Shards:           1,
-		Factory:          fakeFactory,
-		SinkAttempts:     1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour, // no half-open probe before Close
-		DeadLetter:       func(*Batch, error) {},
-		Metrics:          &mc,
-	}, SinkFunc(func(*Batch) error { return errors.New("sink down") }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Send("s", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for mc.Faults().BreakerOpenWorkers != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened: faults = %+v", mc.Faults())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if f := mc.Faults(); f.BreakerOpens != 1 || f.BreakerOpenWorkers != 0 {
-		t.Errorf("after Close: BreakerOpens = %d, BreakerOpenWorkers = %d; want 1 and 0", f.BreakerOpens, f.BreakerOpenWorkers)
-	}
-}
-
 // xRunSpec compiles the grammar s : s s | "x" — the match-bomb workload:
 // every byte of a run of x's is a token of its own, so one chunk confirms
 // as many matches as it has bytes and a long enough chunk overruns any
@@ -588,13 +452,13 @@ func (s *stallWrapBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, e
 // TestOverloadSoak is the overload chaos soak: hundreds to thousands of
 // concurrent streams — short runs well inside the match budget, match
 // bombs over it, wedged-backend stalls — pushed at a deliberately
-// undersized pipeline in immediate-shed mode, with the sink wedged for a
-// window mid-run to trip the circuit breaker. It asserts that every
+// undersized pipeline in immediate-shed mode, with the sink failing each
+// batch's first attempt for a window mid-run. It asserts that every
 // overload intervention is typed, that surviving streams are byte- and
 // tag-identical to a serial run of the same backend, that the memory
 // gauge returns to zero, and that every FaultStats counter reconciles
-// exactly with what the callers saw: the errors Send returned and the
-// batches handed to the sink or to DeadLetter.
+// exactly with what the callers saw: the errors Send returned, the
+// failures the sink injected and the batches it was handed.
 func TestOverloadSoak(t *testing.T) {
 	streams := 2400
 	if testing.Short() {
@@ -624,10 +488,10 @@ func TestOverloadSoak(t *testing.T) {
 		return &stallWrapBackend{Backend: b, d: stallFor}, nil
 	}
 
-	// Every batch leaves through the sink or through DeadLetter (one
-	// attempt each, no permanent failure), so tallying the errors the
-	// batches carry at both exits gives the fault counters an oracle that
-	// does not read them.
+	// Every batch leaves through the sink (a failed first attempt is
+	// retried once and then delivered, so no failure is permanent), so
+	// tallying the errors the delivered batches carry gives the fault
+	// counters an oracle that does not read them.
 	var mc MetricCounters
 	var outMu sync.Mutex
 	var stalledN, exhaustedN, errEOSN int64
@@ -645,48 +509,41 @@ func TestOverloadSoak(t *testing.T) {
 		}
 	}
 
-	// The sink fails every Deliver while down is set — the wedged-sink
-	// window that trips the breaker.
+	// While down is set the sink fails each batch's first attempt: the
+	// transient-sink window the retry absorbs. A batch is retried on its
+	// worker before its unit is recycled, so its address names it until
+	// it is delivered.
 	var down atomic.Bool
 	collect := newSoakSink()
+	var failMu sync.Mutex
+	failed := make(map[*Batch]bool)
+	var injectedN int64
 	sink := SinkFunc(func(b *Batch) error {
-		if down.Load() {
+		failMu.Lock()
+		retry := failed[b]
+		delete(failed, b)
+		if !retry && down.Load() {
+			failed[b] = true
+			injectedN++
+			failMu.Unlock()
 			return errors.New("sink wedged")
 		}
+		failMu.Unlock()
 		tally(b)
 		return collect.Deliver(b)
 	})
-	var dlMu sync.Mutex
-	dlKeys := make(map[string]bool) // streams that lost a batch to the DLQ
-	dlEOS := make(map[string]bool)  // ... including their EOS batch
-	var dlCallbackN, breakerShedN int64
 	p, err := NewPipeline(Config{
-		Shards:           4,
-		Queue:            2,
-		BatchBytes:       -1, // dispatch per message: shed pressure is real
-		SendTimeout:      -1, // immediate shed at the high watermark
-		FeedDeadline:     feedDeadline,
-		SinkWorkers:      2,
-		SinkAttempts:     1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  20 * time.Millisecond,
-		Quarantine:       time.Minute, // no expiry mid-soak: faulted keys stay dead
-		Factory:          factory,
-		Metrics:          &mc,
-		Mem:              mem,
-		DeadLetter: func(b *Batch, err error) {
-			tally(b)
-			dlMu.Lock()
-			dlCallbackN++
-			if errors.Is(err, ErrBreakerOpen) {
-				breakerShedN++
-			}
-			dlKeys[b.Key] = true
-			if b.EOS {
-				dlEOS[b.Key] = true
-			}
-			dlMu.Unlock()
-		},
+		Shards:       4,
+		Queue:        2,
+		BatchBytes:   -1, // dispatch per message: shed pressure is real
+		SendTimeout:  -1, // immediate shed at the high watermark
+		FeedDeadline: feedDeadline,
+		SinkWorkers:  2,
+		SinkAttempts: 2,
+		Quarantine:   time.Minute, // no expiry mid-soak: faulted keys stay dead
+		Factory:      factory,
+		Metrics:      &mc,
+		Mem:          mem,
 	}, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -776,14 +633,13 @@ func TestOverloadSoak(t *testing.T) {
 		}(w)
 	}
 
-	// Wedge the sink for a window mid-run: deliveries fail, the breaker
-	// opens and sheds to the DLQ, then the sink heals and the breaker
-	// closes on a half-open probe. The window lasts until a breaker has
-	// actually opened (bounded), so the soak always exercises it.
+	// Fail first attempts for a window mid-run, then heal the sink. The
+	// window lasts until some batches have failed (bounded), so the soak
+	// always exercises the retry.
 	time.Sleep(30 * time.Millisecond)
 	down.Store(true)
 	wedgeDeadline := time.Now().Add(5 * time.Second)
-	for mc.Faults().BreakerOpens == 0 && time.Now().Before(wedgeDeadline) {
+	for mc.Faults().SinkRetries < 8 && time.Now().Before(wedgeDeadline) {
 		time.Sleep(time.Millisecond)
 	}
 	down.Store(false)
@@ -797,14 +653,8 @@ func TestOverloadSoak(t *testing.T) {
 	// --- Liveness: every stream ended exactly once, shed streams aside.
 	collect.mu.Lock()
 	defer collect.mu.Unlock()
-	dlMu.Lock()
-	defer dlMu.Unlock()
 	for _, sp := range plans {
-		n := collect.eos[sp.key]
-		if dlEOS[sp.key] {
-			n++
-		}
-		if n != 1 {
+		if n := collect.eos[sp.key]; n != 1 {
 			t.Fatalf("stream %q (%s): %d EOS batches, want exactly 1", sp.key, sp.kind, n)
 		}
 	}
@@ -826,8 +676,8 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	compared := 0
 	for _, sp := range plans {
-		if shedStream[sp.key] || dlKeys[sp.key] {
-			continue // a chunk or batch was deliberately dropped
+		if shedStream[sp.key] {
+			continue // a chunk was deliberately dropped
 		}
 		got, gotErr := collect.tags[sp.key], collect.errs[sp.key]
 		switch sp.kind {
@@ -866,8 +716,8 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal("every conforming stream was shed; the soak compared nothing")
 	}
 
-	// --- Counter reconciliation against returned errors and handed-out
-	// batches.
+	// --- Counter reconciliation against returned errors, injected sink
+	// failures and delivered batches.
 	f := mc.Faults()
 	if f.SendsShed != shedErrN {
 		t.Errorf("SendsShed = %d, ErrOverloaded returns %d", f.SendsShed, shedErrN)
@@ -881,14 +731,12 @@ func TestOverloadSoak(t *testing.T) {
 	if f.StreamsQuarantined != errEOSN {
 		t.Errorf("StreamsQuarantined = %d, error-carrying EOS batches %d", f.StreamsQuarantined, errEOSN)
 	}
-	// Every DeadLetter call is either a retry-exhausted dead letter or a
-	// breaker shed, and only the sheds carry ErrBreakerOpen.
-	if f.BreakerSheds != breakerShedN || f.DeadLetters+f.BreakerSheds != dlCallbackN {
-		t.Errorf("DeadLetters %d + BreakerSheds %d, but DeadLetter ran %d times, %d with ErrBreakerOpen",
-			f.DeadLetters, f.BreakerSheds, dlCallbackN, breakerShedN)
+	// Each injected failure is retried exactly once.
+	if f.SinkRetries != injectedN {
+		t.Errorf("SinkRetries = %d, injected sink failures %d", f.SinkRetries, injectedN)
 	}
-	if f.BreakerOpenWorkers != 0 {
-		t.Errorf("BreakerOpenWorkers = %d after Close, want 0", f.BreakerOpenWorkers)
+	if injectedN == 0 {
+		t.Error("no sink failures injected; the transient window never bit")
 	}
 	if f.ResourceExhausted == 0 {
 		t.Error("no resource budgets tripped; the adversarial load never bit")

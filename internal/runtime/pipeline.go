@@ -32,8 +32,8 @@ var ErrQuarantined = errors.New("runtime: stream is quarantined")
 var ErrBackendPanic = errors.New("runtime: backend panicked")
 
 // ErrSinkPanic wraps a panic recovered from Sink.Deliver. It is treated
-// like a Deliver error: retried, then dead-lettered or escalated to a
-// permanent sink failure. Test with errors.Is.
+// like a Deliver error: retried, then escalated to a permanent sink
+// failure. Test with errors.Is.
 var ErrSinkPanic = errors.New("runtime: sink panicked")
 
 // ErrOverloaded is returned by Send in shed mode (Config.SendTimeout != 0)
@@ -57,11 +57,6 @@ var ErrResourceExhausted = errors.New("runtime: resource budget exhausted")
 // never returns is still counted in FaultStats.WatchdogTrips. Test with
 // errors.Is.
 var ErrBackendStalled = errors.New("runtime: backend stalled")
-
-// ErrBreakerOpen is the error a batch is dead-lettered with while a sink
-// worker's circuit breaker is open (see Config.BreakerThreshold). Test
-// with errors.Is.
-var ErrBreakerOpen = errors.New("runtime: sink circuit breaker open")
 
 // DefaultQuarantine is the stream-quarantine TTL used when Config leaves
 // Quarantine zero.
@@ -90,16 +85,12 @@ const matchBytes = 16
 // sinkBackoffCap caps the exponential Deliver-retry backoff.
 const sinkBackoffCap = 250 * time.Millisecond
 
-// DefaultBreakerCooldown is how long an open sink circuit breaker sheds
-// before its half-open probe when Config.BreakerCooldown is zero.
-const DefaultBreakerCooldown = time.Second
-
 // Batch is one unit of Sink delivery: the chunk of stream bytes a shard
 // just processed and the detections it confirmed. Offsets in Tags are
 // absolute within the stream identified by Key. A Batch is a slot of a
 // pooled dispatch unit: the *Batch itself, like Data and Tags, is valid
-// only until Deliver (or DeadLetter) returns, and a later batch may be
-// delivered at the same address.
+// only until Deliver returns, and a later batch may be delivered at the
+// same address.
 type Batch struct {
 	// Key identifies the stream the chunk belongs to.
 	Key string
@@ -231,18 +222,12 @@ type Config struct {
 	SinkWorkers int
 	// SinkAttempts is the number of Deliver attempts per batch,
 	// including the first (0 = 3; 1 disables retry). Retries back off
-	// exponentially from SinkBackoff with jitter, capped at 250ms.
+	// exponentially from SinkBackoff with jitter, capped at 250ms; a
+	// batch whose attempts are all spent fails the sink permanently.
 	SinkAttempts int
 	// SinkBackoff is the base delay before the first Deliver retry
 	// (0 = 1ms).
 	SinkBackoff time.Duration
-	// DeadLetter, when set, receives each batch whose Deliver attempts
-	// were exhausted on a transient error; the pipeline then carries on
-	// with the next batch. When nil, an exhausted batch escalates to a
-	// permanent sink failure instead. Like Deliver, the hook must not
-	// retain b, b.Data or b.Tags past the call. It runs on the delivering
-	// sink worker.
-	DeadLetter func(b *Batch, err error)
 	// SendTimeout selects the overload policy at dispatch. 0 (the
 	// default) keeps the blocking behavior: Send waits while the target
 	// shard's queue is full. Non-zero enables admission control: a Send
@@ -256,16 +241,6 @@ type Config struct {
 	// finally returns, its stream ends with an ErrBackendStalled EOS
 	// batch and a quarantined key. 0 disables the watchdog.
 	FeedDeadline time.Duration
-	// BreakerThreshold is the number of consecutive exhausted deliveries
-	// (all SinkAttempts failed) that open a sink worker's circuit
-	// breaker: while open, the worker stops calling Deliver and sheds
-	// batches straight to DeadLetter with ErrBreakerOpen; after
-	// BreakerCooldown one half-open probe decides whether to close it.
-	// 0 disables the breaker; enabling it requires DeadLetter.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before the
-	// half-open probe (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// Mem, when set, aggregates the pipeline's estimated memory: dispatch
 	// units checked out of the pool charge it with their arena and their
 	// tag buffer, and a factory built with the same gauge in its Limits
@@ -288,7 +263,7 @@ type Config struct {
 // converted into an error-carrying EOS batch, the offending stream key is
 // quarantined for Config.Quarantine, and Sink failures are retried before
 // they become fatal. Only a permanent sink failure (see PermanentError and
-// Config.DeadLetter) stops delivery; it is observable through Err and
+// Config.SinkAttempts) stops delivery; it is observable through Err and
 // returned by subsequent Sends.
 type Pipeline struct {
 	cfg     Config
@@ -437,9 +412,6 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	if cfg.SinkBackoff <= 0 {
 		cfg.SinkBackoff = time.Millisecond
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
 	p := &Pipeline{cfg: cfg, m: cfg.Metrics, wdStop: make(chan struct{})}
 	if cfg.Quota.BytesPerSec > 0 {
 		p.bucket = newTokenBucket(cfg.Quota.BytesPerSec)
@@ -458,7 +430,7 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 		ch := make(chan *unit, cfg.Queue)
 		p.sinkChs = append(p.sinkChs, ch)
 		p.sinkWG.Add(1)
-		go p.sinkWorker(ch, w, 0x5eed5eed^int64(w)*0x9e3779b9)
+		go p.sinkWorker(ch, 0x5eed5eed^int64(w)*0x9e3779b9)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
@@ -1081,17 +1053,12 @@ func (s *shard) emit(u *unit) {
 // sinkWorker drains one delivery queue and recycles each unit after its
 // last batch.
 // Delivery is resilient: transient errors (and panics) retry with capped
-// exponential backoff and jitter; exhausted batches go to the DeadLetter
-// hook when one is configured, otherwise — like errors marked with
-// PermanentError — they fail the sink permanently and further batches are
+// exponential backoff and jitter; exhausted batches — like errors marked
+// with PermanentError — fail the sink permanently and further batches are
 // dropped.
-func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
+func (p *Pipeline) sinkWorker(ch chan *unit, seed int64) {
 	defer p.sinkWG.Done()
 	rng := rand.New(rand.NewSource(seed)) // backoff jitter only
-	var br *breaker
-	if p.cfg.BreakerThreshold > 0 {
-		br = &breaker{p: p, worker: worker}
-	}
 	for u := range ch {
 		for i := range u.batches {
 			b := &u.batches[i]
@@ -1101,15 +1068,15 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 				// (emit never queues an empty unit), whose own More is
 				// evaluated again, so every run ends on a batch without it.
 				b.More = i+1 < len(u.batches) || len(ch) > 0
-				p.deliver(b, rng, br)
+				p.deliver(b, rng)
 			}
 			if b.EOS {
-				// The stream's final batch is out (delivered,
-				// dead-lettered, or dropped on a failed sink): release its
-				// factory-version binding, possibly retiring the version.
-				// Never earlier — per-version resources must outlive every
-				// batch that references them. Its Quota.MaxStreams slot
-				// frees here too.
+				// The stream's final batch is out (delivered, or dropped
+				// on a failed sink): release its factory-version binding,
+				// possibly retiring the version. Never earlier —
+				// per-version resources must outlive every batch that
+				// references them. Its Quota.MaxStreams slot frees here
+				// too.
 				p.releaseVersion(b.ver)
 				if p.live != nil {
 					p.live.release(b.Key)
@@ -1118,98 +1085,25 @@ func (p *Pipeline) sinkWorker(ch chan *unit, worker int, seed int64) {
 		}
 		p.putUnit(u)
 	}
-	if br != nil && br.open {
-		// The worker is gone, and its open breaker with it.
-		p.m.breakerOpen.Add(-1)
-	}
 }
 
-func (p *Pipeline) deliver(b *Batch, rng *rand.Rand, br *breaker) {
-	attempts := p.cfg.SinkAttempts
-	if br != nil && br.open {
-		if time.Now().Before(br.openUntil) {
-			br.shed(b)
-			return
-		}
-		// Half-open: the same loop with one probe attempt. Success closes
-		// the breaker (the batch is delivered); a transient failure
-		// restarts the cooldown and sheds.
-		attempts = 1
-	}
+// deliver tries b up to SinkAttempts times with backoff, stopping on
+// success or on a PermanentError; a batch it cannot deliver fails the
+// sink.
+func (p *Pipeline) deliver(b *Batch, rng *rand.Rand) {
 	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; attempt <= p.cfg.SinkAttempts; attempt++ {
 		if attempt > 1 {
 			p.m.sinkRetries.Add(1)
 			time.Sleep(p.backoff(attempt-1, rng))
 		}
-		if err = p.deliverOnce(b); err == nil {
-			if br != nil {
-				br.success()
-			}
-			return
-		}
-		if isPermanent(err) {
-			p.failSink(err)
-			return
+		if err = p.deliverOnce(b); err == nil || isPermanent(err) {
+			break
 		}
 	}
-	if br != nil && br.open {
-		br.openUntil = time.Now().Add(p.cfg.BreakerCooldown)
-		br.shed(b)
-		return
+	if err != nil {
+		p.failSink(err)
 	}
-	if p.cfg.DeadLetter != nil {
-		p.m.deadLetters.Add(1)
-		p.cfg.DeadLetter(b, err)
-		if br != nil {
-			br.failure()
-		}
-		return
-	}
-	p.failSink(err)
-}
-
-// breaker is one sink worker's circuit breaker over the retry/backoff
-// layer: BreakerThreshold consecutive exhausted deliveries open it, shed
-// batches go straight to DeadLetter with ErrBreakerOpen while it is open,
-// and after BreakerCooldown a single half-open probe decides whether it
-// closes. It lives on one worker goroutine, so no locking.
-type breaker struct {
-	p         *Pipeline
-	worker    int
-	consec    int // consecutive exhausted deliveries
-	open      bool
-	openUntil time.Time
-}
-
-// success resets the failure streak, closing the breaker after a
-// successful half-open probe.
-func (br *breaker) success() {
-	br.consec = 0
-	if br.open {
-		br.open = false
-		br.p.m.breakerOpen.Add(-1)
-	}
-}
-
-// failure records one exhausted delivery, opening the breaker at the
-// threshold.
-func (br *breaker) failure() {
-	br.consec++
-	if !br.open && br.consec >= br.p.cfg.BreakerThreshold {
-		br.open = true
-		br.openUntil = time.Now().Add(br.p.cfg.BreakerCooldown)
-		br.p.m.breakerOpens.Add(1)
-		br.p.m.breakerOpen.Add(1)
-	}
-}
-
-// shed hands one batch to DeadLetter without touching the sink.
-// DeadLetter is guaranteed non-nil (Validate requires it with the
-// breaker).
-func (br *breaker) shed(b *Batch) {
-	br.p.m.breakerSheds.Add(1)
-	br.p.cfg.DeadLetter(b, fmt.Errorf("%w: worker %d", ErrBreakerOpen, br.worker))
 }
 
 // deliverOnce delivers b through its version's sink, shielding the

@@ -107,42 +107,10 @@ func waitLiveStreams(t *testing.T, p *Pipeline, want int) {
 }
 
 // TestQuotaSlotFreedWithoutDelivery pins the MaxStreams slot to the end of
-// the stream, not to a successful Deliver: a final batch an open breaker
-// sheds to DeadLetter, or one dropped after a permanent sink failure,
-// still frees it.
+// the stream, not to a successful Deliver: a final batch dropped after a
+// permanent sink failure still frees it.
 func TestQuotaSlotFreedWithoutDelivery(t *testing.T) {
 	spec := testSpec(t, core.Options{FreeRunningStart: true})
-	t.Run("breaker-shed", func(t *testing.T) {
-		p, err := NewPipeline(Config{
-			Shards:           1,
-			Factory:          testFactory(t, spec, Limits{}),
-			Quota:            Quota{MaxStreams: 1},
-			BreakerThreshold: 1,
-			SinkAttempts:     1,
-			DeadLetter:       func(*Batch, error) {},
-		}, SinkFunc(func(*Batch) error { return errors.New("sink down") }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		if err := p.Send("s1", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.CloseStream("s1"); err != nil {
-			t.Fatal(err)
-		}
-		waitLiveStreams(t, p, 0)
-		if err := p.Send("s2", []byte("x")); err != nil {
-			t.Fatalf("Send on a freed slot = %v, want nil", err)
-		}
-		if err := p.CloseStream("s2"); err != nil {
-			t.Fatal(err)
-		}
-		waitLiveStreams(t, p, 0)
-		if f := p.m.Faults(); f.BreakerSheds == 0 {
-			t.Fatalf("no final batch was shed by the breaker: %+v", f)
-		}
-	})
 	t.Run("permanent-failure", func(t *testing.T) {
 		p, err := NewPipeline(Config{
 			Shards:  1,

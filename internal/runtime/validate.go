@@ -55,15 +55,6 @@ func (cfg *Config) Validate() error {
 	if cfg.FeedDeadline < 0 {
 		return &ConfigError{Field: "FeedDeadline", Value: cfg.FeedDeadline, Reason: "must be >= 0 (0 = watchdog disabled)"}
 	}
-	if cfg.BreakerThreshold < 0 {
-		return &ConfigError{Field: "BreakerThreshold", Value: cfg.BreakerThreshold, Reason: "must be >= 0 (0 = breaker disabled)"}
-	}
-	if cfg.BreakerThreshold > 0 && cfg.DeadLetter == nil {
-		return &ConfigError{Field: "BreakerThreshold", Value: cfg.BreakerThreshold, Reason: "breaker requires DeadLetter (an open breaker sheds batches to it)"}
-	}
-	if cfg.BreakerCooldown < 0 {
-		return &ConfigError{Field: "BreakerCooldown", Value: cfg.BreakerCooldown, Reason: "must be >= 0 (0 = default)"}
-	}
 	if cfg.Quota.MaxStreams < 0 {
 		return &ConfigError{Field: "Quota.MaxStreams", Value: cfg.Quota.MaxStreams, Reason: "must be >= 0 (0 = unlimited)"}
 	}

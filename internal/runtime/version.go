@@ -95,8 +95,8 @@ func (p *Pipeline) acquireVersion() *factoryVersion {
 
 // releaseVersion drops one stream binding, retiring the version when it is
 // superseded and this was its last stream. Called by the sink worker after
-// the stream's final batch is delivered (or dead-lettered, or dropped on a
-// failed sink) — never earlier, so per-version resources outlive every
+// the stream's final batch is delivered (or dropped on a failed sink) —
+// never earlier, so per-version resources outlive every
 // batch that references them.
 func (p *Pipeline) releaseVersion(v *factoryVersion) {
 	p.verMu.Lock()

@@ -61,13 +61,9 @@ func (s *Server) MetricsText() string {
 			fmt.Fprintf(&b, "cfgtag_streams_quarantined_total%s %d\n", lbl, f.StreamsQuarantined)
 			fmt.Fprintf(&b, "cfgtag_streams_evicted_total%s %d\n", lbl, f.StreamsEvicted)
 			fmt.Fprintf(&b, "cfgtag_sink_retries_total%s %d\n", lbl, f.SinkRetries)
-			fmt.Fprintf(&b, "cfgtag_dead_letters_total%s %d\n", lbl, f.DeadLetters)
 			fmt.Fprintf(&b, "cfgtag_sends_shed_total%s %d\n", lbl, f.SendsShed)
 			fmt.Fprintf(&b, "cfgtag_watchdog_trips_total%s %d\n", lbl, f.WatchdogTrips)
 			fmt.Fprintf(&b, "cfgtag_resource_exhausted_total%s %d\n", lbl, f.ResourceExhausted)
-			fmt.Fprintf(&b, "cfgtag_breaker_opens_total%s %d\n", lbl, f.BreakerOpens)
-			fmt.Fprintf(&b, "cfgtag_breaker_sheds_total%s %d\n", lbl, f.BreakerSheds)
-			fmt.Fprintf(&b, "cfgtag_breaker_open_workers%s %d\n", lbl, f.BreakerOpenWorkers)
 		}
 		if vs, err := s.stats.LiveVersions(t); err == nil {
 			fmt.Fprintf(&b, "cfgtag_live_versions%s %d\n", lbl, len(vs))

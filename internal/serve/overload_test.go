@@ -148,12 +148,9 @@ func (f *fakeStats) LiveVersions(string) ([]int, error)       { return []int{1},
 func TestMetricsTextOverloadCounters(t *testing.T) {
 	s := NewServer()
 	s.SetStats(&fakeStats{tenant: "acme", faults: cfgtag.FaultStats{
-		SendsShed:          3,
-		WatchdogTrips:      2,
-		ResourceExhausted:  4,
-		BreakerOpens:       6,
-		BreakerSheds:       5,
-		BreakerOpenWorkers: 1,
+		SendsShed:         3,
+		WatchdogTrips:     2,
+		ResourceExhausted: 4,
 	}})
 	s.CountSlowConsumer()
 	text := s.MetricsText()
@@ -162,9 +159,6 @@ func TestMetricsTextOverloadCounters(t *testing.T) {
 		`cfgtag_sends_shed_total{tenant="acme"} 3`,
 		`cfgtag_watchdog_trips_total{tenant="acme"} 2`,
 		`cfgtag_resource_exhausted_total{tenant="acme"} 4`,
-		`cfgtag_breaker_opens_total{tenant="acme"} 6`,
-		`cfgtag_breaker_sheds_total{tenant="acme"} 5`,
-		`cfgtag_breaker_open_workers{tenant="acme"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("metrics missing %q in:\n%s", want, text)

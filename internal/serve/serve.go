@@ -39,7 +39,7 @@ type Stats interface {
 // nothing, so it is not handed over. Deliver must not retain the batch.
 // Output errors are absorbed by the server (counted, the output is
 // dropped) rather than propagated into the pipeline's retry machinery —
-// a client that stopped reading must not stall or dead-letter a tenant.
+// a client that stopped reading must not stall or fail a tenant.
 type Output interface {
 	Deliver(b *cfgtag.TagBatch) error
 }
@@ -47,7 +47,8 @@ type Output interface {
 // TenantSink observes every delivered batch of every tenant — the
 // fan-out hook for mirroring tag events into logs, brokers or test
 // recorders. Unlike Output errors, a TenantSink error propagates into
-// the pipeline's sink retry/dead-letter machinery.
+// the pipeline's sink retry: retried with backoff, then failing the
+// tenant's pipeline permanently.
 type TenantSink func(tenant string, b *cfgtag.TagBatch) error
 
 // ErrDrainTimeout is returned by Shutdown when live sessions were still
@@ -333,50 +334,48 @@ func (s *Server) refuse(ss *session, err error, closing bool) error {
 	return err
 }
 
-// errText renders a refusal as the reason of a CFGTAG/1 ERR line. It and
-// httpStatus sit beside refuse: the inputs render, refuse decides when.
-func errText(err error) string {
-	switch {
-	case errors.Is(err, cfgtag.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, cfgtag.ErrResourceExhausted):
-		return "resource exhausted"
-	case errors.Is(err, cfgtag.ErrQuotaExceeded):
-		return "quota exceeded"
-	case errors.Is(err, cfgtag.ErrUnknownTenant):
-		return "unknown tenant"
-	case errors.Is(err, ErrDraining):
-		return "draining"
-	case errors.Is(err, ErrDuplicateStream):
-		return "duplicate stream"
-	case errors.Is(err, cfgtag.ErrStreamQuarantined):
-		return "quarantined"
-	case errors.Is(err, cfgtag.ErrPlatformClosed), errors.Is(err, cfgtag.ErrPipelineClosed):
-		return "shutting down"
-	default:
-		return "error"
+// refusals classifies a refusal once for both inputs: the first row
+// whose sentinels match gives the reason of a CFGTAG/1 ERR line and the
+// HTTP status. Overload, budget exhaustion and quota are transient
+// server-side pressure: the client should back off and retry. It sits
+// beside refuse: the inputs render, refuse decides when.
+var refusals = []struct {
+	errs   []error
+	text   string
+	status int
+}{
+	{[]error{cfgtag.ErrOverloaded}, "overloaded", http.StatusTooManyRequests},
+	{[]error{cfgtag.ErrResourceExhausted}, "resource exhausted", http.StatusTooManyRequests},
+	{[]error{cfgtag.ErrQuotaExceeded}, "quota exceeded", http.StatusTooManyRequests},
+	{[]error{cfgtag.ErrUnknownTenant}, "unknown tenant", http.StatusNotFound},
+	{[]error{ErrDraining}, "draining", http.StatusServiceUnavailable},
+	{[]error{ErrDuplicateStream}, "duplicate stream", http.StatusConflict},
+	{[]error{cfgtag.ErrStreamQuarantined}, "quarantined", http.StatusConflict},
+	{[]error{cfgtag.ErrPlatformClosed, cfgtag.ErrPipelineClosed}, "shutting down", http.StatusServiceUnavailable},
+}
+
+// refusal returns err's row of refusals: its ERR reason and HTTP status.
+func refusal(err error) (string, int) {
+	for _, r := range refusals {
+		for _, e := range r.errs {
+			if errors.Is(err, e) {
+				return r.text, r.status
+			}
+		}
 	}
+	return "error", http.StatusInternalServerError
+}
+
+// errText renders a refusal as the reason of a CFGTAG/1 ERR line.
+func errText(err error) string {
+	text, _ := refusal(err)
+	return text
 }
 
 // httpStatus renders a refusal as an HTTP status.
 func httpStatus(err error) int {
-	switch {
-	case errors.Is(err, cfgtag.ErrOverloaded), errors.Is(err, cfgtag.ErrResourceExhausted):
-		// Load shedding and budget exhaustion are both transient
-		// server-side pressure: the client should back off and retry.
-		return http.StatusTooManyRequests
-	case errors.Is(err, cfgtag.ErrQuotaExceeded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, cfgtag.ErrUnknownTenant):
-		return http.StatusNotFound
-	case errors.Is(err, ErrDraining), errors.Is(err, cfgtag.ErrPlatformClosed),
-		errors.Is(err, cfgtag.ErrPipelineClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrDuplicateStream), errors.Is(err, cfgtag.ErrStreamQuarantined):
-		return http.StatusConflict
-	default:
-		return http.StatusInternalServerError
-	}
+	_, status := refusal(err)
+	return status
 }
 
 // release ends a session that no EOS batch will end. Idempotent.
@@ -408,7 +407,7 @@ func (s *Server) dropLocked(ss *session) bool {
 
 // Deliver is the Core's deliver callback: it fans the batch out to the
 // registered TenantSinks (whose errors propagate, feeding the pipeline's
-// retry/DLQ machinery) and writes it to the stream's session output
+// sink retry) and writes it to the stream's session output
 // (whose errors are absorbed — the client is gone, the pipeline is not).
 // On EOS the session is ended and its done channel closed.
 //

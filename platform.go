@@ -15,8 +15,8 @@ import (
 )
 
 // ErrInvalidConfig is the sentinel wrapped by every configuration
-// rejection — PlatformConfig.Validate, PipelineConfig negatives, tenant
-// quotas. Test with errors.Is.
+// rejection — PlatformConfig.Validate, Engine.NewPipeline, tenant quotas.
+// Test with errors.Is.
 var ErrInvalidConfig = runtime.ErrInvalidConfig
 
 // ConfigError names the invalid field behind an ErrInvalidConfig.
@@ -85,8 +85,8 @@ type LimitsConfig struct {
 
 // TenantDef declares one tenant in a PlatformConfig: a name, a grammar
 // (inline source or a file path), compile options, the execution backend
-// and the pipeline/quota knobs. Zero values select the defaults
-// documented on PipelineConfig.
+// and the pipeline/quota knobs. Zero values select the documented
+// defaults; Engine.NewPipeline sets only Backend, Shards and Queue.
 type TenantDef struct {
 	// Name identifies the tenant; required, unique within the config.
 	Name string `json:"name"`
@@ -114,8 +114,9 @@ type TenantDef struct {
 	Shards int `json:"shards,omitempty"`
 	// Queue is each shard's input queue depth in batches (0 = 64).
 	Queue int `json:"queue,omitempty"`
-	// MaxStreams caps live streams per shard with LRU eviction (0 =
-	// unlimited); see also Quota.MaxStreams for the rejecting cap.
+	// MaxStreams caps live streams per shard (0 = unlimited), ending the
+	// least-recently-fed one with an Evicted batch; see also
+	// Quota.MaxStreams for the rejecting cap.
 	MaxStreams int `json:"max_streams,omitempty"`
 	// Quarantine is the faulted-stream rejection TTL ("30s"; negative
 	// disables, zero selects the default).
@@ -123,18 +124,23 @@ type TenantDef struct {
 	// BatchBytes is the dispatch-coalescing target (0 = 64 KiB, negative
 	// disables coalescing).
 	BatchBytes int `json:"batch_bytes,omitempty"`
-	// SinkAttempts, SinkBackoff and SinkWorkers tune delivery (see
-	// PipelineConfig).
+	// SinkAttempts is the deliver tries per batch, the first included
+	// (0 = 3); a batch that spends them fails the pipeline permanently.
+	// SinkBackoff is the base retry delay, doubled per retry with jitter
+	// (0 = 1ms). SinkWorkers is the number of delivery workers (0 = 1);
+	// with more, one stream's batches still arrive in order, but deliver
+	// must be safe for concurrent use across streams.
 	SinkAttempts int      `json:"sink_attempts,omitempty"`
 	SinkBackoff  Duration `json:"sink_backoff,omitempty"`
 	SinkWorkers  int      `json:"sink_workers,omitempty"`
 	// SendTimeout switches the tenant's Sends from backpressure on a full
-	// shard queue to load shedding with ErrOverloaded (see
-	// PipelineConfig.SendTimeout: 0 = block, "-1ns" = shed immediately,
-	// positive = bounded wait).
+	// shard queue to load shedding with ErrOverloaded, which accepts none
+	// of the chunk: 0 = block, "-1ns" = shed immediately, positive =
+	// bounded wait.
 	SendTimeout Duration `json:"send_timeout,omitempty"`
-	// FeedDeadline arms the backend watchdog (see
-	// PipelineConfig.FeedDeadline; 0 = disabled).
+	// FeedDeadline arms the backend watchdog: a Feed or Close call past
+	// it ends the stream with ErrBackendStalled and quarantines its key
+	// (0 = disabled).
 	FeedDeadline Duration `json:"feed_deadline,omitempty"`
 	// Limits bounds each stream's backend resources (see LimitsConfig).
 	Limits LimitsConfig `json:"limits,omitempty"`
@@ -223,22 +229,30 @@ func (pc *PlatformConfig) Validate() error {
 				return &ConfigError{Field: field("options"), Value: o, Reason: "unknown compile option"}
 			}
 		}
-		if err := checkServed(BackendKind(t.Backend), field("backend")); err != nil {
-			return err
-		}
-		rc := t.pipelineConfig()
-		err := rc.Validate()
-		if err == nil {
-			err = runtime.ValidateLimits(t.limits(nil))
-		}
-		if ce, ok := err.(*ConfigError); ok {
-			ce.Field = field(ce.Field)
-		}
-		if err != nil {
+		if err := t.check(field(""), field("backend")); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// check is the per-tenant knob check Validate and Engine.NewPipeline
+// share: a served backend, named backendField when refused, then every
+// pipeline, quota and limits knob, range-checked by the runtime on the one
+// conversion and named with prefix.
+func (t *TenantDef) check(prefix, backendField string) error {
+	if err := checkServed(BackendKind(t.Backend), backendField); err != nil {
+		return err
+	}
+	rc := t.pipelineConfig()
+	err := rc.Validate()
+	if err == nil {
+		err = runtime.ValidateLimits(t.limits(nil))
+	}
+	if ce, ok := err.(*ConfigError); ok {
+		ce.Field = prefix + ce.Field
+	}
+	return err
 }
 
 // options resolves the tenant's named compile options.
@@ -251,8 +265,9 @@ func (t *TenantDef) options() []Option {
 }
 
 // pipelineConfig is the runtime.Config of the tenant's pipeline and quota
-// knobs — the one conversion Validate checks and NewPlatform starts. The
-// factory, metrics and gauge are the caller's.
+// knobs — the one conversion check validates and NewPlatform and
+// Engine.NewPipeline start. The factory, metrics and gauge are the
+// caller's.
 func (t *TenantDef) pipelineConfig() runtime.Config {
 	return runtime.Config{
 		Shards:       t.Shards,

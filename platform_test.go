@@ -334,8 +334,8 @@ func TestPlatformReloadUnchanged(t *testing.T) {
 // TestTagBatchEngine checks the engine a batch reports: across a Reload the
 // batches of a stream opened before it carry the old engine to the end,
 // those of a stream opened after it the new one, even when the old
-// stream's backend never got built; DeadLetter and hand-built batches
-// carry none and render from Tags.
+// stream's backend never got built; hand-built batches carry none and
+// render from Tags.
 func TestTagBatchEngine(t *testing.T) {
 	var mu sync.Mutex
 	engines := make(map[string]map[*Engine]bool)
@@ -412,33 +412,17 @@ func TestTagBatchEngine(t *testing.T) {
 		t.Errorf("new stream's engine tags %v, want new-grammar %v", got, want)
 	}
 
-	// A dead-lettered batch has no engine and renders its (edited) Tags.
-	var dead []string
-	pipe, err := wantOld.NewPipeline(PipelineConfig{
-		Shards:       1,
-		SinkAttempts: 1,
-		DeadLetter: func(b *TagBatch, err error) {
-			if b.Engine() != nil {
-				t.Error("DeadLetter batch reports an engine")
-			}
-			if len(b.Tags) > 0 {
-				b.Tags[0].Term = "edited"
-			}
-			var n int
-			dead = append(dead, string(b.AppendText(nil, "", &n)))
-		},
-	}, func(*TagBatch) error { return errTransient })
-	if err != nil {
-		t.Fatal(err)
+	// A hand-built batch has no engine and renders its (edited) Tags.
+	built := TagBatch{Stream: "s", Data: xmlIn, Tags: wantOld.NewTagger().Tag(xmlIn)}
+	if built.Engine() != nil {
+		t.Error("hand-built batch of engine tags reports an engine")
 	}
-	if err := pipe.Send("s", xmlIn); err != nil {
-		t.Fatal(err)
+	if len(built.Tags) > 0 {
+		built.Tags[0].Term = "edited"
 	}
-	if err := pipe.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if text := strings.Join(dead, ""); !strings.Contains(text, " edited ") {
-		t.Errorf("dead-lettered text %q does not render the edited Tags", text)
+	var built0 int
+	if text := string(built.AppendText(nil, "", &built0)); !strings.Contains(text, " edited ") {
+		t.Errorf("hand-built text %q does not render the edited Tags", text)
 	}
 
 	hand := TagBatch{Tags: []Match{{Term: "T", Context: "C", Index: 3, End: 7}}, EOS: true}

@@ -133,18 +133,19 @@ func TestPlatformReloadContexts(t *testing.T) {
 // batch's tags, or as a data race under -race. It runs with every Send its
 // own unit and with chunks coalesced (64 KiB and 4 KiB units).
 func TestPipelinePooledBatchNoAliasing(t *testing.T) {
-	for _, cfg := range []PipelineConfig{
+	for _, def := range []TenantDef{
 		{Shards: 4, SinkWorkers: 2, BatchBytes: -1},
 		{Shards: 4, SinkWorkers: 2},
 		{Shards: 4, SinkWorkers: 1, BatchBytes: 4096},
 	} {
-		t.Run(fmt.Sprintf("workers-%d-batch-%d", cfg.SinkWorkers, cfg.BatchBytes), func(t *testing.T) {
-			testPooledBatchNoAliasing(t, cfg)
+		t.Run(fmt.Sprintf("workers-%d-batch-%d", def.SinkWorkers, def.BatchBytes), func(t *testing.T) {
+			testPooledBatchNoAliasing(t, def)
 		})
 	}
 }
 
-func testPooledBatchNoAliasing(t *testing.T, cfg PipelineConfig) {
+func testPooledBatchNoAliasing(t *testing.T, def TenantDef) {
+	def.Name, def.Grammar, def.Options = "xmlrpc", XMLRPCSource, []string{"free-running-start"}
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func testPooledBatchNoAliasing(t *testing.T, cfg PipelineConfig) {
 
 	var mu sync.Mutex
 	got := make(map[string][]Match)
-	deliver := func(b *TagBatch) error {
+	deliver := func(_ string, b *TagBatch) error {
 		mine := append([]Match(nil), b.Tags...)
 		runtime.Gosched() // let the other worker convert and scribble
 		if !reflect.DeepEqual(mine, append([]Match(nil), b.Tags...)) {
@@ -174,7 +175,7 @@ func testPooledBatchNoAliasing(t *testing.T, cfg PipelineConfig) {
 		*b = TagBatch{Stream: "scribble", Tags: append(b.Tags, scribble)[:0]}
 		return nil
 	}
-	p, err := engine.NewPipeline(cfg, deliver)
+	p, err := NewPlatform(&PlatformConfig{Tenants: []TenantDef{def}}, deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +187,12 @@ func testPooledBatchNoAliasing(t *testing.T, cfg PipelineConfig) {
 			defer wg.Done()
 			for off := 0; off < len(input); off += 97 {
 				end := min(off+97, len(input))
-				if err := p.Send(key, input[off:end]); err != nil {
+				if err := p.Send("xmlrpc", key, input[off:end]); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			if err := p.CloseStream(key); err != nil {
+			if err := p.CloseStream("xmlrpc", key); err != nil {
 				t.Error(err)
 			}
 		}(fmt.Sprintf("s%d", s))
