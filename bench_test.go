@@ -458,8 +458,8 @@ func BenchmarkShardedPipeline(b *testing.B) {
 // BenchmarkPipelineOverload measures the admission-control layer. The
 // admission-on point runs the exact BenchmarkShardedPipeline workload
 // through bounded-wait admission (a generous SendTimeout): the producer
-// outruns the DFA shard, so admission waits on the drain signal exactly
-// where blocking mode waits on the queue — zero Sends shed, and the
+// outruns the DFA shard, so admission waits on the shard's space
+// condition where blocking mode waits on the queue — zero Sends shed, and the
 // delta against admission-off is the cost of the watermark check and
 // wait loop, which must be noise. The overload-2x point throttles the
 // sink so the offered load is about twice what it drains and lets

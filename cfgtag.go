@@ -853,8 +853,8 @@ type MemGauge = runtime.MemGauge
 var ErrPipelineClosed = runtime.ErrClosed
 
 // ErrStreamQuarantined is returned (wrapped, test with errors.Is) by Send
-// and CloseStream for a key whose backend recently faulted and is still
-// inside its quarantine window.
+// and CloseStream for a key inside its quarantine window after a backend
+// fault, or evicted with its Evicted batch not yet delivered.
 var ErrStreamQuarantined = runtime.ErrQuarantined
 
 // ErrBackendPanic is the sentinel wrapped into a TagBatch.Err when the

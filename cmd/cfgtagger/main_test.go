@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -230,13 +231,50 @@ func TestShardsMemBudgetCountsTable(t *testing.T) {
 	}
 }
 
+// TestShardsChaosReproducible: a -chaos-seed names one fault schedule.
+// Each stream's faults follow from the seed and its own first chunk, so
+// ten runs at four shards print the same lines for every stream and the
+// same summary; only how the streams interleave may differ.
+func TestShardsChaosReproducible(t *testing.T) {
+	stdin := chaosLines(24)
+	var want map[string][]string
+	var wantSummary string
+	for run := 0; run < 10; run++ {
+		out, err := cli(t, stdin, "-builtin", "xmlrpc", "-shards", "4", "-chaos", "0.3", "-chaos-seed", "1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, summary := byStream(out), out[strings.Index(out, "24 streams, "):]
+		if run == 0 {
+			want, wantSummary = got, summary
+			if !strings.Contains(summary, "\nfaults: ") {
+				t.Fatalf("no stream faulted:\n%s", out)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) || summary != wantSummary {
+			t.Fatalf("run %d differs from run 0:\n%s\nwant per stream %q\n%s", run, out, want, wantSummary)
+		}
+	}
+}
+
+// chaosLines is n XML-RPC sentences told apart by their trailing blanks:
+// -chaos seeds a stream's faults from its first chunk, so equal lines
+// would all fault alike.
+func chaosLines(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%s%s\n", inputs["xmlrpc"].sentence, strings.Repeat(" ", i))
+	}
+	return b.String()
+}
+
 // TestShardsChaos drives -chaos: injected backend errors, panics and
 // latency end only the streams they hit. Every line is either tagged
 // exactly like the unfaulted run, or ends in a fault line after a prefix
 // of those tags, and the fault counters are printed.
 func TestShardsChaos(t *testing.T) {
-	in := inputs["xmlrpc"]
-	stdin := strings.Repeat(in.sentence+"\n", 16)
+	stdin := chaosLines(16)
 	full, err := cli(t, stdin, "-builtin", "xmlrpc", "-shards", "2")
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 
 	"cfgtag/internal/runtime"
@@ -53,9 +53,10 @@ var ErrSinkInjected = errors.New("faultinject: injected sink failure")
 
 // Config tunes backend fault injection. The zero value injects nothing.
 type Config struct {
-	// Seed derives each wrapped backend's private RNG (backends also mix
-	// in a creation sequence number, so shards fault independently yet
-	// reproducibly).
+	// Seed derives each wrapped backend's private RNG, seeded at the
+	// backend's first Feed from Seed and an FNV-1a hash of that chunk: a
+	// stream's faults follow from the seed and its own bytes, whichever
+	// shard runs it and whenever.
 	Seed int64
 	// ErrorRate is the probability per Feed of failing with ErrInjected.
 	ErrorRate float64
@@ -78,22 +79,12 @@ func (c Config) latency() time.Duration {
 
 // Factory wraps inner so every backend it creates injects faults per cfg.
 func Factory(inner runtime.Factory, cfg Config) runtime.Factory {
-	var mu sync.Mutex
-	var seq int64
 	return func() (runtime.Backend, error) {
 		b, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		seq++
-		n := seq
-		mu.Unlock()
-		return &backend{
-			inner: b,
-			cfg:   cfg,
-			rng:   rand.New(rand.NewSource(cfg.Seed ^ n*0x1e3779b97f4a7c15)),
-		}, nil
+		return &backend{inner: b, cfg: cfg}, nil
 	}
 }
 
@@ -101,19 +92,25 @@ func Factory(inner runtime.Factory, cfg Config) runtime.Factory {
 type backend struct {
 	inner runtime.Backend
 	cfg   Config
-	rng   *rand.Rand
-	tail  []byte // last bytes of the previous chunk, for straddled markers
+	rng   *rand.Rand // seeded at the first Feed (see Config.Seed)
+	tail  []byte     // last bytes of the previous chunk, for straddled markers
 }
 
 // Unwrap exposes the wrapped backend (for audits through the wrapper).
 func (b *backend) Unwrap() runtime.Backend { return b.inner }
 
 func (b *backend) Reset() {
+	b.rng = nil
 	b.tail = b.tail[:0]
 	b.inner.Reset()
 }
 
 func (b *backend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	if b.rng == nil {
+		h := fnv.New64a()
+		h.Write(p)
+		b.rng = rand.New(rand.NewSource(b.cfg.Seed ^ int64(h.Sum64())))
+	}
 	if b.cfg.Triggers {
 		if err := b.checkTriggers(p); err != nil {
 			return out, err

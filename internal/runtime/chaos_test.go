@@ -76,6 +76,7 @@ type chaosCollector struct {
 	data     map[string][]byte
 	tags     map[string][]stream.Match
 	terminal map[string]bool
+	evicted  map[string]bool // the key's last EOS batch was an eviction
 	errs     map[string]error
 	batches  int
 }
@@ -85,6 +86,7 @@ func newChaosCollector() *chaosCollector {
 		data:     make(map[string][]byte),
 		tags:     make(map[string][]stream.Match),
 		terminal: make(map[string]bool),
+		evicted:  make(map[string]bool),
 		errs:     make(map[string]error),
 	}
 }
@@ -95,6 +97,7 @@ func (c *chaosCollector) Deliver(b *runtime.Batch) error {
 	c.tags[b.Key] = append(c.tags[b.Key], b.Tags...)
 	if b.EOS || b.Evicted {
 		c.terminal[b.Key] = true
+		c.evicted[b.Key] = b.Evicted
 	}
 	if b.Err != nil {
 		c.errs[b.Key] = b.Err
@@ -281,6 +284,11 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A key is refused while it is quarantined after a fault, or held
+	// while its eviction's EOS batch is on its way; either way its stream
+	// has ended, which the terminal batch must show.
+	var refusedMu sync.Mutex
+	refused := make(map[string]bool)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -293,7 +301,10 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 					s := streams[i]
 					for _, chunk := range s.chunks {
 						if err := p.Send(s.key, chunk); err != nil {
-							if errors.Is(err, runtime.ErrQuarantined) && s.faulted() {
+							if errors.Is(err, runtime.ErrQuarantined) {
+								refusedMu.Lock()
+								refused[s.key] = true
+								refusedMu.Unlock()
 								break
 							}
 							t.Errorf("%s: Send = %v", s.key, err)
@@ -317,6 +328,9 @@ func TestChaosPipelineWithEviction(t *testing.T) {
 		s := &streams[i]
 		if !collector.terminal[s.key] {
 			t.Errorf("%s: no terminal batch", s.key)
+		}
+		if refused[s.key] && !collector.evicted[s.key] && collector.errs[s.key] == nil {
+			t.Errorf("%s: refused as quarantined, but its terminal batch is neither evicted nor faulted", s.key)
 		}
 	}
 	if f := mc.Faults(); f.StreamsEvicted == 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +268,191 @@ func TestStreamEndTaxonomy(t *testing.T) {
 			}
 			if faults != row.faults {
 				t.Errorf("FaultStats = %+v\nwant %+v", faults, row.faults)
+			}
+		})
+	}
+
+	testRefusals(t)
+}
+
+// refusedChunk is what a refusal row sends on k: 7 bytes, one past the
+// rate row's burst, and never part of a setup's traffic.
+const refusedChunk = "refused"
+
+// refusalRec is what the sink saw in a refusal row. hook, when set, sees
+// every batch first; an error fails the attempt.
+type refusalRec struct {
+	mu      sync.Mutex
+	kEOS    int  // EOS batches of k
+	carried bool // a batch carried the refused chunk
+	hook    func(b *Batch) error
+}
+
+func (r *refusalRec) Deliver(b *Batch) error {
+	if r.hook != nil {
+		if err := r.hook(b); err != nil {
+			return err
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.carried = r.carried || strings.Contains(string(b.Data), refusedChunk)
+	if b.Key == "k" && b.EOS {
+		r.kEOS++
+	}
+	return nil
+}
+
+func (r *refusalRec) Close() error { return nil }
+
+func (r *refusalRec) eos() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.kEOS
+}
+
+// refusalRow is one way the pipeline refuses a Send before it enqueues
+// anything (DESIGN.md §6e and §6j).
+type refusalRow struct {
+	name   string
+	cfg    func(c *Config, rec *refusalRec)
+	setup  func(t *testing.T, p *Pipeline, rec *refusalRec) // brings the pipeline to refuse k
+	after  func()                                           // runs after the refusal
+	err    error                                            // the sentinel
+	says   string                                           // in the refusal's text
+	faults FaultStats
+	bytes  int64 // the setup's accepted bytes: all the pipeline counts
+	kEOS   int   // k's EOS batches, all from the setup
+}
+
+// testRefusals holds the refusal rows of TestStreamEndTaxonomy: each row
+// sends k a chunk the pipeline must refuse, and checks the sentinel, the
+// FaultStats, that the refusal took no Quota.MaxStreams slot, and, after
+// Close, that no batch carried the chunk, k got no EOS batch beyond the
+// setup's, and the pipeline counted only the setup's bytes.
+func testRefusals(t *testing.T) {
+	send := func(key string) func(*testing.T, *Pipeline, *refusalRec) {
+		return func(t *testing.T, p *Pipeline, _ *refusalRec) {
+			if err := p.Send(key, []byte("data")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	await := func(t *testing.T, what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never %s", what)
+			}
+		}
+	}
+	shedRow := func(name string, timeout time.Duration) refusalRow {
+		started, gate := make(chan struct{}, 1), make(chan struct{})
+		return refusalRow{name: name, err: ErrOverloaded, faults: FaultStats{SendsShed: 1}, bytes: 9,
+			cfg: func(c *Config, _ *refusalRec) {
+				c.Queue, c.BatchBytes, c.SendTimeout = 1, -1, timeout
+				c.Factory = blockingFactory(started, gate)
+			},
+			setup: func(t *testing.T, p *Pipeline, _ *refusalRec) { fillShard(t, p, started) },
+			after: func() { close(gate) }}
+	}
+	evictedHeld := func() refusalRow {
+		held, release := make(chan struct{}), make(chan struct{})
+		return refusalRow{name: "evicted key, EOS held in the sink", err: ErrQuarantined, says: "evicted",
+			faults: FaultStats{StreamsEvicted: 1}, bytes: 8, kEOS: 1,
+			cfg: func(c *Config, rec *refusalRec) {
+				c.MaxStreams = 1
+				rec.hook = func(b *Batch) error {
+					if b.Key == "k" && b.Evicted {
+						close(held)
+						<-release
+					}
+					return nil
+				}
+			},
+			setup: func(t *testing.T, p *Pipeline, rec *refusalRec) {
+				send("k")(t, p, rec)
+				send("other")(t, p, rec) // evicts k
+				<-held
+			},
+			after: func() { close(release) }}
+	}
+	rows := []refusalRow{
+		{name: "pipeline closed", err: ErrClosed,
+			setup: func(t *testing.T, p *Pipeline, _ *refusalRec) { p.Close() }},
+		{name: "sink failed", err: errSinkGone, bytes: 4,
+			cfg: func(_ *Config, rec *refusalRec) {
+				rec.hook = func(*Batch) error { return PermanentError(errSinkGone) }
+			},
+			setup: func(t *testing.T, p *Pipeline, rec *refusalRec) {
+				send("other")(t, p, rec)
+				await(t, "failed the sink", func() bool { return p.Err() != nil })
+			}},
+		{name: "quarantined key", err: ErrQuarantined, faults: FaultStats{StreamsQuarantined: 1}, kEOS: 1,
+			setup: func(t *testing.T, p *Pipeline, rec *refusalRec) {
+				if err := p.Send("k", []byte("feed error")); err != nil {
+					t.Fatal(err)
+				}
+				await(t, "delivered k's fault batch", func() bool { return rec.eos() == 1 })
+			}},
+		evictedHeld(),
+		{name: "quota rate", err: ErrQuotaExceeded,
+			cfg: func(c *Config, _ *refusalRec) { c.Quota.BytesPerSec = int64(len(refusedChunk)) - 1 }},
+		{name: "quota slots", err: ErrQuotaExceeded, bytes: 4,
+			cfg:   func(c *Config, _ *refusalRec) { c.Quota.MaxStreams = 1 },
+			setup: send("other")},
+		{name: "memory budget", err: ErrResourceExhausted,
+			cfg: func(c *Config, _ *refusalRec) {
+				c.Mem = &MemGauge{}
+				c.Mem.Add(1)
+				c.Quota.MemBudgetBytes = 1
+			}},
+		shedRow("immediate shed", -1),
+		shedRow("bounded-wait shed timed out", 20*time.Millisecond),
+	}
+	for _, row := range rows {
+		t.Run("refused/"+row.name, func(t *testing.T) {
+			var mc MetricCounters
+			rec := &refusalRec{}
+			cfg := Config{
+				Shards: 1, Quarantine: time.Hour, Metrics: &mc, Quota: Quota{MaxStreams: 2},
+				Factory: func() (Backend, error) { return &endBackend{}, nil },
+			}
+			if row.cfg != nil {
+				row.cfg(&cfg, rec)
+			}
+			p, err := NewPipeline(cfg, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.setup != nil {
+				row.setup(t, p, rec)
+			}
+			live := p.LiveStreams()
+			err = p.Send("k", []byte(refusedChunk))
+			if !errors.Is(err, row.err) || !strings.Contains(fmt.Sprint(err), row.says) {
+				t.Errorf("Send = %v, want %v saying %q", err, row.err, row.says)
+			}
+			if n := p.LiveStreams(); n != live {
+				t.Errorf("live streams %d after the refusal, %d before: it took a slot", n, live)
+			}
+			if row.after != nil {
+				row.after()
+			}
+			if err := p.Close(); err != nil && !errors.Is(err, row.err) {
+				t.Fatalf("Close = %v", err)
+			}
+			if rec.carried {
+				t.Error("a batch carried the refused chunk")
+			}
+			if rec.kEOS != row.kEOS {
+				t.Errorf("k got %d EOS batches, want %d", rec.kEOS, row.kEOS)
+			}
+			if c, _ := mc.Snapshot(); c.Bytes != row.bytes {
+				t.Errorf("Bytes = %d, want the setup's %d", c.Bytes, row.bytes)
+			}
+			if f := mc.Faults(); f != row.faults {
+				t.Errorf("FaultStats = %+v\nwant %+v", f, row.faults)
 			}
 		})
 	}

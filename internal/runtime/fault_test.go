@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,24 +310,132 @@ func TestPipelineEviction(t *testing.T) {
 	}
 }
 
+// TestPipelineEvictedStreamNotQuarantined: an evicted key is held only
+// until its EOS batch is out, and the hold is no quarantine. Send on the
+// key is refused while the batch is in the sink, then opens a fresh
+// backend, and no fault is counted.
 func TestPipelineEvictedStreamNotQuarantined(t *testing.T) {
+	var mc MetricCounters
+	made := 0 // factory calls, all on the one shard's goroutine
+	held, release := make(chan struct{}), make(chan struct{})
 	sink := newCollectSink()
-	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 1, Factory: fakeFactory}, sink)
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 1, Metrics: &mc,
+		Factory: func() (Backend, error) {
+			made++
+			return fakeFactory()
+		}}, SinkFunc(func(b *Batch) error {
+		if b.Key == "a" && b.Evicted {
+			close(held)
+			<-release
+		}
+		return sink.Deliver(b)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Send("a", []byte("one"))
 	p.Send("b", []byte("two")) // evicts a
-	// An evicted stream is not poisoned: new traffic on the key opens a
-	// fresh backend.
-	if err := p.Send("a", []byte("back again")); err != nil {
-		t.Fatalf("Send on evicted key = %v, want nil", err)
+	<-held
+	if err := p.Send("a", []byte("too soon")); !errors.Is(err, ErrQuarantined) || !strings.Contains(err.Error(), "evicted") {
+		t.Fatalf("Send while a's EOS batch is in the sink = %v, want ErrQuarantined naming the eviction", err)
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := p.Send("a", []byte("back again"))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrQuarantined) || time.Now().After(deadline) {
+			t.Fatalf("Send on evicted key = %v, want nil once its EOS batch is out", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !sink.eos["a"] || !sink.eos["b"] {
 		t.Error("missing EOS batches")
+	}
+	if got := string(sink.data["a"]); got != "oneback again" {
+		t.Errorf("a delivered %q, want its first chunk and the one sent after the hold", got)
+	}
+	if made != 3 {
+		t.Errorf("%d backends made, want 3 (a, b, and a fresh one for a)", made)
+	}
+	if f := mc.Faults(); f.StreamsQuarantined != 0 {
+		t.Errorf("StreamsQuarantined = %d, want 0: eviction is not a fault", f.StreamsQuarantined)
+	}
+}
+
+// gateBackend blocks in Feed on a chunk naming one of its gates, after
+// signalling that gate's entered channel.
+type gateBackend struct {
+	fakeBackend
+	gates map[string][2]chan struct{} // name -> entered, open
+}
+
+func (g *gateBackend) Feed(p []byte, out []stream.Match) ([]stream.Match, error) {
+	for name, ch := range g.gates {
+		if bytes.Contains(p, []byte(name)) {
+			ch[0] <- struct{}{}
+			<-ch[1]
+		}
+	}
+	return out, nil
+}
+
+// TestPipelineEvictedLeftoverDropped: a chunk accepted before its stream's
+// eviction but taken by the shard after the evicted EOS batch is out is
+// still a leftover. The hold is released behind it, in the shard's own
+// order, so it is dropped instead of re-creating the stream, which would
+// give the key a second EOS batch and evict a live neighbour.
+func TestPipelineEvictedLeftoverDropped(t *testing.T) {
+	gates := map[string][2]chan struct{}{}
+	for _, name := range []string{"GATE1", "GATE2"} {
+		gates[name] = [2]chan struct{}{make(chan struct{}, 1), make(chan struct{})}
+	}
+	var mc MetricCounters
+	sink := newCollectSink()
+	bOut := make(chan struct{}, 1)
+	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 2, Metrics: &mc,
+		Factory: func() (Backend, error) { return &gateBackend{gates: gates}, nil }},
+		SinkFunc(func(b *Batch) error {
+			if b.Key == "b" && string(b.Data) == "first" {
+				bOut <- struct{}{}
+			}
+			return sink.Deliver(b)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(key, chunk string) {
+		t.Helper()
+		if err := p.Send(key, []byte(chunk)); err != nil {
+			t.Fatalf("Send(%q, %q) = %v", key, chunk, err)
+		}
+	}
+	send("a", "x")
+	send("g", "GATE1")
+	<-gates["GATE1"][0] // the shard is in g's Feed, a is live
+	send("b", "first")  // queued alone: b will evict a
+	send("b", "GATE2")  // pending behind it…
+	send("a", "leftover")
+	close(gates["GATE1"][1])
+	<-gates["GATE2"][0] // a is evicted; the leftover waits behind GATE2
+	<-bOut              // the sink worker is done with a's EOS batch
+	if !p.shards[0].poisoned("a") {
+		t.Error("a's hold was released while its leftover was still queued")
+	}
+	close(gates["GATE2"][1])
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(sink.data["a"]); got != "x" {
+		t.Errorf("a delivered %q, want only its chunk before the eviction", got)
+	}
+	if f := mc.Faults(); f.StreamsEvicted != 1 {
+		t.Errorf("%d evictions, want 1: the leftover came back and evicted g", f.StreamsEvicted)
 	}
 }
 

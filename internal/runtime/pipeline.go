@@ -20,10 +20,11 @@ import (
 // and never silently dropped.
 var ErrClosed = errors.New("runtime: pipeline is closed")
 
-// ErrQuarantined is returned by Send and CloseStream while a stream key is
-// quarantined: its backend previously failed or panicked, and repeat
-// traffic is rejected at the front door — cheaply, without re-creating a
-// backend — until the quarantine TTL expires. Test with errors.Is.
+// ErrQuarantined is returned by Send and CloseStream while the quarantine
+// table holds a stream key: after a backend fault until the TTL expires,
+// after an eviction until the stream's final batch is out of the sink
+// worker and the chunks queued before it are dropped, so a stream gets one
+// EOS batch. Test with errors.Is.
 var ErrQuarantined = errors.New("runtime: stream is quarantined")
 
 // ErrBackendPanic wraps a panic recovered from a Backend's Feed or Close.
@@ -201,6 +202,7 @@ type Config struct {
 	// new stream would push a shard past the cap, the shard's least-
 	// recently-active stream is evicted: its backend is flushed and
 	// closed, and its final batch is delivered with EOS and Evicted set.
+	// Until that batch is out, the key is refused with ErrQuarantined.
 	MaxStreams int
 	// Quarantine is the TTL a stream key stays poisoned after its
 	// backend errors or panics; Send and CloseStream reject the key with
@@ -301,12 +303,13 @@ type Pipeline struct {
 }
 
 // msgRef is one message inside a unit: a window into the unit's arena plus
-// the stream-end flag.
+// the stream-end flag, or the end of an eviction's hold (see queueRelease).
 type msgRef struct {
-	key string
-	off int
-	n   int
-	eos bool
+	key     string
+	off     int
+	n       int
+	eos     bool
+	release bool
 }
 
 // unit is the one pooled object that travels Send → shard → sink worker →
@@ -352,16 +355,13 @@ type shard struct {
 	lru     *list.List // of *streamEntry
 	p       *Pipeline
 
-	pendMu sync.Mutex
-	pend   *unit
-	space  sync.Cond // on pendMu: a queue slot freed or pend taken (see flushPendLocked)
-
-	// drainSig is pulsed (non-blockingly) by run() after each batch it
-	// drains, waking one shed-mode Send waiting out its SendTimeout.
-	drainSig chan struct{}
+	pendMu  sync.Mutex
+	pend    *unit
+	space   sync.Cond // on pendMu: a queue slot freed or pend taken (see next)
+	closing bool      // on pendMu: Close is flushing; queue no more releases
 
 	quarMu sync.Mutex
-	quar   map[string]time.Time // key -> quarantine expiry
+	quar   map[string]time.Time // key -> quarantine expiry; zero: an eviction's, until released
 	quarN  atomic.Int32         // entries in quar (lock-free fast path)
 	reaper *time.Timer          // sweeps quar; armed while it is non-empty
 
@@ -434,13 +434,12 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
-			id:       i,
-			in:       make(chan *unit, cfg.Queue),
-			streams:  make(map[string]*streamEntry),
-			lru:      list.New(),
-			quar:     make(map[string]time.Time),
-			drainSig: make(chan struct{}, 1),
-			p:        p,
+			id:      i,
+			in:      make(chan *unit, cfg.Queue),
+			streams: make(map[string]*streamEntry),
+			lru:     list.New(),
+			quar:    make(map[string]time.Time),
+			p:       p,
 		}
 		s.space.L = &s.pendMu
 		p.shards = append(p.shards, s)
@@ -463,20 +462,19 @@ func (p *Pipeline) Shards() int { return len(p.shards) }
 // shard's queue is empty; an accepted chunk is always delivered, even if
 // Close follows immediately. Send blocks while the target shard's queue
 // is full. After Close it fails with ErrClosed and the chunk is not
-// accepted; a quarantined key fails with ErrQuarantined, and after a
-// permanent sink failure every Send fails with that failure.
-// Chunks accepted before a stream's backend faulted but not yet processed
-// are discarded (the stream already received its error-carrying EOS
-// batch).
+// accepted; a key the quarantine table holds fails with ErrQuarantined,
+// and after a permanent sink failure every Send fails with that failure.
+// Chunks accepted before a stream faulted or was evicted, but not yet
+// processed, are discarded: its EOS batch is already on its way.
 func (p *Pipeline) Send(key string, data []byte) error {
 	return p.dispatch(key, data, false)
 }
 
 // CloseStream ends one stream: its Backend is flushed and closed, and the
 // final batch reaches the Sink with EOS set. After Close it fails with
-// ErrClosed (Close already flushed every open stream); a quarantined key
-// fails with ErrQuarantined (its EOS batch was already delivered when the
-// backend faulted).
+// ErrClosed (Close already flushed every open stream); a key the
+// quarantine table holds fails with ErrQuarantined (its EOS batch left
+// when the backend faulted or the stream was evicted).
 func (p *Pipeline) CloseStream(key string) error {
 	return p.dispatch(key, nil, true)
 }
@@ -502,64 +500,22 @@ func (p *Pipeline) dispatch(key string, data []byte, eos bool) error {
 		return err
 	}
 	s := p.shards[p.shardFor(key)]
-	if p.cfg.Quarantine > 0 && s.poisoned(key) {
-		return fmt.Errorf("%w: %q", ErrQuarantined, key)
-	}
 	var added bool
-	var err error
 	if !eos {
+		var err error
 		if added, err = p.admitQuota(key, len(data)); err != nil {
 			return err
 		}
-		if p.cfg.SendTimeout != 0 {
-			err = s.admit(key)
-		}
 	}
-	if err == nil {
-		err = s.enqueue(key, data, eos)
-	}
-	if err != nil {
+	if err := s.enqueue(key, data, eos); err != nil {
+		// Refused after the quota took a slot: give it back.
 		if added {
-			// Refused after the quota took a slot: give it back.
 			p.live.release(key)
 		}
 		return err
 	}
 	p.m.maxQueue.Max(int64(len(s.in)))
 	return nil
-}
-
-// admit is shed-mode admission control: a Send that finds the shard queue
-// full is rejected with ErrOverloaded — immediately when SendTimeout < 0,
-// or after waiting up to SendTimeout for the shard to free a slot. The
-// depth reads are racy by design; the enqueue-level flush guard is the
-// exact arbiter.
-func (s *shard) admit(key string) error {
-	p := s.p
-	if len(s.in) < cap(s.in) {
-		return nil
-	}
-	if p.cfg.SendTimeout > 0 {
-		timer := time.NewTimer(p.cfg.SendTimeout)
-		defer timer.Stop()
-		for {
-			select {
-			case <-s.drainSig:
-				if len(s.in) < cap(s.in) {
-					return nil
-				}
-			case <-timer.C:
-				return s.shed(key)
-			}
-		}
-	}
-	return s.shed(key)
-}
-
-// shed records one rejected Send and returns its typed error.
-func (s *shard) shed(key string) error {
-	s.p.m.shed.Add(1)
-	return fmt.Errorf("%w: shard %d queue full (%q rejected)", ErrOverloaded, s.id, key)
 }
 
 // enqueue appends one message to the shard's pending batch, flushing it
@@ -569,24 +525,31 @@ func (s *shard) shed(key string) error {
 // invariant the shard relies on (see next): whenever pendMu is released
 // with a pending message, a unit is queued in front of it.
 //
-// In shed mode (SendTimeout != 0) the flushes are non-blocking: when the
-// full arena cannot be handed off because the queue is full, the message
-// is shed with ErrOverloaded *before* being appended — bytes are never
-// partially accepted — and an already-complete pending batch simply stays
-// pending until the shard drains its queue and takes it. EOS messages
-// always take the blocking path so streams can always close.
+// In shed mode (SendTimeout != 0) a message other than an EOS is admitted
+// only with a free queue slot (roomLocked), or shed with ErrOverloaded
+// before it is appended: bytes are never partially accepted. It then never
+// waits: the slot takes the arena it displaces, and a full arena that
+// finds the queue full stays pending. An EOS always takes the blocking
+// path, so streams can always close.
 func (s *shard) enqueue(key string, data []byte, eos bool) error {
 	p := s.p
-	canBlock := p.cfg.SendTimeout == 0 || eos
+	shedding := p.cfg.SendTimeout != 0 && !eos
 	s.pendMu.Lock()
+	// Under pendMu, so what it admits queues ahead of the hold's release.
+	if err := s.held(key); err != nil {
+		s.pendMu.Unlock()
+		return err
+	}
+	if shedding && !s.roomLocked() {
+		s.pendMu.Unlock()
+		p.m.shed.Add(1)
+		return fmt.Errorf("%w: shard %d queue full (%q rejected)", ErrOverloaded, s.id, key)
+	}
 	// A chunk that does not fit the pending arena hands it off first. A
 	// blocking flush may wait, letting other senders move the arena and
 	// start the next one, so look again until the chunk fits.
 	for u := s.pend; u != nil && len(u.data) > 0 && len(u.data)+len(data) > cap(u.data); u = s.pend {
-		if !s.flushPendLocked(canBlock) {
-			s.pendMu.Unlock()
-			return s.shed(key)
-		}
+		s.flushPendLocked(true)
 	}
 	if s.pend == nil {
 		s.pend = p.getUnit()
@@ -607,10 +570,30 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 		u.msgs = append(u.msgs, msgRef{key: key, eos: eos})
 	}
 	if len(u.data) >= p.cfg.BatchBytes || len(s.in) == 0 {
-		s.flushPendLocked(canBlock)
+		s.flushPendLocked(!shedding)
 	}
 	s.pendMu.Unlock()
 	return nil
+}
+
+// roomLocked reports whether the shard queue has a free slot, waiting on
+// space up to a positive SendTimeout for one; pendMu must be held. The
+// slot stays free until pendMu is released: only a flush fills the queue.
+func (s *shard) roomLocked() bool {
+	if d := s.p.cfg.SendTimeout; d > 0 && len(s.in) == cap(s.in) {
+		expired := false
+		t := time.AfterFunc(d, func() {
+			s.pendMu.Lock()
+			expired = true
+			s.space.Broadcast()
+			s.pendMu.Unlock()
+		})
+		defer t.Stop()
+		for len(s.in) == cap(s.in) && !expired {
+			s.space.Wait()
+		}
+	}
+	return len(s.in) < cap(s.in)
 }
 
 // flushPendLocked hands the pending batch to the shard goroutine; pendMu
@@ -619,20 +602,19 @@ func (s *shard) enqueue(key string, data []byte, eos bool) error {
 // which releases pendMu until the shard frees a slot or takes the batch
 // itself, and the wait ends once the batch is out, whoever moved it. So
 // the shard can always take pendMu. Without block a full queue leaves the
-// batch pending and reports false.
-func (s *shard) flushPendLocked(block bool) bool {
+// batch pending.
+func (s *shard) flushPendLocked(block bool) {
 	for u := s.pend; u != nil && u == s.pend && len(u.msgs) > 0; s.space.Wait() {
 		select {
 		case s.in <- u:
 			s.pend = nil
-			return true
+			return
 		default:
 		}
 		if !block {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // shardFor hashes the stream key onto a shard (inline FNV-1a, allocation
@@ -664,6 +646,7 @@ func (p *Pipeline) Close() error {
 	// are stable; flush them before closing the shard channels.
 	for _, s := range p.shards {
 		s.pendMu.Lock()
+		s.closing = true
 		s.flushPendLocked(true)
 		s.pendMu.Unlock()
 		close(s.in)
@@ -732,43 +715,73 @@ func (p *Pipeline) putUnit(u *unit) {
 	p.units.Put(u)
 }
 
-// poisoned reports whether key is quarantined: in the table and not yet
-// expired (the reaper deletes expired entries). Called from dispatch (any
-// goroutine) and the shard goroutine; the atomic counter keeps the
-// healthy path lock-free.
-func (s *shard) poisoned(key string) bool {
+// held returns ErrQuarantined, naming the cause, while the quarantine
+// table holds key: a fault until its TTL expires, an eviction (zero
+// expiry) until its release. quarN keeps an empty table lock-free.
+func (s *shard) held(key string) error {
 	if s.quarN.Load() == 0 {
-		return false
+		return nil
 	}
 	s.quarMu.Lock()
 	until, ok := s.quar[key]
 	s.quarMu.Unlock()
-	return ok && !time.Now().After(until)
+	switch {
+	case !ok || !until.IsZero() && time.Now().After(until):
+		return nil
+	case until.IsZero():
+		return fmt.Errorf("%w: %q was evicted and its final batch is not out yet", ErrQuarantined, key)
+	}
+	return fmt.Errorf("%w: %q", ErrQuarantined, key)
 }
 
-// poison quarantines key for the configured TTL (no-op when disabled).
-// The insert that makes the table non-empty arms the reaper, which then
-// sweeps it once per TTL until it is empty again: a churn of unique
-// faulted keys holds the table at the keys of the last two TTLs instead
-// of growing it forever.
-func (s *shard) poison(key string) {
-	if s.p.cfg.Quarantine <= 0 {
-		return
-	}
+// poisoned reports whether the quarantine table holds key.
+func (s *shard) poisoned(key string) bool { return s.held(key) != nil }
+
+// hold puts key in the quarantine table until then, or until release for
+// a zero time. An insert into an empty table arms the reaper (with a TTL),
+// so a churn of unique faulted keys holds only the last two TTLs' keys.
+func (s *shard) hold(key string, until time.Time) {
 	s.quarMu.Lock()
-	if len(s.quar) == 0 {
+	if q := s.p.cfg.Quarantine; len(s.quar) == 0 && q > 0 {
 		if s.reaper == nil {
-			s.reaper = time.AfterFunc(s.p.cfg.Quarantine, s.reap)
+			s.reaper = time.AfterFunc(q, s.reap)
 		} else {
-			s.reaper.Reset(s.p.cfg.Quarantine)
+			s.reaper.Reset(q)
 		}
 	}
 	if _, ok := s.quar[key]; !ok {
 		s.quarN.Add(1)
 	}
-	s.quar[key] = time.Now().Add(s.p.cfg.Quarantine)
+	s.quar[key] = until
 	s.quarMu.Unlock()
-	s.p.m.quarantined.Add(1)
+}
+
+// queueRelease queues the end of key's eviction hold behind every message
+// accepted before it, which the shard then drops as leftovers. The sink
+// worker calls it, so it never blocks: it flushes only an empty queue.
+func (s *shard) queueRelease(key string) {
+	s.pendMu.Lock()
+	if !s.closing {
+		if s.pend == nil {
+			s.pend = s.p.getUnit()
+		}
+		s.pend.msgs = append(s.pend.msgs, msgRef{key: key, release: true})
+		if len(s.in) == 0 {
+			s.flushPendLocked(false)
+		}
+	}
+	s.pendMu.Unlock()
+}
+
+// release ends an eviction's hold on key, on the shard goroutine; a
+// fault's TTL outlives it.
+func (s *shard) release(key string) {
+	s.quarMu.Lock()
+	if until, ok := s.quar[key]; ok && until.IsZero() {
+		delete(s.quar, key)
+		s.quarN.Add(-1)
+	}
+	s.quarMu.Unlock()
 }
 
 // reap is the reaper's callback: it deletes the expired entries and
@@ -778,7 +791,7 @@ func (s *shard) reap() {
 	defer s.quarMu.Unlock()
 	now := time.Now()
 	for k, until := range s.quar {
-		if now.After(until) {
+		if !until.IsZero() && now.After(until) {
 			delete(s.quar, k)
 			s.quarN.Add(-1)
 		}
@@ -798,6 +811,10 @@ func (s *shard) run() {
 	for u := s.next(); u != nil; u = s.next() {
 		for i := range u.msgs {
 			m := &u.msgs[i]
+			if m.release {
+				s.release(m.key)
+				continue
+			}
 			var data []byte
 			if m.n > 0 {
 				data = u.data[m.off : m.off+m.n]
@@ -805,12 +822,6 @@ func (s *shard) run() {
 			s.process(m.key, data, m.eos, u)
 		}
 		s.emit(u)
-		// Wake one shed-mode Send waiting on admission: a queue slot just
-		// freed up.
-		select {
-		case s.drainSig <- struct{}{}:
-		default:
-		}
 	}
 	u := s.p.getUnit()
 	for _, e := range s.streams {
@@ -826,7 +837,7 @@ func (s *shard) run() {
 // whenever the queue is empty, so a message left pending always has a
 // unit queued in front of it, after which the shard looks again. Every
 // return frees a queue slot or takes the pending unit, either of which
-// may end a flush waiting on space.
+// may end a wait on space.
 func (s *shard) next() *unit {
 	defer s.space.Broadcast()
 	for {
@@ -836,6 +847,7 @@ func (s *shard) next() *unit {
 		default:
 		}
 		s.pendMu.Lock()
+		s.space.Broadcast() // for a waiter that missed the lock-free one
 		u, idle := s.pend, len(s.in) == 0
 		if idle && u != nil && len(u.msgs) > 0 {
 			s.pend = nil
@@ -938,8 +950,8 @@ func (p *Pipeline) watchdog() {
 // (its backend's counters fold into the metrics: a backend is minted per
 // stream, so they cover its whole life), and its EOS batch carries the
 // fault or the Close error plus the factory-version binding, which the
-// sink worker releases after delivery. Quarantine and the end counters are
-// decided here only.
+// sink worker releases after delivery. The hold on the key and the end
+// counters are decided here only, by verdict.
 func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted bool) {
 	b := Batch{Key: e.key, Shard: s.id, Data: data, EOS: true, Evicted: evicted, Err: err, Version: e.ver.id, ver: e.ver}
 	if e.b != nil {
@@ -953,34 +965,39 @@ func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted boo
 		s.lru.Remove(e.el)
 		s.p.m.addStream(e.b.Counters())
 	}
-	if faulted(err, b.Err) {
-		s.poison(e.key)
-	}
-	if evicted {
-		s.p.m.evicted.Add(1)
-	}
-	if errors.Is(b.Err, ErrResourceExhausted) {
-		s.p.m.resExhausted.Add(1)
+	if until, ok := s.verdict(err, b.Err, evicted); ok {
+		s.hold(e.key, until)
 	}
 	b.tagEnd = len(u.tags)
 	u.batches = append(u.batches, b)
 }
 
-// faulted is the quarantine predicate. A stream ended by a Feed or
-// factory error (feedErr) faulted, and so did one whose Close panicked,
-// tripped a budget or stalled. A plain Close error is the backend's
-// verdict on its input, and eviction is the pipeline's own choice:
-// neither is a fault.
-func faulted(feedErr, err error) bool {
-	return feedErr != nil || errors.Is(err, ErrBackendPanic) ||
-		errors.Is(err, ErrResourceExhausted) || errors.Is(err, ErrBackendStalled)
+// verdict counts an end and tells whether and until when it holds the
+// key (see hold). A Feed or factory error (feedErr) is a fault, and so is
+// a Close that panicked, tripped a budget or stalled: it quarantines the
+// key for a positive Config.Quarantine. A plain Close error is the
+// backend's verdict on its input. Eviction is no fault, but holds the key
+// until release, so no Send re-creates the stream behind its EOS batch.
+func (s *shard) verdict(feedErr, err error, evicted bool) (until time.Time, hold bool) {
+	m := s.p.m
+	if errors.Is(err, ErrResourceExhausted) {
+		m.resExhausted.Add(1)
+	}
+	if evicted {
+		m.evicted.Add(1)
+	}
+	if ttl := s.p.cfg.Quarantine; ttl > 0 && (feedErr != nil || errors.Is(err, ErrBackendPanic) ||
+		errors.Is(err, ErrResourceExhausted) || errors.Is(err, ErrBackendStalled)) {
+		m.quarantined.Add(1)
+		return time.Now().Add(ttl), true
+	}
+	return until, evicted
 }
 
 func (s *shard) process(key string, data []byte, eos bool, u *unit) {
-	if s.p.cfg.Quarantine > 0 && s.poisoned(key) {
-		// The stream already received its error-carrying EOS batch when
-		// it was poisoned; queued leftovers are discarded cheaply (their
-		// bytes are recycled with the unit).
+	if s.poisoned(key) {
+		// The stream's EOS batch left when it faulted or was evicted; its
+		// queued leftovers are discarded (recycled with the unit).
 		return
 	}
 	e, ok := s.streams[key]
@@ -1075,11 +1092,14 @@ func (p *Pipeline) sinkWorker(ch chan *unit, seed int64) {
 				// on a failed sink): release its factory-version binding,
 				// possibly retiring the version. Never earlier —
 				// per-version resources must outlive every batch that
-				// references them. Its Quota.MaxStreams slot frees here
-				// too.
+				// references them. Its Quota.MaxStreams slot and an
+				// evicted key's hold free here too.
 				p.releaseVersion(b.ver)
 				if p.live != nil {
 					p.live.release(b.Key)
+				}
+				if b.Evicted {
+					p.shards[b.Shard].queueRelease(b.Key)
 				}
 			}
 		}

@@ -250,6 +250,9 @@ func faultLine(out string) bool {
 //     bytes and without, is refused at once with "ERR quarantined" (409).
 //   - evicted: an evicted MUX stream that sends again gets nothing more,
 //     and its live neighbour keeps its tags.
+//   - evicted-held: the same, but the stream sends again while a fan-out
+//     holds its Evicted batch: the core refuses the key, so it cannot
+//     come back to evict its neighbour.
 //
 // Refused then counts the reopen rows, once each.
 func TestServeSessionEnd(t *testing.T) {
@@ -264,7 +267,7 @@ func TestServeSessionEnd(t *testing.T) {
 	}
 	env := startHookedEnv(t, cfg, envHooks{
 		fanout: func(tenant string, b *cfgtag.TagBatch) error {
-			if h := hold.Load(); h != nil && b.Err != nil && b.Stream == h.key {
+			if h := hold.Load(); h != nil && (b.Err != nil || b.Evicted) && b.Stream == h.key && hold.CompareAndSwap(h, nil) {
 				close(h.held)
 				<-h.release
 			}
@@ -354,6 +357,53 @@ func TestServeSessionEnd(t *testing.T) {
 		}
 		if f.StreamsEvicted != 1 {
 			t.Errorf("%d evictions, want 1", f.StreamsEvicted)
+		}
+	})
+
+	t.Run("evicted-held/mux", func(t *testing.T) {
+		payload := []byte(testPayload)
+		half := len(payload) / 2
+		want := string(oracleText(t, payload))
+		evictedWant := want[:strings.LastIndex(want[:len(want)-1], "\n")+1] + "ERR evicted\n"
+		f0, err := env.platform.Faults("solo")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		h := &faultHold{key: "a", held: make(chan struct{}), release: make(chan struct{})}
+		hold.Store(h)
+		defer h.free()
+		lc := dialLines(t, env.tcpAddr, serve.Handshake{Tenant: "solo", Mux: true})
+		lc.frame(serve.FrameOpen, "a", nil)
+		lc.frame(serve.FrameData, "a", payload)
+		lc.frame(serve.FrameOpen, "b", nil)
+		lc.frame(serve.FrameData, "b", payload[:half]) // evicts a
+		select {
+		case <-h.held:
+		case <-time.After(sessionWait):
+			t.Fatal("a's Evicted batch never reached the fan-out")
+		}
+		// a's final batch is still in the fan-out: these bytes must not
+		// re-create a, which would evict b in turn.
+		lc.frame(serve.FrameData, "a", payload)
+		spy.wait(t, "a")
+		h.free()
+		lc.frame(serve.FrameData, "b", payload[half:])
+		lc.frame(serve.FrameClose, "b", nil)
+		lc.frame(serve.FrameClose, "a", nil)
+		lines := lc.finish()
+		if got := keyed(lines, "a"); got != evictedWant {
+			t.Errorf("evicted stream: got %q, want %q", got, evictedWant)
+		}
+		if got := keyed(lines, "b"); got != want {
+			t.Errorf("neighbour: got %q, want %q", got, want)
+		}
+		f, err := env.platform.Faults("solo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := f.StreamsEvicted - f0.StreamsEvicted; n != 1 {
+			t.Errorf("%d evictions, want 1", n)
 		}
 	})
 

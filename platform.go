@@ -115,8 +115,8 @@ type TenantDef struct {
 	// Queue is each shard's input queue depth in batches (0 = 64).
 	Queue int `json:"queue,omitempty"`
 	// MaxStreams caps live streams per shard (0 = unlimited), ending the
-	// least-recently-fed one with an Evicted batch; see also
-	// Quota.MaxStreams for the rejecting cap.
+	// least-recently-fed one with an Evicted batch (its key is refused until
+	// delivery); see also Quota.MaxStreams for the rejecting cap.
 	MaxStreams int `json:"max_streams,omitempty"`
 	// Quarantine is the faulted-stream rejection TTL ("30s"; negative
 	// disables, zero selects the default).
