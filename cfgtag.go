@@ -625,11 +625,13 @@ func (b *TagBatch) AppendText(dst []byte, prefix string, total *int) []byte {
 		// the digits of hi = End / 10000, the part of a line that
 		// changes once every 10 000 bytes of a stream: it is rendered
 		// when hi changes and copied otherwise, and the low four
-		// digits come from digitPairs.
+		// digits come from digitPairs, as does an End below 10 000.
 		h0, h1, hi := 0, 0, int64(-1)
 		for _, m := range b.ms {
 			if m.End < 10000 {
-				dst = appendTagStart(dst, prefix, m.End)
+				dst = append(dst, prefix...)
+				dst = append(dst, "TAG "...)
+				dst = appendSmall(dst, m.End)
 			} else {
 				if q := m.End / 10000; q != hi {
 					h0 = len(dst)
@@ -682,6 +684,21 @@ func appendTagStart(dst []byte, prefix string, n int64) []byte {
 	dst = append(dst, prefix...)
 	dst = append(dst, "TAG "...)
 	return strconv.AppendInt(dst, n, 10)
+}
+
+// appendSmall renders an offset 0 ≤ n < 10 000 from digitPairs, without
+// leading zeros, as strconv.AppendInt would.
+func appendSmall(dst []byte, n int64) []byte {
+	p, q := 2*(n/100), 2*(n%100)
+	switch {
+	case n >= 1000:
+		return append(dst, digitPairs[p], digitPairs[p+1], digitPairs[q], digitPairs[q+1])
+	case n >= 100:
+		return append(dst, digitPairs[p+1], digitPairs[q], digitPairs[q+1])
+	case n >= 10:
+		return append(dst, digitPairs[q], digitPairs[q+1])
+	}
+	return append(dst, digitPairs[q+1])
 }
 
 // digitPairs is the two-digit decimal form of 0–99, back to back.

@@ -517,16 +517,17 @@ func renderBoth(e *Engine, rb *runtime.Batch, prefix string, start int) (got, wa
 
 // TestTagTextEndDigits pins the pre-rendered path's End digits at every
 // boundary of its split into a head (End / 10000, rendered when it
-// changes) and four low digits (zero padded from a digit-pair table): a
-// pooled batch and a hand-built batch with the same End values must
-// render byte-identical text, for the values in ascending and descending
-// order and with repeats, with and without a prefix.
+// changes) and four low digits (zero padded from a digit-pair table), and
+// at every digit count of an End below 10 000 (from the same table,
+// unpadded): a pooled batch and a hand-built batch with the same End
+// values must render byte-identical text, for the values in ascending and
+// descending order and with repeats, with and without a prefix.
 func TestTagTextEndDigits(t *testing.T) {
 	engine, err := Compile("xmlrpc", XMLRPCSource, FreeRunningStart())
 	if err != nil {
 		t.Fatal(err)
 	}
-	asc := []int64{0, 9, 10, 99, 100, 9999, 10000, 10001, 10099, 19999, 20000,
+	asc := []int64{0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 10099, 19999, 20000,
 		99999, 100000, 999999, 1 << 31, 1 << 40, math.MaxInt64}
 	desc := slices.Clone(asc)
 	slices.Reverse(desc)

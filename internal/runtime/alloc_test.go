@@ -14,10 +14,10 @@ import (
 // allocates on its own.
 
 // TestPipelineStreamCycleAllocs opens, feeds and closes one-message
-// streams on one key. A stream costs its backend and its bookkeeping and
-// nothing else: its batches are slots of the pooled dispatch unit and its
-// tags are appended to the unit's buffer, so nothing grows with the
-// message's tag count.
+// streams on one key. A stream costs nothing: its entry and backend come
+// from the shard's free list, its batches are slots of the pooled dispatch
+// unit and its tags are appended to the unit's buffer, so nothing grows
+// with the message's tag count.
 func TestPipelineStreamCycleAllocs(t *testing.T) {
 	spec, err := core.Compile(grammar.XMLRPC(), core.Options{FreeRunningStart: true})
 	if err != nil {
@@ -59,13 +59,13 @@ func TestPipelineStreamCycleAllocs(t *testing.T) {
 	if got < 32 {
 		t.Fatalf("message confirms %d tags, want a few dozen so that a growing match slice shows", got)
 	}
-	// Exactly 4: the backend, the DFA runner (which counts its own rare
-	// events, so no callback closure), and the stream's entry with its
-	// recency-list element. A callback per event would add one each, a
-	// Batch header per message two, a tag slice grown from nil one per
-	// doubling.
-	if avg > 4 {
-		t.Errorf("one-message stream averages %.1f allocs, want <= 4", avg)
+	// Exactly 0: the ended stream's entry, backend and DFA runner wait on
+	// the shard's free list for the next stream, and the recency list is
+	// intrusive. Minting per stream would add 3 (backend, runner, entry), a
+	// callback per event one each, a Batch header per message two, a tag
+	// slice grown from nil one per doubling.
+	if avg > 0 {
+		t.Errorf("one-message stream averages %.2f allocs, want 0", avg)
 	}
 }
 

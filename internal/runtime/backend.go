@@ -96,18 +96,21 @@ type MetricCounters struct {
 	resExhausted  atomicInt64
 }
 
-// addStream folds one ended stream's backend totals into the counters.
-// Bytes and matches are not taken from it: the pipeline counts those as
-// they pass.
-func (c *MetricCounters) addStream(b Counters) {
+// addStream folds one ended stream's backend totals into the counters:
+// its recoveries and collisions, and what the backend's lifetime cache
+// totals gained over prev, its Counters at the previous fold (zero for a
+// fresh backend). Bytes and matches are not taken from it: the pipeline
+// counts those as they pass.
+func (c *MetricCounters) addStream(b, prev Counters) {
 	if b.Recoveries|b.Collisions != 0 {
 		c.recoveries.Add(b.Recoveries)
 		c.collisions.Add(b.Collisions)
 	}
-	if b.CacheHits|b.CacheMisses|b.CacheResets != 0 {
-		c.cacheHits.Add(b.CacheHits)
-		c.cacheMisses.Add(b.CacheMisses)
-		c.cacheResets.Add(b.CacheResets)
+	hits, misses, resets := b.CacheHits-prev.CacheHits, b.CacheMisses-prev.CacheMisses, b.CacheResets-prev.CacheResets
+	if hits|misses|resets != 0 {
+		c.cacheHits.Add(hits)
+		c.cacheMisses.Add(misses)
+		c.cacheResets.Add(resets)
 	}
 }
 

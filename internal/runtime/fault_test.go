@@ -312,18 +312,15 @@ func TestPipelineEviction(t *testing.T) {
 
 // TestPipelineEvictedStreamNotQuarantined: an evicted key is held only
 // until its EOS batch is out, and the hold is no quarantine. Send on the
-// key is refused while the batch is in the sink, then opens a fresh
-// backend, and no fault is counted.
+// key is refused while the batch is in the sink, then starts again at
+// stream start, and no fault is counted.
 func TestPipelineEvictedStreamNotQuarantined(t *testing.T) {
 	var mc MetricCounters
-	made := 0 // factory calls, all on the one shard's goroutine
+	var life cycleLife // all on the one shard's goroutine
 	held, release := make(chan struct{}), make(chan struct{})
 	sink := newCollectSink()
 	p, err := NewPipeline(Config{Shards: 1, MaxStreams: 1, Metrics: &mc,
-		Factory: func() (Backend, error) {
-			made++
-			return fakeFactory()
-		}}, SinkFunc(func(b *Batch) error {
+		Factory: life.factory}, SinkFunc(func(b *Batch) error {
 		if b.Key == "a" && b.Evicted {
 			close(held)
 			<-release
@@ -360,8 +357,14 @@ func TestPipelineEvictedStreamNotQuarantined(t *testing.T) {
 	if got := string(sink.data["a"]); got != "oneback again" {
 		t.Errorf("a delivered %q, want its first chunk and the one sent after the hold", got)
 	}
-	if made != 3 {
-		t.Errorf("%d backends made, want 3 (a, b, and a fresh one for a)", made)
+	// Every stream starts at stream start — a, b and a again — from a
+	// fresh backend or a recycled one rewound, and none shares a backend
+	// with a live stream.
+	if n := life.made + life.resets; n != 3 {
+		t.Errorf("%d made + %d reset = %d stream starts, want 3 (a, b, and a again)", life.made, life.resets, n)
+	}
+	if len(life.misuse) > 0 {
+		t.Errorf("backends used past their stream: %v", life.misuse)
 	}
 	if f := mc.Faults(); f.StreamsQuarantined != 0 {
 		t.Errorf("StreamsQuarantined = %d, want 0: eviction is not a fault", f.StreamsQuarantined)
@@ -611,8 +614,8 @@ func TestPipelineFactoryErrorPath(t *testing.T) {
 	if n := len(p.shards[0].streams); n != 0 {
 		t.Errorf("%d streams leaked in the shard table, want 0", n)
 	}
-	if l := p.shards[0].lru.Len(); l != 0 {
-		t.Errorf("%d entries leaked in the recency list, want 0", l)
+	if s := p.shards[0]; s.lru.next != &s.lru {
+		t.Error("an entry leaked in the recency list, want it empty")
 	}
 	if f := mc.Faults(); f.StreamsQuarantined == 0 {
 		t.Error("factory failure did not quarantine the key")

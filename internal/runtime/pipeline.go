@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,6 +77,11 @@ const maxPooledBufCap = 1 << 20
 // ~8 000 tags) survives recycling — a tighter, batch-sized bound would
 // drop and regrow the buffer on every dense unit.
 const maxPooledTagCap = 32768
+
+// maxFreeStreams caps each shard's free list of cleanly ended streams
+// (see end): enough that a churn of short streams mints nothing, few
+// enough that a peak of live streams is not kept for the pipeline's life.
+const maxFreeStreams = 64
 
 // matchBytes is the size of one stream.Match (two words), for memory
 // accounting.
@@ -333,15 +337,19 @@ type unit struct {
 	fed int64
 }
 
-// streamEntry is one live stream on a shard: its Backend plus its position
-// in the shard's recency list (front = most recently active). ver is the
+// streamEntry is one live stream on a shard: its Backend plus its place in
+// the shard's recency list (lru.next = most recently active). ver is the
 // factory version the stream bound at creation; it is released after the
-// stream's final batch is delivered.
+// stream's final batch is delivered. A cleanly ended entry waits on the
+// shard's free list, backend and all, for the next stream (see end).
 type streamEntry struct {
-	key string
-	b   Backend
-	el  *list.Element
-	ver *factoryVersion
+	key        string
+	b          Backend
+	ver        *factoryVersion
+	prev, next *streamEntry
+	// folded is the backend's Counters at its last fold: its cache totals
+	// span its life, so end folds only what they gained since.
+	folded Counters
 }
 
 // shard owns the streams hashed to it: one Backend per live stream key,
@@ -352,8 +360,13 @@ type shard struct {
 	id      int
 	in      chan *unit
 	streams map[string]*streamEntry
-	lru     *list.List // of *streamEntry
+	lru     streamEntry // sentinel of the recency list
 	p       *Pipeline
+
+	// The free list: ended entries of freeVer, chained by next.
+	free    *streamEntry
+	nfree   int
+	freeVer *factoryVersion
 
 	pendMu  sync.Mutex
 	pend    *unit
@@ -437,11 +450,11 @@ func NewPipeline(cfg Config, sink Sink) (*Pipeline, error) {
 			id:      i,
 			in:      make(chan *unit, cfg.Queue),
 			streams: make(map[string]*streamEntry),
-			lru:     list.New(),
 			quar:    make(map[string]time.Time),
 			p:       p,
 		}
 		s.space.L = &s.pendMu
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 		p.shards = append(p.shards, s)
 		p.shardWG.Add(1)
 		go s.run()
@@ -947,11 +960,12 @@ func (p *Pipeline) watchdog() {
 // and in the flush at pipeline Close. A stream with a backend gets one
 // last call, to Close; what it flushes is kept unless a Feed fault ended
 // the stream, whose backend state is suspect. The stream leaves the shard
-// (its backend's counters fold into the metrics: a backend is minted per
-// stream, so they cover its whole life), and its EOS batch carries the
-// fault or the Close error plus the factory-version binding, which the
-// sink worker releases after delivery. The hold on the key and the end
-// counters are decided here only, by verdict.
+// (what its backend's counters gained since their last fold goes into the
+// metrics), and its EOS batch carries the fault or the Close error plus
+// the factory-version binding, which the sink worker releases after
+// delivery. The hold on the key and the end counters are decided here
+// only, by verdict. Only then, and only after a clean end — no fault, no
+// Close error — is the entry recycled with its backend.
 func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted bool) {
 	b := Batch{Key: e.key, Shard: s.id, Data: data, EOS: true, Evicted: evicted, Err: err, Version: e.ver.id, ver: e.ver}
 	if e.b != nil {
@@ -962,14 +976,21 @@ func (s *shard) end(u *unit, e *streamEntry, data []byte, err error, evicted boo
 			b.Err = cerr
 		}
 		delete(s.streams, e.key)
-		s.lru.Remove(e.el)
-		s.p.m.addStream(e.b.Counters())
+		e.prev.next, e.next.prev = e.next, e.prev
+		c := e.b.Counters()
+		s.p.m.addStream(c, e.folded)
+		e.folded = c
 	}
 	if until, ok := s.verdict(err, b.Err, evicted); ok {
 		s.hold(e.key, until)
 	}
 	b.tagEnd = len(u.tags)
 	u.batches = append(u.batches, b)
+	if e.b != nil && b.Err == nil && e.ver == s.freeVer && s.nfree < maxFreeStreams {
+		e.key, e.ver = "", nil
+		e.next, s.free = s.free, e
+		s.nfree++
+	}
 }
 
 // verdict counts an end and tells whether and until when it holds the
@@ -1006,23 +1027,35 @@ func (s *shard) process(key string, data []byte, eos bool, u *unit) {
 		// close of an unknown key creates and immediately retires its
 		// backend, so it must not push a live stream out.
 		if max := s.p.cfg.MaxStreams; max > 0 && !eos && len(s.streams) >= max {
-			s.end(u, s.lru.Back().Value.(*streamEntry), nil, nil, true)
+			s.end(u, s.lru.prev, nil, nil, true)
 		}
 		// The stream binds the factory version current at creation and
-		// keeps it for life; a concurrent SwapFactory only affects
-		// streams created after it.
-		e = &streamEntry{key: key, ver: s.p.acquireVersion()}
-		b, err := e.ver.factory()
-		if err != nil {
-			s.end(u, e, nil, err, false)
-			return
+		// keeps it for life; a concurrent SwapFactory only affects streams
+		// created after it. It rewinds a free entry's backend or mints one.
+		// The free list holds one version's entries, so a superseded
+		// version's backend, which closes over that version's table and
+		// sink, never serves again.
+		v := s.p.acquireVersion()
+		if v != s.freeVer {
+			s.free, s.nfree, s.freeVer = nil, 0, v
 		}
-		e.b = b
-		e.el = s.lru.PushFront(e)
+		if e = s.free; e != nil {
+			s.free, s.nfree = e.next, s.nfree-1
+			e.b.Reset()
+		} else if b, err := v.factory(); err != nil {
+			s.end(u, &streamEntry{key: key, ver: v}, nil, err, false)
+			return
+		} else {
+			e = &streamEntry{b: b}
+		}
+		e.key, e.ver = key, v
 		s.streams[key] = e
 	} else {
-		s.lru.MoveToFront(e.el)
+		e.prev.next, e.next.prev = e.next, e.prev
 	}
+	// To the front of the recency list.
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
 	var err error
 	if len(data) > 0 {
 		err = s.call(e, data, u)

@@ -74,11 +74,14 @@ func TestRegistryBytesPerSecQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	// The burst allows one second of rate up front; the next byte is shed.
+	// The burst allows one second of rate up front and spends the bucket.
+	// The probe is half a burst, which takes 0.5 s to refill, so it is
+	// shed however slowly the two Sends run (a 1-byte probe refills in
+	// ~1 ms, which a slow run can outlast).
 	if err := p.Send("s", make([]byte, 1024)); err != nil {
 		t.Fatalf("burst Send rejected: %v", err)
 	}
-	if err := p.Send("s", []byte("x")); !errors.Is(err, ErrQuotaExceeded) {
+	if err := p.Send("s", make([]byte, 512)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-rate Send: %v, want ErrQuotaExceeded", err)
 	}
 	// Tokens refill with time.
