@@ -138,8 +138,9 @@ func TestSendShedBoundedWait(t *testing.T) {
 	}
 	fillShard(t, p, started)
 
-	// Unblock the backend shortly; the waiting Send must ride the drain
-	// signal through admission instead of shedding.
+	// Unblock the backend shortly; the waiting Send must wait on the
+	// shard's space condition under pendMu until a slot frees, instead of
+	// shedding.
 	time.AfterFunc(30*time.Millisecond, func() { close(gate) })
 	if err := p.Send("later", []byte("waited")); err != nil {
 		t.Fatalf("bounded-wait Send = %v, want nil after drain", err)

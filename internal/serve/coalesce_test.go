@@ -55,7 +55,7 @@ func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
 // pumpMux does.
 func muxSession(t *testing.T, s *Server, cw *connWriter, key string) {
 	t.Helper()
-	if _, err := s.OpenStream("t", key, &connOutput{srv: s, cw: cw, prefix: key + " "}); err != nil {
+	if _, err := s.OpenStream("t", key, key+" ", cw, nil, new(sync.WaitGroup)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -347,7 +347,7 @@ func TestServeTaglessFanoutOnly(t *testing.T) {
 		return nil
 	})
 	out := &countOutput{}
-	if _, err := s.OpenStream("t", "a", out); err != nil {
+	if _, err := s.OpenStream("t", "a", "", nil, out, new(sync.WaitGroup)); err != nil {
 		t.Fatal(err)
 	}
 	for _, more := range []bool{true, false} {
@@ -398,11 +398,13 @@ func TestServeTaglessRunEnd(t *testing.T) {
 }
 
 // TestServeTaglessEOS: a tag-less EOS batch still renders END with the
-// stream's tag count and ends the session.
+// stream's tag count and ends the session, which goes back to the pool
+// once its input lets go of it.
 func TestServeTaglessEOS(t *testing.T) {
 	s := NewServer()
 	conn, cw := newRecWriter(s)
-	ss, err := s.OpenStream("t", "a", &connOutput{srv: s, cw: cw, prefix: "a "})
+	var ended sync.WaitGroup
+	ss, err := s.OpenStream("t", "a", "a ", cw, nil, &ended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +422,19 @@ func TestServeTaglessEOS(t *testing.T) {
 	if len(w) != 1 || !bytes.HasSuffix(w[0], []byte("a END 3\n")) {
 		t.Fatalf("writes after a tag-less EOS: %q, want one ending %q", w, "a END 3\n")
 	}
+	done := make(chan struct{})
+	go func() { ended.Wait(); close(done) }()
 	select {
-	case <-ss.done:
-	default:
-		t.Fatal("session not done after its EOS batch")
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session not ended after its EOS batch")
 	}
 	if n := s.ActiveSessions(); n != 0 {
 		t.Fatalf("%d sessions still active", n)
+	}
+	s.letGo(ss)
+	if n := s.held.Load(); n != 0 {
+		t.Fatalf("%d sessions checked out after the input let go", n)
 	}
 }
 

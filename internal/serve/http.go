@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -101,18 +102,20 @@ func (h *HTTPInput) serveStream(s *Server, w http.ResponseWriter, r *http.Reques
 		return
 	}
 	bo := &bufferOutput{}
-	sess, err := s.OpenStream(tenant, key, bo)
+	var ended sync.WaitGroup
+	sess, err := s.OpenStream(tenant, key, "", nil, bo, &ended)
 	if err == nil {
 		err = s.pump(sess, r.Body)
 	}
+	s.letGo(sess)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
 	// Hold the response until the final batch lands; server shutdown
-	// releases every session once the core is closed, so this wait
-	// always terminates.
-	<-sess.done
+	// ends every session once the core is closed, so this wait always
+	// terminates.
+	ended.Wait()
 	w.WriteHeader(http.StatusOK)
 	w.Write(bo.data)
 }

@@ -29,12 +29,13 @@ func (c *syncCore) CloseStream(tenant, stream string) error {
 	return c.s.Deliver(tenant, &cfgtag.TagBatch{Stream: stream, EOS: true})
 }
 
-// TestMuxPendingStaysBounded serves 12 000 streams on one MUX connection.
-// The per-connection set of closed-but-unconfirmed sessions must not grow
-// with the streams served, a session still waiting for its final line
-// must survive every sweep, and the connection must stay up until that
-// line is written.
-func TestMuxPendingStaysBounded(t *testing.T) {
+// TestMuxSessionsCheckedIn serves 12 000 streams on one MUX connection.
+// Each session goes back to the pool once its final line is out and the
+// client has closed it, so sessions checked out do not grow with the
+// streams served; a session still waiting for its final line stays out,
+// the connection stays up until that line is written, and none is left
+// out at the end.
+func TestMuxSessionsCheckedIn(t *testing.T) {
 	const streams = 12000
 	s := NewServer()
 	core := &syncCore{s: s, hold: "held"}
@@ -55,7 +56,6 @@ func TestMuxPendingStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pending := &muxPending{}
 	pumped := make(chan struct{})
 	go func() {
 		defer close(pumped)
@@ -66,7 +66,7 @@ func TestMuxPendingStaysBounded(t *testing.T) {
 			return
 		}
 		cw := &connWriter{c: server, timeout: time.Minute}
-		NewTCPInput(nil, TCPOptions{}).pumpMux(s, fr, cw, "t", pending)
+		NewTCPInput(nil, TCPOptions{}).pumpMux(s, fr, cw, "t")
 	}()
 
 	var mu sync.Mutex
@@ -98,11 +98,13 @@ func TestMuxPendingStaysBounded(t *testing.T) {
 	if _, err := client.Write(wire); err != nil {
 		t.Fatal(err)
 	}
-	// Every frame is parsed; only the held stream's final line is missing.
+	// Every frame is parsed; only the held stream's final line is missing,
+	// and its session is the only one out of the pool.
 	waitUntil(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(ended) == streams })
 	if n := s.ActiveSessions(); n != 1 {
 		t.Fatalf("%d sessions active, want only the held one", n)
 	}
+	waitUntil(t, func() bool { return s.held.Load() == 1 })
 
 	// Hanging up must not end the connection while a final line is owed.
 	if err := client.(*net.TCPConn).CloseWrite(); err != nil {
@@ -121,13 +123,11 @@ func TestMuxPendingStaysBounded(t *testing.T) {
 	if !ended["held"] {
 		t.Fatal("connection closed without the held stream's final line")
 	}
-
-	// cap is the set's high-water mark: the sweep filters in place.
-	if c := cap(pending.sess); c > 256 {
-		t.Fatalf("pending set grew to %d sessions over %d streams, want it bounded", c, streams)
-	}
 	if n := s.ActiveSessions(); n != 0 {
 		t.Fatalf("%d sessions still active", n)
+	}
+	if n := s.held.Load(); n != 0 {
+		t.Fatalf("%d sessions still checked out", n)
 	}
 }
 

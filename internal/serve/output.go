@@ -10,7 +10,7 @@ import (
 // bufferOutput collects a stream's rendered tag events in memory — the
 // HTTP input uses it to hold the response body until the stream ends. The
 // server delivers one session's batches under the session's lock, and data
-// is read after the session is done.
+// is read after the session has ended.
 type bufferOutput struct {
 	data []byte
 	tags int

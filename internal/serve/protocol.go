@@ -178,61 +178,65 @@ func (fr *FrameReader) ReadHandshake() (Handshake, error) {
 // ReadFrame parses the next mux-mode frame. io.EOF marks a clean end of
 // the connection between frames.
 func (fr *FrameReader) ReadFrame() (Frame, error) {
-	f, _, err := fr.readFrame(nil)
+	f, _, _, err := fr.readFrame(nil)
 	return f, err
 }
 
 // readFrame is ReadFrame with the connection's open sessions: it returns
-// the session open holds for the frame's key (nil if none), and the
-// frame's Key is then the string that session holds, so a frame of an
-// open stream costs one lookup and no key allocation.
-func (fr *FrameReader) readFrame(open map[string]*session) (Frame, *session, error) {
+// the session open holds for the frame's key (nil if none) and the key's
+// line prefix, the key and one space. The frame's Key and the prefix are
+// then the strings that session holds, so a frame of an open stream costs
+// one lookup and no allocation; any other key costs one, whose bytes the
+// Key and the prefix share.
+func (fr *FrameReader) readFrame(open map[string]*session) (Frame, *session, string, error) {
 	line, err := fr.readLine()
 	if err != nil {
 		if errors.Is(err, ErrProtocol) {
-			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+			return Frame{}, nil, "", fmt.Errorf("%w: %w", ErrBadFrame, err)
 		}
-		return Frame{}, nil, err
+		return Frame{}, nil, "", err
 	}
 	var arr [4][]byte // a frame header has at most three fields
 	parts := fields(line, arr[:0])
 	switch string(parts[0]) {
 	case "OPEN", "CLOSE":
 		if len(parts) != 2 || !validName(parts[1]) {
-			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
+			return Frame{}, nil, "", fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
 		}
 		op := FrameOpen
 		if parts[0][0] == 'C' {
 			op = FrameClose
 		}
-		ss, key := lookup(open, parts[1])
-		return Frame{Op: op, Key: key}, ss, nil
+		ss, key, prefix := lookup(open, parts[1])
+		return Frame{Op: op, Key: key}, ss, prefix, nil
 	case "DATA":
 		if len(parts) != 3 || !validName(parts[1]) {
-			return Frame{}, nil, fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
+			return Frame{}, nil, "", fmt.Errorf("%w: %w", ErrBadFrame, ErrBadName)
 		}
 		n, err := parseLen(parts[2])
 		if err != nil {
-			return Frame{}, nil, err
+			return Frame{}, nil, "", err
 		}
 		// The header line dies with the next read: resolve the key now.
-		ss, key := lookup(open, parts[1])
+		ss, key, prefix := lookup(open, parts[1])
 		buf, err := fr.readPayload(n)
 		if err != nil {
-			return Frame{}, nil, err
+			return Frame{}, nil, "", err
 		}
-		return Frame{Op: FrameData, Key: key, Payload: buf}, ss, nil
+		return Frame{Op: FrameData, Key: key, Payload: buf}, ss, prefix, nil
 	}
-	return Frame{}, nil, ErrBadFrame
+	return Frame{}, nil, "", ErrBadFrame
 }
 
-// lookup returns the session open holds for key and the key string to
-// use: the session's own when it has one, else a copy of the bytes.
-func lookup(open map[string]*session, key []byte) (*session, string) {
+// lookup returns the session open holds for key, and the key and prefix
+// strings to use: the session's own when it has one, else one copy of the
+// bytes and a space, of which the key is the head.
+func lookup(open map[string]*session, key []byte) (*session, string, string) {
 	if ss := open[string(key)]; ss != nil {
-		return ss, ss.key
+		return ss, ss.key, ss.prefix
 	}
-	return nil, string(key)
+	prefix := string(key) + " "
+	return nil, prefix[:len(key)], prefix
 }
 
 // readPayload reads a DATA frame's n payload bytes and its terminating

@@ -160,11 +160,11 @@ func TestReadFramePayloadSizes(t *testing.T) {
 		bad := append(data[:len(data)-1:len(data)-1], 'X')
 		for _, rd := range readers {
 			t.Run(fmt.Sprintf("%d/%s", n, rd.name), func(t *testing.T) {
-				ss := &session{key: key}
+				ss := &session{key: key, prefix: key + " "}
 				for _, open := range []map[string]*session{nil, {key: ss}} {
 					fr := NewFrameReader(rd.wrap(bytes.NewReader(wire)))
 					for i, w := range want {
-						f, got, err := fr.readFrame(open)
+						f, got, _, err := fr.readFrame(open)
 						if err != nil {
 							t.Fatalf("open=%v frame %d: %v", open != nil, i, err)
 						}
@@ -176,7 +176,7 @@ func TestReadFramePayloadSizes(t *testing.T) {
 							t.Fatalf("open=%v frame %d: session %p, want %p", open != nil, i, got, ss)
 						}
 					}
-					if _, _, err := fr.readFrame(open); err != io.EOF {
+					if _, _, _, err := fr.readFrame(open); err != io.EOF {
 						t.Fatalf("open=%v trailing read: %v, want io.EOF", open != nil, err)
 					}
 				}

@@ -93,16 +93,28 @@ const (
 
 type sessKey struct{ tenant, key string }
 
-// session is one network stream and the state that decides what the
-// server does with its next bytes (see Server.refuse).
+// session is one network stream, the state that decides what the server
+// does with its next bytes (see Server.refuse), and the output its lines
+// render through. Sessions are pooled on the Server: one is recycled when
+// its last holder lets go (see letGo). The holders are the input that
+// opened it, until CLOSE or the connection ends; the server's session map,
+// until the final line is rendered or the session is released; and each
+// Deliver still using it.
 type session struct {
 	tenant string
 	key    string
-	out    Output
-	// done is closed once the stream has ended: its final batch is
-	// rendered (a connection may still buffer the line; its handler
-	// writes it out before hanging up), or no EOS batch will come.
-	done chan struct{}
+	// prefix starts each of the stream's lines: "<key> " on a
+	// multiplexed connection, else empty.
+	prefix string
+	// cw is the connection the lines render into; a session without one
+	// renders into out, or nothing when out is nil too.
+	cw   *connWriter
+	out  Output
+	tags int // tags rendered into cw so far
+	// ended is the opening input's counter of sessions whose final line
+	// is still to come; the session's end marks it once.
+	ended *sync.WaitGroup
+	refs  atomic.Int32 // holders
 
 	sent bool // the core accepted a chunk or the close (feeding goroutine only)
 	// final is set once the final line is written or on its way, by the
@@ -110,7 +122,7 @@ type session struct {
 	final atomic.Bool
 
 	// mu orders the output's batches against a refusal line; it is held
-	// across Output.Deliver, so nothing renders after that line.
+	// across rendering, so nothing renders after that line.
 	mu    sync.Mutex
 	muted bool // the output renders nothing more (refused, or its write failed)
 }
@@ -127,6 +139,10 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[sessKey]*session
 	drained  chan struct{} // non-nil while draining; closed at 0 sessions
+
+	// free holds sessions no holder reaches; held counts those out of it.
+	free sync.Pool
+	held atomic.Int64
 
 	fanouts []TenantSink
 	inputs  []StreamInput
@@ -154,7 +170,9 @@ type Server struct {
 // NewServer returns a server with no inputs bound yet; call Bind, then
 // AddInput/AddFanout/SetStats, then Start.
 func NewServer() *Server {
-	return &Server{sessions: make(map[sessKey]*session)}
+	s := &Server{sessions: make(map[sessKey]*session)}
+	s.free.New = func() any { return new(session) }
+	return s
 }
 
 // Bind attaches the core the inputs feed. It must be called before
@@ -218,15 +236,20 @@ func (s *Server) countWrite(n int) {
 // deadline.
 func (s *Server) SlowConsumers() int64 { return s.slowConsumers.Load() }
 
-// OpenStream registers a live network stream and its output. It fails
-// with ErrDraining once drain has begun and ErrDuplicateStream when the
-// (tenant, key) session is already open; the session it returns then has
-// already ended, and takes no bytes. A registered session ends when its
-// EOS batch flows through Deliver, or when send or closeSession refuses it
-// before the core took any of it.
-func (s *Server) OpenStream(tenant, key string, out Output) (*session, error) {
+// OpenStream registers a live network stream whose lines render into cw
+// behind prefix, or into out when cw is nil; its end marks ended, which
+// the caller waits on before hanging up. It fails with ErrDraining once
+// drain has begun and ErrDuplicateStream when the (tenant, key) session
+// is already open; the session it returns then has already ended, and
+// takes no bytes. A registered session ends when its EOS batch flows
+// through Deliver, or when send or closeSession refuses it before the core
+// took any of it. Either way the caller holds the session until it lets
+// go of it with letGo.
+func (s *Server) OpenStream(tenant, key, prefix string, cw *connWriter, out Output, ended *sync.WaitGroup) (*session, error) {
+	ss := s.free.Get().(*session)
+	s.held.Add(1)
+	ss.tenant, ss.key, ss.prefix, ss.cw, ss.out, ss.ended = tenant, key, prefix, cw, out, ended
 	sk := sessKey{tenant, key}
-	ss := &session{tenant: tenant, key: key, out: out, done: make(chan struct{})}
 	s.mu.Lock()
 	// Checked under mu — Shutdown flips the state under the same lock,
 	// so no session can register after the drain waiter is armed.
@@ -236,17 +259,31 @@ func (s *Server) OpenStream(tenant, key string, out Output) (*session, error) {
 	} else if _, ok := s.sessions[sk]; ok {
 		err = fmt.Errorf("%w: %s/%s", ErrDuplicateStream, tenant, key)
 	} else {
+		ss.refs.Store(2) // the caller and the map
 		s.sessions[sk] = ss
+		ended.Add(1)
 	}
 	s.mu.Unlock()
 	if err != nil {
 		s.refused.Add(1)
 		ss.final.Store(true)
-		close(ss.done)
+		ss.refs.Store(1)
 		return ss, err
 	}
 	s.opened.Add(1)
 	return ss, nil
+}
+
+// letGo drops one holder's hold on ss; the last one puts it back in the
+// pool, cleared, so it keeps no connection, output or key reachable and
+// carries no state into its next stream.
+func (s *Server) letGo(ss *session) {
+	if ss.refs.Add(-1) != 0 {
+		return
+	}
+	*ss = session{}
+	s.held.Add(-1)
+	s.free.Put(ss)
 }
 
 // send feeds one chunk of the session's stream to the core. A non-nil
@@ -384,13 +421,13 @@ func (s *Server) release(ss *session) {
 	took := s.dropLocked(ss)
 	s.mu.Unlock()
 	if took {
-		close(ss.done)
+		s.end(ss)
 	}
 }
 
 // dropLocked unregisters ss if it is still registered, reporting whether
 // it was, and signals the drain waiter when the last session goes; the
-// caller closes ss.done.
+// caller then holds the map's hold on ss, and ends it with end.
 func (s *Server) dropLocked(ss *session) bool {
 	sk := sessKey{ss.tenant, ss.key}
 	if s.sessions[sk] != ss {
@@ -405,11 +442,18 @@ func (s *Server) dropLocked(ss *session) bool {
 	return true
 }
 
+// end marks an unregistered session's end on its input's counter and
+// lets go of the hold the map had.
+func (s *Server) end(ss *session) {
+	ss.ended.Done()
+	s.letGo(ss)
+}
+
 // Deliver is the Core's deliver callback: it fans the batch out to the
 // registered TenantSinks (whose errors propagate, feeding the pipeline's
 // sink retry) and writes it to the stream's session output
 // (whose errors are absorbed — the client is gone, the pipeline is not).
-// On EOS the session is ended and its done channel closed.
+// On EOS the session is ended and its input's counter marked.
 //
 // Connection outputs buffer while b.More is set; the batch that ends a
 // sink worker's run (More unset) flushes every connection waiting on the
@@ -439,8 +483,12 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 	}
 	s.mu.Lock()
 	ss := s.sessions[sk]
-	if ss != nil && eos {
-		s.dropLocked(ss)
+	if ss != nil {
+		if eos {
+			s.dropLocked(ss) // the map's hold passes to this call
+		} else {
+			ss.refs.Add(1)
+		}
 	}
 	s.mu.Unlock()
 	if ss == nil {
@@ -452,15 +500,23 @@ func (s *Server) Deliver(tenant string, b *cfgtag.TagBatch) error {
 		// session taking no more bytes.
 		ss.final.Store(true)
 	}
-	if ss.out != nil && !ss.muted {
-		if err := ss.out.Deliver(b); err != nil {
+	if !ss.muted {
+		var err error
+		if ss.cw != nil {
+			err = ss.cw.render(s, b, ss.prefix, &ss.tags)
+		} else if ss.out != nil {
+			err = ss.out.Deliver(b)
+		}
+		if err != nil {
 			ss.muted = true
 			s.writeErrors.Add(1)
 		}
 	}
 	ss.mu.Unlock()
 	if eos {
-		close(ss.done)
+		s.end(ss)
+	} else {
+		s.letGo(ss)
 	}
 	return nil
 }
@@ -550,12 +606,12 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 	// Once the core is closed no EOS batch is still coming: a session
 	// still registered has no route to its end (its batches were dropped
-	// with a failed sink, say). Release its waiters before joining the
-	// inputs, whose handlers may be waiting on it.
+	// with a failed sink, say). End it before joining the inputs, whose
+	// handlers may be waiting on it.
 	s.mu.Lock()
 	for _, ss := range s.sessions {
 		s.dropLocked(ss)
-		close(ss.done)
+		s.end(ss)
 	}
 	s.mu.Unlock()
 

@@ -492,3 +492,66 @@ func TestServeShutdownWithoutEOS(t *testing.T) {
 		})
 	}
 }
+
+// TestServeSessionRecycle reopens a key on one MUX connection as soon as
+// the client has sent CLOSE, while a fan-out holds the old stream's EOS
+// batch. Until that batch is out the old session stays registered, so
+// every reopen is refused with "ERR duplicate stream" and its bytes are
+// dropped; the refused sessions go back to the pool at their CLOSE. Once
+// the old END line is out, the key opens as a fresh stream whose output
+// is exact: a recycled session carries no state of its last stream, and
+// no batch reaches one. Run it under -race -count=20.
+func TestServeSessionRecycle(t *testing.T) {
+	const key, refusals = "k", 3
+	held, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	env := startHookedEnv(t, nil, envHooks{fanout: func(tenant string, b *cfgtag.TagBatch) error {
+		if b.EOS && b.Stream == key && first.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+		return nil
+	}})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the server's shutdown, which waits on the fan-out
+
+	want := string(oracleText(t, []byte(testPayload)))
+	end := want[strings.LastIndex(want[:len(want)-1], "\n")+1 : len(want)-1]
+	cycle := func(lc *lineConn) {
+		lc.frame(serve.FrameOpen, key, nil)
+		lc.frame(serve.FrameData, key, []byte(testPayload))
+		lc.frame(serve.FrameClose, key, nil)
+	}
+
+	lc := dialLines(t, env.tcpAddr, serve.Handshake{Tenant: "alpha", Mux: true})
+	cycle(lc)
+	select {
+	case <-held:
+	case <-time.After(sessionWait):
+		t.Fatal("EOS batch never reached the fan-out")
+	}
+	for i := 0; i < refusals; i++ {
+		cycle(lc)
+		lc.await(key + " ERR duplicate stream")
+	}
+	free()
+	lc.await(key + " " + end)
+	cycle(lc)
+	got := keyed(lc.finish(), key)
+
+	// The refusals land inside the old stream's lines, ahead of the held
+	// EOS batch's; without them the key's lines are two exact streams.
+	errs := strings.Repeat("ERR duplicate stream\n", refusals)
+	i := strings.Index(got, errs)
+	if i < 0 || i > strings.Index(got, end) || got[:i]+got[i+len(errs):] != want+want {
+		t.Fatalf("key %q lines:\n got %q\nwant two of %q, %d refusals before the first %q", key, got, want, refusals, end)
+	}
+	if n := env.srv.Refused(); n != refusals {
+		t.Fatalf("Refused = %d, want %d", n, refusals)
+	}
+	waitFor(t, func() bool { return env.srv.HeldSessions() == 0 })
+	if n := env.srv.ActiveSessions(); n != 0 {
+		t.Fatalf("%d sessions still active", n)
+	}
+}

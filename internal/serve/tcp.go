@@ -141,7 +141,7 @@ func (t *TCPInput) Close() error {
 //
 // Everything bound for the connection goes through buf, in lock order:
 // the streams' outputs append rendered batches and flush at the end of a
-// sink run (see connOutput), the reader goroutine's own lines go out
+// sink run (see render), the reader goroutine's own lines go out
 // behind whatever is buffered, so lock order is wire order.
 type connWriter struct {
 	mu      sync.Mutex
@@ -222,26 +222,16 @@ const maxConnBuf = 1 << 20
 // long run holds back to one socket write's worth plus one batch.
 const connFlushBytes = 32 << 10
 
-// connOutput writes one stream's tag batches back over its connection.
-// A batch is rendered into the connection's one buffer under the write
-// lock; the buffer is written when the delivering sink worker's run ends
-// (the batch has More unset) or it reaches connFlushBytes, so the batches
-// a worker delivers back to back share a socket write and the streams of
-// a multiplexed connection interleave at run granularity. Until then the
+// render writes one stream's tag batch back over the connection, behind
+// prefix, adding its tags to the stream's running count. A batch is
+// rendered into the connection's one buffer under the write lock; the
+// buffer is written when the delivering sink worker's run ends (the batch
+// has More unset) or it reaches connFlushBytes, so the batches a worker
+// delivers back to back share a socket write and the streams of a
+// multiplexed connection interleave at run granularity. Until then the
 // connection waits on the server's flush list, which the batch ending the
-// run empties — whichever connection that batch belongs to. It is driven
-// from one stream's delivery order, so prefix and tags need no locking of
-// their own.
-type connOutput struct {
-	srv    *Server
-	cw     *connWriter
-	prefix string // "<key> " on multiplexed connections, else empty
-	tags   int
-}
-
-// Deliver implements Output.
-func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
-	cw := co.cw
+// run empties — whichever connection that batch belongs to.
+func (cw *connWriter) render(s *Server, b *cfgtag.TagBatch, prefix string, tags *int) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
 	// Checked before rendering: a dead connection costs nothing, and its
@@ -249,13 +239,13 @@ func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
 	if cw.err != nil {
 		return cw.err
 	}
-	cw.buf = b.AppendText(cw.buf, co.prefix, &co.tags)
+	cw.buf = b.AppendText(cw.buf, prefix, tags)
 	if !b.More || len(cw.buf) >= connFlushBytes {
 		return cw.flushLocked()
 	}
 	if !cw.waiting {
 		cw.waiting = true
-		co.srv.flushLater(cw)
+		s.flushLater(cw)
 	}
 	return nil
 }
@@ -263,7 +253,7 @@ func (co *connOutput) Deliver(b *cfgtag.TagBatch) error {
 func (t *TCPInput) handle(s *Server, conn net.Conn) {
 	defer conn.Close()
 	cw := &connWriter{c: conn, timeout: t.opt.writeTimeout(), onSlow: s.CountSlowConsumer, onWrite: s.countWrite}
-	// A session is done once its final line is rendered, which can be
+	// A session ends once its final line is rendered, which can be
 	// before the sink run that carries it ends: write what is buffered
 	// before hanging up.
 	defer cw.flush()
@@ -280,32 +270,38 @@ func (t *TCPInput) handle(s *Server, conn net.Conn) {
 		return
 	}
 	if hs.Mux {
-		t.pumpMux(s, fr, cw, hs.Tenant, &muxPending{})
+		t.pumpMux(s, fr, cw, hs.Tenant)
 		return
 	}
 	t.pumpStream(s, fr.r, cw, hs.Tenant, hs.Key)
+}
+
+// echo is the connection a stream's lines render into: none with NoEcho.
+func (t *TCPInput) echo(cw *connWriter) *connWriter {
+	if t.opt.NoEcho {
+		return nil
+	}
+	return cw
 }
 
 // pumpStream drives one dedicated-stream connection: register the
 // session, pump bytes into it until EOF and wait for its final output
 // line before hanging up. NoEcho keeps the session silent.
 func (t *TCPInput) pumpStream(s *Server, r io.Reader, cw *connWriter, tenant, key string) {
-	var out Output
-	if !t.opt.NoEcho {
-		out = &connOutput{srv: s, cw: cw}
-	}
-	sess, err := s.OpenStream(tenant, key, out)
+	var ended sync.WaitGroup
+	sess, err := s.OpenStream(tenant, key, "", t.echo(cw), nil, &ended)
 	if err == nil {
 		err = s.pump(sess, r)
 	}
+	s.letGo(sess)
 	if err != nil {
 		t.refuse(cw, "", err)
 		return
 	}
 	// Wait for the final line to land before the socket closes. Server
-	// shutdown releases every session once the core is closed, so this
-	// wait always terminates.
-	<-sess.done
+	// shutdown ends every session once the core is closed, so this wait
+	// always terminates.
+	ended.Wait()
 }
 
 // refuse writes a stream's refusal as its final line.
@@ -315,53 +311,19 @@ func (t *TCPInput) refuse(cw *connWriter, prefix string, err error) {
 	}
 }
 
-// muxPending holds the sessions of a multiplexed connection whose streams
-// the client has closed but whose final line may still be on its way out;
-// the connection must stay up for them. Sessions that have ended are
-// dropped by an amortised sweep as new ones are added, so the set stays
-// within twice the number of streams actually in flight (plus a constant)
-// however many streams the connection serves.
-type muxPending struct {
-	sess    []*session
-	sweepAt int
-}
-
-func (mp *muxPending) add(ss *session) {
-	mp.sess = append(mp.sess, ss)
-	if len(mp.sess) < mp.sweepAt {
-		return
-	}
-	live := mp.sess[:0]
-	for _, ss := range mp.sess {
-		select {
-		case <-ss.done:
-		default:
-			live = append(live, ss)
-		}
-	}
-	clear(mp.sess[len(live):])
-	mp.sess = live
-	mp.sweepAt = 2*len(live) + 64
-}
-
-// wait blocks until every remaining session's final line is rendered into
-// the connection's buffer; handle writes it out before hanging up.
-func (mp *muxPending) wait() {
-	for _, ss := range mp.sess {
-		<-ss.done
-	}
-}
-
 // pumpMux drives one multiplexed connection: OPEN/DATA/CLOSE frames for
 // many keyed streams, responses interleaved per batch with a "<key> "
 // prefix. A key stays open until the client's CLOSE, after its final line
 // too. On EOF every still-open stream is closed, and the connection stays
-// up until each stream's final line is on its way out.
-func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string, pending *muxPending) {
+// up until each stream's final line is on its way out: one counter, ended,
+// holds every stream the connection opened whose final line is to come.
+func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant string) {
+	var ended sync.WaitGroup
 	open := make(map[string]*session)
 	for {
-		// ss is the session open holds for f.Key, nil if the key is not open.
-		f, ss, err := fr.readFrame(open)
+		// ss is the session open holds for f.Key, nil if the key is not
+		// open; prefix is f.Key and a space.
+		f, ss, prefix, err := fr.readFrame(open)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				cw.line("ERR! " + err.Error())
@@ -370,38 +332,34 @@ func (t *TCPInput) pumpMux(s *Server, fr *FrameReader, cw *connWriter, tenant st
 		}
 		switch {
 		case f.Op == FrameOpen && ss != nil:
-			t.refuse(cw, f.Key+" ", ErrDuplicateStream)
+			t.refuse(cw, prefix, ErrDuplicateStream)
 			s.CountRefusal()
 		case f.Op == FrameOpen:
-			var out Output
-			if !t.opt.NoEcho {
-				out = &connOutput{srv: s, cw: cw, prefix: f.Key + " "}
-			}
-			if ss, err = s.OpenStream(tenant, f.Key, out); err != nil {
-				t.refuse(cw, f.Key+" ", err)
+			if ss, err = s.OpenStream(tenant, f.Key, prefix, t.echo(cw), nil, &ended); err != nil {
+				t.refuse(cw, prefix, err)
 			}
 			open[f.Key] = ss
 		case ss == nil:
-			cw.line(f.Key + " ERR not open")
+			cw.line(prefix + "ERR not open")
 		case f.Op == FrameData:
 			if err := s.send(ss, f.Payload); err != nil {
-				t.refuse(cw, f.Key+" ", err)
+				t.refuse(cw, prefix, err)
 			}
 		case f.Op == FrameClose:
 			delete(open, f.Key)
 			if err := s.closeSession(ss); err != nil {
-				t.refuse(cw, f.Key+" ", err)
+				t.refuse(cw, prefix, err)
 			}
-			pending.add(ss)
+			s.letGo(ss)
 		}
 	}
 	// Client is gone (or spoke garbage): close whatever it left open so
 	// no stream leaks, then wait for every final line to go out.
-	for key, ss := range open {
+	for _, ss := range open {
 		if err := s.closeSession(ss); err != nil {
-			t.refuse(cw, key+" ", err)
+			t.refuse(cw, ss.prefix, err)
 		}
-		pending.add(ss)
+		s.letGo(ss)
 	}
-	pending.wait()
+	ended.Wait()
 }
